@@ -23,6 +23,7 @@ from oxn.config import (
     render_experiment,
     validate,
 )
+from oxn.runner import spec_digest
 
 from conftest import CANONICAL_NAMES, REPO_ROOT, experiment_path, small_spec
 
@@ -208,6 +209,26 @@ class TestRoundTrip:
             ),
         )
         assert parse_experiment(render_experiment(spec)) == spec
+
+
+class TestSpecDigest:
+    """Every report carries ``spec_digest``, the sha256 of the canonical
+    rendering, so any drift in ``render_experiment`` changes report bytes.
+    These pins catch it without running a simulation."""
+
+    PINNED = {
+        "experiments/baseline.yaml": "fdb01e3f0ac422decf5208c663eb150a8f4378c4a87eef574235b8bd049d80ea",
+        "experiments/alternative_a.yaml": "f0331e527b40e543a963c584c37a3a792495d82e4fd27a7682c83226d820f96c",
+        "experiments/alternative_b.yaml": "29781aeaac223b922069395bb97b613408999233a7471f0c7d174a65296998db",
+        "experiments/alternative_c.yaml": "9a3232881a4f5d9d7ef10c7d44329ba6d124c1ba0da3b146bcb0e84a12741c81",
+        "bench/workloads/surge.yaml": "723d63d60e3a8442b3fe64b943960f6351440f99fec1331895cc047149ecd157",
+        "bench/workloads/dense.yaml": "fb41eb3184f0b1cd4144aa6468aa02838dbc366b91e395bde30fce7de53111ee",
+    }
+
+    @pytest.mark.parametrize("path", sorted(PINNED))
+    def test_spec_digest_pinned(self, path):
+        spec = parse_experiment_file(REPO_ROOT / path)
+        assert spec_digest(spec) == "sha256:" + self.PINNED[path]
 
 
 class TestSchemaDescription:
