@@ -5,29 +5,35 @@ An experiment file is a YAML document with top-level keys
 plus an optional ``cost_model``. Durations are written in seconds (decimal),
 point latencies and service times in milliseconds; everything is normalized
 to integer milliseconds internally so runs are exactly reproducible.
+
+Every mapping in the file is one frozen dataclass below, and every treatment
+kind is its own dataclass. One field table per class, built from
+``dataclasses.fields`` and the field metadata, drives both parsing and
+canonical rendering. Parsing checks structure and types only; every range
+and cross-reference invariant is checked once, in ``validate``.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+import functools
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass
 from pathlib import Path
-from typing import Any, Mapping
+from types import UnionType
+from typing import Any, Callable, ClassVar, Mapping, NamedTuple, get_args, get_origin, get_type_hints
 
 import yaml
 
-FAULT_KINDS = frozenset(
-    {"pause", "kill", "network_delay", "packet_loss", "packet_corruption", "stress"}
-)
-INSTRUMENTATION_KINDS = frozenset(
-    {"metric_sampling_interval", "tracing_sampling_rate", "tracing_sampling_strategy"}
-)
-TREATMENT_KINDS = FAULT_KINDS | INSTRUMENTATION_KINDS
 METRIC_KINDS = frozenset({"cpu_gauge", "request_counter", "custom_gauge"})
 TRACE_STRATEGIES = frozenset({"always_on", "probabilistic"})
 RESPONSE_KINDS = frozenset({"metric", "trace_duration"})
-DETECTION_MECHANISMS = frozenset({"logistic_regression", "threshold_alert"})
 
 SYSTEM_TARGET = "system"
+
+# Field metadata. SECONDS: held as integer milliseconds in ``<stem>_ms`` and
+# written in the file as decimal seconds under ``<stem>_s``. FROM_KIND: set by
+# the treatment kind, never written in the file.
+SECONDS = {"seconds": True}
+FROM_KIND = {"from_kind": True}
 
 
 class ExperimentFormatError(ValueError):
@@ -76,8 +82,11 @@ class MetricPointSpec:
     metric_name: str
     kind: str
     target: str
-    sampling_interval_ms: int
-    aggregation_interval_ms: int
+    sampling_interval_ms: int = field(metadata=SECONDS)
+    # Optional in the file, where it defaults to the sampling interval.
+    aggregation_interval_ms: int = field(
+        metadata={**SECONDS, "default_from": "sampling_interval_ms"}
+    )
     # How per-service readings combine when target is "system".
     system_aggregation: str = "sum"
 
@@ -91,8 +100,8 @@ class TraceConfigSpec:
 @dataclass(frozen=True)
 class SueSpec:
     services: tuple[ServiceSpec, ...]
-    edges: tuple[CallEdge, ...]
-    metric_points: tuple[MetricPointSpec, ...]
+    edges: tuple[CallEdge, ...] = ()
+    metric_points: tuple[MetricPointSpec, ...] = ()
     trace_config: TraceConfigSpec = TraceConfigSpec()
 
     def service_ids(self) -> frozenset[str]:
@@ -111,9 +120,9 @@ class SueSpec:
 @dataclass(frozen=True)
 class WorkloadSpec:
     users: int
-    duration_ms: int
+    duration_ms: int = field(metadata=SECONDS)
     think_time: LognormalSpec = LognormalSpec(1000.0, 0.25)
-    ramp_up_ms: int = 0
+    ramp_up_ms: int = field(default=0, metadata=SECONDS)
 
 
 @dataclass(frozen=True)
@@ -145,67 +154,186 @@ class CostModelSpec:
     per_instrumentation_call_ms: float = 0.02
 
 
+# ---------------------------------------------------------------------------
+# Treatments: one dataclass per kind. A fault dataclass is also the effect the
+# simulator applies at ``start_ms`` and reverts at ``end_ms``.
+
+
 @dataclass(frozen=True)
-class TreatmentSpec:
-    """A single treatment; which optional fields apply depends on ``kind``."""
+class Fault:
+    """Fields every fault kind shares: a window on one target service."""
 
     name: str
-    kind: str
-    target: str | None = None
-    start_ms: int | None = None
-    end_ms: int | None = None
-    delay_min_ms: int | None = None
-    delay_max_ms: int | None = None
-    probability: float | None = None
-    factor: float | None = None
-    metric: str | None = None
-    interval_ms: int | None = None
-    rate: float | None = None
-    strategy: str | None = None
-
-    @property
-    def is_fault(self) -> bool:
-        return self.kind in FAULT_KINDS
-
-    @property
-    def is_instrumentation(self) -> bool:
-        return self.kind in INSTRUMENTATION_KINDS
+    target: str
+    start_ms: int = field(metadata=SECONDS)
+    end_ms: int = field(metadata=SECONDS)
 
 
 @dataclass(frozen=True)
+class Pause(Fault):
+    """Suspend all processing at the target; arrivals queue up."""
+
+    kind: ClassVar[str] = "pause"
+
+
+@dataclass(frozen=True)
+class Kill(Fault):
+    """Crash the target: in-flight work fails instantly, new calls fail after
+    the target's error response time, nothing is emitted."""
+
+    kind: ClassVar[str] = "kill"
+
+
+@dataclass(frozen=True)
+class NetworkDelay(Fault):
+    """One uniform latency add-on per hop on the target's inbound edges."""
+
+    kind: ClassVar[str] = "network_delay"
+    delay_min_ms: int
+    delay_max_ms: int
+
+
+@dataclass(frozen=True)
+class PacketLoss(Fault):
+    """Geometric retransmissions on the target's inbound edges. With
+    ``corrupt`` (kind ``packet_corruption``) each hop also draws, with the
+    same probability, a failure that the callee rejects unprocessed."""
+
+    probability: float
+    corrupt: bool = field(default=False, metadata=FROM_KIND)
+
+    @property
+    def kind(self) -> str:
+        return "packet_corruption" if self.corrupt else "packet_loss"
+
+
+@dataclass(frozen=True)
+class Stress(Fault):
+    """Inflate the target's service times and CPU per request by ``factor``."""
+
+    kind: ClassVar[str] = "stress"
+    factor: float
+
+
+@dataclass(frozen=True)
+class MetricSamplingInterval:
+    """Set one metric point's sampling interval."""
+
+    kind: ClassVar[str] = "metric_sampling_interval"
+    name: str
+    metric: str
+    interval_ms: int = field(metadata=SECONDS)
+
+
+@dataclass(frozen=True)
+class TracingSamplingRate:
+    kind: ClassVar[str] = "tracing_sampling_rate"
+    name: str
+    rate: float
+
+
+@dataclass(frozen=True)
+class TracingSamplingStrategy:
+    """Set the trace sampling strategy, and the rate when one is given."""
+
+    kind: ClassVar[str] = "tracing_sampling_strategy"
+    name: str
+    strategy: str
+    rate: float | None = None
+
+
+Instrumentation = MetricSamplingInterval | TracingSamplingRate | TracingSamplingStrategy
+Treatment = Pause | Kill | NetworkDelay | PacketLoss | Stress | Instrumentation
+
+# kind -> (dataclass, the fields the kind itself sets)
+TREATMENT_KINDS: dict[str, tuple[type, dict[str, Any]]] = {
+    "pause": (Pause, {}),
+    "kill": (Kill, {}),
+    "network_delay": (NetworkDelay, {}),
+    "packet_loss": (PacketLoss, {}),
+    "packet_corruption": (PacketLoss, {"corrupt": True}),
+    "stress": (Stress, {}),
+    "metric_sampling_interval": (MetricSamplingInterval, {}),
+    "tracing_sampling_rate": (TracingSamplingRate, {}),
+    "tracing_sampling_strategy": (TracingSamplingStrategy, {}),
+}
+
+
+@dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
+    # Field order is the canonical rendering order.
     name: str
     seed: int
+    repetitions: int = 1
     sue: SueSpec
     workload: WorkloadSpec
-    treatments: tuple[TreatmentSpec, ...]
+    treatments: tuple[Treatment, ...] = ()
     responses: tuple[ResponseVariableSpec, ...]
     detection: DetectionSpec = DetectionSpec()
     cost_model: CostModelSpec = CostModelSpec()
-    repetitions: int = 1
 
-    def fault_treatments(self) -> tuple[TreatmentSpec, ...]:
-        return tuple(t for t in self.treatments if t.is_fault)
+    def fault_treatments(self) -> tuple[Fault, ...]:
+        return tuple(t for t in self.treatments if isinstance(t, Fault))
 
-    def instrumentation_treatments(self) -> tuple[TreatmentSpec, ...]:
-        return tuple(t for t in self.treatments if t.is_instrumentation)
+    def instrumentation_treatments(self) -> tuple[Instrumentation, ...]:
+        return tuple(t for t in self.treatments if not isinstance(t, Fault))
+
+
+# ---------------------------------------------------------------------------
+# The field table
+
+
+class FileField(NamedTuple):
+    """How one dataclass field is read from and written to the file."""
+
+    name: str  # dataclass attribute
+    key: str  # YAML key
+    required: bool
+    default_from: str | None  # attribute whose value a missing key copies
+    parse: Callable[[Any, str], Any]  # (value, field path) -> attribute value
+    render: Callable[[Any], Any]  # attribute value -> YAML value
+
+
+@functools.cache
+def field_table(cls: type) -> tuple[FileField, ...]:
+    """The file fields of a spec dataclass in canonical order, resolved once
+    per class."""
+    hints = get_type_hints(cls)
+    table = []
+    for f in fields(cls):
+        if f.metadata.get("from_kind"):
+            continue
+        if f.metadata.get("seconds"):
+            key, parse, render = f.name.removesuffix("_ms") + "_s", _seconds_to_ms, _ms_to_s
+        else:
+            key = f.name
+            parse, render = _codec(hints[f.name])
+        default_from = f.metadata.get("default_from")
+        required = f.default is MISSING and f.default_factory is MISSING and default_from is None
+        table.append(FileField(f.name, key, required, default_from, parse, render))
+    return tuple(table)
+
+
+def _codec(tp: Any) -> tuple[Callable[[Any, str], Any], Callable[[Any], Any]]:
+    """Parser and renderer for a field annotated ``tp``."""
+    if tp == Treatment:
+        return _parse_treatment, _render_treatment
+    if get_origin(tp) is tuple:
+        parse_item, render_item = _codec(get_args(tp)[0])
+
+        def parse_items(value: Any, where: str) -> tuple:
+            return tuple(parse_item(v, f"{where}[{i}]") for i, v in enumerate(_as_list(value, where)))
+
+        return parse_items, lambda value: [render_item(v) for v in value]
+    if is_dataclass(tp):
+        return functools.partial(_parse_obj, tp), _render_obj
+    if isinstance(tp, UnionType):  # ``T | None``: None is the default and is not written
+        (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
+    return _SCALARS[tp], _same
 
 
 # ---------------------------------------------------------------------------
 # Parsing
-
-
-def _require(mapping: Mapping[str, Any], key: str, where: str) -> Any:
-    if key not in mapping:
-        raise ExperimentFormatError(f"missing required field '{key}' in {where}")
-    return mapping[key]
-
-
-def _reject_unknown(mapping: Mapping[str, Any], allowed: set[str], where: str) -> None:
-    unknown = set(mapping) - allowed
-    if unknown:
-        name = sorted(unknown)[0]
-        raise ExperimentFormatError(f"unknown field '{name}' in {where}")
 
 
 def _as_mapping(value: Any, where: str) -> Mapping[str, Any]:
@@ -238,213 +366,42 @@ def _as_str(value: Any, where: str) -> str:
     return value
 
 
+_SCALARS = {int: _as_int, float: _as_number, str: _as_str}
+
+
 def _seconds_to_ms(value: Any, where: str) -> int:
     return int(round(_as_number(value, where) * 1000))
 
 
-def _parse_lognormal(value: Any, where: str) -> LognormalSpec:
+def _parse_obj(cls: type, value: Any, where: str, **fixed: Any) -> Any:
+    """Build ``cls`` from a mapping; ``where`` is its field path, empty for
+    the top-level experiment."""
+    label = where or "experiment"
+    m = _as_mapping(value, label)
+    table = field_table(cls)
+    unknown = set(m) - {f.key for f in table}
+    if unknown:
+        raise ExperimentFormatError(f"unknown field '{sorted(unknown)[0]}' in {label}")
+    kwargs = dict(fixed)
+    for f in table:
+        if f.key in m:
+            kwargs[f.name] = f.parse(m[f.key], f"{where}.{f.key}" if where else f.key)
+        elif f.default_from is not None:
+            kwargs[f.name] = kwargs[f.default_from]
+        elif f.required:
+            raise ExperimentFormatError(f"missing required field '{f.key}' in {label}")
+    return cls(**kwargs)
+
+
+def _parse_treatment(value: Any, where: str) -> Treatment:
     m = _as_mapping(value, where)
-    _reject_unknown(dict(m), {"median_ms", "sigma"}, where)
-    return LognormalSpec(
-        median_ms=_as_number(_require(m, "median_ms", where), f"{where}.median_ms"),
-        sigma=_as_number(_require(m, "sigma", where), f"{where}.sigma"),
-    )
-
-
-def _parse_service(value: Any, where: str) -> ServiceSpec:
-    m = _as_mapping(value, where)
-    allowed = {"id", "workers", "service_time", "cpu_per_request_ms", "error_response_time_ms"}
-    _reject_unknown(dict(m), allowed, where)
-    spec = ServiceSpec(
-        id=_as_str(_require(m, "id", where), f"{where}.id"),
-        workers=_as_int(_require(m, "workers", where), f"{where}.workers"),
-        service_time=_parse_lognormal(_require(m, "service_time", where), f"{where}.service_time"),
-        cpu_per_request_ms=_as_number(
-            _require(m, "cpu_per_request_ms", where), f"{where}.cpu_per_request_ms"
-        ),
-    )
-    if "error_response_time_ms" in m:
-        spec = replace(
-            spec,
-            error_response_time_ms=_as_int(
-                m["error_response_time_ms"], f"{where}.error_response_time_ms"
-            ),
-        )
-    return spec
-
-
-def _parse_edge(value: Any, where: str) -> CallEdge:
-    m = _as_mapping(value, where)
-    _reject_unknown(dict(m), {"caller", "callee", "calls_per_request", "latency_ms"}, where)
-    return CallEdge(
-        caller=_as_str(_require(m, "caller", where), f"{where}.caller"),
-        callee=_as_str(_require(m, "callee", where), f"{where}.callee"),
-        calls_per_request=_as_number(
-            _require(m, "calls_per_request", where), f"{where}.calls_per_request"
-        ),
-        latency_ms=_as_int(_require(m, "latency_ms", where), f"{where}.latency_ms"),
-    )
-
-
-def _parse_metric_point(value: Any, where: str) -> MetricPointSpec:
-    m = _as_mapping(value, where)
-    allowed = {
-        "metric_name",
-        "kind",
-        "target",
-        "sampling_interval_s",
-        "aggregation_interval_s",
-        "system_aggregation",
-    }
-    _reject_unknown(dict(m), allowed, where)
-    sampling = _seconds_to_ms(_require(m, "sampling_interval_s", where), f"{where}.sampling_interval_s")
-    if "aggregation_interval_s" in m:
-        aggregation = _seconds_to_ms(m["aggregation_interval_s"], f"{where}.aggregation_interval_s")
-    else:
-        aggregation = sampling
-    return MetricPointSpec(
-        metric_name=_as_str(_require(m, "metric_name", where), f"{where}.metric_name"),
-        kind=_as_str(_require(m, "kind", where), f"{where}.kind"),
-        target=_as_str(_require(m, "target", where), f"{where}.target"),
-        sampling_interval_ms=sampling,
-        aggregation_interval_ms=aggregation,
-        system_aggregation=_as_str(m.get("system_aggregation", "sum"), f"{where}.system_aggregation"),
-    )
-
-
-def _parse_trace_config(value: Any, where: str) -> TraceConfigSpec:
-    m = _as_mapping(value, where)
-    _reject_unknown(dict(m), {"strategy", "rate"}, where)
-    strategy = _as_str(m.get("strategy", "probabilistic"), f"{where}.strategy")
-    rate = _as_number(m.get("rate", 1.0), f"{where}.rate")
-    return TraceConfigSpec(strategy=strategy, rate=rate)
-
-
-def _parse_sue(value: Any, where: str) -> SueSpec:
-    m = _as_mapping(value, where)
-    _reject_unknown(dict(m), {"services", "edges", "metric_points", "trace_config"}, where)
-    services = tuple(
-        _parse_service(v, f"{where}.services[{i}]")
-        for i, v in enumerate(_as_list(_require(m, "services", where), f"{where}.services"))
-    )
-    edges = tuple(
-        _parse_edge(v, f"{where}.edges[{i}]")
-        for i, v in enumerate(_as_list(m.get("edges", []), f"{where}.edges"))
-    )
-    points = tuple(
-        _parse_metric_point(v, f"{where}.metric_points[{i}]")
-        for i, v in enumerate(_as_list(m.get("metric_points", []), f"{where}.metric_points"))
-    )
-    if "trace_config" in m:
-        trace = _parse_trace_config(m["trace_config"], f"{where}.trace_config")
-    else:
-        trace = TraceConfigSpec()
-    return SueSpec(services=services, edges=edges, metric_points=points, trace_config=trace)
-
-
-def _parse_workload(value: Any, where: str) -> WorkloadSpec:
-    m = _as_mapping(value, where)
-    _reject_unknown(dict(m), {"users", "duration_s", "think_time", "ramp_up_s"}, where)
-    spec = WorkloadSpec(
-        users=_as_int(_require(m, "users", where), f"{where}.users"),
-        duration_ms=_seconds_to_ms(_require(m, "duration_s", where), f"{where}.duration_s"),
-    )
-    if "think_time" in m:
-        spec = replace(spec, think_time=_parse_lognormal(m["think_time"], f"{where}.think_time"))
-    if "ramp_up_s" in m:
-        spec = replace(spec, ramp_up_ms=_seconds_to_ms(m["ramp_up_s"], f"{where}.ramp_up_s"))
-    return spec
-
-
-_TREATMENT_FIELDS: dict[str, set[str]] = {
-    "pause": {"target", "start_s", "end_s"},
-    "kill": {"target", "start_s", "end_s"},
-    "network_delay": {"target", "start_s", "end_s", "delay_min_ms", "delay_max_ms"},
-    "packet_loss": {"target", "start_s", "end_s", "probability"},
-    "packet_corruption": {"target", "start_s", "end_s", "probability"},
-    "stress": {"target", "start_s", "end_s", "factor"},
-    "metric_sampling_interval": {"metric", "interval_s"},
-    "tracing_sampling_rate": {"rate"},
-    "tracing_sampling_strategy": {"strategy", "rate"},
-}
-
-
-def _parse_treatment(value: Any, where: str) -> TreatmentSpec:
-    m = _as_mapping(value, where)
-    name = _as_str(_require(m, "name", where), f"{where}.name")
-    kind = _as_str(_require(m, "kind", where), f"{where}.kind")
+    if "kind" not in m:
+        raise ExperimentFormatError(f"missing required field 'kind' in {where}")
+    kind = _as_str(m["kind"], f"{where}.kind")
     if kind not in TREATMENT_KINDS:
         raise ExperimentFormatError(f"unknown treatment kind '{kind}' in {where}")
-    allowed = _TREATMENT_FIELDS[kind] | {"name", "kind"}
-    _reject_unknown(dict(m), allowed, where)
-    spec = TreatmentSpec(name=name, kind=kind)
-    if kind in FAULT_KINDS:
-        spec = replace(
-            spec,
-            target=_as_str(_require(m, "target", where), f"{where}.target"),
-            start_ms=_seconds_to_ms(_require(m, "start_s", where), f"{where}.start_s"),
-            end_ms=_seconds_to_ms(_require(m, "end_s", where), f"{where}.end_s"),
-        )
-    if kind == "network_delay":
-        spec = replace(
-            spec,
-            delay_min_ms=_as_int(_require(m, "delay_min_ms", where), f"{where}.delay_min_ms"),
-            delay_max_ms=_as_int(_require(m, "delay_max_ms", where), f"{where}.delay_max_ms"),
-        )
-    elif kind in ("packet_loss", "packet_corruption"):
-        spec = replace(
-            spec,
-            probability=_as_number(_require(m, "probability", where), f"{where}.probability"),
-        )
-    elif kind == "stress":
-        spec = replace(spec, factor=_as_number(_require(m, "factor", where), f"{where}.factor"))
-    elif kind == "metric_sampling_interval":
-        spec = replace(
-            spec,
-            metric=_as_str(_require(m, "metric", where), f"{where}.metric"),
-            interval_ms=_seconds_to_ms(_require(m, "interval_s", where), f"{where}.interval_s"),
-        )
-    elif kind == "tracing_sampling_rate":
-        spec = replace(spec, rate=_as_number(_require(m, "rate", where), f"{where}.rate"))
-    elif kind == "tracing_sampling_strategy":
-        spec = replace(spec, strategy=_as_str(_require(m, "strategy", where), f"{where}.strategy"))
-        if "rate" in m:
-            spec = replace(spec, rate=_as_number(m["rate"], f"{where}.rate"))
-    return spec
-
-
-def _parse_response(value: Any, where: str) -> ResponseVariableSpec:
-    m = _as_mapping(value, where)
-    _reject_unknown(dict(m), {"name", "kind", "source"}, where)
-    return ResponseVariableSpec(
-        name=_as_str(_require(m, "name", where), f"{where}.name"),
-        kind=_as_str(_require(m, "kind", where), f"{where}.kind"),
-        source=_as_str(_require(m, "source", where), f"{where}.source"),
-    )
-
-
-def _parse_detection(value: Any, where: str) -> DetectionSpec:
-    m = _as_mapping(value, where)
-    allowed = {"mechanism", "alpha", "split_ratio", "feature_window", "l2", "tol", "alert_k"}
-    _reject_unknown(dict(m), allowed, where)
-    spec = DetectionSpec()
-    if "mechanism" in m:
-        spec = replace(spec, mechanism=_as_str(m["mechanism"], f"{where}.mechanism"))
-    for key in ("alpha", "split_ratio", "l2", "tol", "alert_k"):
-        if key in m:
-            spec = replace(spec, **{key: _as_number(m[key], f"{where}.{key}")})
-    if "feature_window" in m:
-        spec = replace(spec, feature_window=_as_int(m["feature_window"], f"{where}.feature_window"))
-    return spec
-
-
-def _parse_cost_model(value: Any, where: str) -> CostModelSpec:
-    m = _as_mapping(value, where)
-    defaults = CostModelSpec()
-    allowed = set(defaults.__dataclass_fields__)
-    _reject_unknown(dict(m), allowed, where)
-    kwargs = {key: _as_number(m[key], f"{where}.{key}") for key in m}
-    return replace(defaults, **kwargs)
+    cls, fixed = TREATMENT_KINDS[kind]
+    return _parse_obj(cls, {k: v for k, v in m.items() if k != "kind"}, where, **fixed)
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
@@ -466,44 +423,9 @@ def parse_experiment(text: str) -> ExperimentSpec:
         raise ExperimentFormatError(f"syntax error: {exc}") from exc
     if raw is None:
         raise ExperimentFormatError("experiment file is empty")
-    top = _as_mapping(raw, "experiment")
-    allowed = {
-        "name",
-        "seed",
-        "repetitions",
-        "sue",
-        "workload",
-        "treatments",
-        "responses",
-        "detection",
-        "cost_model",
-    }
-    _reject_unknown(dict(top), allowed, "experiment")
-
-    responses = tuple(
-        _parse_response(v, f"responses[{i}]")
-        for i, v in enumerate(_as_list(_require(top, "responses", "experiment"), "responses"))
-    )
-    if not responses:
+    spec = _parse_obj(ExperimentSpec, raw, "")
+    if not spec.responses:
         raise ExperimentFormatError("responses must be nonempty")
-
-    spec = ExperimentSpec(
-        name=_as_str(_require(top, "name", "experiment"), "name"),
-        seed=_as_int(_require(top, "seed", "experiment"), "seed"),
-        sue=_parse_sue(_require(top, "sue", "experiment"), "sue"),
-        workload=_parse_workload(_require(top, "workload", "experiment"), "workload"),
-        treatments=tuple(
-            _parse_treatment(v, f"treatments[{i}]")
-            for i, v in enumerate(_as_list(top.get("treatments", []), "treatments"))
-        ),
-        responses=responses,
-    )
-    if "repetitions" in top:
-        spec = replace(spec, repetitions=_as_int(top["repetitions"], "repetitions"))
-    if "detection" in top:
-        spec = replace(spec, detection=_parse_detection(top["detection"], "detection"))
-    if "cost_model" in top:
-        spec = replace(spec, cost_model=_parse_cost_model(top["cost_model"], "cost_model"))
     return spec
 
 
@@ -652,11 +574,11 @@ def validate(spec: ExperimentSpec) -> list[Violation]:
         if t.name in seen_treatments:
             v.append(Violation(f"{where}.name", f"duplicate treatment '{t.name}'"))
         seen_treatments.add(t.name)
-        if t.is_fault:
+        if isinstance(t, Fault):
             seen_fault = True
             if t.target not in ids:
                 v.append(Violation(f"{where}.target", f"unresolved target '{t.target}'"))
-            if t.start_ms is None or t.end_ms is None or not 0 < t.start_ms < t.end_ms:
+            if not 0 < t.start_ms < t.end_ms:
                 v.append(Violation(f"{where}", "fault window must satisfy 0 < start < end"))
             elif t.end_ms >= wl.duration_ms:
                 v.append(
@@ -666,15 +588,14 @@ def validate(spec: ExperimentSpec) -> list[Violation]:
                         "interval is required after the fault)",
                     )
                 )
-            if t.kind == "network_delay":
-                if t.delay_min_ms is None or t.delay_max_ms is None or t.delay_min_ms < 0:
+            if isinstance(t, NetworkDelay):
+                if t.delay_min_ms < 0:
                     v.append(Violation(f"{where}", "delay bounds must be >= 0"))
                 elif t.delay_min_ms > t.delay_max_ms:
                     v.append(Violation(f"{where}", "delay min must be <= max"))
-            if t.kind in ("packet_loss", "packet_corruption"):
-                if t.probability is None or not 0.0 <= t.probability <= 1.0:
-                    v.append(Violation(f"{where}.probability", "must be within [0, 1]"))
-            if t.kind == "stress" and (t.factor is None or t.factor <= 0):
+            elif isinstance(t, PacketLoss) and not 0.0 <= t.probability <= 1.0:
+                v.append(Violation(f"{where}.probability", "must be within [0, 1]"))
+            elif isinstance(t, Stress) and t.factor <= 0:
                 v.append(Violation(f"{where}.factor", "must be > 0"))
         else:
             if seen_fault:
@@ -684,19 +605,16 @@ def validate(spec: ExperimentSpec) -> list[Violation]:
                         "instrumentation treatments must precede fault treatments",
                     )
                 )
-            if t.kind == "metric_sampling_interval":
+            if isinstance(t, MetricSamplingInterval):
                 if t.metric not in metric_names:
                     v.append(Violation(f"{where}.metric", f"unresolved metric '{t.metric}'"))
-                if t.interval_ms is None or t.interval_ms <= 0:
+                if t.interval_ms <= 0:
                     v.append(Violation(f"{where}.interval_s", "must be > 0"))
-            if t.kind == "tracing_sampling_rate":
-                if t.rate is None or not 0.0 <= t.rate <= 1.0:
-                    v.append(Violation(f"{where}.rate", "rate must be within [0, 1]"))
-            if t.kind == "tracing_sampling_strategy":
-                if t.strategy not in TRACE_STRATEGIES:
-                    v.append(Violation(f"{where}.strategy", f"unknown strategy '{t.strategy}'"))
-                if t.rate is not None and not 0.0 <= t.rate <= 1.0:
-                    v.append(Violation(f"{where}.rate", "rate must be within [0, 1]"))
+            elif isinstance(t, TracingSamplingStrategy) and t.strategy not in TRACE_STRATEGIES:
+                v.append(Violation(f"{where}.strategy", f"unknown strategy '{t.strategy}'"))
+            # Both tracing kinds may carry a rate.
+            if getattr(t, "rate", None) is not None and not 0.0 <= t.rate <= 1.0:
+                v.append(Violation(f"{where}.rate", "rate must be within [0, 1]"))
 
     seen_responses: set[str] = set()
     for i, resp in enumerate(spec.responses):
@@ -711,8 +629,11 @@ def validate(spec: ExperimentSpec) -> list[Violation]:
         elif resp.kind == "trace_duration" and resp.source not in ids:
             v.append(Violation(f"{where}.source", f"unresolved service '{resp.source}'"))
 
+    # Imported here: config -> detection -> telemetry -> config is a cycle.
+    from .detection import _REGISTRY
+
     det = spec.detection
-    if det.mechanism not in DETECTION_MECHANISMS:
+    if det.mechanism not in _REGISTRY:
         v.append(Violation("detection.mechanism", f"unknown mechanism '{det.mechanism}'"))
     if not 0.0 < det.alpha < 1.0:
         v.append(Violation("detection.alpha", "alpha must be within (0, 1)"))
@@ -742,96 +663,24 @@ def _ms_to_s(ms: int) -> float | int:
     return int(seconds) if seconds == int(seconds) else seconds
 
 
-def _lognormal_doc(spec: LognormalSpec) -> dict:
-    return {"median_ms": spec.median_ms, "sigma": spec.sigma}
+def _same(value: Any) -> Any:
+    return value
 
 
-def _treatment_doc(t: TreatmentSpec) -> dict:
-    doc: dict[str, Any] = {"name": t.name, "kind": t.kind}
-    if t.is_fault:
-        doc["target"] = t.target
-        doc["start_s"] = _ms_to_s(t.start_ms or 0)
-        doc["end_s"] = _ms_to_s(t.end_ms or 0)
-    if t.kind == "network_delay":
-        doc["delay_min_ms"] = t.delay_min_ms
-        doc["delay_max_ms"] = t.delay_max_ms
-    elif t.kind in ("packet_loss", "packet_corruption"):
-        doc["probability"] = t.probability
-    elif t.kind == "stress":
-        doc["factor"] = t.factor
-    elif t.kind == "metric_sampling_interval":
-        doc["metric"] = t.metric
-        doc["interval_s"] = _ms_to_s(t.interval_ms or 0)
-    elif t.kind == "tracing_sampling_rate":
-        doc["rate"] = t.rate
-    elif t.kind == "tracing_sampling_strategy":
-        doc["strategy"] = t.strategy
-        if t.rate is not None:
-            doc["rate"] = t.rate
+def _render_obj(obj: Any) -> dict:
+    doc = {}
+    for f in field_table(type(obj)):
+        value = getattr(obj, f.name)
+        if value is not None:
+            doc[f.key] = f.render(value)
     return doc
+
+
+def _render_treatment(t: Treatment) -> dict:
+    # ``name`` keeps its leading position when the field table re-adds it.
+    return {"name": t.name, "kind": t.kind} | _render_obj(t)
 
 
 def render_experiment(spec: ExperimentSpec) -> str:
     """Serialize a spec to canonical YAML; parse(render(spec)) == spec."""
-    doc = {
-        "name": spec.name,
-        "seed": spec.seed,
-        "repetitions": spec.repetitions,
-        "sue": {
-            "services": [
-                {
-                    "id": s.id,
-                    "workers": s.workers,
-                    "service_time": _lognormal_doc(s.service_time),
-                    "cpu_per_request_ms": s.cpu_per_request_ms,
-                    "error_response_time_ms": s.error_response_time_ms,
-                }
-                for s in spec.sue.services
-            ],
-            "edges": [
-                {
-                    "caller": e.caller,
-                    "callee": e.callee,
-                    "calls_per_request": e.calls_per_request,
-                    "latency_ms": e.latency_ms,
-                }
-                for e in spec.sue.edges
-            ],
-            "metric_points": [
-                {
-                    "metric_name": p.metric_name,
-                    "kind": p.kind,
-                    "target": p.target,
-                    "sampling_interval_s": _ms_to_s(p.sampling_interval_ms),
-                    "aggregation_interval_s": _ms_to_s(p.aggregation_interval_ms),
-                    "system_aggregation": p.system_aggregation,
-                }
-                for p in spec.sue.metric_points
-            ],
-            "trace_config": {
-                "strategy": spec.sue.trace_config.strategy,
-                "rate": spec.sue.trace_config.rate,
-            },
-        },
-        "workload": {
-            "users": spec.workload.users,
-            "duration_s": _ms_to_s(spec.workload.duration_ms),
-            "think_time": _lognormal_doc(spec.workload.think_time),
-            "ramp_up_s": _ms_to_s(spec.workload.ramp_up_ms),
-        },
-        "treatments": [_treatment_doc(t) for t in spec.treatments],
-        "responses": [
-            {"name": r.name, "kind": r.kind, "source": r.source} for r in spec.responses
-        ],
-        "detection": {
-            "mechanism": spec.detection.mechanism,
-            "alpha": spec.detection.alpha,
-            "split_ratio": spec.detection.split_ratio,
-            "feature_window": spec.detection.feature_window,
-            "l2": spec.detection.l2,
-            "tol": spec.detection.tol,
-            "alert_k": spec.detection.alert_k,
-        },
-        "cost_model": dict(spec.cost_model.__dict__),
-    }
-    return yaml.safe_dump(doc, sort_keys=False, default_flow_style=False)
+    return yaml.safe_dump(_render_obj(spec), sort_keys=False, default_flow_style=False)

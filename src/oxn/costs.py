@@ -10,7 +10,7 @@ meaningful.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 
 from .config import CostModelSpec
 from .telemetry import TelemetryBatch
@@ -24,8 +24,6 @@ class CostReport:
     collector: float
     metrics_backend: float
     trace_backend: float
-    baseline_name: str | None = None
-    overhead_pct: float | None = None
 
     @property
     def application_total(self) -> float:
@@ -35,16 +33,8 @@ class CostReport:
     def total(self) -> float:
         return self.application_total + self.collector + self.metrics_backend + self.trace_backend
 
-    def versus(self, baseline_name: str, baseline_total: float) -> "CostReport":
-        """Attach the overhead percentage relative to a named baseline."""
-        return replace(
-            self,
-            baseline_name=baseline_name,
-            overhead_pct=overhead(baseline_total, self.total),
-        )
-
     def as_dict(self) -> dict:
-        doc = {
+        return {
             "application": {k: round(v, 6) for k, v in sorted(self.application.items())},
             "application_total": round(self.application_total, 6),
             "collector": round(self.collector, 6),
@@ -52,10 +42,6 @@ class CostReport:
             "trace_backend": round(self.trace_backend, 6),
             "total": round(self.total, 6),
         }
-        if self.baseline_name is not None:
-            doc["baseline"] = self.baseline_name
-            doc["overhead_pct"] = self.overhead_pct
-        return doc
 
 
 def account(batch: TelemetryBatch, model: CostModelSpec | None = None) -> CostReport:

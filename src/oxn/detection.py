@@ -334,10 +334,10 @@ def register_mechanism(name: str, factory: Callable[..., DetectionMechanism]) ->
 
 
 def make_mechanism(name: str, **params) -> DetectionMechanism:
-    try:
-        return _REGISTRY[name](**params)
-    except KeyError:
-        raise KeyError(f"unknown detection mechanism '{name}'") from None
+    # Looked up first, so a KeyError raised inside a factory propagates as is.
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown detection mechanism '{name}'")
+    return _REGISTRY[name](**params)
 
 
 register_mechanism(

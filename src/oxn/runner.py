@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import ExperimentSpec, TreatmentSpec, render_experiment, validate
+from .config import ExperimentSpec, Fault, render_experiment, validate
 from .costs import CostReport, account, mean_cost, overhead
 from .detection import InsufficientDataError, build_dataset, make_mechanism
 from .scoring import (
@@ -134,17 +134,17 @@ def spec_digest(spec: ExperimentSpec) -> str:
     return "sha256:" + hashlib.sha256(render_experiment(spec).encode()).hexdigest()
 
 
-def simulate_run(spec: ExperimentSpec, fault: TreatmentSpec, repetition: int):
+def simulate_run(spec: ExperimentSpec, fault: Fault, repetition: int):
     """Simulate one repetition of one fault; returns the telemetry batch, the
     materialized response series and the request records."""
     run_seed = spec.seed + repetition
     sue = apply_instrumentation(spec.sue, spec.instrumentation_treatments())
-    schedule = compile_schedule([fault], spec.workload.duration_ms)
+    schedule = compile_schedule([fault])
     sim = init_sim(sue, run_seed)
     drive(sim, spec.workload)
     sim.run_until(None, schedule)
 
-    window = FaultWindow(fault.start_ms or 0, fault.end_ms or 0)
+    window = FaultWindow(fault.start_ms, fault.end_ms)
     batch = build_batch(
         sim.log,
         sue,
@@ -159,7 +159,7 @@ def simulate_run(spec: ExperimentSpec, fault: TreatmentSpec, repetition: int):
 
 def execute_run(
     spec: ExperimentSpec,
-    fault: TreatmentSpec,
+    fault: Fault,
     repetition: int,
     export_dir: str | Path | None = None,
 ) -> RunResult:

@@ -21,20 +21,16 @@ from typing import Callable, NamedTuple
 
 import numpy as np
 
-from .config import LognormalSpec, ServiceSpec, SueSpec
-from .treatments import (
-    FaultSchedule,
-    KillEffect,
-    NetworkDelayEffect,
-    PacketCorruptionEffect,
-    PacketLossEffect,
-    PauseEffect,
-    StressEffect,
-)
+from .config import Fault, Kill, LognormalSpec, NetworkDelay, PacketLoss, Pause, ServiceSpec, Stress, SueSpec
+from .treatments import FaultSchedule
 
 CLIENT_TIMEOUT_MS = 10_000
 # Retransmission storms are truncated so a probability of 1.0 cannot hang the loop.
 MAX_RETRANSMITS = 100
+# Application-layer manifestation of transport-level packet loss: each lost
+# packet costs one retransmission round-trip and some receiver-side stack work.
+RETRANSMIT_PENALTY_MS = 200
+RETRANSMIT_CPU_MS = 100.0
 
 _MASK64 = (1 << 64) - 1
 
@@ -214,8 +210,8 @@ class SimState:
             raise ValueError(f"call graph must have exactly one entry service, found {roots}")
         self.entry = roots[0]
         self._schedule_installed = False
-        # Fault effects active per service / per inbound-edge target.
-        self._active: list[tuple[str, object]] = []
+        # Active faults that act on the inbound edges of their target.
+        self._active: list[NetworkDelay | PacketLoss] = []
 
     # -- plumbing ----------------------------------------------------------
 
@@ -261,9 +257,9 @@ class SimState:
             self._schedule_installed = True
             # Negative sequence numbers make boundary events sort ahead of
             # simulation events carrying the same timestamp.
-            for i, entry in enumerate(schedule.entries):
-                heapq.heappush(self._heap, (entry.start_ms, -2_000_000 + 2 * i, _EV_FAULT_START, entry))
-                heapq.heappush(self._heap, (entry.end_ms, -2_000_000 + 2 * i + 1, _EV_FAULT_END, entry))
+            for i, fault in enumerate(schedule.entries):
+                heapq.heappush(self._heap, (fault.start_ms, -2_000_000 + 2 * i, _EV_FAULT_START, fault))
+                heapq.heappush(self._heap, (fault.end_ms, -2_000_000 + 2 * i + 1, _EV_FAULT_END, fault))
         heap = self._heap
         while heap and (t is None or heap[0][0] <= t):
             when, _, kind, payload = heapq.heappop(heap)
@@ -360,24 +356,18 @@ class SimState:
         transit = edge.latency_ms
         corrupted = False
         extra_cpu = 0.0
-        for target, effect in self._active:
-            if target != edge.callee:
+        for fault in self._active:
+            if fault.target != edge.callee:
                 continue
-            if type(effect) is NetworkDelayEffect:
-                transit += int(edge.delay_rng.integers(effect.min_ms, effect.max_ms, endpoint=True))
-            elif type(effect) is PacketLossEffect:
+            if type(fault) is NetworkDelay:
+                transit += int(edge.delay_rng.integers(fault.delay_min_ms, fault.delay_max_ms, endpoint=True))
+            else:  # PacketLoss; when corrupting it also draws a per-hop failure
                 retransmits = 0
-                while retransmits < MAX_RETRANSMITS and edge.loss_rng.random() < effect.probability:
+                while retransmits < MAX_RETRANSMITS and edge.loss_rng.random() < fault.probability:
                     retransmits += 1
-                transit += retransmits * effect.retransmit_penalty_ms
-                extra_cpu += retransmits * effect.retransmit_cpu_ms
-            elif type(effect) is PacketCorruptionEffect:
-                retransmits = 0
-                while retransmits < MAX_RETRANSMITS and edge.loss_rng.random() < effect.probability:
-                    retransmits += 1
-                transit += retransmits * effect.retransmit_penalty_ms
-                extra_cpu += retransmits * effect.retransmit_cpu_ms
-                if edge.corrupt_rng.random() < effect.probability:
+                transit += retransmits * RETRANSMIT_PENALTY_MS
+                extra_cpu += retransmits * RETRANSMIT_CPU_MS
+                if fault.corrupt and edge.corrupt_rng.random() < fault.probability:
                     corrupted = True
         child = _Call(parent.request, edge.callee, parent, t)
         child.inbound_cpu_ms = extra_cpu
@@ -436,17 +426,16 @@ class SimState:
 
     # -- fault boundaries ----------------------------------------------------
 
-    def _fault_start(self, entry, t: int) -> None:
-        effect = entry.effect
-        if type(effect) is PauseEffect:
-            svc = self.services[entry.target]
+    def _fault_start(self, fault: Fault, t: int) -> None:
+        if type(fault) is Pause:
+            svc = self.services[fault.target]
             svc.paused = True
             svc.epoch += 1
             for call, end_t, cpu in svc.processing.values():
                 svc.frozen.append((call, max(0, end_t - t), cpu))
             svc.processing.clear()
-        elif type(effect) is KillEffect:
-            svc = self.services[entry.target]
+        elif type(fault) is Kill:
+            svc = self.services[fault.target]
             svc.killed = True
             svc.epoch += 1
             dropped = [call for call, _, _ in svc.processing.values()]
@@ -461,15 +450,14 @@ class SimState:
                     self._finish_request(call.request, "error", t)
                 else:
                     self._child_result(call, "error", t)
-        elif type(effect) is StressEffect:
-            self.services[entry.target].stress_factor = effect.factor
+        elif type(fault) is Stress:
+            self.services[fault.target].stress_factor = fault.factor
         else:
-            self._active.append((entry.target, effect))
+            self._active.append(fault)
 
-    def _fault_end(self, entry, t: int) -> None:
-        effect = entry.effect
-        if type(effect) is PauseEffect:
-            svc = self.services[entry.target]
+    def _fault_end(self, fault: Fault, t: int) -> None:
+        if type(fault) is Pause:
+            svc = self.services[fault.target]
             svc.paused = False
             for call, remaining, cpu in svc.frozen:
                 self._token += 1
@@ -478,13 +466,13 @@ class SimState:
                 self.schedule(t + remaining, _EV_PROC_DONE, (svc.spec.id, svc.epoch, token))
             svc.frozen.clear()
             self._dispatch(svc, t)
-        elif type(effect) is KillEffect:
-            svc = self.services[entry.target]
+        elif type(fault) is Kill:
+            svc = self.services[fault.target]
             svc.killed = False
-        elif type(effect) is StressEffect:
-            self.services[entry.target].stress_factor = 1.0
+        elif type(fault) is Stress:
+            self.services[fault.target].stress_factor = 1.0
         else:
-            self._active = [(tgt, eff) for tgt, eff in self._active if eff is not effect]
+            self._active = [f for f in self._active if f is not fault]
 
 
 def init_sim(sue: SueSpec, seed: int) -> SimState:

@@ -1,105 +1,33 @@
 """Treatment enactment: configuration rewrites and fault scheduling.
 
 Instrumentation treatments are applied to the mesh configuration before a
-run starts; fault treatments compile into a schedule of timed, revertible
-effects that the simulator applies at the window boundaries.
+run starts; fault treatments form a start-time-ordered schedule that the
+simulator applies and reverts at the window boundaries. Both take
+treatments from a spec that passed ``config.validate``, which checks every
+treatment invariant.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
+from typing import Iterable
 
-from .config import SueSpec, TraceConfigSpec, TreatmentSpec
-
-# Application-layer manifestation of transport-level packet loss: each lost
-# packet costs one retransmission round-trip and some receiver-side stack work.
-RETRANSMIT_PENALTY_MS = 200
-RETRANSMIT_CPU_MS = 100.0
-
-
-class TreatmentError(ValueError):
-    pass
-
-
-@dataclass(frozen=True)
-class PauseEffect:
-    """Suspend all processing at the target; arrivals queue up."""
-
-
-@dataclass(frozen=True)
-class KillEffect:
-    """Crash the target: in-flight work fails instantly, new calls fail after
-    the target's error response time, nothing is emitted."""
-
-
-@dataclass(frozen=True)
-class NetworkDelayEffect:
-    min_ms: int
-    max_ms: int
-
-
-@dataclass(frozen=True)
-class PacketLossEffect:
-    probability: float
-    retransmit_penalty_ms: int = RETRANSMIT_PENALTY_MS
-    retransmit_cpu_ms: float = RETRANSMIT_CPU_MS
-
-
-@dataclass(frozen=True)
-class PacketCorruptionEffect:
-    """Placeholder semantics: retransmission penalties as for packet loss,
-    plus a per-hop chance that the call fails outright."""
-
-    probability: float
-    retransmit_penalty_ms: int = RETRANSMIT_PENALTY_MS
-    retransmit_cpu_ms: float = RETRANSMIT_CPU_MS
-
-
-@dataclass(frozen=True)
-class StressEffect:
-    factor: float
-
-
-FaultEffect = (
-    PauseEffect
-    | KillEffect
-    | NetworkDelayEffect
-    | PacketLossEffect
-    | PacketCorruptionEffect
-    | StressEffect
-)
-
-
-@dataclass(frozen=True)
-class ScheduledFault:
-    fault_id: str
-    target: str
-    effect: FaultEffect
-    start_ms: int
-    end_ms: int
+from .config import Fault, Instrumentation, MetricSamplingInterval, SueSpec, TracingSamplingRate
 
 
 @dataclass(frozen=True)
 class FaultSchedule:
-    entries: tuple[ScheduledFault, ...]
+    entries: tuple[Fault, ...]
 
 
-def apply_instrumentation(sue: SueSpec, treatments: list[TreatmentSpec] | tuple[TreatmentSpec, ...]) -> SueSpec:
+def apply_instrumentation(sue: SueSpec, treatments: Iterable[Instrumentation]) -> SueSpec:
     """Return a new SueSpec with sampling intervals and trace settings
     replaced per the instrumentation treatments; the input is untouched."""
     points = list(sue.metric_points)
     trace = sue.trace_config
     for t in treatments:
-        if not t.is_instrumentation:
-            raise TreatmentError(f"'{t.name}' is not an instrumentation treatment")
-        if t.kind == "metric_sampling_interval":
-            index = next(
-                (i for i, p in enumerate(points) if p.metric_name == t.metric), None
-            )
-            if index is None:
-                raise TreatmentError(f"unknown metric '{t.metric}' in treatment '{t.name}'")
-            if t.interval_ms is None or t.interval_ms <= 0:
-                raise TreatmentError(f"interval must be > 0 in treatment '{t.name}'")
+        if isinstance(t, MetricSamplingInterval):
+            index = [p.metric_name for p in points].index(t.metric)
             point = points[index]
             # Keep the aggregation-to-sampling multiplier so aggregated
             # windows still contain a whole number of samples.
@@ -109,67 +37,13 @@ def apply_instrumentation(sue: SueSpec, treatments: list[TreatmentSpec] | tuple[
                 sampling_interval_ms=t.interval_ms,
                 aggregation_interval_ms=t.interval_ms * multiplier,
             )
-        elif t.kind == "tracing_sampling_rate":
-            if t.rate is None or not 0.0 <= t.rate <= 1.0:
-                raise TreatmentError(f"trace rate must be within [0, 1] in treatment '{t.name}'")
+        elif isinstance(t, TracingSamplingRate):
             trace = replace(trace, rate=t.rate)
-        elif t.kind == "tracing_sampling_strategy":
-            if t.strategy not in ("always_on", "probabilistic"):
-                raise TreatmentError(f"unknown strategy '{t.strategy}' in treatment '{t.name}'")
-            trace = TraceConfigSpec(
-                strategy=t.strategy,
-                rate=t.rate if t.rate is not None else trace.rate,
-            )
+        else:
+            trace = replace(trace, strategy=t.strategy, rate=trace.rate if t.rate is None else t.rate)
     return replace(sue, metric_points=tuple(points), trace_config=trace)
 
 
-def _effect_for(t: TreatmentSpec) -> FaultEffect:
-    if t.kind == "pause":
-        return PauseEffect()
-    if t.kind == "kill":
-        return KillEffect()
-    if t.kind == "network_delay":
-        if t.delay_min_ms is None or t.delay_max_ms is None or t.delay_min_ms > t.delay_max_ms:
-            raise TreatmentError(f"bad delay bounds in treatment '{t.name}'")
-        return NetworkDelayEffect(min_ms=t.delay_min_ms, max_ms=t.delay_max_ms)
-    if t.kind == "packet_loss":
-        if t.probability is None or not 0.0 <= t.probability <= 1.0:
-            raise TreatmentError(f"probability must be within [0, 1] in treatment '{t.name}'")
-        return PacketLossEffect(probability=t.probability)
-    if t.kind == "packet_corruption":
-        if t.probability is None or not 0.0 <= t.probability <= 1.0:
-            raise TreatmentError(f"probability must be within [0, 1] in treatment '{t.name}'")
-        return PacketCorruptionEffect(probability=t.probability)
-    if t.kind == "stress":
-        if t.factor is None or t.factor <= 0:
-            raise TreatmentError(f"stress factor must be > 0 in treatment '{t.name}'")
-        return StressEffect(factor=t.factor)
-    raise TreatmentError(f"'{t.name}' is not a fault treatment")
-
-
-def compile_schedule(
-    treatments: list[TreatmentSpec] | tuple[TreatmentSpec, ...], workload_duration_ms: int
-) -> FaultSchedule:
-    """Translate fault treatments into a start-time-ordered fault schedule."""
-    entries = []
-    for t in treatments:
-        if not t.is_fault:
-            raise TreatmentError(f"'{t.name}' is not a fault treatment")
-        if t.start_ms is None or t.end_ms is None or not 0 < t.start_ms < t.end_ms:
-            raise TreatmentError(f"fault window of '{t.name}' must satisfy 0 < start < end")
-        if t.end_ms >= workload_duration_ms:
-            raise TreatmentError(
-                f"fault window of '{t.name}' extends to {t.end_ms} ms, "
-                f"outside the {workload_duration_ms} ms run"
-            )
-        entries.append(
-            ScheduledFault(
-                fault_id=t.name,
-                target=t.target or "",
-                effect=_effect_for(t),
-                start_ms=t.start_ms,
-                end_ms=t.end_ms,
-            )
-        )
-    entries.sort(key=lambda e: e.start_ms)
-    return FaultSchedule(entries=tuple(entries))
+def compile_schedule(faults: Iterable[Fault]) -> FaultSchedule:
+    """Order fault treatments by start time."""
+    return FaultSchedule(entries=tuple(sorted(faults, key=lambda f: f.start_ms)))

@@ -10,11 +10,11 @@ from oxn.config import (
     ExperimentSpec,
     LognormalSpec,
     MetricPointSpec,
+    Pause,
     ResponseVariableSpec,
     ServiceSpec,
     SueSpec,
     TraceConfigSpec,
-    TreatmentSpec,
     WorkloadSpec,
     parse_experiment_file,
 )
@@ -90,9 +90,7 @@ def small_spec(**overrides) -> ExperimentSpec:
             users=5, duration_ms=120_000, think_time=LognormalSpec(500, 0.2), ramp_up_ms=1000
         ),
         treatments=(
-            TreatmentSpec(
-                name="pause_backend", kind="pause", target="backend", start_ms=40_000, end_ms=80_000
-            ),
+            Pause(name="pause_backend", target="backend", start_ms=40_000, end_ms=80_000),
         ),
         responses=(
             ResponseVariableSpec("system_cpu", "metric", "system_cpu"),

@@ -7,17 +7,24 @@ import pytest
 import yaml
 
 from oxn.config import (
+    TREATMENT_KINDS,
     CallEdge,
+    CostModelSpec,
     DetectionSpec,
     ExperimentFormatError,
+    ExperimentSpec,
     LognormalSpec,
     MetricPointSpec,
+    MetricSamplingInterval,
+    NetworkDelay,
+    PacketLoss,
     ResponseVariableSpec,
     ServiceSpec,
     SueSpec,
     TraceConfigSpec,
-    TreatmentSpec,
+    TracingSamplingRate,
     WorkloadSpec,
+    field_table,
     parse_experiment,
     parse_experiment_file,
     render_experiment,
@@ -139,9 +146,7 @@ class TestValidate:
 
     def test_instrumentation_must_precede_faults(self):
         spec = parse_experiment(MINIMAL)
-        late = TreatmentSpec(
-            name="late", kind="metric_sampling_interval", metric="cpu", interval_ms=1000
-        )
+        late = MetricSamplingInterval(name="late", metric="cpu", interval_ms=1000)
         bad = replace(spec, treatments=spec.treatments + (late,))
         assert any("must precede fault treatments" in v.message for v in validate(bad))
 
@@ -188,27 +193,28 @@ class TestRoundTrip:
         spec = small_spec(
             detection=DetectionSpec(mechanism="threshold_alert", alpha=0.55, alert_k=2.5),
             treatments=(
-                TreatmentSpec(name="rate", kind="tracing_sampling_rate", rate=0.125),
-                TreatmentSpec(
+                TracingSamplingRate(name="rate", rate=0.125),
+                NetworkDelay(
                     name="delay",
-                    kind="network_delay",
                     target="backend",
                     start_ms=30_000,
                     end_ms=60_000,
                     delay_min_ms=5,
                     delay_max_ms=50,
                 ),
-                TreatmentSpec(
+                PacketLoss(
                     name="corrupt",
-                    kind="packet_corruption",
                     target="backend",
                     start_ms=30_000,
                     end_ms=60_000,
                     probability=0.05,
+                    corrupt=True,
                 ),
             ),
         )
-        assert parse_experiment(render_experiment(spec)) == spec
+        text = render_experiment(spec)
+        assert "kind: packet_corruption" in text
+        assert parse_experiment(text) == spec
 
 
 class TestSpecDigest:
@@ -246,3 +252,41 @@ class TestSchemaDescription:
         doc["flavor"] = "vanilla"
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, schema)
+
+    # (path of the object in the schema, the dataclass whose field table reads it)
+    SCHEMA_OBJECTS = [
+        ((), ExperimentSpec),
+        (("properties", "sue"), SueSpec),
+        (("properties", "sue", "properties", "services", "items"), ServiceSpec),
+        (("properties", "sue", "properties", "edges", "items"), CallEdge),
+        (("properties", "sue", "properties", "metric_points", "items"), MetricPointSpec),
+        (("properties", "sue", "properties", "trace_config"), TraceConfigSpec),
+        (("properties", "workload"), WorkloadSpec),
+        (("properties", "responses", "items"), ResponseVariableSpec),
+        (("properties", "detection"), DetectionSpec),
+        (("properties", "cost_model"), CostModelSpec),
+        (("definitions", "lognormal"), LognormalSpec),
+    ]
+
+    @staticmethod
+    def schema_object(*path):
+        node = json.loads((REPO_ROOT / "src/oxn/experiment_schema.json").read_text())
+        for key in path:
+            node = node[key]
+        return node
+
+    @pytest.mark.parametrize(
+        "path,cls", SCHEMA_OBJECTS, ids=[cls.__name__ for _, cls in SCHEMA_OBJECTS]
+    )
+    def test_schema_matches_field_table(self, path, cls):
+        node = self.schema_object(*path)
+        table = field_table(cls)
+        assert set(node["properties"]) == {f.key for f in table}
+        assert set(node.get("required", ())) == {f.key for f in table if f.required}
+
+    def test_schema_treatment_keys_match_kind_classes(self):
+        node = self.schema_object("properties", "treatments", "items")
+        kinds = {cls for cls, _ in TREATMENT_KINDS.values()}
+        keys = {"kind"}.union(*({f.key for f in field_table(cls)} for cls in kinds))
+        assert set(node["properties"]) == keys
+        assert set(node["properties"]["kind"]["enum"]) == set(TREATMENT_KINDS)

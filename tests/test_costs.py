@@ -108,14 +108,6 @@ class TestOverhead:
         assert overhead(191.83, 197.68) == 3.05
         assert overhead(191.83, 202.06) == 5.33
 
-    def test_versus_attaches_named_baseline(self):
-        spec = small_spec()
-        report = account(batch_for(spec), spec.cost_model)
-        tagged = report.versus("baseline", report.total / 1.0305)
-        assert tagged.baseline_name == "baseline"
-        assert tagged.overhead_pct == 3.05
-        assert tagged.as_dict()["baseline"] == "baseline"
-
     def test_identity_is_zero(self):
         assert overhead(123.45, 123.45) == 0.0
 

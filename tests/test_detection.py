@@ -3,6 +3,8 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from oxn import detection
+from oxn.config import DetectionSpec, validate
 from oxn.detection import (
     ConvergenceError,
     InsufficientDataError,
@@ -16,10 +18,14 @@ from oxn.detection import (
     lagged_features,
     logreg_loss_gradient,
     make_mechanism,
+    register_mechanism,
     train_logreg,
     zscore_fit_apply,
 )
+from oxn.runner import run_experiment
 from oxn.telemetry import ResponseSeries, SeriesRow
+
+from conftest import small_spec
 
 
 def series_from(values, labels, name="s") -> ResponseSeries:
@@ -241,3 +247,39 @@ class TestRegistry:
     def test_unknown_mechanism(self):
         with pytest.raises(KeyError, match="unknown detection mechanism"):
             make_mechanism("clairvoyance")
+
+
+@pytest.fixture
+def register():
+    """``register_mechanism`` that unregisters its names at teardown."""
+    names = []
+
+    def register_(name, factory):
+        names.append(name)
+        register_mechanism(name, factory)
+
+    yield register_
+    for name in names:
+        detection._REGISTRY.pop(name, None)
+
+
+class TestCustomMechanism:
+    def test_registered_mechanism_runs_end_to_end(self, register):
+        register("mine", lambda alert_k=3.0, **_: ThresholdAlertMechanism(k=alert_k))
+        mine = small_spec(detection=DetectionSpec(mechanism="mine"))
+        assert validate(mine) == []
+        report = run_experiment(mine, frozen_clock=True)
+        assert report.mechanism == "mine"
+        reference = small_spec(detection=DetectionSpec(mechanism="threshold_alert"))
+        assert report.score_runs == run_experiment(reference, frozen_clock=True).score_runs
+
+    def test_factory_key_error_propagates(self, register):
+        error = KeyError("missing_setting")
+
+        def factory(**_):
+            raise error
+
+        register("broken", factory)
+        with pytest.raises(KeyError) as raised:
+            make_mechanism("broken")
+        assert raised.value is error

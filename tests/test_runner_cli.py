@@ -8,7 +8,7 @@ from pathlib import Path
 
 import pytest
 
-from oxn.config import TreatmentSpec, render_experiment
+from oxn.config import Pause, render_experiment
 from oxn.runner import (
     ExperimentError,
     compare_docs,
@@ -67,9 +67,8 @@ class TestRunExperiment:
         # undefined and visibility falls back to 0.
         spec = small_spec(
             treatments=(
-                TreatmentSpec(
+                Pause(
                     name="pause_backend",
-                    kind="pause",
                     target="backend",
                     start_ms=40_000,
                     end_ms=65_000,

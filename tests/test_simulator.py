@@ -197,13 +197,11 @@ class TestInvariants:
             assert total == pytest.approx(5.0 * processed)
 
     def test_stress_increases_cpu_beyond_nominal(self):
-        from oxn.config import TreatmentSpec
+        from oxn.config import Stress
 
-        stress = TreatmentSpec(
-            name="s", kind="stress", target="b", start_ms=10_000, end_ms=50_000, factor=3.0
-        )
+        stress = Stress(name="s", target="b", start_ms=10_000, end_ms=50_000, factor=3.0)
         sue = sue_chain(0.0)
-        sim = run_workload(sue, 13, 5, 60_000, 400, schedule=compile_schedule([stress], 60_000))
+        sim = run_workload(sue, 13, 5, 60_000, 400, schedule=compile_schedule([stress]))
         total = sum(ms for s, _, ms in sim.log.cpu_busy if s == "b")
         processed = sum(1 for s, _ in sim.log.counter_increments if s == "b")
         assert total > 5.0 * processed
@@ -212,13 +210,12 @@ class TestInvariants:
 
 
 class TestFaults:
-    def make_schedule(self, kind, duration=60_000, **params):
-        from oxn.config import TreatmentSpec
+    def make_schedule(self, kind, **params):
+        from oxn.config import TREATMENT_KINDS
 
-        treatment = TreatmentSpec(
-            name=f"{kind}_b", kind=kind, target="b", start_ms=20_000, end_ms=40_000, **params
-        )
-        return compile_schedule([treatment], duration)
+        cls, fixed = TREATMENT_KINDS[kind]
+        fault = cls(name=f"{kind}_b", target="b", start_ms=20_000, end_ms=40_000, **fixed, **params)
+        return compile_schedule([fault])
 
     def test_pause_queues_without_processing(self):
         sue = sue_chain(0.0)
@@ -327,16 +324,14 @@ class TestFaults:
         assert by_user[1].hops[0][2] == 15
 
     def test_kill_on_entry_service_fails_root_requests(self):
-        from oxn.config import TreatmentSpec
+        from oxn.config import Kill
 
         sue = sue_single()
-        treatment = TreatmentSpec(
-            name="kill_api", kind="kill", target="api", start_ms=20_000, end_ms=40_000
-        )
+        treatment = Kill(name="kill_api", target="api", start_ms=20_000, end_ms=40_000)
         sim = init_sim(sue, 41)
         done = []
         sim.issue_request(0, at=25_000, on_done=done.append)
-        sim.run_until(None, compile_schedule([treatment], 60_000))
+        sim.run_until(None, compile_schedule([treatment]))
         assert done[0].outcome == "error"
         assert done[0].end_ms - done[0].start_ms == 300  # entry error response time
         assert sim.log.span_opens == []

@@ -1,18 +1,23 @@
 from __future__ import annotations
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
-from oxn.config import TreatmentSpec, parse_experiment_file
-from oxn.simulator import init_sim
-from oxn.treatments import (
-    NetworkDelayEffect,
-    PacketLossEffect,
-    PauseEffect,
-    TreatmentError,
-    apply_instrumentation,
-    compile_schedule,
+from oxn.config import (
+    Kill,
+    MetricSamplingInterval,
+    NetworkDelay,
+    PacketLoss,
+    Pause,
+    TracingSamplingRate,
+    TracingSamplingStrategy,
+    parse_experiment_file,
+    validate,
 )
+from oxn.simulator import init_sim
+from oxn.treatments import apply_instrumentation, compile_schedule
 from oxn.workload import drive
 
 from conftest import experiment_path
@@ -23,13 +28,16 @@ def baseline():
     return parse_experiment_file(experiment_path("baseline"))
 
 
+def violations_with(spec, treatment, **workload):
+    """Validate ``spec`` with ``treatment`` as its only treatment."""
+    bad = replace(spec, treatments=(treatment,), workload=replace(spec.workload, **workload))
+    return [str(v) for v in validate(bad)]
+
+
 class TestApplyInstrumentation:
     def test_counter_interval_change(self, baseline):
-        treatment = TreatmentSpec(
-            name="faster",
-            kind="metric_sampling_interval",
-            metric="recomms_per_minute",
-            interval_ms=1000,
+        treatment = MetricSamplingInterval(
+            name="faster", metric="recomms_per_minute", interval_ms=1000
         )
         out = apply_instrumentation(baseline.sue, [treatment])
         point = out.metric_point("recomms_per_minute")
@@ -39,26 +47,22 @@ class TestApplyInstrumentation:
         assert baseline.sue.metric_point("recomms_per_minute").sampling_interval_ms == 60_000
 
     def test_aggregation_multiplier_preserved(self, baseline):
-        from dataclasses import replace
-
         wide = replace(
             baseline.sue.metric_point("system_cpu"), aggregation_interval_ms=15_000
         )
         sue = replace(baseline.sue, metric_points=(wide,))
-        treatment = TreatmentSpec(
-            name="slower", kind="metric_sampling_interval", metric="system_cpu", interval_ms=10_000
-        )
+        treatment = MetricSamplingInterval(name="slower", metric="system_cpu", interval_ms=10_000)
         out = apply_instrumentation(sue, [treatment])
         assert out.metric_point("system_cpu").aggregation_interval_ms == 30_000
 
     def test_trace_rate_change(self, baseline):
-        treatment = TreatmentSpec(name="more", kind="tracing_sampling_rate", rate=0.05)
+        treatment = TracingSamplingRate(name="more", rate=0.05)
         out = apply_instrumentation(baseline.sue, [treatment])
         assert out.trace_config.rate == 0.05
         assert baseline.sue.trace_config.rate == 0.01
 
     def test_strategy_change(self, baseline):
-        treatment = TreatmentSpec(name="all", kind="tracing_sampling_strategy", strategy="always_on")
+        treatment = TracingSamplingStrategy(name="all", strategy="always_on")
         out = apply_instrumentation(baseline.sue, [treatment])
         assert out.trace_config.strategy == "always_on"
 
@@ -66,68 +70,48 @@ class TestApplyInstrumentation:
         assert apply_instrumentation(baseline.sue, []) == baseline.sue
 
     def test_idempotent(self, baseline):
-        treatments = [TreatmentSpec(name="more", kind="tracing_sampling_rate", rate=0.05)]
+        treatments = [TracingSamplingRate(name="more", rate=0.05)]
         once = apply_instrumentation(baseline.sue, treatments)
         twice = apply_instrumentation(once, treatments)
         assert once == twice
 
     def test_unknown_metric_rejected(self, baseline):
-        treatment = TreatmentSpec(
-            name="x", kind="metric_sampling_interval", metric="ghost", interval_ms=1000
-        )
-        with pytest.raises(TreatmentError, match="unknown metric 'ghost'"):
-            apply_instrumentation(baseline.sue, [treatment])
+        treatment = MetricSamplingInterval(name="x", metric="ghost", interval_ms=1000)
+        assert violations_with(baseline, treatment) == [
+            "treatments[0].metric: unresolved metric 'ghost'"
+        ]
 
     def test_rate_out_of_range_rejected(self, baseline):
-        treatment = TreatmentSpec(name="x", kind="tracing_sampling_rate", rate=1.5)
-        with pytest.raises(TreatmentError, match="within \\[0, 1\\]"):
-            apply_instrumentation(baseline.sue, [treatment])
-
-    def test_fault_treatment_rejected(self, baseline):
-        with pytest.raises(TreatmentError, match="not an instrumentation treatment"):
-            apply_instrumentation(baseline.sue, [baseline.treatments[0]])
+        treatment = TracingSamplingRate(name="x", rate=1.5)
+        assert violations_with(baseline, treatment) == [
+            "treatments[0].rate: rate must be within [0, 1]"
+        ]
 
 
 class TestCompileSchedule:
     def test_sorted_by_start(self):
         faults = [
-            TreatmentSpec(name="late", kind="pause", target="x", start_ms=50_000, end_ms=60_000),
-            TreatmentSpec(name="early", kind="kill", target="x", start_ms=10_000, end_ms=20_000),
+            Pause(name="late", target="x", start_ms=50_000, end_ms=60_000),
+            Kill(name="early", target="x", start_ms=10_000, end_ms=20_000),
         ]
-        schedule = compile_schedule(faults, 100_000)
-        assert [e.fault_id for e in schedule.entries] == ["early", "late"]
+        schedule = compile_schedule(faults)
+        assert [f.name for f in schedule.entries] == ["early", "late"]
 
     def test_effect_parameters_are_pure_translation(self):
-        delay = TreatmentSpec(
-            name="d",
-            kind="network_delay",
-            target="svc",
-            start_ms=1000,
-            end_ms=2000,
-            delay_min_ms=0,
-            delay_max_ms=90,
+        # Each fault treatment is itself the effect the simulator applies.
+        delay = NetworkDelay(
+            name="d", target="svc", start_ms=1000, end_ms=2000, delay_min_ms=0, delay_max_ms=90
         )
-        loss = TreatmentSpec(
-            name="l", kind="packet_loss", target="svc", start_ms=1000, end_ms=2000, probability=0.15
-        )
-        pause = TreatmentSpec(name="p", kind="pause", target="svc", start_ms=1000, end_ms=2000)
-        schedule = compile_schedule([delay, loss, pause], 10_000)
-        effects = {e.fault_id: e.effect for e in schedule.entries}
-        assert effects["d"] == NetworkDelayEffect(0, 90)
-        assert effects["l"].probability == 0.15
-        assert isinstance(effects["p"], PauseEffect)
-        # inputs unchanged
-        assert delay.delay_max_ms == 90
+        loss = PacketLoss(name="l", target="svc", start_ms=1000, end_ms=2000, probability=0.15)
+        pause = Pause(name="p", target="svc", start_ms=1000, end_ms=2000)
+        schedule = compile_schedule([delay, loss, pause])
+        assert schedule.entries == (delay, loss, pause)
+        assert not loss.corrupt
 
-    def test_window_outside_run_rejected(self):
-        bad = TreatmentSpec(name="b", kind="pause", target="x", start_ms=5000, end_ms=20_000)
-        with pytest.raises(TreatmentError, match="outside the 10000 ms run"):
-            compile_schedule([bad], 10_000)
-
-    def test_instrumentation_rejected(self):
-        treatment = TreatmentSpec(name="x", kind="tracing_sampling_rate", rate=0.5)
-        with pytest.raises(TreatmentError, match="not a fault treatment"):
-            compile_schedule([treatment], 10_000)
+    def test_window_outside_run_rejected(self, baseline):
+        bad = Pause(name="b", target="frontend", start_ms=5000, end_ms=20_000)
+        (violation,) = violations_with(baseline, bad, duration_ms=10_000, ramp_up_ms=0)
+        assert violation.startswith("treatments[0]: fault window exceeds workload duration")
 
 
 class TestRevert:
@@ -138,7 +122,7 @@ class TestRevert:
         from oxn.telemetry import FaultWindow, build_batch
 
         fault = baseline.fault_treatments()[0]  # pause
-        schedule = compile_schedule([fault], baseline.workload.duration_ms)
+        schedule = compile_schedule([fault])
         pre, post = [], []
         for seed in range(3):
             sim = init_sim(baseline.sue, seed)
