@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import hashlib
+import json
+
 import numpy as np
 import pytest
 
@@ -10,12 +13,13 @@ from oxn.config import (
     SueSpec,
     TraceConfigSpec,
     WorkloadSpec,
+    parse_experiment_file,
 )
 from oxn.simulator import CLIENT_TIMEOUT_MS, init_sim, rng_stream
 from oxn.treatments import compile_schedule
 from oxn.workload import drive
 
-from conftest import tiny_service
+from conftest import experiment_path, tiny_service
 
 
 def sue_single(median_ms=10.0, sigma=0.0, workers=2, cpu=5.0) -> SueSpec:
@@ -345,3 +349,67 @@ class TestFaults:
         sim.run_until(None, schedule)
         assert done[0].outcome == "timeout"
         assert done[0].end_ms - done[0].start_ms == CLIENT_TIMEOUT_MS
+
+
+# sha256 of the raw event log of experiments/baseline.yaml at seed 0, one run
+# per fault: its three faults plus kill, stress and packet corruption on the
+# same target and window. The document lists each span once (in open order,
+# closed fields included), each request record, the CPU slices and the counter
+# increments, so it does not depend on how the log stores them.
+EVENT_LOG_DIGESTS = {
+    "pause": "908db31ae27d1afc8ff52414897240f5e23ff3c9bcd14dfecdf8bd8ab8be4aa4",
+    "packet_loss": "5ab6081c2500c6087775d383c0cf961ec658689c687af7e093c059d9fa160c0c",
+    "network_delay": "4eb93c288e05941eaa9908c41eb721d78bf3e5cf24d837809fbc821950eabf89",
+    "kill": "5eff81eb707090ea33ec03ed0f28de8ec7be528383bcec03128cde656fb89dfb",
+    "stress": "eee2b58c6836dfafba3b5277be554366990233cce7c5f19913b7aa91c1bc5292",
+    "corrupt": "27f4e126604b05128e9d12e8c6dcc06d577d531ebba2b0870c9962860e3b403c",
+}
+
+
+def baseline_faults() -> dict:
+    from oxn.config import Kill, PacketLoss, Stress
+
+    spec = parse_experiment_file(experiment_path("baseline"))
+    faults = {f.kind: f for f in spec.fault_treatments()}
+    window = dict(target="recommendation", start_ms=250_000, end_ms=490_000)
+    faults["kill"] = Kill(name="kill_recommendation", **window)
+    faults["stress"] = Stress(name="stress_recommendation", factor=3.0, **window)
+    faults["corrupt"] = PacketLoss(name="corrupt_recommendation", probability=0.1, corrupt=True, **window)
+    return spec, faults
+
+
+def baseline_sim(spec, seed=0):
+    from oxn.treatments import apply_instrumentation
+
+    sim = init_sim(apply_instrumentation(spec.sue, spec.instrumentation_treatments()), seed)
+    drive(sim, spec.workload)
+    return sim
+
+
+def event_log_digest(sim) -> str:
+    log = sim.log
+    closes = {c.span_id: c for c in log.span_closes}
+    spans = []
+    for o in log.span_opens:
+        close = closes.get(o.span_id)
+        end, outcome = (close.t, close.outcome) if close is not None else (-1, "")
+        spans.append([o.trace_id, o.span_id, o.parent_id, o.service, o.t, end, outcome])
+    doc = {
+        "spans": spans,
+        "records": [
+            [r.request_id, r.user, r.start_ms, r.end_ms, r.outcome, [list(h) for h in r.hops]]
+            for r in sim.records
+        ],
+        "cpu_busy": [list(e) for e in log.cpu_busy],
+        "counter_increments": [list(e) for e in log.counter_increments],
+    }
+    return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
+
+
+class TestGoldenEventLog:
+    @pytest.mark.parametrize("fault", sorted(EVENT_LOG_DIGESTS))
+    def test_event_log_digest(self, fault):
+        spec, faults = baseline_faults()
+        sim = baseline_sim(spec)
+        sim.run_until(None, compile_schedule([faults[fault]]))
+        assert event_log_digest(sim) == EVENT_LOG_DIGESTS[fault]
