@@ -36,9 +36,8 @@ from .scoring import (
     overall_fault_observability,
     visibility,
 )
-from .simulator import SimState, init_sim
+from .simulator import SimState, drive, init_sim
 from .telemetry import FaultWindow, TelemetryBatch, materialize_response, sample_metrics, sample_traces
 from .treatments import FaultSchedule, apply_instrumentation, compile_schedule
-from .workload import drive
 
 __version__ = "0.1.0"

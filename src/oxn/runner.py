@@ -28,10 +28,9 @@ from .scoring import (
     diff_scores,
     score_matrix,
 )
-from .simulator import init_sim, rng_stream
+from .simulator import drive, init_sim, rng_stream
 from .telemetry import FaultWindow, build_batch, export_csv, materialize_response
 from .treatments import apply_instrumentation, compile_schedule
-from .workload import drive
 
 SCHEMA_VERSION = "1"
 

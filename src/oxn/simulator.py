@@ -1,15 +1,21 @@
 """Deterministic discrete-event simulation of the microservice mesh.
 
-Requests fan out along the call graph: a service queues an incoming call
-(FIFO, ``workers`` parallel slots), processes it for a lognormal service
-time, then issues its outgoing calls in parallel and completes once they
-all return. Faults act as revertible modifiers on this loop: latency
-add-ons and retransmit penalties on inbound edges, processing suspension
-(pause), instant failure (kill) and service-time/CPU inflation (stress).
+Closed-loop users (``drive``) cycle through a lognormal think pause and one
+request, waiting for its completion or the client timeout; at most one
+request per user is outstanding, and user start times are staggered across
+the ramp-up interval. Requests fan out along the call graph: a service
+queues an incoming call (FIFO, ``workers`` parallel slots), processes it for
+a lognormal service time, then issues its outgoing calls in parallel and
+completes once they all return. Faults act as revertible modifiers on this
+loop: latency add-ons and retransmit penalties on inbound edges, processing
+suspension (pause), instant failure (kill) and service-time/CPU inflation
+(stress).
 
 All timing is integer milliseconds and every random draw comes from a
 named, seed-derived stream, so a (topology, seed) pair reproduces the same
-event trace bit for bit on any platform.
+event trace bit for bit on any platform. The state is plain data (heap
+events carry records and ids, never callables), so a running ``SimState``
+can be deep-copied or pickled and either copy runs on identically.
 """
 
 from __future__ import annotations
@@ -17,11 +23,22 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass, field
-from typing import Callable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
-from .config import Fault, Kill, LognormalSpec, NetworkDelay, PacketLoss, Pause, ServiceSpec, Stress, SueSpec
+from .config import (
+    Fault,
+    Kill,
+    LognormalSpec,
+    NetworkDelay,
+    PacketLoss,
+    Pause,
+    ServiceSpec,
+    Stress,
+    SueSpec,
+    WorkloadSpec,
+)
 from .treatments import FaultSchedule
 
 CLIENT_TIMEOUT_MS = 10_000
@@ -59,18 +76,17 @@ def lognormal_draw_ms(rng: np.random.Generator, spec: LognormalSpec) -> int:
     return max(0, int(round(value)))
 
 
-class SpanOpen(NamedTuple):
+@dataclass(slots=True)
+class Span:
+    """One span, recorded when it opens and closed in place."""
+
     trace_id: int
     span_id: int
-    parent_id: int  # -1 for root spans
+    parent_id: int | None  # None for root spans
     service: str
-    t: int
-
-
-class SpanClose(NamedTuple):
-    span_id: int
-    t: int
-    outcome: str
+    start_ms: int
+    end_ms: int = -1  # -1 while open
+    outcome: str = ""  # ok | error once closed
 
 
 class RequestRecord(NamedTuple):
@@ -84,30 +100,27 @@ class RequestRecord(NamedTuple):
 
 @dataclass
 class RawEventLog:
-    """Raw instrumentation events of one run, each list in timestamp order."""
+    """Raw instrumentation events of one run: spans in open order, every
+    other list in timestamp order."""
 
-    span_opens: list[SpanOpen] = field(default_factory=list)
-    span_closes: list[SpanClose] = field(default_factory=list)
+    spans: list[Span] = field(default_factory=list)
     counter_increments: list[tuple[str, int]] = field(default_factory=list)
     cpu_busy: list[tuple[str, int, float]] = field(default_factory=list)
     gauge_writes: list[tuple[str, str, int, float]] = field(default_factory=list)
 
     def span_count(self) -> int:
-        return len(self.span_opens)
+        return len(self.spans)
 
 
 class _Request:
-    __slots__ = ("index", "user", "start", "done", "end", "outcome", "hops", "on_done", "next_span")
+    __slots__ = ("index", "user", "start", "done", "hops", "next_span")
 
-    def __init__(self, index: int, user: int, start: int, on_done):
+    def __init__(self, index: int, user: int, start: int):
         self.index = index
         self.user = user
         self.start = start
         self.done = False
-        self.end = -1
-        self.outcome = "ok"
         self.hops: list[tuple[str, str, int]] = []
-        self.on_done = on_done
         self.next_span = 0
 
 
@@ -116,11 +129,10 @@ class _Call:
         "request",
         "service",
         "parent",
-        "span_id",
+        "span",
         "dispatch_t",
         "pending",
         "failed",
-        "cpu_ms",
         "inbound_cpu_ms",
     )
 
@@ -128,11 +140,10 @@ class _Call:
         self.request = request
         self.service = service
         self.parent = parent
-        self.span_id = -1
+        self.span: Span | None = None
         self.dispatch_t = dispatch_t
         self.pending = 0
         self.failed = False
-        self.cpu_ms = 0.0
         self.inbound_cpu_ms = 0.0
 
 
@@ -209,6 +220,7 @@ class SimState:
         if len(roots) != 1:
             raise ValueError(f"call graph must have exactly one entry service, found {roots}")
         self.entry = roots[0]
+        self.workload: WorkloadSpec | None = None  # set by ``drive``
         self._schedule_installed = False
         # Active faults that act on the inbound edges of their target.
         self._active: list[NetworkDelay | PacketLoss] = []
@@ -230,16 +242,15 @@ class SimState:
 
     # -- public operations --------------------------------------------------
 
-    def issue_request(self, user: int, at: int, on_done: Callable[[RequestRecord], None] | None = None) -> int:
+    def issue_request(self, user: int, at: int) -> int:
         """Schedule a user request entering the call graph at time ``at``.
 
-        The request completes when its whole call tree completes; the caller
-        is notified (via ``on_done``) at completion or at the client timeout,
-        whichever comes first.
+        The request is recorded in ``records`` when its whole call tree
+        completes or at the client timeout, whichever comes first.
         """
         if at < self.now:
             raise ValueError(f"cannot issue a request in the past ({at} < {self.now})")
-        request = _Request(self._request_count, user, at, on_done)
+        request = _Request(self._request_count, user, at)
         self._request_count += 1
         call = _Call(request, self.entry, None, at)
         self.schedule(at, _EV_ARRIVAL, call)
@@ -278,9 +289,9 @@ class SimState:
                 else:
                     self._child_result(call, outcome, when)
             elif kind == _EV_TIMEOUT:
-                self._on_timeout(payload, when)
+                self._finish_request(payload, "timeout", when)
             elif kind == _EV_USER:
-                payload(when)
+                self._think(payload, when)
             elif kind == _EV_FAULT_START:
                 self._fault_start(payload, when)
             elif kind == _EV_FAULT_END:
@@ -300,17 +311,17 @@ class SimState:
         if call.inbound_cpu_ms > 0.0:
             # Receiver-side network-stack work for retransmitted packets.
             self.log.cpu_busy.append((call.service, t, call.inbound_cpu_ms))
-        call.span_id = self._open_span(call, t)
+        self._open_span(call, t)
         svc.queue.append(call)
         self._dispatch(svc, t)
 
-    def _open_span(self, call: _Call, t: int) -> int:
+    def _open_span(self, call: _Call, t: int) -> None:
         request = call.request
         span_id = (request.index << 16) | request.next_span
         request.next_span += 1
-        parent_id = call.parent.span_id if call.parent is not None else -1
-        self.log.span_opens.append(SpanOpen(request.index, span_id, parent_id, call.service, t))
-        return span_id
+        parent_id = call.parent.span.span_id if call.parent is not None else None
+        call.span = Span(request.index, span_id, parent_id, call.service, t)
+        self.log.spans.append(call.span)
 
     def _dispatch(self, svc: _ServiceState, t: int) -> None:
         while svc.queue and svc.busy < svc.spec.workers and not svc.paused:
@@ -321,7 +332,6 @@ class SimState:
             if svc.stress_factor != 1.0:
                 duration = int(round(duration * svc.stress_factor))
                 cpu = cpu * svc.stress_factor
-            call.cpu_ms = cpu
             self._token += 1
             token = self._token
             svc.processing[token] = (call, t + duration, cpu)
@@ -379,8 +389,8 @@ class SimState:
 
     def _finish_call(self, call: _Call, t: int) -> None:
         outcome = "error" if call.failed else "ok"
-        if call.span_id >= 0:
-            self.log.span_closes.append(SpanClose(call.span_id, t, outcome))
+        call.span.end_ms = t
+        call.span.outcome = outcome
         if outcome == "ok":
             self.log.counter_increments.append((call.service, t))
         if call.parent is None:
@@ -400,29 +410,20 @@ class SimState:
 
     def _finish_request(self, request: _Request, outcome: str, t: int) -> None:
         if request.done:
-            return  # the client already gave up; server-side work still completed
+            return  # completion after the client timeout, or vice versa
         request.done = True
-        request.end = t
-        request.outcome = outcome
-        record = RequestRecord(
-            request.index, request.user, request.start, t, outcome, tuple(request.hops)
+        self.records.append(
+            RequestRecord(request.index, request.user, request.start, t, outcome, tuple(request.hops))
         )
-        self.records.append(record)
-        if request.on_done is not None:
-            request.on_done(record)
+        if self.workload is not None:
+            self._think(request.user, t)
 
-    def _on_timeout(self, request: _Request, t: int) -> None:
-        if request.done:
-            return
-        request.done = True
-        request.end = t
-        request.outcome = "timeout"
-        record = RequestRecord(
-            request.index, request.user, request.start, t, "timeout", tuple(request.hops)
-        )
-        self.records.append(record)
-        if request.on_done is not None:
-            request.on_done(record)
+    def _think(self, user: int, t: int) -> None:
+        """A closed-loop user thinks from ``t`` on, then issues its next
+        request unless the workload duration has elapsed by then."""
+        at = t + lognormal_draw_ms(self.stream(f"user:{user}"), self.workload.think_time)
+        if at < self.workload.duration_ms:
+            self.issue_request(user, at)
 
     # -- fault boundaries ----------------------------------------------------
 
@@ -445,7 +446,8 @@ class SimState:
             svc.busy = 0
             for call in dropped:
                 call.failed = True
-                self.log.span_closes.append(SpanClose(call.span_id, t, "error"))
+                call.span.end_ms = t
+                call.span.outcome = "error"
                 if call.parent is None:
                     self._finish_request(call.request, "error", t)
                 else:
@@ -479,3 +481,11 @@ def init_sim(sue: SueSpec, seed: int) -> SimState:
     """Fresh idle simulation with per-service and per-user RNG streams
     derived from ``seed``."""
     return SimState(sue, seed)
+
+
+def drive(sim: SimState, workload: WorkloadSpec) -> None:
+    """Start the workload's closed-loop users, staggered across the ramp-up;
+    they stop issuing requests once the workload duration elapses."""
+    sim.workload = workload
+    for uid in range(workload.users):
+        sim.schedule((workload.ramp_up_ms * uid) // workload.users, _EV_USER, uid)

@@ -27,7 +27,7 @@ from .config import (
     SYSTEM_TARGET,
     TraceConfigSpec,
 )
-from .simulator import RawEventLog
+from .simulator import RawEventLog, Span
 
 SETTLING_MARGIN_MS = 30_000
 
@@ -38,16 +38,6 @@ class MetricEvent:
     timestamp_ms: int
     value: float
     labels: tuple[tuple[str, str], ...] = ()
-
-
-class Span(NamedTuple):
-    trace_id: int
-    span_id: int
-    parent_id: int | None
-    service: str
-    start_ms: int
-    end_ms: int
-    outcome: str
 
 
 @dataclass(frozen=True)
@@ -189,30 +179,17 @@ def sample_traces(
     keep_all = cfg.strategy == "always_on"
     kept: set[int] = set()
     total = 0
-    for open_event in log.span_opens:
-        if open_event.parent_id == -1:
+    spans = []
+    # A root span opens before any span of its trace, so one pass suffices.
+    for span in log.spans:
+        if span.parent_id is None:
             total += 1
             if keep_all or rng.random() < cfg.rate:
-                kept.add(open_event.trace_id)
-    closes = {close.span_id: close for close in log.span_closes}
-    spans = []
-    for open_event in log.span_opens:
-        if open_event.trace_id not in kept:
-            continue
-        close = closes.get(open_event.span_id)
-        if close is None:
-            raise ValueError(f"span {open_event.span_id} was never closed")
-        spans.append(
-            Span(
-                trace_id=open_event.trace_id,
-                span_id=open_event.span_id,
-                parent_id=None if open_event.parent_id == -1 else open_event.parent_id,
-                service=open_event.service,
-                start_ms=open_event.t,
-                end_ms=close.t,
-                outcome=close.outcome,
-            )
-        )
+                kept.add(span.trace_id)
+        if span.trace_id in kept:
+            if span.end_ms < 0:
+                raise ValueError(f"span {span.span_id} was never closed")
+            spans.append(span)
     spans.sort(key=lambda s: (s.start_ms, s.trace_id, s.span_id))
     return spans, total
 

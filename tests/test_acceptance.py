@@ -321,12 +321,11 @@ class TestCriterion8TelemetryInvariants:
                     assert peak <= spec.workload.users
 
         # dedicated binomial concentration check at rate 0.05, >= 10 000 traces
-        from oxn.simulator import RawEventLog, SpanClose, SpanOpen
+        from oxn.simulator import RawEventLog, Span
 
         log = RawEventLog()
         for i in range(12_000):
-            log.span_opens.append(SpanOpen(i, i, -1, "api", i))
-            log.span_closes.append(SpanClose(i, i + 5, "ok"))
+            log.spans.append(Span(i, i, None, "api", i, i + 5, "ok"))
         spans, total = sample_traces(log, TraceConfigSpec("probabilistic", 0.05), rng_stream(0, "acc"))
         kept = len({s.trace_id for s in spans})
         sigma = (total * 0.05 * 0.95) ** 0.5

@@ -285,8 +285,33 @@ class TestSchemaDescription:
         assert set(node.get("required", ())) == {f.key for f in table if f.required}
 
     def test_schema_treatment_keys_match_kind_classes(self):
-        node = self.schema_object("properties", "treatments", "items")
-        kinds = {cls for cls, _ in TREATMENT_KINDS.values()}
-        keys = {"kind"}.union(*({f.key for f in field_table(cls)} for cls in kinds))
-        assert set(node["properties"]) == keys
-        assert set(node["properties"]["kind"]["enum"]) == set(TREATMENT_KINDS)
+        branches = self.schema_object("properties", "treatments", "items", "oneOf")
+        by_kind = {b["properties"]["kind"]["const"]: b for b in branches}
+        assert len(by_kind) == len(branches)
+        assert set(by_kind) == set(TREATMENT_KINDS)
+        for kind, (cls, _) in TREATMENT_KINDS.items():
+            branch = by_kind[kind]
+            table = field_table(cls)
+            assert branch["additionalProperties"] is False, kind
+            assert set(branch["properties"]) == {"kind"} | {f.key for f in table}, kind
+            assert set(branch["required"]) == {"kind"} | {f.key for f in table if f.required}, kind
+
+    @pytest.mark.parametrize(
+        "treatment",
+        [
+            {"kind": "pause", "factor": 2},
+            {"kind": "pause", "bogus": 1},
+            {"kind": "stress"},
+        ],
+        ids=["pause_with_factor", "pause_with_unknown_key", "stress_without_factor"],
+    )
+    def test_schema_rejects_treatments_the_parser_rejects(self, treatment):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((REPO_ROOT / "src/oxn/experiment_schema.json").read_text())
+        doc = yaml.safe_load(experiment_path("baseline").read_text())
+        window = {"target": "recommendation", "start_s": 250, "end_s": 490}
+        doc["treatments"] = [{"name": "t", **treatment, **window}]
+        with pytest.raises(jsonschema.ValidationError):
+            jsonschema.validate(doc, schema)
+        with pytest.raises(ExperimentFormatError):
+            parse_experiment(yaml.safe_dump(doc))

@@ -4,9 +4,8 @@ import pytest
 
 from oxn.config import CostModelSpec, MetricPointSpec, TraceConfigSpec, parse_experiment_file
 from oxn.costs import account, mean_cost, overhead
-from oxn.simulator import init_sim, rng_stream
+from oxn.simulator import drive, init_sim, rng_stream
 from oxn.telemetry import build_batch
-from oxn.workload import drive
 
 from conftest import experiment_path, small_spec
 

@@ -1,10 +1,13 @@
 from __future__ import annotations
 
+import copy
 import hashlib
 import json
+import pickle
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oxn.config import (
     CallEdge,
@@ -15,9 +18,8 @@ from oxn.config import (
     WorkloadSpec,
     parse_experiment_file,
 )
-from oxn.simulator import CLIENT_TIMEOUT_MS, init_sim, rng_stream
+from oxn.simulator import CLIENT_TIMEOUT_MS, drive, init_sim, rng_stream
 from oxn.treatments import compile_schedule
-from oxn.workload import drive
 
 from conftest import experiment_path, tiny_service
 
@@ -61,19 +63,17 @@ def run_workload(sue, seed, users, duration_ms, think_ms, schedule=None, ramp_up
 class TestBasics:
     def test_single_service_deterministic_latency(self):
         sim = init_sim(sue_single(), seed=1)
-        done = []
-        sim.issue_request(0, at=0, on_done=done.append)
+        sim.issue_request(0, at=0)
         sim.run_until(None)
-        assert done[0].end_ms - done[0].start_ms == 10
-        assert done[0].outcome == "ok"
+        assert sim.records[0].end_ms - sim.records[0].start_ms == 10
+        assert sim.records[0].outcome == "ok"
 
     def test_chain_latency_is_additive(self):
         sim = init_sim(sue_chain(), seed=1)
-        done = []
-        sim.issue_request(0, at=0, on_done=done.append)
+        sim.issue_request(0, at=0)
         sim.run_until(None)
-        assert done[0].end_ms - done[0].start_ms == 25
-        assert done[0].hops == (("a", "b", 15),)
+        assert sim.records[0].end_ms - sim.records[0].start_ms == 25
+        assert sim.records[0].hops == (("a", "b", 15),)
 
     def test_issue_in_the_past_rejected(self):
         sim = init_sim(sue_single(), seed=1)
@@ -92,15 +92,14 @@ class TestBasics:
 class TestDeterminism:
     def test_same_seed_identical_event_log(self):
         runs = [run_workload(sue_chain(0.4), 9, 5, 30_000, 400, sigma=0.3) for _ in range(2)]
-        assert runs[0].log.span_opens == runs[1].log.span_opens
-        assert runs[0].log.span_closes == runs[1].log.span_closes
+        assert runs[0].log.spans == runs[1].log.spans
         assert runs[0].log.cpu_busy == runs[1].log.cpu_busy
         assert runs[0].records == runs[1].records
 
     def test_different_seeds_diverge(self):
         a = run_workload(sue_chain(0.4), 1, 5, 30_000, 400, sigma=0.3)
         b = run_workload(sue_chain(0.4), 2, 5, 30_000, 400, sigma=0.3)
-        assert a.log.span_opens != b.log.span_opens
+        assert a.log.spans != b.log.spans
 
     def test_rng_streams_are_stable(self):
         assert rng_stream(7, "x").random() == rng_stream(7, "x").random()
@@ -161,12 +160,11 @@ class TestQueueingOracle:
     def test_fifo_backlog_orders_by_arrival(self):
         sue = sue_single(median_ms=100, sigma=0.0, workers=1)
         sim = init_sim(sue, 3)
-        done = []
         for i in range(3):
-            sim.issue_request(i, at=i, on_done=done.append)
+            sim.issue_request(i, at=i)
         sim.run_until(None)
-        assert [r.user for r in done] == [0, 1, 2]
-        assert [r.end_ms for r in done] == [100, 200, 300]
+        assert [r.user for r in sim.records] == [0, 1, 2]
+        assert [r.end_ms for r in sim.records] == [100, 200, 300]
 
 
 class TestInvariants:
@@ -174,23 +172,22 @@ class TestInvariants:
         sim = run_workload(sue_chain(0.4), 11, 8, 60_000, 300, sigma=0.3)
         log = sim.log
         for events, key in (
-            (log.span_opens, lambda e: e.t),
-            (log.span_closes, lambda e: e.t),
+            (log.spans, lambda e: e.start_ms),
             (log.cpu_busy, lambda e: e[1]),
             (log.counter_increments, lambda e: e[1]),
         ):
             stamps = [key(e) for e in events]
             assert stamps == sorted(stamps)
 
-        opens = {e.span_id: e for e in log.span_opens}
-        closes = {e.span_id: e for e in log.span_closes}
-        assert set(opens) == set(closes)
-        for span_id, open_event in opens.items():
-            if open_event.parent_id != -1:
-                parent_open = opens[open_event.parent_id]
-                parent_close = closes[open_event.parent_id]
-                assert parent_open.t <= open_event.t
-                assert closes[span_id].t <= parent_close.t
+        spans = {e.span_id: e for e in log.spans}
+        assert len(spans) == len(log.spans)
+        for span in log.spans:
+            assert span.outcome in ("ok", "error")
+            assert span.end_ms >= span.start_ms
+            if span.parent_id is not None:
+                parent = spans[span.parent_id]
+                assert parent.start_ms <= span.start_ms
+                assert span.end_ms <= parent.end_ms
 
     def test_cpu_accounting_exact_without_faults(self):
         sue = sue_chain(0.3)
@@ -239,25 +236,23 @@ class TestFaults:
             trace_config=TraceConfigSpec(),
         )
         sim = init_sim(sue, 3)
-        done = []
-        sim.issue_request(0, at=18_985, on_done=done.append)  # reaches b at 19_000
+        sim.issue_request(0, at=18_985)  # reaches b at 19_000
         sim.run_until(None, self.make_schedule("pause"))
         # 1000 ms of service happened before the pause; the rest resumes at 40 s.
-        close = [c for c in sim.log.span_closes if c.outcome == "ok"]
-        b_close = max(close, key=lambda c: c.t)
-        assert b_close.t == 40_000 + 4000
+        closed = [s for s in sim.log.spans if s.outcome == "ok"]
+        b_close = max(closed, key=lambda s: s.end_ms)
+        assert b_close.end_ms == 40_000 + 4000
 
     def test_kill_fails_new_requests_after_error_response_time(self):
         sue = sue_chain(0.0)
         sim = init_sim(sue, 3)
-        done = []
-        sim.issue_request(0, at=25_000, on_done=done.append)
+        sim.issue_request(0, at=25_000)
         sim.run_until(None, self.make_schedule("kill"))
-        record = done[0]
+        record = sim.records[0]
         assert record.outcome == "error"
         # a processes 10 ms, edge 5 ms, then b's error response time (300 ms)
         assert record.end_ms - record.start_ms == 10 + 5 + 300
-        assert not [e for e in sim.log.span_opens if e.service == "b" and 20_000 <= e.t < 40_000]
+        assert not [e for e in sim.log.spans if e.service == "b" and 20_000 <= e.start_ms < 40_000]
 
     def test_kill_drops_in_flight_work_at_window_start(self):
         sue = SueSpec(
@@ -267,11 +262,10 @@ class TestFaults:
             trace_config=TraceConfigSpec(),
         )
         sim = init_sim(sue, 3)
-        done = []
-        sim.issue_request(0, at=18_985, on_done=done.append)
+        sim.issue_request(0, at=18_985)
         sim.run_until(None, self.make_schedule("kill"))
-        assert done[0].outcome == "error"
-        assert done[0].end_ms == 20_000
+        assert sim.records[0].outcome == "error"
+        assert sim.records[0].end_ms == 20_000
         assert not [ms for s, t, ms in sim.log.cpu_busy if s == "b"]
 
     def test_network_delay_bounds_per_hop(self):
@@ -319,11 +313,10 @@ class TestFaults:
         sue = sue_chain(0.0)
         schedule = self.make_schedule("network_delay", delay_min_ms=50, delay_max_ms=50)
         sim = init_sim(sue, 31)
-        done = []
-        sim.issue_request(0, at=39_989, on_done=done.append)  # dispatches to b at 39 999
-        sim.issue_request(1, at=39_990, on_done=done.append)  # dispatches exactly at 40 000
+        sim.issue_request(0, at=39_989)  # dispatches to b at 39 999
+        sim.issue_request(1, at=39_990)  # dispatches exactly at 40 000
         sim.run_until(None, schedule)
-        by_user = {r.user: r for r in done}
+        by_user = {r.user: r for r in sim.records}
         assert by_user[0].hops[0][2] == 15 + 50
         assert by_user[1].hops[0][2] == 15
 
@@ -333,22 +326,20 @@ class TestFaults:
         sue = sue_single()
         treatment = Kill(name="kill_api", target="api", start_ms=20_000, end_ms=40_000)
         sim = init_sim(sue, 41)
-        done = []
-        sim.issue_request(0, at=25_000, on_done=done.append)
+        sim.issue_request(0, at=25_000)
         sim.run_until(None, compile_schedule([treatment]))
-        assert done[0].outcome == "error"
-        assert done[0].end_ms - done[0].start_ms == 300  # entry error response time
-        assert sim.log.span_opens == []
+        assert sim.records[0].outcome == "error"
+        assert sim.records[0].end_ms - sim.records[0].start_ms == 300  # entry error response time
+        assert sim.log.spans == []
 
     def test_timeout_records_exact_client_timeout(self):
         sue = sue_chain(0.0)
         schedule = self.make_schedule("pause")
         sim = init_sim(sue, 37)
-        done = []
-        sim.issue_request(0, at=25_000, on_done=done.append)
+        sim.issue_request(0, at=25_000)
         sim.run_until(None, schedule)
-        assert done[0].outcome == "timeout"
-        assert done[0].end_ms - done[0].start_ms == CLIENT_TIMEOUT_MS
+        assert sim.records[0].outcome == "timeout"
+        assert sim.records[0].end_ms - sim.records[0].start_ms == CLIENT_TIMEOUT_MS
 
 
 # sha256 of the raw event log of experiments/baseline.yaml at seed 0, one run
@@ -366,7 +357,9 @@ EVENT_LOG_DIGESTS = {
 }
 
 
-def baseline_faults() -> dict:
+def baseline_faults():
+    """The baseline spec and its faults by kind, plus kill, stress and
+    corruption on the same target and window."""
     from oxn.config import Kill, PacketLoss, Stress
 
     spec = parse_experiment_file(experiment_path("baseline"))
@@ -388,14 +381,12 @@ def baseline_sim(spec, seed=0):
 
 def event_log_digest(sim) -> str:
     log = sim.log
-    closes = {c.span_id: c for c in log.span_closes}
-    spans = []
-    for o in log.span_opens:
-        close = closes.get(o.span_id)
-        end, outcome = (close.t, close.outcome) if close is not None else (-1, "")
-        spans.append([o.trace_id, o.span_id, o.parent_id, o.service, o.t, end, outcome])
     doc = {
-        "spans": spans,
+        "spans": [
+            [s.trace_id, s.span_id, -1 if s.parent_id is None else s.parent_id, s.service]
+            + [s.start_ms, s.end_ms, s.outcome]
+            for s in log.spans
+        ],
         "records": [
             [r.request_id, r.user, r.start_ms, r.end_ms, r.outcome, [list(h) for h in r.hops]]
             for r in sim.records
@@ -413,3 +404,103 @@ class TestGoldenEventLog:
         sim = baseline_sim(spec)
         sim.run_until(None, compile_schedule([faults[fault]]))
         assert event_log_digest(sim) == EVENT_LOG_DIGESTS[fault]
+
+
+class TestFork:
+    @pytest.mark.parametrize("fault", ["pause", "packet_loss"])
+    def test_copies_taken_at_fault_start_run_on_identically(self, fault):
+        spec, faults = baseline_faults()
+        schedule = compile_schedule([faults[fault]])
+        whole = baseline_sim(spec)
+        whole.run_until(None, schedule)
+
+        sim = baseline_sim(spec)
+        sim.run_until(250_000, schedule)
+        forks = [sim, copy.deepcopy(sim), pickle.loads(pickle.dumps(sim))]
+        for fork in forks:
+            fork.run_until(None)
+            assert fork.records == whole.records
+            assert fork.log == whole.log
+
+
+@st.composite
+def small_meshes(draw):
+    """A 1-4 service DAG with one entry service (s0), a small closed-loop
+    workload and either no fault or one fault of any kind."""
+    from oxn.config import TREATMENT_KINDS, Fault
+
+    n = draw(st.integers(1, 4))
+    services = tuple(
+        tiny_service(
+            f"s{i}",
+            workers=draw(st.integers(1, 4)),
+            median_ms=draw(st.integers(1, 200)),
+            sigma=draw(st.sampled_from([0.0, 0.5])),
+            cpu_ms=draw(st.integers(1, 10)),
+        )
+        for i in range(n)
+    )
+    edges = []
+    for callee in range(1, n):
+        # every non-entry service has a caller, so s0 is the only entry
+        for caller in draw(st.sets(st.integers(0, callee - 1), min_size=1)):
+            calls = draw(st.sampled_from([0.5, 1.0, 2.0]))
+            edges.append(CallEdge(f"s{caller}", f"s{callee}", calls, draw(st.integers(0, 10))))
+    sue = SueSpec(services=services, edges=tuple(edges), metric_points=(), trace_config=TraceConfigSpec())
+
+    duration = draw(st.integers(5_000, 30_000))
+    workload = WorkloadSpec(
+        users=draw(st.integers(1, 4)),
+        duration_ms=duration,
+        think_time=LognormalSpec(draw(st.integers(10, 1000)), draw(st.sampled_from([0.0, 0.3]))),
+        ramp_up_ms=draw(st.integers(0, duration // 2)),
+    )
+
+    fault = None
+    kind = draw(st.sampled_from([None] + [k for k, (cls, _) in TREATMENT_KINDS.items() if issubclass(cls, Fault)]))
+    if kind is not None:
+        cls, fixed = TREATMENT_KINDS[kind]
+        start = draw(st.integers(0, duration - 1))
+        params = {}
+        if kind == "network_delay":
+            params = dict(delay_min_ms=draw(st.integers(0, 50)), delay_max_ms=draw(st.integers(50, 200)))
+        elif kind in ("packet_loss", "packet_corruption"):
+            params = dict(probability=draw(st.floats(0.0, 1.0)))
+        elif kind == "stress":
+            params = dict(factor=draw(st.floats(1.0, 5.0)))
+        fault = cls(
+            name=kind,
+            target=f"s{draw(st.integers(0, n - 1))}",
+            start_ms=start,
+            end_ms=draw(st.integers(start + 1, duration)),
+            **fixed,
+            **params,
+        )
+    return sue, workload, fault, draw(st.integers(0, 2**16))
+
+
+class TestProperties:
+    @settings(max_examples=150, deadline=None)
+    @given(small_meshes())
+    def test_random_meshes_keep_the_invariants(self, mesh):
+        sue, workload, fault, seed = mesh
+        sim = init_sim(sue, seed)
+        drive(sim, workload)
+        sim.run_until(None, compile_schedule([fault] if fault is not None else []))
+
+        spans = {s.span_id: s for s in sim.log.spans}
+        for span in sim.log.spans:
+            assert span.end_ms >= span.start_ms
+            assert span.outcome in ("ok", "error")
+            if span.parent_id is not None:
+                parent = spans[span.parent_id]
+                assert parent.start_ms <= span.start_ms and span.end_ms <= parent.end_ms
+
+        assert sorted(r.request_id for r in sim.records) == list(range(sim._request_count))
+        assert {r.outcome for r in sim.records} <= {"ok", "error", "timeout"}
+
+        if fault is None:
+            for svc in sue.services:
+                busy = sum(ms for s, _, ms in sim.log.cpu_busy if s == svc.id)
+                processed = sum(1 for s, _ in sim.log.counter_increments if s == svc.id)
+                assert busy == pytest.approx(svc.cpu_per_request_ms * processed)

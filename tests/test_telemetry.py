@@ -9,7 +9,7 @@ from oxn.config import (
     SueSpec,
     TraceConfigSpec,
 )
-from oxn.simulator import RawEventLog, SpanClose, SpanOpen, rng_stream
+from oxn.simulator import RawEventLog, Span, rng_stream
 from oxn.telemetry import (
     FaultWindow,
     ResponseSeries,
@@ -37,8 +37,7 @@ def synthetic_traces(n: int, service="api", duration=50) -> RawEventLog:
     log = RawEventLog()
     for i in range(n):
         start = i * 100
-        log.span_opens.append(SpanOpen(i, i, -1, service, start))
-        log.span_closes.append(SpanClose(i, start + duration, "ok"))
+        log.spans.append(Span(i, i, None, service, start, start + duration, "ok"))
     return log
 
 
@@ -125,7 +124,7 @@ class TestSampleTraces:
     def test_rate_one_keeps_everything(self):
         log = synthetic_traces(500)
         spans, _ = sample_traces(log, TraceConfigSpec("probabilistic", 1.0), rng_stream(1, "t"))
-        assert len(spans) == len(log.span_opens)
+        assert len(spans) == len(log.spans)
 
     def test_always_on_ignores_rate(self):
         spans, _ = sample_traces(synthetic_traces(100), TraceConfigSpec("always_on", 0.0), rng_stream(1, "t"))
@@ -149,10 +148,8 @@ class TestSampleTraces:
 
     def test_kept_traces_retain_all_spans(self):
         log = RawEventLog()
-        log.span_opens.append(SpanOpen(1, 10, -1, "a", 0))
-        log.span_opens.append(SpanOpen(1, 11, 10, "b", 5))
-        log.span_closes.append(SpanClose(11, 20, "ok"))
-        log.span_closes.append(SpanClose(10, 30, "ok"))
+        log.spans.append(Span(1, 10, None, "a", 0, 30, "ok"))
+        log.spans.append(Span(1, 11, 10, "b", 5, 20, "ok"))
         spans, total = sample_traces(log, TraceConfigSpec("always_on", 1.0), rng_stream(1, "t"))
         assert total == 1
         assert len(spans) == 2
@@ -236,7 +233,7 @@ class TestMaterializeResponse:
         assert series.rows == []
 
     def test_trace_duration_filters_by_entered_service(self):
-        from oxn.telemetry import Span, TelemetryBatch
+        from oxn.telemetry import TelemetryBatch
 
         spans = [
             Span(1, 10, None, "frontend", 100, 400, "ok"),

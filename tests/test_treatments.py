@@ -16,9 +16,8 @@ from oxn.config import (
     parse_experiment_file,
     validate,
 )
-from oxn.simulator import init_sim
+from oxn.simulator import drive, init_sim
 from oxn.treatments import apply_instrumentation, compile_schedule
-from oxn.workload import drive
 
 from conftest import experiment_path
 

@@ -4,8 +4,7 @@ import numpy as np
 import pytest
 
 from oxn.config import LognormalSpec, SueSpec, TraceConfigSpec, WorkloadSpec, parse_experiment_file
-from oxn.simulator import init_sim
-from oxn.workload import drive
+from oxn.simulator import drive, init_sim
 
 from conftest import experiment_path, tiny_service
 
