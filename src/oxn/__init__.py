@@ -10,6 +10,7 @@ from .config import (
     ExperimentFormatError,
     ExperimentSpec,
     Violation,
+    apply_instrumentation,
     parse_experiment,
     parse_experiment_file,
     render_experiment,
@@ -37,7 +38,6 @@ from .scoring import (
     visibility,
 )
 from .simulator import SimState, drive, init_sim
-from .telemetry import FaultWindow, TelemetryBatch, materialize_response, sample_metrics, sample_traces
-from .treatments import FaultSchedule, apply_instrumentation, compile_schedule
+from .telemetry import TelemetryBatch, materialize_response, sample_metrics, sample_traces
 
 __version__ = "0.1.0"

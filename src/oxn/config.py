@@ -16,10 +16,10 @@ and cross-reference invariant is checked once, in ``validate``.
 from __future__ import annotations
 
 import functools
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass
+from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import Any, Callable, ClassVar, Mapping, NamedTuple, get_args, get_origin, get_type_hints
+from typing import Any, Callable, ClassVar, Iterable, Mapping, NamedTuple, get_args, get_origin, get_type_hints
 
 import yaml
 
@@ -257,6 +257,31 @@ TREATMENT_KINDS: dict[str, tuple[type, dict[str, Any]]] = {
     "tracing_sampling_rate": (TracingSamplingRate, {}),
     "tracing_sampling_strategy": (TracingSamplingStrategy, {}),
 }
+
+
+def apply_instrumentation(sue: SueSpec, treatments: Iterable[Instrumentation]) -> SueSpec:
+    """Return a new SueSpec with sampling intervals and trace settings
+    replaced per the instrumentation treatments (which passed ``validate``);
+    the input is untouched."""
+    points = list(sue.metric_points)
+    trace = sue.trace_config
+    for t in treatments:
+        if isinstance(t, MetricSamplingInterval):
+            index = [p.metric_name for p in points].index(t.metric)
+            point = points[index]
+            # Keep the aggregation-to-sampling multiplier so aggregated
+            # windows still contain a whole number of samples.
+            multiplier = point.aggregation_interval_ms // point.sampling_interval_ms
+            points[index] = replace(
+                point,
+                sampling_interval_ms=t.interval_ms,
+                aggregation_interval_ms=t.interval_ms * multiplier,
+            )
+        elif isinstance(t, TracingSamplingRate):
+            trace = replace(trace, rate=t.rate)
+        else:
+            trace = replace(trace, strategy=t.strategy, rate=trace.rate if t.rate is None else t.rate)
+    return replace(sue, metric_points=tuple(points), trace_config=trace)
 
 
 @dataclass(frozen=True, kw_only=True)

@@ -105,8 +105,8 @@ def build_dataset(
     """
     if not 0.0 < split_ratio < 1.0:
         raise ValueError("split_ratio must be within (0, 1)")
-    values = np.array([row.value for row in series.rows], dtype=np.float64)
-    labels = np.array([1 if row.label == "fault" else 0 for row in series.rows], dtype=np.int64)
+    values = series.values
+    labels = series.is_fault.astype(np.int64)
 
     n_fault = int(labels.sum())
     n_normal = int(len(labels) - n_fault)

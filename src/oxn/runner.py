@@ -18,7 +18,7 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import ExperimentSpec, Fault, render_experiment, validate
+from .config import ExperimentSpec, Fault, apply_instrumentation, render_experiment, validate
 from .costs import CostReport, account, mean_cost, overhead
 from .detection import InsufficientDataError, build_dataset, make_mechanism
 from .scoring import (
@@ -29,8 +29,7 @@ from .scoring import (
     score_matrix,
 )
 from .simulator import drive, init_sim, rng_stream
-from .telemetry import FaultWindow, build_batch, export_csv, materialize_response
-from .treatments import apply_instrumentation, compile_schedule
+from .telemetry import build_batch, export_csv, materialize_response
 
 SCHEMA_VERSION = "1"
 
@@ -138,21 +137,12 @@ def simulate_run(spec: ExperimentSpec, fault: Fault, repetition: int):
     materialized response series and the request records."""
     run_seed = spec.seed + repetition
     sue = apply_instrumentation(spec.sue, spec.instrumentation_treatments())
-    schedule = compile_schedule([fault])
-    sim = init_sim(sue, run_seed)
+    sim = init_sim(sue, run_seed, [fault])
     drive(sim, spec.workload)
-    sim.run_until(None, schedule)
+    sim.run_until(None)
 
-    window = FaultWindow(fault.start_ms, fault.end_ms)
-    batch = build_batch(
-        sim.log,
-        sue,
-        window,
-        spec.workload.duration_ms,
-        sim.stream("trace-sampling"),
-        request_count=len(sim.records),
-    )
-    series_list = [materialize_response(response, batch) for response in spec.responses]
+    batch = build_batch(sim.log, sue, spec.workload.duration_ms, sim.stream("trace-sampling"))
+    series_list = [materialize_response(response, batch, fault) for response in spec.responses]
     return batch, series_list, sim.records
 
 
@@ -164,7 +154,7 @@ def execute_run(
 ) -> RunResult:
     """Simulate one repetition of one fault and detect it in every response."""
     run_seed = spec.seed + repetition
-    batch, series_list, _ = simulate_run(spec, fault, repetition)
+    batch, series_list, records = simulate_run(spec, fault, repetition)
 
     detection = spec.detection
     scores: dict[str, float | None] = {}
@@ -193,7 +183,7 @@ def execute_run(
         seed=run_seed,
         scores=scores,
         cost=account(batch, spec.cost_model),
-        request_count=batch.request_count,
+        request_count=len(records),
         trace_count=batch.trace_count,
         kept_trace_count=batch.kept_trace_count,
         kept_span_count=batch.kept_span_count,

@@ -23,7 +23,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 from dataclasses import dataclass, field
-from typing import NamedTuple
+from typing import Iterable, NamedTuple
 
 import numpy as np
 
@@ -39,7 +39,6 @@ from .config import (
     SueSpec,
     WorkloadSpec,
 )
-from .treatments import FaultSchedule
 
 CLIENT_TIMEOUT_MS = 10_000
 # Retransmission storms are truncated so a probability of 1.0 cannot hang the loop.
@@ -190,7 +189,7 @@ class _EdgeState:
 class SimState:
     """Single-owner simulation state; see ``init_sim``."""
 
-    def __init__(self, sue: SueSpec, seed: int):
+    def __init__(self, sue: SueSpec, seed: int, faults: Iterable[Fault] = ()):
         self.sue = sue
         self.seed = seed
         self.now = 0
@@ -221,9 +220,13 @@ class SimState:
             raise ValueError(f"call graph must have exactly one entry service, found {roots}")
         self.entry = roots[0]
         self.workload: WorkloadSpec | None = None  # set by ``drive``
-        self._schedule_installed = False
         # Active faults that act on the inbound edges of their target.
         self._active: list[NetworkDelay | PacketLoss] = []
+        # Negative sequence numbers make fault boundary events sort ahead of
+        # simulation events carrying the same timestamp.
+        for i, fault in enumerate(faults):
+            heapq.heappush(self._heap, (fault.start_ms, -2_000_000 + 2 * i, _EV_FAULT_START, fault))
+            heapq.heappush(self._heap, (fault.end_ms, -2_000_000 + 2 * i + 1, _EV_FAULT_END, fault))
 
     # -- plumbing ----------------------------------------------------------
 
@@ -257,20 +260,12 @@ class SimState:
         self.schedule(at + CLIENT_TIMEOUT_MS, _EV_TIMEOUT, request)
         return request.index
 
-    def run_until(self, t: int | None, schedule: FaultSchedule | None = None) -> None:
+    def run_until(self, t: int | None) -> None:
         """Process all events up to and including time ``t`` (everything, if None).
 
-        Fault effects from ``schedule`` are applied and reverted exactly at
-        their window boundaries; boundary events sort ahead of same-timestamp
-        simulation events.
+        Fault effects are applied and reverted exactly at their window
+        boundaries, ahead of same-timestamp simulation events.
         """
-        if schedule is not None and not self._schedule_installed:
-            self._schedule_installed = True
-            # Negative sequence numbers make boundary events sort ahead of
-            # simulation events carrying the same timestamp.
-            for i, fault in enumerate(schedule.entries):
-                heapq.heappush(self._heap, (fault.start_ms, -2_000_000 + 2 * i, _EV_FAULT_START, fault))
-                heapq.heappush(self._heap, (fault.end_ms, -2_000_000 + 2 * i + 1, _EV_FAULT_END, fault))
         heap = self._heap
         while heap and (t is None or heap[0][0] <= t):
             when, _, kind, payload = heapq.heappop(heap)
@@ -477,10 +472,10 @@ class SimState:
             self._active = [f for f in self._active if f is not fault]
 
 
-def init_sim(sue: SueSpec, seed: int) -> SimState:
+def init_sim(sue: SueSpec, seed: int, faults: Iterable[Fault] = ()) -> SimState:
     """Fresh idle simulation with per-service and per-user RNG streams
-    derived from ``seed``."""
-    return SimState(sue, seed)
+    derived from ``seed``, whose ``faults`` act inside their windows."""
+    return SimState(sue, seed, faults)
 
 
 def drive(sim: SimState, workload: WorkloadSpec) -> None:

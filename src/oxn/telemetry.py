@@ -1,26 +1,27 @@
 """Turn raw instrumentation events into sampled metrics, sampled traces and
 labeled response series.
 
-Metrics are materialized on a fixed grid: every event timestamp is the end
-of its (aggregation) window and windows without data yield explicit zeros,
-so downstream detectors always see rectangular data. Trace sampling is
-head-based: one keep/drop draw per trace at root-span open. Observations
-inside the fault window are labeled ``fault``; a short settling margin
-after the window is excluded entirely so queue-drain transients cannot
-contaminate the normal class.
+Metrics are materialized on a fixed grid: every timestamp is the end of its
+(aggregation) window and windows without data yield explicit zeros, so
+downstream detectors always see rectangular data. Trace sampling is
+head-based: one keep/drop draw per trace at root-span open. A response
+series is one record of columns: observations inside the fault window are
+marked ``is_fault``, and those in a short settling margin after the window
+are dropped so queue-drain transients cannot contaminate the normal class.
 """
 
 from __future__ import annotations
 
 import csv
-import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
+from operator import itemgetter
 from pathlib import Path
-from typing import Iterable, NamedTuple
+from typing import Iterable
 
 import numpy as np
 
 from .config import (
+    Fault,
     MetricPointSpec,
     ResponseVariableSpec,
     SueSpec,
@@ -30,56 +31,29 @@ from .config import (
 from .simulator import RawEventLog, Span
 
 SETTLING_MARGIN_MS = 30_000
+# Events are converted to arrays this many at a time, so that sampling adds
+# about a megabyte to the memory of a run rather than a copy of its log.
+_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
-class MetricEvent:
-    name: str
-    timestamp_ms: int
-    value: float
-    labels: tuple[tuple[str, str], ...] = ()
-
-
-@dataclass(frozen=True)
-class FaultWindow:
-    """The fault interval plus the labeling geometry around it."""
-
-    start_ms: int
-    end_ms: int
-    settle_ms: int = SETTLING_MARGIN_MS
-
-    def label(self, t: int) -> str:
-        """'fault' inside the window, 'excluded' during settling, else 'normal'."""
-        if self.start_ms <= t <= self.end_ms:
-            return "fault"
-        if self.end_ms < t <= self.end_ms + self.settle_ms:
-            return "excluded"
-        return "normal"
-
-
-class SeriesRow(NamedTuple):
-    timestamp_ms: int
-    value: float
-    label: str
-
-
-@dataclass
 class ResponseSeries:
+    """One response variable's observations in time order, settling rows
+    already dropped."""
+
     name: str
-    kind: str
-    rows: list[SeriesRow] = field(default_factory=list)
+    timestamps: np.ndarray  # int64 ms
+    values: np.ndarray  # float64
+    is_fault: np.ndarray  # bool
 
 
 @dataclass
 class TelemetryBatch:
     """Everything one run emitted, after instrumentation sampling."""
 
-    metrics: dict[str, list[MetricEvent]]
+    metrics: dict[str, tuple[np.ndarray, np.ndarray]]  # name -> (timestamps, values)
     spans: list[Span]
-    window: FaultWindow | None
-    duration_ms: int
     cpu_busy_ms: dict[str, float]
-    request_count: int
     trace_count: int
     kept_trace_count: int
     metric_event_count: int
@@ -94,76 +68,91 @@ def _window_count(duration_ms: int, interval_ms: int) -> int:
     return max(1, -(-duration_ms // interval_ms))
 
 
-def _bin_index(t: int, interval_ms: int, nbins: int) -> int:
-    return min(t // interval_ms, nbins - 1)
-
-
 def _targets(point: MetricPointSpec, sue: SueSpec) -> list[str]:
     if point.target == SYSTEM_TARGET:
         return [s.id for s in sue.services]
     return [point.target]
 
 
+def _column(events: list[tuple], k: int, dtype, lookup: dict | None = None) -> np.ndarray:
+    """Field ``k`` of every event tuple as an array, mapped through ``lookup``."""
+    values = map(itemgetter(k), events)
+    return np.fromiter(values if lookup is None else map(lookup.__getitem__, values), dtype, len(events))
+
+
+def _accumulate(events: list[tuple], sue: SueSpec, duration_ms: int, grids: dict, weighted: bool):
+    """Add each ``(service, t[, ms])`` event up to ``duration_ms`` into every
+    grid (interval_ms -> services x windows array; events past the last
+    window count in it), in event order, weighing it by ``ms`` or by one."""
+    index = {s.id: i for i, s in enumerate(sue.services)}
+    for start in range(0, len(events), _CHUNK):
+        chunk = events[start : start + _CHUNK]
+        t = _column(chunk, 1, np.int64)
+        keep = t <= duration_ms
+        svc, t = _column(chunk, 0, np.intp, index)[keep], t[keep]
+        weights = _column(chunk, 2, np.float64)[keep] if weighted else 1
+        for interval, grid in grids.items():
+            n = grid.shape[1]
+            np.add.at(grid.reshape(-1), svc * n + np.minimum(t // interval, n - 1), weights)
+
+
 def sample_metrics(
     log: RawEventLog, points: Iterable[MetricPointSpec], sue: SueSpec, duration_ms: int
-) -> dict[str, list[MetricEvent]]:
-    """Materialize each metric point on its sampling/aggregation grid."""
-    out: dict[str, list[MetricEvent]] = {}
+) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+    """Materialize each metric point on its sampling/aggregation grid as
+    ``(timestamps, values)`` arrays."""
+    points = list(points)
+    rows = {s.id: i for i, s in enumerate(sue.services)}
+
+    def grid(interval_ms: int, dtype) -> np.ndarray:
+        return np.zeros((len(rows), _window_count(duration_ms, interval_ms)), dtype)
+
+    busy = {
+        p.sampling_interval_ms: grid(p.sampling_interval_ms, np.float64)
+        for p in points
+        if p.kind == "cpu_gauge"
+    }
+    counts = {
+        p.aggregation_interval_ms: grid(p.aggregation_interval_ms, np.int64)
+        for p in points
+        if p.kind == "request_counter"
+    }
+    _accumulate(log.cpu_busy, sue, duration_ms, busy, weighted=True)
+    _accumulate(log.counter_increments, sue, duration_ms, counts, weighted=False)
+
+    out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for point in points:
         targets = _targets(point, sue)
+        target_rows = [rows[svc] for svc in targets]
         sampling = point.sampling_interval_ms
         aggregation = point.aggregation_interval_ms
-        n_sample = _window_count(duration_ms, sampling)
         n_agg = _window_count(duration_ms, aggregation)
-        per_agg = aggregation // sampling
-        labels = (("service", point.target), ("kind", point.kind))
 
         if point.kind == "cpu_gauge":
-            busy = {svc: np.zeros(n_sample) for svc in targets}
-            for service, t, slice_ms in log.cpu_busy:
-                if service in busy and t <= duration_ms:
-                    busy[service][_bin_index(t, sampling, n_sample)] += slice_ms
-            stacked = np.vstack([busy[svc] for svc in targets]) / float(sampling)
+            stacked = busy[sampling][target_rows] / float(sampling)
             if point.target == SYSTEM_TARGET and point.system_aggregation == "mean":
                 fractions = stacked.mean(axis=0)
             else:
                 fractions = stacked.sum(axis=0)
-            events = []
-            for k in range(n_agg):
-                window = fractions[k * per_agg : (k + 1) * per_agg]
-                value = float(window.mean()) if window.size else 0.0
-                events.append(MetricEvent(point.metric_name, (k + 1) * aggregation, value, labels))
-            out[point.metric_name] = events
-
+            # Mean per aggregation window; only the last one can be partial.
+            per_agg = aggregation // sampling
+            full = len(fractions) // per_agg
+            values = fractions[: full * per_agg].reshape(full, per_agg).mean(axis=1)
+            if full < n_agg:
+                values = np.append(values, fractions[full * per_agg :].mean())
         elif point.kind == "request_counter":
-            counts = np.zeros(n_agg, dtype=np.int64)
-            wanted = set(targets)
-            for service, t in log.counter_increments:
-                if service in wanted and t <= duration_ms:
-                    counts[_bin_index(t, aggregation, n_agg)] += 1
-            out[point.metric_name] = [
-                MetricEvent(point.metric_name, (k + 1) * aggregation, float(counts[k]), labels)
-                for k in range(n_agg)
-            ]
-
-        elif point.kind == "custom_gauge":
+            values = counts[aggregation][target_rows].sum(axis=0).astype(np.float64)
+        else:  # custom_gauge
             # Last write wins within a window; windows without writes carry
             # the previous value forward (0.0 before the first write).
             last = np.full(n_agg, np.nan)
-            wanted = set(targets)
             for metric, service, t, value in log.gauge_writes:
-                if metric == point.metric_name and service in wanted and t <= duration_ms:
-                    last[_bin_index(t, aggregation, n_agg)] = value
-            events = []
-            current = 0.0
-            for k in range(n_agg):
-                if not np.isnan(last[k]):
-                    current = float(last[k])
-                events.append(MetricEvent(point.metric_name, (k + 1) * aggregation, current, labels))
-            out[point.metric_name] = events
-
-        else:
-            raise ValueError(f"unknown metric kind '{point.kind}'")
+                if metric == point.metric_name and service in targets and t <= duration_ms:
+                    last[min(t // aggregation, n_agg - 1)] = value
+            written = np.maximum.accumulate(np.where(np.isnan(last), -1, np.arange(n_agg)))
+            values = np.where(written < 0, 0.0, last[written])
+        timestamps = np.arange(1, n_agg + 1, dtype=np.int64) * aggregation
+        out[point.metric_name] = (timestamps, values)
     return out
 
 
@@ -195,12 +184,7 @@ def sample_traces(
 
 
 def build_batch(
-    log: RawEventLog,
-    sue: SueSpec,
-    window: FaultWindow | None,
-    duration_ms: int,
-    trace_rng: np.random.Generator,
-    request_count: int,
+    log: RawEventLog, sue: SueSpec, duration_ms: int, trace_rng: np.random.Generator
 ) -> TelemetryBatch:
     """Assemble the run's telemetry under the given instrumentation config."""
     metrics = sample_metrics(log, sue.metric_points, sue, duration_ms)
@@ -233,57 +217,33 @@ def build_batch(
     return TelemetryBatch(
         metrics=metrics,
         spans=spans,
-        window=window,
-        duration_ms=duration_ms,
         cpu_busy_ms=cpu_busy,
-        request_count=request_count,
         trace_count=trace_count,
         kept_trace_count=len({s.trace_id for s in spans}),
-        metric_event_count=sum(len(v) for v in metrics.values()),
+        metric_event_count=sum(len(t) for t, _ in metrics.values()),
         instrumentation_calls=calls,
     )
 
 
 def materialize_response(
-    spec: ResponseVariableSpec, batch: TelemetryBatch, window: FaultWindow | None = None
+    spec: ResponseVariableSpec, batch: TelemetryBatch, fault: Fault
 ) -> ResponseSeries:
-    """Build the labeled observation series for one response variable.
-
-    A metric missing from the batch signals a misconfigured instrumentation
-    point; that is itself an experiment finding, so the series comes back
-    empty with a warning instead of raising.
-    """
-    window = window if window is not None else batch.window
-    series = ResponseSeries(name=spec.name, kind=spec.kind)
-
-    def label(t: int) -> str:
-        return window.label(t) if window is not None else "normal"
-
+    """Build the labeled observation series for one response variable: a
+    metric's grid, or the duration of each kept trace that entered the
+    source service, stamped at its root's start."""
     if spec.kind == "metric":
-        events = batch.metrics.get(spec.source)
-        if events is None:
-            warnings.warn(
-                f"metric '{spec.source}' absent from batch; response '{spec.name}' is empty",
-                stacklevel=2,
-            )
-            return series
-        for event in events:
-            tag = label(event.timestamp_ms)
-            if tag != "excluded":
-                series.rows.append(SeriesRow(event.timestamp_ms, event.value, tag))
-    elif spec.kind == "trace_duration":
+        timestamps, values = batch.metrics[spec.source]
+    else:  # trace_duration
         entered = {s.trace_id for s in batch.spans if s.service == spec.source}
         roots = [s for s in batch.spans if s.parent_id is None and s.trace_id in entered]
         roots.sort(key=lambda s: (s.start_ms, s.trace_id))
-        for root in roots:
-            tag = label(root.start_ms)
-            if tag != "excluded":
-                series.rows.append(
-                    SeriesRow(root.start_ms, float(root.end_ms - root.start_ms), tag)
-                )
-    else:
-        raise ValueError(f"unknown response kind '{spec.kind}'")
-    return series
+        timestamps = np.array([s.start_ms for s in roots], dtype=np.int64)
+        values = np.array([s.end_ms - s.start_ms for s in roots], dtype=np.float64)
+    settled = (timestamps <= fault.end_ms) | (timestamps > fault.end_ms + SETTLING_MARGIN_MS)
+    timestamps, values = timestamps[settled], values[settled]
+    return ResponseSeries(
+        spec.name, timestamps, values, (fault.start_ms <= timestamps) & (timestamps <= fault.end_ms)
+    )
 
 
 def _format_value(value: float) -> str:
@@ -306,8 +266,9 @@ def export_csv(
         with path.open("w", newline="") as handle:
             writer = csv.writer(handle, lineterminator="\n")
             writer.writerow(["timestamp_ms", "value", "label"])
-            for row in series.rows:
-                writer.writerow([row.timestamp_ms, _format_value(row.value), row.label])
+            columns = (series.timestamps.tolist(), series.values.tolist(), series.is_fault.tolist())
+            for t, value, is_fault in zip(*columns):
+                writer.writerow([t, _format_value(value), "fault" if is_fault else "normal"])
         written.append(path)
 
     path = directory / f"{prefix}_spans.csv"

@@ -4,6 +4,7 @@ session-scoped ``canonical_reports`` fixture."""
 
 from __future__ import annotations
 
+import hashlib
 import itertools
 import subprocess
 import sys
@@ -22,9 +23,9 @@ from oxn.detection import (
 )
 from oxn.scoring import fault_coverage, overall_fault_observability, visibility
 from oxn.simulator import rng_stream
-from oxn.telemetry import ResponseSeries, SeriesRow, sample_traces
+from oxn.telemetry import ResponseSeries, sample_traces
 from oxn.config import TraceConfigSpec, parse_experiment_file
-from oxn.runner import simulate_run
+from oxn.runner import report_json, simulate_run
 
 from conftest import REPO_ROOT, experiment_path
 
@@ -32,6 +33,10 @@ PAUSE = "pause_recommendation"
 PACKET_LOSS = "packet_loss_recommendation"
 NETWORK_DELAY = "network_delay_recommendation"
 TRACE_RESPONSE = "trace_duration_recommendation"
+
+
+def stamps(n: int) -> np.ndarray:
+    return 1000 * np.arange(1, n + 1, dtype=np.int64)
 
 
 def announce(criterion: int, message: str) -> None:
@@ -114,11 +119,8 @@ class TestCriterion4DetectorCorrectness:
             values = np.concatenate([gen.normal(0, 1, 100), gen.normal(shift, 1, 100)])
             labels = np.concatenate([np.zeros(100, dtype=int), np.ones(100, dtype=int)])
             order = gen.permutation(200)
-            rows = [
-                SeriesRow(1000 * (i + 1), float(values[order][i]), "fault" if labels[order][i] else "normal")
-                for i in range(200)
-            ]
-            return build_dataset(ResponseSeries("s", "metric", rows), 0.7, gen, feature_window=1)
+            series = ResponseSeries("s", stamps(200), values[order], labels[order].astype(bool))
+            return build_dataset(series, 0.7, gen, feature_window=1)
 
         # separable data reaches near-perfect test accuracy
         ds = zscore_fit_apply(dataset(6.0, 1))
@@ -138,11 +140,8 @@ class TestCriterion4DetectorCorrectness:
         gen = np.random.default_rng(3)
         values = np.concatenate([np.zeros(100), np.ones(20)])
         labels = np.concatenate([np.zeros(100, dtype=int), np.ones(20, dtype=int)])
-        rows = [
-            SeriesRow(1000 * (i + 1), float(v), "fault" if l else "normal")
-            for i, (v, l) in enumerate(zip(values, labels))
-        ]
-        balanced = build_dataset(ResponseSeries("s", "metric", rows), 0.7, gen)
+        series = ResponseSeries("s", stamps(120), values, labels.astype(bool))
+        balanced = build_dataset(series, 0.7, gen)
         _, y_train = balanced.train
         assert int((y_train == 1).sum()) == int((y_train == 0).sum())
 
@@ -161,7 +160,31 @@ class TestCriterion4DetectorCorrectness:
         )
 
 
+# sha256 of the frozen-clock ``report_json`` of each canonical experiment.
+REPORT_DIGESTS = {
+    "baseline": "2f0f276b9cbeedd64f8e2137981d98ac58ba67c3c5008195839fabf86772f56b",
+    "alternative_b": "d863fe438a828b35e5896032fd857057fba37ca25fa2a4896d087fba22d8ddad",
+    "alternative_c": "caa4126c07174f21597f15e084500623b46827f0653700c01dc0fa4700ab8329",
+}
+
+# sha256 over the sorted (path, bytes) pairs that ``oxn run baseline.yaml
+# --export-csv --frozen-clock`` writes: the report and its 120 CSV files.
+BASELINE_EXPORT_DIGEST = "1861b8ee207e32e3195fce874a5816c2ec5e8f7bccbd1fa0d6b35387df98bfa5"
+
+
+def export_digest(files: dict[str, bytes]) -> str:
+    digest = hashlib.sha256()
+    for path, data in sorted(files.items()):
+        digest.update(path.encode() + b"\0" + data + b"\0")
+    return digest.hexdigest()
+
+
 class TestCriterion5Determinism:
+    def test_canonical_report_digests(self, canonical_reports):
+        for name, expected in REPORT_DIGESTS.items():
+            data = report_json(canonical_reports[name]).encode()
+            assert hashlib.sha256(data).hexdigest() == expected, name
+
     def test_cli_run_twice_byte_identical(self, tmp_path):
         started = time.perf_counter()
         outputs = []
@@ -194,6 +217,7 @@ class TestCriterion5Determinism:
             outputs.append(files)
         assert outputs[0].keys() == outputs[1].keys()
         assert outputs[0] == outputs[1]
+        assert export_digest(outputs[0]) == BASELINE_EXPORT_DIGEST
         for response in ("system_cpu", "recomms_per_minute", "trace_duration_recommendation"):
             assert f"csv/baseline_pause_recommendation-r0_{response}.csv" in outputs[0]
         elapsed = time.perf_counter() - started
@@ -288,20 +312,20 @@ class TestCriterion8TelemetryInvariants:
                             assert span.end_ms <= parent.end_ms
 
                     # metric grid alignment
-                    for point in batch.metrics:
+                    for point, (timestamps, values) in batch.metrics.items():
                         interval = spec.sue.metric_point(point).aggregation_interval_ms
-                        for event in batch.metrics[point]:
-                            assert event.timestamp_ms % interval == 0
+                        assert all(timestamps % interval == 0)
+                        assert len(timestamps) == len(values)
 
-                    # label partition: every row labeled once, fault span matches window
-                    for series in series_list:
-                        if series.kind != "metric":
+                    # label partition: one label per row, fault span matches window
+                    for response, series in zip(spec.responses, series_list):
+                        if response.kind != "metric":
                             continue
-                        assert all(r.label in ("normal", "fault") for r in series.rows)
+                        assert len(series.is_fault) == len(series.values) == len(series.timestamps)
                         interval = spec.sue.metric_point(series.name).aggregation_interval_ms
-                        fault_rows = [r for r in series.rows if r.label == "fault"]
+                        fault_rows = int(series.is_fault.sum())
                         window_span = (fault.end_ms or 0) - (fault.start_ms or 0)
-                        assert abs(len(fault_rows) * interval - window_span) <= interval
+                        assert abs(fault_rows * interval - window_span) <= interval
 
                     # per-run binomial concentration of head sampling
                     rate = (

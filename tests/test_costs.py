@@ -21,9 +21,7 @@ def batch_for(spec, seed=0, trace_rate=None, metric_points=None):
     sim = init_sim(sue, seed)
     drive(sim, spec.workload)
     sim.run_until(None)
-    return build_batch(
-        sim.log, sue, None, spec.workload.duration_ms, sim.stream("trace-sampling"), len(sim.records)
-    )
+    return build_batch(sim.log, sue, spec.workload.duration_ms, sim.stream("trace-sampling"))
 
 
 class TestAccount:
@@ -51,29 +49,24 @@ class TestAccount:
         model = CostModelSpec()
         spec = small_spec()
         whole = batch_for(spec)
+
+        def metrics_where(keep):
+            return {name: (t[keep(t)], v[keep(t)]) for name, (t, v) in whole.metrics.items()}
+
+        early, late = metrics_where(lambda t: t <= 60_000), metrics_where(lambda t: t > 60_000)
         first = replace(
             whole,
             spans=[s for s in whole.spans if s.start_ms < 60_000],
-            metrics={
-                name: [e for e in events if e.timestamp_ms <= 60_000]
-                for name, events in whole.metrics.items()
-            },
-            metric_event_count=sum(
-                1 for events in whole.metrics.values() for e in events if e.timestamp_ms <= 60_000
-            ),
+            metrics=early,
+            metric_event_count=sum(len(t) for t, _ in early.values()),
             cpu_busy_ms={"gateway": 100.0, "backend": 50.0},
             instrumentation_calls={"gateway": 10.0, "backend": 5.0},
         )
         second = replace(
             whole,
             spans=[s for s in whole.spans if s.start_ms >= 60_000],
-            metrics={
-                name: [e for e in events if e.timestamp_ms > 60_000]
-                for name, events in whole.metrics.items()
-            },
-            metric_event_count=sum(
-                1 for events in whole.metrics.values() for e in events if e.timestamp_ms > 60_000
-            ),
+            metrics=late,
+            metric_event_count=sum(len(t) for t, _ in late.values()),
             cpu_busy_ms={
                 svc: whole.cpu_busy_ms[svc] - first.cpu_busy_ms[svc] for svc in whole.cpu_busy_ms
             },

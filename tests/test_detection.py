@@ -23,17 +23,16 @@ from oxn.detection import (
     zscore_fit_apply,
 )
 from oxn.runner import run_experiment
-from oxn.telemetry import ResponseSeries, SeriesRow
+from oxn.telemetry import ResponseSeries
 
 from conftest import small_spec
 
 
 def series_from(values, labels, name="s") -> ResponseSeries:
-    rows = [
-        SeriesRow(1000 * (i + 1), float(v), "fault" if l else "normal")
-        for i, (v, l) in enumerate(zip(values, labels))
-    ]
-    return ResponseSeries(name=name, kind="metric", rows=rows)
+    timestamps = 1000 * np.arange(1, len(values) + 1, dtype=np.int64)
+    return ResponseSeries(
+        name, timestamps, np.asarray(values, dtype=np.float64), np.asarray(labels, dtype=bool)
+    )
 
 
 def synthetic_dataset(rng, n_normal=100, n_fault=100, shift=6.0, split=0.7):

@@ -19,7 +19,6 @@ from oxn.config import (
     parse_experiment_file,
 )
 from oxn.simulator import CLIENT_TIMEOUT_MS, drive, init_sim, rng_stream
-from oxn.treatments import compile_schedule
 
 from conftest import experiment_path, tiny_service
 
@@ -45,8 +44,8 @@ def sue_chain(sigma=0.0) -> SueSpec:
     )
 
 
-def run_workload(sue, seed, users, duration_ms, think_ms, schedule=None, ramp_up_ms=0, sigma=0.0):
-    sim = init_sim(sue, seed)
+def run_workload(sue, seed, users, duration_ms, think_ms, faults=(), ramp_up_ms=0, sigma=0.0):
+    sim = init_sim(sue, seed, faults)
     drive(
         sim,
         WorkloadSpec(
@@ -56,7 +55,7 @@ def run_workload(sue, seed, users, duration_ms, think_ms, schedule=None, ramp_up
             ramp_up_ms=ramp_up_ms,
         ),
     )
-    sim.run_until(None, schedule)
+    sim.run_until(None)
     return sim
 
 
@@ -202,7 +201,7 @@ class TestInvariants:
 
         stress = Stress(name="s", target="b", start_ms=10_000, end_ms=50_000, factor=3.0)
         sue = sue_chain(0.0)
-        sim = run_workload(sue, 13, 5, 60_000, 400, schedule=compile_schedule([stress]))
+        sim = run_workload(sue, 13, 5, 60_000, 400, faults=[stress])
         total = sum(ms for s, _, ms in sim.log.cpu_busy if s == "b")
         processed = sum(1 for s, _ in sim.log.counter_increments if s == "b")
         assert total > 5.0 * processed
@@ -211,16 +210,15 @@ class TestInvariants:
 
 
 class TestFaults:
-    def make_schedule(self, kind, **params):
+    def make_faults(self, kind, **params):
         from oxn.config import TREATMENT_KINDS
 
         cls, fixed = TREATMENT_KINDS[kind]
-        fault = cls(name=f"{kind}_b", target="b", start_ms=20_000, end_ms=40_000, **fixed, **params)
-        return compile_schedule([fault])
+        return [cls(name=f"{kind}_b", target="b", start_ms=20_000, end_ms=40_000, **fixed, **params)]
 
     def test_pause_queues_without_processing(self):
         sue = sue_chain(0.0)
-        sim = run_workload(sue, 17, 5, 60_000, 500, schedule=self.make_schedule("pause"))
+        sim = run_workload(sue, 17, 5, 60_000, 500, faults=self.make_faults("pause"))
         b_done = [t for s, t in sim.log.counter_increments if s == "b"]
         assert not [t for t in b_done if 20_000 < t < 40_000]
         assert [t for t in b_done if t < 20_000]
@@ -235,9 +233,9 @@ class TestFaults:
             metric_points=(),
             trace_config=TraceConfigSpec(),
         )
-        sim = init_sim(sue, 3)
+        sim = init_sim(sue, 3, self.make_faults("pause"))
         sim.issue_request(0, at=18_985)  # reaches b at 19_000
-        sim.run_until(None, self.make_schedule("pause"))
+        sim.run_until(None)
         # 1000 ms of service happened before the pause; the rest resumes at 40 s.
         closed = [s for s in sim.log.spans if s.outcome == "ok"]
         b_close = max(closed, key=lambda s: s.end_ms)
@@ -245,9 +243,9 @@ class TestFaults:
 
     def test_kill_fails_new_requests_after_error_response_time(self):
         sue = sue_chain(0.0)
-        sim = init_sim(sue, 3)
+        sim = init_sim(sue, 3, self.make_faults("kill"))
         sim.issue_request(0, at=25_000)
-        sim.run_until(None, self.make_schedule("kill"))
+        sim.run_until(None)
         record = sim.records[0]
         assert record.outcome == "error"
         # a processes 10 ms, edge 5 ms, then b's error response time (300 ms)
@@ -261,17 +259,17 @@ class TestFaults:
             metric_points=(),
             trace_config=TraceConfigSpec(),
         )
-        sim = init_sim(sue, 3)
+        sim = init_sim(sue, 3, self.make_faults("kill"))
         sim.issue_request(0, at=18_985)
-        sim.run_until(None, self.make_schedule("kill"))
+        sim.run_until(None)
         assert sim.records[0].outcome == "error"
         assert sim.records[0].end_ms == 20_000
         assert not [ms for s, t, ms in sim.log.cpu_busy if s == "b"]
 
     def test_network_delay_bounds_per_hop(self):
         sue = sue_chain(0.0)
-        schedule = self.make_schedule("network_delay", delay_min_ms=10, delay_max_ms=90)
-        sim = run_workload(sue, 19, 5, 60_000, 500, schedule=schedule)
+        faults = self.make_faults("network_delay", delay_min_ms=10, delay_max_ms=90)
+        sim = run_workload(sue, 19, 5, 60_000, 500, faults=faults)
         in_window = [
             lat for r in sim.records for (_, _, lat) in r.hops if 20_000 <= r.start_ms < 39_000
         ]
@@ -284,8 +282,8 @@ class TestFaults:
 
     def test_packet_loss_adds_retransmit_penalties(self):
         sue = sue_chain(0.0)
-        schedule = self.make_schedule("packet_loss", probability=0.3)
-        sim = run_workload(sue, 23, 5, 60_000, 500, schedule=schedule)
+        faults = self.make_faults("packet_loss", probability=0.3)
+        sim = run_workload(sue, 23, 5, 60_000, 500, faults=faults)
         in_window = [
             lat for r in sim.records for (_, _, lat) in r.hops if 20_000 <= r.start_ms < 39_000
         ]
@@ -301,8 +299,8 @@ class TestFaults:
 
     def test_packet_corruption_produces_errors(self):
         sue = sue_chain(0.0)
-        schedule = self.make_schedule("packet_corruption", probability=0.5)
-        sim = run_workload(sue, 29, 5, 60_000, 500, schedule=schedule)
+        faults = self.make_faults("packet_corruption", probability=0.5)
+        sim = run_workload(sue, 29, 5, 60_000, 500, faults=faults)
         in_window = [r for r in sim.records if 20_000 <= r.start_ms < 39_000]
         outcomes = {r.outcome for r in in_window}
         assert "error" in outcomes
@@ -311,11 +309,11 @@ class TestFaults:
 
     def test_effects_revert_exactly_at_window_end(self):
         sue = sue_chain(0.0)
-        schedule = self.make_schedule("network_delay", delay_min_ms=50, delay_max_ms=50)
-        sim = init_sim(sue, 31)
+        faults = self.make_faults("network_delay", delay_min_ms=50, delay_max_ms=50)
+        sim = init_sim(sue, 31, faults)
         sim.issue_request(0, at=39_989)  # dispatches to b at 39 999
         sim.issue_request(1, at=39_990)  # dispatches exactly at 40 000
-        sim.run_until(None, schedule)
+        sim.run_until(None)
         by_user = {r.user: r for r in sim.records}
         assert by_user[0].hops[0][2] == 15 + 50
         assert by_user[1].hops[0][2] == 15
@@ -325,19 +323,18 @@ class TestFaults:
 
         sue = sue_single()
         treatment = Kill(name="kill_api", target="api", start_ms=20_000, end_ms=40_000)
-        sim = init_sim(sue, 41)
+        sim = init_sim(sue, 41, [treatment])
         sim.issue_request(0, at=25_000)
-        sim.run_until(None, compile_schedule([treatment]))
+        sim.run_until(None)
         assert sim.records[0].outcome == "error"
         assert sim.records[0].end_ms - sim.records[0].start_ms == 300  # entry error response time
         assert sim.log.spans == []
 
     def test_timeout_records_exact_client_timeout(self):
         sue = sue_chain(0.0)
-        schedule = self.make_schedule("pause")
-        sim = init_sim(sue, 37)
+        sim = init_sim(sue, 37, self.make_faults("pause"))
         sim.issue_request(0, at=25_000)
-        sim.run_until(None, schedule)
+        sim.run_until(None)
         assert sim.records[0].outcome == "timeout"
         assert sim.records[0].end_ms - sim.records[0].start_ms == CLIENT_TIMEOUT_MS
 
@@ -371,10 +368,10 @@ def baseline_faults():
     return spec, faults
 
 
-def baseline_sim(spec, seed=0):
-    from oxn.treatments import apply_instrumentation
+def baseline_sim(spec, fault, seed=0):
+    from oxn.config import apply_instrumentation
 
-    sim = init_sim(apply_instrumentation(spec.sue, spec.instrumentation_treatments()), seed)
+    sim = init_sim(apply_instrumentation(spec.sue, spec.instrumentation_treatments()), seed, [fault])
     drive(sim, spec.workload)
     return sim
 
@@ -401,8 +398,8 @@ class TestGoldenEventLog:
     @pytest.mark.parametrize("fault", sorted(EVENT_LOG_DIGESTS))
     def test_event_log_digest(self, fault):
         spec, faults = baseline_faults()
-        sim = baseline_sim(spec)
-        sim.run_until(None, compile_schedule([faults[fault]]))
+        sim = baseline_sim(spec, faults[fault])
+        sim.run_until(None)
         assert event_log_digest(sim) == EVENT_LOG_DIGESTS[fault]
 
 
@@ -410,12 +407,11 @@ class TestFork:
     @pytest.mark.parametrize("fault", ["pause", "packet_loss"])
     def test_copies_taken_at_fault_start_run_on_identically(self, fault):
         spec, faults = baseline_faults()
-        schedule = compile_schedule([faults[fault]])
-        whole = baseline_sim(spec)
-        whole.run_until(None, schedule)
+        whole = baseline_sim(spec, faults[fault])
+        whole.run_until(None)
 
-        sim = baseline_sim(spec)
-        sim.run_until(250_000, schedule)
+        sim = baseline_sim(spec, faults[fault])
+        sim.run_until(250_000)
         forks = [sim, copy.deepcopy(sim), pickle.loads(pickle.dumps(sim))]
         for fork in forks:
             fork.run_until(None)
@@ -484,9 +480,16 @@ class TestProperties:
     @given(small_meshes())
     def test_random_meshes_keep_the_invariants(self, mesh):
         sue, workload, fault, seed = mesh
-        sim = init_sim(sue, seed)
+        sim = init_sim(sue, seed, [fault] if fault is not None else [])
         drive(sim, workload)
-        sim.run_until(None, compile_schedule([fault] if fault is not None else []))
+        if fault is not None:
+            # effects revert exactly at the window end
+            sim.run_until(fault.end_ms)
+            for svc in sim.services.values():
+                assert not svc.paused and not svc.killed
+                assert svc.stress_factor == 1.0 and not svc.frozen
+            assert sim._active == []
+        sim.run_until(None)
 
         spans = {s.span_id: s for s in sim.log.spans}
         for span in sim.log.spans:

@@ -5,15 +5,15 @@ import pytest
 
 from oxn.config import (
     MetricPointSpec,
+    Pause,
     ResponseVariableSpec,
     SueSpec,
     TraceConfigSpec,
 )
 from oxn.simulator import RawEventLog, Span, rng_stream
 from oxn.telemetry import (
-    FaultWindow,
     ResponseSeries,
-    SeriesRow,
+    TelemetryBatch,
     build_batch,
     export_csv,
     materialize_response,
@@ -33,6 +33,22 @@ def one_service_sue(points=(), trace=TraceConfigSpec()) -> SueSpec:
     )
 
 
+def fault_window(start_ms: int, end_ms: int) -> Pause:
+    return Pause(name="p", target="api", start_ms=start_ms, end_ms=end_ms)
+
+
+def batch_of(metrics=None, spans=()) -> TelemetryBatch:
+    return TelemetryBatch(
+        metrics=metrics or {},
+        spans=list(spans),
+        cpu_busy_ms={},
+        trace_count=len(spans),
+        kept_trace_count=len(spans),
+        metric_event_count=sum(len(t) for t, _ in (metrics or {}).values()),
+        instrumentation_calls={},
+    )
+
+
 def synthetic_traces(n: int, service="api", duration=50) -> RawEventLog:
     log = RawEventLog()
     for i in range(n):
@@ -47,27 +63,26 @@ class TestSampleMetrics:
         for i in range(100):
             log.cpu_busy.append(("api", i * 40, 10.0))  # 100 x 10 ms within 5 s
         point = MetricPointSpec("cpu", "cpu_gauge", "api", 5000, 5000)
-        events = sample_metrics(log, [point], one_service_sue(), 5000)["cpu"]
-        assert len(events) == 1
-        assert events[0].value == pytest.approx(1000 / 5000)
-        assert events[0].timestamp_ms == 5000
+        timestamps, values = sample_metrics(log, [point], one_service_sue(), 5000)["cpu"]
+        assert len(values) == 1
+        assert values[0] == pytest.approx(1000 / 5000)
+        assert timestamps.tolist() == [5000]
 
     def test_counter_emits_one_event_per_window(self):
         log = RawEventLog()
         for t in range(0, 600_000, 1000):
             log.counter_increments.append(("api", t))
         point = MetricPointSpec("rpm", "request_counter", "api", 60_000, 60_000)
-        events = sample_metrics(log, [point], one_service_sue(), 600_000)["rpm"]
-        assert len(events) == 10
-        assert all(e.value == 60 for e in events)
-        assert [e.timestamp_ms for e in events] == [60_000 * (k + 1) for k in range(10)]
+        timestamps, values = sample_metrics(log, [point], one_service_sue(), 600_000)["rpm"]
+        assert values.tolist() == [60.0] * 10
+        assert timestamps.tolist() == [60_000 * (k + 1) for k in range(10)]
 
     def test_empty_windows_are_explicit_zeros(self):
         point_gauge = MetricPointSpec("cpu", "cpu_gauge", "api", 5000, 5000)
         point_counter = MetricPointSpec("rpm", "request_counter", "api", 10_000, 10_000)
         metrics = sample_metrics(RawEventLog(), [point_gauge, point_counter], one_service_sue(), 30_000)
-        assert [e.value for e in metrics["cpu"]] == [0.0] * 6
-        assert [e.value for e in metrics["rpm"]] == [0.0] * 3
+        assert metrics["cpu"][1].tolist() == [0.0] * 6
+        assert metrics["rpm"][1].tolist() == [0.0] * 3
 
     def test_custom_gauge_last_write_wins_and_carries_forward(self):
         log = RawEventLog()
@@ -75,9 +90,9 @@ class TestSampleMetrics:
         log.gauge_writes.append(("depth", "api", 4000, 7.0))  # same window: wins
         log.gauge_writes.append(("depth", "api", 11_000, 2.0))
         point = MetricPointSpec("depth", "custom_gauge", "api", 5000, 5000)
-        events = sample_metrics(log, [point], one_service_sue(), 25_000)["depth"]
+        _, values = sample_metrics(log, [point], one_service_sue(), 25_000)["depth"]
         # first window [0,5s) -> last write 7.0; second has no write -> carries 7.0
-        assert [e.value for e in events] == [7.0, 7.0, 2.0, 2.0, 2.0]
+        assert values.tolist() == [7.0, 7.0, 2.0, 2.0, 2.0]
 
     def test_grid_alignment(self):
         log = RawEventLog()
@@ -86,17 +101,17 @@ class TestSampleMetrics:
             log.cpu_busy.append(("api", int(t), 1.0))
         for sampling, aggregation in ((5000, 5000), (5000, 15_000), (2000, 10_000)):
             point = MetricPointSpec("cpu", "cpu_gauge", "api", sampling, aggregation)
-            events = sample_metrics(log, [point], one_service_sue(), 120_000)["cpu"]
-            assert all(e.timestamp_ms % sampling == 0 for e in events)
-            assert all(e.timestamp_ms % aggregation == 0 for e in events)
+            timestamps, _ = sample_metrics(log, [point], one_service_sue(), 120_000)["cpu"]
+            assert all(timestamps % sampling == 0)
+            assert all(timestamps % aggregation == 0)
 
     def test_aggregation_averages_sampling_windows(self):
         log = RawEventLog()
         log.cpu_busy.append(("api", 1000, 500.0))  # only the first 5 s window is busy
         point = MetricPointSpec("cpu", "cpu_gauge", "api", 5000, 15_000)
-        events = sample_metrics(log, [point], one_service_sue(), 15_000)["cpu"]
-        assert len(events) == 1
-        assert events[0].value == pytest.approx((0.1 + 0 + 0) / 3)
+        _, values = sample_metrics(log, [point], one_service_sue(), 15_000)["cpu"]
+        assert len(values) == 1
+        assert values[0] == pytest.approx((0.1 + 0 + 0) / 3)
 
     def test_system_target_sums_services(self):
         sue = SueSpec(
@@ -109,11 +124,59 @@ class TestSampleMetrics:
         log.cpu_busy.append(("a", 100, 250.0))
         log.cpu_busy.append(("b", 200, 250.0))
         point = MetricPointSpec("sys", "cpu_gauge", "system", 5000, 5000)
-        events = sample_metrics(log, [point], sue, 5000)["sys"]
-        assert events[0].value == pytest.approx(0.1)
+        _, values = sample_metrics(log, [point], sue, 5000)["sys"]
+        assert values[0] == pytest.approx(0.1)
         mean_point = MetricPointSpec("sys", "cpu_gauge", "system", 5000, 5000, system_aggregation="mean")
-        events = sample_metrics(log, [mean_point], sue, 5000)["sys"]
-        assert events[0].value == pytest.approx(0.05)
+        _, values = sample_metrics(log, [mean_point], sue, 5000)["sys"]
+        assert values[0] == pytest.approx(0.05)
+
+
+def reference_metrics(log, point, sue, duration_ms):
+    """``sample_metrics`` for one point, one event at a time."""
+    targets = [s.id for s in sue.services] if point.target == "system" else [point.target]
+    sampling, aggregation = point.sampling_interval_ms, point.aggregation_interval_ms
+    n_sample, n_agg = -(-duration_ms // sampling), -(-duration_ms // aggregation)
+    if point.kind == "cpu_gauge":
+        busy = {svc: np.zeros(n_sample) for svc in targets}
+        for service, t, slice_ms in log.cpu_busy:
+            if service in busy and t <= duration_ms:
+                busy[service][min(t // sampling, n_sample - 1)] += slice_ms
+        stacked = np.vstack([busy[svc] for svc in targets]) / float(sampling)
+        fractions = stacked.mean(axis=0) if point.system_aggregation == "mean" else stacked.sum(axis=0)
+        per_agg = aggregation // sampling
+        return [float(fractions[k * per_agg : (k + 1) * per_agg].mean()) for k in range(n_agg)]
+    counts = [0.0] * n_agg
+    for service, t in log.counter_increments:
+        if service in targets and t <= duration_ms:
+            counts[min(t // aggregation, n_agg - 1)] += 1.0
+    return counts
+
+
+class TestSampleMetricsReference:
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_event_loop_reference(self, seed):
+        """Column accumulation gives the bits of an event-by-event loop,
+        over several conversion chunks, partial last windows and events past
+        the run's end."""
+        sue = SueSpec(services=(tiny_service("a"), tiny_service("b"), tiny_service("c")))
+        rng = np.random.default_rng(seed)
+        duration = 97_000
+        log = RawEventLog()
+        for t in np.sort(rng.integers(0, duration + 5000, 40_000)).tolist():
+            service = "abc"[int(rng.integers(3))]
+            log.cpu_busy.append((service, t, float(rng.lognormal(1.0, 1.0))))
+            log.counter_increments.append((service, t))
+        points = [
+            MetricPointSpec("sys", "cpu_gauge", "system", 1000, 10_000),
+            MetricPointSpec("sys_mean", "cpu_gauge", "system", 3000, 9000, system_aggregation="mean"),
+            MetricPointSpec("cpu_b", "cpu_gauge", "b", 5000, 5000),
+            MetricPointSpec("rps", "request_counter", "system", 1000, 1000),
+            MetricPointSpec("rpm_c", "request_counter", "c", 7000, 7000),
+        ]
+        metrics = sample_metrics(log, points, sue, duration)
+        for point in points:
+            _, values = metrics[point.metric_name]
+            assert values.tolist() == reference_metrics(log, point, sue, duration), point.metric_name
 
 
 class TestSampleTraces:
@@ -159,123 +222,56 @@ class TestSampleTraces:
 
 
 class TestLabeling:
-    def make_series(self, window):
-        rows = []
-        batch_metrics = {
-            "m": [
-                # one event per 5 s over 600 s
-            ]
-        }
-        from oxn.telemetry import MetricEvent
-
-        events = [MetricEvent("m", t, 1.0) for t in range(5000, 605_000, 5000)]
-        from oxn.telemetry import TelemetryBatch
-
-        batch = TelemetryBatch(
-            metrics={"m": events},
-            spans=[],
-            window=window,
-            duration_ms=600_000,
-            cpu_busy_ms={},
-            request_count=0,
-            trace_count=0,
-            kept_trace_count=0,
-            metric_event_count=len(events),
-            instrumentation_calls={},
-        )
-        return materialize_response(ResponseVariableSpec("m", "metric", "m"), batch)
+    def make_series(self, fault):
+        # one observation per 5 s over 600 s
+        timestamps = np.arange(5000, 605_000, 5000, dtype=np.int64)
+        batch = batch_of(metrics={"m": (timestamps, np.ones(len(timestamps)))})
+        return materialize_response(ResponseVariableSpec("m", "metric", "m"), batch, fault)
 
     def test_window_labels_inclusive(self):
-        series = self.make_series(FaultWindow(240_000, 360_000))
-        fault = [r.timestamp_ms for r in series.rows if r.label == "fault"]
+        series = self.make_series(fault_window(240_000, 360_000))
+        fault = series.timestamps[series.is_fault]
         assert min(fault) == 240_000
         assert max(fault) == 360_000
         assert len(fault) == (360_000 - 240_000) // 5000 + 1
 
     def test_settling_margin_excluded(self):
-        series = self.make_series(FaultWindow(240_000, 360_000, settle_ms=30_000))
-        stamps = [r.timestamp_ms for r in series.rows]
+        series = self.make_series(fault_window(240_000, 360_000))
+        stamps = series.timestamps.tolist()
         for t in range(365_000, 395_000, 5000):
             assert t not in stamps
         assert 395_000 in stamps  # first timestamp after the margin
 
     def test_label_partition(self):
-        window = FaultWindow(240_000, 360_000)
-        series = self.make_series(window)
-        labels = {r.label for r in series.rows}
-        assert labels == {"normal", "fault"}
-        fault_count = sum(1 for r in series.rows if r.label == "fault")
+        series = self.make_series(fault_window(240_000, 360_000))
+        assert len(series.timestamps) == len(series.values) == len(series.is_fault)
+        assert set(series.is_fault.tolist()) == {False, True}
+        fault_count = int(series.is_fault.sum())
         assert abs(fault_count * 5000 - (360_000 - 240_000)) <= 5000
-
-    def test_no_window_means_all_normal(self):
-        series = self.make_series(None)
-        assert all(r.label == "normal" for r in series.rows)
 
 
 class TestMaterializeResponse:
-    def test_absent_metric_warns_and_returns_empty(self):
-        from oxn.telemetry import TelemetryBatch
-
-        batch = TelemetryBatch(
-            metrics={},
-            spans=[],
-            window=None,
-            duration_ms=1000,
-            cpu_busy_ms={},
-            request_count=0,
-            trace_count=0,
-            kept_trace_count=0,
-            metric_event_count=0,
-            instrumentation_calls={},
-        )
-        with pytest.warns(UserWarning, match="absent from batch"):
-            series = materialize_response(ResponseVariableSpec("x", "metric", "gone"), batch)
-        assert series.rows == []
-
     def test_trace_duration_filters_by_entered_service(self):
-        from oxn.telemetry import TelemetryBatch
-
         spans = [
             Span(1, 10, None, "frontend", 100, 400, "ok"),
             Span(1, 11, 10, "backend", 200, 300, "ok"),
             Span(2, 20, None, "frontend", 500, 600, "ok"),  # never reaches backend
         ]
-        batch = TelemetryBatch(
-            metrics={},
-            spans=spans,
-            window=None,
-            duration_ms=1000,
-            cpu_busy_ms={},
-            request_count=2,
-            trace_count=2,
-            kept_trace_count=2,
-            metric_event_count=0,
-            instrumentation_calls={},
-        )
         series = materialize_response(
-            ResponseVariableSpec("latency", "trace_duration", "backend"), batch
+            ResponseVariableSpec("latency", "trace_duration", "backend"),
+            batch_of(spans=spans),
+            fault_window(10_000, 20_000),
         )
-        assert series.rows == [SeriesRow(100, 300.0, "normal")]
+        assert series.timestamps.tolist() == [100]
+        assert series.values.tolist() == [300.0]
+        assert series.is_fault.tolist() == [False]
 
 
 class TestExportCsv:
     def test_headers_only_for_empty_series(self, tmp_path):
-        from oxn.telemetry import TelemetryBatch
-
-        batch = TelemetryBatch(
-            metrics={},
-            spans=[],
-            window=None,
-            duration_ms=0,
-            cpu_busy_ms={},
-            request_count=0,
-            trace_count=0,
-            kept_trace_count=0,
-            metric_event_count=0,
-            instrumentation_calls={},
-        )
-        series = ResponseSeries(name="empty", kind="metric")
-        paths = export_csv(batch, [series], tmp_path, "exp_r0")
+        empty = np.array([], dtype=np.int64)
+        series = ResponseSeries("empty", empty, empty.astype(np.float64), empty.astype(bool))
+        paths = export_csv(batch_of(), [series], tmp_path, "exp_r0")
         response_csv = tmp_path / "exp_r0_empty.csv"
         assert response_csv in paths
         assert response_csv.read_text() == "timestamp_ms,value,label\n"
@@ -293,8 +289,10 @@ class TestExportCsv:
         log.cpu_busy.sort(key=lambda e: e[1])
         outputs = []
         for attempt in range(2):
-            batch = build_batch(log, sue, FaultWindow(4000, 9000), 20_000, rng_stream(2, "ts"), 200)
-            series = materialize_response(ResponseVariableSpec("cpu", "metric", "cpu"), batch)
+            batch = build_batch(log, sue, 20_000, rng_stream(2, "ts"))
+            series = materialize_response(
+                ResponseVariableSpec("cpu", "metric", "cpu"), batch, fault_window(4000, 9000)
+            )
             directory = tmp_path / str(attempt)
             export_csv(batch, [series], directory, "exp_r0")
             outputs.append(

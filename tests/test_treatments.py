@@ -12,14 +12,15 @@ from oxn.config import (
     PacketLoss,
     Pause,
     TracingSamplingRate,
+    SueSpec,
     TracingSamplingStrategy,
+    apply_instrumentation,
     parse_experiment_file,
     validate,
 )
 from oxn.simulator import drive, init_sim
-from oxn.treatments import apply_instrumentation, compile_schedule
 
-from conftest import experiment_path
+from conftest import experiment_path, tiny_service
 
 
 @pytest.fixture(scope="module")
@@ -88,13 +89,19 @@ class TestApplyInstrumentation:
 
 
 class TestCompileSchedule:
+    """Fault treatments as ``init_sim`` schedules them."""
+
     def test_sorted_by_start(self):
         faults = [
             Pause(name="late", target="x", start_ms=50_000, end_ms=60_000),
             Kill(name="early", target="x", start_ms=10_000, end_ms=20_000),
         ]
-        schedule = compile_schedule(faults)
-        assert [f.name for f in schedule.entries] == ["early", "late"]
+        sim = init_sim(SueSpec(services=(tiny_service("x"),)), 0, faults)
+        x = sim.services["x"]
+        sim.run_until(15_000)
+        assert x.killed and not x.paused
+        sim.run_until(55_000)
+        assert x.paused and not x.killed
 
     def test_effect_parameters_are_pure_translation(self):
         # Each fault treatment is itself the effect the simulator applies.
@@ -103,8 +110,10 @@ class TestCompileSchedule:
         )
         loss = PacketLoss(name="l", target="svc", start_ms=1000, end_ms=2000, probability=0.15)
         pause = Pause(name="p", target="svc", start_ms=1000, end_ms=2000)
-        schedule = compile_schedule([delay, loss, pause])
-        assert schedule.entries == (delay, loss, pause)
+        sim = init_sim(SueSpec(services=(tiny_service("svc"),)), 0, [delay, loss, pause])
+        sim.run_until(1000)
+        assert sim._active[0] is delay and sim._active[1] is loss
+        assert sim.services["svc"].paused
         assert not loss.corrupt
 
     def test_window_outside_run_rejected(self, baseline):
@@ -118,26 +127,18 @@ class TestRevert:
     def test_post_settling_metrics_match_pre_fault_distribution(self, baseline):
         """After the fault window plus the settling margin, per-window CPU
         readings come from the same generator parameters as before the fault."""
-        from oxn.telemetry import FaultWindow, build_batch
+        from oxn.telemetry import build_batch
 
         fault = baseline.fault_treatments()[0]  # pause
-        schedule = compile_schedule([fault])
         pre, post = [], []
         for seed in range(3):
-            sim = init_sim(baseline.sue, seed)
+            sim = init_sim(baseline.sue, seed, [fault])
             drive(sim, baseline.workload)
-            sim.run_until(None, schedule)
+            sim.run_until(None)
             batch = build_batch(
-                sim.log,
-                baseline.sue,
-                FaultWindow(fault.start_ms, fault.end_ms),
-                baseline.workload.duration_ms,
-                sim.stream("trace-sampling"),
-                len(sim.records),
+                sim.log, baseline.sue, baseline.workload.duration_ms, sim.stream("trace-sampling")
             )
-            for event in batch.metrics["system_cpu"]:
-                if 60_000 <= event.timestamp_ms < fault.start_ms:
-                    pre.append(event.value)
-                elif event.timestamp_ms > fault.end_ms + 30_000 + 5000:
-                    post.append(event.value)
+            timestamps, values = batch.metrics["system_cpu"]
+            pre.extend(values[(60_000 <= timestamps) & (timestamps < fault.start_ms)])
+            post.extend(values[timestamps > fault.end_ms + 30_000 + 5000])
         assert abs(np.mean(post) - np.mean(pre)) / np.mean(pre) < 0.10
