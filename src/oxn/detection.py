@@ -33,8 +33,6 @@ class LabeledDataset:
     features: np.ndarray  # (rows, cols) float64
     labels: np.ndarray  # (rows,) int, 1 = fault
     is_train: np.ndarray  # (rows,) bool
-    mean: np.ndarray | None = None  # set by zscore_fit_apply
-    std: np.ndarray | None = None
 
     @property
     def train(self) -> tuple[np.ndarray, np.ndarray]:
@@ -49,8 +47,6 @@ class LabeledDataset:
 class LogRegModel:
     weights: np.ndarray
     bias: float
-    mean: np.ndarray
-    std: np.ndarray
     loss_history: tuple[float, ...] = ()
 
     def decision(self, features: np.ndarray) -> np.ndarray:
@@ -63,7 +59,6 @@ class DetectionOutcome:
 
     score: float
     mechanism: str
-    run_scores: tuple[float, ...] = ()
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
@@ -172,8 +167,6 @@ def zscore_fit_apply(ds: LabeledDataset) -> LabeledDataset:
         features=transformed,
         labels=ds.labels.copy(),
         is_train=ds.is_train.copy(),
-        mean=mean[keep],
-        std=std[keep],
     )
 
 
@@ -226,8 +219,6 @@ def train_logreg(
             return LogRegModel(
                 weights=theta[:d].copy(),
                 bias=float(theta[d]),
-                mean=ds.mean if ds.mean is not None else np.zeros(d),
-                std=ds.std if ds.std is not None else np.ones(d),
                 loss_history=tuple(losses),
             )
         p = _sigmoid(xb @ theta)

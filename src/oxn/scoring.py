@@ -71,10 +71,6 @@ class ScoreReport:
     fault_coverage: Mapping[str, Ratio]
     ofo: Ratio
 
-    @property
-    def fault_count(self) -> int:
-        return self.ofo.total
-
 
 @dataclass(frozen=True)
 class ScoreDelta:

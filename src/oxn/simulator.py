@@ -16,18 +16,23 @@ named, seed-derived stream, so a (topology, seed) pair reproduces the same
 event trace bit for bit on any platform. The state is plain data (heap
 events carry records and ids, never callables), so a running ``SimState``
 can be deep-copied or pickled and either copy runs on identically.
+Instrumentation events go to the typed columns of ``RawEventLog``; each ok
+span close is one request-counter increment.
 """
 
 from __future__ import annotations
 
 import hashlib
 import heapq
+from array import array
+from collections import deque
 from dataclasses import dataclass, field
 from typing import Iterable, NamedTuple
 
 import numpy as np
 
 from .config import (
+    CallEdge,
     Fault,
     Kill,
     LognormalSpec,
@@ -75,17 +80,26 @@ def lognormal_draw_ms(rng: np.random.Generator, spec: LognormalSpec) -> int:
     return max(0, int(round(value)))
 
 
-@dataclass(slots=True)
-class Span:
-    """One span, recorded when it opens and closed in place."""
+Column = array | np.ndarray
 
-    trace_id: int
-    span_id: int
-    parent_id: int | None  # None for root spans
-    service: str
-    start_ms: int
-    end_ms: int = -1  # -1 while open
-    outcome: str = ""  # ok | error once closed
+
+@dataclass
+class SpanTable:
+    """One row per span, in open order; a service is its index in
+    ``SueSpec.services``. The simulator appends to ``array`` columns and
+    closes a row in place; a selection of rows holds numpy arrays."""
+
+    trace: Column = field(default_factory=lambda: array("q"))
+    span_id: Column = field(default_factory=lambda: array("q"))
+    parent: Column = field(default_factory=lambda: array("q"))  # parent's span id, -1 for a root
+    service: Column = field(default_factory=lambda: array("q"))
+    start_ms: Column = field(default_factory=lambda: array("q"))
+    end_ms: Column = field(default_factory=lambda: array("q"))  # -1 while open
+    ok: Column = field(default_factory=lambda: array("b"))  # 1 once closed ok, else 0
+
+    def take(self, rows) -> SpanTable:
+        """The rows selected by a mask or an index array, as numpy arrays."""
+        return SpanTable(*(np.asarray(column)[rows] for column in vars(self).values()))
 
 
 class RequestRecord(NamedTuple):
@@ -99,16 +113,17 @@ class RequestRecord(NamedTuple):
 
 @dataclass
 class RawEventLog:
-    """Raw instrumentation events of one run: spans in open order, every
-    other list in timestamp order."""
+    """Raw instrumentation events of one run: the span table and the CPU
+    table, one busy slice per row in timestamp order."""
 
-    spans: list[Span] = field(default_factory=list)
-    counter_increments: list[tuple[str, int]] = field(default_factory=list)
-    cpu_busy: list[tuple[str, int, float]] = field(default_factory=list)
-    gauge_writes: list[tuple[str, str, int, float]] = field(default_factory=list)
+    spans: SpanTable = field(default_factory=SpanTable)
+    cpu_service: array = field(default_factory=lambda: array("q"))
+    cpu_t_ms: array = field(default_factory=lambda: array("q"))
+    cpu_ms: array = field(default_factory=lambda: array("d"))
+    gauge_writes: list[tuple[str, str, int, float]] = field(default_factory=list)  # timestamp order
 
     def span_count(self) -> int:
-        return len(self.spans)
+        return len(self.spans.trace)
 
 
 class _Request:
@@ -128,7 +143,7 @@ class _Call:
         "request",
         "service",
         "parent",
-        "span",
+        "row",
         "dispatch_t",
         "pending",
         "failed",
@@ -139,7 +154,7 @@ class _Call:
         self.request = request
         self.service = service
         self.parent = parent
-        self.span: Span | None = None
+        self.row = -1  # span table row once the call arrives
         self.dispatch_t = dispatch_t
         self.pending = 0
         self.failed = False
@@ -149,37 +164,38 @@ class _Call:
 class _ServiceState:
     __slots__ = (
         "spec",
+        "index",
         "busy",
         "queue",
         "paused",
         "killed",
         "stress_factor",
-        "epoch",
         "frozen",
         "time_rng",
         "processing",
     )
 
-    def __init__(self, spec: ServiceSpec, time_rng: np.random.Generator):
+    def __init__(self, spec: ServiceSpec, index: int, seed: int):
         self.spec = spec
+        self.index = index
         self.busy = 0
-        self.queue: list[_Call] = []
+        self.queue: deque[_Call] = deque()
         self.paused = False
         self.killed = False
         self.stress_factor = 1.0
-        self.epoch = 0
         self.frozen: list[tuple[_Call, int, float]] = []  # (call, remaining_ms, cpu_ms)
-        self.time_rng = time_rng
+        self.time_rng = rng_stream(seed, f"service:{spec.id}")
         self.processing: dict[int, tuple[_Call, int, float]] = {}  # id -> (call, end_t, cpu_ms)
 
 
 class _EdgeState:
     __slots__ = ("callee", "calls_per_request", "latency_ms", "calls_rng", "delay_rng", "loss_rng", "corrupt_rng")
 
-    def __init__(self, callee: str, calls_per_request: float, latency_ms: int, seed: int, label: str):
-        self.callee = callee
-        self.calls_per_request = calls_per_request
-        self.latency_ms = latency_ms
+    def __init__(self, edge: CallEdge, seed: int):
+        label = f"edge:{edge.caller}->{edge.callee}"
+        self.callee = edge.callee
+        self.calls_per_request = edge.calls_per_request
+        self.latency_ms = edge.latency_ms
         self.calls_rng = rng_stream(seed, f"{label}:calls")
         self.delay_rng = rng_stream(seed, f"{label}:delay")
         self.loss_rng = rng_stream(seed, f"{label}:loss")
@@ -200,20 +216,10 @@ class SimState:
         self.records: list[RequestRecord] = []
         self._request_count = 0
         self._streams: dict[str, np.random.Generator] = {}
-        self.services: dict[str, _ServiceState] = {
-            s.id: _ServiceState(s, rng_stream(seed, f"service:{s.id}")) for s in sue.services
-        }
+        self.services = {s.id: _ServiceState(s, i, seed) for i, s in enumerate(sue.services)}
         self.edges: dict[str, list[_EdgeState]] = {s.id: [] for s in sue.services}
         for edge in sue.edges:
-            self.edges[edge.caller].append(
-                _EdgeState(
-                    edge.callee,
-                    edge.calls_per_request,
-                    edge.latency_ms,
-                    seed,
-                    f"edge:{edge.caller}->{edge.callee}",
-                )
-            )
+            self.edges[edge.caller].append(_EdgeState(edge, seed))
         callees = {e.callee for e in sue.edges}
         roots = [s.id for s in sue.services if s.id not in callees]
         if len(roots) != 1:
@@ -277,7 +283,7 @@ class SimState:
             elif kind == _EV_EDGE_RESULT:
                 call, outcome = payload
                 if call.inbound_cpu_ms > 0.0:
-                    self.log.cpu_busy.append((call.service, when, call.inbound_cpu_ms))
+                    self._busy(self.services[call.service].index, when, call.inbound_cpu_ms)
                 if call.parent is None:
                     # a root call failed in transit (entry service killed)
                     self._finish_request(call.request, outcome, when)
@@ -305,22 +311,33 @@ class SimState:
             return
         if call.inbound_cpu_ms > 0.0:
             # Receiver-side network-stack work for retransmitted packets.
-            self.log.cpu_busy.append((call.service, t, call.inbound_cpu_ms))
-        self._open_span(call, t)
+            self._busy(svc.index, t, call.inbound_cpu_ms)
+        self._open_span(call, svc.index, t)
         svc.queue.append(call)
         self._dispatch(svc, t)
 
-    def _open_span(self, call: _Call, t: int) -> None:
+    def _open_span(self, call: _Call, service: int, t: int) -> None:
         request = call.request
-        span_id = (request.index << 16) | request.next_span
+        spans = self.log.spans
+        call.row = len(spans.trace)
+        spans.trace.append(request.index)
+        spans.span_id.append((request.index << 16) | request.next_span)
+        spans.parent.append(-1 if call.parent is None else spans.span_id[call.parent.row])
+        spans.service.append(service)
+        spans.start_ms.append(t)
+        spans.end_ms.append(-1)
+        spans.ok.append(0)
         request.next_span += 1
-        parent_id = call.parent.span.span_id if call.parent is not None else None
-        call.span = Span(request.index, span_id, parent_id, call.service, t)
-        self.log.spans.append(call.span)
+
+    def _busy(self, service: int, t: int, ms: float) -> None:
+        log = self.log
+        log.cpu_service.append(service)
+        log.cpu_t_ms.append(t)
+        log.cpu_ms.append(ms)
 
     def _dispatch(self, svc: _ServiceState, t: int) -> None:
         while svc.queue and svc.busy < svc.spec.workers and not svc.paused:
-            call = svc.queue.pop(0)
+            call = svc.queue.popleft()
             svc.busy += 1
             duration = lognormal_draw_ms(svc.time_rng, svc.spec.service_time)
             cpu = svc.spec.cpu_per_request_ms
@@ -330,16 +347,16 @@ class SimState:
             self._token += 1
             token = self._token
             svc.processing[token] = (call, t + duration, cpu)
-            self.schedule(t + duration, _EV_PROC_DONE, (svc.spec.id, svc.epoch, token))
+            self.schedule(t + duration, _EV_PROC_DONE, (svc.spec.id, token))
 
     def _on_proc_done(self, payload, t: int) -> None:
-        service_id, epoch, token = payload
+        service_id, token = payload
         svc = self.services[service_id]
-        if epoch != svc.epoch or token not in svc.processing:
-            return  # invalidated by a pause freeze or kill
+        if token not in svc.processing:
+            return  # invalidated by a pause freeze or kill; tokens are never reused
         call, _, cpu = svc.processing.pop(token)
         svc.busy -= 1
-        self.log.cpu_busy.append((service_id, t, cpu))
+        self._busy(svc.index, t, cpu)
         self._fan_out(call, t)
         self._dispatch(svc, t)
 
@@ -384,10 +401,8 @@ class SimState:
 
     def _finish_call(self, call: _Call, t: int) -> None:
         outcome = "error" if call.failed else "ok"
-        call.span.end_ms = t
-        call.span.outcome = outcome
-        if outcome == "ok":
-            self.log.counter_increments.append((call.service, t))
+        self.log.spans.end_ms[call.row] = t
+        self.log.spans.ok[call.row] = not call.failed
         if call.parent is None:
             self._finish_request(call.request, outcome, t)
         else:
@@ -426,14 +441,12 @@ class SimState:
         if type(fault) is Pause:
             svc = self.services[fault.target]
             svc.paused = True
-            svc.epoch += 1
             for call, end_t, cpu in svc.processing.values():
                 svc.frozen.append((call, max(0, end_t - t), cpu))
             svc.processing.clear()
         elif type(fault) is Kill:
             svc = self.services[fault.target]
             svc.killed = True
-            svc.epoch += 1
             dropped = [call for call, _, _ in svc.processing.values()]
             dropped.extend(svc.queue)
             svc.processing.clear()
@@ -441,8 +454,7 @@ class SimState:
             svc.busy = 0
             for call in dropped:
                 call.failed = True
-                call.span.end_ms = t
-                call.span.outcome = "error"
+                self.log.spans.end_ms[call.row] = t  # closed as an error: ok stays 0
                 if call.parent is None:
                     self._finish_request(call.request, "error", t)
                 else:
@@ -460,7 +472,7 @@ class SimState:
                 self._token += 1
                 token = self._token
                 svc.processing[token] = (call, t + remaining, cpu)
-                self.schedule(t + remaining, _EV_PROC_DONE, (svc.spec.id, svc.epoch, token))
+                self.schedule(t + remaining, _EV_PROC_DONE, (svc.spec.id, token))
             svc.frozen.clear()
             self._dispatch(svc, t)
         elif type(fault) is Kill:

@@ -1,10 +1,11 @@
 """Turn raw instrumentation events into sampled metrics, sampled traces and
 labeled response series.
 
-Metrics are materialized on a fixed grid: every timestamp is the end of its
+The raw event log's typed columns are read as numpy views. Metrics are
+materialized on a fixed grid: every timestamp is the end of its
 (aggregation) window and windows without data yield explicit zeros, so
 downstream detectors always see rectangular data. Trace sampling is
-head-based: one keep/drop draw per trace at root-span open. A response
+head-based: one keep/drop draw per trace, in root-span open order. A response
 series is one record of columns: observations inside the fault window are
 marked ``is_fault``, and those in a short settling margin after the window
 are dropped so queue-drain transients cannot contaminate the normal class.
@@ -14,7 +15,6 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from operator import itemgetter
 from pathlib import Path
 from typing import Iterable
 
@@ -28,12 +28,9 @@ from .config import (
     SYSTEM_TARGET,
     TraceConfigSpec,
 )
-from .simulator import RawEventLog, Span
+from .simulator import RawEventLog, SpanTable
 
 SETTLING_MARGIN_MS = 30_000
-# Events are converted to arrays this many at a time, so that sampling adds
-# about a megabyte to the memory of a run rather than a copy of its log.
-_CHUNK = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -52,7 +49,8 @@ class TelemetryBatch:
     """Everything one run emitted, after instrumentation sampling."""
 
     metrics: dict[str, tuple[np.ndarray, np.ndarray]]  # name -> (timestamps, values)
-    spans: list[Span]
+    spans: SpanTable  # kept spans in (start, trace, span id) order
+    services: tuple[str, ...]  # service id by index in the span table
     cpu_busy_ms: dict[str, float]
     trace_count: int
     kept_trace_count: int
@@ -61,39 +59,34 @@ class TelemetryBatch:
 
     @property
     def kept_span_count(self) -> int:
-        return len(self.spans)
+        return len(self.spans.trace)
 
 
 def _window_count(duration_ms: int, interval_ms: int) -> int:
     return max(1, -(-duration_ms // interval_ms))
 
 
-def _targets(point: MetricPointSpec, sue: SueSpec) -> list[str]:
-    if point.target == SYSTEM_TARGET:
-        return [s.id for s in sue.services]
-    return [point.target]
+def _rows(point: MetricPointSpec, sue: SueSpec) -> list[int]:
+    """Indices in ``sue.services`` of the services a metric point reads."""
+    return [i for i, s in enumerate(sue.services) if point.target in (SYSTEM_TARGET, s.id)]
 
 
-def _column(events: list[tuple], k: int, dtype, lookup: dict | None = None) -> np.ndarray:
-    """Field ``k`` of every event tuple as an array, mapped through ``lookup``."""
-    values = map(itemgetter(k), events)
-    return np.fromiter(values if lookup is None else map(lookup.__getitem__, values), dtype, len(events))
+def _ok_closes(log: RawEventLog, duration_ms: int) -> tuple[np.ndarray, np.ndarray]:
+    """(service, end) of each span closed ok by ``duration_ms``: the
+    request-counter increments, in span open order."""
+    spans = log.spans
+    end = np.asarray(spans.end_ms)
+    counted = np.asarray(spans.ok).astype(bool) & (end <= duration_ms)
+    return np.asarray(spans.service)[counted], end[counted]
 
 
-def _accumulate(events: list[tuple], sue: SueSpec, duration_ms: int, grids: dict, weighted: bool):
-    """Add each ``(service, t[, ms])`` event up to ``duration_ms`` into every
-    grid (interval_ms -> services x windows array; events past the last
-    window count in it), in event order, weighing it by ``ms`` or by one."""
-    index = {s.id: i for i, s in enumerate(sue.services)}
-    for start in range(0, len(events), _CHUNK):
-        chunk = events[start : start + _CHUNK]
-        t = _column(chunk, 1, np.int64)
-        keep = t <= duration_ms
-        svc, t = _column(chunk, 0, np.intp, index)[keep], t[keep]
-        weights = _column(chunk, 2, np.float64)[keep] if weighted else 1
-        for interval, grid in grids.items():
-            n = grid.shape[1]
-            np.add.at(grid.reshape(-1), svc * n + np.minimum(t // interval, n - 1), weights)
+def _accumulate(grids: dict, service: np.ndarray, t: np.ndarray, weights) -> None:
+    """Add each event into every grid (interval_ms -> services x windows
+    array; events past the last window count in it), in event order, so a
+    float grid keeps the bits of an event-by-event sum."""
+    for interval, grid in grids.items():
+        n = grid.shape[1]
+        np.add.at(grid.reshape(-1), service * n + np.minimum(t // interval, n - 1), weights)
 
 
 def sample_metrics(
@@ -102,10 +95,9 @@ def sample_metrics(
     """Materialize each metric point on its sampling/aggregation grid as
     ``(timestamps, values)`` arrays."""
     points = list(points)
-    rows = {s.id: i for i, s in enumerate(sue.services)}
 
     def grid(interval_ms: int, dtype) -> np.ndarray:
-        return np.zeros((len(rows), _window_count(duration_ms, interval_ms)), dtype)
+        return np.zeros((len(sue.services), _window_count(duration_ms, interval_ms)), dtype)
 
     busy = {
         p.sampling_interval_ms: grid(p.sampling_interval_ms, np.float64)
@@ -117,19 +109,20 @@ def sample_metrics(
         for p in points
         if p.kind == "request_counter"
     }
-    _accumulate(log.cpu_busy, sue, duration_ms, busy, weighted=True)
-    _accumulate(log.counter_increments, sue, duration_ms, counts, weighted=False)
+    t = np.asarray(log.cpu_t_ms)
+    slices = t <= duration_ms
+    _accumulate(busy, np.asarray(log.cpu_service)[slices], t[slices], np.asarray(log.cpu_ms)[slices])
+    _accumulate(counts, *_ok_closes(log, duration_ms), 1)
 
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for point in points:
-        targets = _targets(point, sue)
-        target_rows = [rows[svc] for svc in targets]
+        rows = _rows(point, sue)
         sampling = point.sampling_interval_ms
         aggregation = point.aggregation_interval_ms
         n_agg = _window_count(duration_ms, aggregation)
 
         if point.kind == "cpu_gauge":
-            stacked = busy[sampling][target_rows] / float(sampling)
+            stacked = busy[sampling][rows] / float(sampling)
             if point.target == SYSTEM_TARGET and point.system_aggregation == "mean":
                 fractions = stacked.mean(axis=0)
             else:
@@ -141,13 +134,13 @@ def sample_metrics(
             if full < n_agg:
                 values = np.append(values, fractions[full * per_agg :].mean())
         elif point.kind == "request_counter":
-            values = counts[aggregation][target_rows].sum(axis=0).astype(np.float64)
+            values = counts[aggregation][rows].sum(axis=0).astype(np.float64)
         else:  # custom_gauge
             # Last write wins within a window; windows without writes carry
             # the previous value forward (0.0 before the first write).
             last = np.full(n_agg, np.nan)
             for metric, service, t, value in log.gauge_writes:
-                if metric == point.metric_name and service in targets and t <= duration_ms:
+                if metric == point.metric_name and point.target in (SYSTEM_TARGET, service) and t <= duration_ms:
                     last[min(t // aggregation, n_agg - 1)] = value
             written = np.maximum.accumulate(np.where(np.isnan(last), -1, np.arange(n_agg)))
             values = np.where(written < 0, 0.0, last[written])
@@ -158,29 +151,24 @@ def sample_metrics(
 
 def sample_traces(
     log: RawEventLog, cfg: TraceConfigSpec, rng: np.random.Generator
-) -> tuple[list[Span], int]:
-    """Head-based trace sampling; returns (kept spans, total trace count).
+) -> tuple[SpanTable, int]:
+    """Head-based trace sampling; returns (kept spans in (start, trace,
+    span id) order, total trace count).
 
-    The keep/drop decision is drawn once per trace when its root span opens,
-    in root-open order, so runs that share a seed keep nested subsets of
-    traces as the rate grows.
+    A probabilistic strategy draws one keep/drop decision per trace, in
+    root-open order, so runs that share a seed keep nested subsets of traces
+    as the rate grows.
     """
-    keep_all = cfg.strategy == "always_on"
-    kept: set[int] = set()
-    total = 0
-    spans = []
-    # A root span opens before any span of its trace, so one pass suffices.
-    for span in log.spans:
-        if span.parent_id is None:
-            total += 1
-            if keep_all or rng.random() < cfg.rate:
-                kept.add(span.trace_id)
-        if span.trace_id in kept:
-            if span.end_ms < 0:
-                raise ValueError(f"span {span.span_id} was never closed")
-            spans.append(span)
-    spans.sort(key=lambda s: (s.start_ms, s.trace_id, s.span_id))
-    return spans, total
+    trace = np.asarray(log.spans.trace)
+    roots = trace[np.asarray(log.spans.parent) < 0]
+    trace_count = len(roots)
+    if cfg.strategy != "always_on":
+        roots = roots[rng.random(len(roots)) < cfg.rate]
+    kept = log.spans.take(np.isin(trace, roots))
+    open_rows = kept.end_ms < 0
+    if open_rows.any():
+        raise ValueError(f"span {kept.span_id[open_rows.argmax()]} was never closed")
+    return kept.take(np.lexsort((kept.span_id, kept.trace, kept.start_ms))), trace_count
 
 
 def build_batch(
@@ -189,37 +177,34 @@ def build_batch(
     """Assemble the run's telemetry under the given instrumentation config."""
     metrics = sample_metrics(log, sue.metric_points, sue, duration_ms)
     spans, trace_count = sample_traces(log, sue.trace_config, trace_rng)
+    services = tuple(s.id for s in sue.services)
+    n = len(services)
 
-    cpu_busy: dict[str, float] = {s.id: 0.0 for s in sue.services}
-    for service, _, slice_ms in log.cpu_busy:
-        cpu_busy[service] = cpu_busy.get(service, 0.0) + slice_ms
+    # bincount adds the slices in log order, as a loop would.
+    busy = np.bincount(np.asarray(log.cpu_service), np.asarray(log.cpu_ms), n)
 
-    calls: dict[str, float] = {s.id: 0.0 for s in sue.services}
-    counter_targets = {
-        p.target for p in sue.metric_points if p.kind == "request_counter"
-    }
-    count_all = SYSTEM_TARGET in counter_targets
-    for service, t in log.counter_increments:
-        if (count_all or service in counter_targets) and t <= duration_ms:
-            calls[service] += 1.0
+    counted = np.zeros(n, dtype=bool)
+    calls = 2 * np.bincount(spans.service, minlength=n)  # span open + close
     for point in sue.metric_points:
-        if point.kind == "cpu_gauge":
-            reads = _window_count(duration_ms, point.sampling_interval_ms)
-            for svc in _targets(point, sue):
-                calls[svc] += float(reads)
-        elif point.kind == "custom_gauge":
+        if point.kind == "request_counter":
+            counted[_rows(point, sue)] = True
+        elif point.kind == "cpu_gauge":
+            calls[_rows(point, sue)] += _window_count(duration_ms, point.sampling_interval_ms)
+    calls += np.bincount(_ok_closes(log, duration_ms)[0], minlength=n) * counted
+    calls = dict(zip(services, calls.astype(np.float64).tolist()))
+    for point in sue.metric_points:
+        if point.kind == "custom_gauge":
             for metric, service, t, _ in log.gauge_writes:
                 if metric == point.metric_name and t <= duration_ms:
                     calls[service] = calls.get(service, 0.0) + 1.0
-    for span in spans:
-        calls[span.service] = calls.get(span.service, 0.0) + 2.0  # open + close
 
     return TelemetryBatch(
         metrics=metrics,
         spans=spans,
-        cpu_busy_ms=cpu_busy,
+        services=services,
+        cpu_busy_ms=dict(zip(services, busy.tolist())),
         trace_count=trace_count,
-        kept_trace_count=len({s.trace_id for s in spans}),
+        kept_trace_count=len(np.unique(spans.trace)),
         metric_event_count=sum(len(t) for t, _ in metrics.values()),
         instrumentation_calls=calls,
     )
@@ -234,11 +219,12 @@ def materialize_response(
     if spec.kind == "metric":
         timestamps, values = batch.metrics[spec.source]
     else:  # trace_duration
-        entered = {s.trace_id for s in batch.spans if s.service == spec.source}
-        roots = [s for s in batch.spans if s.parent_id is None and s.trace_id in entered]
-        roots.sort(key=lambda s: (s.start_ms, s.trace_id))
-        timestamps = np.array([s.start_ms for s in roots], dtype=np.int64)
-        values = np.array([s.end_ms - s.start_ms for s in roots], dtype=np.float64)
+        spans = batch.spans
+        entered = spans.trace[spans.service == batch.services.index(spec.source)]
+        # Kept spans are in (start, trace) order, and so are their roots.
+        roots = spans.take((spans.parent < 0) & np.isin(spans.trace, entered))
+        timestamps = roots.start_ms
+        values = (roots.end_ms - roots.start_ms).astype(np.float64)
     settled = (timestamps <= fault.end_ms) | (timestamps > fault.end_ms + SETTLING_MARGIN_MS)
     timestamps, values = timestamps[settled], values[settled]
     return ResponseSeries(
@@ -277,16 +263,17 @@ def export_csv(
         writer.writerow(
             ["trace_id", "span_id", "parent_id", "service", "start_ms", "end_ms", "outcome"]
         )
-        for span in batch.spans:
+        columns = (column.tolist() for column in vars(batch.spans).values())
+        for trace, span_id, parent, service, start, end, ok in zip(*columns):
             writer.writerow(
                 [
-                    span.trace_id,
-                    span.span_id,
-                    "" if span.parent_id is None else span.parent_id,
-                    span.service,
-                    span.start_ms,
-                    span.end_ms,
-                    span.outcome,
+                    trace,
+                    span_id,
+                    "" if parent < 0 else parent,
+                    batch.services[service],
+                    start,
+                    end,
+                    "ok" if ok else "error",
                 ]
             )
     written.append(path)

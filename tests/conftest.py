@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import time
 from pathlib import Path
+from typing import NamedTuple
 
 import pytest
 
@@ -19,6 +20,7 @@ from oxn.config import (
     parse_experiment_file,
 )
 from oxn.runner import run_experiment
+from oxn.simulator import RawEventLog, SpanTable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXPERIMENTS_DIR = REPO_ROOT / "experiments"
@@ -100,3 +102,46 @@ def small_spec(**overrides) -> ExperimentSpec:
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+class SpanRow(NamedTuple):
+    """One row of a span table, its service given by id."""
+
+    trace: int
+    span_id: int
+    parent: int  # -1 for a root
+    service: str
+    start_ms: int
+    end_ms: int  # -1 while open
+    ok: int
+
+
+def span_rows(spans: SpanTable, sue: SueSpec) -> list[SpanRow]:
+    ids = [s.id for s in sue.services]
+    columns = (column.tolist() for column in vars(spans).values())
+    return [SpanRow(t, i, p, ids[s], a, e, ok) for t, i, p, s, a, e, ok in zip(*columns)]
+
+
+def cpu_rows(log: RawEventLog, sue: SueSpec) -> list[tuple[str, int, float]]:
+    """The CPU table as (service id, t_ms, ms) rows."""
+    ids = [s.id for s in sue.services]
+    return [(ids[s], t, ms) for s, t, ms in zip(log.cpu_service, log.cpu_t_ms, log.cpu_ms)]
+
+
+def ok_closes(log: RawEventLog, sue: SueSpec) -> list[tuple[str, int]]:
+    """(service id, end_ms) of every span closed ok: the request-counter
+    increments, in span open order."""
+    return [(r.service, r.end_ms) for r in span_rows(log.spans, sue) if r.ok]
+
+
+def event_log(spans=(), cpu=()) -> RawEventLog:
+    """A raw event log holding the given rows, services by index: spans as
+    ``(trace, span_id, parent, service, start_ms, end_ms, ok)`` and CPU
+    slices as ``(service, t_ms, ms)``."""
+    log = RawEventLog()
+    cpu_columns = (log.cpu_service, log.cpu_t_ms, log.cpu_ms)
+    for columns, rows in ((vars(log.spans).values(), spans), (cpu_columns, cpu)):
+        for row in rows:
+            for column, value in zip(columns, row):
+                column.append(value)
+    return log

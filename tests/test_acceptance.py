@@ -27,7 +27,7 @@ from oxn.telemetry import ResponseSeries, sample_traces
 from oxn.config import TraceConfigSpec, parse_experiment_file
 from oxn.runner import report_json, simulate_run
 
-from conftest import REPO_ROOT, experiment_path
+from conftest import REPO_ROOT, event_log, experiment_path, span_rows
 
 PAUSE = "pause_recommendation"
 PACKET_LOSS = "packet_loss_recommendation"
@@ -304,10 +304,11 @@ class TestCriterion8TelemetryInvariants:
                     runs_checked += 1
 
                     # span nesting: child intervals inside parent intervals
-                    by_id = {s.span_id: s for s in batch.spans}
-                    for span in batch.spans:
-                        if span.parent_id is not None:
-                            parent = by_id[span.parent_id]
+                    rows = span_rows(batch.spans, spec.sue)
+                    by_id = {s.span_id: s for s in rows}
+                    for span in rows:
+                        if span.parent >= 0:
+                            parent = by_id[span.parent]
                             assert parent.start_ms <= span.start_ms
                             assert span.end_ms <= parent.end_ms
 
@@ -345,13 +346,9 @@ class TestCriterion8TelemetryInvariants:
                     assert peak <= spec.workload.users
 
         # dedicated binomial concentration check at rate 0.05, >= 10 000 traces
-        from oxn.simulator import RawEventLog, Span
-
-        log = RawEventLog()
-        for i in range(12_000):
-            log.spans.append(Span(i, i, None, "api", i, i + 5, "ok"))
+        log = event_log(spans=[(i, i, -1, 0, i, i + 5, 1) for i in range(12_000)])
         spans, total = sample_traces(log, TraceConfigSpec("probabilistic", 0.05), rng_stream(0, "acc"))
-        kept = len({s.trace_id for s in spans})
+        kept = len(set(spans.trace.tolist()))
         sigma = (total * 0.05 * 0.95) ** 0.5
         assert abs(kept - total * 0.05) <= 3 * sigma
 

@@ -56,7 +56,7 @@ class TestAccount:
         early, late = metrics_where(lambda t: t <= 60_000), metrics_where(lambda t: t > 60_000)
         first = replace(
             whole,
-            spans=[s for s in whole.spans if s.start_ms < 60_000],
+            spans=whole.spans.take(whole.spans.start_ms < 60_000),
             metrics=early,
             metric_event_count=sum(len(t) for t, _ in early.values()),
             cpu_busy_ms={"gateway": 100.0, "backend": 50.0},
@@ -64,7 +64,7 @@ class TestAccount:
         )
         second = replace(
             whole,
-            spans=[s for s in whole.spans if s.start_ms >= 60_000],
+            spans=whole.spans.take(whole.spans.start_ms >= 60_000),
             metrics=late,
             metric_event_count=sum(len(t) for t, _ in late.values()),
             cpu_busy_ms={

@@ -20,7 +20,7 @@ from oxn.config import (
 )
 from oxn.simulator import CLIENT_TIMEOUT_MS, drive, init_sim, rng_stream
 
-from conftest import experiment_path, tiny_service
+from conftest import cpu_rows, experiment_path, ok_closes, span_rows, tiny_service
 
 
 def sue_single(median_ms=10.0, sigma=0.0, workers=2, cpu=5.0) -> SueSpec:
@@ -92,7 +92,7 @@ class TestDeterminism:
     def test_same_seed_identical_event_log(self):
         runs = [run_workload(sue_chain(0.4), 9, 5, 30_000, 400, sigma=0.3) for _ in range(2)]
         assert runs[0].log.spans == runs[1].log.spans
-        assert runs[0].log.cpu_busy == runs[1].log.cpu_busy
+        assert cpu_rows(runs[0].log, runs[0].sue) == cpu_rows(runs[1].log, runs[1].sue)
         assert runs[0].records == runs[1].records
 
     def test_different_seeds_diverge(self):
@@ -169,22 +169,17 @@ class TestQueueingOracle:
 class TestInvariants:
     def test_span_nesting_and_event_order(self):
         sim = run_workload(sue_chain(0.4), 11, 8, 60_000, 300, sigma=0.3)
-        log = sim.log
-        for events, key in (
-            (log.spans, lambda e: e.start_ms),
-            (log.cpu_busy, lambda e: e[1]),
-            (log.counter_increments, lambda e: e[1]),
-        ):
-            stamps = [key(e) for e in events]
+        rows = span_rows(sim.log.spans, sim.sue)
+        for stamps in ([r.start_ms for r in rows], sim.log.cpu_t_ms.tolist()):
             assert stamps == sorted(stamps)
 
-        spans = {e.span_id: e for e in log.spans}
-        assert len(spans) == len(log.spans)
-        for span in log.spans:
-            assert span.outcome in ("ok", "error")
+        spans = {r.span_id: r for r in rows}
+        assert len(spans) == len(rows)
+        for span in rows:
+            assert span.ok in (0, 1)
             assert span.end_ms >= span.start_ms
-            if span.parent_id is not None:
-                parent = spans[span.parent_id]
+            if span.parent >= 0:
+                parent = spans[span.parent]
                 assert parent.start_ms <= span.start_ms
                 assert span.end_ms <= parent.end_ms
 
@@ -192,8 +187,8 @@ class TestInvariants:
         sue = sue_chain(0.3)
         sim = run_workload(sue, 13, 5, 60_000, 400, sigma=0.2)
         for service in ("a", "b"):
-            total = sum(ms for s, _, ms in sim.log.cpu_busy if s == service)
-            processed = sum(1 for s, _ in sim.log.counter_increments if s == service)
+            total = sum(ms for s, _, ms in cpu_rows(sim.log, sue) if s == service)
+            processed = sum(1 for s, _ in ok_closes(sim.log, sue) if s == service)
             assert total == pytest.approx(5.0 * processed)
 
     def test_stress_increases_cpu_beyond_nominal(self):
@@ -202,10 +197,10 @@ class TestInvariants:
         stress = Stress(name="s", target="b", start_ms=10_000, end_ms=50_000, factor=3.0)
         sue = sue_chain(0.0)
         sim = run_workload(sue, 13, 5, 60_000, 400, faults=[stress])
-        total = sum(ms for s, _, ms in sim.log.cpu_busy if s == "b")
-        processed = sum(1 for s, _ in sim.log.counter_increments if s == "b")
+        total = sum(ms for s, _, ms in cpu_rows(sim.log, sue) if s == "b")
+        processed = sum(1 for s, _ in ok_closes(sim.log, sue) if s == "b")
         assert total > 5.0 * processed
-        in_window = [ms for s, t, ms in sim.log.cpu_busy if s == "b" and 10_000 < t <= 50_000]
+        in_window = [ms for s, t, ms in cpu_rows(sim.log, sue) if s == "b" and 10_000 < t <= 50_000]
         assert max(in_window) == pytest.approx(15.0)
 
 
@@ -219,11 +214,11 @@ class TestFaults:
     def test_pause_queues_without_processing(self):
         sue = sue_chain(0.0)
         sim = run_workload(sue, 17, 5, 60_000, 500, faults=self.make_faults("pause"))
-        b_done = [t for s, t in sim.log.counter_increments if s == "b"]
+        b_done = [t for s, t in ok_closes(sim.log, sue) if s == "b"]
         assert not [t for t in b_done if 20_000 < t < 40_000]
         assert [t for t in b_done if t < 20_000]
         assert [t for t in b_done if t >= 40_000]
-        b_cpu_window = [ms for s, t, ms in sim.log.cpu_busy if s == "b" and 20_000 < t < 40_000]
+        b_cpu_window = [ms for s, t, ms in cpu_rows(sim.log, sue) if s == "b" and 20_000 < t < 40_000]
         assert b_cpu_window == []
 
     def test_pause_freezes_in_flight_processing(self):
@@ -237,7 +232,7 @@ class TestFaults:
         sim.issue_request(0, at=18_985)  # reaches b at 19_000
         sim.run_until(None)
         # 1000 ms of service happened before the pause; the rest resumes at 40 s.
-        closed = [s for s in sim.log.spans if s.outcome == "ok"]
+        closed = [s for s in span_rows(sim.log.spans, sue) if s.ok]
         b_close = max(closed, key=lambda s: s.end_ms)
         assert b_close.end_ms == 40_000 + 4000
 
@@ -250,7 +245,8 @@ class TestFaults:
         assert record.outcome == "error"
         # a processes 10 ms, edge 5 ms, then b's error response time (300 ms)
         assert record.end_ms - record.start_ms == 10 + 5 + 300
-        assert not [e for e in sim.log.spans if e.service == "b" and 20_000 <= e.start_ms < 40_000]
+        rows = span_rows(sim.log.spans, sue)
+        assert not [e for e in rows if e.service == "b" and 20_000 <= e.start_ms < 40_000]
 
     def test_kill_drops_in_flight_work_at_window_start(self):
         sue = SueSpec(
@@ -264,7 +260,7 @@ class TestFaults:
         sim.run_until(None)
         assert sim.records[0].outcome == "error"
         assert sim.records[0].end_ms == 20_000
-        assert not [ms for s, t, ms in sim.log.cpu_busy if s == "b"]
+        assert not [ms for s, t, ms in cpu_rows(sim.log, sue) if s == "b"]
 
     def test_network_delay_bounds_per_hop(self):
         sue = sue_chain(0.0)
@@ -291,10 +287,10 @@ class TestFaults:
         assert all((lat - 15) % 200 == 0 for lat in in_window)
         assert any(lat > 15 for lat in in_window)
         retransmit_cpu = [
-            ms for s, t, ms in sim.log.cpu_busy if s == "b" and ms not in (5.0,)
+            ms for s, t, ms in cpu_rows(sim.log, sue) if s == "b" and ms not in (5.0,)
         ]
         assert retransmit_cpu  # receiver-side stack work shows up as extra busy time
-        stamps = [t for _, t, _ in sim.log.cpu_busy]
+        stamps = sim.log.cpu_t_ms.tolist()
         assert stamps == sorted(stamps)
 
     def test_packet_corruption_produces_errors(self):
@@ -328,7 +324,7 @@ class TestFaults:
         sim.run_until(None)
         assert sim.records[0].outcome == "error"
         assert sim.records[0].end_ms - sim.records[0].start_ms == 300  # entry error response time
-        assert sim.log.spans == []
+        assert sim.log.span_count() == 0
 
     def test_timeout_records_exact_client_timeout(self):
         sue = sue_chain(0.0)
@@ -378,18 +374,16 @@ def baseline_sim(spec, fault, seed=0):
 
 
 def event_log_digest(sim) -> str:
-    log = sim.log
     doc = {
         "spans": [
-            [s.trace_id, s.span_id, -1 if s.parent_id is None else s.parent_id, s.service]
-            + [s.start_ms, s.end_ms, s.outcome]
-            for s in log.spans
+            [s.trace, s.span_id, s.parent, s.service, s.start_ms, s.end_ms, "ok" if s.ok else "error"]
+            for s in span_rows(sim.log.spans, sim.sue)
         ],
         "records": [
             [r.request_id, r.user, r.start_ms, r.end_ms, r.outcome, [list(h) for h in r.hops]]
             for r in sim.records
         ],
-        "cpu_busy": [list(e) for e in log.cpu_busy],
+        "cpu_busy": [list(e) for e in cpu_rows(sim.log, sim.sue)],
     }
     return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
 
@@ -491,12 +485,13 @@ class TestProperties:
             assert sim._active == []
         sim.run_until(None)
 
-        spans = {s.span_id: s for s in sim.log.spans}
-        for span in sim.log.spans:
+        rows = span_rows(sim.log.spans, sue)
+        spans = {s.span_id: s for s in rows}
+        for span in rows:
             assert span.end_ms >= span.start_ms
-            assert span.outcome in ("ok", "error")
-            if span.parent_id is not None:
-                parent = spans[span.parent_id]
+            assert span.ok in (0, 1)
+            if span.parent >= 0:
+                parent = spans[span.parent]
                 assert parent.start_ms <= span.start_ms and span.end_ms <= parent.end_ms
 
         assert sorted(r.request_id for r in sim.records) == list(range(sim._request_count))
@@ -504,6 +499,6 @@ class TestProperties:
 
         if fault is None:
             for svc in sue.services:
-                busy = sum(ms for s, _, ms in sim.log.cpu_busy if s == svc.id)
-                processed = sum(1 for s, _ in sim.log.counter_increments if s == svc.id)
+                busy = sum(ms for s, _, ms in cpu_rows(sim.log, sue) if s == svc.id)
+                processed = sum(1 for s, _ in ok_closes(sim.log, sue) if s == svc.id)
                 assert busy == pytest.approx(svc.cpu_per_request_ms * processed)

@@ -10,7 +10,7 @@ from oxn.config import (
     SueSpec,
     TraceConfigSpec,
 )
-from oxn.simulator import RawEventLog, Span, rng_stream
+from oxn.simulator import RawEventLog, drive, init_sim, rng_stream
 from oxn.telemetry import (
     ResponseSeries,
     TelemetryBatch,
@@ -21,7 +21,7 @@ from oxn.telemetry import (
     sample_traces,
 )
 
-from conftest import tiny_service
+from conftest import event_log, small_spec, span_rows, tiny_service
 
 
 def one_service_sue(points=(), trace=TraceConfigSpec()) -> SueSpec:
@@ -37,10 +37,12 @@ def fault_window(start_ms: int, end_ms: int) -> Pause:
     return Pause(name="p", target="api", start_ms=start_ms, end_ms=end_ms)
 
 
-def batch_of(metrics=None, spans=()) -> TelemetryBatch:
+def batch_of(metrics=None, spans=(), services=("api",)) -> TelemetryBatch:
+    kept = event_log(spans=spans).spans.take(slice(None))
     return TelemetryBatch(
         metrics=metrics or {},
-        spans=list(spans),
+        spans=kept,
+        services=services,
         cpu_busy_ms={},
         trace_count=len(spans),
         kept_trace_count=len(spans),
@@ -49,19 +51,14 @@ def batch_of(metrics=None, spans=()) -> TelemetryBatch:
     )
 
 
-def synthetic_traces(n: int, service="api", duration=50) -> RawEventLog:
-    log = RawEventLog()
-    for i in range(n):
-        start = i * 100
-        log.spans.append(Span(i, i, None, service, start, start + duration, "ok"))
-    return log
+def synthetic_traces(n: int, duration=50) -> RawEventLog:
+    """``n`` single-span traces of service 0, one every 100 ms."""
+    return event_log(spans=[(i, i, -1, 0, i * 100, i * 100 + duration, 1) for i in range(n)])
 
 
 class TestSampleMetrics:
     def test_cpu_busy_fraction(self):
-        log = RawEventLog()
-        for i in range(100):
-            log.cpu_busy.append(("api", i * 40, 10.0))  # 100 x 10 ms within 5 s
+        log = event_log(cpu=[(0, i * 40, 10.0) for i in range(100)])  # 100 x 10 ms within 5 s
         point = MetricPointSpec("cpu", "cpu_gauge", "api", 5000, 5000)
         timestamps, values = sample_metrics(log, [point], one_service_sue(), 5000)["cpu"]
         assert len(values) == 1
@@ -69,9 +66,8 @@ class TestSampleMetrics:
         assert timestamps.tolist() == [5000]
 
     def test_counter_emits_one_event_per_window(self):
-        log = RawEventLog()
-        for t in range(0, 600_000, 1000):
-            log.counter_increments.append(("api", t))
+        # one ok span closing every second, and one error close that is not counted
+        log = event_log(spans=[(t, t, -1, 0, t, t, 1) for t in range(0, 600_000, 1000)] + [(-1, -1, -1, 0, 0, 0, 0)])
         point = MetricPointSpec("rpm", "request_counter", "api", 60_000, 60_000)
         timestamps, values = sample_metrics(log, [point], one_service_sue(), 600_000)["rpm"]
         assert values.tolist() == [60.0] * 10
@@ -95,10 +91,8 @@ class TestSampleMetrics:
         assert values.tolist() == [7.0, 7.0, 2.0, 2.0, 2.0]
 
     def test_grid_alignment(self):
-        log = RawEventLog()
         rng = np.random.default_rng(0)
-        for t in sorted(rng.integers(0, 120_000, 500)):
-            log.cpu_busy.append(("api", int(t), 1.0))
+        log = event_log(cpu=[(0, int(t), 1.0) for t in sorted(rng.integers(0, 120_000, 500))])
         for sampling, aggregation in ((5000, 5000), (5000, 15_000), (2000, 10_000)):
             point = MetricPointSpec("cpu", "cpu_gauge", "api", sampling, aggregation)
             timestamps, _ = sample_metrics(log, [point], one_service_sue(), 120_000)["cpu"]
@@ -106,8 +100,7 @@ class TestSampleMetrics:
             assert all(timestamps % aggregation == 0)
 
     def test_aggregation_averages_sampling_windows(self):
-        log = RawEventLog()
-        log.cpu_busy.append(("api", 1000, 500.0))  # only the first 5 s window is busy
+        log = event_log(cpu=[(0, 1000, 500.0)])  # only the first 5 s window is busy
         point = MetricPointSpec("cpu", "cpu_gauge", "api", 5000, 15_000)
         _, values = sample_metrics(log, [point], one_service_sue(), 15_000)["cpu"]
         assert len(values) == 1
@@ -120,9 +113,7 @@ class TestSampleMetrics:
             metric_points=(),
             trace_config=TraceConfigSpec(),
         )
-        log = RawEventLog()
-        log.cpu_busy.append(("a", 100, 250.0))
-        log.cpu_busy.append(("b", 200, 250.0))
+        log = event_log(cpu=[(0, 100, 250.0), (1, 200, 250.0)])
         point = MetricPointSpec("sys", "cpu_gauge", "system", 5000, 5000)
         _, values = sample_metrics(log, [point], sue, 5000)["sys"]
         assert values[0] == pytest.approx(0.1)
@@ -133,12 +124,14 @@ class TestSampleMetrics:
 
 def reference_metrics(log, point, sue, duration_ms):
     """``sample_metrics`` for one point, one event at a time."""
-    targets = [s.id for s in sue.services] if point.target == "system" else [point.target]
+    ids = [s.id for s in sue.services]
+    targets = ids if point.target == "system" else [point.target]
     sampling, aggregation = point.sampling_interval_ms, point.aggregation_interval_ms
     n_sample, n_agg = -(-duration_ms // sampling), -(-duration_ms // aggregation)
     if point.kind == "cpu_gauge":
         busy = {svc: np.zeros(n_sample) for svc in targets}
-        for service, t, slice_ms in log.cpu_busy:
+        for service, t, slice_ms in zip(log.cpu_service, log.cpu_t_ms, log.cpu_ms):
+            service = ids[service]
             if service in busy and t <= duration_ms:
                 busy[service][min(t // sampling, n_sample - 1)] += slice_ms
         stacked = np.vstack([busy[svc] for svc in targets]) / float(sampling)
@@ -146,9 +139,9 @@ def reference_metrics(log, point, sue, duration_ms):
         per_agg = aggregation // sampling
         return [float(fractions[k * per_agg : (k + 1) * per_agg].mean()) for k in range(n_agg)]
     counts = [0.0] * n_agg
-    for service, t in log.counter_increments:
-        if service in targets and t <= duration_ms:
-            counts[min(t // aggregation, n_agg - 1)] += 1.0
+    for span in span_rows(log.spans, sue):
+        if span.ok and span.service in targets and span.end_ms <= duration_ms:
+            counts[min(span.end_ms // aggregation, n_agg - 1)] += 1.0
     return counts
 
 
@@ -156,16 +149,19 @@ class TestSampleMetricsReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_event_loop_reference(self, seed):
         """Column accumulation gives the bits of an event-by-event loop,
-        over several conversion chunks, partial last windows and events past
-        the run's end."""
+        over partial last windows, error and open spans, and events past the
+        run's end."""
         sue = SueSpec(services=(tiny_service("a"), tiny_service("b"), tiny_service("c")))
         rng = np.random.default_rng(seed)
         duration = 97_000
-        log = RawEventLog()
+        cpu, spans = [], []
         for t in np.sort(rng.integers(0, duration + 5000, 40_000)).tolist():
-            service = "abc"[int(rng.integers(3))]
-            log.cpu_busy.append((service, t, float(rng.lognormal(1.0, 1.0))))
-            log.counter_increments.append((service, t))
+            service = int(rng.integers(3))
+            cpu.append((service, t, float(rng.lognormal(1.0, 1.0))))
+            end = t if rng.random() < 0.95 else -1  # a few spans stay open
+            ok = int(end >= 0 and rng.random() < 0.9)
+            spans.append((len(spans), len(spans), -1, service, t - 50, end, ok))
+        log = event_log(spans=spans, cpu=cpu)
         points = [
             MetricPointSpec("sys", "cpu_gauge", "system", 1000, 10_000),
             MetricPointSpec("sys_mean", "cpu_gauge", "system", 3000, 9000, system_aggregation="mean"),
@@ -182,24 +178,24 @@ class TestSampleMetricsReference:
 class TestSampleTraces:
     def test_rate_zero_keeps_nothing(self):
         spans, total = sample_traces(synthetic_traces(500), TraceConfigSpec("probabilistic", 0.0), rng_stream(1, "t"))
-        assert spans == [] and total == 500
+        assert len(spans.trace) == 0 and total == 500
 
     def test_rate_one_keeps_everything(self):
         log = synthetic_traces(500)
         spans, _ = sample_traces(log, TraceConfigSpec("probabilistic", 1.0), rng_stream(1, "t"))
-        assert len(spans) == len(log.spans)
+        assert len(spans.trace) == log.span_count()
 
     def test_always_on_ignores_rate(self):
         spans, _ = sample_traces(synthetic_traces(100), TraceConfigSpec("always_on", 0.0), rng_stream(1, "t"))
-        assert len(spans) == 100
+        assert len(spans.trace) == 100
 
     def test_binomial_concentration_and_reproducibility(self):
         log = synthetic_traces(10_000)
         cfg = TraceConfigSpec("probabilistic", 0.05)
         spans_a, _ = sample_traces(log, cfg, rng_stream(3, "trace"))
         spans_b, _ = sample_traces(log, cfg, rng_stream(3, "trace"))
-        assert spans_a == spans_b
-        kept = len({s.trace_id for s in spans_a})
+        assert span_rows(spans_a, one_service_sue()) == span_rows(spans_b, one_service_sue())
+        kept = len(set(spans_a.trace.tolist()))
         sigma = (10_000 * 0.05 * 0.95) ** 0.5
         assert abs(kept - 500) <= 3 * sigma  # [400, 600] band
 
@@ -207,18 +203,79 @@ class TestSampleTraces:
         log = synthetic_traces(2000)
         low, _ = sample_traces(log, TraceConfigSpec("probabilistic", 0.05), rng_stream(5, "t"))
         high, _ = sample_traces(log, TraceConfigSpec("probabilistic", 0.10), rng_stream(5, "t"))
-        assert {s.trace_id for s in low} <= {s.trace_id for s in high}
+        assert set(low.trace.tolist()) <= set(high.trace.tolist())
 
     def test_kept_traces_retain_all_spans(self):
-        log = RawEventLog()
-        log.spans.append(Span(1, 10, None, "a", 0, 30, "ok"))
-        log.spans.append(Span(1, 11, 10, "b", 5, 20, "ok"))
+        log = event_log(spans=[(1, 10, -1, 0, 0, 30, 1), (1, 11, 10, 1, 5, 20, 1)])
         spans, total = sample_traces(log, TraceConfigSpec("always_on", 1.0), rng_stream(1, "t"))
         assert total == 1
-        assert len(spans) == 2
-        root = [s for s in spans if s.parent_id is None][0]
-        child = [s for s in spans if s.parent_id is not None][0]
+        rows = span_rows(spans, SueSpec(services=(tiny_service("a"), tiny_service("b"))))
+        assert len(rows) == 2
+        root = [s for s in rows if s.parent < 0][0]
+        child = [s for s in rows if s.parent >= 0][0]
         assert child.start_ms >= root.start_ms and child.end_ms <= root.end_ms
+
+
+def table_rows(spans) -> list[tuple]:
+    return list(zip(*(column.tolist() for column in vars(spans).values())))
+
+
+def reference_traces(log, cfg, rng):
+    """``sample_traces`` one span at a time, with one scalar draw per root."""
+    keep_all = cfg.strategy == "always_on"
+    kept, total, rows = set(), 0, []
+    for row in table_rows(log.spans):
+        trace, span_id, parent, _, _, end, _ = row
+        if parent < 0:
+            total += 1
+            if keep_all or rng.random() < cfg.rate:
+                kept.add(trace)
+        if trace in kept:
+            if end < 0:
+                raise ValueError(f"span {span_id} was never closed")
+            rows.append(row)
+    rows.sort(key=lambda row: (row[4], row[0], row[1]))
+    return rows, total
+
+
+def simulated_log(until_ms=None) -> RawEventLog:
+    """The event log of the small two-service experiment, nested and
+    interleaved traces, run to the end or stopped at ``until_ms``."""
+    spec = small_spec()
+    sim = init_sim(spec.sue, 3)
+    drive(sim, spec.workload)
+    sim.run_until(until_ms)
+    return sim.log
+
+
+class TestSampleTracesReference:
+    @pytest.mark.parametrize(
+        "cfg",
+        [
+            TraceConfigSpec("probabilistic", 0.0),
+            TraceConfigSpec("probabilistic", 0.05),
+            TraceConfigSpec("probabilistic", 1.0),
+            TraceConfigSpec("always_on", 0.05),
+        ],
+        ids=["rate0", "rate0.05", "rate1", "always_on"],
+    )
+    def test_matches_root_by_root_reference(self, cfg):
+        log = simulated_log()
+        rng, reference_rng = rng_stream(4, "t"), rng_stream(4, "t")
+        kept, total = sample_traces(log, cfg, rng)
+        expected, expected_total = reference_traces(log, cfg, reference_rng)
+        assert total == expected_total > 100
+        assert table_rows(kept) == expected
+        assert rng.random() == reference_rng.random()  # the same number of draws
+
+    def test_never_closed_span_is_an_error(self):
+        log = simulated_log(until_ms=60_153)  # one request is in flight
+        assert min(log.spans.end_ms) == -1
+        cfg = TraceConfigSpec("always_on", 1.0)
+        with pytest.raises(ValueError) as expected:
+            reference_traces(log, cfg, rng_stream(4, "t"))
+        with pytest.raises(ValueError, match=f"^{expected.value}$"):
+            sample_traces(log, cfg, rng_stream(4, "t"))
 
 
 class TestLabeling:
@@ -253,13 +310,13 @@ class TestLabeling:
 class TestMaterializeResponse:
     def test_trace_duration_filters_by_entered_service(self):
         spans = [
-            Span(1, 10, None, "frontend", 100, 400, "ok"),
-            Span(1, 11, 10, "backend", 200, 300, "ok"),
-            Span(2, 20, None, "frontend", 500, 600, "ok"),  # never reaches backend
+            (1, 10, -1, 0, 100, 400, 1),
+            (1, 11, 10, 1, 200, 300, 1),
+            (2, 20, -1, 0, 500, 600, 1),  # never reaches backend
         ]
         series = materialize_response(
             ResponseVariableSpec("latency", "trace_duration", "backend"),
-            batch_of(spans=spans),
+            batch_of(spans=spans, services=("frontend", "backend")),
             fault_window(10_000, 20_000),
         )
         assert series.timestamps.tolist() == [100]
@@ -283,10 +340,10 @@ class TestExportCsv:
             points=[MetricPointSpec("cpu", "cpu_gauge", "api", 5000, 5000)],
             trace=TraceConfigSpec("probabilistic", 0.5),
         )
-        log = synthetic_traces(200)
-        for i in range(100):
-            log.cpu_busy.append(("api", i * 100, 3.5))
-        log.cpu_busy.sort(key=lambda e: e[1])
+        log = event_log(
+            spans=[(i, i, -1, 0, i * 100, i * 100 + 50, 1) for i in range(200)],
+            cpu=[(0, i * 100, 3.5) for i in range(100)],
+        )
         outputs = []
         for attempt in range(2):
             batch = build_batch(log, sue, 20_000, rng_stream(2, "ts"))
