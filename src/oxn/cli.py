@@ -28,7 +28,7 @@ def _build_parser() -> argparse.ArgumentParser:
     run = sub.add_parser("run", help="run an experiment file and emit a report")
     run.add_argument("file", help="experiment YAML file")
     run.add_argument("--out", metavar="DIR", help="directory for the report (and CSV exports)")
-    run.add_argument("--parallel", type=int, default=1, metavar="N", help="concurrent runs")
+    run.add_argument("--parallel", type=int, default=1, metavar="N", help="concurrent runs (N >= 1)")
     run.add_argument("--export-csv", action="store_true", help="write per-run response/span CSV files")
     run.add_argument(
         "--frozen-clock",
@@ -57,6 +57,9 @@ def _load_spec(path: str):
 
 
 def _cmd_run(args) -> int:
+    if args.parallel < 1:
+        print(f"error: --parallel must be >= 1, got {args.parallel}", file=sys.stderr)
+        return EXIT_VALIDATION
     spec = _load_spec(args.file)
     violations = validate(spec)
     if violations:
@@ -72,7 +75,7 @@ def _cmd_run(args) -> int:
     try:
         report = run_experiment(
             spec,
-            parallel=max(1, args.parallel),
+            parallel=args.parallel,
             export_dir=export_dir,
             frozen_clock=args.frozen_clock,
         )

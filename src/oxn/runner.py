@@ -204,7 +204,9 @@ def run_experiment(
 ) -> ObservabilityReport:
     """Run every fault treatment for every repetition and score the results.
 
-    Errors from individual runs propagate with (fault, repetition) context.
+    With ``parallel`` > 1 the runs go to a process pool of at most one worker
+    per run. Errors from individual runs propagate with (fault, repetition)
+    context.
     """
     violations = validate(spec)
     if violations:
@@ -224,7 +226,7 @@ def run_experiment(
     results: dict[tuple[str, int], RunResult] = {}
     try:
         if parallel > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=parallel) as pool:
+            with ProcessPoolExecutor(max_workers=min(parallel, len(tasks))) as pool:
                 for result in pool.map(_run_task, tasks):
                     results[(result.fault, result.repetition)] = result
         else:

@@ -1,11 +1,16 @@
 from __future__ import annotations
 
+import copy
+import functools
 import json
-from dataclasses import replace
+import math
+from dataclasses import is_dataclass, replace
 
 import pytest
 import yaml
+from hypothesis import example, given, settings, strategies as st
 
+from oxn import detection
 from oxn.config import (
     TREATMENT_KINDS,
     CallEdge,
@@ -17,6 +22,7 @@ from oxn.config import (
     MetricPointSpec,
     MetricSamplingInterval,
     NetworkDelay,
+    OneOf,
     PacketLoss,
     ResponseVariableSpec,
     ServiceSpec,
@@ -24,6 +30,7 @@ from oxn.config import (
     TraceConfigSpec,
     TracingSamplingRate,
     WorkloadSpec,
+    _parse_obj,
     field_table,
     parse_experiment,
     parse_experiment_file,
@@ -33,6 +40,36 @@ from oxn.config import (
 from oxn.runner import spec_digest
 
 from conftest import CANONICAL_NAMES, REPO_ROOT, experiment_path, small_spec
+
+SCHEMA_PATH = REPO_ROOT / "src/oxn/experiment_schema.json"
+BOUND_KEYWORDS = ("minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum", "enum")
+
+
+def schema_bound(f) -> dict:
+    """The JSON Schema keywords that state the bound of field ``f`` in file
+    units."""
+    if f.bound is None:
+        return {}
+    if isinstance(f.bound, OneOf):
+        return {"enum": list(f.bound.choices)}
+    low, high, brackets = f.bound
+    stated = {"minimum" if brackets[0] == "[" else "exclusiveMinimum": f.render(low)}
+    if high != math.inf:
+        stated["maximum" if brackets[1] == "]" else "exclusiveMaximum"] = f.render(high)
+    return stated
+
+
+def set_leaf(doc, path, value):
+    """Set ``doc[path[0]][path[1]]...`` to ``value``, adding missing mappings."""
+    for key in path[:-1]:
+        doc = doc.setdefault(key, {}) if isinstance(key, str) else doc[key]
+    doc[path[-1]] = value
+
+
+def dotted(path) -> str:
+    """A document path as ``validate`` and the parser name it: ``a.b[0].c``."""
+    return "".join(f"[{k}]" if isinstance(k, int) else f".{k}" for k in path).lstrip(".")
+
 
 MINIMAL = """
 name: minimal
@@ -118,6 +155,26 @@ class TestParse:
         with pytest.raises(ExperimentFormatError, match="seed must be an integer"):
             parse_experiment(MINIMAL.replace("seed: 1", "seed: one"))
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("workload", "duration_s"), math.inf),
+            (("workload", "duration_s"), math.nan),
+            (("workload", "ramp_up_s"), -math.inf),
+            (("detection", "l2"), math.nan),
+            (("detection", "tol"), math.nan),
+            (("sue", "services", 0, "service_time", "median_ms"), math.nan),
+            (("sue", "services", 0, "cpu_per_request_ms"), math.inf),
+            (("sue", "services", 0, "cpu_per_request_ms"), 10**400),
+        ],
+    )
+    def test_non_finite_number_rejected(self, path, value):
+        doc = yaml.safe_load(MINIMAL)
+        set_leaf(doc, path, value)
+        with pytest.raises(ExperimentFormatError) as raised:
+            parse_experiment(yaml.safe_dump(doc))
+        assert str(raised.value) == f"{dotted(path)} must be a finite number"
+
 
 class TestValidate:
     def test_baseline_is_valid(self):
@@ -176,6 +233,31 @@ class TestValidate:
         spec = parse_experiment(MINIMAL)
         bad = replace(spec, detection=replace(spec.detection, alpha=1.0))
         assert any("alpha" in v.field for v in validate(bad))
+
+    @pytest.mark.parametrize("strategy", ["always_on", "probabilistic"])
+    def test_trace_rate_bounded_under_every_strategy(self, strategy):
+        spec = parse_experiment(MINIMAL)
+        bad = replace(spec, sue=replace(spec.sue, trace_config=TraceConfigSpec(strategy, 5.0)))
+        assert [str(v) for v in validate(bad)] == [
+            "sue.trace_config.rate: rate must be within [0, 1]"
+        ]
+
+    def test_bound_violations_name_the_field(self):
+        spec = parse_experiment(MINIMAL)
+        service = replace(spec.sue.services[0], service_time=LognormalSpec(0.0, 0.5))
+        bad = replace(
+            spec,
+            seed=2**64,
+            sue=replace(spec.sue, services=(service,)),
+            workload=replace(spec.workload, think_time=LognormalSpec(1000.0, math.nan)),
+            treatments=(replace(spec.treatments[0], start_ms=0),),
+        )
+        assert [str(v) for v in validate(bad)] == [
+            "seed: seed must be within [0, 18446744073709551615]",
+            "sue.services[0].service_time.median_ms: median_ms must be > 0",
+            "workload.think_time.sigma: sigma must be >= 0",
+            "treatments[0].start_s: start_s must be > 0",
+        ]
 
     def test_validate_is_pure(self):
         spec = parse_experiment(MINIMAL)
@@ -240,14 +322,14 @@ class TestSpecDigest:
 class TestSchemaDescription:
     def test_shipped_files_conform_to_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
-        schema = json.loads((REPO_ROOT / "src/oxn/experiment_schema.json").read_text())
+        schema = json.loads(SCHEMA_PATH.read_text())
         for name in CANONICAL_NAMES + ("alternative_a",):
             doc = yaml.safe_load(experiment_path(name).read_text())
             jsonschema.validate(doc, schema)
 
     def test_schema_rejects_unknown_top_level_key(self):
         jsonschema = pytest.importorskip("jsonschema")
-        schema = json.loads((REPO_ROOT / "src/oxn/experiment_schema.json").read_text())
+        schema = json.loads(SCHEMA_PATH.read_text())
         doc = yaml.safe_load(experiment_path("baseline").read_text())
         doc["flavor"] = "vanilla"
         with pytest.raises(jsonschema.ValidationError):
@@ -270,10 +352,18 @@ class TestSchemaDescription:
 
     @staticmethod
     def schema_object(*path):
-        node = json.loads((REPO_ROOT / "src/oxn/experiment_schema.json").read_text())
+        node = json.loads(SCHEMA_PATH.read_text())
         for key in path:
             node = node[key]
         return node
+
+    @staticmethod
+    def assert_bounds_match(node, table, where):
+        """Each property states in JSON Schema exactly its field's bound."""
+        for f in table:
+            prop = node["properties"][f.key]
+            stated = {k: prop[k] for k in BOUND_KEYWORDS if k in prop}
+            assert stated == schema_bound(f), f"{where}.{f.key}"
 
     @pytest.mark.parametrize(
         "path,cls", SCHEMA_OBJECTS, ids=[cls.__name__ for _, cls in SCHEMA_OBJECTS]
@@ -283,6 +373,7 @@ class TestSchemaDescription:
         table = field_table(cls)
         assert set(node["properties"]) == {f.key for f in table}
         assert set(node.get("required", ())) == {f.key for f in table if f.required}
+        self.assert_bounds_match(node, table, cls.__name__)
 
     def test_schema_treatment_keys_match_kind_classes(self):
         branches = self.schema_object("properties", "treatments", "items", "oneOf")
@@ -295,6 +386,15 @@ class TestSchemaDescription:
             assert branch["additionalProperties"] is False, kind
             assert set(branch["properties"]) == {"kind"} | {f.key for f in table}, kind
             assert set(branch["required"]) == {"kind"} | {f.key for f in table if f.required}, kind
+            self.assert_bounds_match(branch, table, kind)
+
+    def test_registered_mechanism_conforms_to_schema(self, monkeypatch):
+        jsonschema = pytest.importorskip("jsonschema")
+        monkeypatch.setitem(detection._REGISTRY, "mine", detection._REGISTRY["threshold_alert"])
+        doc = yaml.safe_load(experiment_path("baseline").read_text())
+        doc["detection"]["mechanism"] = "mine"
+        assert validate(parse_experiment(yaml.safe_dump(doc))) == []
+        jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text()))
 
     @pytest.mark.parametrize(
         "treatment",
@@ -307,7 +407,7 @@ class TestSchemaDescription:
     )
     def test_schema_rejects_treatments_the_parser_rejects(self, treatment):
         jsonschema = pytest.importorskip("jsonschema")
-        schema = json.loads((REPO_ROOT / "src/oxn/experiment_schema.json").read_text())
+        schema = json.loads(SCHEMA_PATH.read_text())
         doc = yaml.safe_load(experiment_path("baseline").read_text())
         window = {"target": "recommendation", "start_s": 250, "end_s": 490}
         doc["treatments"] = [{"name": "t", **treatment, **window}]
@@ -315,3 +415,90 @@ class TestSchemaDescription:
             jsonschema.validate(doc, schema)
         with pytest.raises(ExperimentFormatError):
             parse_experiment(yaml.safe_dump(doc))
+
+
+def bounded_leaves(obj, path=()):
+    """(document path, field, value) of every bounded field that the canonical
+    rendering of ``obj`` writes."""
+    for f in field_table(type(obj)):
+        value = getattr(obj, f.name)
+        if value is None:
+            continue
+        if f.bound is not None:
+            yield path + (f.key,), f, value
+        elif is_dataclass(value):
+            yield from bounded_leaves(value, path + (f.key,))
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                yield from bounded_leaves(item, path + (f.key, i))
+
+
+BASELINE = parse_experiment_file(experiment_path("baseline"))
+BASELINE_DOC = yaml.safe_load(render_experiment(BASELINE))
+BASELINE_LEAVES = list(bounded_leaves(BASELINE))
+
+
+@functools.cache
+def schema_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    return jsonschema.Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
+
+
+def near_bound(f, current) -> list:
+    """File values for a bounded field that now holds ``current``: each end of
+    its bound and one step either side of that end, a step being one unit of
+    the attribute (1 ms for a seconds field) or one float ulp; for a choice
+    field, every choice and one outsider."""
+    if isinstance(f.bound, OneOf):
+        return list(f.bound.choices) + ["bogus"]
+    ends = [x for x in f.bound[:2] if x != math.inf]
+    if isinstance(current, float):
+        near = [(math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)) for x in ends]
+    else:
+        near = [(x - 1, x, x + 1) for x in ends]
+    return [f.render(y) for trio in near for y in trio]
+
+
+def any_file_value(f, current):
+    """Any file value of the field's type. NaN is left out: JSON Schema cannot
+    state it, and the parser rejects it."""
+    if isinstance(f.bound, OneOf):
+        return st.sampled_from(near_bound(f, current))
+    if isinstance(current, float):
+        return st.floats(allow_nan=False, allow_infinity=False)
+    return st.integers(-(2**70), 2**70).map(f.render)
+
+
+def with_every_edge(test):
+    """Run ``test`` on every value ``near_bound`` gives for every leaf."""
+    for path, f, current in BASELINE_LEAVES:
+        for value in near_bound(f, current):
+            test = example((path, f, value))(test)
+    return test
+
+
+class TestBoundsAgreeWithSchema:
+    """``validate`` and the JSON Schema draw each single-field bound at the
+    same place."""
+
+    @given(
+        st.sampled_from(BASELINE_LEAVES).flatmap(
+            lambda leaf: any_file_value(leaf[1], leaf[2]).map(lambda value: (leaf[0], leaf[1], value))
+        )
+    )
+    @with_every_edge
+    @settings(max_examples=100, deadline=None)
+    def test_validate_flags_the_leaf_iff_schema_rejects(self, drawn):
+        path, f, value = drawn
+        doc = copy.deepcopy(BASELINE_DOC)
+        set_leaf(doc, path, value)
+        rejected = not schema_validator().is_valid(doc)
+        # Cross-field checks may name the same path (``duration_s`` against
+        # ``ramp_up_s``), so the bound's violation is told by its message form.
+        # The document is parsed without a YAML round trip, which would
+        # dominate the run time and is covered by TestRoundTrip.
+        flagged = any(
+            v.field == dotted(path) and v.message.startswith((f"{f.key} must be ", f"unknown {f.key} "))
+            for v in validate(_parse_obj(ExperimentSpec, doc, ""))
+        )
+        assert flagged == rejected, (dotted(path), value)

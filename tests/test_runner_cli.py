@@ -8,6 +8,7 @@ from pathlib import Path
 
 import pytest
 
+from oxn import cli, runner
 from oxn.config import Pause, render_experiment
 from oxn.runner import (
     ExperimentError,
@@ -60,6 +61,28 @@ class TestRunExperiment:
         serial = run_experiment(small_spec(), parallel=1, frozen_clock=True)
         parallel = run_experiment(small_spec(), parallel=2, frozen_clock=True)
         assert report_json(serial) == report_json(parallel)
+
+    def test_pool_has_at_most_one_worker_per_run(self, monkeypatch):
+        created = []
+
+        class SerialPool:
+            """Records the worker count and maps in this process."""
+
+            def __init__(self, max_workers):
+                created.append(max_workers)
+
+            def __enter__(self):
+                return self
+
+            def __exit__(self, *exc):
+                return False
+
+            def map(self, fn, tasks):
+                return map(fn, tasks)
+
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+        report = run_experiment(small_spec(repetitions=2), parallel=64, frozen_clock=True)
+        assert created == [len(report.runs)] == [2]
 
     def test_undefined_score_counts_as_invisible(self):
         # [40 s, 65 s] leaves only three 10 s counter windows inside the fault
@@ -234,6 +257,11 @@ class TestCli:
         mutated.write_text(json.dumps(report))
         proc = run_cli("compare", str(out / "small_report.json"), str(mutated))
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("workers", ["0", "-3"])
+    def test_run_rejects_parallel_below_one(self, small_file, capsys, workers):
+        assert cli.main(["run", str(small_file), "--parallel", workers]) == cli.EXIT_VALIDATION
+        assert "--parallel" in capsys.readouterr().err
 
     def test_export_csv_requires_out(self, small_file):
         proc = run_cli("run", str(small_file), "--export-csv")
