@@ -340,14 +340,15 @@ class TestFaults:
 # same target and window. The document lists each span once (in open order,
 # closed fields included), each request record and the CPU slices, so it does
 # not depend on how the log stores them. Request-counter increments are not
-# listed: they are the (service, end) of the ok spans.
+# listed: they are the (service, end) of the ok spans. Nor are per-request
+# hops: a hop's latency is its callee's span start minus its caller's.
 EVENT_LOG_DIGESTS = {
-    "pause": "1b40f4eb2e285fbed75cc8c6ecd2e7b72a347208a375a1cfc3db0d6c1ebaa5a3",
-    "packet_loss": "4196785e6c812bfd12a500b4bc73f457daaa15a0e681780a14e6cf124ba36df2",
-    "network_delay": "ff88adb59a87f5c9d947d26de09184413b4aed279c6b2d81b172b6b506124cb1",
-    "kill": "ae3fdf629323783a83b510bcec64241700696a2c0d02e08322652bfb3a0d56f0",
-    "stress": "97ae823ac0853129eaabd6facdd9eec74215b1e520988e61c6752901e3398500",
-    "corrupt": "38840863f5f9df5e71efb29c877f301456ea80e7d9c3923593ad18a8508987d6",
+    "pause": "5ba9ddac517f66cd748b6b3562465fe331431c232cc624c275cfe16dacdca750",
+    "packet_loss": "311e1376eeb6ad5fabbc61e07f5bc3de55b84c503a0fa70bb7ea51b9e47a8fd8",
+    "network_delay": "4348f5628ac5ade91d9b9beca4b4e9e1bc0fe332b6fa39a7ddd49754bed8f705",
+    "kill": "794cc383a163199aca9ebbfaef2d5357c461745387c8070a3c9e5a02049086da",
+    "stress": "e8cae208cb2a04d858a00f7490c880934825ce966345029fe742c10d6a146868",
+    "corrupt": "f86372f99a6ba50c119a73afd81ac73a35c86bd9b961a02c17e461269279414a",
 }
 
 
@@ -380,7 +381,7 @@ def event_log_digest(sim) -> str:
             for s in span_rows(sim.log.spans, sim.sue)
         ],
         "records": [
-            [r.request_id, r.user, r.start_ms, r.end_ms, r.outcome, [list(h) for h in r.hops]]
+            [r.request_id, r.user, r.start_ms, r.end_ms, r.outcome]
             for r in sim.records
         ],
         "cpu_busy": [list(e) for e in cpu_rows(sim.log, sim.sue)],
