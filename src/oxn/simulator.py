@@ -12,8 +12,9 @@ suspension (pause), instant failure (kill) and service-time/CPU inflation
 (stress).
 
 All timing is integer milliseconds and every random draw comes from a
-named, seed-derived stream, so a (topology, seed) pair reproduces the same
-event trace bit for bit on any platform. The state is plain data (heap
+named, seed-derived stream (durations in blocks, ``LognormalDraws``), so a
+(topology, seed) pair reproduces the same event trace bit for bit on any
+platform. The state is plain data (heap
 events carry records and ids, never callables), so a running ``SimState``
 can be deep-copied or pickled and either copy runs on identically.
 Instrumentation events go to the typed columns of ``RawEventLog``; each ok
@@ -54,6 +55,10 @@ RETRANSMIT_PENALTY_MS = 200
 RETRANSMIT_CPU_MS = 100.0
 
 _MASK64 = (1 << 64) - 1
+# Normals drawn per refill of a duration buffer: doubling from the first to
+# the last, so a stream that draws little holds few unused values.
+_BLOCK_MIN = 8
+_BLOCK_MAX = 1024
 
 # Heap event kinds
 _EV_ARRIVAL = 0
@@ -72,12 +77,41 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed & _MASK64, *words])))
 
 
-def lognormal_draw_ms(rng: np.random.Generator, spec: LognormalSpec) -> int:
-    """One duration draw; sigma=0 degenerates to the median exactly."""
-    if spec.sigma == 0.0:
-        return int(round(spec.median_ms))
-    value = spec.median_ms * float(np.exp(spec.sigma * rng.standard_normal()))
-    return max(0, int(round(value)))
+class LognormalDraws:
+    """Lognormal durations of one stream, in whole milliseconds.
+
+    Each value equals the scalar draw
+    ``max(0, int(round(median * float(np.exp(sigma * rng.standard_normal())))))``,
+    in the same order, but normals are drawn in blocks that grow from
+    ``_BLOCK_MIN`` to ``_BLOCK_MAX`` and are handed out one at a time; sigma=0
+    draws nothing and gives the rounded median. So a stream ends the run
+    having drawn more normals than it handed out. Nothing reads a generator
+    after the run, and the buffer is plain data that a deep copy or a pickle
+    fork copies together with its generator, so a copy runs on to the same
+    values.
+    """
+
+    __slots__ = ("rng", "median_ms", "sigma", "values", "next", "block")
+
+    def __init__(self, rng: np.random.Generator, spec: LognormalSpec):
+        self.rng = rng
+        self.median_ms = spec.median_ms
+        self.sigma = spec.sigma
+        self.values: list[int] = []
+        self.next = 0  # index of the next value to hand out
+        self.block = _BLOCK_MIN
+
+    def draw(self) -> int:
+        if self.sigma == 0.0:
+            return int(round(self.median_ms))
+        if self.next == len(self.values):
+            block = self.median_ms * np.exp(self.sigma * self.rng.standard_normal(self.block))
+            self.values = np.maximum(np.rint(block), 0.0).astype(np.int64).tolist()
+            self.next = 0
+            self.block = min(2 * self.block, _BLOCK_MAX)
+        value = self.values[self.next]
+        self.next += 1
+        return value
 
 
 Column = array | np.ndarray
@@ -108,7 +142,6 @@ class RequestRecord(NamedTuple):
     start_ms: int
     end_ms: int
     outcome: str  # ok | error | timeout
-    hops: tuple[tuple[str, str, int], ...]
 
 
 @dataclass
@@ -127,14 +160,13 @@ class RawEventLog:
 
 
 class _Request:
-    __slots__ = ("index", "user", "start", "done", "hops", "next_span")
+    __slots__ = ("index", "user", "start", "done", "next_span")
 
     def __init__(self, index: int, user: int, start: int):
         self.index = index
         self.user = user
         self.start = start
         self.done = False
-        self.hops: list[tuple[str, str, int]] = []
         self.next_span = 0
 
 
@@ -144,18 +176,16 @@ class _Call:
         "service",
         "parent",
         "row",
-        "dispatch_t",
         "pending",
         "failed",
         "inbound_cpu_ms",
     )
 
-    def __init__(self, request: _Request, service: str, parent: "_Call | None", dispatch_t: int):
+    def __init__(self, request: _Request, service: str, parent: "_Call | None"):
         self.request = request
         self.service = service
         self.parent = parent
         self.row = -1  # span table row once the call arrives
-        self.dispatch_t = dispatch_t
         self.pending = 0
         self.failed = False
         self.inbound_cpu_ms = 0.0
@@ -171,7 +201,7 @@ class _ServiceState:
         "killed",
         "stress_factor",
         "frozen",
-        "time_rng",
+        "service_times",
         "processing",
     )
 
@@ -184,7 +214,7 @@ class _ServiceState:
         self.killed = False
         self.stress_factor = 1.0
         self.frozen: list[tuple[_Call, int, float]] = []  # (call, remaining_ms, cpu_ms)
-        self.time_rng = rng_stream(seed, f"service:{spec.id}")
+        self.service_times = LognormalDraws(rng_stream(seed, f"service:{spec.id}"), spec.service_time)
         self.processing: dict[int, tuple[_Call, int, float]] = {}  # id -> (call, end_t, cpu_ms)
 
 
@@ -216,6 +246,7 @@ class SimState:
         self.records: list[RequestRecord] = []
         self._request_count = 0
         self._streams: dict[str, np.random.Generator] = {}
+        self._think_times: dict[int, LognormalDraws] = {}  # by user
         self.services = {s.id: _ServiceState(s, i, seed) for i, s in enumerate(sue.services)}
         self.edges: dict[str, list[_EdgeState]] = {s.id: [] for s in sue.services}
         for edge in sue.edges:
@@ -261,7 +292,7 @@ class SimState:
             raise ValueError(f"cannot issue a request in the past ({at} < {self.now})")
         request = _Request(self._request_count, user, at)
         self._request_count += 1
-        call = _Call(request, self.entry, None, at)
+        call = _Call(request, self.entry, None)
         self.schedule(at, _EV_ARRIVAL, call)
         self.schedule(at + CLIENT_TIMEOUT_MS, _EV_TIMEOUT, request)
         return request.index
@@ -339,7 +370,7 @@ class SimState:
         while svc.queue and svc.busy < svc.spec.workers and not svc.paused:
             call = svc.queue.popleft()
             svc.busy += 1
-            duration = lognormal_draw_ms(svc.time_rng, svc.spec.service_time)
+            duration = svc.service_times.draw()
             cpu = svc.spec.cpu_per_request_ms
             if svc.stress_factor != 1.0:
                 duration = int(round(duration * svc.stress_factor))
@@ -391,7 +422,7 @@ class SimState:
                 extra_cpu += retransmits * RETRANSMIT_CPU_MS
                 if fault.corrupt and edge.corrupt_rng.random() < fault.probability:
                     corrupted = True
-        child = _Call(parent.request, edge.callee, parent, t)
+        child = _Call(parent.request, edge.callee, parent)
         child.inbound_cpu_ms = extra_cpu
         if corrupted:
             # The payload never survives transit; the callee rejects it unprocessed.
@@ -410,8 +441,6 @@ class SimState:
 
     def _child_result(self, call: _Call, outcome: str, t: int) -> None:
         parent = call.parent
-        request = call.request
-        request.hops.append((parent.service, call.service, t - call.dispatch_t))
         if outcome != "ok":
             parent.failed = True
         parent.pending -= 1
@@ -422,16 +451,18 @@ class SimState:
         if request.done:
             return  # completion after the client timeout, or vice versa
         request.done = True
-        self.records.append(
-            RequestRecord(request.index, request.user, request.start, t, outcome, tuple(request.hops))
-        )
+        self.records.append(RequestRecord(request.index, request.user, request.start, t, outcome))
         if self.workload is not None:
             self._think(request.user, t)
 
     def _think(self, user: int, t: int) -> None:
         """A closed-loop user thinks from ``t`` on, then issues its next
         request unless the workload duration has elapsed by then."""
-        at = t + lognormal_draw_ms(self.stream(f"user:{user}"), self.workload.think_time)
+        think_times = self._think_times.get(user)
+        if think_times is None:
+            think_times = LognormalDraws(rng_stream(self.seed, f"user:{user}"), self.workload.think_time)
+            self._think_times[user] = think_times
+        at = t + think_times.draw()
         if at < self.workload.duration_ms:
             self.issue_request(user, at)
 

@@ -18,9 +18,9 @@ from oxn.config import (
     WorkloadSpec,
     parse_experiment_file,
 )
-from oxn.simulator import CLIENT_TIMEOUT_MS, drive, init_sim, rng_stream
+from oxn.simulator import CLIENT_TIMEOUT_MS, LognormalDraws, drive, init_sim, rng_stream
 
-from conftest import cpu_rows, experiment_path, ok_closes, span_rows, tiny_service
+from conftest import SpanRow, cpu_rows, experiment_path, ok_closes, span_rows, tiny_service
 
 
 def sue_single(median_ms=10.0, sigma=0.0, workers=2, cpu=5.0) -> SueSpec:
@@ -42,6 +42,20 @@ def sue_chain(sigma=0.0) -> SueSpec:
         metric_points=(),
         trace_config=TraceConfigSpec(),
     )
+
+
+def chain_hops(sim) -> list[tuple[SpanRow, int]]:
+    """(a's span, hop latency) per call of a sigma=0 chain a->b, the hop
+    latency being b's span end minus the moment a dispatched the call. a
+    gives every call the same service time and serves them first in, first
+    out, so it finishes processing them in the order they arrived: its k-th
+    CPU slice is the dispatch of its k-th span's call."""
+    rows = span_rows(sim.log.spans, sim.sue)
+    a_spans = [r.span_id for r in rows if r.service == "a"]
+    a_done = [t for service, t, _ in cpu_rows(sim.log, sim.sue) if service == "a"]
+    dispatched = dict(zip(a_spans, a_done))
+    by_id = {r.span_id: r for r in rows}
+    return [(by_id[r.parent], r.end_ms - dispatched[r.parent]) for r in rows if r.parent >= 0]
 
 
 def run_workload(sue, seed, users, duration_ms, think_ms, faults=(), ramp_up_ms=0, sigma=0.0):
@@ -72,7 +86,10 @@ class TestBasics:
         sim.issue_request(0, at=0)
         sim.run_until(None)
         assert sim.records[0].end_ms - sim.records[0].start_ms == 25
-        assert sim.records[0].hops == (("a", "b", 15),)
+        # a serves 10 ms, the edge takes 5 ms, b serves 10 ms and both close at 25
+        rows = span_rows(sim.log.spans, sim.sue)
+        assert [(r.service, r.start_ms, r.end_ms) for r in rows] == [("a", 0, 25), ("b", 15, 25)]
+        assert chain_hops(sim) == [(rows[0], 15)]
 
     def test_issue_in_the_past_rejected(self):
         sim = init_sim(sue_single(), seed=1)
@@ -103,6 +120,41 @@ class TestDeterminism:
     def test_rng_streams_are_stable(self):
         assert rng_stream(7, "x").random() == rng_stream(7, "x").random()
         assert rng_stream(7, "x").random() != rng_stream(7, "y").random()
+
+
+def scalar_lognormal_ms(rng, spec) -> int:
+    """One duration drawn on its own, as the simulator drew them before it
+    drew in blocks."""
+    if spec.sigma == 0.0:
+        return int(round(spec.median_ms))
+    return max(0, int(round(spec.median_ms * float(np.exp(spec.sigma * rng.standard_normal())))))
+
+
+class TestLognormalDraws:
+    # past the largest block: 8 + 16 + ... + 1024 = 2040 values, then two more refills
+    N = 4000
+
+    @pytest.mark.parametrize("median_ms", [5, 15, 12000])
+    @pytest.mark.parametrize("sigma", [0.0, 0.25, 0.58, 1.35])
+    def test_matches_scalar_draws(self, median_ms, sigma):
+        spec = LognormalSpec(median_ms, sigma)
+        draws = LognormalDraws(rng_stream(3, "service:x"), spec)
+        reference = rng_stream(3, "service:x")
+        assert [draws.draw() for _ in range(self.N)] == [scalar_lognormal_ms(reference, spec) for _ in range(self.N)]
+        if sigma == 0.0:
+            assert draws.rng.random() == reference.random()  # drew nothing
+
+    @pytest.mark.parametrize("fork", [copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))])
+    def test_fork_of_a_partly_consumed_buffer_runs_on(self, fork):
+        spec = LognormalSpec(15, 0.58)
+        draws = LognormalDraws(rng_stream(5, "user:0"), spec)
+        reference = rng_stream(5, "user:0")
+        head = [draws.draw() for _ in range(11)]  # 3 of the second block's 16 are left
+        copied = fork(draws)
+        tail = [scalar_lognormal_ms(reference, spec) for _ in range(11 + 200)]
+        assert head == tail[:11]
+        assert [copied.draw() for _ in range(200)] == tail[11:]
+        assert [draws.draw() for _ in range(200)] == tail[11:]
 
 
 class TestQueueingOracle:
@@ -266,12 +318,8 @@ class TestFaults:
         sue = sue_chain(0.0)
         faults = self.make_faults("network_delay", delay_min_ms=10, delay_max_ms=90)
         sim = run_workload(sue, 19, 5, 60_000, 500, faults=faults)
-        in_window = [
-            lat for r in sim.records for (_, _, lat) in r.hops if 20_000 <= r.start_ms < 39_000
-        ]
-        outside = [
-            lat for r in sim.records for (_, _, lat) in r.hops if r.start_ms >= 41_000 or r.end_ms < 20_000
-        ]
+        in_window = [lat for a, lat in chain_hops(sim) if 20_000 <= a.start_ms < 39_000]
+        outside = [lat for a, lat in chain_hops(sim) if a.start_ms >= 41_000 or a.end_ms < 20_000]
         assert all(15 + 10 <= lat <= 15 + 90 for lat in in_window)
         assert len(set(in_window)) > 10  # actually drawing, not constant
         assert all(lat == 15 for lat in outside)
@@ -280,9 +328,7 @@ class TestFaults:
         sue = sue_chain(0.0)
         faults = self.make_faults("packet_loss", probability=0.3)
         sim = run_workload(sue, 23, 5, 60_000, 500, faults=faults)
-        in_window = [
-            lat for r in sim.records for (_, _, lat) in r.hops if 20_000 <= r.start_ms < 39_000
-        ]
+        in_window = [lat for a, lat in chain_hops(sim) if 20_000 <= a.start_ms < 39_000]
         assert in_window
         assert all((lat - 15) % 200 == 0 for lat in in_window)
         assert any(lat > 15 for lat in in_window)
@@ -310,9 +356,9 @@ class TestFaults:
         sim.issue_request(0, at=39_989)  # dispatches to b at 39 999
         sim.issue_request(1, at=39_990)  # dispatches exactly at 40 000
         sim.run_until(None)
-        by_user = {r.user: r for r in sim.records}
-        assert by_user[0].hops[0][2] == 15 + 50
-        assert by_user[1].hops[0][2] == 15
+        by_user = {a.trace: lat for a, lat in chain_hops(sim)}  # request i is user i's
+        assert by_user[0] == 15 + 50
+        assert by_user[1] == 15
 
     def test_kill_on_entry_service_fails_root_requests(self):
         from oxn.config import Kill
