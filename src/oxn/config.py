@@ -21,6 +21,7 @@ from __future__ import annotations
 
 import functools
 import math
+import re
 import sys
 from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
@@ -30,6 +31,24 @@ from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, NamedTu
 import yaml
 
 SYSTEM_TARGET = "system"
+
+# PyYAML resolves YAML 1.1, which reads a number with an exponent but no
+# decimal point or no exponent sign (``1e-6``, ``6e3``, ``1.0e6``) as a
+# string. YAML 1.2 and JSON read it as a float, and so does the file format.
+# Rendering resolves the same way, so a string of that form keeps its quotes.
+_EXPONENT_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$")
+
+
+class _Loader(yaml.SafeLoader):
+    pass
+
+
+class _Dumper(yaml.SafeDumper):
+    pass
+
+
+for _yaml_class in (_Loader, _Dumper):
+    _yaml_class.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
 
 
 class Range(NamedTuple):
@@ -482,7 +501,7 @@ def parse_experiment(text: str) -> ExperimentSpec:
     unknown fields and missing required fields.
     """
     try:
-        raw = yaml.safe_load(text)
+        raw = yaml.load(text, Loader=_Loader)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -666,4 +685,4 @@ def _render_treatment(t: Treatment) -> dict:
 
 def render_experiment(spec: ExperimentSpec) -> str:
     """Serialize a spec to canonical YAML; parse(render(spec)) == spec."""
-    return yaml.safe_dump(_render_obj(spec), sort_keys=False, default_flow_style=False)
+    return yaml.dump(_render_obj(spec), Dumper=_Dumper, sort_keys=False, default_flow_style=False)

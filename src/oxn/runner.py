@@ -46,6 +46,7 @@ class RunResult:
     repetition: int
     seed: int
     scores: dict[str, float | None]
+    reasons: dict[str, str]  # why each None score is undefined
     cost: CostReport
     request_count: int
     trace_count: int
@@ -120,6 +121,9 @@ class ObservabilityReport:
                     "kept_spans": r.kept_span_count,
                     "metric_events": r.metric_event_count,
                     "scores": dict(sorted(r.scores.items())),
+                    # only a run with an undefined score has reasons, which
+                    # keeps the bytes of every fully scored report
+                    **({"reasons": dict(sorted(r.reasons.items()))} if r.reasons else {}),
                     "cost_total": round(r.cost.total, 6),
                 }
                 for r in self.runs
@@ -158,6 +162,7 @@ def execute_run(
 
     detection = spec.detection
     scores: dict[str, float | None] = {}
+    reasons: dict[str, str] = {}
     for response, series in zip(spec.responses, series_list):
         rng = rng_stream(run_seed, f"detection:{fault.name}:{response.name}")
         try:
@@ -171,8 +176,9 @@ def execute_run(
                 alert_k=detection.alert_k,
             )
             scores[response.name] = mechanism.run(ds).score
-        except InsufficientDataError:
+        except InsufficientDataError as exc:
             scores[response.name] = None
+            reasons[response.name] = str(exc)
 
     if export_dir is not None:
         export_csv(batch, series_list, export_dir, prefix=f"{spec.name}_{fault.name}-r{repetition}")
@@ -182,6 +188,7 @@ def execute_run(
         repetition=repetition,
         seed=run_seed,
         scores=scores,
+        reasons=reasons,
         cost=account(batch, spec.cost_model),
         request_count=len(records),
         trace_count=batch.trace_count,

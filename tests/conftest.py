@@ -1,5 +1,6 @@
 from __future__ import annotations
 
+import os
 import time
 from pathlib import Path
 from typing import NamedTuple
@@ -29,6 +30,14 @@ CANONICAL_NAMES = ("baseline", "alternative_b", "alternative_c")
 
 def experiment_path(name: str) -> Path:
     return EXPERIMENTS_DIR / f"{name}.yaml"
+
+
+def cli_env() -> dict[str, str]:
+    """The environment for a child ``python -m oxn.cli``: this one with the
+    repository's ``src`` first on PYTHONPATH, so the child imports the oxn
+    under test."""
+    path = os.environ.get("PYTHONPATH")
+    return {**os.environ, "PYTHONPATH": os.pathsep.join(filter(None, [str(REPO_ROOT / "src"), path]))}
 
 
 @pytest.fixture(scope="session")

@@ -27,7 +27,7 @@ from oxn.telemetry import ResponseSeries, sample_traces
 from oxn.config import TraceConfigSpec, parse_experiment_file
 from oxn.runner import report_json, simulate_run
 
-from conftest import REPO_ROOT, event_log, experiment_path, span_rows
+from conftest import REPO_ROOT, cli_env, event_log, experiment_path, span_rows
 
 PAUSE = "pause_recommendation"
 PACKET_LOSS = "packet_loss_recommendation"
@@ -207,6 +207,7 @@ class TestCriterion5Determinism:
                 capture_output=True,
                 text=True,
                 cwd=REPO_ROOT,
+                env=cli_env(),
             )
             assert proc.returncode == 0, proc.stderr
             files = {

@@ -298,6 +298,22 @@ class TestRoundTrip:
         assert "kind: packet_corruption" in text
         assert parse_experiment(text) == spec
 
+    def test_exponent_without_point_or_sign_is_a_float(self, baseline_spec):
+        text = render_experiment(baseline_spec)
+        assert "tol: 1.0e-06" in text
+        spec = parse_experiment(text.replace("tol: 1.0e-06", "tol: 1e-6"))
+        assert spec.detection.tol == 1e-06
+        assert spec == baseline_spec
+
+    def test_json_document_round_trips(self, baseline_spec):
+        doc = yaml.safe_load(render_experiment(baseline_spec))
+        assert '"tol": 1e-06' in json.dumps(doc)
+        assert parse_experiment(json.dumps(doc)) == baseline_spec
+
+    def test_string_that_reads_as_a_float_keeps_its_quotes(self):
+        spec = small_spec(name="6e3")
+        assert parse_experiment(render_experiment(spec)) == spec
+
 
 class TestSpecDigest:
     """Every report carries ``spec_digest``, the sha256 of the canonical

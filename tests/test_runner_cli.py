@@ -10,6 +10,7 @@ import pytest
 
 from oxn import cli, runner
 from oxn.config import Pause, render_experiment
+from oxn.detection import MIN_CLASS_ROWS
 from oxn.runner import (
     ExperimentError,
     compare_docs,
@@ -19,7 +20,7 @@ from oxn.runner import (
 )
 from oxn.scoring import Ratio
 
-from conftest import REPO_ROOT, small_spec
+from conftest import REPO_ROOT, cli_env, small_spec
 
 
 @pytest.fixture(scope="module")
@@ -105,6 +106,15 @@ class TestRunExperiment:
         assert cell["score_mean"] is None
         assert cell["visible"] == 0
         assert doc["fault_coverage"]["pause_backend"]["responses"] == 3
+        # each run names why its undefined score is undefined, and only that score
+        for run in doc["runs"]:
+            assert run["scores"]["backend_rpm"] is None
+            assert run["reasons"] == {
+                "backend_rpm": "insufficient data in series 'backend_rpm': need at least "
+                f"{MIN_CLASS_ROWS} rows per class, have 3 fault / 6 normal"
+            }
+        jsonschema = pytest.importorskip("jsonschema")
+        jsonschema.validate(doc, json.loads((REPO_ROOT / "src/oxn/report_schema.json").read_text()))
 
     def test_invalid_spec_rejected(self):
         spec = small_spec(repetitions=0)
@@ -184,6 +194,7 @@ def run_cli(*args, cwd=None):
         capture_output=True,
         text=True,
         cwd=cwd or REPO_ROOT,
+        env=cli_env(),
     )
 
 
