@@ -149,7 +149,7 @@ class TestLognormalDraws:
         spec = LognormalSpec(15, 0.58)
         draws = LognormalDraws(rng_stream(5, "user:0"), spec)
         reference = rng_stream(5, "user:0")
-        head = [draws.draw() for _ in range(11)]  # 3 of the second block's 16 are left
+        head = [draws.draw() for _ in range(11)]  # 3 of the second block's 16 are used
         copied = fork(draws)
         tail = [scalar_lognormal_ms(reference, spec) for _ in range(11 + 200)]
         assert head == tail[:11]
