@@ -19,6 +19,11 @@ events carry records and ids, never callables), so a running ``SimState``
 can be deep-copied or pickled and either copy runs on identically.
 Instrumentation events go to the typed columns of ``RawEventLog``; each ok
 span close is one request-counter increment.
+
+Arrivals and completions, the two events behind almost every span, are
+handled in the ``run_until`` loop body; rarer events have handler methods.
+A call in processing is keyed by the sequence number of its completion
+event, so a completion that a pause or a kill made stale finds no entry.
 """
 
 from __future__ import annotations
@@ -171,19 +176,11 @@ class _Request:
 
 
 class _Call:
-    __slots__ = (
-        "request",
-        "service",
-        "parent",
-        "row",
-        "pending",
-        "failed",
-        "inbound_cpu_ms",
-    )
+    __slots__ = ("request", "svc", "parent", "row", "pending", "failed", "inbound_cpu_ms")
 
-    def __init__(self, request: _Request, service: str, parent: "_Call | None"):
+    def __init__(self, request: _Request, svc: "_ServiceState", parent: "_Call | None"):
         self.request = request
-        self.service = service
+        self.svc = svc
         self.parent = parent
         self.row = -1  # span table row once the call arrives
         self.pending = 0
@@ -193,21 +190,15 @@ class _Call:
 
 class _ServiceState:
     __slots__ = (
-        "spec",
-        "index",
-        "busy",
-        "queue",
-        "paused",
-        "killed",
-        "stress_factor",
-        "frozen",
-        "service_times",
-        "processing",
+        "spec", "index", "workers", "edges", "busy", "queue", "paused", "killed", "stress_factor", "frozen",
+        "service_times", "processing",
     )
 
     def __init__(self, spec: ServiceSpec, index: int, seed: int):
         self.spec = spec
         self.index = index
+        self.workers = spec.workers
+        self.edges: list[_EdgeState] = []  # outbound, in ``SueSpec.edges`` order
         self.busy = 0
         self.queue: deque[_Call] = deque()
         self.paused = False
@@ -215,16 +206,19 @@ class _ServiceState:
         self.stress_factor = 1.0
         self.frozen: list[tuple[_Call, int, float]] = []  # (call, remaining_ms, cpu_ms)
         self.service_times = LognormalDraws(rng_stream(seed, f"service:{spec.id}"), spec.service_time)
-        self.processing: dict[int, tuple[_Call, int, float]] = {}  # id -> (call, end_t, cpu_ms)
+        # By the sequence number of the completion event: (call, end_t, cpu_ms)
+        self.processing: dict[int, tuple[_Call, int, float]] = {}
 
 
 class _EdgeState:
-    __slots__ = ("callee", "calls_per_request", "latency_ms", "calls_rng", "delay_rng", "loss_rng", "corrupt_rng")
+    __slots__ = ("callee", "whole", "fraction", "latency_ms", "calls_rng", "delay_rng", "loss_rng", "corrupt_rng")
 
-    def __init__(self, edge: CallEdge, seed: int):
+    def __init__(self, edge: CallEdge, callee: _ServiceState, seed: int):
         label = f"edge:{edge.caller}->{edge.callee}"
-        self.callee = edge.callee
-        self.calls_per_request = edge.calls_per_request
+        self.callee = callee
+        # calls_per_request = whole + fraction; the fraction is one more call's chance
+        self.whole = int(edge.calls_per_request)
+        self.fraction = edge.calls_per_request - self.whole
         self.latency_ms = edge.latency_ms
         self.calls_rng = rng_stream(seed, f"{label}:calls")
         self.delay_rng = rng_stream(seed, f"{label}:delay")
@@ -241,23 +235,22 @@ class SimState:
         self.now = 0
         self._heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
-        self._token = 0
         self.log = RawEventLog()
         self.records: list[RequestRecord] = []
         self._request_count = 0
         self._streams: dict[str, np.random.Generator] = {}
         self._think_times: dict[int, LognormalDraws] = {}  # by user
         self.services = {s.id: _ServiceState(s, i, seed) for i, s in enumerate(sue.services)}
-        self.edges: dict[str, list[_EdgeState]] = {s.id: [] for s in sue.services}
         for edge in sue.edges:
-            self.edges[edge.caller].append(_EdgeState(edge, seed))
+            self.services[edge.caller].edges.append(_EdgeState(edge, self.services[edge.callee], seed))
         callees = {e.callee for e in sue.edges}
         roots = [s.id for s in sue.services if s.id not in callees]
         if len(roots) != 1:
             raise ValueError(f"call graph must have exactly one entry service, found {roots}")
         self.entry = roots[0]
         self.workload: WorkloadSpec | None = None  # set by ``drive``
-        # Active faults that act on the inbound edges of their target.
+        # Active faults that act on the inbound edges of their target; changed
+        # in place only, so ``run_until`` may hold it in a local.
         self._active: list[NetworkDelay | PacketLoss] = []
         # Negative sequence numbers make fault boundary events sort ahead of
         # simulation events carrying the same timestamp.
@@ -273,9 +266,11 @@ class SimState:
             self._streams[label] = rng_stream(self.seed, label)
         return self._streams[label]
 
-    def schedule(self, t: int, kind: int, payload: object) -> None:
+    def schedule(self, t: int, kind: int, payload: object) -> int:
+        """Push an event; returns its sequence number."""
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, kind, payload))
+        return self._seq
 
     def pending_events(self) -> int:
         return len(self._heap)
@@ -292,8 +287,7 @@ class SimState:
             raise ValueError(f"cannot issue a request in the past ({at} < {self.now})")
         request = _Request(self._request_count, user, at)
         self._request_count += 1
-        call = _Call(request, self.entry, None)
-        self.schedule(at, _EV_ARRIVAL, call)
+        self.schedule(at, _EV_ARRIVAL, _Call(request, self.services[self.entry], None))
         self.schedule(at + CLIENT_TIMEOUT_MS, _EV_TIMEOUT, request)
         return request.index
 
@@ -301,116 +295,149 @@ class SimState:
         """Process all events up to and including time ``t`` (everything, if None).
 
         Fault effects are applied and reverted exactly at their window
-        boundaries, ahead of same-timestamp simulation events.
+        boundaries, ahead of same-timestamp simulation events. Arrivals and
+        completions, the events behind almost every span, are handled in the
+        loop body; ``self.now`` is brought up to date before anything that
+        may issue a request, and when the loop exits.
         """
         heap = self._heap
-        while heap and (t is None or heap[0][0] <= t):
-            when, _, kind, payload = heapq.heappop(heap)
-            self.now = when
-            if kind == _EV_ARRIVAL:
-                self._on_arrival(payload, when)
-            elif kind == _EV_PROC_DONE:
-                self._on_proc_done(payload, when)
-            elif kind == _EV_EDGE_RESULT:
-                call, outcome = payload
-                if call.inbound_cpu_ms > 0.0:
-                    self._busy(self.services[call.service].index, when, call.inbound_cpu_ms)
-                if call.parent is None:
-                    # a root call failed in transit (entry service killed)
-                    self._finish_request(call.request, outcome, when)
-                else:
-                    self._child_result(call, outcome, when)
-            elif kind == _EV_TIMEOUT:
-                self._finish_request(payload, "timeout", when)
-            elif kind == _EV_USER:
-                self._think(payload, when)
-            elif kind == _EV_FAULT_START:
-                self._fault_start(payload, when)
-            elif kind == _EV_FAULT_END:
-                self._fault_end(payload, when)
-        if t is not None and t > self.now:
-            self.now = t
-
-    # -- event handlers ------------------------------------------------------
-
-    def _on_arrival(self, call: _Call, t: int) -> None:
-        svc = self.services[call.service]
-        if svc.killed:
-            # A dead process emits nothing; the caller observes a late error.
-            call.inbound_cpu_ms = 0.0
-            self.schedule(t + svc.spec.error_response_time_ms, _EV_EDGE_RESULT, (call, "error"))
-            return
-        if call.inbound_cpu_ms > 0.0:
-            # Receiver-side network-stack work for retransmitted packets.
-            self._busy(svc.index, t, call.inbound_cpu_ms)
-        self._open_span(call, svc.index, t)
-        svc.queue.append(call)
-        self._dispatch(svc, t)
-
-    def _open_span(self, call: _Call, service: int, t: int) -> None:
-        request = call.request
+        heappush = heapq.heappush
+        heappop = heapq.heappop
+        active = self._active
         spans = self.log.spans
-        call.row = len(spans.trace)
-        spans.trace.append(request.index)
-        spans.span_id.append((request.index << 16) | request.next_span)
-        spans.parent.append(-1 if call.parent is None else spans.span_id[call.parent.row])
-        spans.service.append(service)
-        spans.start_ms.append(t)
-        spans.end_ms.append(-1)
-        spans.ok.append(0)
-        request.next_span += 1
-
-    def _busy(self, service: int, t: int, ms: float) -> None:
-        log = self.log
-        log.cpu_service.append(service)
-        log.cpu_t_ms.append(t)
-        log.cpu_ms.append(ms)
-
-    def _dispatch(self, svc: _ServiceState, t: int) -> None:
-        while svc.queue and svc.busy < svc.spec.workers and not svc.paused:
-            call = svc.queue.popleft()
+        span_ids, end_ms, ok = spans.span_id, spans.end_ms, spans.ok
+        trace_append, span_id_append = spans.trace.append, span_ids.append
+        parent_append, service_append = spans.parent.append, spans.service.append
+        start_append, end_append, ok_append = spans.start_ms.append, end_ms.append, ok.append
+        cpu_service_append = self.log.cpu_service.append
+        cpu_t_append = self.log.cpu_t_ms.append
+        cpu_ms_append = self.log.cpu_ms.append
+        limit = float("inf") if t is None else t
+        when = self.now
+        while heap and heap[0][0] <= limit:
+            when, seq, kind, payload = heappop(heap)
+            if kind == _EV_ARRIVAL:
+                call = payload
+                svc = call.svc
+                if svc.killed:
+                    # A dead process emits nothing; the caller observes a late error.
+                    call.inbound_cpu_ms = 0.0
+                    self._seq = seq = self._seq + 1
+                    heappush(heap, (when + svc.spec.error_response_time_ms, seq, _EV_EDGE_RESULT, call))
+                    continue
+                if call.inbound_cpu_ms > 0.0:
+                    # Receiver-side network-stack work for retransmitted packets.
+                    cpu_service_append(svc.index)
+                    cpu_t_append(when)
+                    cpu_ms_append(call.inbound_cpu_ms)
+                request = call.request
+                parent = call.parent
+                call.row = len(span_ids)
+                trace_append(request.index)
+                span_id_append((request.index << 16) | request.next_span)
+                parent_append(-1 if parent is None else span_ids[parent.row])
+                service_append(svc.index)
+                start_append(when)
+                end_append(-1)
+                ok_append(0)
+                request.next_span += 1
+                if svc.busy >= svc.workers or svc.paused:
+                    svc.queue.append(call)
+                    continue
+            elif kind == _EV_PROC_DONE:
+                svc = payload
+                done = svc.processing.pop(seq, None)
+                if done is None:
+                    continue  # invalidated by a pause freeze or kill; seqs are never reused
+                call, _, cpu = done
+                svc.busy -= 1
+                cpu_service_append(svc.index)
+                cpu_t_append(when)
+                cpu_ms_append(cpu)
+                children = 0
+                for edge in svc.edges:
+                    count = edge.whole
+                    if edge.fraction > 0.0 and edge.calls_rng.random() < edge.fraction:
+                        count += 1
+                    for _ in range(count):
+                        child = _Call(call.request, edge.callee, call)
+                        self._seq = seq = self._seq + 1
+                        if not active:
+                            heappush(heap, (when + edge.latency_ms, seq, _EV_ARRIVAL, child))
+                        else:
+                            transit, child.inbound_cpu_ms, corrupted = self._transit(edge)
+                            # A corrupted payload never survives transit; the callee rejects it unprocessed.
+                            heappush(heap, (when + transit, seq, _EV_EDGE_RESULT if corrupted else _EV_ARRIVAL, child))
+                    children += count
+                if children:
+                    call.pending += children
+                else:
+                    # A leaf closes here; its ancestors close in ``_close_up``.
+                    end_ms[call.row] = when
+                    ok[call.row] = not call.failed
+                    parent = call.parent
+                    self.now = when
+                    if parent is None:
+                        self._finish_request(call.request, "error" if call.failed else "ok", when)
+                    else:
+                        if call.failed:
+                            parent.failed = True
+                        parent.pending -= 1
+                        if parent.pending == 0:
+                            self._close_up(parent, when)
+                # One worker is free: the queue holds calls only while every
+                # worker is busy or the service is paused.
+                if not svc.queue or svc.paused:
+                    continue
+                call = svc.queue.popleft()
+            else:
+                self.now = when
+                if kind == _EV_EDGE_RESULT:
+                    # ``payload`` failed in transit or at a killed service.
+                    if payload.inbound_cpu_ms > 0.0:
+                        cpu_service_append(payload.svc.index)
+                        cpu_t_append(when)
+                        cpu_ms_append(payload.inbound_cpu_ms)
+                    parent = payload.parent
+                    if parent is None:  # the entry service is killed
+                        self._finish_request(payload.request, "error", when)
+                    else:
+                        parent.failed = True
+                        parent.pending -= 1
+                        if parent.pending == 0:
+                            self._close_up(parent, when)
+                elif kind == _EV_TIMEOUT:
+                    self._finish_request(payload, "timeout", when)
+                elif kind == _EV_USER:
+                    self._think(payload, when)
+                elif kind == _EV_FAULT_START:
+                    self._fault_start(payload, when)
+                else:
+                    self._fault_end(payload, when)
+                continue
+            # ``call`` starts processing at ``svc``.
             svc.busy += 1
             duration = svc.service_times.draw()
             cpu = svc.spec.cpu_per_request_ms
             if svc.stress_factor != 1.0:
                 duration = int(round(duration * svc.stress_factor))
                 cpu = cpu * svc.stress_factor
-            self._token += 1
-            token = self._token
-            svc.processing[token] = (call, t + duration, cpu)
-            self.schedule(t + duration, _EV_PROC_DONE, (svc.spec.id, token))
+            self._seq = seq = self._seq + 1
+            heappush(heap, (when + duration, seq, _EV_PROC_DONE, svc))
+            svc.processing[seq] = (call, when + duration, cpu)
+        self.now = when if t is None or when >= t else t
 
-    def _on_proc_done(self, payload, t: int) -> None:
-        service_id, token = payload
-        svc = self.services[service_id]
-        if token not in svc.processing:
-            return  # invalidated by a pause freeze or kill; tokens are never reused
-        call, _, cpu = svc.processing.pop(token)
-        svc.busy -= 1
-        self._busy(svc.index, t, cpu)
-        self._fan_out(call, t)
-        self._dispatch(svc, t)
+    # -- helpers of the loop ---------------------------------------------------
 
-    def _fan_out(self, call: _Call, t: int) -> None:
-        children = 0
-        for edge in self.edges[call.service]:
-            count = int(edge.calls_per_request)
-            fraction = edge.calls_per_request - count
-            if fraction > 0.0 and edge.calls_rng.random() < fraction:
-                count += 1
-            for _ in range(count):
-                children += 1
-                self._dispatch_subcall(call, edge, t)
-        call.pending += children
-        if children == 0:
-            self._finish_call(call, t)
-
-    def _dispatch_subcall(self, parent: _Call, edge: _EdgeState, t: int) -> None:
+    def _transit(self, edge: _EdgeState) -> tuple[int, float, bool]:
+        """Transit time, receiver-side CPU ms and corruption of one call on
+        ``edge`` under the active faults that act on its callee."""
         transit = edge.latency_ms
         corrupted = False
         extra_cpu = 0.0
+        target = edge.callee.spec.id
         for fault in self._active:
-            if fault.target != edge.callee:
+            if fault.target != target:
                 continue
             if type(fault) is NetworkDelay:
                 transit += int(edge.delay_rng.integers(fault.delay_min_ms, fault.delay_max_ms, endpoint=True))
@@ -422,30 +449,39 @@ class SimState:
                 extra_cpu += retransmits * RETRANSMIT_CPU_MS
                 if fault.corrupt and edge.corrupt_rng.random() < fault.probability:
                     corrupted = True
-        child = _Call(parent.request, edge.callee, parent)
-        child.inbound_cpu_ms = extra_cpu
-        if corrupted:
-            # The payload never survives transit; the callee rejects it unprocessed.
-            self.schedule(t + transit, _EV_EDGE_RESULT, (child, "error"))
-        else:
-            self.schedule(t + transit, _EV_ARRIVAL, child)
+        return transit, extra_cpu, corrupted
 
-    def _finish_call(self, call: _Call, t: int) -> None:
-        outcome = "error" if call.failed else "ok"
-        self.log.spans.end_ms[call.row] = t
-        self.log.spans.ok[call.row] = not call.failed
-        if call.parent is None:
-            self._finish_request(call.request, outcome, t)
-        else:
-            self._child_result(call, outcome, t)
+    def _close_up(self, call: _Call, t: int) -> None:
+        """Close ``call``, whose work is over, and each ancestor whose last
+        open child it is; a root's close finishes its request."""
+        spans = self.log.spans
+        while True:
+            spans.end_ms[call.row] = t
+            spans.ok[call.row] = not call.failed
+            parent = call.parent
+            if parent is None:
+                self._finish_request(call.request, "error" if call.failed else "ok", t)
+                return
+            if call.failed:
+                parent.failed = True
+            parent.pending -= 1
+            if parent.pending:
+                return
+            call = parent
 
-    def _child_result(self, call: _Call, outcome: str, t: int) -> None:
-        parent = call.parent
-        if outcome != "ok":
-            parent.failed = True
-        parent.pending -= 1
-        if parent.pending == 0:
-            self._finish_call(parent, t)
+    def _dispatch(self, svc: _ServiceState, t: int) -> None:
+        """Start queued calls on free workers of an unpaused service."""
+        while svc.queue and svc.busy < svc.workers and not svc.paused:
+            call = svc.queue.popleft()
+            svc.busy += 1
+            duration = svc.service_times.draw()
+            cpu = svc.spec.cpu_per_request_ms
+            if svc.stress_factor != 1.0:
+                duration = int(round(duration * svc.stress_factor))
+                cpu = cpu * svc.stress_factor
+            svc.processing[self.schedule(t + duration, _EV_PROC_DONE, svc)] = (call, t + duration, cpu)
+
+    # -- rare events -----------------------------------------------------------
 
     def _finish_request(self, request: _Request, outcome: str, t: int) -> None:
         if request.done:
@@ -466,8 +502,6 @@ class SimState:
         if at < self.workload.duration_ms:
             self.issue_request(user, at)
 
-    # -- fault boundaries ----------------------------------------------------
-
     def _fault_start(self, fault: Fault, t: int) -> None:
         if type(fault) is Pause:
             svc = self.services[fault.target]
@@ -485,11 +519,7 @@ class SimState:
             svc.busy = 0
             for call in dropped:
                 call.failed = True
-                self.log.spans.end_ms[call.row] = t  # closed as an error: ok stays 0
-                if call.parent is None:
-                    self._finish_request(call.request, "error", t)
-                else:
-                    self._child_result(call, "error", t)
+                self._close_up(call, t)
         elif type(fault) is Stress:
             self.services[fault.target].stress_factor = fault.factor
         else:
@@ -499,11 +529,10 @@ class SimState:
         if type(fault) is Pause:
             svc = self.services[fault.target]
             svc.paused = False
+            # Each resumed call gets a new completion event, so the one
+            # scheduled before the pause finds no entry and is ignored.
             for call, remaining, cpu in svc.frozen:
-                self._token += 1
-                token = self._token
-                svc.processing[token] = (call, t + remaining, cpu)
-                self.schedule(t + remaining, _EV_PROC_DONE, (svc.spec.id, token))
+                svc.processing[self.schedule(t + remaining, _EV_PROC_DONE, svc)] = (call, t + remaining, cpu)
             svc.frozen.clear()
             self._dispatch(svc, t)
         elif type(fault) is Kill:
@@ -512,7 +541,7 @@ class SimState:
         elif type(fault) is Stress:
             self.services[fault.target].stress_factor = 1.0
         else:
-            self._active = [f for f in self._active if f is not fault]
+            self._active[:] = [f for f in self._active if f is not fault]
 
 
 def init_sim(sue: SueSpec, seed: int, faults: Iterable[Fault] = ()) -> SimState:

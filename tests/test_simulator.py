@@ -288,6 +288,27 @@ class TestFaults:
         b_close = max(closed, key=lambda s: s.end_ms)
         assert b_close.end_ms == 40_000 + 4000
 
+    def test_completion_scheduled_before_a_short_pause_is_ignored(self):
+        from oxn.config import Pause
+
+        sue = SueSpec(
+            services=(tiny_service("a", 4, 10, 0.0, 5), tiny_service("b", 4, 5000, 0.0, 5)),
+            edges=(CallEdge("a", "b", 1.0, 5),),
+            metric_points=(),
+            trace_config=TraceConfigSpec(),
+        )
+        pause = Pause(name="pause_b", target="b", start_ms=20_000, end_ms=21_000)
+        sim = init_sim(sue, 3, [pause])
+        sim.issue_request(0, at=18_985)  # reaches b at 19_000, due to finish at 24_000
+        sim.run_until(None)
+        # 4000 ms remain at the pause and resume at 21 000; the completion
+        # event for 24 000 is still on the heap and must change nothing.
+        (b_span,) = [s for s in span_rows(sim.log.spans, sue) if s.service == "b"]
+        assert (b_span.start_ms, b_span.end_ms, b_span.ok) == (19_000, 25_000, True)
+        assert [row for row in cpu_rows(sim.log, sue) if row[0] == "b"] == [("b", 25_000, 5.0)]
+        (record,) = sim.records
+        assert (record.outcome, record.end_ms) == ("ok", 25_000)
+
     def test_kill_fails_new_requests_after_error_response_time(self):
         sue = sue_chain(0.0)
         sim = init_sim(sue, 3, self.make_faults("kill"))
@@ -455,6 +476,20 @@ class TestFork:
         sim.run_until(250_000)
         forks = [sim, copy.deepcopy(sim), pickle.loads(pickle.dumps(sim))]
         for fork in forks:
+            fork.run_until(None)
+            assert fork.records == whole.records
+            assert fork.log == whole.log
+
+
+    @pytest.mark.parametrize("fault", ["kill", "stress", "network_delay", "corrupt"])
+    def test_copies_taken_inside_the_window_run_on_identically(self, fault):
+        spec, faults = baseline_faults()
+        whole = baseline_sim(spec, faults[fault])
+        whole.run_until(None)
+
+        sim = baseline_sim(spec, faults[fault])
+        sim.run_until(300_000)  # inside the 250-490 s window
+        for fork in [copy.deepcopy(sim), pickle.loads(pickle.dumps(sim)), sim]:
             fork.run_until(None)
             assert fork.records == whole.records
             assert fork.log == whole.log
