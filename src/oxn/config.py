@@ -459,7 +459,15 @@ _SCALARS = {int: _as_int, float: _as_number, str: _as_str}
 
 
 def _seconds_to_ms(value: Any, where: str) -> int:
-    return int(round(_as_number(value, where) * 1000))
+    """Whole milliseconds of a seconds value; a fraction of a millisecond is
+    rejected here, because rounding it away would hide it from every bound.
+    The tolerance is 1e-6 ms, or one float spacing of the product where that
+    is wider (beyond ~1.7e10 ms), so every rendered whole-ms value parses.
+    Seconds whose milliseconds overflow a float are rejected the same way."""
+    ms = _as_number(value, where) * 1000
+    if not math.isfinite(ms) or abs(ms - round(ms)) > max(1e-6, math.ulp(ms)):
+        raise ExperimentFormatError(f"{where}: {where.rsplit('.', 1)[-1]} must be a whole number of milliseconds")
+    return int(round(ms))
 
 
 def _parse_obj(cls: type, value: Any, where: str, **fixed: Any) -> Any:

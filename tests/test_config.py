@@ -175,6 +175,23 @@ class TestParse:
             parse_experiment(yaml.safe_dump(doc))
         assert str(raised.value) == f"{dotted(path)} must be a finite number"
 
+    @pytest.mark.parametrize(
+        "path,value",
+        [
+            (("workload", "ramp_up_s"), -0.0004),
+            (("sue", "metric_points", 0, "sampling_interval_s"), 0.0004),
+            (("workload", "duration_s"), 1e306),
+        ],
+    )
+    def test_seconds_off_the_millisecond_grid_rejected(self, path, value):
+        # Rounded to whole milliseconds first, the first two would pass every
+        # bound as 0; the last overflows a float once in milliseconds.
+        doc = yaml.safe_load(MINIMAL)
+        set_leaf(doc, path, value)
+        with pytest.raises(ExperimentFormatError) as raised:
+            parse_experiment(yaml.safe_dump(doc))
+        assert str(raised.value) == f"{dotted(path)}: {path[-1]} must be a whole number of milliseconds"
+
 
 class TestValidate:
     def test_baseline_is_valid(self):
