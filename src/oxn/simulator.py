@@ -295,10 +295,9 @@ class SimState:
         """Process all events up to and including time ``t`` (everything, if None).
 
         Fault effects are applied and reverted exactly at their window
-        boundaries, ahead of same-timestamp simulation events. Arrivals and
-        completions, the events behind almost every span, are handled in the
-        loop body; ``self.now`` is brought up to date before anything that
-        may issue a request, and when the loop exits.
+        boundaries, ahead of same-timestamp simulation events. ``self.now``
+        is brought up to date before anything that may issue a request, and
+        when the loop exits.
         """
         heap = self._heap
         heappush = heapq.heappush
