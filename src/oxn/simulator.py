@@ -22,8 +22,10 @@ span close is one request-counter increment.
 
 Arrivals and completions, the two events behind almost every span, are
 handled in the ``run_until`` loop body; rarer events have handler methods.
-A call in processing is keyed by the sequence number of its completion
-event, so a completion that a pause or a kill made stale finds no entry.
+The heap holds only events that can still act. A completion event carries
+its call, and a pause or a kill takes its service's completions off the
+heap. Client timeouts, nearly all of which fall after their request has
+finished, wait in a FIFO of which only the first is on the heap.
 """
 
 from __future__ import annotations
@@ -73,6 +75,8 @@ _EV_FAULT_START = 3
 _EV_FAULT_END = 4
 _EV_TIMEOUT = 5
 _EV_USER = 6
+# Later than any event: the span and CPU columns hold times as int64.
+_END_OF_TIME = (1 << 63) - 1
 
 
 def rng_stream(seed: int, label: str) -> np.random.Generator:
@@ -176,7 +180,8 @@ class _Request:
 
 
 class _Call:
-    __slots__ = ("request", "svc", "parent", "row", "pending", "failed", "inbound_cpu_ms")
+    # ``cpu_ms`` is set when the call starts processing.
+    __slots__ = ("request", "svc", "parent", "row", "pending", "failed", "inbound_cpu_ms", "cpu_ms")
 
     def __init__(self, request: _Request, svc: "_ServiceState", parent: "_Call | None"):
         self.request = request
@@ -191,7 +196,7 @@ class _Call:
 class _ServiceState:
     __slots__ = (
         "spec", "index", "workers", "edges", "busy", "queue", "paused", "killed", "stress_factor", "frozen",
-        "service_times", "processing",
+        "service_times",
     )
 
     def __init__(self, spec: ServiceSpec, index: int, seed: int):
@@ -204,26 +209,23 @@ class _ServiceState:
         self.paused = False
         self.killed = False
         self.stress_factor = 1.0
-        self.frozen: list[tuple[_Call, int, float]] = []  # (call, remaining_ms, cpu_ms)
+        self.frozen: list[tuple[_Call, int]] = []  # (call, remaining_ms)
         self.service_times = LognormalDraws(rng_stream(seed, f"service:{spec.id}"), spec.service_time)
-        # By the sequence number of the completion event: (call, end_t, cpu_ms)
-        self.processing: dict[int, tuple[_Call, int, float]] = {}
 
 
 class _EdgeState:
-    __slots__ = ("callee", "whole", "fraction", "latency_ms", "calls_rng", "delay_rng", "loss_rng", "corrupt_rng")
+    __slots__ = ("callee", "whole", "fraction", "latency_ms", "label", "calls_rng")
 
     def __init__(self, edge: CallEdge, callee: _ServiceState, seed: int):
-        label = f"edge:{edge.caller}->{edge.callee}"
+        self.label = f"edge:{edge.caller}->{edge.callee}"
         self.callee = callee
         # calls_per_request = whole + fraction; the fraction is one more call's chance
         self.whole = int(edge.calls_per_request)
         self.fraction = edge.calls_per_request - self.whole
         self.latency_ms = edge.latency_ms
-        self.calls_rng = rng_stream(seed, f"{label}:calls")
-        self.delay_rng = rng_stream(seed, f"{label}:delay")
-        self.loss_rng = rng_stream(seed, f"{label}:loss")
-        self.corrupt_rng = rng_stream(seed, f"{label}:corrupt")
+        # The fault streams (``<label>:delay``, ``:loss``, ``:corrupt``) are
+        # ``SimState.stream``s, built on first use: most edges never draw.
+        self.calls_rng = rng_stream(seed, f"{self.label}:calls") if self.fraction > 0.0 else None
 
 
 class SimState:
@@ -235,6 +237,9 @@ class SimState:
         self.now = 0
         self._heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
+        # Client timeouts of the handled root arrivals in (t, seq) order; only the
+        # first is also on the heap, and those of finished requests are dropped.
+        self._timeouts: deque[tuple[int, int, int, _Request]] = deque()
         self.log = RawEventLog()
         self.records: list[RequestRecord] = []
         self._request_count = 0
@@ -266,14 +271,16 @@ class SimState:
             self._streams[label] = rng_stream(self.seed, label)
         return self._streams[label]
 
-    def schedule(self, t: int, kind: int, payload: object) -> int:
-        """Push an event; returns its sequence number."""
+    def schedule(self, t: int, kind: int, payload: object) -> None:
+        """Push an event with the next sequence number."""
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, kind, payload))
-        return self._seq
 
     def pending_events(self) -> int:
-        return len(self._heap)
+        """Events pending: those on the heap plus the client timeouts queued
+        behind the first, which is on the heap. The queued timeout of a
+        finished request counts until it is dropped."""
+        return len(self._heap) + max(len(self._timeouts) - 1, 0)
 
     # -- public operations --------------------------------------------------
 
@@ -288,7 +295,7 @@ class SimState:
         request = _Request(self._request_count, user, at)
         self._request_count += 1
         self.schedule(at, _EV_ARRIVAL, _Call(request, self.services[self.entry], None))
-        self.schedule(at + CLIENT_TIMEOUT_MS, _EV_TIMEOUT, request)
+        self._seq += 1  # the client timeout's, queued when the arrival is handled
         return request.index
 
     def run_until(self, t: int | None) -> None:
@@ -302,6 +309,7 @@ class SimState:
         heap = self._heap
         heappush = heapq.heappush
         heappop = heapq.heappop
+        timeouts = self._timeouts
         active = self._active
         spans = self.log.spans
         span_ids, end_ms, ok = spans.span_id, spans.end_ms, spans.ok
@@ -311,13 +319,19 @@ class SimState:
         cpu_service_append = self.log.cpu_service.append
         cpu_t_append = self.log.cpu_t_ms.append
         cpu_ms_append = self.log.cpu_ms.append
-        limit = float("inf") if t is None else t
+        limit = _END_OF_TIME if t is None else t
         when = self.now
         while heap and heap[0][0] <= limit:
             when, seq, kind, payload = heappop(heap)
             if kind == _EV_ARRIVAL:
                 call = payload
                 svc = call.svc
+                parent = call.parent
+                if parent is None:
+                    # Root arrivals come in (t, seq) order, so the FIFO stays sorted.
+                    timeouts.append((when + CLIENT_TIMEOUT_MS, seq + 1, _EV_TIMEOUT, call.request))
+                    if len(timeouts) == 1:
+                        heappush(heap, timeouts[0])
                 if svc.killed:
                     # A dead process emits nothing; the caller observes a late error.
                     call.inbound_cpu_ms = 0.0
@@ -330,7 +344,6 @@ class SimState:
                     cpu_t_append(when)
                     cpu_ms_append(call.inbound_cpu_ms)
                 request = call.request
-                parent = call.parent
                 call.row = len(span_ids)
                 trace_append(request.index)
                 span_id_append((request.index << 16) | request.next_span)
@@ -344,15 +357,12 @@ class SimState:
                     svc.queue.append(call)
                     continue
             elif kind == _EV_PROC_DONE:
-                svc = payload
-                done = svc.processing.pop(seq, None)
-                if done is None:
-                    continue  # invalidated by a pause freeze or kill; seqs are never reused
-                call, _, cpu = done
+                call = payload
+                svc = call.svc
                 svc.busy -= 1
                 cpu_service_append(svc.index)
                 cpu_t_append(when)
-                cpu_ms_append(cpu)
+                cpu_ms_append(call.cpu_ms)
                 children = 0
                 for edge in svc.edges:
                     count = edge.whole
@@ -406,7 +416,13 @@ class SimState:
                         if parent.pending == 0:
                             self._close_up(parent, when)
                 elif kind == _EV_TIMEOUT:
-                    self._finish_request(payload, "timeout", when)
+                    timeouts.popleft()  # this event
+                    if not payload.done:
+                        self._finish_request(payload, "timeout", when)
+                    while timeouts and timeouts[0][3].done:
+                        timeouts.popleft()
+                    if timeouts:
+                        heappush(heap, timeouts[0])
                 elif kind == _EV_USER:
                     self._think(payload, when)
                 elif kind == _EV_FAULT_START:
@@ -421,9 +437,9 @@ class SimState:
             if svc.stress_factor != 1.0:
                 duration = int(round(duration * svc.stress_factor))
                 cpu = cpu * svc.stress_factor
+            call.cpu_ms = cpu
             self._seq = seq = self._seq + 1
-            heappush(heap, (when + duration, seq, _EV_PROC_DONE, svc))
-            svc.processing[seq] = (call, when + duration, cpu)
+            heappush(heap, (when + duration, seq, _EV_PROC_DONE, call))
         self.now = when if t is None or when >= t else t
 
     # -- helpers of the loop ---------------------------------------------------
@@ -439,14 +455,16 @@ class SimState:
             if fault.target != target:
                 continue
             if type(fault) is NetworkDelay:
-                transit += int(edge.delay_rng.integers(fault.delay_min_ms, fault.delay_max_ms, endpoint=True))
+                delay = self.stream(f"{edge.label}:delay")
+                transit += int(delay.integers(fault.delay_min_ms, fault.delay_max_ms, endpoint=True))
             else:  # PacketLoss; when corrupting it also draws a per-hop failure
+                loss = self.stream(f"{edge.label}:loss")
                 retransmits = 0
-                while retransmits < MAX_RETRANSMITS and edge.loss_rng.random() < fault.probability:
+                while retransmits < MAX_RETRANSMITS and loss.random() < fault.probability:
                     retransmits += 1
                 transit += retransmits * RETRANSMIT_PENALTY_MS
                 extra_cpu += retransmits * RETRANSMIT_CPU_MS
-                if fault.corrupt and edge.corrupt_rng.random() < fault.probability:
+                if fault.corrupt and self.stream(f"{edge.label}:corrupt").random() < fault.probability:
                     corrupted = True
         return transit, extra_cpu, corrupted
 
@@ -478,7 +496,17 @@ class SimState:
             if svc.stress_factor != 1.0:
                 duration = int(round(duration * svc.stress_factor))
                 cpu = cpu * svc.stress_factor
-            svc.processing[self.schedule(t + duration, _EV_PROC_DONE, svc)] = (call, t + duration, cpu)
+            call.cpu_ms = cpu
+            self.schedule(t + duration, _EV_PROC_DONE, call)
+
+    def _take_completions(self, svc: _ServiceState) -> list[tuple[int, int, int, _Call]]:
+        """Take the completion events of ``svc`` off the heap, in seq order:
+        the order in which their calls started processing."""
+        heap = self._heap  # changed in place: ``run_until`` holds the list
+        taken = [e for e in heap if e[2] == _EV_PROC_DONE and e[3].svc is svc]
+        heap[:] = [e for e in heap if e[2] != _EV_PROC_DONE or e[3].svc is not svc]
+        heapq.heapify(heap)
+        return sorted(taken, key=lambda e: e[1])
 
     # -- rare events -----------------------------------------------------------
 
@@ -505,15 +533,13 @@ class SimState:
         if type(fault) is Pause:
             svc = self.services[fault.target]
             svc.paused = True
-            for call, end_t, cpu in svc.processing.values():
-                svc.frozen.append((call, max(0, end_t - t), cpu))
-            svc.processing.clear()
+            for end_t, _, _, call in self._take_completions(svc):
+                svc.frozen.append((call, max(0, end_t - t)))
         elif type(fault) is Kill:
             svc = self.services[fault.target]
             svc.killed = True
-            dropped = [call for call, _, _ in svc.processing.values()]
+            dropped = [call for _, _, _, call in self._take_completions(svc)]
             dropped.extend(svc.queue)
-            svc.processing.clear()
             svc.queue.clear()
             svc.busy = 0
             for call in dropped:
@@ -528,10 +554,8 @@ class SimState:
         if type(fault) is Pause:
             svc = self.services[fault.target]
             svc.paused = False
-            # Each resumed call gets a new completion event, so the one
-            # scheduled before the pause finds no entry and is ignored.
-            for call, remaining, cpu in svc.frozen:
-                svc.processing[self.schedule(t + remaining, _EV_PROC_DONE, svc)] = (call, t + remaining, cpu)
+            for call, remaining in svc.frozen:
+                self.schedule(t + remaining, _EV_PROC_DONE, call)
             svc.frozen.clear()
             self._dispatch(svc, t)
         elif type(fault) is Kill:

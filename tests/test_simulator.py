@@ -18,7 +18,7 @@ from oxn.config import (
     WorkloadSpec,
     parse_experiment_file,
 )
-from oxn.simulator import CLIENT_TIMEOUT_MS, LognormalDraws, drive, init_sim, rng_stream
+from oxn.simulator import _EV_TIMEOUT, CLIENT_TIMEOUT_MS, LognormalDraws, drive, init_sim, rng_stream
 
 from conftest import SpanRow, cpu_rows, experiment_path, ok_closes, span_rows, tiny_service
 
@@ -401,6 +401,16 @@ class TestFaults:
         assert sim.records[0].outcome == "timeout"
         assert sim.records[0].end_ms - sim.records[0].start_ms == CLIENT_TIMEOUT_MS
 
+    @pytest.mark.parametrize("service_ms, outcome", [(CLIENT_TIMEOUT_MS, "timeout"), (CLIENT_TIMEOUT_MS - 1, "ok")])
+    def test_close_at_the_client_timeout_is_a_timeout(self, service_ms, outcome):
+        # The timeout's sequence number is taken with the arrival's, so it pops
+        # ahead of a completion at the same millisecond.
+        sim = init_sim(sue_single(median_ms=service_ms), seed=1)
+        sim.issue_request(0, at=100)
+        sim.run_until(None)
+        (record,) = sim.records
+        assert (record.outcome, record.end_ms) == (outcome, 100 + service_ms)
+
 
 # sha256 of the raw event log of experiments/baseline.yaml at seed 0, one run
 # per fault: its three faults plus kill, stress and packet corruption on the
@@ -465,6 +475,24 @@ class TestGoldenEventLog:
         assert event_log_digest(sim) == EVENT_LOG_DIGESTS[fault]
 
 
+class TestEventQueue:
+    def test_one_client_timeout_on_the_heap_and_every_event_counted(self):
+        spec, faults = baseline_faults()
+        sim = baseline_sim(spec, faults["pause"])
+        heap_alone_short = False
+        for t in range(0, spec.workload.duration_ms + CLIENT_TIMEOUT_MS, 10_000):
+            sim.run_until(t)
+            assert sum(kind == _EV_TIMEOUT for _, _, kind, _ in sim._heap) <= 1
+            # An open request has its arrival or its client timeout pending.
+            open_requests = sim._request_count - len(sim.records)
+            assert sim.pending_events() >= open_requests
+            heap_alone_short |= len(sim._heap) < open_requests
+        assert heap_alone_short  # calls queued at the paused service have no other event
+        sim.run_until(None)
+        assert sim.pending_events() == 0
+        assert sorted(r.request_id for r in sim.records) == list(range(sim._request_count))
+
+
 class TestFork:
     @pytest.mark.parametrize("fault", ["pause", "packet_loss"])
     def test_copies_taken_at_fault_start_run_on_identically(self, fault):
@@ -481,7 +509,7 @@ class TestFork:
             assert fork.log == whole.log
 
 
-    @pytest.mark.parametrize("fault", ["kill", "stress", "network_delay", "corrupt"])
+    @pytest.mark.parametrize("fault", ["pause", "kill", "stress", "network_delay", "corrupt"])
     def test_copies_taken_inside_the_window_run_on_identically(self, fault):
         spec, faults = baseline_faults()
         whole = baseline_sim(spec, faults[fault])
