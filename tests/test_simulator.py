@@ -282,11 +282,15 @@ class TestFaults:
         )
         sim = init_sim(sue, 3, self.make_faults("pause"))
         sim.issue_request(0, at=18_985)  # reaches b at 19_000
-        sim.run_until(None)
-        # 1000 ms of service happened before the pause; the rest resumes at 40 s.
-        closed = [s for s in span_rows(sim.log.spans, sue) if s.ok]
-        b_close = max(closed, key=lambda s: s.end_ms)
-        assert b_close.end_ms == 40_000 + 4000
+        sim.run_until(30_000)
+        assert sim.services["b"].frozen
+        # Copies taken while the call is frozen resume it alike.
+        for fork in [copy.deepcopy(sim), pickle.loads(pickle.dumps(sim)), sim]:
+            fork.run_until(None)
+            # 1000 ms of service happened before the pause; the rest resumes at 40 s.
+            closed = [s for s in span_rows(fork.log.spans, sue) if s.ok]
+            b_close = max(closed, key=lambda s: s.end_ms)
+            assert b_close.end_ms == 40_000 + 4000
 
     def test_completion_scheduled_before_a_short_pause_is_ignored(self):
         from oxn.config import Pause
