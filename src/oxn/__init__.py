@@ -32,7 +32,6 @@ from .runner import ObservabilityReport, compare_docs, run_experiment
 from .scoring import (
     Ratio,
     VisibilityMatrix,
-    diff_scores,
     fault_coverage,
     overall_fault_observability,
     visibility,

@@ -88,9 +88,9 @@ def _cmd_run(args) -> int:
         out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / f"{spec.name}_report.json"
         report_path.write_text(text, encoding="utf-8")
-        for fault, ratio in report.scores.fault_coverage.items():
+        for fault, ratio in report.matrix.fault_coverage.items():
             print(f"fault_coverage {fault}: {ratio}")
-        print(f"ofo: {report.scores.ofo}")
+        print(f"ofo: {report.matrix.ofo}")
         print(f"report: {report_path}")
     else:
         sys.stdout.write(text)

@@ -10,11 +10,11 @@ Every mapping in the file is one frozen dataclass below, and every treatment
 kind is its own dataclass. One field table per class, built from
 ``dataclasses.fields`` and the field metadata, drives parsing, canonical
 rendering and the single-field bounds. Parsing checks structure and types and
-rejects NaN and infinities. Each field's bound, a ``Range`` or a ``OneOf``,
-lives only in its metadata; ``validate`` checks every bound in one walk and
-reports ``<key> must be >= 0``, ``<key> must be within [0, 1]`` or
-``unknown <key> '<value>'`` at the field's file-key path. The checks that join
-several fields are the only ones written out in ``validate``.
+rejects NaN and infinities. Each field's bound, a ``Range``, a ``OneOf`` or an
+``Excludes``, lives only in its metadata; ``validate`` checks every bound in
+one walk and reports it at the field's file-key path, as ``<key> must be >= 0``
+or ``unknown <key> '<value>'``. The checks that join several fields are the
+only ones written out in ``validate``.
 """
 
 from __future__ import annotations
@@ -83,6 +83,18 @@ class OneOf(NamedTuple):
         return f"unknown {key} '{value}'"
 
 
+class Excludes(NamedTuple):
+    """The characters a string field must not contain."""
+
+    chars: str
+
+    def admits(self, value: Any) -> bool:
+        return not any(c in value for c in self.chars)
+
+    def message(self, key: str, value: Any) -> str:
+        return f"{key} must be free of {', '.join(map(repr, self.chars))}, got {value!r}"
+
+
 # Field metadata. SECONDS: held as integer milliseconds in ``<stem>_ms`` and
 # written in the file as decimal seconds under ``<stem>_s``. FROM_KIND: set by
 # the treatment kind, never written in the file. The rest bound the value the
@@ -95,6 +107,8 @@ AT_LEAST_ONE = {"bound": Range(1, math.inf, "[)")}
 UNIT = {"bound": Range(0, 1, "[]")}
 OPEN_UNIT = {"bound": Range(0, 1, "()")}
 STRATEGY = {"bound": OneOf(("always_on", "probabilistic"))}
+# Experiment, treatment and response names become parts of output file names.
+FILE_NAME_PART = {"bound": Excludes("/\\\0")}
 
 
 class ExperimentFormatError(ValueError):
@@ -188,7 +202,7 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class ResponseVariableSpec:
-    name: str
+    name: str = field(metadata=FILE_NAME_PART)
     kind: str = field(metadata={"bound": OneOf(("metric", "trace_duration"))})
     source: str
 
@@ -224,7 +238,7 @@ class CostModelSpec:
 class Fault:
     """Fields every fault kind shares: a window on one target service."""
 
-    name: str
+    name: str = field(metadata=FILE_NAME_PART)
     target: str
     start_ms: int = field(metadata=SECONDS | POSITIVE)
     end_ms: int = field(metadata=SECONDS | POSITIVE)
@@ -281,7 +295,7 @@ class MetricSamplingInterval:
     """Set one metric point's sampling interval."""
 
     kind: ClassVar[str] = "metric_sampling_interval"
-    name: str
+    name: str = field(metadata=FILE_NAME_PART)
     metric: str
     interval_ms: int = field(metadata=SECONDS | POSITIVE)
 
@@ -289,7 +303,7 @@ class MetricSamplingInterval:
 @dataclass(frozen=True)
 class TracingSamplingRate:
     kind: ClassVar[str] = "tracing_sampling_rate"
-    name: str
+    name: str = field(metadata=FILE_NAME_PART)
     rate: float = field(metadata=UNIT)
 
 
@@ -298,7 +312,7 @@ class TracingSamplingStrategy:
     """Set the trace sampling strategy, and the rate when one is given."""
 
     kind: ClassVar[str] = "tracing_sampling_strategy"
-    name: str
+    name: str = field(metadata=FILE_NAME_PART)
     strategy: str = field(metadata=STRATEGY)
     rate: float | None = field(default=None, metadata=UNIT)
 
@@ -348,7 +362,7 @@ def apply_instrumentation(sue: SueSpec, treatments: Iterable[Instrumentation]) -
 @dataclass(frozen=True, kw_only=True)
 class ExperimentSpec:
     # Field order is the canonical rendering order.
-    name: str
+    name: str = field(metadata=FILE_NAME_PART)
     seed: int = field(metadata={"bound": Range(0, 2**64 - 1, "[]")})
     repetitions: int = field(default=1, metadata=AT_LEAST_ONE)
     sue: SueSpec
@@ -378,7 +392,7 @@ class FileField(NamedTuple):
     default_from: str | None  # attribute whose value a missing key copies
     parse: Callable[[Any, str], Any]  # (value, field path) -> attribute value
     render: Callable[[Any], Any]  # attribute value -> YAML value
-    bound: Range | OneOf | None  # what the attribute value must lie in
+    bound: Range | OneOf | Excludes | None  # what the attribute value must lie in
 
 
 @functools.cache

@@ -21,17 +21,13 @@ from pathlib import Path
 from .config import ExperimentSpec, Fault, apply_instrumentation, render_experiment, validate
 from .costs import CostReport, account, mean_cost, overhead
 from .detection import InsufficientDataError, build_dataset, make_mechanism
-from .scoring import (
-    Ratio,
-    ScoreReport,
-    build_matrix,
-    diff_scores,
-    score_matrix,
-)
+from .scoring import Ratio, VisibilityMatrix, build_matrix
 from .simulator import drive, init_sim, rng_stream
 from .telemetry import build_batch, export_csv, materialize_response
 
 SCHEMA_VERSION = "1"
+COVERAGE_KEYS = ("visible", "responses")  # a fault-coverage cell's count and total
+OFO_KEYS = ("covered", "faults")  # the OFO's count and total
 
 
 class ExperimentError(RuntimeError):
@@ -59,56 +55,36 @@ class RunResult:
 class ObservabilityReport:
     experiment: str
     spec_digest: str
-    alpha: float
     mechanism: str
-    faults: tuple[str, ...]
-    responses: tuple[str, ...]
-    score_means: dict[tuple[str, str], float | None]
-    score_runs: dict[tuple[str, str], list[float | None]]
-    scores: ScoreReport
+    matrix: VisibilityMatrix
     cost: CostReport
     runs: list[RunResult]
     meta: dict
 
-    def visible(self, fault: str, response: str) -> int:
-        matrix = build_matrix(self.score_means, self.faults, self.responses, self.alpha)
-        return matrix.cells[(fault, response)].visible
-
     def to_doc(self) -> dict:
-        matrix = build_matrix(self.score_means, self.faults, self.responses, self.alpha)
-        visibility_doc = {
-            fault: {
-                response: {
-                    "score_mean": self.score_means[(fault, response)],
-                    "score_runs": self.score_runs[(fault, response)],
-                    "visible": matrix.cells[(fault, response)].visible,
-                }
-                for response in self.responses
-            }
-            for fault in self.faults
-        }
-        coverage_doc = {
-            fault: {
-                "visible": ratio.count,
-                "responses": ratio.total,
-                "ratio": str(ratio),
-            }
-            for fault, ratio in self.scores.fault_coverage.items()
-        }
+        matrix = self.matrix
         return {
             "schema_version": SCHEMA_VERSION,
             "experiment": self.experiment,
             "spec_digest": self.spec_digest,
-            "alpha": self.alpha,
+            "alpha": matrix.alpha,
             "detection_mechanism": self.mechanism,
-            "responses": list(self.responses),
-            "visibility": visibility_doc,
-            "fault_coverage": coverage_doc,
-            "ofo": {
-                "covered": self.scores.ofo.count,
-                "faults": self.scores.ofo.total,
-                "ratio": str(self.scores.ofo),
+            "responses": list(matrix.responses),
+            "visibility": {
+                fault: {
+                    response: {
+                        "score_mean": matrix.score_means[(fault, response)],
+                        "score_runs": matrix.score_runs[(fault, response)],
+                        "visible": matrix.visible[(fault, response)],
+                    }
+                    for response in matrix.responses
+                }
+                for fault in matrix.faults
             },
+            "fault_coverage": {
+                fault: _ratio_doc(ratio, COVERAGE_KEYS) for fault, ratio in matrix.fault_coverage.items()
+            },
+            "ofo": _ratio_doc(matrix.ofo, OFO_KEYS),
             "cost": self.cost.as_dict(),
             "runs": [
                 {
@@ -130,6 +106,10 @@ class ObservabilityReport:
             ],
             "meta": self.meta,
         }
+
+
+def _ratio_doc(ratio: Ratio, keys: tuple[str, str]) -> dict:
+    return {keys[0]: ratio.count, keys[1]: ratio.total, "ratio": str(ratio)}
 
 
 def spec_digest(spec: ExperimentSpec) -> str:
@@ -199,8 +179,7 @@ def execute_run(
 
 
 def _run_task(args) -> RunResult:
-    spec, fault, repetition, export_dir = args
-    return execute_run(spec, fault, repetition, export_dir)
+    return execute_run(*args)
 
 
 def run_experiment(
@@ -230,52 +209,27 @@ def run_experiment(
         for fault in faults
         for repetition in range(spec.repetitions)
     ]
-    results: dict[tuple[str, int], RunResult] = {}
+    # Both maps yield results in task order, whatever order the runs finish
+    # in, and ``extend`` keeps those yielded before a run fails.
+    results: list[RunResult] = []
     try:
         if parallel > 1 and len(tasks) > 1:
             with ProcessPoolExecutor(max_workers=min(parallel, len(tasks))) as pool:
-                for result in pool.map(_run_task, tasks):
-                    results[(result.fault, result.repetition)] = result
+                results.extend(pool.map(_run_task, tasks))
         else:
-            for task in tasks:
-                result = _run_task(task)
-                results[(result.fault, result.repetition)] = result
-    except ExperimentError:
-        raise
+            results.extend(map(_run_task, tasks))
     except Exception as exc:  # annotate with run context
-        done = {key for key in results}
-        missing = [
-            (f.name, r)
-            for f in faults
-            for r in range(spec.repetitions)
-            if (f.name, r) not in done
-        ]
-        context = f" (first unfinished run: fault={missing[0][0]} repetition={missing[0][1]})" if missing else ""
-        raise ExperimentError(f"run failed{context}: {exc}") from exc
+        _, fault, repetition, _ = tasks[len(results)]
+        raise ExperimentError(
+            f"run failed (first unfinished run: fault={fault.name} repetition={repetition}): {exc}"
+        ) from exc
 
-    # Deterministic reduction ordered by (fault, repetition), regardless of
-    # completion order.
-    ordered = [
-        results[(fault.name, repetition)]
-        for fault in faults
-        for repetition in range(spec.repetitions)
-    ]
-
-    fault_names = tuple(f.name for f in faults)
-    response_names = tuple(r.name for r in spec.responses)
-    score_runs: dict[tuple[str, str], list[float | None]] = {
-        (f, r): [] for f in fault_names for r in response_names
-    }
-    for result in ordered:
-        for response, score in result.scores.items():
-            score_runs[(result.fault, response)].append(score)
-    score_means: dict[tuple[str, str], float | None] = {}
-    for key, values in score_runs.items():
-        defined = [v for v in values if v is not None]
-        score_means[key] = sum(defined) / len(defined) if defined else None
-
-    matrix = build_matrix(score_means, fault_names, response_names, spec.detection.alpha)
-    scores = score_matrix(matrix)
+    score_runs: dict[tuple[str, str], list[float | None]] = {}
+    for run in results:
+        for response, score in run.scores.items():
+            score_runs.setdefault((run.fault, response), []).append(score)
+    fault_names = [f.name for f in faults]
+    response_names = [r.name for r in spec.responses]
 
     if frozen_clock:
         meta = {"frozen_clock": True}
@@ -288,15 +242,10 @@ def run_experiment(
     return ObservabilityReport(
         experiment=spec.name,
         spec_digest=spec_digest(spec),
-        alpha=spec.detection.alpha,
         mechanism=spec.detection.mechanism,
-        faults=fault_names,
-        responses=response_names,
-        score_means=score_means,
-        score_runs=score_runs,
-        scores=scores,
-        cost=mean_cost([r.cost for r in ordered]),
-        runs=ordered,
+        matrix=build_matrix(score_runs, fault_names, response_names, spec.detection.alpha),
+        cost=mean_cost([r.cost for r in results]),
+        runs=results,
         meta=meta,
     )
 
@@ -305,25 +254,39 @@ def report_json(report: ObservabilityReport) -> str:
     return json.dumps(report.to_doc(), indent=2, sort_keys=True) + "\n"
 
 
-def _scores_from_doc(doc: dict) -> ScoreReport:
+def _ratio(cell: dict, keys: tuple[str, str], where: str) -> Ratio:
+    """The ratio ``_ratio_doc`` wrote, naming a count that is not an integer."""
+    for key in keys:
+        if type(cell[key]) is not int:
+            raise ValueError(f"{where}.{key} must be an integer, not {cell[key]!r}")
+    return Ratio(*(cell[key] for key in keys))
+
+
+def _coverage(doc: dict) -> tuple[dict[str, Ratio], Ratio]:
+    """A report document's fault coverage per fault and its OFO."""
+    if not isinstance(doc, dict):
+        raise ValueError(f"a report must be a JSON object, not {type(doc).__name__}")
     coverage = {
-        fault: Ratio(cell["visible"], cell["responses"])
+        fault: _ratio(cell, COVERAGE_KEYS, f"fault_coverage.{fault}")
         for fault, cell in doc["fault_coverage"].items()
     }
-    return ScoreReport(
-        fault_coverage=coverage,
-        ofo=Ratio(doc["ofo"]["covered"], doc["ofo"]["faults"]),
-    )
+    return coverage, _ratio(doc["ofo"], OFO_KEYS, "ofo")
 
 
 def compare_docs(doc_a: dict, doc_b: dict) -> dict:
     """Side-by-side fault-coverage, observability and cost deltas between two
-    report documents with identical fault/response dimensions."""
-    if set(doc_a["fault_coverage"]) != set(doc_b["fault_coverage"]):
+    report documents with identical fault/response dimensions. Coverage deltas
+    count visible responses."""
+    coverage_a, ofo_a = _coverage(doc_a)
+    coverage_b, ofo_b = _coverage(doc_b)
+    if set(coverage_a) != set(coverage_b):
         raise ValueError("reports cover different fault sets")
     if doc_a["responses"] != doc_b["responses"]:
         raise ValueError("reports cover different response variables")
-    delta = diff_scores(_scores_from_doc(doc_a), _scores_from_doc(doc_b))
+    mismatched = sorted(f for f, fc in coverage_a.items() if fc.total != coverage_b[f].total)
+    if mismatched:
+        raise ValueError(f"response dimensions differ for faults {mismatched}")
+    delta = {f: coverage_b[f].count - fc.count for f, fc in coverage_a.items()}
     cost_a = doc_a["cost"]["total"]
     cost_b = doc_b["cost"]["total"]
     changed = []
@@ -336,9 +299,9 @@ def compare_docs(doc_a: dict, doc_b: dict) -> dict:
                 )
     return {
         "experiments": [doc_a["experiment"], doc_b["experiment"]],
-        "delta_fault_coverage": dict(sorted(delta.per_fault.items())),
-        "delta_fc_total": delta.fc_total,
-        "delta_ofo": delta.ofo,
+        "delta_fault_coverage": dict(sorted(delta.items())),
+        "delta_fc_total": sum(delta.values()),
+        "delta_ofo": ofo_b.count - ofo_a.count,
         "cells_changed": sorted(changed, key=lambda c: (c["fault"], c["response"])),
         "cost": {
             "baseline_total": cost_a,

@@ -46,39 +46,19 @@ class Ratio:
 
 
 @dataclass(frozen=True)
-class CellOutcome:
-    """Detection score and visibility flag for one fault/response pair."""
-
-    score: float | None
-    visible: int
-
-
-@dataclass(frozen=True)
 class VisibilityMatrix:
-    """Visibility of every fault in every response variable at threshold alpha."""
+    """An experiment's scores: each cell's repetition scores and their mean,
+    its visibility at threshold alpha, and the fault coverage and overall
+    fault observability derived from them. Cells are keyed (fault, response)."""
 
     faults: tuple[str, ...]
     responses: tuple[str, ...]
-    cells: Mapping[tuple[str, str], CellOutcome]
     alpha: float
-
-    def row(self, fault: str) -> list[int]:
-        return [self.cells[(fault, r)].visible for r in self.responses]
-
-
-@dataclass(frozen=True)
-class ScoreReport:
+    score_runs: Mapping[tuple[str, str], list[float | None]]
+    score_means: Mapping[tuple[str, str], float | None]
+    visible: Mapping[tuple[str, str], int]
     fault_coverage: Mapping[str, Ratio]
     ofo: Ratio
-
-
-@dataclass(frozen=True)
-class ScoreDelta:
-    """Changes between two score reports, in whole visible-metric counts."""
-
-    per_fault: Mapping[str, int]
-    fc_total: int
-    ofo: int
 
 
 def visibility(score: float, alpha: float) -> int:
@@ -108,53 +88,29 @@ def overall_fault_observability(coverages: Iterable[Ratio]) -> Ratio:
 
 
 def build_matrix(
-    scores: Mapping[tuple[str, str], float | None],
+    score_runs: Mapping[tuple[str, str], list[float | None]],
     faults: Sequence[str],
     responses: Sequence[str],
     alpha: float,
 ) -> VisibilityMatrix:
-    """Threshold raw detection scores into a visibility matrix.
+    """Average each cell's defined repetition scores and threshold the mean.
 
-    A missing score (None) marks a response that could not produce a usable
-    dataset for the fault; it counts as invisible rather than shrinking the
-    response set.
+    A repetition score of None marks a run whose response could not produce a
+    usable dataset for the fault; it is left out of the mean. A cell with no
+    defined score counts as invisible rather than shrinking the response set.
     """
-    cells = {}
-    for f in faults:
-        for r in responses:
-            score = scores.get((f, r))
-            flag = 0 if score is None else visibility(score, alpha)
-            cells[(f, r)] = CellOutcome(score=score, visible=flag)
+    runs = {(f, r): score_runs[(f, r)] for f in faults for r in responses}
+    defined = {cell: [v for v in values if v is not None] for cell, values in runs.items()}
+    means = {cell: sum(scores) / len(scores) if scores else None for cell, scores in defined.items()}
+    visible = {cell: 0 if mean is None else visibility(mean, alpha) for cell, mean in means.items()}
+    coverage = {f: fault_coverage([visible[(f, r)] for r in responses]) for f in faults}
     return VisibilityMatrix(
-        faults=tuple(faults), responses=tuple(responses), cells=cells, alpha=alpha
-    )
-
-
-def score_matrix(matrix: VisibilityMatrix) -> ScoreReport:
-    coverage = {f: fault_coverage(matrix.row(f)) for f in matrix.faults}
-    return ScoreReport(
+        faults=tuple(faults),
+        responses=tuple(responses),
+        alpha=alpha,
+        score_runs=runs,
+        score_means=means,
+        visible=visible,
         fault_coverage=coverage,
         ofo=overall_fault_observability(coverage.values()),
-    )
-
-
-def diff_scores(before: ScoreReport, after: ScoreReport) -> ScoreDelta:
-    """Per-fault coverage deltas (in visible-response counts) and the OFO delta."""
-    if set(before.fault_coverage) != set(after.fault_coverage):
-        raise ValueError("score reports cover different fault sets")
-    mismatched = [
-        f
-        for f, fc in before.fault_coverage.items()
-        if fc.total != after.fault_coverage[f].total
-    ]
-    if mismatched:
-        raise ValueError(f"response dimensions differ for faults {sorted(mismatched)}")
-    per_fault = {
-        f: after.fault_coverage[f].count - fc.count
-        for f, fc in before.fault_coverage.items()
-    }
-    return ScoreDelta(
-        per_fault=per_fault,
-        fc_total=sum(per_fault.values()),
-        ofo=after.ofo.count - before.ofo.count,
     )

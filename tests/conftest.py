@@ -25,7 +25,7 @@ from oxn.simulator import RawEventLog, SpanTable
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXPERIMENTS_DIR = REPO_ROOT / "experiments"
-CANONICAL_NAMES = ("baseline", "alternative_b", "alternative_c")
+CANONICAL_NAMES = ("baseline", "alternative_a", "alternative_b", "alternative_c")
 
 
 def experiment_path(name: str) -> Path:

@@ -163,6 +163,7 @@ class TestCriterion4DetectorCorrectness:
 # sha256 of the frozen-clock ``report_json`` of each canonical experiment.
 REPORT_DIGESTS = {
     "baseline": "2f0f276b9cbeedd64f8e2137981d98ac58ba67c3c5008195839fabf86772f56b",
+    "alternative_a": "9b4df213e75341acf73807fa3729b369829e9b5c866a1fa99468ddedadc62169",
     "alternative_b": "d863fe438a828b35e5896032fd857057fba37ca25fa2a4896d087fba22d8ddad",
     "alternative_c": "caa4126c07174f21597f15e084500623b46827f0653700c01dc0fa4700ab8329",
 }
@@ -231,17 +232,17 @@ class TestCriterion5Determinism:
 class TestCriterion6NarrativeTrend:
     def test_baseline_pattern(self, canonical_reports):
         report = canonical_reports["baseline"]
-        assert str(report.scores.fault_coverage[PAUSE]) == "3/3"
-        assert str(report.scores.fault_coverage[NETWORK_DELAY]) == "0/3"
-        assert report.scores.fault_coverage[PACKET_LOSS].count >= 1
-        assert str(report.scores.ofo) == "2/3"
+        assert str(report.matrix.fault_coverage[PAUSE]) == "3/3"
+        assert str(report.matrix.fault_coverage[NETWORK_DELAY]) == "0/3"
+        assert report.matrix.fault_coverage[PACKET_LOSS].count >= 1
+        assert str(report.matrix.ofo) == "2/3"
 
     def test_alternative_b_flips_delay_trace_cell(self, canonical_reports):
         baseline = canonical_reports["baseline"]
         alt_b = canonical_reports["alternative_b"]
-        assert baseline.visible(NETWORK_DELAY, TRACE_RESPONSE) == 0
-        assert alt_b.visible(NETWORK_DELAY, TRACE_RESPONSE) == 1
-        assert str(alt_b.scores.ofo) == "3/3"
+        assert baseline.matrix.visible[(NETWORK_DELAY, TRACE_RESPONSE)] == 0
+        assert alt_b.matrix.visible[(NETWORK_DELAY, TRACE_RESPONSE)] == 1
+        assert str(alt_b.matrix.ofo) == "3/3"
 
         from oxn.runner import compare_docs
 
@@ -261,8 +262,8 @@ class TestCriterion6NarrativeTrend:
         announce(
             6,
             "baseline FC(pause)=3/3, FC(delay)=0/3, OFO=2/3; alternative B flips the "
-            f"delay/trace cell ({baseline.score_means[(NETWORK_DELAY, TRACE_RESPONSE)]:.3f}"
-            f" -> {alt_b.score_means[(NETWORK_DELAY, TRACE_RESPONSE)]:.3f}), OFO=3/3, "
+            f"delay/trace cell ({baseline.matrix.score_means[(NETWORK_DELAY, TRACE_RESPONSE)]:.3f}"
+            f" -> {alt_b.matrix.score_means[(NETWORK_DELAY, TRACE_RESPONSE)]:.3f}), OFO=3/3, "
             f"dFC=+1, dOFO=+1 ({shared:.0f}s for 90 runs)",
         )
 

@@ -270,7 +270,7 @@ class TestCustomMechanism:
         report = run_experiment(mine, frozen_clock=True)
         assert report.mechanism == "mine"
         reference = small_spec(detection=DetectionSpec(mechanism="threshold_alert"))
-        assert report.score_runs == run_experiment(reference, frozen_clock=True).score_runs
+        assert report.matrix.score_runs == run_experiment(reference, frozen_clock=True).matrix.score_runs
 
     def test_factory_key_error_propagates(self, register):
         error = KeyError("missing_setting")

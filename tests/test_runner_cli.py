@@ -8,9 +8,9 @@ from pathlib import Path
 
 import pytest
 
-from oxn import cli, runner
-from oxn.config import Pause, render_experiment
-from oxn.detection import MIN_CLASS_ROWS
+from oxn import cli, detection, runner
+from oxn.config import DetectionSpec, Pause, render_experiment
+from oxn.detection import MIN_CLASS_ROWS, ThresholdAlertMechanism
 from oxn.runner import (
     ExperimentError,
     compare_docs,
@@ -28,12 +28,35 @@ def small_report():
     return run_experiment(small_spec(), frozen_clock=True)
 
 
+@pytest.fixture
+def serial_pool(monkeypatch):
+    """Replace the runner's process pool with one that maps in this process;
+    returns the worker count of each pool made."""
+    created = []
+
+    class SerialPool:
+        def __init__(self, max_workers):
+            created.append(max_workers)
+
+        def __enter__(self):
+            return self
+
+        def __exit__(self, *exc):
+            return False
+
+        def map(self, fn, tasks):
+            return map(fn, tasks)
+
+    monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+    return created
+
+
 class TestRunExperiment:
     def test_locked_small_experiment_outcome(self, small_report):
-        coverage = small_report.scores.fault_coverage["pause_backend"]
+        coverage = small_report.matrix.fault_coverage["pause_backend"]
         assert str(coverage) == "2/3"
-        assert str(small_report.scores.ofo) == "1/1"
-        means = small_report.score_means
+        assert str(small_report.matrix.ofo) == "1/1"
+        means = small_report.matrix.score_means
         assert means[("pause_backend", "trace_duration_gateway")] == pytest.approx(
             0.9926470588235294, abs=1e-9
         )
@@ -63,27 +86,41 @@ class TestRunExperiment:
         parallel = run_experiment(small_spec(), parallel=2, frozen_clock=True)
         assert report_json(serial) == report_json(parallel)
 
-    def test_pool_has_at_most_one_worker_per_run(self, monkeypatch):
-        created = []
-
-        class SerialPool:
-            """Records the worker count and maps in this process."""
-
-            def __init__(self, max_workers):
-                created.append(max_workers)
-
-            def __enter__(self):
-                return self
-
-            def __exit__(self, *exc):
-                return False
-
-            def map(self, fn, tasks):
-                return map(fn, tasks)
-
-        monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
+    def test_pool_has_at_most_one_worker_per_run(self, serial_pool):
         report = run_experiment(small_spec(repetitions=2), parallel=64, frozen_clock=True)
-        assert created == [len(report.runs)] == [2]
+        assert serial_pool == [len(report.runs)] == [2]
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_run_failure_names_the_first_unfinished_run(self, monkeypatch, serial_pool, parallel):
+        spec = small_spec(
+            treatments=(
+                Pause(name="pause_backend", target="backend", start_ms=40_000, end_ms=80_000),
+                Pause(name="pause_gateway", target="gateway", start_ms=40_000, end_ms=80_000),
+            ),
+            detection=DetectionSpec(mechanism="fails_late"),
+        )
+        made = []
+
+        class Crash:
+            def run(self, ds):
+                raise RuntimeError("detector crashed")
+
+        def factory(alert_k=3.0, **_):
+            # Runs go fault by fault, repetition by repetition, and each makes
+            # one mechanism per response: the fourth run is repetition 1 of
+            # the second fault.
+            made.append(None)
+            if (len(made) - 1) // len(spec.responses) == 3:
+                return Crash()
+            return ThresholdAlertMechanism(k=alert_k)
+
+        monkeypatch.setitem(detection._REGISTRY, "fails_late", factory)
+        with pytest.raises(ExperimentError) as raised:
+            run_experiment(spec, parallel=parallel, frozen_clock=True)
+        assert serial_pool == ([] if parallel == 1 else [2])
+        assert str(raised.value) == (
+            "run failed (first unfinished run: fault=pause_gateway repetition=1): detector crashed"
+        )
 
     def test_undefined_score_counts_as_invisible(self):
         # [40 s, 65 s] leaves only three 10 s counter windows inside the fault
@@ -100,7 +137,7 @@ class TestRunExperiment:
             )
         )
         report = run_experiment(spec, frozen_clock=True)
-        assert report.score_means[("pause_backend", "backend_rpm")] is None
+        assert report.matrix.score_means[("pause_backend", "backend_rpm")] is None
         doc = report.to_doc()
         cell = doc["visibility"]["pause_backend"]["backend_rpm"]
         assert cell["score_mean"] is None
@@ -268,6 +305,32 @@ class TestCli:
         mutated.write_text(json.dumps(report))
         proc = run_cli("compare", str(out / "small_report.json"), str(mutated))
         assert proc.returncode == 1
+
+    def test_compare_rejects_malformed_report(self, small_report, tmp_path):
+        listed = tmp_path / "list.json"
+        listed.write_text("[]")
+        proc = run_cli("compare", str(listed), str(listed))
+        assert (proc.returncode, proc.stderr) == (1, "error: a report must be a JSON object, not list\n")
+
+        good = tmp_path / "good.json"
+        good.write_text(report_json(small_report))
+        doc = small_report.to_doc()
+        doc["fault_coverage"]["pause_backend"]["visible"] = "1"
+        stringly = tmp_path / "stringly.json"
+        stringly.write_text(json.dumps(doc))
+        proc = run_cli("compare", str(good), str(stringly))
+        assert (proc.returncode, proc.stderr) == (
+            1,
+            "error: fault_coverage.pause_backend.visible must be an integer, not '1'\n",
+        )
+
+    def test_run_rejects_name_that_escapes_out(self, tmp_path):
+        path = tmp_path / "escape.yaml"
+        path.write_text(render_experiment(small_spec(name="../escaped", repetitions=1)))
+        proc = run_cli("run", str(path), "--out", str(tmp_path / "out"), "--frozen-clock")
+        assert proc.returncode == 1
+        assert "invalid: name: name must be free of" in proc.stderr
+        assert sorted(p.name for p in tmp_path.iterdir()) == ["escape.yaml"]
 
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_run_rejects_parallel_below_one(self, small_file, capsys, workers):

@@ -6,14 +6,12 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, strategies as st
 
+from oxn.runner import compare_docs
 from oxn.scoring import (
     Ratio,
-    ScoreReport,
     build_matrix,
-    diff_scores,
     fault_coverage,
     overall_fault_observability,
-    score_matrix,
     visibility,
 )
 
@@ -121,47 +119,76 @@ class TestProperties:
 class TestMatrix:
     def test_missing_scores_count_as_invisible(self):
         matrix = build_matrix(
-            {("f", "a"): 0.9, ("f", "b"): None},
+            {("f", "a"): [0.9, 0.8], ("f", "b"): [None, None]},
             faults=["f"],
             responses=["a", "b"],
             alpha=0.7,
         )
-        assert matrix.row("f") == [1, 0]
-        report = score_matrix(matrix)
-        assert str(report.fault_coverage["f"]) == "1/2"
+        assert [matrix.visible[("f", r)] for r in matrix.responses] == [1, 0]
+        assert matrix.score_means[("f", "b")] is None
+        assert str(matrix.fault_coverage["f"]) == "1/2"
+        assert str(matrix.ofo) == "1/1"
+
+    def test_mean_leaves_out_undefined_repetitions(self):
+        # Counting the None as 0 would give a mean of 0.5 and hide the fault.
+        matrix = build_matrix({("f", "a"): [0.9, None, 0.6]}, faults=["f"], responses=["a"], alpha=0.7)
+        assert matrix.score_means[("f", "a")] == (0.9 + 0.6) / 2
+        assert matrix.visible[("f", "a")] == 1
+        assert matrix.score_runs[("f", "a")] == [0.9, None, 0.6]
+
+
+def report_doc(coverage: dict[str, tuple[int, int]]) -> dict:
+    """A report document holding ``coverage`` as (visible, responses) counts
+    per fault. Every fault's row has as many responses as the widest count,
+    and its first ``visible`` cells are visible."""
+    responses = [f"r{i}" for i in range(max(total for _, total in coverage.values()))]
+    covered = sum(1 for visible, _ in coverage.values() if visible > 0)
+    return {
+        "experiment": "x",
+        "responses": responses,
+        "visibility": {
+            fault: {r: {"visible": int(i < visible)} for i, r in enumerate(responses)}
+            for fault, (visible, _) in coverage.items()
+        },
+        "fault_coverage": {
+            fault: {"visible": visible, "responses": total, "ratio": f"{visible}/{total}"}
+            for fault, (visible, total) in coverage.items()
+        },
+        "ofo": {"covered": covered, "faults": len(coverage), "ratio": f"{covered}/{len(coverage)}"},
+        "cost": {"total": 1.0},
+    }
 
 
 class TestDiff:
-    def make(self, fc: dict[str, tuple[int, int]]) -> ScoreReport:
-        coverage = {f: Ratio(k, n) for f, (k, n) in fc.items()}
-        return ScoreReport(
-            fault_coverage=coverage, ofo=overall_fault_observability(coverage.values())
-        )
+    """``compare_docs`` deltas, counted in visible responses."""
 
     def test_alternative_a_pattern(self):
-        before = self.make({"packet_loss": (1, 3), "network_delay": (0, 3)})
-        after = self.make({"packet_loss": (2, 3), "network_delay": (0, 3)})
-        delta = diff_scores(before, after)
-        assert delta.fc_total == 1
-        assert delta.ofo == 0
+        before = report_doc({"packet_loss": (1, 3), "network_delay": (0, 3)})
+        after = report_doc({"packet_loss": (2, 3), "network_delay": (0, 3)})
+        comparison = compare_docs(before, after)
+        assert comparison["delta_fault_coverage"] == {"network_delay": 0, "packet_loss": 1}
+        assert comparison["delta_fc_total"] == 1
+        assert comparison["delta_ofo"] == 0
 
     def test_alternative_b_pattern(self):
-        before = self.make({"packet_loss": (1, 3), "network_delay": (0, 3)})
-        after = self.make({"packet_loss": (1, 3), "network_delay": (1, 3)})
-        delta = diff_scores(before, after)
-        assert delta.fc_total == 1
-        assert delta.ofo == 1
+        before = report_doc({"packet_loss": (1, 3), "network_delay": (0, 3)})
+        after = report_doc({"packet_loss": (1, 3), "network_delay": (1, 3)})
+        comparison = compare_docs(before, after)
+        assert comparison["delta_fc_total"] == 1
+        assert comparison["delta_ofo"] == 1
 
     def test_identical_reports(self):
-        report = self.make({"a": (1, 2), "b": (2, 2)})
-        delta = diff_scores(report, report)
-        assert delta.fc_total == 0 and delta.ofo == 0 and set(delta.per_fault.values()) == {0}
+        doc = report_doc({"a": (1, 2), "b": (2, 2)})
+        comparison = compare_docs(doc, doc)
+        assert comparison["delta_fc_total"] == 0 and comparison["delta_ofo"] == 0
+        assert set(comparison["delta_fault_coverage"].values()) == {0}
 
     def test_dimension_mismatch(self):
-        with pytest.raises(ValueError):
-            diff_scores(self.make({"a": (1, 2)}), self.make({"b": (1, 2)}))
-        with pytest.raises(ValueError):
-            diff_scores(self.make({"a": (1, 2)}), self.make({"a": (1, 3)}))
+        with pytest.raises(ValueError, match="different fault sets"):
+            compare_docs(report_doc({"a": (1, 2)}), report_doc({"b": (1, 2)}))
+        # Same response list, but fault "a" counts over fewer responses.
+        with pytest.raises(ValueError, match=r"response dimensions differ for faults \['a'\]"):
+            compare_docs(report_doc({"a": (1, 3), "b": (0, 3)}), report_doc({"a": (1, 2), "b": (0, 3)}))
 
 
 class TestRatio:
