@@ -110,7 +110,7 @@ def _cmd_compare(args) -> int:
             return EXIT_VALIDATION
     try:
         comparison = compare_docs(docs[0], docs[1])
-    except (ValueError, KeyError) as exc:
+    except ValueError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_VALIDATION
     sys.stdout.write(json.dumps(comparison, indent=2, sort_keys=True) + "\n")

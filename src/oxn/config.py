@@ -31,6 +31,8 @@ from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, NamedTu
 import yaml
 
 SYSTEM_TARGET = "system"
+# A span id is ``(request << SPAN_BITS) | n`` for the request's n-th span.
+SPAN_BITS = 16
 
 # PyYAML resolves YAML 1.1, which reads a number with an exponent but no
 # decimal point or no exponent sign (``1e-6``, ``6e3``, ``1.0e6``) as a
@@ -559,9 +561,9 @@ def _dag_violations(sue: SueSpec) -> list[Violation]:
     if unresolved:
         return unresolved
     indegree = {sid: 0 for sid in ids}
-    adjacency: dict[str, list[str]] = {sid: [] for sid in ids}
+    adjacency: dict[str, list[CallEdge]] = {sid: [] for sid in ids}
     for edge in sue.edges:
-        adjacency[edge.caller].append(edge.callee)
+        adjacency[edge.caller].append(edge)
         indegree[edge.callee] += 1
 
     roots = sorted(sid for sid, deg in indegree.items() if deg == 0)
@@ -571,17 +573,25 @@ def _dag_violations(sue: SueSpec) -> list[Violation]:
 
     # Cycle check via Kahn's algorithm.
     queue = [roots[0]]
-    seen = 0
+    order = []
     while queue:
         node = queue.pop()
-        seen += 1
-        for nxt in adjacency[node]:
-            indegree[nxt] -= 1
-            if indegree[nxt] == 0:
-                queue.append(nxt)
-    if seen != len(ids):
+        order.append(node)
+        for edge in adjacency[node]:
+            indegree[edge.callee] -= 1
+            if indegree[edge.callee] == 0:
+                queue.append(edge.callee)
+    if len(order) != len(ids):
         unreached = sorted(sid for sid, deg in indegree.items() if deg > 0)
         return [Violation("sue.edges", f"edges must form a DAG reaching every service; stuck at {unreached}")]
+
+    # The most spans one request can open: its call tree with every edge's calls rounded up.
+    spans: dict[str, int] = {}
+    for node in reversed(order):
+        spans[node] = 1 + sum(math.ceil(e.calls_per_request) * spans[e.callee] for e in adjacency[node])
+    if spans[roots[0]] > 1 << SPAN_BITS:
+        return [Violation("sue.edges", f"a request can open {spans[roots[0]]:,} spans; span ids "
+                                       f"hold at most {1 << SPAN_BITS:,} per request")]
     return []
 
 

@@ -254,12 +254,35 @@ def report_json(report: ObservabilityReport) -> str:
     return json.dumps(report.to_doc(), indent=2, sort_keys=True) + "\n"
 
 
-def _ratio(cell: dict, keys: tuple[str, str], where: str) -> Ratio:
-    """The ratio ``_ratio_doc`` wrote, naming a count that is not an integer."""
-    for key in keys:
-        if type(cell[key]) is not int:
-            raise ValueError(f"{where}.{key} must be an integer, not {cell[key]!r}")
-    return Ratio(*(cell[key] for key in keys))
+# The kinds of report field ``compare_docs`` reads, by the words a rejection uses.
+_FIELD_KINDS = {
+    "an object": lambda value: type(value) is dict,
+    "a list of strings": lambda value: type(value) is list and all(type(v) is str for v in value),
+    "a string": lambda value: type(value) is str,
+    "an integer": lambda value: type(value) is int,
+    "a number": lambda value: type(value) in (int, float),
+}
+
+
+def _field(doc: dict, path: tuple[str, ...], kind: str = "an object"):
+    """The field of a report document at ``path``, checked to be ``kind``;
+    a rejection names the field's dotted path."""
+    parent = _field(doc, path[:-1]) if len(path) > 1 else doc
+    if path[-1] not in parent:
+        raise ValueError(f"{'.'.join(path)} is missing")
+    value = parent[path[-1]]
+    if not _FIELD_KINDS[kind](value):
+        raise ValueError(f"{'.'.join(path)} must be {kind}, not {value!r}")
+    return value
+
+
+def _ratio(doc: dict, path: tuple[str, ...], keys: tuple[str, str]) -> Ratio:
+    """The ratio ``_ratio_doc`` wrote at ``path``."""
+    counts = [_field(doc, (*path, key), "an integer") for key in keys]
+    try:
+        return Ratio(*counts)
+    except ValueError as exc:
+        raise ValueError(f"{'.'.join(path)}: {exc}") from None
 
 
 def _coverage(doc: dict) -> tuple[dict[str, Ratio], Ratio]:
@@ -267,38 +290,37 @@ def _coverage(doc: dict) -> tuple[dict[str, Ratio], Ratio]:
     if not isinstance(doc, dict):
         raise ValueError(f"a report must be a JSON object, not {type(doc).__name__}")
     coverage = {
-        fault: _ratio(cell, COVERAGE_KEYS, f"fault_coverage.{fault}")
-        for fault, cell in doc["fault_coverage"].items()
+        fault: _ratio(doc, ("fault_coverage", fault), COVERAGE_KEYS)
+        for fault in _field(doc, ("fault_coverage",))
     }
-    return coverage, _ratio(doc["ofo"], OFO_KEYS, "ofo")
+    return coverage, _ratio(doc, ("ofo",), OFO_KEYS)
 
 
 def compare_docs(doc_a: dict, doc_b: dict) -> dict:
     """Side-by-side fault-coverage, observability and cost deltas between two
     report documents with identical fault/response dimensions. Coverage deltas
-    count visible responses."""
-    coverage_a, ofo_a = _coverage(doc_a)
-    coverage_b, ofo_b = _coverage(doc_b)
+    count visible responses. A malformed document's ``ValueError`` names the field."""
+    docs = (doc_a, doc_b)
+    (coverage_a, ofo_a), (coverage_b, ofo_b) = (_coverage(doc) for doc in docs)
     if set(coverage_a) != set(coverage_b):
         raise ValueError("reports cover different fault sets")
-    if doc_a["responses"] != doc_b["responses"]:
+    responses = _field(doc_a, ("responses",), "a list of strings")
+    if responses != _field(doc_b, ("responses",), "a list of strings"):
         raise ValueError("reports cover different response variables")
     mismatched = sorted(f for f, fc in coverage_a.items() if fc.total != coverage_b[f].total)
     if mismatched:
         raise ValueError(f"response dimensions differ for faults {mismatched}")
     delta = {f: coverage_b[f].count - fc.count for f, fc in coverage_a.items()}
-    cost_a = doc_a["cost"]["total"]
-    cost_b = doc_b["cost"]["total"]
+    cost_a, cost_b = (_field(doc, ("cost", "total"), "a number") for doc in docs)
     changed = []
-    for fault, row in doc_a["visibility"].items():
-        for response, cell in row.items():
-            flipped = doc_b["visibility"][fault][response]["visible"] - cell["visible"]
+    for fault in coverage_a:
+        for response in responses:
+            path = ("visibility", fault, response, "visible")
+            flipped = _field(doc_b, path, "an integer") - _field(doc_a, path, "an integer")
             if flipped != 0:
-                changed.append(
-                    {"fault": fault, "response": response, "visible_delta": flipped}
-                )
+                changed.append({"fault": fault, "response": response, "visible_delta": flipped})
     return {
-        "experiments": [doc_a["experiment"], doc_b["experiment"]],
+        "experiments": [_field(doc, ("experiment",), "a string") for doc in docs],
         "delta_fault_coverage": dict(sorted(delta.items())),
         "delta_fc_total": sum(delta.values()),
         "delta_ofo": ofo_b.count - ofo_a.count,

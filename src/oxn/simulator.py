@@ -47,6 +47,7 @@ from .config import (
     NetworkDelay,
     PacketLoss,
     Pause,
+    SPAN_BITS,
     ServiceSpec,
     Stress,
     SueSpec,
@@ -162,7 +163,6 @@ class RawEventLog:
     cpu_service: array = field(default_factory=lambda: array("q"))
     cpu_t_ms: array = field(default_factory=lambda: array("q"))
     cpu_ms: array = field(default_factory=lambda: array("d"))
-    gauge_writes: list[tuple[str, str, int, float]] = field(default_factory=list)  # timestamp order
 
     def span_count(self) -> int:
         return len(self.spans.trace)
@@ -319,6 +319,7 @@ class SimState:
         cpu_service_append = self.log.cpu_service.append
         cpu_t_append = self.log.cpu_t_ms.append
         cpu_ms_append = self.log.cpu_ms.append
+        span_bits = SPAN_BITS
         limit = _END_OF_TIME if t is None else t
         when = self.now
         while heap and heap[0][0] <= limit:
@@ -346,7 +347,7 @@ class SimState:
                 request = call.request
                 call.row = len(span_ids)
                 trace_append(request.index)
-                span_id_append((request.index << 16) | request.next_span)
+                span_id_append((request.index << span_bits) | request.next_span)
                 parent_append(-1 if parent is None else span_ids[parent.row])
                 service_append(svc.index)
                 start_append(when)

@@ -4,11 +4,14 @@ labeled response series.
 The raw event log's typed columns are read as numpy views. Metrics are
 materialized on a fixed grid: every timestamp is the end of its
 (aggregation) window and windows without data yield explicit zeros, so
-downstream detectors always see rectangular data. Trace sampling is
-head-based: one keep/drop draw per trace, in root-span open order. A response
-series is one record of columns: observations inside the fault window are
-marked ``is_fault``, and those in a short settling margin after the window
-are dropped so queue-drain transients cannot contaminate the normal class.
+downstream detectors always see rectangular data. A gauge reads each target
+service once per sampling window: ``cpu_gauge`` its busy fraction,
+``custom_gauge`` its spans in flight (started by the window's last
+millisecond and not closed by it). Trace sampling is head-based: one
+keep/drop draw per trace, in root-span open order. A response series is one
+record of columns: observations inside the fault window are marked
+``is_fault``, and those in a short settling margin after the window are
+dropped so queue-drain transients cannot contaminate the normal class.
 """
 
 from __future__ import annotations
@@ -89,6 +92,21 @@ def _accumulate(grids: dict, service: np.ndarray, t: np.ndarray, weights) -> Non
         np.add.at(grid.reshape(-1), service * n + np.minimum(t // interval, n - 1), weights)
 
 
+def _in_flight(spans: SpanTable, n_services: int, duration_ms: int, interval_ms: int) -> np.ndarray:
+    """Spans open per service (rows) at the last millisecond of each sampling
+    window or the run's end (columns). Times are keyed ``service * stride +
+    t``, any past the last instant at ``stride - 1``, so one sorted array
+    serves every service: earlier services' opens and closes cancel."""
+    instants = np.minimum(np.arange(1, _window_count(duration_ms, interval_ms) + 1) * interval_ms - 1, duration_ms)
+    stride = int(instants[-1]) + 2
+    base = np.asarray(spans.service) * stride
+    end = np.asarray(spans.end_ms)
+    opens = np.sort(base + np.clip(spans.start_ms, 0, stride - 1))
+    closes = np.sort(base + np.where(end < 0, stride - 1, np.minimum(end, stride - 1)))
+    keys = np.arange(n_services)[:, None] * stride + instants
+    return (np.searchsorted(opens, keys, "right") - np.searchsorted(closes, keys, "right")).astype(np.float64)
+
+
 def sample_metrics(
     log: RawEventLog, points: Iterable[MetricPointSpec], sue: SueSpec, duration_ms: int
 ) -> dict[str, tuple[np.ndarray, np.ndarray]]:
@@ -121,29 +139,18 @@ def sample_metrics(
         aggregation = point.aggregation_interval_ms
         n_agg = _window_count(duration_ms, aggregation)
 
-        if point.kind == "cpu_gauge":
-            stacked = busy[sampling][rows] / float(sampling)
-            if point.target == SYSTEM_TARGET and point.system_aggregation == "mean":
-                fractions = stacked.mean(axis=0)
-            else:
-                fractions = stacked.sum(axis=0)
+        if point.kind == "request_counter":
+            values = counts[aggregation][rows].sum(axis=0).astype(np.float64)
+        else:  # a gauge: one reading per target service and sampling window
+            readings = (busy[sampling][rows] / float(sampling) if point.kind == "cpu_gauge"
+                        else _in_flight(log.spans, len(sue.services), duration_ms, sampling)[rows])
+            readings = readings.mean(axis=0) if point.system_aggregation == "mean" else readings.sum(axis=0)
             # Mean per aggregation window; only the last one can be partial.
             per_agg = aggregation // sampling
-            full = len(fractions) // per_agg
-            values = fractions[: full * per_agg].reshape(full, per_agg).mean(axis=1)
+            full = len(readings) // per_agg
+            values = readings[: full * per_agg].reshape(full, per_agg).mean(axis=1)
             if full < n_agg:
-                values = np.append(values, fractions[full * per_agg :].mean())
-        elif point.kind == "request_counter":
-            values = counts[aggregation][rows].sum(axis=0).astype(np.float64)
-        else:  # custom_gauge
-            # Last write wins within a window; windows without writes carry
-            # the previous value forward (0.0 before the first write).
-            last = np.full(n_agg, np.nan)
-            for metric, service, t, value in log.gauge_writes:
-                if metric == point.metric_name and point.target in (SYSTEM_TARGET, service) and t <= duration_ms:
-                    last[min(t // aggregation, n_agg - 1)] = value
-            written = np.maximum.accumulate(np.where(np.isnan(last), -1, np.arange(n_agg)))
-            values = np.where(written < 0, 0.0, last[written])
+                values = np.append(values, readings[full * per_agg :].mean())
         timestamps = np.arange(1, n_agg + 1, dtype=np.int64) * aggregation
         out[point.metric_name] = (timestamps, values)
     return out
@@ -188,15 +195,10 @@ def build_batch(
     for point in sue.metric_points:
         if point.kind == "request_counter":
             counted[_rows(point, sue)] = True
-        elif point.kind == "cpu_gauge":
+        else:  # a gauge reads each target once per sampling window
             calls[_rows(point, sue)] += _window_count(duration_ms, point.sampling_interval_ms)
     calls += np.bincount(_ok_closes(log, duration_ms)[0], minlength=n) * counted
     calls = dict(zip(services, calls.astype(np.float64).tolist()))
-    for point in sue.metric_points:
-        if point.kind == "custom_gauge":
-            for metric, service, t, _ in log.gauge_writes:
-                if metric == point.metric_name and t <= duration_ms:
-                    calls[service] = calls.get(service, 0.0) + 1.0
 
     return TelemetryBatch(
         metrics=metrics,

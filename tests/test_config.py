@@ -221,6 +221,19 @@ class TestValidate:
         bad = replace(spec, responses=(ResponseVariableSpec("x", "metric", "nope"),))
         assert any("unresolved metric 'nope'" in v.message for v in validate(bad))
 
+    def test_call_tree_beyond_the_span_id_space(self):
+        spec = parse_experiment(MINIMAL)
+        services = tuple(replace(spec.sue.services[0], id=sid) for sid in ("api", "b", "c"))
+
+        def violations(calls_ab, calls_bc):
+            edges = (CallEdge("api", "b", calls_ab, 0), CallEdge("b", "c", calls_bc, 0))
+            return [str(v) for v in validate(replace(spec, sue=replace(spec.sue, services=services, edges=edges)))]
+
+        message = "sue.edges: a request can open {} spans; span ids hold at most 65,536 per request"
+        assert violations(300, 300) == [message.format("90,301")]  # 1 + 300 * (1 + 300)
+        assert violations(255, 256) == []  # 1 + 255 * (1 + 256): exactly the id space
+        assert violations(255, 256.5) == [message.format("65,791")]  # a fractional call rounds up
+
     def test_instrumentation_must_precede_faults(self):
         spec = parse_experiment(MINIMAL)
         late = MetricSamplingInterval(name="late", metric="cpu", interval_ms=1000)

@@ -1,6 +1,8 @@
 from __future__ import annotations
 
+import functools
 import json
+import operator
 import subprocess
 import sys
 from dataclasses import replace
@@ -21,6 +23,9 @@ from oxn.runner import (
 from oxn.scoring import Ratio
 
 from conftest import REPO_ROOT, cli_env, small_spec
+
+
+DELETE = object()  # a field a test removes from a report document
 
 
 @pytest.fixture(scope="module")
@@ -323,6 +328,44 @@ class TestCli:
             1,
             "error: fault_coverage.pause_backend.visible must be an integer, not '1'\n",
         )
+
+    @pytest.mark.parametrize(
+        "path, value, message",
+        [
+            (("fault_coverage",), [], "fault_coverage must be an object, not []"),
+            (("ofo",), [], "ofo must be an object, not []"),
+            (("visibility",), [], "visibility must be an object, not []"),
+            (
+                ("visibility", "pause_backend", "system_cpu", "visible"),
+                "1",
+                "visibility.pause_backend.system_cpu.visible must be an integer, not '1'",
+            ),
+            (("visibility", "pause_backend", "backend_rpm"), DELETE, "visibility.pause_backend.backend_rpm is missing"),
+            (
+                ("fault_coverage", "pause_backend", "visible"),
+                5,
+                "fault_coverage.pause_backend: ratio count must lie within [0, total]",
+            ),
+            (("cost",), {"total": "x"}, "cost.total must be a number, not 'x'"),
+            (("cost",), DELETE, "cost is missing"),
+            (("responses",), DELETE, "responses is missing"),
+            (("responses",), ["system_cpu", 1], "responses must be a list of strings, not ['system_cpu', 1]"),
+            (("experiment",), DELETE, "experiment is missing"),
+        ],
+    )
+    def test_compare_names_the_malformed_field(self, small_report, tmp_path, path, value, message):
+        good = tmp_path / "good.json"
+        good.write_text(report_json(small_report))
+        doc = small_report.to_doc()
+        parent = functools.reduce(operator.getitem, path[:-1], doc)
+        if value is DELETE:
+            del parent[path[-1]]
+        else:
+            parent[path[-1]] = value
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        proc = run_cli("compare", str(good), str(bad))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
     def test_run_rejects_name_that_escapes_out(self, tmp_path):
         path = tmp_path / "escape.yaml"

@@ -4,6 +4,7 @@ import copy
 import hashlib
 import json
 import pickle
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -12,15 +13,20 @@ from hypothesis import given, settings, strategies as st
 from oxn.config import (
     CallEdge,
     LognormalSpec,
+    MetricPointSpec,
+    MetricSamplingInterval,
     ServiceSpec,
     SueSpec,
     TraceConfigSpec,
+    TracingSamplingRate,
+    TracingSamplingStrategy,
     WorkloadSpec,
+    apply_instrumentation,
     parse_experiment_file,
 )
 from oxn.simulator import _EV_TIMEOUT, CLIENT_TIMEOUT_MS, LognormalDraws, drive, init_sim, rng_stream
 
-from conftest import SpanRow, cpu_rows, experiment_path, ok_closes, span_rows, tiny_service
+from conftest import SpanRow, cpu_rows, experiment_path, ok_closes, small_spec, span_rows, tiny_service
 
 
 def sue_single(median_ms=10.0, sigma=0.0, workers=2, cpu=5.0) -> SueSpec:
@@ -583,7 +589,59 @@ def small_meshes(draw):
     return sue, workload, fault, draw(st.integers(0, 2**16))
 
 
+@st.composite
+def instrumented(draw, sue):
+    """``sue`` with random metric points of every kind and random
+    instrumentation treatments applied through ``apply_instrumentation``."""
+    targets = ["system"] + [s.id for s in sue.services]
+    points = []
+    for i in range(draw(st.integers(0, 4))):
+        sampling = draw(st.integers(1, 20)) * 500
+        points.append(MetricPointSpec(
+            f"m{i}",
+            draw(st.sampled_from(["cpu_gauge", "request_counter", "custom_gauge"])),
+            draw(st.sampled_from(targets)),
+            sampling,
+            sampling * draw(st.integers(1, 4)),
+            draw(st.sampled_from(["sum", "mean"])),
+        ))
+    treatments = [MetricSamplingInterval(f"i{p.metric_name}", p.metric_name, draw(st.integers(1, 20)) * 500)
+                  for p in points if draw(st.booleans())]
+    rate = st.floats(0.0, 1.0)
+    treatments += draw(st.lists(
+        st.builds(TracingSamplingRate, st.just("rate"), rate)
+        | st.builds(TracingSamplingStrategy, st.just("strategy"), st.sampled_from(["probabilistic", "always_on"]),
+                    st.none() | rate),
+        max_size=2,
+    ))
+    trace = TraceConfigSpec(draw(st.sampled_from(["probabilistic", "always_on"])), draw(rate))
+    return apply_instrumentation(replace(sue, metric_points=tuple(points), trace_config=trace), treatments)
+
+
 class TestProperties:
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), small_meshes())
+    def test_instrumentation_never_changes_the_event_log(self, data, mesh):
+        sue, workload, fault, seed = mesh
+        sims = []
+        for variant in (sue, data.draw(instrumented(sue))):
+            sim = init_sim(variant, seed, [fault] if fault is not None else [])
+            drive(sim, workload)
+            sim.run_until(None)
+            sims.append(sim)
+        assert sims[0].log == sims[1].log
+        assert sims[0].records == sims[1].records
+
+    def test_a_run_fills_every_column_of_the_log(self):
+        """Guards against an output channel that nothing feeds."""
+        spec = small_spec()
+        sim = init_sim(spec.sue, spec.seed, spec.fault_treatments())
+        drive(sim, spec.workload)
+        sim.run_until(None)
+        columns = {**vars(sim.log), **vars(sim.log.spans)}
+        del columns["spans"]
+        assert columns and all(len(column) > 0 for column in columns.values()), columns.keys()
+
     @settings(max_examples=150, deadline=None)
     @given(small_meshes())
     def test_random_meshes_keep_the_invariants(self, mesh):
@@ -601,6 +659,7 @@ class TestProperties:
 
         rows = span_rows(sim.log.spans, sue)
         spans = {s.span_id: s for s in rows}
+        assert len(spans) == len(rows)  # span ids are unique
         for span in rows:
             assert span.end_ms >= span.start_ms
             assert span.ok in (0, 1)

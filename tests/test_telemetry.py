@@ -1,5 +1,8 @@
 from __future__ import annotations
 
+import bisect
+from dataclasses import replace
+
 import numpy as np
 import pytest
 
@@ -80,15 +83,24 @@ class TestSampleMetrics:
         assert metrics["cpu"][1].tolist() == [0.0] * 6
         assert metrics["rpm"][1].tolist() == [0.0] * 3
 
-    def test_custom_gauge_last_write_wins_and_carries_forward(self):
-        log = RawEventLog()
-        log.gauge_writes.append(("depth", "api", 1000, 3.0))
-        log.gauge_writes.append(("depth", "api", 4000, 7.0))  # same window: wins
-        log.gauge_writes.append(("depth", "api", 11_000, 2.0))
+    def test_custom_gauge_counts_spans_in_flight(self):
+        # readings at 4,999, 9,999 and the run's end, 13,000 ms
+        log = event_log(spans=[
+            (0, 0, -1, 0, 1000, 4999, 1),  # closes at an instant: not counted there
+            (1, 1, -1, 0, 4999, 6000, 1),  # opens at an instant: counted there
+            (2, 2, -1, 0, 2000, -1, 0),  # never closes: counted to the end
+            (3, 3, -1, 0, 9999, 9999, 1),  # opens and closes at an instant: not counted
+            (4, 4, -1, 0, 500, 10_000, 1),
+            (5, 5, -1, 0, 7000, 12_000, 1),
+            (6, 6, -1, 0, 8000, 9000, 1),
+            (7, 7, -1, 0, 9000, -1, 0),
+            (8, 8, -1, 0, 13_000, 13_500, 1),  # opens at the run's end
+            (9, 9, -1, 0, 13_001, 13_002, 1),  # opens after it
+        ])
         point = MetricPointSpec("depth", "custom_gauge", "api", 5000, 5000)
-        _, values = sample_metrics(log, [point], one_service_sue(), 25_000)["depth"]
-        # first window [0,5s) -> last write 7.0; second has no write -> carries 7.0
-        assert values.tolist() == [7.0, 7.0, 2.0, 2.0, 2.0]
+        timestamps, values = sample_metrics(log, [point], one_service_sue(), 13_000)["depth"]
+        assert timestamps.tolist() == [5000, 10_000, 15_000]
+        assert values.tolist() == [3.0, 4.0, 3.0]
 
     def test_grid_alignment(self):
         rng = np.random.default_rng(0)
@@ -128,29 +140,40 @@ def reference_metrics(log, point, sue, duration_ms):
     targets = ids if point.target == "system" else [point.target]
     sampling, aggregation = point.sampling_interval_ms, point.aggregation_interval_ms
     n_sample, n_agg = -(-duration_ms // sampling), -(-duration_ms // aggregation)
+    if point.kind == "request_counter":
+        counts = [0.0] * n_agg
+        for span in span_rows(log.spans, sue):
+            if span.ok and span.service in targets and span.end_ms <= duration_ms:
+                counts[min(span.end_ms // aggregation, n_agg - 1)] += 1.0
+        return counts
+    readings = {svc: np.zeros(n_sample) for svc in targets}
     if point.kind == "cpu_gauge":
-        busy = {svc: np.zeros(n_sample) for svc in targets}
         for service, t, slice_ms in zip(log.cpu_service, log.cpu_t_ms, log.cpu_ms):
             service = ids[service]
-            if service in busy and t <= duration_ms:
-                busy[service][min(t // sampling, n_sample - 1)] += slice_ms
-        stacked = np.vstack([busy[svc] for svc in targets]) / float(sampling)
-        fractions = stacked.mean(axis=0) if point.system_aggregation == "mean" else stacked.sum(axis=0)
-        per_agg = aggregation // sampling
-        return [float(fractions[k * per_agg : (k + 1) * per_agg].mean()) for k in range(n_agg)]
-    counts = [0.0] * n_agg
-    for span in span_rows(log.spans, sue):
-        if span.ok and span.service in targets and span.end_ms <= duration_ms:
-            counts[min(span.end_ms // aggregation, n_agg - 1)] += 1.0
-    return counts
+            if service in readings and t <= duration_ms:
+                readings[service][min(t // sampling, n_sample - 1)] += slice_ms
+        stacked = np.vstack([readings[svc] for svc in targets]) / float(sampling)
+    else:  # custom_gauge
+        instants = [min((k + 1) * sampling - 1, duration_ms) for k in range(n_sample)]
+        for span in span_rows(log.spans, sue):
+            if span.service in readings:
+                # from the first instant at or after the span's start
+                for k in range(bisect.bisect_left(instants, span.start_ms), n_sample):
+                    if 0 <= span.end_ms <= instants[k]:
+                        break  # closed by this instant and every later one
+                    readings[span.service][k] += 1
+        stacked = np.vstack([readings[svc] for svc in targets])
+    combined = stacked.mean(axis=0) if point.system_aggregation == "mean" else stacked.sum(axis=0)
+    per_agg = aggregation // sampling
+    return [float(combined[k * per_agg : (k + 1) * per_agg].mean()) for k in range(n_agg)]
 
 
 class TestSampleMetricsReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
     def test_matches_event_loop_reference(self, seed):
-        """Column accumulation gives the bits of an event-by-event loop,
-        over partial last windows, error and open spans, and events past the
-        run's end."""
+        """Column accumulation and the in-flight count give the bits of an
+        event-by-event loop, over partial last windows, error and open
+        spans, and events past the run's end."""
         sue = SueSpec(services=(tiny_service("a"), tiny_service("b"), tiny_service("c")))
         rng = np.random.default_rng(seed)
         duration = 97_000
@@ -168,6 +191,8 @@ class TestSampleMetricsReference:
             MetricPointSpec("cpu_b", "cpu_gauge", "b", 5000, 5000),
             MetricPointSpec("rps", "request_counter", "system", 1000, 1000),
             MetricPointSpec("rpm_c", "request_counter", "c", 7000, 7000),
+            MetricPointSpec("depth_a", "custom_gauge", "a", 7000, 7000),
+            MetricPointSpec("depth", "custom_gauge", "system", 2000, 6000, system_aggregation="mean"),
         ]
         metrics = sample_metrics(log, points, sue, duration)
         for point in points:
@@ -238,11 +263,11 @@ def reference_traces(log, cfg, rng):
     return rows, total
 
 
-def simulated_log(until_ms=None) -> RawEventLog:
+def simulated_log(until_ms=None, faults=()) -> RawEventLog:
     """The event log of the small two-service experiment, nested and
     interleaved traces, run to the end or stopped at ``until_ms``."""
     spec = small_spec()
-    sim = init_sim(spec.sue, 3)
+    sim = init_sim(spec.sue, 3, faults)
     drive(sim, spec.workload)
     sim.run_until(until_ms)
     return sim.log
@@ -276,6 +301,30 @@ class TestSampleTracesReference:
             reference_traces(log, cfg, rng_stream(4, "t"))
         with pytest.raises(ValueError, match=f"^{expected.value}$"):
             sample_traces(log, cfg, rng_stream(4, "t"))
+
+
+class TestCustomGauge:
+    def test_pause_raises_the_in_flight_count_of_its_target(self):
+        spec = small_spec()
+        pause = spec.treatments[0]  # backend, 40-80 s
+        point = MetricPointSpec("backend_in_flight", "custom_gauge", "backend", 5000, 5000)
+        log = simulated_log(faults=[pause])
+        timestamps, values = sample_metrics(log, [point], spec.sue, spec.workload.duration_ms)[point.metric_name]
+        before = values[timestamps <= pause.start_ms]
+        inside = values[(pause.start_ms < timestamps) & (timestamps <= pause.end_ms)]
+        assert inside.min() > before.mean()
+
+    def test_costs_the_calls_of_a_cpu_gauge(self):
+        spec = small_spec()
+        log = simulated_log()
+
+        def calls(*points):
+            sue = replace(spec.sue, metric_points=points)
+            return build_batch(log, sue, spec.workload.duration_ms, rng_stream(1, "t")).instrumentation_calls
+
+        bare = calls()
+        gauges = [calls(MetricPointSpec("g", kind, "backend", 5000, 10_000)) for kind in ("custom_gauge", "cpu_gauge")]
+        assert gauges[0] == gauges[1] == {"gateway": bare["gateway"], "backend": bare["backend"] + 120_000 / 5000}
 
 
 class TestLabeling:
