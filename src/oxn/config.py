@@ -98,11 +98,9 @@ class Excludes(NamedTuple):
 
 
 # Field metadata. SECONDS: held as integer milliseconds in ``<stem>_ms`` and
-# written in the file as decimal seconds under ``<stem>_s``. FROM_KIND: set by
-# the treatment kind, never written in the file. The rest bound the value the
-# attribute holds.
+# written in the file as decimal seconds under ``<stem>_s``. The rest bound
+# the value the attribute holds.
 SECONDS = {"seconds": True}
-FROM_KIND = {"from_kind": True}
 NONNEGATIVE = {"bound": Range(0, math.inf, "[)")}
 POSITIVE = {"bound": Range(0, math.inf, "()")}
 AT_LEAST_ONE = {"bound": Range(1, math.inf, "[)")}
@@ -272,16 +270,18 @@ class NetworkDelay(Fault):
 
 @dataclass(frozen=True)
 class PacketLoss(Fault):
-    """Geometric retransmissions on the target's inbound edges. With
-    ``corrupt`` (kind ``packet_corruption``) each hop also draws, with the
-    same probability, a failure that the callee rejects unprocessed."""
+    """Geometric retransmissions on the target's inbound edges."""
 
+    kind: ClassVar[str] = "packet_loss"
     probability: float = field(metadata=UNIT)
-    corrupt: bool = field(default=False, metadata=FROM_KIND)
 
-    @property
-    def kind(self) -> str:
-        return "packet_corruption" if self.corrupt else "packet_loss"
+
+@dataclass(frozen=True)
+class PacketCorruption(PacketLoss):
+    """Packet loss whose every hop also draws, with the same probability, a
+    failure that the callee rejects unprocessed."""
+
+    kind: ClassVar[str] = "packet_corruption"
 
 
 @dataclass(frozen=True)
@@ -320,20 +320,8 @@ class TracingSamplingStrategy:
 
 
 Instrumentation = MetricSamplingInterval | TracingSamplingRate | TracingSamplingStrategy
-Treatment = Pause | Kill | NetworkDelay | PacketLoss | Stress | Instrumentation
-
-# kind -> (dataclass, the fields the kind itself sets)
-TREATMENT_KINDS: dict[str, tuple[type, dict[str, Any]]] = {
-    "pause": (Pause, {}),
-    "kill": (Kill, {}),
-    "network_delay": (NetworkDelay, {}),
-    "packet_loss": (PacketLoss, {}),
-    "packet_corruption": (PacketLoss, {"corrupt": True}),
-    "stress": (Stress, {}),
-    "metric_sampling_interval": (MetricSamplingInterval, {}),
-    "tracing_sampling_rate": (TracingSamplingRate, {}),
-    "tracing_sampling_strategy": (TracingSamplingStrategy, {}),
-}
+Treatment = Pause | Kill | NetworkDelay | PacketLoss | PacketCorruption | Stress | Instrumentation
+TREATMENT_KINDS: dict[str, type] = {cls.kind: cls for cls in get_args(Treatment)}
 
 
 def apply_instrumentation(sue: SueSpec, treatments: Iterable[Instrumentation]) -> SueSpec:
@@ -404,8 +392,6 @@ def field_table(cls: type) -> tuple[FileField, ...]:
     hints = get_type_hints(cls)
     table = []
     for f in fields(cls):
-        if f.metadata.get("from_kind"):
-            continue
         if f.metadata.get("seconds"):
             key, parse, render = f.name.removesuffix("_ms") + "_s", _seconds_to_ms, _ms_to_s
         else:
@@ -486,7 +472,7 @@ def _seconds_to_ms(value: Any, where: str) -> int:
     return int(round(ms))
 
 
-def _parse_obj(cls: type, value: Any, where: str, **fixed: Any) -> Any:
+def _parse_obj(cls: type, value: Any, where: str) -> Any:
     """Build ``cls`` from a mapping; ``where`` is its field path, empty for
     the top-level experiment."""
     label = where or "experiment"
@@ -495,7 +481,7 @@ def _parse_obj(cls: type, value: Any, where: str, **fixed: Any) -> Any:
     unknown = set(m) - {f.key for f in table}
     if unknown:
         raise ExperimentFormatError(f"unknown field '{sorted(unknown)[0]}' in {label}")
-    kwargs = dict(fixed)
+    kwargs = {}
     for f in table:
         if f.key in m:
             kwargs[f.name] = f.parse(m[f.key], f"{where}.{f.key}" if where else f.key)
@@ -513,8 +499,7 @@ def _parse_treatment(value: Any, where: str) -> Treatment:
     kind = _as_str(m["kind"], f"{where}.kind")
     if kind not in TREATMENT_KINDS:
         raise ExperimentFormatError(f"unknown treatment kind '{kind}' in {where}")
-    cls, fixed = TREATMENT_KINDS[kind]
-    return _parse_obj(cls, {k: v for k, v in m.items() if k != "kind"}, where, **fixed)
+    return _parse_obj(TREATMENT_KINDS[kind], {k: v for k, v in m.items() if k != "kind"}, where)
 
 
 def parse_experiment(text: str) -> ExperimentSpec:
@@ -536,10 +521,7 @@ def parse_experiment(text: str) -> ExperimentSpec:
         raise ExperimentFormatError(f"syntax error: {exc}") from exc
     if raw is None:
         raise ExperimentFormatError("experiment file is empty")
-    spec = _parse_obj(ExperimentSpec, raw, "")
-    if not spec.responses:
-        raise ExperimentFormatError("responses must be nonempty")
-    return spec
+    return _parse_obj(ExperimentSpec, raw, "")
 
 
 def parse_experiment_file(path: str | Path) -> ExperimentSpec:

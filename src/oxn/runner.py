@@ -21,7 +21,7 @@ from pathlib import Path
 from .config import ExperimentSpec, Fault, apply_instrumentation, render_experiment, validate
 from .costs import CostReport, account, mean_cost, overhead
 from .detection import InsufficientDataError, build_dataset, make_mechanism
-from .scoring import Ratio, VisibilityMatrix, build_matrix
+from .scoring import Ratio, VisibilityMatrix, build_matrix, fault_coverage, overall_fault_observability
 from .simulator import drive, init_sim, rng_stream
 from .telemetry import build_batch, export_csv, materialize_response
 
@@ -276,24 +276,35 @@ def _field(doc: dict, path: tuple[str, ...], kind: str = "an object"):
     return value
 
 
-def _ratio(doc: dict, path: tuple[str, ...], keys: tuple[str, str]) -> Ratio:
-    """The ratio ``_ratio_doc`` wrote at ``path``."""
+def _ratio(doc: dict, path: tuple[str, ...], keys: tuple[str, str], derive, values) -> Ratio:
+    """The ratio ``_ratio_doc`` wrote at ``path``, checked against ``derive(values)``."""
     counts = [_field(doc, (*path, key), "an integer") for key in keys]
     try:
-        return Ratio(*counts)
+        stated, derived = Ratio(*counts), derive(values)
     except ValueError as exc:
         raise ValueError(f"{'.'.join(path)}: {exc}") from None
+    if [derived.count, derived.total] != counts:
+        raise ValueError(f"{'.'.join(path)} is {stated}, but the visibility cells give {derived}")
+    return stated
 
 
-def _coverage(doc: dict) -> tuple[dict[str, Ratio], Ratio]:
-    """A report document's fault coverage per fault and its OFO."""
-    if not isinstance(doc, dict):
-        raise ValueError(f"a report must be a JSON object, not {type(doc).__name__}")
-    coverage = {
-        fault: _ratio(doc, ("fault_coverage", fault), COVERAGE_KEYS)
-        for fault in _field(doc, ("fault_coverage",))
-    }
-    return coverage, _ratio(doc, ("ofo",), OFO_KEYS)
+def _read_report(doc: dict, responses: list[str]) -> tuple[dict[str, Ratio], Ratio, dict, float]:
+    """A report's fault coverage per fault, OFO, visibility cells by (fault,
+    response) and total cost; the coverage and OFO must be those the cells give."""
+    cells, coverage = {}, {}
+    for fault in _field(doc, ("fault_coverage",)):
+        for response in responses:
+            path = ("visibility", fault, response, "visible")
+            cells[fault, response] = visible = _field(doc, path, "an integer")
+            if visible not in (0, 1):
+                raise ValueError(f"{'.'.join(path)} must be 0 or 1, not {visible}")
+        row = [cells[fault, response] for response in responses]
+        coverage[fault] = _ratio(doc, ("fault_coverage", fault), COVERAGE_KEYS, fault_coverage, row)
+    ofo = _ratio(doc, ("ofo",), OFO_KEYS, overall_fault_observability, coverage.values())
+    total = _field(doc, ("cost", "total"), "a number")
+    if not total > 0:
+        raise ValueError(f"cost.total must be positive, not {total!r}")
+    return coverage, ofo, cells, total
 
 
 def compare_docs(doc_a: dict, doc_b: dict) -> dict:
@@ -301,24 +312,20 @@ def compare_docs(doc_a: dict, doc_b: dict) -> dict:
     report documents with identical fault/response dimensions. Coverage deltas
     count visible responses. A malformed document's ``ValueError`` names the field."""
     docs = (doc_a, doc_b)
-    (coverage_a, ofo_a), (coverage_b, ofo_b) = (_coverage(doc) for doc in docs)
-    if set(coverage_a) != set(coverage_b):
+    for doc in docs:
+        if not isinstance(doc, dict):
+            raise ValueError(f"a report must be a JSON object, not {type(doc).__name__}")
+    if set(_field(doc_a, ("fault_coverage",))) != set(_field(doc_b, ("fault_coverage",))):
         raise ValueError("reports cover different fault sets")
     responses = _field(doc_a, ("responses",), "a list of strings")
     if responses != _field(doc_b, ("responses",), "a list of strings"):
         raise ValueError("reports cover different response variables")
-    mismatched = sorted(f for f, fc in coverage_a.items() if fc.total != coverage_b[f].total)
-    if mismatched:
-        raise ValueError(f"response dimensions differ for faults {mismatched}")
+    (coverage_a, ofo_a, cells_a, cost_a), (coverage_b, ofo_b, cells_b, cost_b) = (
+        _read_report(doc, responses) for doc in docs
+    )
     delta = {f: coverage_b[f].count - fc.count for f, fc in coverage_a.items()}
-    cost_a, cost_b = (_field(doc, ("cost", "total"), "a number") for doc in docs)
-    changed = []
-    for fault in coverage_a:
-        for response in responses:
-            path = ("visibility", fault, response, "visible")
-            flipped = _field(doc_b, path, "an integer") - _field(doc_a, path, "an integer")
-            if flipped != 0:
-                changed.append({"fault": fault, "response": response, "visible_delta": flipped})
+    changed = [{"fault": f, "response": r, "visible_delta": cells_b[f, r] - visible}
+               for (f, r), visible in cells_a.items() if cells_b[f, r] != visible]
     return {
         "experiments": [_field(doc, ("experiment",), "a string") for doc in docs],
         "delta_fault_coverage": dict(sorted(delta.items())),

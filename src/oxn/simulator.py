@@ -45,6 +45,7 @@ from .config import (
     Kill,
     LognormalSpec,
     NetworkDelay,
+    PacketCorruption,
     PacketLoss,
     Pause,
     SPAN_BITS,
@@ -130,10 +131,11 @@ Column = array | np.ndarray
 @dataclass
 class SpanTable:
     """One row per span, in open order; a service is its index in
-    ``SueSpec.services``. The simulator appends to ``array`` columns and
-    closes a row in place; a selection of rows holds numpy arrays."""
+    ``SueSpec.services``. A span id is ``(request << SPAN_BITS) | n`` for its
+    request's n-th span, ``n == 0`` exactly for a root, so ``span_id >>
+    SPAN_BITS`` is its trace id. The simulator appends to ``array`` columns
+    and closes a row in place; a selection of rows holds numpy arrays."""
 
-    trace: Column = field(default_factory=lambda: array("q"))
     span_id: Column = field(default_factory=lambda: array("q"))
     parent: Column = field(default_factory=lambda: array("q"))  # parent's span id, -1 for a root
     service: Column = field(default_factory=lambda: array("q"))
@@ -165,7 +167,7 @@ class RawEventLog:
     cpu_ms: array = field(default_factory=lambda: array("d"))
 
     def span_count(self) -> int:
-        return len(self.spans.trace)
+        return len(self.spans.span_id)
 
 
 class _Request:
@@ -313,8 +315,7 @@ class SimState:
         active = self._active
         spans = self.log.spans
         span_ids, end_ms, ok = spans.span_id, spans.end_ms, spans.ok
-        trace_append, span_id_append = spans.trace.append, span_ids.append
-        parent_append, service_append = spans.parent.append, spans.service.append
+        span_id_append, parent_append, service_append = span_ids.append, spans.parent.append, spans.service.append
         start_append, end_append, ok_append = spans.start_ms.append, end_ms.append, ok.append
         cpu_service_append = self.log.cpu_service.append
         cpu_t_append = self.log.cpu_t_ms.append
@@ -346,7 +347,6 @@ class SimState:
                     cpu_ms_append(call.inbound_cpu_ms)
                 request = call.request
                 call.row = len(span_ids)
-                trace_append(request.index)
                 span_id_append((request.index << span_bits) | request.next_span)
                 parent_append(-1 if parent is None else span_ids[parent.row])
                 service_append(svc.index)
@@ -458,14 +458,14 @@ class SimState:
             if type(fault) is NetworkDelay:
                 delay = self.stream(f"{edge.label}:delay")
                 transit += int(delay.integers(fault.delay_min_ms, fault.delay_max_ms, endpoint=True))
-            else:  # PacketLoss; when corrupting it also draws a per-hop failure
+            else:  # PacketLoss; PacketCorruption also draws a per-hop failure
                 loss = self.stream(f"{edge.label}:loss")
                 retransmits = 0
                 while retransmits < MAX_RETRANSMITS and loss.random() < fault.probability:
                     retransmits += 1
                 transit += retransmits * RETRANSMIT_PENALTY_MS
                 extra_cpu += retransmits * RETRANSMIT_CPU_MS
-                if fault.corrupt and self.stream(f"{edge.label}:corrupt").random() < fault.probability:
+                if type(fault) is PacketCorruption and self.stream(f"{edge.label}:corrupt").random() < fault.probability:
                     corrupted = True
         return transit, extra_cpu, corrupted
 

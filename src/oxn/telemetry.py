@@ -27,6 +27,7 @@ from .config import (
     Fault,
     MetricPointSpec,
     ResponseVariableSpec,
+    SPAN_BITS,
     SueSpec,
     SYSTEM_TARGET,
     TraceConfigSpec,
@@ -52,17 +53,20 @@ class TelemetryBatch:
     """Everything one run emitted, after instrumentation sampling."""
 
     metrics: dict[str, tuple[np.ndarray, np.ndarray]]  # name -> (timestamps, values)
-    spans: SpanTable  # kept spans in (start, trace, span id) order
+    spans: SpanTable  # kept spans in (start, span id) order
     services: tuple[str, ...]  # service id by index in the span table
     cpu_busy_ms: dict[str, float]
     trace_count: int
-    kept_trace_count: int
     metric_event_count: int
     instrumentation_calls: dict[str, float]
 
     @property
+    def kept_trace_count(self) -> int:
+        return int(np.count_nonzero(self.spans.parent < 0))  # a trace is kept whole or not at all
+
+    @property
     def kept_span_count(self) -> int:
-        return len(self.spans.trace)
+        return len(self.spans.span_id)
 
 
 def _window_count(duration_ms: int, interval_ms: int) -> int:
@@ -159,14 +163,14 @@ def sample_metrics(
 def sample_traces(
     log: RawEventLog, cfg: TraceConfigSpec, rng: np.random.Generator
 ) -> tuple[SpanTable, int]:
-    """Head-based trace sampling; returns (kept spans in (start, trace,
-    span id) order, total trace count).
+    """Head-based trace sampling; returns (kept spans in (start, span id)
+    order, total trace count).
 
     A probabilistic strategy draws one keep/drop decision per trace, in
     root-open order, so runs that share a seed keep nested subsets of traces
     as the rate grows.
     """
-    trace = np.asarray(log.spans.trace)
+    trace = np.asarray(log.spans.span_id) >> SPAN_BITS
     roots = trace[np.asarray(log.spans.parent) < 0]
     trace_count = len(roots)
     if cfg.strategy != "always_on":
@@ -175,7 +179,7 @@ def sample_traces(
     open_rows = kept.end_ms < 0
     if open_rows.any():
         raise ValueError(f"span {kept.span_id[open_rows.argmax()]} was never closed")
-    return kept.take(np.lexsort((kept.span_id, kept.trace, kept.start_ms))), trace_count
+    return kept.take(np.lexsort((kept.span_id, kept.start_ms))), trace_count
 
 
 def build_batch(
@@ -206,7 +210,6 @@ def build_batch(
         services=services,
         cpu_busy_ms=dict(zip(services, busy.tolist())),
         trace_count=trace_count,
-        kept_trace_count=len(np.unique(spans.trace)),
         metric_event_count=sum(len(t) for t, _ in metrics.values()),
         instrumentation_calls=calls,
     )
@@ -222,9 +225,9 @@ def materialize_response(
         timestamps, values = batch.metrics[spec.source]
     else:  # trace_duration
         spans = batch.spans
-        entered = spans.trace[spans.service == batch.services.index(spec.source)]
-        # Kept spans are in (start, trace) order, and so are their roots.
-        roots = spans.take((spans.parent < 0) & np.isin(spans.trace, entered))
+        entered = spans.span_id[spans.service == batch.services.index(spec.source)] >> SPAN_BITS
+        # Kept spans are in (start, span id) order, and so are their roots.
+        roots = spans.take((spans.parent < 0) & np.isin(spans.span_id >> SPAN_BITS, entered))
         timestamps = roots.start_ms
         values = (roots.end_ms - roots.start_ms).astype(np.float64)
     settled = (timestamps <= fault.end_ms) | (timestamps > fault.end_ms + SETTLING_MARGIN_MS)
@@ -266,10 +269,10 @@ def export_csv(
             ["trace_id", "span_id", "parent_id", "service", "start_ms", "end_ms", "outcome"]
         )
         columns = (column.tolist() for column in vars(batch.spans).values())
-        for trace, span_id, parent, service, start, end, ok in zip(*columns):
+        for span_id, parent, service, start, end, ok in zip(*columns):
             writer.writerow(
                 [
-                    trace,
+                    span_id >> SPAN_BITS,
                     span_id,
                     "" if parent < 0 else parent,
                     batch.services[service],

@@ -14,6 +14,7 @@ from oxn.config import (
     MetricPointSpec,
     Pause,
     ResponseVariableSpec,
+    SPAN_BITS,
     ServiceSpec,
     SueSpec,
     TraceConfigSpec,
@@ -114,7 +115,8 @@ def small_spec(**overrides) -> ExperimentSpec:
 
 
 class SpanRow(NamedTuple):
-    """One row of a span table, its service given by id."""
+    """One row of a span table, its service given by id and its trace id
+    derived from its span id."""
 
     trace: int
     span_id: int
@@ -128,7 +130,7 @@ class SpanRow(NamedTuple):
 def span_rows(spans: SpanTable, sue: SueSpec) -> list[SpanRow]:
     ids = [s.id for s in sue.services]
     columns = (column.tolist() for column in vars(spans).values())
-    return [SpanRow(t, i, p, ids[s], a, e, ok) for t, i, p, s, a, e, ok in zip(*columns)]
+    return [SpanRow(i >> SPAN_BITS, i, p, ids[s], a, e, ok) for i, p, s, a, e, ok in zip(*columns)]
 
 
 def cpu_rows(log: RawEventLog, sue: SueSpec) -> list[tuple[str, int, float]]:
@@ -145,7 +147,7 @@ def ok_closes(log: RawEventLog, sue: SueSpec) -> list[tuple[str, int]]:
 
 def event_log(spans=(), cpu=()) -> RawEventLog:
     """A raw event log holding the given rows, services by index: spans as
-    ``(trace, span_id, parent, service, start_ms, end_ms, ok)`` and CPU
+    ``(span_id, parent, service, start_ms, end_ms, ok)`` and CPU
     slices as ``(service, t_ms, ms)``."""
     log = RawEventLog()
     cpu_columns = (log.cpu_service, log.cpu_t_ms, log.cpu_ms)
@@ -154,3 +156,8 @@ def event_log(spans=(), cpu=()) -> RawEventLog:
             for column, value in zip(columns, row):
                 column.append(value)
     return log
+
+
+def span_id(trace: int, n: int = 0) -> int:
+    """The id of the n-th span of trace ``trace``; n is 0 for its root."""
+    return (trace << SPAN_BITS) | n

@@ -24,10 +24,10 @@ from oxn.detection import (
 from oxn.scoring import fault_coverage, overall_fault_observability, visibility
 from oxn.simulator import rng_stream
 from oxn.telemetry import ResponseSeries, sample_traces
-from oxn.config import TraceConfigSpec, parse_experiment_file
+from oxn.config import SPAN_BITS, TraceConfigSpec, parse_experiment_file
 from oxn.runner import report_json, simulate_run
 
-from conftest import REPO_ROOT, cli_env, event_log, experiment_path, span_rows
+from conftest import REPO_ROOT, cli_env, event_log, experiment_path, span_id, span_rows
 
 PAUSE = "pause_recommendation"
 PACKET_LOSS = "packet_loss_recommendation"
@@ -348,9 +348,9 @@ class TestCriterion8TelemetryInvariants:
                     assert peak <= spec.workload.users
 
         # dedicated binomial concentration check at rate 0.05, >= 10 000 traces
-        log = event_log(spans=[(i, i, -1, 0, i, i + 5, 1) for i in range(12_000)])
+        log = event_log(spans=[(span_id(i), -1, 0, i, i + 5, 1) for i in range(12_000)])
         spans, total = sample_traces(log, TraceConfigSpec("probabilistic", 0.05), rng_stream(0, "acc"))
-        kept = len(set(spans.trace.tolist()))
+        kept = len(set((spans.span_id >> SPAN_BITS).tolist()))
         sigma = (total * 0.05 * 0.95) ** 0.5
         assert abs(kept - total * 0.05) <= 3 * sigma
 

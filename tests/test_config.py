@@ -24,7 +24,7 @@ from oxn.config import (
     MetricSamplingInterval,
     NetworkDelay,
     OneOf,
-    PacketLoss,
+    PacketCorruption,
     ResponseVariableSpec,
     ServiceSpec,
     SueSpec,
@@ -139,8 +139,8 @@ class TestParse:
         text = MINIMAL.replace(
             "responses:\n  - {name: cpu, kind: metric, source: cpu}", "responses: []"
         )
-        with pytest.raises(ExperimentFormatError, match="responses must be nonempty"):
-            parse_experiment(text)
+        spec = parse_experiment(text)
+        assert [str(v) for v in validate(spec)] == ["responses: responses must be nonempty"]
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ExperimentFormatError, match="unknown field 'flavor'"):
@@ -329,13 +329,12 @@ class TestRoundTrip:
                     delay_min_ms=5,
                     delay_max_ms=50,
                 ),
-                PacketLoss(
+                PacketCorruption(
                     name="corrupt",
                     target="backend",
                     start_ms=30_000,
                     end_ms=60_000,
                     probability=0.05,
-                    corrupt=True,
                 ),
             ),
         )
@@ -441,7 +440,7 @@ class TestSchemaDescription:
         by_kind = {b["properties"]["kind"]["const"]: b for b in branches}
         assert len(by_kind) == len(branches)
         assert set(by_kind) == set(TREATMENT_KINDS)
-        for kind, (cls, _) in TREATMENT_KINDS.items():
+        for kind, cls in TREATMENT_KINDS.items():
             branch = by_kind[kind]
             table = field_table(cls)
             assert branch["additionalProperties"] is False, kind

@@ -347,6 +347,23 @@ class TestCli:
                 "fault_coverage.pause_backend: ratio count must lie within [0, total]",
             ),
             (("cost",), {"total": "x"}, "cost.total must be a number, not 'x'"),
+            (
+                ("visibility", "pause_backend", "system_cpu", "visible"),
+                7,
+                "visibility.pause_backend.system_cpu.visible must be 0 or 1, not 7",
+            ),
+            (
+                ("visibility", "pause_backend", "system_cpu", "visible"),
+                1,
+                "fault_coverage.pause_backend is 2/3, but the visibility cells give 3/3",
+            ),
+            (
+                ("fault_coverage", "pause_backend"),
+                {"visible": 4, "responses": 6, "ratio": "4/6"},  # the same fraction
+                "fault_coverage.pause_backend is 4/6, but the visibility cells give 2/3",
+            ),
+            (("ofo",), {"covered": 0, "faults": 1, "ratio": "0/1"}, "ofo is 0/1, but the visibility cells give 1/1"),
+            (("ofo",), {"covered": 2, "faults": 2, "ratio": "2/2"}, "ofo is 2/2, but the visibility cells give 1/1"),
             (("cost",), DELETE, "cost is missing"),
             (("responses",), DELETE, "responses is missing"),
             (("responses",), ["system_cpu", 1], "responses must be a list of strings, not ['system_cpu', 1]"),
@@ -366,6 +383,18 @@ class TestCli:
         bad.write_text(json.dumps(doc))
         proc = run_cli("compare", str(good), str(bad))
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
+
+    @pytest.mark.parametrize("total", [0, -1.5])
+    def test_compare_names_a_nonpositive_cost_in_either_report(self, small_report, tmp_path, total):
+        good = tmp_path / "good.json"
+        good.write_text(report_json(small_report))
+        doc = small_report.to_doc()
+        doc["cost"]["total"] = total
+        bad = tmp_path / "bad.json"
+        bad.write_text(json.dumps(doc))
+        for first, second in ((bad, good), (good, bad)):
+            proc = run_cli("compare", str(first), str(second))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: cost.total must be positive, not {total}\n")
 
     def test_run_rejects_name_that_escapes_out(self, tmp_path):
         path = tmp_path / "escape.yaml"

@@ -186,8 +186,8 @@ class TestDiff:
     def test_dimension_mismatch(self):
         with pytest.raises(ValueError, match="different fault sets"):
             compare_docs(report_doc({"a": (1, 2)}), report_doc({"b": (1, 2)}))
-        # Same response list, but fault "a" counts over fewer responses.
-        with pytest.raises(ValueError, match=r"response dimensions differ for faults \['a'\]"):
+        # Same response list, but fault "a" states a coverage over fewer responses.
+        with pytest.raises(ValueError, match=r"^fault_coverage\.a is 1/2, but the visibility cells give 1/3$"):
             compare_docs(report_doc({"a": (1, 3), "b": (0, 3)}), report_doc({"a": (1, 2), "b": (0, 3)}))
 
 

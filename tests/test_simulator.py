@@ -15,6 +15,7 @@ from oxn.config import (
     LognormalSpec,
     MetricPointSpec,
     MetricSamplingInterval,
+    SPAN_BITS,
     ServiceSpec,
     SueSpec,
     TraceConfigSpec,
@@ -266,8 +267,7 @@ class TestFaults:
     def make_faults(self, kind, **params):
         from oxn.config import TREATMENT_KINDS
 
-        cls, fixed = TREATMENT_KINDS[kind]
-        return [cls(name=f"{kind}_b", target="b", start_ms=20_000, end_ms=40_000, **fixed, **params)]
+        return [TREATMENT_KINDS[kind](name=f"{kind}_b", target="b", start_ms=20_000, end_ms=40_000, **params)]
 
     def test_pause_queues_without_processing(self):
         sue = sue_chain(0.0)
@@ -442,14 +442,14 @@ EVENT_LOG_DIGESTS = {
 def baseline_faults():
     """The baseline spec and its faults by kind, plus kill, stress and
     corruption on the same target and window."""
-    from oxn.config import Kill, PacketLoss, Stress
+    from oxn.config import Kill, PacketCorruption, Stress
 
     spec = parse_experiment_file(experiment_path("baseline"))
     faults = {f.kind: f for f in spec.fault_treatments()}
     window = dict(target="recommendation", start_ms=250_000, end_ms=490_000)
     faults["kill"] = Kill(name="kill_recommendation", **window)
     faults["stress"] = Stress(name="stress_recommendation", factor=3.0, **window)
-    faults["corrupt"] = PacketLoss(name="corrupt_recommendation", probability=0.1, corrupt=True, **window)
+    faults["corrupt"] = PacketCorruption(name="corrupt_recommendation", probability=0.1, **window)
     return spec, faults
 
 
@@ -567,9 +567,8 @@ def small_meshes(draw):
     )
 
     fault = None
-    kind = draw(st.sampled_from([None] + [k for k, (cls, _) in TREATMENT_KINDS.items() if issubclass(cls, Fault)]))
+    kind = draw(st.sampled_from([None] + [k for k, cls in TREATMENT_KINDS.items() if issubclass(cls, Fault)]))
     if kind is not None:
-        cls, fixed = TREATMENT_KINDS[kind]
         start = draw(st.integers(0, duration - 1))
         params = {}
         if kind == "network_delay":
@@ -578,12 +577,11 @@ def small_meshes(draw):
             params = dict(probability=draw(st.floats(0.0, 1.0)))
         elif kind == "stress":
             params = dict(factor=draw(st.floats(1.0, 5.0)))
-        fault = cls(
+        fault = TREATMENT_KINDS[kind](
             name=kind,
             target=f"s{draw(st.integers(0, n - 1))}",
             start_ms=start,
             end_ms=draw(st.integers(start + 1, duration)),
-            **fixed,
             **params,
         )
     return sue, workload, fault, draw(st.integers(0, 2**16))
@@ -663,7 +661,11 @@ class TestProperties:
         for span in rows:
             assert span.end_ms >= span.start_ms
             assert span.ok in (0, 1)
+            # the id layout: (request << SPAN_BITS) | n, n == 0 exactly for a root
+            assert (span.parent < 0) == (span.span_id & (2**SPAN_BITS - 1) == 0)
+            assert 0 <= span.trace < sim._request_count
             if span.parent >= 0:
+                assert span.parent >> SPAN_BITS == span.trace
                 parent = spans[span.parent]
                 assert parent.start_ms <= span.start_ms and span.end_ms <= parent.end_ms
 

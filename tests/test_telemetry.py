@@ -10,6 +10,7 @@ from oxn.config import (
     MetricPointSpec,
     Pause,
     ResponseVariableSpec,
+    SPAN_BITS,
     SueSpec,
     TraceConfigSpec,
 )
@@ -24,7 +25,7 @@ from oxn.telemetry import (
     sample_traces,
 )
 
-from conftest import event_log, small_spec, span_rows, tiny_service
+from conftest import event_log, small_spec, span_id, span_rows, tiny_service
 
 
 def one_service_sue(points=(), trace=TraceConfigSpec()) -> SueSpec:
@@ -48,7 +49,6 @@ def batch_of(metrics=None, spans=(), services=("api",)) -> TelemetryBatch:
         services=services,
         cpu_busy_ms={},
         trace_count=len(spans),
-        kept_trace_count=len(spans),
         metric_event_count=sum(len(t) for t, _ in (metrics or {}).values()),
         instrumentation_calls={},
     )
@@ -56,7 +56,7 @@ def batch_of(metrics=None, spans=(), services=("api",)) -> TelemetryBatch:
 
 def synthetic_traces(n: int, duration=50) -> RawEventLog:
     """``n`` single-span traces of service 0, one every 100 ms."""
-    return event_log(spans=[(i, i, -1, 0, i * 100, i * 100 + duration, 1) for i in range(n)])
+    return event_log(spans=[(span_id(i), -1, 0, i * 100, i * 100 + duration, 1) for i in range(n)])
 
 
 class TestSampleMetrics:
@@ -70,7 +70,9 @@ class TestSampleMetrics:
 
     def test_counter_emits_one_event_per_window(self):
         # one ok span closing every second, and one error close that is not counted
-        log = event_log(spans=[(t, t, -1, 0, t, t, 1) for t in range(0, 600_000, 1000)] + [(-1, -1, -1, 0, 0, 0, 0)])
+        log = event_log(
+            spans=[(span_id(i), -1, 0, i * 1000, i * 1000, 1) for i in range(600)] + [(span_id(600), -1, 0, 0, 0, 0)]
+        )
         point = MetricPointSpec("rpm", "request_counter", "api", 60_000, 60_000)
         timestamps, values = sample_metrics(log, [point], one_service_sue(), 600_000)["rpm"]
         assert values.tolist() == [60.0] * 10
@@ -86,16 +88,16 @@ class TestSampleMetrics:
     def test_custom_gauge_counts_spans_in_flight(self):
         # readings at 4,999, 9,999 and the run's end, 13,000 ms
         log = event_log(spans=[
-            (0, 0, -1, 0, 1000, 4999, 1),  # closes at an instant: not counted there
-            (1, 1, -1, 0, 4999, 6000, 1),  # opens at an instant: counted there
-            (2, 2, -1, 0, 2000, -1, 0),  # never closes: counted to the end
-            (3, 3, -1, 0, 9999, 9999, 1),  # opens and closes at an instant: not counted
-            (4, 4, -1, 0, 500, 10_000, 1),
-            (5, 5, -1, 0, 7000, 12_000, 1),
-            (6, 6, -1, 0, 8000, 9000, 1),
-            (7, 7, -1, 0, 9000, -1, 0),
-            (8, 8, -1, 0, 13_000, 13_500, 1),  # opens at the run's end
-            (9, 9, -1, 0, 13_001, 13_002, 1),  # opens after it
+            (span_id(0), -1, 0, 1000, 4999, 1),  # closes at an instant: not counted there
+            (span_id(1), -1, 0, 4999, 6000, 1),  # opens at an instant: counted there
+            (span_id(2), -1, 0, 2000, -1, 0),  # never closes: counted to the end
+            (span_id(3), -1, 0, 9999, 9999, 1),  # opens and closes at an instant: not counted
+            (span_id(4), -1, 0, 500, 10_000, 1),
+            (span_id(5), -1, 0, 7000, 12_000, 1),
+            (span_id(6), -1, 0, 8000, 9000, 1),
+            (span_id(7), -1, 0, 9000, -1, 0),
+            (span_id(8), -1, 0, 13_000, 13_500, 1),  # opens at the run's end
+            (span_id(9), -1, 0, 13_001, 13_002, 1),  # opens after it
         ])
         point = MetricPointSpec("depth", "custom_gauge", "api", 5000, 5000)
         timestamps, values = sample_metrics(log, [point], one_service_sue(), 13_000)["depth"]
@@ -183,7 +185,7 @@ class TestSampleMetricsReference:
             cpu.append((service, t, float(rng.lognormal(1.0, 1.0))))
             end = t if rng.random() < 0.95 else -1  # a few spans stay open
             ok = int(end >= 0 and rng.random() < 0.9)
-            spans.append((len(spans), len(spans), -1, service, t - 50, end, ok))
+            spans.append((span_id(len(spans)), -1, service, t - 50, end, ok))
         log = event_log(spans=spans, cpu=cpu)
         points = [
             MetricPointSpec("sys", "cpu_gauge", "system", 1000, 10_000),
@@ -203,16 +205,16 @@ class TestSampleMetricsReference:
 class TestSampleTraces:
     def test_rate_zero_keeps_nothing(self):
         spans, total = sample_traces(synthetic_traces(500), TraceConfigSpec("probabilistic", 0.0), rng_stream(1, "t"))
-        assert len(spans.trace) == 0 and total == 500
+        assert len(spans.span_id) == 0 and total == 500
 
     def test_rate_one_keeps_everything(self):
         log = synthetic_traces(500)
         spans, _ = sample_traces(log, TraceConfigSpec("probabilistic", 1.0), rng_stream(1, "t"))
-        assert len(spans.trace) == log.span_count()
+        assert len(spans.span_id) == log.span_count()
 
     def test_always_on_ignores_rate(self):
         spans, _ = sample_traces(synthetic_traces(100), TraceConfigSpec("always_on", 0.0), rng_stream(1, "t"))
-        assert len(spans.trace) == 100
+        assert len(spans.span_id) == 100
 
     def test_binomial_concentration_and_reproducibility(self):
         log = synthetic_traces(10_000)
@@ -220,7 +222,7 @@ class TestSampleTraces:
         spans_a, _ = sample_traces(log, cfg, rng_stream(3, "trace"))
         spans_b, _ = sample_traces(log, cfg, rng_stream(3, "trace"))
         assert span_rows(spans_a, one_service_sue()) == span_rows(spans_b, one_service_sue())
-        kept = len(set(spans_a.trace.tolist()))
+        kept = len(set((spans_a.span_id >> SPAN_BITS).tolist()))
         sigma = (10_000 * 0.05 * 0.95) ** 0.5
         assert abs(kept - 500) <= 3 * sigma  # [400, 600] band
 
@@ -228,10 +230,10 @@ class TestSampleTraces:
         log = synthetic_traces(2000)
         low, _ = sample_traces(log, TraceConfigSpec("probabilistic", 0.05), rng_stream(5, "t"))
         high, _ = sample_traces(log, TraceConfigSpec("probabilistic", 0.10), rng_stream(5, "t"))
-        assert set(low.trace.tolist()) <= set(high.trace.tolist())
+        assert set((low.span_id >> SPAN_BITS).tolist()) <= set((high.span_id >> SPAN_BITS).tolist())
 
     def test_kept_traces_retain_all_spans(self):
-        log = event_log(spans=[(1, 10, -1, 0, 0, 30, 1), (1, 11, 10, 1, 5, 20, 1)])
+        log = event_log(spans=[(span_id(1), -1, 0, 0, 30, 1), (span_id(1, 1), span_id(1), 1, 5, 20, 1)])
         spans, total = sample_traces(log, TraceConfigSpec("always_on", 1.0), rng_stream(1, "t"))
         assert total == 1
         rows = span_rows(spans, SueSpec(services=(tiny_service("a"), tiny_service("b"))))
@@ -250,16 +252,17 @@ def reference_traces(log, cfg, rng):
     keep_all = cfg.strategy == "always_on"
     kept, total, rows = set(), 0, []
     for row in table_rows(log.spans):
-        trace, span_id, parent, _, _, end, _ = row
+        span, parent, _, _, end, _ = row
+        trace = span >> SPAN_BITS
         if parent < 0:
             total += 1
             if keep_all or rng.random() < cfg.rate:
                 kept.add(trace)
         if trace in kept:
             if end < 0:
-                raise ValueError(f"span {span_id} was never closed")
+                raise ValueError(f"span {span} was never closed")
             rows.append(row)
-    rows.sort(key=lambda row: (row[4], row[0], row[1]))
+    rows.sort(key=lambda row: (row[3], row[0] >> SPAN_BITS, row[0]))
     return rows, total
 
 
@@ -273,17 +276,20 @@ def simulated_log(until_ms=None, faults=()) -> RawEventLog:
     return sim.log
 
 
+TRACE_CONFIGS = pytest.mark.parametrize(
+    "cfg",
+    [
+        TraceConfigSpec("probabilistic", 0.0),
+        TraceConfigSpec("probabilistic", 0.05),
+        TraceConfigSpec("probabilistic", 1.0),
+        TraceConfigSpec("always_on", 0.05),
+    ],
+    ids=["rate0", "rate0.05", "rate1", "always_on"],
+)
+
+
 class TestSampleTracesReference:
-    @pytest.mark.parametrize(
-        "cfg",
-        [
-            TraceConfigSpec("probabilistic", 0.0),
-            TraceConfigSpec("probabilistic", 0.05),
-            TraceConfigSpec("probabilistic", 1.0),
-            TraceConfigSpec("always_on", 0.05),
-        ],
-        ids=["rate0", "rate0.05", "rate1", "always_on"],
-    )
+    @TRACE_CONFIGS
     def test_matches_root_by_root_reference(self, cfg):
         log = simulated_log()
         rng, reference_rng = rng_stream(4, "t"), rng_stream(4, "t")
@@ -292,6 +298,15 @@ class TestSampleTracesReference:
         assert total == expected_total > 100
         assert table_rows(kept) == expected
         assert rng.random() == reference_rng.random()  # the same number of draws
+
+    @TRACE_CONFIGS
+    def test_kept_trace_count_counts_the_kept_trace_ids(self, cfg):
+        spec = small_spec()
+        sue = replace(spec.sue, trace_config=cfg)
+        batch = build_batch(simulated_log(), sue, spec.workload.duration_ms, rng_stream(4, "t"))
+        kept = set((batch.spans.span_id >> SPAN_BITS).tolist())
+        assert batch.kept_trace_count == len(kept)
+        assert (len(kept) > 0) == (cfg.rate > 0 or cfg.strategy == "always_on")
 
     def test_never_closed_span_is_an_error(self):
         log = simulated_log(until_ms=60_153)  # one request is in flight
@@ -359,9 +374,9 @@ class TestLabeling:
 class TestMaterializeResponse:
     def test_trace_duration_filters_by_entered_service(self):
         spans = [
-            (1, 10, -1, 0, 100, 400, 1),
-            (1, 11, 10, 1, 200, 300, 1),
-            (2, 20, -1, 0, 500, 600, 1),  # never reaches backend
+            (span_id(1), -1, 0, 100, 400, 1),
+            (span_id(1, 1), span_id(1), 1, 200, 300, 1),
+            (span_id(2), -1, 0, 500, 600, 1),  # never reaches backend
         ]
         series = materialize_response(
             ResponseVariableSpec("latency", "trace_duration", "backend"),
@@ -390,7 +405,7 @@ class TestExportCsv:
             trace=TraceConfigSpec("probabilistic", 0.5),
         )
         log = event_log(
-            spans=[(i, i, -1, 0, i * 100, i * 100 + 50, 1) for i in range(200)],
+            spans=[(span_id(i), -1, 0, i * 100, i * 100 + 50, 1) for i in range(200)],
             cpu=[(0, i * 100, 3.5) for i in range(100)],
         )
         outputs = []

@@ -114,7 +114,7 @@ class TestCompileSchedule:
         sim.run_until(1000)
         assert sim._active[0] is delay and sim._active[1] is loss
         assert sim.services["svc"].paused
-        assert not loss.corrupt
+        assert type(loss) is PacketLoss and loss.kind == "packet_loss"
 
     def test_window_outside_run_rejected(self, baseline):
         bad = Pause(name="b", target="frontend", start_ms=5000, end_ms=20_000)
