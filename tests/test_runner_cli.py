@@ -347,6 +347,10 @@ class TestCli:
                 "fault_coverage.pause_backend: ratio count must lie within [0, total]",
             ),
             (("cost",), {"total": "x"}, "cost.total must be a number, not 'x'"),
+            (("cost",), DELETE, "cost is missing"),
+            (("responses",), DELETE, "responses is missing"),
+            (("responses",), ["system_cpu", 1], "responses must be a list of strings, not ['system_cpu', 1]"),
+            (("experiment",), DELETE, "experiment is missing"),
             (
                 ("visibility", "pause_backend", "system_cpu", "visible"),
                 7,
@@ -364,10 +368,6 @@ class TestCli:
             ),
             (("ofo",), {"covered": 0, "faults": 1, "ratio": "0/1"}, "ofo is 0/1, but the visibility cells give 1/1"),
             (("ofo",), {"covered": 2, "faults": 2, "ratio": "2/2"}, "ofo is 2/2, but the visibility cells give 1/1"),
-            (("cost",), DELETE, "cost is missing"),
-            (("responses",), DELETE, "responses is missing"),
-            (("responses",), ["system_cpu", 1], "responses must be a list of strings, not ['system_cpu', 1]"),
-            (("experiment",), DELETE, "experiment is missing"),
         ],
     )
     def test_compare_names_the_malformed_field(self, small_report, tmp_path, path, value, message):
