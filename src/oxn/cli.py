@@ -1,7 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 on validation errors (malformed or invalid
-experiment files, mismatched comparison inputs), 2 on runtime errors.
+Exit codes: 0 on success, 1 on validation errors (unreadable, malformed or
+invalid input files, an ``--out`` that cannot be created, mismatched
+comparison inputs), 2 on runtime errors.
 """
 
 from __future__ import annotations
@@ -10,8 +11,9 @@ import argparse
 import json
 import sys
 from pathlib import Path
+from typing import NoReturn
 
-from .config import ExperimentFormatError, parse_experiment_file, validate
+from .config import ExperimentFormatError, parse_experiment, validate
 from .runner import ExperimentError, compare_docs, report_json, run_experiment
 
 EXIT_OK = 0
@@ -45,15 +47,31 @@ def _build_parser() -> argparse.ArgumentParser:
     return parser
 
 
-def _load_spec(path: str):
+def _fail(message: str) -> NoReturn:
+    """Reject bad input: print ``message`` and exit with EXIT_VALIDATION."""
+    print(f"error: {message}", file=sys.stderr)
+    raise SystemExit(EXIT_VALIDATION)
+
+
+def _read_input(path: str) -> str:
+    """The text of an input file; one that cannot be read as UTF-8 text is
+    rejected with its path named."""
     try:
-        return parse_experiment_file(path)
+        return Path(path).read_text(encoding="utf-8")
     except FileNotFoundError:
-        print(f"error: no such file: {path}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+        _fail(f"no such file: {path}")
+    except OSError as exc:
+        _fail(f"cannot read {path}: {exc.strerror or exc}")
+    except UnicodeDecodeError as exc:
+        _fail(f"cannot read {path}: {exc}")
+
+
+def _load_spec(path: str):
+    text = _read_input(path)
+    try:
+        return parse_experiment(text)
     except ExperimentFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        raise SystemExit(EXIT_VALIDATION)
+        _fail(str(exc))
 
 
 def _cmd_run(args) -> int:
@@ -72,6 +90,11 @@ def _cmd_run(args) -> int:
     if args.export_csv and out_dir is None:
         print("error: --export-csv requires --out", file=sys.stderr)
         return EXIT_VALIDATION
+    if out_dir is not None:
+        try:
+            out_dir.mkdir(parents=True, exist_ok=True)
+        except OSError as exc:
+            _fail(f"cannot create --out {out_dir}: {exc.strerror or exc}")
     try:
         report = run_experiment(
             spec,
@@ -85,7 +108,6 @@ def _cmd_run(args) -> int:
 
     text = report_json(report)
     if out_dir is not None:
-        out_dir.mkdir(parents=True, exist_ok=True)
         report_path = out_dir / f"{spec.name}_report.json"
         report_path.write_text(text, encoding="utf-8")
         for fault, ratio in report.matrix.fault_coverage.items():
@@ -100,11 +122,9 @@ def _cmd_run(args) -> int:
 def _cmd_compare(args) -> int:
     docs = []
     for path in (args.report_a, args.report_b):
+        text = _read_input(path)
         try:
-            docs.append(json.loads(Path(path).read_text(encoding="utf-8")))
-        except FileNotFoundError:
-            print(f"error: no such file: {path}", file=sys.stderr)
-            return EXIT_VALIDATION
+            docs.append(json.loads(text))
         except json.JSONDecodeError as exc:
             print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
             return EXIT_VALIDATION

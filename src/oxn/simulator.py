@@ -22,14 +22,21 @@ span close is one request-counter increment.
 
 Arrivals and completions, the two events behind almost every span, are
 handled in the ``run_until`` loop body; rarer events have handler methods.
-The heap holds only events that can still act. A completion event carries
-its call, and a pause or a kill takes its service's completions off the
-heap. Client timeouts, nearly all of which fall after their request has
-finished, wait in a FIFO of which only the first is on the heap.
+The heap holds only events that can still act, and is about as deep as the
+work in flight. A completion event carries its call, and a pause or a kill
+takes its service's completions off the heap. Client timeouts, nearly all of
+which fall after their request has finished, wait in a FIFO of which only
+the first is on the heap. Users' wake-ups (each thinking user holds one)
+wait in a heap of their own, of which the main heap holds a sorted prefix
+that always contains the earliest. Every event keeps its ``(t, seq)`` key in
+either tier, so events pop in the same order as from one heap. The cyclic
+garbage collector is paused while ``run_until`` runs: the run creates no
+reference cycles, so a collection would only re-scan the live calls.
 """
 
 from __future__ import annotations
 
+import gc
 import hashlib
 import heapq
 from array import array
@@ -239,6 +246,12 @@ class SimState:
         self.now = 0
         self._heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
+        # Pending wake-ups (see ``wake``). The heap holds the first
+        # ``_wakeups_on_heap`` of them in (t, seq) order, the latest being
+        # ``_horizon``, and at least one while any is pending.
+        self._wakeups: list[tuple[int, int, int, object]] = []
+        self._wakeups_on_heap = 0
+        self._horizon: tuple[int, int, int, object] | None = None
         # Client timeouts of the handled root arrivals in (t, seq) order; only the
         # first is also on the heap, and those of finished requests are dropped.
         self._timeouts: deque[tuple[int, int, int, _Request]] = deque()
@@ -278,11 +291,39 @@ class SimState:
         self._seq += 1
         heapq.heappush(self._heap, (t, self._seq, kind, payload))
 
+    def wake(self, t: int, kind: int, payload: object) -> None:
+        """Push a user's wake-up, a root arrival or the start of a user, with
+        the next sequence number. It joins the heap too when the heap holds
+        no wake-up or when it falls before the horizon, so the heap holds
+        exactly the pending wake-ups up to the horizon."""
+        self._seq += 1
+        event = (t, self._seq, kind, payload)
+        heapq.heappush(self._wakeups, event)
+        if not self._wakeups_on_heap or event < self._horizon:
+            heapq.heappush(self._heap, event)
+            self._wakeups_on_heap += 1
+            if self._wakeups_on_heap == 1:
+                self._horizon = event
+
+    def _woken(self) -> None:
+        """The loop popped a wake-up off the heap, which is the earliest one:
+        drop it from ``_wakeups``, and promote the next when the heap holds
+        no other."""
+        wakeups = self._wakeups
+        heapq.heappop(wakeups)
+        self._wakeups_on_heap -= 1
+        if not self._wakeups_on_heap and wakeups:
+            self._horizon = wakeups[0]
+            self._wakeups_on_heap = 1
+            heapq.heappush(self._heap, wakeups[0])
+
     def pending_events(self) -> int:
-        """Events pending: those on the heap plus the client timeouts queued
-        behind the first, which is on the heap. The queued timeout of a
-        finished request counts until it is dropped."""
-        return len(self._heap) + max(len(self._timeouts) - 1, 0)
+        """Events pending: those on the heap, the wake-ups beyond the
+        horizon and the client timeouts queued behind the first, which is on
+        the heap. The queued timeout of a finished request counts until it
+        is dropped."""
+        beyond = len(self._wakeups) - self._wakeups_on_heap
+        return len(self._heap) + beyond + max(len(self._timeouts) - 1, 0)
 
     # -- public operations --------------------------------------------------
 
@@ -296,7 +337,7 @@ class SimState:
             raise ValueError(f"cannot issue a request in the past ({at} < {self.now})")
         request = _Request(self._request_count, user, at)
         self._request_count += 1
-        self.schedule(at, _EV_ARRIVAL, _Call(request, self.services[self.entry], None))
+        self.wake(at, _EV_ARRIVAL, _Call(request, self.services[self.entry], None))
         self._seq += 1  # the client timeout's, queued when the arrival is handled
         return request.index
 
@@ -306,8 +347,18 @@ class SimState:
         Fault effects are applied and reverted exactly at their window
         boundaries, ahead of same-timestamp simulation events. ``self.now``
         is brought up to date before anything that may issue a request, and
-        when the loop exits.
+        when the loop exits. The cyclic garbage collector is paused meanwhile
+        and then left as it was found.
         """
+        enabled = gc.isenabled()
+        gc.disable()
+        try:
+            self._run(t)
+        finally:
+            if enabled:
+                gc.enable()
+
+    def _run(self, t: int | None) -> None:
         heap = self._heap
         heappush = heapq.heappush
         heappop = heapq.heappop
@@ -330,6 +381,7 @@ class SimState:
                 svc = call.svc
                 parent = call.parent
                 if parent is None:
+                    self._woken()
                     # Root arrivals come in (t, seq) order, so the FIFO stays sorted.
                     timeouts.append((when + CLIENT_TIMEOUT_MS, seq + 1, _EV_TIMEOUT, call.request))
                     if len(timeouts) == 1:
@@ -425,6 +477,7 @@ class SimState:
                     if timeouts:
                         heappush(heap, timeouts[0])
                 elif kind == _EV_USER:
+                    self._woken()
                     self._think(payload, when)
                 elif kind == _EV_FAULT_START:
                     self._fault_start(payload, when)
@@ -579,4 +632,4 @@ def drive(sim: SimState, workload: WorkloadSpec) -> None:
     they stop issuing requests once the workload duration elapses."""
     sim.workload = workload
     for uid in range(workload.users):
-        sim.schedule((workload.ramp_up_ms * uid) // workload.users, _EV_USER, uid)
+        sim.wake((workload.ramp_up_ms * uid) // workload.users, _EV_USER, uid)
