@@ -240,6 +240,18 @@ def run_cli(*args, cwd=None):
     )
 
 
+def unreadable(tmp_path, kind):
+    """An input path that exists but is not readable UTF-8 text, and the
+    reason the CLI gives for it."""
+    if kind == "directory":
+        path = tmp_path / "dir.yaml"
+        path.mkdir()
+        return path, "Is a directory"
+    path = tmp_path / "latin1.yaml"
+    path.write_bytes(b"name: caf\xe9\n")
+    return path, "'utf-8' codec can't decode byte 0xe9 in position 9: invalid continuation byte"
+
+
 class TestCli:
     @pytest.fixture()
     def small_file(self, tmp_path):
@@ -270,6 +282,39 @@ class TestCli:
     def test_missing_file(self):
         proc = run_cli("validate", "/nonexistent.yaml")
         assert proc.returncode == 1
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    @pytest.mark.parametrize("kind", ["directory", "non-utf-8"])
+    def test_unreadable_experiment_file_is_rejected(self, tmp_path, command, kind):
+        path, reason = unreadable(tmp_path, kind)
+        proc = run_cli(command, str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: cannot read {path}: {reason}\n")
+
+    @pytest.mark.parametrize("kind", ["directory", "non-utf-8"])
+    def test_compare_rejects_an_unreadable_report_in_either_place(self, small_report, tmp_path, kind):
+        good = tmp_path / "good.json"
+        good.write_text(report_json(small_report))
+        bad, reason = unreadable(tmp_path, kind)
+        for first, second in ((bad, good), (good, bad)):
+            proc = run_cli("compare", str(first), str(second))
+            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: cannot read {bad}: {reason}\n")
+
+    @pytest.mark.parametrize(
+        "sub, reason", [("", "File exists"), ("report", "Not a directory")], ids=["out-is-a-file", "out-under-a-file"]
+    )
+    def test_run_rejects_an_out_it_cannot_create_before_running(
+        self, small_file, tmp_path, monkeypatch, capsys, sub, reason
+    ):
+        blocker = tmp_path / "taken"
+        blocker.write_text("")
+        out = blocker / sub if sub else blocker
+
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        assert cli.main(["run", str(small_file), "--out", str(out)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: cannot create --out {out}: {reason}\n")
 
     def test_run_writes_report_and_csv(self, small_file, tmp_path):
         out = tmp_path / "out"

@@ -1,9 +1,11 @@
 from __future__ import annotations
 
 import copy
+import gc
 import hashlib
 import json
 import pickle
+from contextlib import contextmanager
 from dataclasses import replace
 
 import numpy as np
@@ -25,7 +27,16 @@ from oxn.config import (
     apply_instrumentation,
     parse_experiment_file,
 )
-from oxn.simulator import _EV_TIMEOUT, CLIENT_TIMEOUT_MS, LognormalDraws, drive, init_sim, rng_stream
+from oxn.simulator import (
+    _EV_ARRIVAL,
+    _EV_TIMEOUT,
+    _EV_USER,
+    CLIENT_TIMEOUT_MS,
+    LognormalDraws,
+    drive,
+    init_sim,
+    rng_stream,
+)
 
 from conftest import SpanRow, cpu_rows, experiment_path, ok_closes, small_spec, span_rows, tiny_service
 
@@ -485,11 +496,18 @@ class TestGoldenEventLog:
         assert event_log_digest(sim) == EVENT_LOG_DIGESTS[fault]
 
 
+def is_wakeup(event) -> bool:
+    """A user's start or a root arrival: the events of ``SimState.wake``."""
+    _, _, kind, payload = event
+    return kind == _EV_USER or (kind == _EV_ARRIVAL and payload.parent is None)
+
+
 class TestEventQueue:
     def test_one_client_timeout_on_the_heap_and_every_event_counted(self):
         spec, faults = baseline_faults()
         sim = baseline_sim(spec, faults["pause"])
         heap_alone_short = False
+        heap_sizes = []
         for t in range(0, spec.workload.duration_ms + CLIENT_TIMEOUT_MS, 10_000):
             sim.run_until(t)
             assert sum(kind == _EV_TIMEOUT for _, _, kind, _ in sim._heap) <= 1
@@ -497,10 +515,91 @@ class TestEventQueue:
             open_requests = sim._request_count - len(sim.records)
             assert sim.pending_events() >= open_requests
             heap_alone_short |= len(sim._heap) < open_requests
+            # The heap holds the earliest pending wake-ups, each also in
+            # ``_wakeups``, and as many as it counts.
+            on_heap = sorted(e[:2] for e in sim._heap if is_wakeup(e))
+            pending = sorted(e[:2] for e in sim._wakeups)
+            assert set(on_heap) <= set(pending)
+            assert not pending or pending[0] in on_heap
+            assert len(on_heap) == sim._wakeups_on_heap
+            assert on_heap == pending[: len(on_heap)]
+            heap_sizes.append(len(sim._heap))
         assert heap_alone_short  # calls queued at the paused service have no other event
+        # The heap is as deep as the work in flight, not as the 50 users.
+        assert np.median(heap_sizes) <= 10
         sim.run_until(None)
         assert sim.pending_events() == 0
         assert sorted(r.request_id for r in sim.records) == list(range(sim._request_count))
+
+    def test_a_wakeup_between_two_on_the_heap_comes_in_time_order(self):
+        sim = init_sim(sue_single(), seed=1)
+        for user, at in enumerate((300, 100, 200)):
+            sim.issue_request(user, at=at)
+        assert sorted(e[0] for e in sim._heap if is_wakeup(e)) == [100, 200, 300]
+        # Later than the earliest pending wake-up, but before the latest on the heap.
+        sim.issue_request(3, at=250)
+        sim.issue_request(4, at=400)
+        sim.run_until(None)
+        assert [(r.start_ms, r.end_ms) for r in sim.records] == [
+            (100, 110), (200, 210), (250, 260), (300, 310), (400, 410)
+        ]
+        assert sim.pending_events() == 0
+
+
+@contextmanager
+def collector(enabled: bool):
+    """Run the block with the cyclic garbage collector on or off, then set it
+    back as it was."""
+    was_enabled = gc.isenabled()
+    gc.enable() if enabled else gc.disable()
+    try:
+        yield
+    finally:
+        gc.enable() if was_enabled else gc.disable()
+
+
+class TestCollectorPause:
+    @pytest.mark.parametrize("enabled", [True, False])
+    def test_run_until_leaves_the_collector_as_it_found_it(self, enabled):
+        sim = init_sim(sue_single(), seed=1)
+        sim.issue_request(0, at=0)
+        finish = sim._finish_request
+        during = []
+
+        def finish_and_look(*args):
+            during.append(gc.isenabled())
+            finish(*args)
+
+        sim._finish_request = finish_and_look
+        with collector(enabled):
+            sim.run_until(None)
+            assert gc.isenabled() is enabled
+        assert during == [False]
+
+    def test_run_until_restores_the_collector_when_the_loop_raises(self):
+        sim = init_sim(sue_single(), seed=1)
+        sim.issue_request(0, at=0)
+
+        def crash(*args):
+            raise RuntimeError("crash")
+
+        sim._finish_request = crash
+        with collector(True):
+            with pytest.raises(RuntimeError):
+                sim.run_until(None)
+            assert gc.isenabled()
+
+    def test_a_run_creates_no_reference_cycles(self):
+        # The collector may only be paused because a run leaves it nothing to
+        # find: neither the finished state nor its deletion frees a cycle.
+        spec, faults = baseline_faults()
+        with collector(False):
+            gc.collect()
+            sim = baseline_sim(spec, faults["pause"])
+            sim.run_until(None)
+            assert gc.collect() == 0
+            del sim
+            assert gc.collect() == 0
 
 
 class TestFork:
