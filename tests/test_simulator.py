@@ -435,7 +435,7 @@ class TestFaults:
 
 # sha256 of the raw event log of experiments/baseline.yaml at seed 0, one run
 # per fault: its three faults plus kill, stress and packet corruption on the
-# same target and window. The document lists each span once (in open order,
+# same target and window, and a kill of the entry service in that window. The document lists each span once (in open order,
 # closed fields included), each request record and the CPU slices, so it does
 # not depend on how the log stores them. Request-counter increments are not
 # listed: they are the (service, end) of the ok spans. Nor are per-request
@@ -447,12 +447,14 @@ EVENT_LOG_DIGESTS = {
     "kill": "794cc383a163199aca9ebbfaef2d5357c461745387c8070a3c9e5a02049086da",
     "stress": "e8cae208cb2a04d858a00f7490c880934825ce966345029fe742c10d6a146868",
     "corrupt": "f86372f99a6ba50c119a73afd81ac73a35c86bd9b961a02c17e461269279414a",
+    "kill_entry": "7955c6745e300e3cde7fc005032d26e9c1753fabb442bc9b9dfd9dc814a4e34f",
 }
 
 
 def baseline_faults():
     """The baseline spec and its faults by kind, plus kill, stress and
-    corruption on the same target and window."""
+    corruption on the same target and window, and ``kill_entry``: a kill of
+    the entry service, so its requests fail before any span opens."""
     from oxn.config import Kill, PacketCorruption, Stress
 
     spec = parse_experiment_file(experiment_path("baseline"))
@@ -461,6 +463,7 @@ def baseline_faults():
     faults["kill"] = Kill(name="kill_recommendation", **window)
     faults["stress"] = Stress(name="stress_recommendation", factor=3.0, **window)
     faults["corrupt"] = PacketCorruption(name="corrupt_recommendation", probability=0.1, **window)
+    faults["kill_entry"] = Kill(name="kill_frontend", **{**window, "target": "frontend"})
     return spec, faults
 
 
