@@ -1,8 +1,8 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 on validation errors (unreadable, malformed or
-invalid input files, an ``--out`` that cannot be created, mismatched
-comparison inputs), 2 on runtime errors.
+invalid input files, an ``--out`` that cannot be created or a report that
+cannot be written there, mismatched comparison inputs), 2 on runtime errors.
 """
 
 from __future__ import annotations
@@ -76,8 +76,7 @@ def _load_spec(path: str):
 
 def _cmd_run(args) -> int:
     if args.parallel < 1:
-        print(f"error: --parallel must be >= 1, got {args.parallel}", file=sys.stderr)
-        return EXIT_VALIDATION
+        _fail(f"--parallel must be >= 1, got {args.parallel}")
     spec = _load_spec(args.file)
     violations = validate(spec)
     if violations:
@@ -88,8 +87,7 @@ def _cmd_run(args) -> int:
     out_dir = Path(args.out) if args.out else None
     export_dir = out_dir / "csv" if (out_dir and args.export_csv) else None
     if args.export_csv and out_dir is None:
-        print("error: --export-csv requires --out", file=sys.stderr)
-        return EXIT_VALIDATION
+        _fail("--export-csv requires --out")
     if out_dir is not None:
         try:
             out_dir.mkdir(parents=True, exist_ok=True)
@@ -109,7 +107,10 @@ def _cmd_run(args) -> int:
     text = report_json(report)
     if out_dir is not None:
         report_path = out_dir / f"{spec.name}_report.json"
-        report_path.write_text(text, encoding="utf-8")
+        try:
+            report_path.write_text(text, encoding="utf-8")
+        except OSError as exc:
+            _fail(f"cannot write {report_path}: {exc.strerror or exc}")
         for fault, ratio in report.matrix.fault_coverage.items():
             print(f"fault_coverage {fault}: {ratio}")
         print(f"ofo: {report.matrix.ofo}")
@@ -126,13 +127,11 @@ def _cmd_compare(args) -> int:
         try:
             docs.append(json.loads(text))
         except json.JSONDecodeError as exc:
-            print(f"error: {path} is not valid JSON: {exc}", file=sys.stderr)
-            return EXIT_VALIDATION
+            _fail(f"{path} is not valid JSON: {exc}")
     try:
         comparison = compare_docs(docs[0], docs[1])
     except ValueError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_VALIDATION
+        _fail(str(exc))
     sys.stdout.write(json.dumps(comparison, indent=2, sort_keys=True) + "\n")
     return EXIT_OK
 

@@ -22,6 +22,12 @@ span close is one request-counter increment.
 
 Arrivals and completions, the two events behind almost every span, are
 handled in the ``run_until`` loop body; rarer events have handler methods.
+Each step of a call's life is written once: a call starts processing at the
+loop's tail, which then starts queued calls while a worker is free; it
+closes in ``_close_up``, with each ancestor whose last open child it is; and
+its request is finished once, by the root's close or the client timeout,
+whichever comes first.
+
 The heap holds only events that can still act, and is about as deep as the
 work in flight. A completion event carries its call, and a pause or a kill
 takes its service's completions off the heap. Client timeouts, nearly all of
@@ -365,9 +371,9 @@ class SimState:
         timeouts = self._timeouts
         active = self._active
         spans = self.log.spans
-        span_ids, end_ms, ok = spans.span_id, spans.end_ms, spans.ok
+        span_ids = spans.span_id
         span_id_append, parent_append, service_append = span_ids.append, spans.parent.append, spans.service.append
-        start_append, end_append, ok_append = spans.start_ms.append, end_ms.append, ok.append
+        start_append, end_append, ok_append = spans.start_ms.append, spans.end_ms.append, spans.ok.append
         cpu_service_append = self.log.cpu_service.append
         cpu_t_append = self.log.cpu_t_ms.append
         cpu_ms_append = self.log.cpu_ms.append
@@ -434,24 +440,19 @@ class SimState:
                 if children:
                     call.pending += children
                 else:
-                    # A leaf closes here; its ancestors close in ``_close_up``.
-                    end_ms[call.row] = when
-                    ok[call.row] = not call.failed
-                    parent = call.parent
                     self.now = when
-                    if parent is None:
-                        self._finish_request(call.request, "error" if call.failed else "ok", when)
-                    else:
-                        if call.failed:
-                            parent.failed = True
-                        parent.pending -= 1
-                        if parent.pending == 0:
-                            self._close_up(parent, when)
+                    self._close_up(call, when)
                 # One worker is free: the queue holds calls only while every
                 # worker is busy or the service is paused.
                 if not svc.queue or svc.paused:
                     continue
                 call = svc.queue.popleft()
+            elif kind == _EV_FAULT_END:
+                self.now = when
+                call = self._fault_end(payload, when)
+                if call is None:
+                    continue
+                svc = call.svc
             else:
                 self.now = when
                 if kind == _EV_EDGE_RESULT:
@@ -460,14 +461,8 @@ class SimState:
                         cpu_service_append(payload.svc.index)
                         cpu_t_append(when)
                         cpu_ms_append(payload.inbound_cpu_ms)
-                    parent = payload.parent
-                    if parent is None:  # the entry service is killed
-                        self._finish_request(payload.request, "error", when)
-                    else:
-                        parent.failed = True
-                        parent.pending -= 1
-                        if parent.pending == 0:
-                            self._close_up(parent, when)
+                    payload.failed = True
+                    self._close_up(payload, when)
                 elif kind == _EV_TIMEOUT:
                     timeouts.popleft()  # this event
                     if not payload.done:
@@ -479,21 +474,24 @@ class SimState:
                 elif kind == _EV_USER:
                     self._woken()
                     self._think(payload, when)
-                elif kind == _EV_FAULT_START:
-                    self._fault_start(payload, when)
                 else:
-                    self._fault_end(payload, when)
+                    self._fault_start(payload, when)
                 continue
-            # ``call`` starts processing at ``svc``.
-            svc.busy += 1
-            duration = svc.service_times.draw()
-            cpu = svc.spec.cpu_per_request_ms
-            if svc.stress_factor != 1.0:
-                duration = int(round(duration * svc.stress_factor))
-                cpu = cpu * svc.stress_factor
-            call.cpu_ms = cpu
-            self._seq = seq = self._seq + 1
-            heappush(heap, (when + duration, seq, _EV_PROC_DONE, call))
+            # The one place a call starts processing: ``call`` starts at
+            # ``svc``, and so do queued calls while a worker is free.
+            while True:
+                svc.busy += 1
+                duration = svc.service_times.draw()
+                cpu = svc.spec.cpu_per_request_ms
+                if svc.stress_factor != 1.0:
+                    duration = int(round(duration * svc.stress_factor))
+                    cpu = cpu * svc.stress_factor
+                call.cpu_ms = cpu
+                self._seq = seq = self._seq + 1
+                heappush(heap, (when + duration, seq, _EV_PROC_DONE, call))
+                if not svc.queue or svc.busy >= svc.workers:
+                    break
+                call = svc.queue.popleft()
         self.now = when if t is None or when >= t else t
 
     # -- helpers of the loop ---------------------------------------------------
@@ -523,15 +521,19 @@ class SimState:
         return transit, extra_cpu, corrupted
 
     def _close_up(self, call: _Call, t: int) -> None:
-        """Close ``call``, whose work is over, and each ancestor whose last
-        open child it is; a root's close finishes its request."""
+        """Close ``call``, whose work is over or which failed, and each
+        ancestor whose last open child it is; a root's close finishes its
+        request unless the client timeout already has. A call that failed
+        before it opened a span (``row == -1``) only tells its parent."""
         spans = self.log.spans
         while True:
-            spans.end_ms[call.row] = t
-            spans.ok[call.row] = not call.failed
+            if call.row >= 0:
+                spans.end_ms[call.row] = t
+                spans.ok[call.row] = not call.failed
             parent = call.parent
             if parent is None:
-                self._finish_request(call.request, "error" if call.failed else "ok", t)
+                if not call.request.done:
+                    self._finish_request(call.request, "error" if call.failed else "ok", t)
                 return
             if call.failed:
                 parent.failed = True
@@ -539,19 +541,6 @@ class SimState:
             if parent.pending:
                 return
             call = parent
-
-    def _dispatch(self, svc: _ServiceState, t: int) -> None:
-        """Start queued calls on free workers of an unpaused service."""
-        while svc.queue and svc.busy < svc.workers and not svc.paused:
-            call = svc.queue.popleft()
-            svc.busy += 1
-            duration = svc.service_times.draw()
-            cpu = svc.spec.cpu_per_request_ms
-            if svc.stress_factor != 1.0:
-                duration = int(round(duration * svc.stress_factor))
-                cpu = cpu * svc.stress_factor
-            call.cpu_ms = cpu
-            self.schedule(t + duration, _EV_PROC_DONE, call)
 
     def _take_completions(self, svc: _ServiceState) -> list[tuple[int, int, int, _Call]]:
         """Take the completion events of ``svc`` off the heap, in seq order:
@@ -565,8 +554,7 @@ class SimState:
     # -- rare events -----------------------------------------------------------
 
     def _finish_request(self, request: _Request, outcome: str, t: int) -> None:
-        if request.done:
-            return  # completion after the client timeout, or vice versa
+        """Record ``request``, which is not yet done; its user thinks next."""
         request.done = True
         self.records.append(RequestRecord(request.index, request.user, request.start, t, outcome))
         if self.workload is not None:
@@ -604,14 +592,18 @@ class SimState:
         else:
             self._active.append(fault)
 
-    def _fault_end(self, fault: Fault, t: int) -> None:
+    def _fault_end(self, fault: Fault, t: int) -> _Call | None:
+        """Revert ``fault``. A pause's end resumes its service's frozen calls
+        and returns the first queued call if a worker is free for it: the
+        loop starts that call and the queued calls behind it."""
         if type(fault) is Pause:
             svc = self.services[fault.target]
             svc.paused = False
             for call, remaining in svc.frozen:
                 self.schedule(t + remaining, _EV_PROC_DONE, call)
             svc.frozen.clear()
-            self._dispatch(svc, t)
+            if svc.queue and svc.busy < svc.workers:
+                return svc.queue.popleft()
         elif type(fault) is Kill:
             svc = self.services[fault.target]
             svc.killed = False
@@ -619,6 +611,7 @@ class SimState:
             self.services[fault.target].stress_factor = 1.0
         else:
             self._active[:] = [f for f in self._active if f is not fault]
+        return None
 
 
 def init_sim(sue: SueSpec, seed: int, faults: Iterable[Fault] = ()) -> SimState:

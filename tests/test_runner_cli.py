@@ -316,6 +316,13 @@ class TestCli:
         assert cli.main(["run", str(small_file), "--out", str(out)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr() == ("", f"error: cannot create --out {out}: {reason}\n")
 
+    def test_run_names_a_report_it_cannot_write(self, small_file, tmp_path, capsys):
+        out = tmp_path / "out"
+        report_path = out / "small_report.json"
+        report_path.mkdir(parents=True)
+        assert cli.main(["run", str(small_file), "--out", str(out), "--frozen-clock"]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == ("", f"error: cannot write {report_path}: Is a directory\n")
+
     def test_run_writes_report_and_csv(self, small_file, tmp_path):
         out = tmp_path / "out"
         proc = run_cli(

@@ -774,6 +774,23 @@ class TestProperties:
         assert sorted(r.request_id for r in sim.records) == list(range(sim._request_count))
         assert {r.outcome for r in sim.records} <= {"ok", "error", "timeout"}
 
+        # A record agrees with its request's root span.
+        roots = {s.trace: s for s in rows if s.parent < 0}
+        for record in sim.records:
+            root = roots.get(record.request_id)
+            assert root is None or root.start_ms == record.start_ms
+            if record.outcome == "timeout":
+                assert record.end_ms == record.start_ms + CLIENT_TIMEOUT_MS
+                assert root is None or root.end_ms >= record.end_ms
+            elif root is None:
+                # The request reached a killed entry service, which opens no span.
+                assert record.outcome == "error"
+                assert (fault.kind, fault.target) == ("kill", sue.services[0].id)
+                assert fault.start_ms <= record.start_ms < fault.end_ms
+            else:
+                assert root.end_ms == record.end_ms
+                assert (record.outcome == "ok") == bool(root.ok)
+
         if fault is None:
             for svc in sue.services:
                 busy = sum(ms for s, _, ms in cpu_rows(sim.log, sue) if s == svc.id)
