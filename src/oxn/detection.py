@@ -3,7 +3,11 @@
 The default mechanism is a logistic-regression classifier trained full-batch
 with Newton steps and an Armijo backtracking line search, which keeps the
 training loss nonincreasing and the fitted weights bit-reproducible for a
-fixed split. A simple k-sigma threshold alert is included as a second
+fixed split. A fit builds its design matrix ``xb = [x, 1]`` once; each loss
+evaluation takes one product ``z = xb @ theta`` and one ``e = exp(-|z|)``,
+giving the loss ``max(z, 0) + log1p(e) - y*z`` (the form of ``logaddexp``)
+and the sigmoid ``p``, which the next Newton step's Hessian reuses from the
+candidate the line search accepted. A k-sigma threshold alert is a second
 mechanism, and external mechanisms can be registered by name.
 """
 
@@ -171,12 +175,21 @@ def zscore_fit_apply(ds: LabeledDataset) -> LabeledDataset:
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
-    out = np.empty_like(z, dtype=np.float64)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+    e = np.exp(-np.abs(z))
+    return np.where(z >= 0, 1.0, e) / (1.0 + e)
+
+
+def _loss_grad_p(
+    xb: np.ndarray, y: np.ndarray, theta: np.ndarray, ridge: np.ndarray
+) -> tuple[float, np.ndarray, np.ndarray]:
+    """(loss, gradient, sigmoid(z)) at ``theta = [weights, bias]`` for the
+    design matrix ``xb = [x, 1]`` and per-coordinate l2 weights ``ridge``."""
+    z = xb @ theta
+    e = np.exp(-np.abs(z))
+    penalty = ridge * theta
+    loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(e) - y * z)) + 0.5 * float(theta @ penalty)
+    p = np.where(z >= 0, 1.0, e) / (1.0 + e)  # _sigmoid(z), sharing e
+    return loss, xb.T @ ((p - y) / len(y)) + penalty, p
 
 
 def logreg_loss_gradient(
@@ -184,61 +197,48 @@ def logreg_loss_gradient(
 ) -> tuple[float, np.ndarray]:
     """Mean cross-entropy with an l2 ridge on the weights (bias excluded);
     returns (loss, gradient over [weights, bias])."""
-    z = x @ weights + bias
-    # log(1 + exp(z)) - y*z, computed stably
-    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(weights @ weights)
-    p = _sigmoid(z)
-    residual = (p - y) / len(y)
-    grad_w = x.T @ residual + l2 * weights
-    grad_b = float(residual.sum())
-    return loss, np.concatenate([grad_w, [grad_b]])
+    xb = np.hstack([x, np.ones((len(x), 1))])
+    ridge = np.append(np.full(len(weights), l2), 0.0)
+    return _loss_grad_p(xb, y, np.append(weights, bias), ridge)[:2]
 
 
 def train_logreg(
     ds: LabeledDataset,
     l2: float = 1e-4,
     tol: float = 1e-6,
-    max_iter: int = 100_000,
+    max_iter: int = 100,
 ) -> LogRegModel:
     """Fit logistic regression on the train split by damped Newton iteration
     until the gradient infinity-norm drops below ``tol``."""
     x, y_int = ds.train
-    y = y_int.astype(np.float64)
-    if x.shape[0] == 0 or len(np.unique(y_int)) < 2:
+    if x.shape[0] == 0 or y_int.min() == y_int.max():
         raise InsufficientDataError("training split must contain both classes")
 
     n, d = x.shape
-    theta = np.zeros(d + 1)
-    losses: list[float] = []
-    loss, grad = logreg_loss_gradient(x, y, theta[:d], theta[d], l2)
-    losses.append(loss)
-
     xb = np.hstack([x, np.ones((n, 1))])
+    y = y_int.astype(np.float64)
+    ridge = np.append(np.full(d, l2), 0.0)
+    damping = np.diag(ridge + 1e-12)
+    theta = np.zeros(d + 1)
+    loss, grad, p = _loss_grad_p(xb, y, theta, ridge)
+    losses = [loss]
     for _ in range(max_iter):
         if np.max(np.abs(grad)) < tol:
-            return LogRegModel(
-                weights=theta[:d].copy(),
-                bias=float(theta[d]),
-                loss_history=tuple(losses),
-            )
-        p = _sigmoid(xb @ theta)
-        w = p * (1.0 - p)
-        hessian = (xb * w[:, None]).T @ xb / n
-        hessian[:d, :d] += l2 * np.eye(d)
-        hessian += 1e-12 * np.eye(d + 1)
+            return LogRegModel(theta[:d].copy(), float(theta[d]), tuple(losses))
+        hessian = (xb * (p * (1.0 - p))[:, None]).T @ xb / n + damping
         step = np.linalg.solve(hessian, grad)
 
         # Armijo backtracking keeps the loss nonincreasing.
         t = 1.0
         slope = float(grad @ step)
         while t > 1e-12:
-            candidate = theta - t * step
-            cand_loss, cand_grad = logreg_loss_gradient(x, y, candidate[:d], candidate[d], l2)
-            if cand_loss <= loss - 1e-4 * t * slope:
+            theta_t = theta - t * step
+            cand = _loss_grad_p(xb, y, theta_t, ridge)
+            if cand[0] <= loss - 1e-4 * t * slope:
                 break
             t *= 0.5
-        theta = theta - t * step
-        loss, grad = cand_loss, cand_grad
+        theta = theta_t
+        loss, grad, p = cand
         losses.append(loss)
 
     raise ConvergenceError(

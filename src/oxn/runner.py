@@ -20,7 +20,7 @@ from pathlib import Path
 
 from .config import ExperimentSpec, Fault, apply_instrumentation, render_experiment, validate
 from .costs import CostReport, account, mean_cost, overhead
-from .detection import InsufficientDataError, build_dataset, make_mechanism
+from .detection import ConvergenceError, InsufficientDataError, build_dataset, make_mechanism
 from .scoring import Ratio, VisibilityMatrix, build_matrix, fault_coverage, overall_fault_observability
 from .simulator import drive, init_sim, rng_stream
 from .telemetry import build_batch, export_csv, materialize_response
@@ -156,7 +156,7 @@ def execute_run(
                 alert_k=detection.alert_k,
             )
             scores[response.name] = mechanism.run(ds).score
-        except InsufficientDataError as exc:
+        except (InsufficientDataError, ConvergenceError) as exc:
             scores[response.name] = None
             reasons[response.name] = str(exc)
 

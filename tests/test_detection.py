@@ -1,14 +1,19 @@
 from __future__ import annotations
 
+import warnings
+
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oxn import detection
 from oxn.config import DetectionSpec, validate
 from oxn.detection import (
+    MIN_CLASS_ROWS,
     ConvergenceError,
     InsufficientDataError,
     LabeledDataset,
+    LogRegModel,
     LogisticRegressionMechanism,
     ThresholdAlertMechanism,
     build_dataset,
@@ -42,6 +47,123 @@ def synthetic_dataset(rng, n_normal=100, n_fault=100, shift=6.0, split=0.7):
     return build_dataset(
         series_from(values[order], labels[order]), split, rng, feature_window=1
     )
+
+
+# The fit as it stood before it shared one design matrix and one exponential
+# per Newton step, kept as the reference the current fit must reproduce.
+def oracle_sigmoid(z: np.ndarray) -> np.ndarray:
+    out = np.empty_like(z, dtype=np.float64)
+    pos = z >= 0
+    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+    ez = np.exp(z[~pos])
+    out[~pos] = ez / (1.0 + ez)
+    return out
+
+
+def oracle_loss_gradient(x, y, weights, bias, l2):
+    z = x @ weights + bias
+    loss = float(np.mean(np.logaddexp(0.0, z) - y * z)) + 0.5 * l2 * float(weights @ weights)
+    p = oracle_sigmoid(z)
+    residual = (p - y) / len(y)
+    grad_w = x.T @ residual + l2 * weights
+    grad_b = float(residual.sum())
+    return loss, np.concatenate([grad_w, [grad_b]])
+
+
+def oracle_train_logreg(ds, l2=1e-4, tol=1e-6, max_iter=100_000):
+    x, y_int = ds.train
+    y = y_int.astype(np.float64)
+    if x.shape[0] == 0 or len(np.unique(y_int)) < 2:
+        raise InsufficientDataError("training split must contain both classes")
+    n, d = x.shape
+    theta = np.zeros(d + 1)
+    losses = []
+    loss, grad = oracle_loss_gradient(x, y, theta[:d], theta[d], l2)
+    losses.append(loss)
+    xb = np.hstack([x, np.ones((n, 1))])
+    for _ in range(max_iter):
+        if np.max(np.abs(grad)) < tol:
+            return LogRegModel(theta[:d].copy(), float(theta[d]), tuple(losses))
+        p = oracle_sigmoid(xb @ theta)
+        w = p * (1.0 - p)
+        hessian = (xb * w[:, None]).T @ xb / n
+        hessian[:d, :d] += l2 * np.eye(d)
+        hessian += 1e-12 * np.eye(d + 1)
+        step = np.linalg.solve(hessian, grad)
+        t = 1.0
+        slope = float(grad @ step)
+        while t > 1e-12:
+            candidate = theta - t * step
+            cand_loss, cand_grad = oracle_loss_gradient(x, y, candidate[:d], candidate[d], l2)
+            if cand_loss <= loss - 1e-4 * t * slope:
+                break
+            t *= 0.5
+        theta = theta - t * step
+        loss, grad = cand_loss, cand_grad
+        losses.append(loss)
+    raise ConvergenceError(f"no convergence after {max_iter} iterations")
+
+
+@st.composite
+def labeled_datasets(draw):
+    """A train/test dataset from a random labeled series: 8 to 3,000 rows, a
+    fault share of 5-95%, a class shift of 0 to 8 standard deviations, raw,
+    integer-valued or with one class constant, and sometimes an extra
+    constant feature column."""
+    n = draw(st.integers(8, 3000))
+    n_fault = min(max(round(n * draw(st.floats(0.05, 0.95))), MIN_CLASS_ROWS), n - MIN_CLASS_ROWS)
+    shift = draw(st.floats(0.0, 8.0))
+    form = draw(st.sampled_from(["raw", "integer", "constant_normal_class"]))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    labels = np.zeros(n, dtype=int)
+    start = draw(st.integers(0, n - n_fault)) if draw(st.booleans()) else None
+    if start is None:
+        labels[rng.choice(n, n_fault, replace=False)] = 1
+    else:
+        labels[start : start + n_fault] = 1
+    values = rng.normal(0.0, 1.0, n) + shift * labels
+    if form == "integer":
+        values = np.round(values)
+    elif form == "constant_normal_class":
+        values[labels == 0] = 0.0
+    ds = build_dataset(series_from(values, labels), 0.7, rng, feature_window=draw(st.integers(1, 4)))
+    if draw(st.booleans()):
+        ds.features = np.column_stack([ds.features, np.full(len(ds.labels), 3.0)])
+    return ds
+
+
+class TestAgainstOracle:
+    @settings(max_examples=150, deadline=None)
+    @given(labeled_datasets())
+    def test_scores_equal_and_weights_agree(self, ds):
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore", UserWarning)  # constant columns dropped
+            try:
+                normalized = zscore_fit_apply(ds)
+            except InsufficientDataError:
+                with pytest.raises(InsufficientDataError):
+                    LogisticRegressionMechanism().run(ds)
+                return
+            score = LogisticRegressionMechanism().run(ds).score
+        oracle = oracle_train_logreg(normalized)
+        x_test, y_test = normalized.test
+        predicted = oracle_sigmoid(x_test @ oracle.weights + oracle.bias) > 0.5
+        assert score == float(np.mean(predicted.astype(np.int64) == y_test))
+        model = train_logreg(normalized)
+        theta = np.append(model.weights, model.bias)
+        oracle_theta = np.append(oracle.weights, oracle.bias)
+        assert np.max(np.abs(theta - oracle_theta)) <= 1e-9 * np.max(np.abs(oracle_theta))
+
+    def test_sigmoid_equals_the_two_branch_form_bit_for_bit(self):
+        rng = np.random.default_rng(15)
+        z = np.concatenate(
+            [
+                rng.normal(0.0, 30.0, 10_000),
+                rng.uniform(-800.0, 800.0, 10_000),
+                [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf],
+            ]
+        )
+        assert np.array_equal(detection._sigmoid(z).view(np.uint64), oracle_sigmoid(z).view(np.uint64))
 
 
 class TestBuildDataset:

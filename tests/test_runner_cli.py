@@ -158,6 +158,29 @@ class TestRunExperiment:
         jsonschema = pytest.importorskip("jsonschema")
         jsonschema.validate(doc, json.loads((REPO_ROOT / "src/oxn/report_schema.json").read_text()))
 
+    def test_fit_that_cannot_converge_gives_undefined_scores(self, small_report):
+        # no fit reaches a gradient infinity-norm of 1e-19 within its Newton
+        # steps: each logistic score is undefined and names why, and no field
+        # that does not derive from the scores or the spec moves
+        spec = small_spec(detection=DetectionSpec(tol=1e-19))
+        doc = run_experiment(spec, frozen_clock=True).to_doc()
+        expected = small_report.to_doc()
+        for run in doc["runs"]:
+            assert set(run["scores"].values()) == {None}
+            assert sorted(run["reasons"]) == sorted(run["scores"])
+            for reason in run["reasons"].values():
+                assert reason.startswith("logistic regression failed to converge after 100 iterations")
+        for cell in doc["visibility"]["pause_backend"].values():
+            assert cell == {"score_mean": None, "score_runs": [None, None], "visible": 0}
+        assert doc["fault_coverage"]["pause_backend"] == {"visible": 0, "responses": 3, "ratio": "0/3"}
+        assert doc["ofo"] == {"covered": 0, "faults": 1, "ratio": "0/1"}
+        assert doc["spec_digest"] == spec_digest(spec)
+        for key in ("visibility", "fault_coverage", "ofo", "spec_digest"):
+            del doc[key], expected[key]
+        for run in doc["runs"] + expected["runs"]:
+            run.pop("scores"), run.pop("reasons", None)
+        assert doc == expected
+
     def test_invalid_spec_rejected(self):
         spec = small_spec(repetitions=0)
         with pytest.raises(ExperimentError, match="invalid"):
