@@ -49,8 +49,9 @@ def synthetic_dataset(rng, n_normal=100, n_fault=100, shift=6.0, split=0.7):
     )
 
 
-# The fit as it stood before it shared one design matrix and one exponential
-# per Newton step, kept as the reference the current fit must reproduce.
+# Reference fit: a two-branch sigmoid, the loss through np.logaddexp, and a
+# fresh sigmoid and product for every Hessian. The fit under test must give
+# its scores exactly and its weights to within rounding.
 def oracle_sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=np.float64)
     pos = z >= 0

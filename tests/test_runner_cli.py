@@ -178,7 +178,8 @@ class TestRunExperiment:
         for key in ("visibility", "fault_coverage", "ofo", "spec_digest"):
             del doc[key], expected[key]
         for run in doc["runs"] + expected["runs"]:
-            run.pop("scores"), run.pop("reasons", None)
+            del run["scores"]
+            run.pop("reasons", None)
         assert doc == expected
 
     def test_invalid_spec_rejected(self):
