@@ -9,12 +9,18 @@ giving the loss ``max(z, 0) + log1p(e) - y*z`` (the form of ``logaddexp``)
 and the sigmoid ``p``, which the next Newton step's Hessian reuses from the
 candidate the line search accepted. A k-sigma threshold alert is a second
 mechanism, and external mechanisms can be registered by name.
+
+A mechanism's ``run(ds)`` receives a ``LabeledDataset`` whose rows are
+ordered train first: the leading ``ds.n_train`` rows (the train split,
+rebalanced by oversampling) and then the test rows. ``ds.train`` and
+``ds.test`` are views of ``ds.features`` and ``ds.labels``; treat them as
+read-only, since writing through them changes the dataset.
 """
 
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 from typing import Callable, Protocol
 
 import numpy as np
@@ -32,19 +38,21 @@ class ConvergenceError(RuntimeError):
 
 @dataclass
 class LabeledDataset:
-    """Feature matrix with binary labels and a train/test split tag per row."""
+    """Feature matrix with binary labels, train rows first: the leading
+    ``n_train`` rows are the train split and the rest the test split, so
+    ``train`` and ``test`` are views of ``features`` and ``labels``."""
 
     features: np.ndarray  # (rows, cols) float64
     labels: np.ndarray  # (rows,) int, 1 = fault
-    is_train: np.ndarray  # (rows,) bool
+    n_train: int
 
     @property
     def train(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.features[self.is_train], self.labels[self.is_train]
+        return self.features[: self.n_train], self.labels[: self.n_train]
 
     @property
     def test(self) -> tuple[np.ndarray, np.ndarray]:
-        return self.features[~self.is_train], self.labels[~self.is_train]
+        return self.features[self.n_train :], self.labels[self.n_train :]
 
 
 @dataclass(frozen=True)
@@ -80,14 +88,8 @@ def lagged_features(values: np.ndarray, window: int) -> np.ndarray:
     that leaks the label on short series.
     """
     values = np.asarray(values, dtype=np.float64)
-    cols = [values]
-    for lag in range(1, window):
-        if len(values) == 0:
-            cols.append(values.copy())
-            continue
-        shifted = np.concatenate([np.full(min(lag, len(values)), values[0]), values[:-lag]])
-        cols.append(shifted[: len(values)])
-    return np.column_stack(cols) if len(values) else np.zeros((0, window))
+    padded = np.concatenate([np.repeat(values[:1], window - 1), values])
+    return np.column_stack([padded[window - 1 - lag : len(padded) - lag] for lag in range(window)])
 
 
 def build_dataset(
@@ -123,32 +125,21 @@ def build_dataset(
     features = lagged_features(values, feature_window)
 
     is_train = np.zeros(len(labels), dtype=bool)
+    counts = []  # train rows per class
     for cls in (0, 1):
         idx = np.flatnonzero(labels == cls)
         idx = idx[rng.permutation(len(idx))]
-        take = min(max(int(len(idx) * split_ratio), 1), len(idx) - 1)
-        is_train[idx[:take]] = True
+        counts.append(min(max(int(len(idx) * split_ratio), 1), len(idx) - 1))
+        is_train[idx[: counts[cls]]] = True
 
     train_idx = np.flatnonzero(is_train)
-    train_labels = labels[train_idx]
-    counts = {cls: int((train_labels == cls).sum()) for cls in (0, 1)}
-    minority = min(counts, key=counts.get)
-    deficit = counts[1 - minority] - counts[minority]
-    extra_rows = np.empty((0,), dtype=np.int64)
-    if deficit > 0:
-        pool = train_idx[train_labels == minority]
-        extra_rows = rng.choice(pool, size=deficit, replace=True)
+    minority = int(counts[1] < counts[0])
+    pool = train_idx[labels[train_idx] == minority]
+    extra_rows = rng.choice(pool, size=abs(counts[1] - counts[0]), replace=True)
 
     order = np.concatenate([train_idx, extra_rows, np.flatnonzero(~is_train)])
     return LabeledDataset(
-        features=features[order],
-        labels=labels[order],
-        is_train=np.concatenate(
-            [
-                np.ones(len(train_idx) + len(extra_rows), dtype=bool),
-                np.zeros(int((~is_train).sum()), dtype=bool),
-            ]
-        ),
+        features=features[order], labels=labels[order], n_train=len(train_idx) + len(extra_rows)
     )
 
 
@@ -167,11 +158,7 @@ def zscore_fit_apply(ds: LabeledDataset) -> LabeledDataset:
     if not keep.any():
         raise InsufficientDataError("all feature columns are constant on the train split")
     transformed = (ds.features[:, keep] - mean[keep]) / std[keep]
-    return LabeledDataset(
-        features=transformed,
-        labels=ds.labels.copy(),
-        is_train=ds.is_train.copy(),
-    )
+    return replace(ds, features=transformed)
 
 
 def _sigmoid(z: np.ndarray) -> np.ndarray:
@@ -331,8 +318,13 @@ def make_mechanism(name: str, **params) -> DetectionMechanism:
     return _REGISTRY[name](**params)
 
 
-register_mechanism(
-    "logistic_regression",
-    lambda l2=1e-4, tol=1e-6, **_: LogisticRegressionMechanism(l2=l2, tol=tol),
-)
-register_mechanism("threshold_alert", lambda alert_k=3.0, **_: ThresholdAlertMechanism(k=alert_k))
+def _logistic_regression(l2=1e-4, tol=1e-6, **_) -> LogisticRegressionMechanism:
+    return LogisticRegressionMechanism(l2=l2, tol=tol)
+
+
+def _threshold_alert(alert_k=3.0, **_) -> ThresholdAlertMechanism:
+    return ThresholdAlertMechanism(k=alert_k)
+
+
+register_mechanism("logistic_regression", _logistic_regression)
+register_mechanism("threshold_alert", _threshold_alert)

@@ -12,6 +12,7 @@ from __future__ import annotations
 
 import hashlib
 import json
+import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass
@@ -20,7 +21,8 @@ from pathlib import Path
 
 from .config import ExperimentSpec, Fault, apply_instrumentation, render_experiment, validate
 from .costs import CostReport, account, mean_cost, overhead
-from .detection import ConvergenceError, InsufficientDataError, build_dataset, make_mechanism
+from .detection import _REGISTRY, ConvergenceError, InsufficientDataError, build_dataset
+from .detection import make_mechanism, register_mechanism
 from .scoring import Ratio, VisibilityMatrix, build_matrix, fault_coverage, overall_fault_observability
 from .simulator import drive, init_sim, rng_stream
 from .telemetry import build_batch, export_csv, materialize_response
@@ -191,8 +193,9 @@ def run_experiment(
     """Run every fault treatment for every repetition and score the results.
 
     With ``parallel`` > 1 the runs go to a process pool of at most one worker
-    per run. Errors from individual runs propagate with (fault, repetition)
-    context.
+    per run; each worker registers the spec's mechanism factory, which must
+    pickle (a module-level function, not a lambda). Errors from individual
+    runs propagate with (fault, repetition) context.
     """
     violations = validate(spec)
     if violations:
@@ -209,12 +212,22 @@ def run_experiment(
         for fault in faults
         for repetition in range(spec.repetitions)
     ]
+    pooled = parallel > 1 and len(tasks) > 1
+    registration = (spec.detection.mechanism, _REGISTRY[spec.detection.mechanism])
+    if pooled:
+        try:
+            pickle.dumps(registration)
+        except (pickle.PicklingError, AttributeError, TypeError) as exc:
+            raise ExperimentError(
+                f"detection mechanism '{registration[0]}' cannot be sent to pool workers: {exc}"
+            ) from exc
     # Both maps yield results in task order, whatever order the runs finish
     # in, and ``extend`` keeps those yielded before a run fails.
     results: list[RunResult] = []
     try:
-        if parallel > 1 and len(tasks) > 1:
-            with ProcessPoolExecutor(max_workers=min(parallel, len(tasks))) as pool:
+        if pooled:
+            workers = min(parallel, len(tasks))
+            with ProcessPoolExecutor(workers, initializer=register_mechanism, initargs=registration) as pool:
                 results.extend(pool.map(_run_task, tasks))
         else:
             results.extend(map(_run_task, tasks))

@@ -241,6 +241,14 @@ def _format_value(value: float) -> str:
     return str(int(value)) if value == int(value) else repr(value)
 
 
+def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> Path:
+    with path.open("w", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n")
+        writer.writerow(header)
+        writer.writerows(rows)
+    return path
+
+
 def export_csv(
     batch: TelemetryBatch,
     responses: list[ResponseSeries],
@@ -253,33 +261,17 @@ def export_csv(
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for series in responses:
+        columns = (series.timestamps.tolist(), series.values.tolist(), series.is_fault.tolist())
+        rows = ([t, _format_value(v), "fault" if f else "normal"] for t, v, f in zip(*columns))
         path = directory / f"{prefix}_{series.name}.csv"
-        with path.open("w", newline="") as handle:
-            writer = csv.writer(handle, lineterminator="\n")
-            writer.writerow(["timestamp_ms", "value", "label"])
-            columns = (series.timestamps.tolist(), series.values.tolist(), series.is_fault.tolist())
-            for t, value, is_fault in zip(*columns):
-                writer.writerow([t, _format_value(value), "fault" if is_fault else "normal"])
-        written.append(path)
+        written.append(_write_csv(path, ["timestamp_ms", "value", "label"], rows))
 
-    path = directory / f"{prefix}_spans.csv"
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle, lineterminator="\n")
-        writer.writerow(
-            ["trace_id", "span_id", "parent_id", "service", "start_ms", "end_ms", "outcome"]
-        )
-        columns = (column.tolist() for column in vars(batch.spans).values())
-        for span_id, parent, service, start, end, ok in zip(*columns):
-            writer.writerow(
-                [
-                    span_id >> SPAN_BITS,
-                    span_id,
-                    "" if parent < 0 else parent,
-                    batch.services[service],
-                    start,
-                    end,
-                    "ok" if ok else "error",
-                ]
-            )
-    written.append(path)
+    spans = zip(*(column.tolist() for column in vars(batch.spans).values()))
+    rows = (
+        [span_id >> SPAN_BITS, span_id, "" if parent < 0 else parent, batch.services[service],
+         start, end, "ok" if ok else "error"]
+        for span_id, parent, service, start, end, ok in spans
+    )
+    header = ["trace_id", "span_id", "parent_id", "service", "start_ms", "end_ms", "outcome"]
+    written.append(_write_csv(directory / f"{prefix}_spans.csv", header, rows))
     return written

@@ -40,6 +40,13 @@ def series_from(values, labels, name="s") -> ResponseSeries:
     )
 
 
+def train_first(x, y, is_train) -> LabeledDataset:
+    """A dataset of the rows of ``x`` and ``y``, those where ``is_train``
+    holds first, each group in its original order."""
+    order = np.argsort(~is_train, kind="stable")
+    return LabeledDataset(features=x[order], labels=y[order], n_train=int(is_train.sum()))
+
+
 def synthetic_dataset(rng, n_normal=100, n_fault=100, shift=6.0, split=0.7):
     values = np.concatenate([rng.normal(0, 1, n_normal), rng.normal(shift, 1, n_fault)])
     labels = np.concatenate([np.zeros(n_normal, dtype=int), np.ones(n_fault, dtype=int)])
@@ -103,6 +110,18 @@ def oracle_train_logreg(ds, l2=1e-4, tol=1e-6, max_iter=100_000):
         loss, grad = cand_loss, cand_grad
         losses.append(loss)
     raise ConvergenceError(f"no convergence after {max_iter} iterations")
+
+
+# Reference lag columns: the per-lag loop with its own empty-series branch.
+def oracle_lagged_features(values: np.ndarray, window: int) -> np.ndarray:
+    cols = [values]
+    for lag in range(1, window):
+        if len(values) == 0:
+            cols.append(values.copy())
+            continue
+        shifted = np.concatenate([np.full(min(lag, len(values)), values[0]), values[:-lag]])
+        cols.append(shifted[: len(values)])
+    return np.column_stack(cols) if len(values) else np.zeros((0, window))
 
 
 @st.composite
@@ -175,6 +194,8 @@ class TestBuildDataset:
         ds = build_dataset(series_from(values, labels), 0.7, rng)
         _, y_train = ds.train
         assert (y_train == 1).sum() == (y_train == 0).sum()
+        head = ds.labels[: ds.n_train]
+        assert (head == 1).sum() == (head == 0).sum()
         _, y_test = ds.test
         # test split keeps the original imbalance: 30% of each class
         assert (y_test == 0).sum() == 30
@@ -198,11 +219,30 @@ class TestBuildDataset:
         b = build_dataset(series_from(values, labels), 0.7, np.random.default_rng(7))
         assert np.array_equal(a.features, b.features)
         assert np.array_equal(a.labels, b.labels)
-        assert np.array_equal(a.is_train, b.is_train)
+        assert a.n_train == b.n_train
 
     def test_lagged_features_repeat_first_value(self):
         feats = lagged_features(np.array([5.0, 6.0, 7.0]), 3)
         assert feats.tolist() == [[5, 5, 5], [6, 5, 5], [7, 6, 5]]
+
+    @settings(max_examples=200, deadline=None)
+    @given(
+        st.lists(st.floats(width=64), max_size=12).map(np.array),
+        st.integers(1, 8),
+    )
+    def test_lagged_features_equal_the_per_lag_loop_bit_for_bit(self, values, window):
+        reference = oracle_lagged_features(values, window)
+        feats = lagged_features(values, window)
+        assert feats.shape == reference.shape == (len(values), window)
+        assert np.array_equal(feats.view(np.uint64), reference.view(np.uint64))
+
+    def test_splits_are_views_of_the_dataset(self):
+        ds = synthetic_dataset(np.random.default_rng(16), n_normal=60, n_fault=20)
+        for rows in (ds, zscore_fit_apply(ds)):
+            (x_train, y_train), (x_test, y_test) = rows.train, rows.test
+            assert len(y_train) == rows.n_train and len(y_train) + len(y_test) == len(rows.labels)
+            assert np.shares_memory(x_train, rows.features) and np.shares_memory(x_test, rows.features)
+            assert np.shares_memory(y_train, rows.labels) and np.shares_memory(y_test, rows.labels)
 
 
 class TestZScore:
@@ -211,7 +251,7 @@ class TestZScore:
         return LabeledDataset(
             features=x,
             labels=np.array([0, 1, 0][: len(column)]),
-            is_train=np.ones(len(column), dtype=bool),
+            n_train=len(column),
         )
 
     def test_small_example(self):
@@ -227,14 +267,14 @@ class TestZScore:
             LabeledDataset(
                 features=col.reshape(-1, 1),
                 labels=(rng.random(500) < 0.5).astype(int),
-                is_train=np.ones(500, dtype=bool),
+                n_train=500,
             )
         )
         assert np.allclose(ds.features[:, 0], col, atol=1e-12)
 
     def test_constant_column_dropped(self):
         x = np.column_stack([np.arange(5.0), np.full(5, 3.0)])
-        ds = LabeledDataset(features=x, labels=np.array([0, 1, 0, 1, 0]), is_train=np.ones(5, dtype=bool))
+        ds = LabeledDataset(features=x, labels=np.array([0, 1, 0, 1, 0]), n_train=5)
         with pytest.warns(UserWarning, match="constant feature"):
             out = zscore_fit_apply(ds)
         assert out.features.shape[1] == 1
@@ -334,7 +374,7 @@ class TestEvaluate:
         x = np.concatenate([np.zeros(20), np.ones(20)]).reshape(-1, 1)
         y = np.concatenate([np.zeros(20, dtype=int), np.ones(20, dtype=int)])
         split = np.tile([True, True, True, False], 10)
-        ds = zscore_fit_apply(LabeledDataset(features=x, labels=y, is_train=split))
+        ds = zscore_fit_apply(train_first(x, y, split))
         model = train_logreg(ds)
         assert evaluate_logreg(model, ds).score == 1.0
 
@@ -342,9 +382,7 @@ class TestEvaluate:
         rng = np.random.default_rng(13)
         x = rng.normal(size=(40, 1)) * 1e-12  # effectively no signal
         y = np.tile([0, 1], 20)
-        ds = LabeledDataset(
-            features=x, labels=y, is_train=np.tile([True, True, False, False], 10)
-        )
+        ds = train_first(x, y, np.tile([True, True, False, False], 10))
         alert = fit_threshold_alert(ds, k=3.0)
         flagged_score = evaluate_threshold_alert(alert, ds).score
         assert flagged_score == 0.5  # flags nothing: TNR=1, TPR=0

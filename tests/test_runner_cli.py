@@ -2,9 +2,11 @@ from __future__ import annotations
 
 import functools
 import json
+import multiprocessing
 import operator
 import subprocess
 import sys
+from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
@@ -40,8 +42,9 @@ def serial_pool(monkeypatch):
     created = []
 
     class SerialPool:
-        def __init__(self, max_workers):
+        def __init__(self, max_workers, initializer, initargs):
             created.append(max_workers)
+            initializer(*initargs)
 
         def __enter__(self):
             return self
@@ -54,6 +57,39 @@ def serial_pool(monkeypatch):
 
     monkeypatch.setattr(runner, "ProcessPoolExecutor", SerialPool)
     return created
+
+
+def pool_start_methods(monkeypatch):
+    """Each start method this platform offers, with the runner's process pools
+    switched to start their workers by that method while it is yielded."""
+    for method in multiprocessing.get_all_start_methods():
+        pool = functools.partial(ProcessPoolExecutor, mp_context=multiprocessing.get_context(method))
+        monkeypatch.setattr(runner, "ProcessPoolExecutor", pool)
+        yield method
+
+
+def module_level_factory(alert_k=3.0, **_):
+    """A mechanism factory defined outside oxn, as a library user registers one."""
+    return ThresholdAlertMechanism(k=alert_k)
+
+
+class Crash:
+    def run(self, ds):
+        raise RuntimeError("detector crashed")
+
+
+class FailsLate:
+    """Mechanism factory whose mechanism crashes from the ``crash_run``-th run
+    on (counted from 0), given ``responses`` mechanisms made per run."""
+
+    def __init__(self, responses: int, crash_run: int):
+        self.responses, self.crash_run, self.made = responses, crash_run, 0
+
+    def __call__(self, alert_k=3.0, **_):
+        self.made += 1
+        if (self.made - 1) // self.responses == self.crash_run:
+            return Crash()
+        return ThresholdAlertMechanism(k=alert_k)
 
 
 class TestRunExperiment:
@@ -86,10 +122,27 @@ class TestRunExperiment:
         covered = sum(1 for c in doc["fault_coverage"].values() if c["visible"] > 0)
         assert covered == doc["ofo"]["covered"]
 
-    def test_parallel_equals_serial(self):
-        serial = run_experiment(small_spec(), parallel=1, frozen_clock=True)
-        parallel = run_experiment(small_spec(), parallel=2, frozen_clock=True)
-        assert report_json(serial) == report_json(parallel)
+    def test_parallel_equals_serial(self, monkeypatch):
+        serial = report_json(run_experiment(small_spec(), parallel=1, frozen_clock=True))
+        for method in pool_start_methods(monkeypatch):
+            parallel = run_experiment(small_spec(), parallel=2, frozen_clock=True)
+            assert report_json(parallel) == serial, method
+
+    def test_registered_mechanism_runs_in_every_pool(self, monkeypatch):
+        monkeypatch.setitem(detection._REGISTRY, "mine", module_level_factory)
+        spec = small_spec(detection=DetectionSpec(mechanism="mine"))
+        serial = run_experiment(spec, parallel=1, frozen_clock=True).matrix.score_runs
+        for method in pool_start_methods(monkeypatch):
+            parallel = run_experiment(spec, parallel=2, frozen_clock=True).matrix.score_runs
+            assert parallel == serial, method
+
+    def test_pool_rejects_a_factory_that_does_not_pickle(self, monkeypatch, serial_pool):
+        monkeypatch.setitem(detection._REGISTRY, "mine", lambda **_: ThresholdAlertMechanism())
+        spec = small_spec(repetitions=2, detection=DetectionSpec(mechanism="mine"))
+        with pytest.raises(ExperimentError, match="mechanism 'mine' cannot be sent to pool workers"):
+            run_experiment(spec, parallel=2, frozen_clock=True)
+        assert serial_pool == []  # rejected before any run starts
+        assert len(run_experiment(spec, parallel=1, frozen_clock=True).runs) == 2
 
     def test_pool_has_at_most_one_worker_per_run(self, serial_pool):
         report = run_experiment(small_spec(repetitions=2), parallel=64, frozen_clock=True)
@@ -104,21 +157,10 @@ class TestRunExperiment:
             ),
             detection=DetectionSpec(mechanism="fails_late"),
         )
-        made = []
-
-        class Crash:
-            def run(self, ds):
-                raise RuntimeError("detector crashed")
-
-        def factory(alert_k=3.0, **_):
-            # Runs go fault by fault, repetition by repetition, and each makes
-            # one mechanism per response: the fourth run is repetition 1 of
-            # the second fault.
-            made.append(None)
-            if (len(made) - 1) // len(spec.responses) == 3:
-                return Crash()
-            return ThresholdAlertMechanism(k=alert_k)
-
+        # Runs go fault by fault, repetition by repetition, and each makes one
+        # mechanism per response: the fourth run is repetition 1 of the second
+        # fault. The factory is a module-level class so that it pickles.
+        factory = FailsLate(responses=len(spec.responses), crash_run=3)
         monkeypatch.setitem(detection._REGISTRY, "fails_late", factory)
         with pytest.raises(ExperimentError) as raised:
             run_experiment(spec, parallel=parallel, frozen_clock=True)
