@@ -23,13 +23,11 @@ from .config import ExperimentSpec, Fault, apply_instrumentation, render_experim
 from .costs import CostReport, account, mean_cost, overhead
 from .detection import _REGISTRY, ConvergenceError, InsufficientDataError, build_dataset
 from .detection import make_mechanism, register_mechanism
-from .scoring import Ratio, VisibilityMatrix, build_matrix, fault_coverage, overall_fault_observability
+from .scoring import VisibilityMatrix, build_matrix
 from .simulator import drive, init_sim, rng_stream
 from .telemetry import build_batch, export_csv, materialize_response
 
 SCHEMA_VERSION = "1"
-COVERAGE_KEYS = ("visible", "responses")  # a fault-coverage cell's count and total
-OFO_KEYS = ("covered", "faults")  # the OFO's count and total
 
 
 class ExperimentError(RuntimeError):
@@ -64,29 +62,12 @@ class ObservabilityReport:
     meta: dict
 
     def to_doc(self) -> dict:
-        matrix = self.matrix
         return {
             "schema_version": SCHEMA_VERSION,
             "experiment": self.experiment,
             "spec_digest": self.spec_digest,
-            "alpha": matrix.alpha,
             "detection_mechanism": self.mechanism,
-            "responses": list(matrix.responses),
-            "visibility": {
-                fault: {
-                    response: {
-                        "score_mean": matrix.score_means[(fault, response)],
-                        "score_runs": matrix.score_runs[(fault, response)],
-                        "visible": matrix.visible[(fault, response)],
-                    }
-                    for response in matrix.responses
-                }
-                for fault in matrix.faults
-            },
-            "fault_coverage": {
-                fault: _ratio_doc(ratio, COVERAGE_KEYS) for fault, ratio in matrix.fault_coverage.items()
-            },
-            "ofo": _ratio_doc(matrix.ofo, OFO_KEYS),
+            **_scored_doc(self.matrix),
             "cost": self.cost.as_dict(),
             "runs": [
                 {
@@ -110,8 +91,28 @@ class ObservabilityReport:
         }
 
 
-def _ratio_doc(ratio: Ratio, keys: tuple[str, str]) -> dict:
-    return {keys[0]: ratio.count, keys[1]: ratio.total, "ratio": str(ratio)}
+def _scored_doc(matrix: VisibilityMatrix) -> dict:
+    """The report sections that ``build_matrix`` determines, as a report writes them."""
+    return {
+        "alpha": matrix.alpha,
+        "responses": list(matrix.responses),
+        "visibility": {
+            fault: {
+                response: {
+                    "score_mean": matrix.score_means[(fault, response)],
+                    "score_runs": matrix.score_runs[(fault, response)],
+                    "visible": matrix.visible[(fault, response)],
+                }
+                for response in matrix.responses
+            }
+            for fault in matrix.faults
+        },
+        "fault_coverage": {
+            fault: {"visible": fc.count, "responses": fc.total, "ratio": str(fc)}
+            for fault, fc in matrix.fault_coverage.items()
+        },
+        "ofo": {"covered": matrix.ofo.count, "faults": matrix.ofo.total, "ratio": str(matrix.ofo)},
+    }
 
 
 def spec_digest(spec: ExperimentSpec) -> str:
@@ -272,52 +273,51 @@ _FIELD_KINDS = {
     "an object": lambda value: type(value) is dict,
     "a list of strings": lambda value: type(value) is list and all(type(v) is str for v in value),
     "a string": lambda value: type(value) is str,
-    "an integer": lambda value: type(value) is int,
     "a number": lambda value: type(value) in (int, float),
+    "a number in (0, 1)": lambda value: type(value) in (int, float) and 0 < value < 1,
+    "a list of nulls and numbers in [0, 1]": lambda value: type(value) is list
+    and all(v is None or type(v) in (int, float) and 0 <= v <= 1 for v in value),
 }
 
 
-def _field(doc: dict, path: tuple[str, ...], kind: str = "an object"):
-    """The field of a report document at ``path``, checked to be ``kind``;
-    a rejection names the field's dotted path."""
+def _field(doc: dict, path: tuple[str, ...], kind: str | None = "an object"):
+    """The field of a report document at ``path``, checked to be ``kind``
+    unless that is None; a rejection names the field's dotted path."""
     parent = _field(doc, path[:-1]) if len(path) > 1 else doc
     if path[-1] not in parent:
         raise ValueError(f"{'.'.join(path)} is missing")
     value = parent[path[-1]]
-    if not _FIELD_KINDS[kind](value):
+    if kind is not None and not _FIELD_KINDS[kind](value):
         raise ValueError(f"{'.'.join(path)} must be {kind}, not {value!r}")
     return value
 
 
-def _ratio(doc: dict, path: tuple[str, ...], keys: tuple[str, str], derive, values) -> Ratio:
-    """The ratio ``_ratio_doc`` wrote at ``path``, checked against ``derive(values)``."""
-    counts = [_field(doc, (*path, key), "an integer") for key in keys]
-    try:
-        stated, derived = Ratio(*counts), derive(values)
-    except ValueError as exc:
-        raise ValueError(f"{'.'.join(path)}: {exc}") from None
-    if [derived.count, derived.total] != counts:
-        raise ValueError(f"{'.'.join(path)} is {stated}, but the visibility cells give {derived}")
-    return stated
+def _match(doc: dict, path: tuple[str, ...], derived) -> None:
+    """Reject the first field at or under ``path`` that is not ``derived``;
+    leaves are compared as JSON text, so 1, 1.0 and true differ."""
+    stated = _field(doc, path, "an object" if type(derived) is dict else None)
+    if type(derived) is dict:
+        for key in [*derived, *sorted(stated.keys() - derived.keys())]:
+            if key not in derived:
+                raise ValueError(f"{'.'.join((*path, key))} is not a field the repetition scores give")
+            _match(doc, (*path, key), derived[key])
+    elif (text := json.dumps(stated)) != (given := json.dumps(derived)):
+        raise ValueError(f"{'.'.join(path)} is {text}, but the repetition scores give {given}")
 
 
-def _read_report(doc: dict, responses: list[str]) -> tuple[dict[str, Ratio], Ratio, dict, float]:
-    """A report's fault coverage per fault, OFO, visibility cells by (fault,
-    response) and total cost; the coverage and OFO must be those the cells give."""
-    cells, coverage = {}, {}
-    for fault in _field(doc, ("fault_coverage",)):
-        for response in responses:
-            path = ("visibility", fault, response, "visible")
-            cells[fault, response] = visible = _field(doc, path, "an integer")
-            if visible not in (0, 1):
-                raise ValueError(f"{'.'.join(path)} must be 0 or 1, not {visible}")
-        row = [cells[fault, response] for response in responses]
-        coverage[fault] = _ratio(doc, ("fault_coverage", fault), COVERAGE_KEYS, fault_coverage, row)
-    ofo = _ratio(doc, ("ofo",), OFO_KEYS, overall_fault_observability, coverage.values())
+def _read_report(doc: dict, responses: list[str]) -> tuple[VisibilityMatrix, float]:
+    """A report's visibility matrix, rebuilt from its alpha and repetition scores, and
+    its total cost; every scored field of the report must be the rebuilt one."""
+    faults = list(_field(doc, ("fault_coverage",)))
+    runs = {(f, r): _field(doc, ("visibility", f, r, "score_runs"), "a list of nulls and numbers in [0, 1]")
+            for f in faults for r in responses}
+    matrix = build_matrix(runs, faults, responses, _field(doc, ("alpha",), "a number in (0, 1)"))
+    for section, derived in _scored_doc(matrix).items():
+        _match(doc, (section,), derived)
     total = _field(doc, ("cost", "total"), "a number")
     if not total > 0:
         raise ValueError(f"cost.total must be positive, not {total!r}")
-    return coverage, ofo, cells, total
+    return matrix, total
 
 
 def compare_docs(doc_a: dict, doc_b: dict) -> dict:
@@ -333,17 +333,15 @@ def compare_docs(doc_a: dict, doc_b: dict) -> dict:
     responses = _field(doc_a, ("responses",), "a list of strings")
     if responses != _field(doc_b, ("responses",), "a list of strings"):
         raise ValueError("reports cover different response variables")
-    (coverage_a, ofo_a, cells_a, cost_a), (coverage_b, ofo_b, cells_b, cost_b) = (
-        _read_report(doc, responses) for doc in docs
-    )
-    delta = {f: coverage_b[f].count - fc.count for f, fc in coverage_a.items()}
-    changed = [{"fault": f, "response": r, "visible_delta": cells_b[f, r] - visible}
-               for (f, r), visible in cells_a.items() if cells_b[f, r] != visible]
+    (a, cost_a), (b, cost_b) = (_read_report(doc, responses) for doc in docs)
+    delta = {f: b.fault_coverage[f].count - fc.count for f, fc in a.fault_coverage.items()}
+    changed = [{"fault": f, "response": r, "visible_delta": b.visible[f, r] - visible}
+               for (f, r), visible in a.visible.items() if b.visible[f, r] != visible]
     return {
         "experiments": [_field(doc, ("experiment",), "a string") for doc in docs],
         "delta_fault_coverage": dict(sorted(delta.items())),
         "delta_fc_total": sum(delta.values()),
-        "delta_ofo": ofo_b.count - ofo_a.count,
+        "delta_ofo": b.ofo.count - a.ofo.count,
         "cells_changed": sorted(changed, key=lambda c: (c["fault"], c["response"])),
         "cost": {
             "baseline_total": cost_a,

@@ -273,10 +273,8 @@ class TestCompare:
     def test_flip_is_reported(self, small_report):
         doc = small_report.to_doc()
         flipped = json.loads(json.dumps(doc))
-        cell = flipped["visibility"]["pause_backend"]["system_cpu"]
-        cell["visible"] = 1
-        flipped["fault_coverage"]["pause_backend"]["visible"] += 1
-        flipped["fault_coverage"]["pause_backend"]["ratio"] = "3/3"
+        flipped["visibility"]["pause_backend"]["system_cpu"] = {"score_mean": 1.0, "score_runs": [1.0, 1.0], "visible": 1}
+        flipped["fault_coverage"]["pause_backend"] = {"visible": 3, "responses": 3, "ratio": "3/3"}
         comparison = compare_docs(doc, flipped)
         assert comparison["delta_fc_total"] == 1
         assert comparison["cells_changed"] == [
@@ -288,7 +286,15 @@ class TestReportDocument:
     def test_schema_conformance(self, small_report):
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads((REPO_ROOT / "src/oxn/report_schema.json").read_text())
-        jsonschema.validate(small_report.to_doc(), schema)
+        doc = small_report.to_doc()
+        jsonschema.validate(doc, schema)
+        doc["visibility"]["pause_backend"]["system_cpu"]["score_mean"] = 5.0
+        with pytest.raises(jsonschema.ValidationError) as rejected:
+            jsonschema.validate(doc, schema)
+        assert (list(rejected.value.absolute_path), rejected.value.message) == (
+            ["visibility", "pause_backend", "system_cpu", "score_mean"],
+            "5.0 is greater than the maximum of 1",
+        )
 
     def test_ratio_strings(self, small_report):
         doc = small_report.to_doc()
@@ -444,7 +450,7 @@ class TestCli:
         proc = run_cli("compare", str(good), str(stringly))
         assert (proc.returncode, proc.stderr) == (
             1,
-            "error: fault_coverage.pause_backend.visible must be an integer, not '1'\n",
+            'error: fault_coverage.pause_backend.visible is "1", but the repetition scores give 2\n',
         )
 
     @pytest.mark.parametrize(
@@ -456,13 +462,13 @@ class TestCli:
             (
                 ("visibility", "pause_backend", "system_cpu", "visible"),
                 "1",
-                "visibility.pause_backend.system_cpu.visible must be an integer, not '1'",
+                'visibility.pause_backend.system_cpu.visible is "1", but the repetition scores give 0',
             ),
             (("visibility", "pause_backend", "backend_rpm"), DELETE, "visibility.pause_backend.backend_rpm is missing"),
             (
                 ("fault_coverage", "pause_backend", "visible"),
                 5,
-                "fault_coverage.pause_backend: ratio count must lie within [0, total]",
+                "fault_coverage.pause_backend.visible is 5, but the repetition scores give 2",
             ),
             (("cost",), {"total": "x"}, "cost.total must be a number, not 'x'"),
             (("cost",), DELETE, "cost is missing"),
@@ -472,31 +478,70 @@ class TestCli:
             (
                 ("visibility", "pause_backend", "system_cpu", "visible"),
                 7,
-                "visibility.pause_backend.system_cpu.visible must be 0 or 1, not 7",
+                "visibility.pause_backend.system_cpu.visible is 7, but the repetition scores give 0",
             ),
             (
                 ("visibility", "pause_backend", "system_cpu", "visible"),
                 1,
-                "fault_coverage.pause_backend is 2/3, but the visibility cells give 3/3",
+                "visibility.pause_backend.system_cpu.visible is 1, but the repetition scores give 0",
             ),
             (
                 ("fault_coverage", "pause_backend"),
                 {"visible": 4, "responses": 6, "ratio": "4/6"},  # the same fraction
-                "fault_coverage.pause_backend is 4/6, but the visibility cells give 2/3",
+                "fault_coverage.pause_backend.visible is 4, but the repetition scores give 2",
             ),
-            (("ofo",), {"covered": 0, "faults": 1, "ratio": "0/1"}, "ofo is 0/1, but the visibility cells give 1/1"),
-            (("ofo",), {"covered": 2, "faults": 2, "ratio": "2/2"}, "ofo is 2/2, but the visibility cells give 1/1"),
+            (("ofo",), {"covered": 0, "faults": 1, "ratio": "0/1"}, "ofo.covered is 0, but the repetition scores give 1"),
+            (("ofo",), {"covered": 2, "faults": 2, "ratio": "2/2"}, "ofo.covered is 2, but the repetition scores give 1"),
+            # The cell, its coverage and the OFO agree, but the cell's mean 0.667 is below alpha 0.7.
+            (
+                None,
+                {
+                    ("visibility", "pause_backend", "system_cpu", "visible"): 1,
+                    ("fault_coverage", "pause_backend"): {"visible": 3, "responses": 3, "ratio": "3/3"},
+                },
+                "visibility.pause_backend.system_cpu.visible is 1, but the repetition scores give 0",
+            ),
+            (
+                ("visibility", "pause_backend", "system_cpu", "score_mean"),
+                5.0,
+                "visibility.pause_backend.system_cpu.score_mean is 5.0, but the repetition scores give 0.6666666666666667",
+            ),
+            (("alpha",), "x", "alpha must be a number in (0, 1), not 'x'"),
+            (
+                ("fault_coverage", "pause_backend", "ratio"),
+                "9/9",
+                'fault_coverage.pause_backend.ratio is "9/9", but the repetition scores give "2/3"',
+            ),
+            (
+                ("visibility", "pause_backend", "system_cpu", "score_runs"),
+                [5.0, -4.0],
+                "visibility.pause_backend.system_cpu.score_runs must be a list of nulls and numbers in [0, 1],"
+                " not [5.0, -4.0]",
+            ),
+            (
+                ("visibility", "pause_backend", "backend_rpm", "visible"),
+                True,
+                "visibility.pause_backend.backend_rpm.visible is true, but the repetition scores give 1",
+            ),
+            (
+                ("visibility", "pause_backend", "backend_rpm", "note"),
+                "ok",
+                "visibility.pause_backend.backend_rpm.note is not a field the repetition scores give",
+            ),
         ],
     )
     def test_compare_names_the_malformed_field(self, small_report, tmp_path, path, value, message):
+        """Sets the field at ``path`` to ``value``; with no path, ``value``
+        maps each path to edit to its value."""
         good = tmp_path / "good.json"
         good.write_text(report_json(small_report))
         doc = small_report.to_doc()
-        parent = functools.reduce(operator.getitem, path[:-1], doc)
-        if value is DELETE:
-            del parent[path[-1]]
-        else:
-            parent[path[-1]] = value
+        for path, value in (value if path is None else {path: value}).items():
+            parent = functools.reduce(operator.getitem, path[:-1], doc)
+            if value is DELETE:
+                del parent[path[-1]]
+            else:
+                parent[path[-1]] = value
         bad = tmp_path / "bad.json"
         bad.write_text(json.dumps(doc))
         proc = run_cli("compare", str(good), str(bad))

@@ -1,12 +1,18 @@
 from __future__ import annotations
 
+import copy
+import functools
 import itertools
+import json
+import math
+import operator
+import re
 from fractions import Fraction
 
 import pytest
-from hypothesis import given, strategies as st
+from hypothesis import given, settings, strategies as st
 
-from oxn.runner import compare_docs
+from oxn.runner import _scored_doc, compare_docs
 from oxn.scoring import (
     Ratio,
     build_matrix,
@@ -140,14 +146,21 @@ class TestMatrix:
 def report_doc(coverage: dict[str, tuple[int, int]]) -> dict:
     """A report document holding ``coverage`` as (visible, responses) counts
     per fault. Every fault's row has as many responses as the widest count,
-    and its first ``visible`` cells are visible."""
+    and its first ``visible`` cells are visible: their one repetition scores
+    1.0 against an alpha of 0.5, and every other cell's scores 0.0."""
     responses = [f"r{i}" for i in range(max(total for _, total in coverage.values()))]
     covered = sum(1 for visible, _ in coverage.values() if visible > 0)
+
+    def cell(visible: bool) -> dict:
+        score = float(visible)
+        return {"score_mean": score, "score_runs": [score], "visible": int(visible)}
+
     return {
         "experiment": "x",
+        "alpha": 0.5,
         "responses": responses,
         "visibility": {
-            fault: {r: {"visible": int(i < visible)} for i, r in enumerate(responses)}
+            fault: {r: cell(i < visible) for i, r in enumerate(responses)}
             for fault, (visible, _) in coverage.items()
         },
         "fault_coverage": {
@@ -187,8 +200,58 @@ class TestDiff:
         with pytest.raises(ValueError, match="different fault sets"):
             compare_docs(report_doc({"a": (1, 2)}), report_doc({"b": (1, 2)}))
         # Same response list, but fault "a" states a coverage over fewer responses.
-        with pytest.raises(ValueError, match=r"^fault_coverage\.a is 1/2, but the visibility cells give 1/3$"):
+        with pytest.raises(ValueError, match=r"^fault_coverage\.a\.responses is 2, but the repetition scores give 3$"):
             compare_docs(report_doc({"a": (1, 3), "b": (0, 3)}), report_doc({"a": (1, 2), "b": (0, 3)}))
+
+
+@st.composite
+def scored_docs(draw) -> dict:
+    """A report document whose scored sections ``_scored_doc`` wrote from
+    random repetition scores, read back from its JSON text."""
+    faults = [f"f{i}" for i in range(draw(st.integers(1, 3)))]
+    responses = [f"r{i}" for i in range(draw(st.integers(1, 4)))]
+    repetitions = draw(st.integers(1, 3))
+    score = st.none() | st.floats(0.0, 1.0)
+    runs = {cell: draw(st.lists(score, min_size=repetitions, max_size=repetitions))
+            for cell in itertools.product(faults, responses)}
+    alpha = draw(st.floats(0.0, 1.0, exclude_min=True, exclude_max=True))
+    doc = {**_scored_doc(build_matrix(runs, faults, responses, alpha)), "experiment": "x", "cost": {"total": 1.0}}
+    return json.loads(json.dumps(doc))
+
+
+def derived_leaves(doc: dict):
+    """Each field of ``doc`` that follows from its repetition scores, as its
+    path and a value it does not hold."""
+    for fault, row in doc["visibility"].items():
+        for response, cell in row.items():
+            yield ("visibility", fault, response, "visible"), 1 - cell["visible"]
+            if cell["score_mean"] is not None:
+                yield ("visibility", fault, response, "score_mean"), math.nextafter(cell["score_mean"], math.inf)
+    for fault, fc in doc["fault_coverage"].items():
+        yield ("fault_coverage", fault, "visible"), fc["visible"] + 1
+        yield ("fault_coverage", fault, "responses"), fc["responses"] + 1
+        yield ("fault_coverage", fault, "ratio"), f"{fc['visible']}/{fc['responses'] + 1}"
+    yield ("ofo", "covered"), doc["ofo"]["covered"] + 1
+    yield ("ofo", "faults"), doc["ofo"]["faults"] + 1
+
+
+class TestCompareRebuildsTheScores:
+    """``compare_docs`` rebuilds a document's scored fields with ``build_matrix``."""
+
+    @settings(max_examples=100, deadline=None)
+    @given(scored_docs(), st.data())
+    def test_only_the_written_fields_are_accepted(self, doc, data):
+        comparison = compare_docs(doc, doc)
+        assert set(comparison["delta_fault_coverage"].values()) == {0}
+        assert comparison["delta_fc_total"] == comparison["delta_ofo"] == 0
+        assert comparison["cells_changed"] == []
+        assert comparison["cost"]["overhead_pct"] == 0.0
+
+        path, value = data.draw(st.sampled_from(list(derived_leaves(doc))))
+        moved = copy.deepcopy(doc)
+        functools.reduce(operator.getitem, path[:-1], moved)[path[-1]] = value
+        with pytest.raises(ValueError, match=f"^{re.escape('.'.join(path))} is "):
+            compare_docs(doc, moved)
 
 
 class TestRatio:

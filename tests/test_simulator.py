@@ -17,8 +17,12 @@ from oxn.config import (
     LognormalSpec,
     MetricPointSpec,
     MetricSamplingInterval,
+    NetworkDelay,
+    PacketCorruption,
+    PacketLoss,
     SPAN_BITS,
     ServiceSpec,
+    Stress,
     SueSpec,
     TraceConfigSpec,
     TracingSamplingRate,
@@ -718,19 +722,53 @@ def instrumented(draw, sue):
     return apply_instrumentation(replace(sue, metric_points=tuple(points), trace_config=trace), treatments)
 
 
+@st.composite
+def null_faults(draw, sue, duration_ms):
+    """A fault that changes nothing, on any service and in any window that
+    starts before the workload ends."""
+    start = draw(st.integers(0, duration_ms - 1))
+    window = dict(
+        name="null",
+        target=draw(st.sampled_from([s.id for s in sue.services])),
+        start_ms=start,
+        end_ms=draw(st.integers(start + 1, 2 * duration_ms)),
+    )
+    return draw(st.sampled_from([
+        PacketLoss(**window, probability=0.0),
+        PacketCorruption(**window, probability=0.0),
+        NetworkDelay(**window, delay_min_ms=0, delay_max_ms=0),
+        Stress(**window, factor=1.0),
+    ]))
+
+
+def simulated(sue, workload, faults, seed):
+    sim = init_sim(sue, seed, faults)
+    drive(sim, workload)
+    sim.run_until(None)
+    return sim
+
+
 class TestProperties:
     @settings(max_examples=100, deadline=None)
     @given(st.data(), small_meshes())
     def test_instrumentation_never_changes_the_event_log(self, data, mesh):
         sue, workload, fault, seed = mesh
-        sims = []
-        for variant in (sue, data.draw(instrumented(sue))):
-            sim = init_sim(variant, seed, [fault] if fault is not None else [])
-            drive(sim, workload)
-            sim.run_until(None)
-            sims.append(sim)
+        faults = [fault] if fault is not None else []
+        sims = [simulated(variant, workload, faults, seed) for variant in (sue, data.draw(instrumented(sue)))]
         assert sims[0].log == sims[1].log
         assert sims[0].records == sims[1].records
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), small_meshes())
+    def test_a_null_fault_gives_the_fault_free_run(self, data, mesh):
+        """Metamorphic relation: packet loss or corruption at probability 0,
+        a 0-0 ms network delay or stress by a factor of 1.0 changes neither
+        the event log nor the request records."""
+        sue, workload, _, seed = mesh
+        fault = data.draw(null_faults(sue, workload.duration_ms))
+        free, null = (simulated(sue, workload, faults, seed) for faults in ([], [fault]))
+        assert null.log == free.log
+        assert null.records == free.records
 
     def test_a_run_fills_every_column_of_the_log(self):
         """Guards against an output channel that nothing feeds."""

@@ -1,10 +1,12 @@
 from __future__ import annotations
 
 import bisect
+import functools
 from dataclasses import replace
 
 import numpy as np
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oxn.config import (
     MetricPointSpec,
@@ -274,6 +276,39 @@ def simulated_log(until_ms=None, faults=()) -> RawEventLog:
     drive(sim, spec.workload)
     sim.run_until(until_ms)
     return sim.log
+
+
+@functools.cache
+def shared_simulated_log() -> RawEventLog:
+    """``simulated_log()``, simulated once for every test that only reads it."""
+    return simulated_log()
+
+
+# A trace log to sample: synthetic traces or the small experiment's.
+TRACE_LOGS = st.integers(0, 500).map(synthetic_traces) | st.builds(shared_simulated_log)
+
+
+def kept_traces(log: RawEventLog, cfg: TraceConfigSpec, seed: int) -> set[int]:
+    spans, _ = sample_traces(log, cfg, rng_stream(seed, "t"))
+    return set((spans.span_id >> SPAN_BITS).tolist())
+
+
+class TestSamplingRelations:
+    """Metamorphic relations of trace sampling under one seed."""
+
+    @settings(max_examples=50, deadline=None)
+    @given(TRACE_LOGS, st.integers(0, 2**16), st.floats(0.0, 1.0))
+    def test_probabilistic_at_rate_one_keeps_what_always_on_keeps(self, log, seed, rate):
+        kept, total = sample_traces(log, TraceConfigSpec("probabilistic", 1.0), rng_stream(seed, "t"))
+        expected, expected_total = sample_traces(log, TraceConfigSpec("always_on", rate), rng_stream(seed, "t"))
+        assert table_rows(kept) == table_rows(expected)
+        assert total == expected_total
+
+    @settings(max_examples=50, deadline=None)
+    @given(TRACE_LOGS, st.integers(0, 2**16), st.floats(0.0, 1.0), st.floats(0.0, 1.0))
+    def test_a_lower_rate_keeps_a_subset(self, log, seed, rate_a, rate_b):
+        low, high = (TraceConfigSpec("probabilistic", rate) for rate in sorted((rate_a, rate_b)))
+        assert kept_traces(log, low, seed) <= kept_traces(log, high, seed)
 
 
 TRACE_CONFIGS = pytest.mark.parametrize(
