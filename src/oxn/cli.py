@@ -1,8 +1,8 @@
 """Command-line entry point.
 
-Exit codes: 0 on success, 1 on validation errors (unreadable, malformed or
-invalid input files, an ``--out`` that cannot be created or a report that
-cannot be written there, mismatched comparison inputs), 2 on runtime errors.
+Exit codes: 0 on success, 1 on validation errors (usage errors, unreadable,
+malformed or invalid input files, an ``--out`` that cannot be created or
+written to, mismatched comparison inputs), 2 on runtime errors.
 """
 
 from __future__ import annotations
@@ -21,8 +21,15 @@ EXIT_VALIDATION = 1
 EXIT_RUNTIME = 2
 
 
+class _Parser(argparse.ArgumentParser):
+    def error(self, message: str) -> NoReturn:
+        """A usage error is bad input: usage and message on stderr, exit with EXIT_VALIDATION."""
+        self.print_usage(sys.stderr)
+        self.exit(EXIT_VALIDATION, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="oxn", description="Run observability experiments against a simulated microservice mesh."
     )
     sub = parser.add_subparsers(dest="command", required=True)
@@ -148,13 +155,9 @@ def _cmd_validate(args) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = _build_parser().parse_args(argv)
     try:
-        if args.command == "run":
-            return _cmd_run(args)
-        if args.command == "compare":
-            return _cmd_compare(args)
-        return _cmd_validate(args)
+        args = _build_parser().parse_args(argv)
+        return {"run": _cmd_run, "compare": _cmd_compare, "validate": _cmd_validate}[args.command](args)
     except SystemExit as exc:
         return int(exc.code or 0)
 

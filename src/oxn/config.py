@@ -9,12 +9,11 @@ to integer milliseconds internally so runs are exactly reproducible.
 Every mapping in the file is one frozen dataclass below, and every treatment
 kind is its own dataclass. One field table per class, built from
 ``dataclasses.fields`` and the field metadata, drives parsing, canonical
-rendering and the single-field bounds. Parsing checks structure and types and
-rejects NaN and infinities. Each field's bound, a ``Range``, a ``OneOf`` or an
-``Excludes``, lives only in its metadata; ``validate`` checks every bound in
-one walk and reports it at the field's file-key path, as ``<key> must be >= 0``
-or ``unknown <key> '<value>'``. The checks that join several fields are the
-only ones written out in ``validate``.
+rendering, the single-field checks and ``experiment_schema``, the file's JSON
+Schema. Parsing checks structure and types and rejects NaN and infinities. A
+field's bound (``Range``, ``OneOf`` or ``Excludes``) and a list's
+non-emptiness live only in its metadata; ``validate`` checks them in one walk,
+at the field's file-key path. Only checks that join fields are written out.
 """
 
 from __future__ import annotations
@@ -23,7 +22,7 @@ import functools
 import math
 import re
 import sys
-from dataclasses import MISSING, dataclass, field, fields, is_dataclass, replace
+from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
 from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, get_args, get_origin, get_type_hints
@@ -72,6 +71,13 @@ class Range(NamedTuple):
             return f"{key} must be {'>=' if self.brackets[0] == '[' else '>'} {self.low}"
         return f"{key} must be within {self.brackets[0]}{self.low}, {self.high}{self.brackets[1]}"
 
+    def schema(self, render: Callable[[Any], Any]) -> dict:
+        """The JSON Schema keywords of the bound, its ends in file units."""
+        keywords = {"minimum" if self.brackets[0] == "[" else "exclusiveMinimum": render(self.low)}
+        if self.high != math.inf:
+            keywords["maximum" if self.brackets[1] == "]" else "exclusiveMaximum"] = render(self.high)
+        return keywords
+
 
 class OneOf(NamedTuple):
     """The strings a choice field may hold."""
@@ -83,6 +89,9 @@ class OneOf(NamedTuple):
 
     def message(self, key: str, value: Any) -> str:
         return f"unknown {key} '{value}'"
+
+    def schema(self, render: Callable[[Any], Any]) -> dict:
+        return {"enum": list(self.choices)}
 
 
 class Excludes(NamedTuple):
@@ -96,10 +105,14 @@ class Excludes(NamedTuple):
     def message(self, key: str, value: Any) -> str:
         return f"{key} must be free of {', '.join(map(repr, self.chars))}, got {value!r}"
 
+    def schema(self, render: Callable[[Any], Any]) -> dict:
+        return {"pattern": "^[^" + "".join(f"\\x{ord(c):02x}" for c in self.chars) + "]*$"}
+
 
 # Field metadata. SECONDS: held as integer milliseconds in ``<stem>_ms`` and
 # written in the file as decimal seconds under ``<stem>_s``. The rest bound
-# the value the attribute holds.
+# the value the attribute holds. A list marked "nonempty" must hold an item. A
+# "description" is copied into the JSON Schema.
 SECONDS = {"seconds": True}
 NONNEGATIVE = {"bound": Range(0, math.inf, "[)")}
 POSITIVE = {"bound": Range(0, math.inf, "()")}
@@ -155,13 +168,15 @@ class CallEdge:
 @dataclass(frozen=True)
 class MetricPointSpec:
     metric_name: str
-    kind: str = field(metadata={"bound": OneOf(("cpu_gauge", "request_counter", "custom_gauge"))})
-    target: str
+    kind: str = field(metadata={"bound": OneOf(("cpu_gauge", "request_counter", "custom_gauge")), "description": (
+        "cpu_gauge: busy CPU fraction per sampling window; request_counter: spans closed ok per aggregation window; "
+        "custom_gauge: spans of the target in flight at the last millisecond of each sampling window. Gauges "
+        "average their samples per aggregation window.")})
+    target: str = field(metadata={"description": "service id or 'system'"})
     sampling_interval_ms: int = field(metadata=SECONDS | POSITIVE)
-    # Optional in the file, where it defaults to the sampling interval.
-    aggregation_interval_ms: int = field(
-        metadata=SECONDS | POSITIVE | {"default_from": "sampling_interval_ms"}
-    )
+    aggregation_interval_ms: int = field(metadata=SECONDS | POSITIVE | {
+        "default_from": "sampling_interval_ms",
+        "description": "defaults to the sampling interval; must be a whole multiple of it"})
     # How per-service readings combine when target is "system".
     system_aggregation: str = field(default="sum", metadata={"bound": OneOf(("sum", "mean"))})
 
@@ -174,7 +189,7 @@ class TraceConfigSpec:
 
 @dataclass(frozen=True)
 class SueSpec:
-    services: tuple[ServiceSpec, ...]
+    services: tuple[ServiceSpec, ...] = field(metadata={"nonempty": True})
     edges: tuple[CallEdge, ...] = ()
     metric_points: tuple[MetricPointSpec, ...] = ()
     trace_config: TraceConfigSpec = TraceConfigSpec()
@@ -204,12 +219,14 @@ class WorkloadSpec:
 class ResponseVariableSpec:
     name: str = field(metadata=FILE_NAME_PART)
     kind: str = field(metadata={"bound": OneOf(("metric", "trace_duration"))})
-    source: str
+    source: str = field(metadata={"description": "metric name (kind=metric) or service id whose traces define the "
+                                                 "duration series (kind=trace_duration)"})
 
 
 @dataclass(frozen=True)
 class DetectionSpec:
-    mechanism: str = "logistic_regression"
+    mechanism: str = field(default="logistic_regression", metadata={"description": (
+        "a built-in mechanism (logistic_regression, threshold_alert) or one added with register_mechanism")})
     alpha: float = field(default=0.7, metadata=OPEN_UNIT)
     split_ratio: float = field(default=0.7, metadata=OPEN_UNIT)
     feature_window: int = field(default=3, metadata=AT_LEAST_ONE)
@@ -357,8 +374,10 @@ class ExperimentSpec:
     repetitions: int = field(default=1, metadata=AT_LEAST_ONE)
     sue: SueSpec
     workload: WorkloadSpec
-    treatments: tuple[Treatment, ...] = ()
-    responses: tuple[ResponseVariableSpec, ...]
+    treatments: tuple[Treatment, ...] = field(default=(), metadata={"description": (
+        "Executed in file order; instrumentation treatments must precede fault treatments. Each fault runs in "
+        "its own series of runs.")})
+    responses: tuple[ResponseVariableSpec, ...] = field(metadata={"nonempty": True})
     detection: DetectionSpec = DetectionSpec()
     cost_model: CostModelSpec = CostModelSpec()
 
@@ -383,6 +402,8 @@ class FileField(NamedTuple):
     parse: Callable[[Any, str], Any]  # (value, field path) -> attribute value
     render: Callable[[Any], Any]  # attribute value -> YAML value
     bound: Range | OneOf | Excludes | None  # what the attribute value must lie in
+    nonempty: bool  # a list that must hold an item
+    schema: Callable[[], dict]  # () -> the JSON Schema of the YAML value
 
 
 @functools.cache
@@ -392,33 +413,60 @@ def field_table(cls: type) -> tuple[FileField, ...]:
     hints = get_type_hints(cls)
     table = []
     for f in fields(cls):
+        key, (parse, render, schema) = f.name, _codec(hints[f.name])
         if f.metadata.get("seconds"):
-            key, parse, render = f.name.removesuffix("_ms") + "_s", _seconds_to_ms, _ms_to_s
-        else:
-            key = f.name
-            parse, render = _codec(hints[f.name])
+            key, parse, render, schema = f.name.removesuffix("_ms") + "_s", _seconds_to_ms, _ms_to_s, _codec(float)[2]
         default_from = f.metadata.get("default_from")
         required = f.default is MISSING and f.default_factory is MISSING and default_from is None
-        table.append(FileField(f.name, key, required, default_from, parse, render, f.metadata.get("bound")))
+        table.append(FileField(f.name, key, required, default_from, parse, render, f.metadata.get("bound"),
+                               f.metadata.get("nonempty", False), functools.partial(_field_schema, f, schema, render)))
     return tuple(table)
 
 
-def _codec(tp: Any) -> tuple[Callable[[Any, str], Any], Callable[[Any], Any]]:
-    """Parser and renderer for a field annotated ``tp``."""
+def _codec(tp: Any) -> tuple[Callable[[Any, str], Any], Callable[[Any], Any], Callable[[], dict]]:
+    """Parser, renderer and JSON Schema of a field annotated ``tp``."""
     if tp == Treatment:
-        return _parse_treatment, _render_treatment
+        return _parse_treatment, _render_treatment, lambda: {
+            "oneOf": [_obj_schema(cls, kind) for kind, cls in TREATMENT_KINDS.items()]}
     if get_origin(tp) is tuple:
-        parse_item, render_item = _codec(get_args(tp)[0])
+        parse_item, render_item, item_schema = _codec(get_args(tp)[0])
 
         def parse_items(value: Any, where: str) -> tuple:
             return tuple(parse_item(v, f"{where}[{i}]") for i, v in enumerate(_as_list(value, where)))
 
-        return parse_items, lambda value: [render_item(v) for v in value]
+        return (parse_items, lambda value: [render_item(v) for v in value],
+                lambda: {"type": "array", "items": item_schema()})
     if is_dataclass(tp):
-        return functools.partial(_parse_obj, tp), _render_obj
+        return functools.partial(_parse_obj, tp), _render_obj, functools.partial(_obj_schema, tp)
     if isinstance(tp, UnionType):  # ``T | None``: None is the default and is not written
         (tp,) = (arg for arg in get_args(tp) if arg is not type(None))
-    return _SCALARS[tp], _same
+    parse, json_type = _SCALARS[tp]
+    return parse, _same, functools.partial(dict, type=json_type)
+
+
+def _field_schema(f: Field, schema: Callable[[], dict], render: Callable[[Any], Any]) -> dict:
+    """The JSON Schema of one field's YAML value, in file units."""
+    doc = schema() | (f.metadata["bound"].schema(render) if "bound" in f.metadata else {})
+    doc |= {"minItems": 1} if f.metadata.get("nonempty") else {}
+    doc |= {"default": render(f.default)} if isinstance(f.default, (int, float, str)) else {}
+    return doc | ({"description": f.metadata["description"]} if "description" in f.metadata else {})
+
+
+def _obj_schema(cls: type, kind: str | None = None) -> dict:
+    """The JSON Schema of a mapping read as ``cls``; a treatment's holds its ``kind`` too."""
+    table = field_table(cls)
+    consts = {} if kind is None else {"kind": {"const": kind}}
+    return {"type": "object", "required": [*consts, *(f.key for f in table if f.required)],
+            "additionalProperties": False, "properties": consts | {f.key: f.schema() for f in table}}
+
+
+def experiment_schema() -> dict:
+    """The JSON Schema (draft-07) of the experiment file, built from the field
+    tables. ``src/oxn/experiment_schema.json`` holds it as
+    ``json.dumps(experiment_schema(), indent=2) + "\\n"``."""
+    return {"$schema": "http://json-schema.org/draft-07/schema#", "$id": "oxn/experiment_schema.json",
+            "title": "Experiment file", "description": "Structure of the YAML experiment file (version 1). Durations "
+            "suffixed _s are decimal seconds; _ms fields are milliseconds."} | _obj_schema(ExperimentSpec)
 
 
 # ---------------------------------------------------------------------------
@@ -457,7 +505,7 @@ def _as_str(value: Any, where: str) -> str:
     return value
 
 
-_SCALARS = {int: _as_int, float: _as_number, str: _as_str}
+_SCALARS = {int: (_as_int, "integer"), float: (_as_number, "number"), str: (_as_str, "string")}
 
 
 def _seconds_to_ms(value: Any, where: str) -> int:
@@ -589,6 +637,8 @@ def _bound_violations(obj: Any, where: str) -> Iterator[Violation]:
         elif is_dataclass(value):
             yield from _bound_violations(value, path)
         elif isinstance(value, tuple):
+            if f.nonempty and not value:
+                yield Violation(path, f"{f.key} must be nonempty")
             for i, item in enumerate(value):
                 yield from _bound_violations(item, f"{path}[{i}]")
 
@@ -599,13 +649,9 @@ def validate(spec: ExperimentSpec) -> list[Violation]:
     ids = spec.sue.service_ids()
     metric_names = spec.sue.metric_names()
 
-    if not spec.responses:
-        v.append(Violation("responses", "responses must be nonempty"))
     if len(ids) != len(spec.sue.services):
         v.append(Violation("sue.services", "service ids must be unique"))
-    if not spec.sue.services:
-        v.append(Violation("sue.services", "at least one service is required"))
-    else:
+    if spec.sue.services:
         v.extend(_dag_violations(spec.sue))
 
     seen_metrics: set[str] = set()
@@ -700,3 +746,4 @@ def _render_treatment(t: Treatment) -> dict:
 def render_experiment(spec: ExperimentSpec) -> str:
     """Serialize a spec to canonical YAML; parse(render(spec)) == spec."""
     return yaml.dump(_render_obj(spec), Dumper=_Dumper, sort_keys=False, default_flow_style=False)
+

@@ -4,6 +4,7 @@ import copy
 import functools
 import json
 import math
+import operator
 from dataclasses import is_dataclass, replace
 
 import pytest
@@ -14,11 +15,11 @@ from oxn import detection
 from oxn.config import (
     TREATMENT_KINDS,
     CallEdge,
-    CostModelSpec,
     DetectionSpec,
     ExperimentFormatError,
     ExperimentSpec,
     Excludes,
+    Kill,
     LognormalSpec,
     MetricPointSpec,
     MetricSamplingInterval,
@@ -27,11 +28,12 @@ from oxn.config import (
     PacketCorruption,
     ResponseVariableSpec,
     ServiceSpec,
-    SueSpec,
+    Stress,
     TraceConfigSpec,
     TracingSamplingRate,
-    WorkloadSpec,
+    TracingSamplingStrategy,
     _parse_obj,
+    experiment_schema,
     field_table,
     parse_experiment,
     parse_experiment_file,
@@ -43,23 +45,6 @@ from oxn.runner import spec_digest
 from conftest import CANONICAL_NAMES, REPO_ROOT, experiment_path, small_spec
 
 SCHEMA_PATH = REPO_ROOT / "src/oxn/experiment_schema.json"
-BOUND_KEYWORDS = ("minimum", "exclusiveMinimum", "maximum", "exclusiveMaximum", "enum", "pattern")
-
-
-def schema_bound(f) -> dict:
-    """The JSON Schema keywords that state the bound of field ``f`` in file
-    units."""
-    if f.bound is None:
-        return {}
-    if isinstance(f.bound, OneOf):
-        return {"enum": list(f.bound.choices)}
-    if isinstance(f.bound, Excludes):
-        return {"pattern": "^[^" + "".join(f"\\x{ord(c):02x}" for c in f.bound.chars) + "]*$"}
-    low, high, brackets = f.bound
-    stated = {"minimum" if brackets[0] == "[" else "exclusiveMinimum": f.render(low)}
-    if high != math.inf:
-        stated["maximum" if brackets[1] == "]" else "exclusiveMaximum"] = f.render(high)
-    return stated
 
 
 def set_leaf(doc, path, value):
@@ -141,6 +126,13 @@ class TestParse:
         )
         spec = parse_experiment(text)
         assert [str(v) for v in validate(spec)] == ["responses: responses must be nonempty"]
+
+    def test_empty_services_rejected_without_a_call_graph_check(self):
+        spec = parse_experiment(MINIMAL)
+        bad = replace(spec, sue=replace(spec.sue, services=(), metric_points=()), treatments=(),
+                      responses=(ResponseVariableSpec("cpu", "trace_duration", "api"),))
+        assert [str(v) for v in validate(bad)] == [
+            "sue.services: services must be nonempty", "responses[0].source: unresolved service 'api'"]
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ExperimentFormatError, match="unknown field 'flavor'"):
@@ -379,7 +371,78 @@ class TestSpecDigest:
         assert spec_digest(spec) == "sha256:" + self.PINNED[path]
 
 
+def spec_objects(obj, path=()):
+    """(document path, object) of ``obj`` and of every object it holds."""
+    yield path, obj
+    for f in field_table(type(obj)):
+        value = getattr(obj, f.name)
+        if is_dataclass(value):
+            yield from spec_objects(value, path + (f.key,))
+        elif isinstance(value, tuple):
+            for i, item in enumerate(value):
+                yield from spec_objects(item, path + (f.key, i))
+
+
+# The baseline with one treatment of every kind, each with every field it may hold.
+BASELINE = parse_experiment_file(experiment_path("baseline"))
+WINDOW = dict(target="recommendation", start_ms=250_000, end_ms=490_000)
+EVERY_KIND = replace(BASELINE, treatments=(
+    MetricSamplingInterval(name="sampling", metric="system_cpu", interval_ms=10_000),
+    TracingSamplingRate(name="rate", rate=0.05),
+    TracingSamplingStrategy(name="strategy", strategy="always_on", rate=0.25),
+    *BASELINE.treatments,
+    Kill(name="kill", **WINDOW),
+    PacketCorruption(name="corruption", probability=0.1, **WINDOW),
+    Stress(name="stress", factor=3.0, **WINDOW),
+))
+EVERY_KIND_DOC = yaml.safe_load(render_experiment(EVERY_KIND))
+EVERY_KIND_OBJECTS = list(spec_objects(EVERY_KIND))
+# (document path, field, value) of every bounded field the rendering writes.
+LEAVES = [(path + (f.key,), f, getattr(obj, f.name)) for path, obj in EVERY_KIND_OBJECTS
+          for f in field_table(type(obj)) if f.bound is not None and getattr(obj, f.name) is not None]
+OBJECT_CLASSES = list(dict.fromkeys(type(o) for _, o in EVERY_KIND_OBJECTS if type(o) not in TREATMENT_KINDS.values()))
+
+
+@functools.cache
+def schema_validator():
+    jsonschema = pytest.importorskip("jsonschema")
+    return jsonschema.Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
+
+
+def parser_rejects(doc) -> bool:
+    try:
+        _parse_obj(ExperimentSpec, doc, "")
+    except ExperimentFormatError:
+        return True
+    return False
+
+
+def key_edit_disagreements(path) -> list:
+    """Each edit of the object at ``path`` in the every-kind document, one key
+    deleted or the unknown key ``bogus`` added, that the schema and the parser
+    judge differently, as (dotted path, key)."""
+    disagreements = []
+    for key in [*functools.reduce(operator.getitem, path, EVERY_KIND_DOC), "bogus"]:
+        doc = copy.deepcopy(EVERY_KIND_DOC)
+        node = functools.reduce(operator.getitem, path, doc)
+        if node.pop(key, None) is None:  # no value in the document is None
+            node[key] = 1
+        if schema_validator().is_valid(doc) == parser_rejects(doc):
+            disagreements.append((dotted(path), key))
+    return disagreements
+
+
 class TestSchemaDescription:
+    def test_schema_file_is_generated_from_the_field_tables(self):
+        assert SCHEMA_PATH.read_text() == json.dumps(experiment_schema(), indent=2) + "\n", (
+            "regenerate with: PYTHONPATH=src python -c 'import json; from oxn.config import experiment_schema; "
+            "print(json.dumps(experiment_schema(), indent=2))' > src/oxn/experiment_schema.json")
+
+    def test_every_kind_document_is_a_valid_experiment(self):
+        assert {t.kind for t in EVERY_KIND.treatments} == set(TREATMENT_KINDS)
+        assert validate(EVERY_KIND) == []
+        assert schema_validator().is_valid(EVERY_KIND_DOC)
+
     def test_shipped_files_conform_to_schema(self):
         jsonschema = pytest.importorskip("jsonschema")
         schema = json.loads(SCHEMA_PATH.read_text())
@@ -395,58 +458,20 @@ class TestSchemaDescription:
         with pytest.raises(jsonschema.ValidationError):
             jsonschema.validate(doc, schema)
 
-    # (path of the object in the schema, the dataclass whose field table reads it)
-    SCHEMA_OBJECTS = [
-        ((), ExperimentSpec),
-        (("properties", "sue"), SueSpec),
-        (("properties", "sue", "properties", "services", "items"), ServiceSpec),
-        (("properties", "sue", "properties", "edges", "items"), CallEdge),
-        (("properties", "sue", "properties", "metric_points", "items"), MetricPointSpec),
-        (("properties", "sue", "properties", "trace_config"), TraceConfigSpec),
-        (("properties", "workload"), WorkloadSpec),
-        (("properties", "responses", "items"), ResponseVariableSpec),
-        (("properties", "detection"), DetectionSpec),
-        (("properties", "cost_model"), CostModelSpec),
-        (("definitions", "lognormal"), LognormalSpec),
-    ]
-
-    @staticmethod
-    def schema_object(*path):
-        node = json.loads(SCHEMA_PATH.read_text())
-        for key in path:
-            node = node[key]
-        return node
-
-    @staticmethod
-    def assert_bounds_match(node, table, where):
-        """Each property states in JSON Schema exactly its field's bound."""
-        for f in table:
-            prop = node["properties"][f.key]
-            stated = {k: prop[k] for k in BOUND_KEYWORDS if k in prop}
-            assert stated == schema_bound(f), f"{where}.{f.key}"
-
-    @pytest.mark.parametrize(
-        "path,cls", SCHEMA_OBJECTS, ids=[cls.__name__ for _, cls in SCHEMA_OBJECTS]
-    )
-    def test_schema_matches_field_table(self, path, cls):
-        node = self.schema_object(*path)
-        table = field_table(cls)
-        assert set(node["properties"]) == {f.key for f in table}
-        assert set(node.get("required", ())) == {f.key for f in table if f.required}
-        self.assert_bounds_match(node, table, cls.__name__)
+    @pytest.mark.parametrize("cls", OBJECT_CLASSES, ids=[cls.__name__ for cls in OBJECT_CLASSES])
+    def test_schema_matches_field_table(self, cls):
+        """At every object of class ``cls`` in the every-kind document, the
+        schema rejects a deleted key or an added unknown one exactly when the
+        parser, which reads the field table, rejects it."""
+        paths = [path for path, obj in EVERY_KIND_OBJECTS if type(obj) is cls]
+        assert paths
+        assert [d for path in paths for d in key_edit_disagreements(path)] == []
 
     def test_schema_treatment_keys_match_kind_classes(self):
-        branches = self.schema_object("properties", "treatments", "items", "oneOf")
-        by_kind = {b["properties"]["kind"]["const"]: b for b in branches}
-        assert len(by_kind) == len(branches)
-        assert set(by_kind) == set(TREATMENT_KINDS)
-        for kind, cls in TREATMENT_KINDS.items():
-            branch = by_kind[kind]
-            table = field_table(cls)
-            assert branch["additionalProperties"] is False, kind
-            assert set(branch["properties"]) == {"kind"} | {f.key for f in table}, kind
-            assert set(branch["required"]) == {"kind"} | {f.key for f in table if f.required}, kind
-            self.assert_bounds_match(branch, table, kind)
+        """The same at the treatment of every kind."""
+        paths = [path for path, obj in EVERY_KIND_OBJECTS if type(obj) in TREATMENT_KINDS.values()]
+        assert len(paths) == len(TREATMENT_KINDS)
+        assert [d for path in paths for d in key_edit_disagreements(path)] == []
 
     def test_registered_mechanism_conforms_to_schema(self, monkeypatch):
         jsonschema = pytest.importorskip("jsonschema")
@@ -475,33 +500,6 @@ class TestSchemaDescription:
             jsonschema.validate(doc, schema)
         with pytest.raises(ExperimentFormatError):
             parse_experiment(yaml.safe_dump(doc))
-
-
-def bounded_leaves(obj, path=()):
-    """(document path, field, value) of every bounded field that the canonical
-    rendering of ``obj`` writes."""
-    for f in field_table(type(obj)):
-        value = getattr(obj, f.name)
-        if value is None:
-            continue
-        if f.bound is not None:
-            yield path + (f.key,), f, value
-        elif is_dataclass(value):
-            yield from bounded_leaves(value, path + (f.key,))
-        elif isinstance(value, tuple):
-            for i, item in enumerate(value):
-                yield from bounded_leaves(item, path + (f.key, i))
-
-
-BASELINE = parse_experiment_file(experiment_path("baseline"))
-BASELINE_DOC = yaml.safe_load(render_experiment(BASELINE))
-BASELINE_LEAVES = list(bounded_leaves(BASELINE))
-
-
-@functools.cache
-def schema_validator():
-    jsonschema = pytest.importorskip("jsonschema")
-    return jsonschema.Draft7Validator(json.loads(SCHEMA_PATH.read_text()))
 
 
 def near_bound(f, current) -> list:
@@ -536,7 +534,7 @@ def any_file_value(f, current):
 
 def with_every_edge(test):
     """Run ``test`` on every value ``near_bound`` gives for every leaf."""
-    for path, f, current in BASELINE_LEAVES:
+    for path, f, current in LEAVES:
         for value in near_bound(f, current):
             test = example((path, f, value))(test)
     return test
@@ -547,7 +545,7 @@ class TestBoundsAgreeWithSchema:
     same place."""
 
     @given(
-        st.sampled_from(BASELINE_LEAVES).flatmap(
+        st.sampled_from(LEAVES).flatmap(
             lambda leaf: any_file_value(leaf[1], leaf[2]).map(lambda value: (leaf[0], leaf[1], value))
         )
     )
@@ -555,7 +553,7 @@ class TestBoundsAgreeWithSchema:
     @settings(max_examples=100, deadline=None)
     def test_validate_flags_the_leaf_iff_schema_rejects(self, drawn):
         path, f, value = drawn
-        doc = copy.deepcopy(BASELINE_DOC)
+        doc = copy.deepcopy(EVERY_KIND_DOC)
         set_leaf(doc, path, value)
         rejected = not schema_validator().is_valid(doc)
         # Cross-field checks may name the same path (``duration_s`` against

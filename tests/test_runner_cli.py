@@ -567,6 +567,22 @@ class TestCli:
         assert "invalid: name: name must be free of" in proc.stderr
         assert sorted(p.name for p in tmp_path.iterdir()) == ["escape.yaml"]
 
+    @pytest.mark.parametrize(
+        "args",
+        [[], ["bogus"], ["run"], ["run", "experiments/baseline.yaml", "--parallel", "abc"]],
+        ids=["no-command", "unknown-command", "run-without-file", "parallel-not-an-integer"],
+    )
+    def test_usage_error_prints_usage_and_exits_with_the_validation_code(self, args, capsys):
+        assert cli.main(args) == cli.EXIT_VALIDATION
+        assert capsys.readouterr().err.startswith("usage: oxn")
+        proc = run_cli(*args)
+        assert (proc.returncode, proc.stdout) == (cli.EXIT_VALIDATION, "")
+        assert proc.stderr.startswith("usage: oxn")
+
+    def test_help_exits_with_success(self, capsys):
+        assert cli.main(["--help"]) == cli.EXIT_OK
+        assert capsys.readouterr().out.startswith("usage: oxn")
+
     @pytest.mark.parametrize("workers", ["0", "-3"])
     def test_run_rejects_parallel_below_one(self, small_file, capsys, workers):
         assert cli.main(["run", str(small_file), "--parallel", workers]) == cli.EXIT_VALIDATION

@@ -3,8 +3,10 @@ from __future__ import annotations
 import copy
 import gc
 import hashlib
+import heapq
 import json
 import pickle
+from array import array
 from contextlib import contextmanager
 from dataclasses import replace
 
@@ -33,6 +35,8 @@ from oxn.config import (
 )
 from oxn.simulator import (
     _EV_ARRIVAL,
+    _EV_FAULT_END,
+    _EV_FAULT_START,
     _EV_TIMEOUT,
     _EV_USER,
     CLIENT_TIMEOUT_MS,
@@ -769,6 +773,43 @@ class TestProperties:
         free, null = (simulated(sue, workload, faults, seed) for faults in ([], [fault]))
         assert null.log == free.log
         assert null.records == free.records
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), small_meshes())
+    def test_a_permutation_of_the_services_only_relabels_them(self, data, mesh):
+        """Metamorphic relation: listing ``sue.services`` in another order
+        relabels the span table's ``service`` and the CPU table's
+        ``cpu_service`` columns and changes nothing else."""
+        sue, workload, fault, seed = mesh
+        faults = [fault] if fault is not None else []
+        shuffled = replace(sue, services=tuple(data.draw(st.permutations(sue.services))))
+        free, permuted = (simulated(variant, workload, faults, seed) for variant in (sue, shuffled))
+        index = [sue.services.index(s) for s in shuffled.services]  # by position in ``shuffled``
+        relabeled = replace(
+            permuted.log,
+            spans=replace(permuted.log.spans, service=array("q", (index[s] for s in permuted.log.spans.service))),
+            cpu_service=array("q", (index[s] for s in permuted.log.cpu_service)),
+        )
+        assert relabeled == free.log
+        assert permuted.records == free.records
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_meshes().filter(lambda mesh: mesh[2] is not None))
+    def test_a_fault_added_to_a_fault_free_prefix_gives_the_single_fault_run(self, mesh):
+        """Metamorphic relation: run without a fault up to the millisecond
+        before the fault starts, then push its boundary events with the
+        sequence numbers ``SimState`` gives a first fault. The log and the
+        records are those of the run that had the fault from the start."""
+        sue, workload, fault, seed = mesh
+        sim = init_sim(sue, seed)
+        drive(sim, workload)
+        sim.run_until(fault.start_ms - 1)
+        heapq.heappush(sim._heap, (fault.start_ms, -2_000_000, _EV_FAULT_START, fault))
+        heapq.heappush(sim._heap, (fault.end_ms, -1_999_999, _EV_FAULT_END, fault))
+        sim.run_until(None)
+        single = simulated(sue, workload, [fault], seed)
+        assert sim.log == single.log
+        assert sim.records == single.records
 
     def test_a_run_fills_every_column_of_the_log(self):
         """Guards against an output channel that nothing feeds."""
