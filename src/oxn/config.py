@@ -486,6 +486,10 @@ def _as_list(value: Any, where: str) -> list:
 
 
 def _as_int(value: Any, where: str) -> int:
+    """An integer, or a float with no fraction read as one, as JSON Schema's
+    ``integer`` admits it (``16.0``); booleans are not integers."""
+    if isinstance(value, float) and value.is_integer():
+        return int(value)
     if isinstance(value, bool) or not isinstance(value, int):
         raise ExperimentFormatError(f"{where} must be an integer")
     return value

@@ -5,11 +5,16 @@ An experiment file may declare several fault treatments; each is executed
 in its own series of runs (one active fault per run) and every repetition
 reuses the same derived seed across faults and across instrumentation
 variants, so design alternatives are compared under common random numbers.
-Detection scores are averaged across repetitions before thresholding.
+The common numbers also share computation: up to a fault's start, every run
+of a repetition simulates the same fault-free events, so a repetition
+simulates that prefix once and forks it for each fault
+(``simulate_repetition``). Detection scores are averaged across repetitions
+before thresholding.
 """
 
 from __future__ import annotations
 
+import functools
 import hashlib
 import json
 import pickle
@@ -25,7 +30,7 @@ from .detection import _REGISTRY, ConvergenceError, InsufficientDataError, build
 from .detection import make_mechanism, register_mechanism
 from .scoring import VisibilityMatrix, build_matrix
 from .simulator import drive, init_sim, rng_stream
-from .telemetry import build_batch, export_csv, materialize_response
+from .telemetry import ResponseSeries, TelemetryBatch, build_batch, export_csv, materialize_response
 
 SCHEMA_VERSION = "1"
 
@@ -119,30 +124,38 @@ def spec_digest(spec: ExperimentSpec) -> str:
     return "sha256:" + hashlib.sha256(render_experiment(spec).encode()).hexdigest()
 
 
-def simulate_run(spec: ExperimentSpec, fault: Fault, repetition: int):
-    """Simulate one repetition of one fault; returns the telemetry batch, the
-    materialized response series and the request records."""
-    run_seed = spec.seed + repetition
+def simulate_repetition(spec: ExperimentSpec, repetition: int):
+    """Simulate one repetition of every fault, in start order (spec order
+    among equal starts); yields each fault with its telemetry batch, its
+    materialized response series and its request records.
+
+    The faults share the repetition's fault-free state: it runs to the
+    millisecond before each distinct start, and each fault but the last runs
+    on a pickle fork of it, the last on the state itself."""
     sue = apply_instrumentation(spec.sue, spec.instrumentation_treatments())
-    sim = init_sim(sue, run_seed, [fault])
+    sim = init_sim(sue, spec.seed + repetition)
     drive(sim, spec.workload)
-    sim.run_until(None)
+    faults = _start_order(spec)
+    for i, fault in enumerate(faults):
+        if i == 0 or fault.start_ms != faults[i - 1].start_ms:
+            sim.run_until(fault.start_ms - 1)
+        run = sim if i == len(faults) - 1 else pickle.loads(pickle.dumps(sim))
+        run.add_fault(fault)
+        run.run_until(None)
+        batch = build_batch(run.log, sue, spec.workload.duration_ms, run.stream("trace-sampling"))
+        yield fault, batch, [materialize_response(response, batch, fault) for response in spec.responses], run.records
 
-    batch = build_batch(sim.log, sue, spec.workload.duration_ms, sim.stream("trace-sampling"))
-    series_list = [materialize_response(response, batch, fault) for response in spec.responses]
-    return batch, series_list, sim.records
+
+def _start_order(spec: ExperimentSpec) -> list[Fault]:
+    """The spec's faults in the order ``simulate_repetition`` yields them."""
+    return sorted(spec.fault_treatments(), key=lambda fault: fault.start_ms)
 
 
-def execute_run(
-    spec: ExperimentSpec,
-    fault: Fault,
-    repetition: int,
-    export_dir: str | Path | None = None,
-) -> RunResult:
-    """Simulate one repetition of one fault and detect it in every response."""
+def score_run(spec: ExperimentSpec, fault: Fault, repetition: int, batch: TelemetryBatch,
+              series_list: list[ResponseSeries], request_count: int, export_dir: str | Path | None) -> RunResult:
+    """Detect one simulated fault in every response, export its CSV files
+    if asked, and account its cost."""
     run_seed = spec.seed + repetition
-    batch, series_list, records = simulate_run(spec, fault, repetition)
-
     detection = spec.detection
     scores: dict[str, float | None] = {}
     reasons: dict[str, str] = {}
@@ -173,7 +186,7 @@ def execute_run(
         scores=scores,
         reasons=reasons,
         cost=account(batch, spec.cost_model),
-        request_count=len(records),
+        request_count=request_count,
         trace_count=batch.trace_count,
         kept_trace_count=batch.kept_trace_count,
         kept_span_count=batch.kept_span_count,
@@ -181,8 +194,27 @@ def execute_run(
     )
 
 
-def _run_task(args) -> RunResult:
-    return execute_run(*args)
+def _run_failed(fault: Fault, repetition: int, exc: Exception) -> ExperimentError:
+    return ExperimentError(f"run failed (first unfinished run: fault={fault.name} repetition={repetition}): {exc}")
+
+
+def execute_repetition(
+    spec: ExperimentSpec,
+    repetition: int,
+    export_dir: str | Path | None = None,
+) -> list[RunResult]:
+    """Simulate and score one repetition of every fault; the results come in
+    spec order. An error names the first run of the repetition, in start
+    order, that had not finished: the one that raised."""
+    order = _start_order(spec)
+    results: list[RunResult] = []
+    try:
+        for fault, batch, series_list, records in simulate_repetition(spec, repetition):
+            results.append(score_run(spec, fault, repetition, batch, series_list, len(records), export_dir))
+    except Exception as exc:
+        raise _run_failed(order[len(results)], repetition, exc) from exc
+    by_fault = {run.fault: run for run in results}
+    return [by_fault[fault.name] for fault in spec.fault_treatments()]
 
 
 def run_experiment(
@@ -193,10 +225,11 @@ def run_experiment(
 ) -> ObservabilityReport:
     """Run every fault treatment for every repetition and score the results.
 
-    With ``parallel`` > 1 the runs go to a process pool of at most one worker
-    per run; each worker registers the spec's mechanism factory, which must
-    pickle (a module-level function, not a lambda). Errors from individual
-    runs propagate with (fault, repetition) context.
+    A repetition is one task (``execute_repetition``). With ``parallel`` > 1
+    the repetitions go to a process pool of at most one worker per
+    repetition; each worker registers the spec's mechanism factory, which
+    must pickle (a module-level function, not a lambda). Errors from
+    individual runs propagate with (fault, repetition) context.
     """
     violations = validate(spec)
     if violations:
@@ -208,12 +241,9 @@ def run_experiment(
         raise ExperimentError("experiment has no fault treatments to run")
 
     started = time.monotonic()
-    tasks = [
-        (spec, fault, repetition, str(export_dir) if export_dir else None)
-        for fault in faults
-        for repetition in range(spec.repetitions)
-    ]
-    pooled = parallel > 1 and len(tasks) > 1
+    repetitions = range(spec.repetitions)
+    task = functools.partial(execute_repetition, spec, export_dir=str(export_dir) if export_dir else None)
+    pooled = parallel > 1 and len(repetitions) > 1
     registration = (spec.detection.mechanism, _REGISTRY[spec.detection.mechanism])
     if pooled:
         try:
@@ -222,21 +252,22 @@ def run_experiment(
             raise ExperimentError(
                 f"detection mechanism '{registration[0]}' cannot be sent to pool workers: {exc}"
             ) from exc
-    # Both maps yield results in task order, whatever order the runs finish
-    # in, and ``extend`` keeps those yielded before a run fails.
-    results: list[RunResult] = []
+    # Both maps yield results in repetition order, whatever order the tasks
+    # finish in, and ``extend`` keeps those yielded before a task fails.
+    by_repetition: list[list[RunResult]] = []
     try:
         if pooled:
-            workers = min(parallel, len(tasks))
+            workers = min(parallel, len(repetitions))
             with ProcessPoolExecutor(workers, initializer=register_mechanism, initargs=registration) as pool:
-                results.extend(pool.map(_run_task, tasks))
+                by_repetition.extend(pool.map(task, repetitions))
         else:
-            results.extend(map(_run_task, tasks))
-    except Exception as exc:  # annotate with run context
-        _, fault, repetition, _ = tasks[len(results)]
-        raise ExperimentError(
-            f"run failed (first unfinished run: fault={fault.name} repetition={repetition}): {exc}"
-        ) from exc
+            by_repetition.extend(map(task, repetitions))
+    except ExperimentError:
+        raise  # a run failed and names itself
+    except Exception as exc:  # the pool failed outside any run
+        raise _run_failed(_start_order(spec)[0], len(by_repetition), exc) from exc
+    # Fault by fault, repetition by repetition.
+    results = [run for runs in zip(*by_repetition) for run in runs]
 
     score_runs: dict[tuple[str, str], list[float | None]] = {}
     for run in results:

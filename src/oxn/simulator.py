@@ -20,6 +20,14 @@ can be deep-copied or pickled and either copy runs on identically.
 Instrumentation events go to the typed columns of ``RawEventLog``; each ok
 span close is one request-counter increment.
 
+Faults are added with ``add_fault``, whose boundary events take negative
+sequence numbers in the order the faults were added (-2,000,000 + 2i for the
+i-th fault's start, one more for its end), so they precede every simulation
+event of the same millisecond. A fault-free state run to ``start_ms - 1`` is
+therefore a fork point: a copy given the fault there runs on to the same
+event log and records as a state that held the fault from the start. The
+runner simulates each repetition's fault-free prefix once and forks it so.
+
 Arrivals and completions, the two events behind almost every span, are
 handled in the ``run_until`` loop body; rarer events have handler methods.
 Each step of a call's life is written once: a call starts processing at the
@@ -249,7 +257,9 @@ class SimState:
     def __init__(self, sue: SueSpec, seed: int, faults: Iterable[Fault] = ()):
         self.sue = sue
         self.seed = seed
-        self.now = 0
+        # Between runs every event at or before ``now`` has been handled; a
+        # fresh state has handled none, so a fault may start at 0.
+        self.now = -1
         self._heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
         # Pending wake-ups (see ``wake``). The heap holds the first
@@ -278,11 +288,9 @@ class SimState:
         # Active faults that act on the inbound edges of their target; changed
         # in place only, so ``run_until`` may hold it in a local.
         self._active: list[NetworkDelay | PacketLoss] = []
-        # Negative sequence numbers make fault boundary events sort ahead of
-        # simulation events carrying the same timestamp.
-        for i, fault in enumerate(faults):
-            heapq.heappush(self._heap, (fault.start_ms, -2_000_000 + 2 * i, _EV_FAULT_START, fault))
-            heapq.heappush(self._heap, (fault.end_ms, -2_000_000 + 2 * i + 1, _EV_FAULT_END, fault))
+        self._fault_count = 0
+        for fault in faults:
+            self.add_fault(fault)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -332,6 +340,17 @@ class SimState:
         return len(self._heap) + beyond + max(len(self._timeouts) - 1, 0)
 
     # -- public operations --------------------------------------------------
+
+    def add_fault(self, fault: Fault) -> None:
+        """Schedule ``fault``'s window boundaries (see the module docstring
+        for their sequence numbers). A fault that starts at or before ``now``
+        is refused: events it should have preceded have been handled."""
+        if fault.start_ms <= self.now:
+            raise ValueError(f"fault '{fault.name}' starts at {fault.start_ms} ms, not after now ({self.now} ms)")
+        seq = -2_000_000 + 2 * self._fault_count
+        self._fault_count += 1
+        heapq.heappush(self._heap, (fault.start_ms, seq, _EV_FAULT_START, fault))
+        heapq.heappush(self._heap, (fault.end_ms, seq + 1, _EV_FAULT_END, fault))
 
     def issue_request(self, user: int, at: int) -> int:
         """Schedule a user request entering the call graph at time ``at``.

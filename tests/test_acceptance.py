@@ -25,7 +25,7 @@ from oxn.scoring import fault_coverage, overall_fault_observability, visibility
 from oxn.simulator import rng_stream
 from oxn.telemetry import ResponseSeries, sample_traces
 from oxn.config import SPAN_BITS, TraceConfigSpec, parse_experiment_file
-from oxn.runner import report_json, simulate_run
+from oxn.runner import report_json, simulate_repetition
 
 from conftest import REPO_ROOT, cli_env, event_log, experiment_path, span_id, span_rows
 
@@ -300,9 +300,8 @@ class TestCriterion8TelemetryInvariants:
         runs_checked = 0
         for name, spec in specs.items():
             repetitions = range(spec.repetitions) if name == "baseline" else range(3)
-            for fault in spec.fault_treatments():
-                for repetition in repetitions:
-                    batch, series_list, records = simulate_run(spec, fault, repetition)
+            for repetition in repetitions:
+                for fault, batch, series_list, records in simulate_repetition(spec, repetition):
                     runs_checked += 1
 
                     # span nesting: child intervals inside parent intervals

@@ -481,6 +481,22 @@ class TestSchemaDescription:
         assert validate(parse_experiment(yaml.safe_dump(doc))) == []
         jsonschema.validate(doc, json.loads(SCHEMA_PATH.read_text()))
 
+    @pytest.mark.parametrize("value, accepted", [(16.0, True), (16.5, False), (True, False)],
+                             ids=["integral_float", "fraction", "true"])
+    def test_schema_and_parser_judge_an_integer_field_alike(self, value, accepted):
+        """Value edits: every integer field of the every-kind document set to
+        ``value``. JSON Schema's ``integer`` admits a number with a zero
+        fraction, and so does the parser."""
+        leaves = [path + (f.key,) for path, obj in EVERY_KIND_OBJECTS for f in field_table(type(obj))
+                  if f.schema().get("type") == "integer"]
+        assert len(leaves) >= 5
+        judged = []
+        for leaf in leaves:
+            doc = copy.deepcopy(EVERY_KIND_DOC)
+            set_leaf(doc, leaf, value)
+            judged.append((dotted(leaf), schema_validator().is_valid(doc), not parser_rejects(doc)))
+        assert judged == [(leaf, accepted, accepted) for leaf, _, _ in judged]
+
     @pytest.mark.parametrize(
         "treatment",
         [

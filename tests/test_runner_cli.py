@@ -13,7 +13,7 @@ from pathlib import Path
 import pytest
 
 from oxn import cli, detection, runner
-from oxn.config import DetectionSpec, Pause, render_experiment
+from oxn.config import DetectionSpec, Pause, Stress, render_experiment
 from oxn.detection import MIN_CLASS_ROWS, ThresholdAlertMechanism
 from oxn.runner import (
     ExperimentError,
@@ -157,9 +157,10 @@ class TestRunExperiment:
             ),
             detection=DetectionSpec(mechanism="fails_late"),
         )
-        # Runs go fault by fault, repetition by repetition, and each makes one
-        # mechanism per response: the fourth run is repetition 1 of the second
-        # fault. The factory is a module-level class so that it pickles.
+        # Runs go repetition by repetition, fault by fault in start order (spec
+        # order among equal starts), and each makes one mechanism per response:
+        # the fourth run is repetition 1 of the second fault. The factory is a
+        # module-level class so that it pickles.
         factory = FailsLate(responses=len(spec.responses), crash_run=3)
         monkeypatch.setitem(detection._REGISTRY, "fails_late", factory)
         with pytest.raises(ExperimentError) as raised:
@@ -168,6 +169,23 @@ class TestRunExperiment:
         assert str(raised.value) == (
             "run failed (first unfinished run: fault=pause_gateway repetition=1): detector crashed"
         )
+
+    @pytest.mark.parametrize("parallel", [1, 2])
+    def test_each_fault_gives_its_one_fault_runs(self, parallel):
+        """Faults that share a repetition's fault-free prefix, two of them
+        forked at 60 s and one at 40 s, listed out of start order, score as
+        they do alone."""
+        faults = (
+            Pause(name="pause_backend", target="backend", start_ms=60_000, end_ms=90_000),
+            Stress(name="stress_backend", target="backend", start_ms=40_000, end_ms=80_000, factor=3.0),
+            Pause(name="pause_gateway", target="gateway", start_ms=60_000, end_ms=100_000),
+        )
+        doc = run_experiment(small_spec(treatments=faults), parallel=parallel, frozen_clock=True).to_doc()
+        assert [run["fault"] for run in doc["runs"]] == [f.name for f in faults for _ in range(2)]
+        for fault in faults:
+            alone = run_experiment(small_spec(treatments=(fault,)), frozen_clock=True).to_doc()
+            assert [run for run in doc["runs"] if run["fault"] == fault.name] == alone["runs"]
+            assert doc["visibility"][fault.name] == alone["visibility"][fault.name]
 
     def test_undefined_score_counts_as_invisible(self):
         # [40 s, 65 s] leaves only three 10 s counter windows inside the fault

@@ -3,7 +3,6 @@ from __future__ import annotations
 import copy
 import gc
 import hashlib
-import heapq
 import json
 import pickle
 from array import array
@@ -15,7 +14,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oxn.config import (
+    TREATMENT_KINDS,
     CallEdge,
+    Fault,
     LognormalSpec,
     MetricPointSpec,
     MetricSamplingInterval,
@@ -35,8 +36,6 @@ from oxn.config import (
 )
 from oxn.simulator import (
     _EV_ARRIVAL,
-    _EV_FAULT_END,
-    _EV_FAULT_START,
     _EV_TIMEOUT,
     _EV_USER,
     CLIENT_TIMEOUT_MS,
@@ -614,6 +613,16 @@ class TestCollectorPause:
 
 
 class TestFork:
+    def test_a_fault_must_start_after_now(self):
+        sim = init_sim(sue_single(), seed=1)
+        sim.add_fault(Stress(name="at_zero", target="api", start_ms=0, end_ms=10, factor=2.0))
+        sim.issue_request(0, at=0)
+        sim.run_until(1000)
+        for start in (999, 1000):
+            with pytest.raises(ValueError, match=f"fault 'late' starts at {start} ms, not after now \\(1000 ms\\)"):
+                sim.add_fault(Stress(name="late", target="api", start_ms=start, end_ms=2000, factor=2.0))
+        sim.add_fault(Stress(name="next", target="api", start_ms=1001, end_ms=2000, factor=2.0))
+
     @pytest.mark.parametrize("fault", ["pause", "packet_loss"])
     def test_copies_taken_at_fault_start_run_on_identically(self, fault):
         spec, faults = baseline_faults()
@@ -643,12 +652,35 @@ class TestFork:
             assert fork.log == whole.log
 
 
+FAULT_KINDS = [kind for kind, cls in TREATMENT_KINDS.items() if issubclass(cls, Fault)]
+
+
+@st.composite
+def faults(draw, n, duration, kind=None):
+    """A fault of ``kind`` (any kind if None) on one of the services s0 to
+    s{n-1}, starting before ``duration`` and ending by it."""
+    kind = kind or draw(st.sampled_from(FAULT_KINDS))
+    start = draw(st.integers(0, duration - 1))
+    params = {}
+    if kind == "network_delay":
+        params = dict(delay_min_ms=draw(st.integers(0, 50)), delay_max_ms=draw(st.integers(50, 200)))
+    elif kind in ("packet_loss", "packet_corruption"):
+        params = dict(probability=draw(st.floats(0.0, 1.0)))
+    elif kind == "stress":
+        params = dict(factor=draw(st.floats(1.0, 5.0)))
+    return TREATMENT_KINDS[kind](
+        name=kind,
+        target=f"s{draw(st.integers(0, n - 1))}",
+        start_ms=start,
+        end_ms=draw(st.integers(start + 1, duration)),
+        **params,
+    )
+
+
 @st.composite
 def small_meshes(draw):
     """A 1-4 service DAG with one entry service (s0), a small closed-loop
     workload and either no fault or one fault of any kind."""
-    from oxn.config import TREATMENT_KINDS, Fault
-
     n = draw(st.integers(1, 4))
     services = tuple(
         tiny_service(
@@ -676,24 +708,8 @@ def small_meshes(draw):
         ramp_up_ms=draw(st.integers(0, duration // 2)),
     )
 
-    fault = None
-    kind = draw(st.sampled_from([None] + [k for k, cls in TREATMENT_KINDS.items() if issubclass(cls, Fault)]))
-    if kind is not None:
-        start = draw(st.integers(0, duration - 1))
-        params = {}
-        if kind == "network_delay":
-            params = dict(delay_min_ms=draw(st.integers(0, 50)), delay_max_ms=draw(st.integers(50, 200)))
-        elif kind in ("packet_loss", "packet_corruption"):
-            params = dict(probability=draw(st.floats(0.0, 1.0)))
-        elif kind == "stress":
-            params = dict(factor=draw(st.floats(1.0, 5.0)))
-        fault = TREATMENT_KINDS[kind](
-            name=kind,
-            target=f"s{draw(st.integers(0, n - 1))}",
-            start_ms=start,
-            end_ms=draw(st.integers(start + 1, duration)),
-            **params,
-        )
+    kind = draw(st.sampled_from([None, *FAULT_KINDS]))
+    fault = None if kind is None else draw(faults(n, duration, kind))
     return sue, workload, fault, draw(st.integers(0, 2**16))
 
 
@@ -797,19 +813,41 @@ class TestProperties:
     @given(small_meshes().filter(lambda mesh: mesh[2] is not None))
     def test_a_fault_added_to_a_fault_free_prefix_gives_the_single_fault_run(self, mesh):
         """Metamorphic relation: run without a fault up to the millisecond
-        before the fault starts, then push its boundary events with the
-        sequence numbers ``SimState`` gives a first fault. The log and the
-        records are those of the run that had the fault from the start."""
+        before the fault starts, then add it with ``add_fault``. The log and
+        the records are those of the run that had the fault from the start."""
         sue, workload, fault, seed = mesh
         sim = init_sim(sue, seed)
         drive(sim, workload)
         sim.run_until(fault.start_ms - 1)
-        heapq.heappush(sim._heap, (fault.start_ms, -2_000_000, _EV_FAULT_START, fault))
-        heapq.heappush(sim._heap, (fault.end_ms, -1_999_999, _EV_FAULT_END, fault))
+        sim.add_fault(fault)
         sim.run_until(None)
         single = simulated(sue, workload, [fault], seed)
         assert sim.log == single.log
         assert sim.records == single.records
+
+    @settings(max_examples=100, deadline=None)
+    @given(st.data(), small_meshes().filter(lambda mesh: mesh[2] is not None))
+    def test_forks_of_one_fault_free_prefix_give_their_single_fault_runs(self, data, mesh):
+        """The same relation for two faults that start apart, as the runner
+        simulates them: a pickle fork of the prefix at the earlier start takes
+        that fault, and the prefix runs on to the later start and takes the
+        other. Each equals its single-fault run."""
+        sue, workload, first, seed = mesh
+        other = faults(len(sue.services), workload.duration_ms).filter(lambda f: f.start_ms != first.start_ms)
+        early, late = sorted([first, data.draw(other)], key=lambda fault: fault.start_ms)
+        sim = init_sim(sue, seed)
+        drive(sim, workload)
+        sim.run_until(early.start_ms - 1)
+        fork = pickle.loads(pickle.dumps(sim))
+        fork.add_fault(early)
+        fork.run_until(None)
+        sim.run_until(late.start_ms - 1)
+        sim.add_fault(late)
+        sim.run_until(None)
+        for run, fault in ((fork, early), (sim, late)):
+            single = simulated(sue, workload, [fault], seed)
+            assert run.log == single.log, fault
+            assert run.records == single.records, fault
 
     def test_a_run_fills_every_column_of_the_log(self):
         """Guards against an output channel that nothing feeds."""
