@@ -21,11 +21,8 @@ from .detection import (
     DetectionOutcome,
     InsufficientDataError,
     LabeledDataset,
-    LogRegModel,
     build_dataset,
-    evaluate_logreg,
     register_mechanism,
-    train_logreg,
     zscore_fit_apply,
 )
 from .runner import ObservabilityReport, compare_docs, run_experiment

@@ -1,13 +1,17 @@
 """Fault-detection mechanisms over labeled response series.
 
-The default mechanism is a logistic-regression classifier trained full-batch
-with Newton steps and an Armijo backtracking line search, which keeps the
-training loss nonincreasing and the fitted weights bit-reproducible for a
-fixed split. A fit builds its design matrix ``xb = [x, 1]`` once; each loss
+The default mechanism z-scores the features, fits a logistic regression on
+the train split and scores its test-split accuracy. The fit is full-batch
+Newton with an Armijo backtracking line search, which keeps the training
+loss nonincreasing and the fitted weights bit-reproducible for a fixed
+split. It builds its design matrix ``xb = [x, 1]`` once; each loss
 evaluation takes one product ``z = xb @ theta`` and one ``e = exp(-|z|)``,
 giving the loss ``max(z, 0) + log1p(e) - y*z`` (the form of ``logaddexp``)
 and the sigmoid ``p``, which the next Newton step's Hessian reuses from the
-candidate the line search accepted. A k-sigma threshold alert is a second
+candidate the line search accepted. A test row is predicted as a fault iff
+``z > c*eps*(1 + |x|.|w| + |b|)``, with ``c = BOUNDARY_BAND``. A row inside
+that band around ``z = 0``, where the sign of ``z`` can be a rounding
+residue, is predicted normal. A k-sigma threshold alert is a second
 mechanism, and external mechanisms can be registered by name.
 
 A mechanism's ``run(ds)`` receives a ``LabeledDataset`` whose rows are
@@ -56,21 +60,10 @@ class LabeledDataset:
 
 
 @dataclass(frozen=True)
-class LogRegModel:
-    weights: np.ndarray
-    bias: float
-    loss_history: tuple[float, ...] = ()
-
-    def decision(self, features: np.ndarray) -> np.ndarray:
-        return _sigmoid(features @ self.weights + self.bias)
-
-
-@dataclass(frozen=True)
 class DetectionOutcome:
     """Detection score in [0, 1] for one (fault, response) evaluation."""
 
     score: float
-    mechanism: str
 
     def __post_init__(self) -> None:
         if not 0.0 <= self.score <= 1.0:
@@ -78,6 +71,8 @@ class DetectionOutcome:
 
 
 MIN_CLASS_ROWS = 4
+MAX_NEWTON_STEPS = 100
+BOUNDARY_BAND = 64  # c of the logistic decision band c*eps*(1 + |x|.|w| + |b|)
 
 
 def lagged_features(values: np.ndarray, window: int) -> np.ndarray:
@@ -161,11 +156,6 @@ def zscore_fit_apply(ds: LabeledDataset) -> LabeledDataset:
     return replace(ds, features=transformed)
 
 
-def _sigmoid(z: np.ndarray) -> np.ndarray:
-    e = np.exp(-np.abs(z))
-    return np.where(z >= 0, 1.0, e) / (1.0 + e)
-
-
 def _loss_grad_p(
     xb: np.ndarray, y: np.ndarray, theta: np.ndarray, ridge: np.ndarray
 ) -> tuple[float, np.ndarray, np.ndarray]:
@@ -175,107 +165,8 @@ def _loss_grad_p(
     e = np.exp(-np.abs(z))
     penalty = ridge * theta
     loss = float(np.mean(np.maximum(z, 0.0) + np.log1p(e) - y * z)) + 0.5 * float(theta @ penalty)
-    p = np.where(z >= 0, 1.0, e) / (1.0 + e)  # _sigmoid(z), sharing e
+    p = np.where(z >= 0, 1.0, e) / (1.0 + e)  # sigmoid(z), sharing e
     return loss, xb.T @ ((p - y) / len(y)) + penalty, p
-
-
-def logreg_loss_gradient(
-    x: np.ndarray, y: np.ndarray, weights: np.ndarray, bias: float, l2: float
-) -> tuple[float, np.ndarray]:
-    """Mean cross-entropy with an l2 ridge on the weights (bias excluded);
-    returns (loss, gradient over [weights, bias])."""
-    xb = np.hstack([x, np.ones((len(x), 1))])
-    ridge = np.append(np.full(len(weights), l2), 0.0)
-    return _loss_grad_p(xb, y, np.append(weights, bias), ridge)[:2]
-
-
-def train_logreg(
-    ds: LabeledDataset,
-    l2: float = 1e-4,
-    tol: float = 1e-6,
-    max_iter: int = 100,
-) -> LogRegModel:
-    """Fit logistic regression on the train split by damped Newton iteration
-    until the gradient infinity-norm drops below ``tol``."""
-    x, y_int = ds.train
-    if x.shape[0] == 0 or y_int.min() == y_int.max():
-        raise InsufficientDataError("training split must contain both classes")
-
-    n, d = x.shape
-    xb = np.hstack([x, np.ones((n, 1))])
-    y = y_int.astype(np.float64)
-    ridge = np.append(np.full(d, l2), 0.0)
-    damping = np.diag(ridge + 1e-12)
-    theta = np.zeros(d + 1)
-    loss, grad, p = _loss_grad_p(xb, y, theta, ridge)
-    losses = [loss]
-    for _ in range(max_iter):
-        if np.max(np.abs(grad)) < tol:
-            return LogRegModel(theta[:d].copy(), float(theta[d]), tuple(losses))
-        hessian = (xb * (p * (1.0 - p))[:, None]).T @ xb / n + damping
-        step = np.linalg.solve(hessian, grad)
-
-        # Armijo backtracking keeps the loss nonincreasing.
-        t = 1.0
-        slope = float(grad @ step)
-        while t > 1e-12:
-            theta_t = theta - t * step
-            cand = _loss_grad_p(xb, y, theta_t, ridge)
-            if cand[0] <= loss - 1e-4 * t * slope:
-                break
-            t *= 0.5
-        theta = theta_t
-        loss, grad, p = cand
-        losses.append(loss)
-
-    raise ConvergenceError(
-        f"logistic regression failed to converge after {max_iter} iterations; "
-        f"gradient infinity-norm {np.max(np.abs(grad)):.3e}"
-    )
-
-
-def evaluate_logreg(model: LogRegModel, ds: LabeledDataset) -> DetectionOutcome:
-    """Detection score = test-split classification accuracy at the 0.5 cut."""
-    x, y = ds.test
-    if x.shape[0] == 0:
-        raise ValueError("test split is empty")
-    predicted = (model.decision(x) > 0.5).astype(np.int64)
-    return DetectionOutcome(
-        score=float(np.mean(predicted == y)), mechanism="logistic_regression"
-    )
-
-
-@dataclass(frozen=True)
-class ThresholdAlert:
-    """Alert rule: flag an observation whose raw value leaves the
-    mu +/- k*sigma band fitted on normal-labeled training rows."""
-
-    mean: float
-    std: float
-    k: float
-
-
-def fit_threshold_alert(ds: LabeledDataset, k: float = 3.0) -> ThresholdAlert:
-    x, y = ds.train
-    normal = x[y == 0, 0]
-    if normal.size == 0:
-        raise InsufficientDataError("no normal rows in the train split")
-    std = float(normal.std())
-    return ThresholdAlert(mean=float(normal.mean()), std=std if std > 0 else 1.0, k=k)
-
-
-def evaluate_threshold_alert(alert: ThresholdAlert, ds: LabeledDataset) -> DetectionOutcome:
-    """Detection score = balanced accuracy of the band rule on the test split."""
-    x, y = ds.test
-    if x.shape[0] == 0:
-        raise ValueError("test split is empty")
-    flagged = np.abs(x[:, 0] - alert.mean) > alert.k * alert.std
-    fault = y == 1
-    tpr = float(flagged[fault].mean()) if fault.any() else 0.0
-    tnr = float((~flagged[~fault]).mean()) if (~fault).any() else 0.0
-    return DetectionOutcome(
-        score=(tpr + tnr) / 2.0, mechanism="threshold_alert"
-    )
 
 
 class DetectionMechanism(Protocol):
@@ -286,22 +177,85 @@ class DetectionMechanism(Protocol):
 
 @dataclass(frozen=True)
 class LogisticRegressionMechanism:
+    """Logistic regression with an l2 ridge on the weights (bias excluded);
+    the score is the test-split accuracy."""
+
     l2: float = 1e-4
     tol: float = 1e-6
 
+    def fit(self, ds: LabeledDataset) -> tuple[np.ndarray, list[float]]:
+        """``[weights, bias]`` fitted on the train split by damped Newton
+        iteration until the gradient infinity-norm drops below ``tol``, and
+        the loss after each step."""
+        x, y_int = ds.train
+        if x.shape[0] == 0 or y_int.min() == y_int.max():
+            raise InsufficientDataError("training split must contain both classes")
+
+        n, d = x.shape
+        xb = np.hstack([x, np.ones((n, 1))])
+        y = y_int.astype(np.float64)
+        ridge = np.append(np.full(d, self.l2), 0.0)
+        damping = np.diag(ridge + 1e-12)
+        theta = np.zeros(d + 1)
+        loss, grad, p = _loss_grad_p(xb, y, theta, ridge)
+        losses = [loss]
+        for _ in range(MAX_NEWTON_STEPS):
+            if np.max(np.abs(grad)) < self.tol:
+                return theta, losses
+            hessian = (xb * (p * (1.0 - p))[:, None]).T @ xb / n + damping
+            step = np.linalg.solve(hessian, grad)
+
+            # Armijo backtracking keeps the loss nonincreasing.
+            t = 1.0
+            slope = float(grad @ step)
+            while t > 1e-12:
+                theta_t = theta - t * step
+                cand = _loss_grad_p(xb, y, theta_t, ridge)
+                if cand[0] <= loss - 1e-4 * t * slope:
+                    break
+                t *= 0.5
+            theta = theta_t
+            loss, grad, p = cand
+            losses.append(loss)
+
+        raise ConvergenceError(
+            f"logistic regression failed to converge after {MAX_NEWTON_STEPS} iterations; "
+            f"gradient infinity-norm {np.max(np.abs(grad)):.3e}"
+        )
+
     def run(self, ds: LabeledDataset) -> DetectionOutcome:
         normalized = zscore_fit_apply(ds)
-        model = train_logreg(normalized, l2=self.l2, tol=self.tol)
-        return evaluate_logreg(model, normalized)
+        theta, _ = self.fit(normalized)
+        x, y = normalized.test
+        if x.shape[0] == 0:
+            raise ValueError("test split is empty")
+        weights, bias = theta[:-1], theta[-1]
+        band = BOUNDARY_BAND * np.finfo(np.float64).eps * (1.0 + np.abs(x) @ np.abs(weights) + abs(bias))
+        predicted = x @ weights + bias > band
+        return DetectionOutcome(float(np.mean(predicted == y)))
 
 
 @dataclass(frozen=True)
 class ThresholdAlertMechanism:
+    """Alert rule: flag a test row whose raw value leaves the mean +/- k*std
+    band of the normal-labeled train rows (zero-width when they are
+    constant); the score is the balanced accuracy of the flags."""
+
     k: float = 3.0
 
     def run(self, ds: LabeledDataset) -> DetectionOutcome:
-        alert = fit_threshold_alert(ds, k=self.k)
-        return evaluate_threshold_alert(alert, ds)
+        x, y = ds.train
+        normal = x[y == 0, 0]
+        if normal.size == 0:
+            raise InsufficientDataError("no normal rows in the train split")
+        x, y = ds.test
+        if x.shape[0] == 0:
+            raise ValueError("test split is empty")
+        flagged = np.abs(x[:, 0] - normal.mean()) > self.k * normal.std()
+        fault = y == 1
+        tpr = float(flagged[fault].mean()) if fault.any() else 0.0
+        tnr = float((~flagged[~fault]).mean()) if (~fault).any() else 0.0
+        return DetectionOutcome((tpr + tnr) / 2.0)
 
 
 _REGISTRY: dict[str, Callable[..., DetectionMechanism]] = {}

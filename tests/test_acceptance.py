@@ -15,12 +15,7 @@ import numpy as np
 import pytest
 
 from oxn.costs import overhead
-from oxn.detection import (
-    build_dataset,
-    logreg_loss_gradient,
-    train_logreg,
-    zscore_fit_apply,
-)
+from oxn.detection import LogisticRegressionMechanism, _loss_grad_p, build_dataset, zscore_fit_apply
 from oxn.scoring import fault_coverage, overall_fault_observability, visibility
 from oxn.simulator import rng_stream
 from oxn.telemetry import ResponseSeries, sample_traces
@@ -97,19 +92,21 @@ class TestCriterion4DetectorCorrectness:
         rng = np.random.default_rng(123)
         x = rng.normal(size=(60, 3))
         y = (rng.random(60) < 0.5).astype(float)
+        xb = np.hstack([x, np.ones((60, 1))])
+        ridge = np.array([1e-4, 1e-4, 1e-4, 0.0])  # the bias is not penalized
         h = 1e-5
         worst = 0.0
         for _ in range(10):
             w, b = rng.normal(size=3), float(rng.normal())
-            _, grad = logreg_loss_gradient(x, y, w, b, 1e-4)
             theta = np.concatenate([w, [b]])
+            _, grad, _ = _loss_grad_p(xb, y, theta, ridge)
             fd = np.zeros(4)
             for j in range(4):
                 up, down = theta.copy(), theta.copy()
                 up[j] += h
                 down[j] -= h
-                lu, _ = logreg_loss_gradient(x, y, up[:3], up[3], 1e-4)
-                ld, _ = logreg_loss_gradient(x, y, down[:3], down[3], 1e-4)
+                lu = _loss_grad_p(xb, y, up, ridge)[0]
+                ld = _loss_grad_p(xb, y, down, ridge)[0]
                 fd[j] = (lu - ld) / (2 * h)
             worst = max(worst, float(np.max(np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8))))
         assert worst < 1e-5
@@ -123,17 +120,11 @@ class TestCriterion4DetectorCorrectness:
             return build_dataset(series, 0.7, gen, feature_window=1)
 
         # separable data reaches near-perfect test accuracy
-        ds = zscore_fit_apply(dataset(6.0, 1))
-        model = train_logreg(ds)
-        x_test, y_test = ds.test
-        accuracy = float(np.mean((model.decision(x_test) > 0.5).astype(int) == y_test))
+        accuracy = LogisticRegressionMechanism().run(dataset(6.0, 1)).score
         assert accuracy >= 0.99
 
         # label-shuffled data stays at chance level
-        ds_null = zscore_fit_apply(dataset(0.0, 2))
-        model_null = train_logreg(ds_null)
-        x_test, y_test = ds_null.test
-        chance = float(np.mean((model_null.decision(x_test) > 0.5).astype(int) == y_test))
+        chance = LogisticRegressionMechanism().run(dataset(0.0, 2)).score
         assert 0.4 <= chance <= 0.6
 
         # oversampling yields exactly equal train class counts

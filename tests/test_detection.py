@@ -4,27 +4,23 @@ import warnings
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 from oxn import detection
 from oxn.config import DetectionSpec, validate
 from oxn.detection import (
+    BOUNDARY_BAND,
     MIN_CLASS_ROWS,
     ConvergenceError,
     InsufficientDataError,
     LabeledDataset,
-    LogRegModel,
     LogisticRegressionMechanism,
     ThresholdAlertMechanism,
+    _loss_grad_p,
     build_dataset,
-    evaluate_logreg,
-    fit_threshold_alert,
-    evaluate_threshold_alert,
     lagged_features,
-    logreg_loss_gradient,
     make_mechanism,
     register_mechanism,
-    train_logreg,
     zscore_fit_apply,
 )
 from oxn.runner import run_experiment
@@ -57,8 +53,9 @@ def synthetic_dataset(rng, n_normal=100, n_fault=100, shift=6.0, split=0.7):
 
 
 # Reference fit: a two-branch sigmoid, the loss through np.logaddexp, and a
-# fresh sigmoid and product for every Hessian. The fit under test must give
-# its scores exactly and its weights to within rounding.
+# fresh sigmoid and product for every Hessian, with the same decision band.
+# The fit under test must give its scores exactly and its weights to within
+# rounding.
 def oracle_sigmoid(z: np.ndarray) -> np.ndarray:
     out = np.empty_like(z, dtype=np.float64)
     pos = z >= 0
@@ -78,20 +75,19 @@ def oracle_loss_gradient(x, y, weights, bias, l2):
     return loss, np.concatenate([grad_w, [grad_b]])
 
 
-def oracle_train_logreg(ds, l2=1e-4, tol=1e-6, max_iter=100_000):
+def oracle_fit(ds, l2=1e-4, tol=1e-6, max_iter=100_000):
+    """``[weights, bias]`` of the reference fit."""
     x, y_int = ds.train
     y = y_int.astype(np.float64)
     if x.shape[0] == 0 or len(np.unique(y_int)) < 2:
         raise InsufficientDataError("training split must contain both classes")
     n, d = x.shape
     theta = np.zeros(d + 1)
-    losses = []
     loss, grad = oracle_loss_gradient(x, y, theta[:d], theta[d], l2)
-    losses.append(loss)
     xb = np.hstack([x, np.ones((n, 1))])
     for _ in range(max_iter):
         if np.max(np.abs(grad)) < tol:
-            return LogRegModel(theta[:d].copy(), float(theta[d]), tuple(losses))
+            return theta
         p = oracle_sigmoid(xb @ theta)
         w = p * (1.0 - p)
         hessian = (xb * w[:, None]).T @ xb / n
@@ -108,8 +104,14 @@ def oracle_train_logreg(ds, l2=1e-4, tol=1e-6, max_iter=100_000):
             t *= 0.5
         theta = theta - t * step
         loss, grad = cand_loss, cand_grad
-        losses.append(loss)
     raise ConvergenceError(f"no convergence after {max_iter} iterations")
+
+
+def oracle_predict(x, theta):
+    """Fault iff z = x.w + b lies above the band c*eps*(1 + |x|.|w| + |b|)."""
+    w, b = theta[:-1], theta[-1]
+    band = BOUNDARY_BAND * np.finfo(np.float64).eps * (1.0 + np.abs(x) @ np.abs(w) + abs(b))
+    return x @ w + b > band
 
 
 # Reference lag columns: the per-lag loop with its own empty-series branch.
@@ -152,9 +154,19 @@ def labeled_datasets(draw):
     return ds
 
 
+# A draw whose three z-scored test rows at 0 sit on the boundary: the fit's
+# bias is a rounding residue of about 1e-16 whose sign differs between fits.
+TIED_DRAW = LabeledDataset(
+    features=np.array([[2.0], [1.0], [1.0], [0.0], [1.0], [1.0], [1.0], [-1.0]]),
+    labels=np.array([1, 1, 0, 0, 1, 1, 0, 0]),
+    n_train=4,
+)
+
+
 class TestAgainstOracle:
     @settings(max_examples=150, deadline=None)
     @given(labeled_datasets())
+    @example(TIED_DRAW)
     def test_scores_equal_and_weights_agree(self, ds):
         with warnings.catch_warnings():
             warnings.simplefilter("ignore", UserWarning)  # constant columns dropped
@@ -165,13 +177,11 @@ class TestAgainstOracle:
                     LogisticRegressionMechanism().run(ds)
                 return
             score = LogisticRegressionMechanism().run(ds).score
-        oracle = oracle_train_logreg(normalized)
+        oracle_theta = oracle_fit(normalized)
         x_test, y_test = normalized.test
-        predicted = oracle_sigmoid(x_test @ oracle.weights + oracle.bias) > 0.5
+        predicted = oracle_predict(x_test, oracle_theta)
         assert score == float(np.mean(predicted.astype(np.int64) == y_test))
-        model = train_logreg(normalized)
-        theta = np.append(model.weights, model.bias)
-        oracle_theta = np.append(oracle.weights, oracle.bias)
+        theta, _ = LogisticRegressionMechanism().fit(normalized)
         assert np.max(np.abs(theta - oracle_theta)) <= 1e-9 * np.max(np.abs(oracle_theta))
 
     def test_sigmoid_equals_the_two_branch_form_bit_for_bit(self):
@@ -183,7 +193,40 @@ class TestAgainstOracle:
                 [0.0, -0.0, 745.0, -745.0, np.inf, -np.inf],
             ]
         )
-        assert np.array_equal(detection._sigmoid(z).view(np.uint64), oracle_sigmoid(z).view(np.uint64))
+        # With one column of z and theta = [1], the design product is z itself.
+        with np.errstate(invalid="ignore"):  # the loss at z = +-inf
+            _, _, p = _loss_grad_p(z[:, None], np.zeros(len(z)), np.ones(1), np.zeros(1))
+        assert np.array_equal(p.view(np.uint64), oracle_sigmoid(z).view(np.uint64))
+
+
+class TestDecisionBand:
+    def test_rows_on_the_boundary_are_predicted_normal(self):
+        # Train rows z-score to [sqrt 2, 0, 0, -sqrt 2]; the labels are
+        # symmetric, so the fitted bias is a rounding residue. The test rows
+        # z-score to [0, 0, 0, -2 sqrt 2]: z = b on the first three, inside
+        # the band, so all four are predicted normal and two of four match.
+        normalized = zscore_fit_apply(TIED_DRAW)
+        theta, _ = LogisticRegressionMechanism().fit(normalized)
+        assert theta[0] > 1.0 and abs(theta[1]) < 1e-15
+        assert normalized.test[0][:3, 0].tolist() == [0.0, 0.0, 0.0]
+        assert LogisticRegressionMechanism().run(TIED_DRAW).score == 0.5
+
+    def test_rows_just_outside_the_band_are_predicted_by_sign(self):
+        # The same train rows; test rows 1e-14 above and below the train mean
+        # z-score to about +-1.4e-14, so z = w x + b sits a few band widths
+        # (64 eps = 1.4e-14) off the boundary and its sign decides.
+        delta = 1e-14
+        features = np.array([[2.0], [1.0], [1.0], [0.0], [1.0 + delta], [1.0 - delta]])
+        ds = LabeledDataset(features=features, labels=np.array([1, 1, 0, 0, 1, 0]), n_train=4)
+        normalized = zscore_fit_apply(ds)
+        theta, _ = LogisticRegressionMechanism().fit(normalized)
+        x_test = normalized.test[0][:, 0]
+        z = x_test * theta[0] + theta[1]
+        band = BOUNDARY_BAND * np.finfo(np.float64).eps * (1.0 + np.abs(x_test) * abs(theta[0]) + abs(theta[1]))
+        assert band[0] < z[0] < 10 * band[0] and band[1] < -z[1] < 10 * band[1]
+        assert LogisticRegressionMechanism().run(ds).score == 1.0
+        flipped = LabeledDataset(features=features, labels=np.array([1, 1, 0, 0, 0, 1]), n_train=4)
+        assert LogisticRegressionMechanism().run(flipped).score == 0.0
 
 
 class TestBuildDataset:
@@ -288,6 +331,16 @@ class TestZScore:
         assert np.all(np.abs(x_train.std(axis=0) - 1.0) < 1e-9)
 
 
+def design(x):
+    """``[x, 1]``, the design matrix of a fit on the rows ``x``."""
+    return np.hstack([x, np.ones((len(x), 1))])
+
+
+def ridge(l2, d):
+    """The l2 weights over ``[weights, bias]``, the bias excluded."""
+    return np.append(np.full(d, l2), 0.0)
+
+
 class TestLogReg:
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(5)
@@ -297,61 +350,55 @@ class TestLogReg:
         for _ in range(10):
             w = rng.normal(size=3)
             b = float(rng.normal())
-            _, grad = logreg_loss_gradient(x, y, w, b, l2)
             theta = np.concatenate([w, [b]])
+            _, grad, _ = _loss_grad_p(design(x), y, theta, ridge(l2, 3))
             fd = np.zeros(4)
             for j in range(4):
                 plus, minus = theta.copy(), theta.copy()
                 plus[j] += h
                 minus[j] -= h
-                lp, _ = logreg_loss_gradient(x, y, plus[:3], plus[3], l2)
-                lm, _ = logreg_loss_gradient(x, y, minus[:3], minus[3], l2)
+                lp = _loss_grad_p(design(x), y, plus, ridge(l2, 3))[0]
+                lm = _loss_grad_p(design(x), y, minus, ridge(l2, 3))[0]
                 fd[j] = (lp - lm) / (2 * h)
             rel = np.abs(grad - fd) / np.maximum(np.abs(fd), 1e-8)
             assert rel.max() < 1e-5
 
     def test_separable_data_high_accuracy(self):
         rng = np.random.default_rng(1)
-        ds = zscore_fit_apply(synthetic_dataset(rng))
-        model = train_logreg(ds)
-        outcome = evaluate_logreg(model, ds)
+        outcome = LogisticRegressionMechanism().run(synthetic_dataset(rng))
         assert outcome.score >= 0.99
 
     def test_shuffled_labels_chance_level(self):
         rng = np.random.default_rng(2)
-        ds = zscore_fit_apply(synthetic_dataset(rng, shift=0.0))
-        model = train_logreg(ds)
-        outcome = evaluate_logreg(model, ds)
+        outcome = LogisticRegressionMechanism().run(synthetic_dataset(rng, shift=0.0))
         assert 0.4 <= outcome.score <= 0.6
 
     def test_loss_nonincreasing(self):
         rng = np.random.default_rng(4)
         ds = zscore_fit_apply(synthetic_dataset(rng, shift=2.0))
-        model = train_logreg(ds)
-        losses = np.array(model.loss_history)
+        _, losses = LogisticRegressionMechanism().fit(ds)
         assert np.all(np.diff(losses) <= 1e-12)
 
     def test_convergence_reaches_tolerance(self):
         rng = np.random.default_rng(6)
         ds = zscore_fit_apply(synthetic_dataset(rng, shift=1.0))
-        model = train_logreg(ds, tol=1e-10)
+        theta, _ = LogisticRegressionMechanism(tol=1e-10).fit(ds)
         x, y = ds.train
-        _, grad = logreg_loss_gradient(x, y.astype(float), model.weights, model.bias, 1e-4)
+        _, grad, _ = _loss_grad_p(design(x), y.astype(float), theta, ridge(1e-4, x.shape[1]))
         assert np.max(np.abs(grad)) < 1e-10
 
     def test_non_convergence_reports_gradient_norm(self):
         rng = np.random.default_rng(8)
         ds = zscore_fit_apply(synthetic_dataset(rng, shift=1.0))
-        with pytest.raises(ConvergenceError, match="gradient infinity-norm"):
-            train_logreg(ds, tol=1e-300, max_iter=3)
+        with pytest.raises(ConvergenceError, match="after 100 iterations; gradient infinity-norm"):
+            LogisticRegressionMechanism(tol=1e-300).fit(ds)
 
     def test_deterministic_weights(self):
         rng1 = np.random.default_rng(9)
         rng2 = np.random.default_rng(9)
-        m1 = train_logreg(zscore_fit_apply(synthetic_dataset(rng1, shift=3.0)))
-        m2 = train_logreg(zscore_fit_apply(synthetic_dataset(rng2, shift=3.0)))
-        assert np.array_equal(m1.weights, m2.weights)
-        assert m1.bias == m2.bias
+        theta1, _ = LogisticRegressionMechanism().fit(zscore_fit_apply(synthetic_dataset(rng1, shift=3.0)))
+        theta2, _ = LogisticRegressionMechanism().fit(zscore_fit_apply(synthetic_dataset(rng2, shift=3.0)))
+        assert np.array_equal(theta1, theta2)
 
     def test_feature_scaling_invariance(self):
         values = np.concatenate(
@@ -374,18 +421,14 @@ class TestEvaluate:
         x = np.concatenate([np.zeros(20), np.ones(20)]).reshape(-1, 1)
         y = np.concatenate([np.zeros(20, dtype=int), np.ones(20, dtype=int)])
         split = np.tile([True, True, True, False], 10)
-        ds = zscore_fit_apply(train_first(x, y, split))
-        model = train_logreg(ds)
-        assert evaluate_logreg(model, ds).score == 1.0
+        assert LogisticRegressionMechanism().run(train_first(x, y, split)).score == 1.0
 
     def test_majority_prediction_on_balanced_test(self):
         rng = np.random.default_rng(13)
         x = rng.normal(size=(40, 1)) * 1e-12  # effectively no signal
         y = np.tile([0, 1], 20)
         ds = train_first(x, y, np.tile([True, True, False, False], 10))
-        alert = fit_threshold_alert(ds, k=3.0)
-        flagged_score = evaluate_threshold_alert(alert, ds).score
-        assert flagged_score == 0.5  # flags nothing: TNR=1, TPR=0
+        assert ThresholdAlertMechanism(k=3.0).run(ds).score == 0.5  # flags nothing: TNR=1, TPR=0
 
     def test_threshold_alert_detects_band_violations(self):
         rng = np.random.default_rng(14)
@@ -394,9 +437,18 @@ class TestEvaluate:
         values = np.concatenate([normal, fault])
         labels = np.concatenate([np.zeros(60, dtype=int), np.ones(20, dtype=int)])
         ds = build_dataset(series_from(values, labels), 0.7, rng, feature_window=1)
-        outcome = ThresholdAlertMechanism(k=3.0).run(ds)
-        assert outcome.mechanism == "threshold_alert"
-        assert outcome.score > 0.95
+        assert ThresholdAlertMechanism(k=3.0).run(ds).score > 0.95
+
+    def test_threshold_alert_constant_normal_class_scaling_invariance(self):
+        values = np.concatenate([np.zeros(40), np.full(20, 0.5)])
+        labels = np.concatenate([np.zeros(40, dtype=int), np.ones(20, dtype=int)])
+
+        def run(scale):
+            ds = build_dataset(series_from(values * scale, labels), 0.7, np.random.default_rng(0), feature_window=1)
+            return ThresholdAlertMechanism(k=3.0).run(ds).score
+
+        # A constant normal class gives a zero-width band: every fault row departs from it.
+        assert run(1.0) == run(1000.0) == run(0.001) == 1.0
 
 
 class TestRegistry:
