@@ -26,13 +26,7 @@ from .detection import (
     zscore_fit_apply,
 )
 from .runner import ObservabilityReport, compare_docs, run_experiment
-from .scoring import (
-    Ratio,
-    VisibilityMatrix,
-    fault_coverage,
-    overall_fault_observability,
-    visibility,
-)
+from .scoring import Ratio, VisibilityMatrix
 from .simulator import SimState, drive, init_sim
 from .telemetry import TelemetryBatch, materialize_response, sample_metrics, sample_traces
 

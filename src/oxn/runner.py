@@ -171,7 +171,13 @@ def score_run(spec: ExperimentSpec, fault: Fault, repetition: int, batch: Teleme
                 tol=detection.tol,
                 alert_k=detection.alert_k,
             )
-            scores[response.name] = mechanism.run(ds).score
+            score = mechanism.run(ds).score
+            # The one check of a score, where a mechanism (maybe code outside
+            # oxn) hands it in; kept as a float, so that a report writes a number.
+            if not (isinstance(score, (int, float)) and 0 <= score <= 1):
+                raise ValueError(f"mechanism '{detection.mechanism}' scored response '{response.name}' "
+                                 f"{score!r}, not a number in [0, 1]")
+            scores[response.name] = float(score)
         except (InsufficientDataError, ConvergenceError) as exc:
             scores[response.name] = None
             reasons[response.name] = str(exc)
@@ -302,7 +308,9 @@ def report_json(report: ObservabilityReport) -> str:
 # The kinds of report field ``compare_docs`` reads, by the words a rejection uses.
 _FIELD_KINDS = {
     "an object": lambda value: type(value) is dict,
-    "a list of strings": lambda value: type(value) is list and all(type(v) is str for v in value),
+    "a nonempty object": lambda value: type(value) is dict and len(value) > 0,
+    "a nonempty list of distinct strings": lambda value: type(value) is list and len(value) > 0
+    and all(type(v) is str for v in value) and len(set(value)) == len(value),
     "a string": lambda value: type(value) is str,
     "a number": lambda value: type(value) in (int, float),
     "a number in (0, 1)": lambda value: type(value) in (int, float) and 0 < value < 1,
@@ -336,10 +344,10 @@ def _match(doc: dict, path: tuple[str, ...], derived) -> None:
         raise ValueError(f"{'.'.join(path)} is {text}, but the repetition scores give {given}")
 
 
-def _read_report(doc: dict, responses: list[str]) -> tuple[VisibilityMatrix, float]:
-    """A report's visibility matrix, rebuilt from its alpha and repetition scores, and
-    its total cost; every scored field of the report must be the rebuilt one."""
-    faults = list(_field(doc, ("fault_coverage",)))
+def _read_report(doc: dict, faults: list[str], responses: list[str]) -> tuple[VisibilityMatrix, float]:
+    """A report's visibility matrix over ``faults`` and ``responses``, rebuilt from
+    its alpha and repetition scores, and its total cost; every scored field of the
+    report must be the rebuilt one."""
     runs = {(f, r): _field(doc, ("visibility", f, r, "score_runs"), "a list of nulls and numbers in [0, 1]")
             for f in faults for r in responses}
     matrix = build_matrix(runs, faults, responses, _field(doc, ("alpha",), "a number in (0, 1)"))
@@ -359,12 +367,13 @@ def compare_docs(doc_a: dict, doc_b: dict) -> dict:
     for doc in docs:
         if not isinstance(doc, dict):
             raise ValueError(f"a report must be a JSON object, not {type(doc).__name__}")
-    if set(_field(doc_a, ("fault_coverage",))) != set(_field(doc_b, ("fault_coverage",))):
+    faults, faults_b = (list(_field(doc, ("fault_coverage",), "a nonempty object")) for doc in docs)
+    if set(faults) != set(faults_b):
         raise ValueError("reports cover different fault sets")
-    responses = _field(doc_a, ("responses",), "a list of strings")
-    if responses != _field(doc_b, ("responses",), "a list of strings"):
+    responses, responses_b = (_field(doc, ("responses",), "a nonempty list of distinct strings") for doc in docs)
+    if responses != responses_b:
         raise ValueError("reports cover different response variables")
-    (a, cost_a), (b, cost_b) = (_read_report(doc, responses) for doc in docs)
+    (a, cost_a), (b, cost_b) = (_read_report(doc, faults, responses) for doc in docs)
     delta = {f: b.fault_coverage[f].count - fc.count for f, fc in a.fault_coverage.items()}
     changed = [{"fault": f, "response": r, "visible_delta": b.visible[f, r] - visible}
                for (f, r), visible in a.visible.items() if b.visible[f, r] != visible]

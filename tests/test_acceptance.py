@@ -16,7 +16,7 @@ import pytest
 
 from oxn.costs import overhead
 from oxn.detection import LogisticRegressionMechanism, _loss_grad_p, build_dataset, zscore_fit_apply
-from oxn.scoring import fault_coverage, overall_fault_observability, visibility
+from oxn.scoring import build_matrix
 from oxn.simulator import rng_stream
 from oxn.telemetry import ResponseSeries, sample_traces
 from oxn.config import SPAN_BITS, TraceConfigSpec, parse_experiment_file
@@ -38,16 +38,22 @@ def announce(criterion: int, message: str) -> None:
     print(f"ACCEPTANCE {criterion}: PASS - {message}")
 
 
+def matrix_of(rows, alpha=0.5):
+    """``build_matrix`` over one repetition score per cell, with one fault
+    per row of ``rows`` and one response per column."""
+    faults = [f"f{i}" for i in range(len(rows))]
+    responses = [f"r{j}" for j in range(len(rows[0]))]
+    runs = {(f, r): [float(score)] for f, row in zip(faults, rows) for r, score in zip(responses, row)}
+    return build_matrix(runs, faults, responses, alpha)
+
+
 class TestCriterion1FormulaFidelity:
     def test_visibility_and_coverage_formulas_exact(self):
         started = time.perf_counter()
-        assert visibility(0.83, 0.7) == 1
-        assert visibility(0.61, 0.7) == 0
-        assert str(fault_coverage([1, 1, 1])) == "3/3"
-        assert str(fault_coverage([1, 0, 0])) == "1/3"
-        assert str(fault_coverage([0, 0, 0])) == "0/3"
-        coverages = [fault_coverage(v) for v in ([1, 1, 1], [1, 0, 0], [0, 0, 0])]
-        assert str(overall_fault_observability(coverages)) == "2/3"
+        assert matrix_of([[0.83, 0.61]], alpha=0.7).visible == {("f0", "r0"): 1, ("f0", "r1"): 0}
+        matrix = matrix_of([[1, 1, 1], [1, 0, 0], [0, 0, 0]])
+        assert [str(fc) for fc in matrix.fault_coverage.values()] == ["3/3", "1/3", "0/3"]
+        assert str(matrix.ofo) == "2/3"
         elapsed = time.perf_counter() - started
         assert elapsed < 1.0
         announce(1, f"formula-level values reproduce exactly ({elapsed:.3f}s)")
@@ -71,13 +77,12 @@ class TestCriterion3ScoringOracle:
         for l, n in itertools.product((2, 3), repeat=2):
             for bits in itertools.product((0, 1), repeat=l * n):
                 rows = [bits[f * n : (f + 1) * n] for f in range(l)]
-                coverage = [fault_coverage(list(row)) for row in rows]
-                ofo = overall_fault_observability(coverage)
+                matrix = matrix_of(rows)  # a cell is visible iff its score 1.0 exceeds alpha 0.5
                 # brute force straight from the definitions
                 expected_fc = [Fraction(sum(row), n) for row in rows]
                 expected_ofo = Fraction(sum(1 for fc in expected_fc if fc > 0), l)
-                assert [fc.fraction for fc in coverage] == expected_fc
-                assert ofo.fraction == expected_ofo
+                assert [Fraction(fc.count, fc.total) for fc in matrix.fault_coverage.values()] == expected_fc
+                assert Fraction(matrix.ofo.count, matrix.ofo.total) == expected_ofo
                 checked += 1
         elapsed = time.perf_counter() - started
         assert elapsed < 5.0
@@ -177,46 +182,44 @@ class TestCriterion5Determinism:
             data = report_json(canonical_reports[name]).encode()
             assert hashlib.sha256(data).hexdigest() == expected, name
 
-    def test_cli_run_twice_byte_identical(self, tmp_path):
+    def test_cli_run_twice_byte_identical(self, canonical_reports, tmp_path):
+        """The CLI's run of the baseline, in its own process, writes the report
+        of the library's run and the pinned export."""
         started = time.perf_counter()
-        outputs = []
-        for attempt in ("first", "second"):
-            out = tmp_path / attempt
-            proc = subprocess.run(
-                [
-                    sys.executable,
-                    "-m",
-                    "oxn.cli",
-                    "run",
-                    str(experiment_path("baseline")),
-                    "--out",
-                    str(out),
-                    "--export-csv",
-                    "--frozen-clock",
-                    "--parallel",
-                    "2",
-                ],
-                capture_output=True,
-                text=True,
-                cwd=REPO_ROOT,
-                env=cli_env(),
-            )
-            assert proc.returncode == 0, proc.stderr
-            files = {
-                path.relative_to(out).as_posix(): path.read_bytes()
-                for path in sorted(out.rglob("*"))
-                if path.is_file()
-            }
-            outputs.append(files)
-        assert outputs[0].keys() == outputs[1].keys()
-        assert outputs[0] == outputs[1]
-        assert export_digest(outputs[0]) == BASELINE_EXPORT_DIGEST
+        out = tmp_path / "out"
+        proc = subprocess.run(
+            [
+                sys.executable,
+                "-m",
+                "oxn.cli",
+                "run",
+                str(experiment_path("baseline")),
+                "--out",
+                str(out),
+                "--export-csv",
+                "--frozen-clock",
+                "--parallel",
+                "2",
+            ],
+            capture_output=True,
+            text=True,
+            cwd=REPO_ROOT,
+            env=cli_env(),
+        )
+        assert proc.returncode == 0, proc.stderr
+        files = {
+            path.relative_to(out).as_posix(): path.read_bytes()
+            for path in sorted(out.rglob("*"))
+            if path.is_file()
+        }
+        assert files["baseline_report.json"] == report_json(canonical_reports["baseline"]).encode()
+        assert export_digest(files) == BASELINE_EXPORT_DIGEST
         for response in ("system_cpu", "recomms_per_minute", "trace_duration_recommendation"):
-            assert f"csv/baseline_pause_recommendation-r0_{response}.csv" in outputs[0]
+            assert f"csv/baseline_pause_recommendation-r0_{response}.csv" in files
         elapsed = time.perf_counter() - started
         announce(
             5,
-            f"two baseline runs produced {len(outputs[0])} byte-identical files ({elapsed:.0f}s)",
+            f"the CLI and library baseline runs agree byte for byte on {len(files)} files ({elapsed:.0f}s)",
         )
 
 

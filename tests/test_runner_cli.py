@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import functools
 import json
+import math
 import multiprocessing
 import operator
 import subprocess
@@ -22,7 +23,6 @@ from oxn.runner import (
     run_experiment,
     spec_digest,
 )
-from oxn.scoring import Ratio
 
 from conftest import REPO_ROOT, cli_env, small_spec
 
@@ -90,6 +90,17 @@ class FailsLate:
         if (self.made - 1) // self.responses == self.crash_run:
             return Crash()
         return ThresholdAlertMechanism(k=alert_k)
+
+
+class FixedScore:
+    """Mechanism whose ``run`` returns an object with a fixed score, as a
+    mechanism defined outside oxn may, in place of a ``DetectionOutcome``."""
+
+    def __init__(self, score):
+        self.score = score
+
+    def run(self, ds):
+        return self
 
 
 class TestRunExperiment:
@@ -169,6 +180,26 @@ class TestRunExperiment:
         assert str(raised.value) == (
             "run failed (first unfinished run: fault=pause_gateway repetition=1): detector crashed"
         )
+
+    @pytest.mark.parametrize("score", [1.5, -0.1, math.nan, "0.5"])
+    def test_a_score_that_is_not_a_number_in_the_unit_interval_fails_its_run(self, monkeypatch, score):
+        monkeypatch.setitem(detection._REGISTRY, "fixed", lambda **_: FixedScore(score))
+        spec = small_spec(detection=DetectionSpec(mechanism="fixed"))
+        with pytest.raises(ExperimentError) as raised:
+            run_experiment(spec, frozen_clock=True)
+        assert str(raised.value) == (
+            "run failed (first unfinished run: fault=pause_backend repetition=0): "
+            f"mechanism 'fixed' scored response 'system_cpu' {score!r}, not a number in [0, 1]"
+        )
+
+    def test_a_score_is_kept_as_a_float(self, monkeypatch):
+        # True is an int in [0, 1]; written as true, compare would reject the report
+        monkeypatch.setitem(detection._REGISTRY, "fixed", lambda **_: FixedScore(True))
+        doc = json.loads(report_json(run_experiment(small_spec(detection=DetectionSpec(mechanism="fixed")))))
+        assert {json.dumps(run["scores"]) for run in doc["runs"]} == {
+            '{"backend_rpm": 1.0, "system_cpu": 1.0, "trace_duration_gateway": 1.0}'
+        }
+        assert compare_docs(doc, doc)["delta_ofo"] == 0
 
     @pytest.mark.parametrize("parallel", [1, 2])
     def test_each_fault_gives_its_one_fault_runs(self, parallel):
@@ -474,7 +505,7 @@ class TestCli:
     @pytest.mark.parametrize(
         "path, value, message",
         [
-            (("fault_coverage",), [], "fault_coverage must be an object, not []"),
+            (("fault_coverage",), [], "fault_coverage must be a nonempty object, not []"),
             (("ofo",), [], "ofo must be an object, not []"),
             (("visibility",), [], "visibility must be an object, not []"),
             (
@@ -491,7 +522,7 @@ class TestCli:
             (("cost",), {"total": "x"}, "cost.total must be a number, not 'x'"),
             (("cost",), DELETE, "cost is missing"),
             (("responses",), DELETE, "responses is missing"),
-            (("responses",), ["system_cpu", 1], "responses must be a list of strings, not ['system_cpu', 1]"),
+            (("responses",), ["system_cpu", 1], "responses must be a nonempty list of distinct strings, not ['system_cpu', 1]"),
             (("experiment",), DELETE, "experiment is missing"),
             (
                 ("visibility", "pause_backend", "system_cpu", "visible"),

@@ -13,13 +13,7 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from oxn.runner import _scored_doc, compare_docs
-from oxn.scoring import (
-    Ratio,
-    build_matrix,
-    fault_coverage,
-    overall_fault_observability,
-    visibility,
-)
+from oxn.scoring import Ratio, build_matrix
 
 
 def brute_force_scores(cells: dict[tuple[int, int], int], l: int, n: int):
@@ -33,47 +27,56 @@ def brute_force_scores(cells: dict[tuple[int, int], int], l: int, n: int):
     return coverage, Fraction(observed, l)
 
 
+def matrix_of(bits: list[list[int]]):
+    """The matrix of faults f0, f1, ... (one per row of ``bits``) and
+    responses r0, r1, ... (one per column), whose cells have one repetition
+    scoring 1.0 where ``bits`` holds a 1 and 0.0 where it holds a 0, against
+    an alpha of 0.5: each cell is visible iff its bit is 1."""
+    faults = [f"f{i}" for i in range(len(bits))]
+    responses = [f"r{j}" for j in range(len(bits[0]))]
+    runs = {(f, r): [float(bit)] for f, row in zip(faults, bits) for r, bit in zip(responses, row)}
+    return build_matrix(runs, faults, responses, alpha=0.5)
+
+
+def coverages(bits: list[list[int]]) -> list[Fraction]:
+    return [Fraction(fc.count, fc.total) for fc in matrix_of(bits).fault_coverage.values()]
+
+
+def visible(score_runs: list[float], alpha: float) -> int:
+    """The visibility of one cell with these repetition scores."""
+    return build_matrix({("f", "r"): score_runs}, ["f"], ["r"], alpha).visible[("f", "r")]
+
+
 class TestVisibility:
     def test_above_threshold(self):
-        assert visibility(0.83, 0.7) == 1
+        assert visible([0.83], 0.7) == 1
 
     def test_below_threshold(self):
-        assert visibility(0.61, 0.7) == 0
+        assert visible([0.61], 0.7) == 0
 
     def test_boundary_is_strict(self):
-        assert visibility(0.7, 0.7) == 0
-
-    def test_range_checks(self):
-        with pytest.raises(ValueError):
-            visibility(1.2, 0.7)
-        with pytest.raises(ValueError):
-            visibility(0.5, -0.1)
+        assert visible([0.7], 0.7) == 0
+        assert visible([0.25, 0.75], 0.5) == 0  # the mean is exactly alpha
 
 
 class TestFaultCoverage:
     def test_full(self):
-        assert str(fault_coverage([1, 1, 1])) == "3/3"
+        assert str(matrix_of([[1, 1, 1]]).fault_coverage["f0"]) == "3/3"
 
     def test_partial(self):
-        assert str(fault_coverage([1, 0, 0])) == "1/3"
+        assert str(matrix_of([[1, 0, 0]]).fault_coverage["f0"]) == "1/3"
 
     def test_zero(self):
-        assert str(fault_coverage([0, 0, 0])) == "0/3"
-        assert fault_coverage([0, 0, 0]).fraction == 0
-
-    def test_empty_rejected(self):
-        with pytest.raises(ValueError):
-            fault_coverage([])
+        assert str(matrix_of([[0, 0, 0]]).fault_coverage["f0"]) == "0/3"
+        assert coverages([[0, 0, 0]]) == [0]
 
 
 class TestOverallFaultObservability:
     def test_reference_example(self):
-        fcs = [fault_coverage(v) for v in ([1, 1, 1], [1, 0, 0], [0, 0, 0])]
-        assert str(overall_fault_observability(fcs)) == "2/3"
+        assert str(matrix_of([[1, 1, 1], [1, 0, 0], [0, 0, 0]]).ofo) == "2/3"
 
     def test_all_covered(self):
-        fcs = [fault_coverage([1, 0, 0])] * 3
-        assert overall_fault_observability(fcs) == Ratio(3, 3)
+        assert matrix_of([[1, 0, 0]] * 3).ofo == Ratio(3, 3)
 
     def test_exhaustive_against_brute_force(self):
         for l, n in itertools.product((2, 3), repeat=2):
@@ -82,10 +85,11 @@ class TestOverallFaultObservability:
                     (f, m): bits[f * n + m] for f in range(l) for m in range(n)
                 }
                 expected_fc, expected_ofo = brute_force_scores(cells, l, n)
-                coverage = {f: fault_coverage([cells[(f, m)] for m in range(n)]) for f in range(l)}
-                ofo = overall_fault_observability(coverage.values())
-                assert {f: fc.fraction for f, fc in coverage.items()} == expected_fc
-                assert ofo.fraction == expected_ofo
+                matrix = matrix_of([[cells[(f, m)] for m in range(n)] for f in range(l)])
+                assert [Fraction(fc.count, fc.total) for fc in matrix.fault_coverage.values()] == list(
+                    expected_fc.values()
+                )
+                assert Fraction(matrix.ofo.count, matrix.ofo.total) == expected_ofo
 
 
 class TestProperties:
@@ -98,28 +102,27 @@ class TestProperties:
         bits = [
             [data.draw(st.integers(0, 1)) for _ in range(n)] for _ in range(l)
         ]
-        coverage = [fault_coverage(row) for row in bits]
-        ofo = overall_fault_observability(coverage)
+        coverage, ofo = coverages(bits), matrix_of(bits).ofo
         zeros = [(f, m) for f in range(l) for m in range(n) if bits[f][m] == 0]
         if not zeros:
             return
         f, m = zeros[0]
         bits[f][m] = 1
-        coverage_after = [fault_coverage(row) for row in bits]
-        ofo_after = overall_fault_observability(coverage_after)
+        coverage_after, ofo_after = coverages(bits), matrix_of(bits).ofo
         for before, after in zip(coverage, coverage_after):
-            assert after.fraction >= before.fraction
-        assert ofo_after.fraction >= ofo.fraction
+            assert after >= before
+        assert Fraction(ofo_after.count, ofo_after.total) >= Fraction(ofo.count, ofo.total)
 
     @given(st.lists(st.integers(0, 1), min_size=1, max_size=16))
     def test_bounds(self, vs):
-        fc = fault_coverage(vs)
-        assert 0 <= fc.fraction <= 1
+        fc = matrix_of([vs]).fault_coverage["f0"]
+        assert fc.total == len(vs)
+        assert 0 <= Fraction(fc.count, fc.total) <= 1
 
     def test_ofo_depends_only_on_positivity(self):
-        a = [Ratio(1, 4), Ratio(0, 4), Ratio(4, 4)]
-        b = [Ratio(3, 4), Ratio(0, 4), Ratio(1, 4)]
-        assert overall_fault_observability(a) == overall_fault_observability(b)
+        a = [[1, 0, 0, 0], [0, 0, 0, 0], [1, 1, 1, 1]]
+        b = [[1, 1, 1, 0], [0, 0, 0, 0], [1, 0, 0, 0]]
+        assert matrix_of(a).ofo == matrix_of(b).ofo
 
 
 class TestMatrix:
@@ -204,6 +207,25 @@ class TestDiff:
             compare_docs(report_doc({"a": (1, 3), "b": (0, 3)}), report_doc({"a": (1, 2), "b": (0, 3)}))
 
 
+    @pytest.mark.parametrize(
+        "faults, responses, message",
+        [
+            (["a", "b"], ["r0", "r0", "r1"], "responses must be a nonempty list of distinct strings, not ['r0', 'r0', 'r1']"),
+            (["a", "b"], [], "responses must be a nonempty list of distinct strings, not []"),
+            ([], ["r0", "r1", "r2"], "fault_coverage must be a nonempty object, not {}"),
+        ],
+    )
+    def test_dimensions_are_nonempty_and_distinct(self, faults, responses, message):
+        """A report whose scored sections ``_scored_doc`` wrote over these
+        faults and responses is rejected, naming the field. With a response
+        named twice, fault "a" would cover 3/3 of two distinct responses."""
+        doc = report_doc({"a": (3, 3), "b": (1, 3)})
+        runs = {(f, r): doc["visibility"][f][r]["score_runs"] for f in faults for r in responses}
+        doc |= _scored_doc(build_matrix(runs, faults, responses, doc["alpha"]))
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            compare_docs(doc, doc)
+
+
 @st.composite
 def scored_docs(draw) -> dict:
     """A report document whose scored sections ``_scored_doc`` wrote from
@@ -257,11 +279,9 @@ class TestCompareRebuildsTheScores:
 class TestRatio:
     def test_preserves_denominator(self):
         assert str(Ratio(3, 3)) == "3/3"
-        assert Ratio(3, 3) == Ratio(2, 2)
-        assert Ratio(1, 3).fraction == Fraction(1, 3)
+        assert str(Ratio(0, 3)) == "0/3"
 
-    def test_invalid(self):
-        with pytest.raises(ValueError):
-            Ratio(4, 3)
-        with pytest.raises(ValueError):
-            Ratio(0, 0)
+    def test_compares_as_the_count_total_pair(self):
+        assert Ratio(1, 3) == Ratio(1, 3)
+        assert Ratio(3, 3) != Ratio(2, 2)
+        assert len({Ratio(1, 2), Ratio(2, 4), Ratio(1, 2)}) == 2
