@@ -11,9 +11,10 @@ kind is its own dataclass. One field table per class, built from
 ``dataclasses.fields`` and the field metadata, drives parsing, canonical
 rendering, the single-field checks and ``experiment_schema``, the file's JSON
 Schema. Parsing checks structure and types and rejects NaN and infinities. A
-field's bound (``Range``, ``OneOf`` or ``Excludes``) and a list's
-non-emptiness live only in its metadata; ``validate`` checks them in one walk,
-at the field's file-key path. Only checks that join fields are written out.
+field's bound (``Range``, ``OneOf`` or ``Excludes``), a list's non-emptiness,
+a key unique within its list and a name that must be declared live only in
+its metadata; ``validate`` checks them in one walk, at the field's file-key
+path. Only checks that join two fields are written out.
 """
 
 from __future__ import annotations
@@ -30,6 +31,7 @@ from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, NamedTu
 import yaml
 
 SYSTEM_TARGET = "system"
+MAX_SEED = 2**64 - 1  # random streams take the seed modulo 2**64, so no run seed may pass this
 # A span id is ``(request << SPAN_BITS) | n`` for the request's n-th span.
 SPAN_BITS = 16
 
@@ -111,7 +113,9 @@ class Excludes(NamedTuple):
 
 # Field metadata. SECONDS: held as integer milliseconds in ``<stem>_ms`` and
 # written in the file as decimal seconds under ``<stem>_s``. The rest bound
-# the value the attribute holds. A list marked "nonempty" must hold an item. A
+# the value the attribute holds. A list marked "nonempty" must hold an item;
+# no two of its items share the value of a "unique" field. A "names" field
+# holds a name of that kind that the file declares (see ``validate``). A
 # "description" is copied into the JSON Schema.
 SECONDS = {"seconds": True}
 NONNEGATIVE = {"bound": Range(0, math.inf, "[)")}
@@ -120,6 +124,7 @@ AT_LEAST_ONE = {"bound": Range(1, math.inf, "[)")}
 UNIT = {"bound": Range(0, 1, "[]")}
 OPEN_UNIT = {"bound": Range(0, 1, "()")}
 STRATEGY = {"bound": OneOf(("always_on", "probabilistic"))}
+UNIQUE = {"unique": True}
 # Experiment, treatment and response names become parts of output file names.
 FILE_NAME_PART = {"bound": Excludes("/\\\0")}
 
@@ -150,7 +155,7 @@ class LognormalSpec:
 
 @dataclass(frozen=True)
 class ServiceSpec:
-    id: str
+    id: str = field(metadata=UNIQUE)
     workers: int = field(metadata=AT_LEAST_ONE)
     service_time: LognormalSpec
     cpu_per_request_ms: float = field(metadata=NONNEGATIVE)
@@ -159,20 +164,20 @@ class ServiceSpec:
 
 @dataclass(frozen=True)
 class CallEdge:
-    caller: str
-    callee: str
+    caller: str = field(metadata={"names": "service"})
+    callee: str = field(metadata={"names": "service"})
     calls_per_request: float = field(metadata=NONNEGATIVE)
     latency_ms: int = field(metadata=NONNEGATIVE)
 
 
 @dataclass(frozen=True)
 class MetricPointSpec:
-    metric_name: str
+    metric_name: str = field(metadata=UNIQUE)
     kind: str = field(metadata={"bound": OneOf(("cpu_gauge", "request_counter", "custom_gauge")), "description": (
         "cpu_gauge: busy CPU fraction per sampling window; request_counter: spans closed ok per aggregation window; "
         "custom_gauge: spans of the target in flight at the last millisecond of each sampling window. Gauges "
         "average their samples per aggregation window.")})
-    target: str = field(metadata={"description": "service id or 'system'"})
+    target: str = field(metadata={"names": "target", "description": "service id or 'system'"})
     sampling_interval_ms: int = field(metadata=SECONDS | POSITIVE)
     aggregation_interval_ms: int = field(metadata=SECONDS | POSITIVE | {
         "default_from": "sampling_interval_ms",
@@ -194,12 +199,6 @@ class SueSpec:
     metric_points: tuple[MetricPointSpec, ...] = ()
     trace_config: TraceConfigSpec = TraceConfigSpec()
 
-    def service_ids(self) -> frozenset[str]:
-        return frozenset(s.id for s in self.services)
-
-    def metric_names(self) -> frozenset[str]:
-        return frozenset(p.metric_name for p in self.metric_points)
-
     def metric_point(self, name: str) -> MetricPointSpec:
         for point in self.metric_points:
             if point.metric_name == name:
@@ -217,7 +216,7 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class ResponseVariableSpec:
-    name: str = field(metadata=FILE_NAME_PART)
+    name: str = field(metadata=FILE_NAME_PART | UNIQUE)
     kind: str = field(metadata={"bound": OneOf(("metric", "trace_duration"))})
     source: str = field(metadata={"description": "metric name (kind=metric) or service id whose traces define the "
                                                  "duration series (kind=trace_duration)"})
@@ -255,8 +254,8 @@ class CostModelSpec:
 class Fault:
     """Fields every fault kind shares: a window on one target service."""
 
-    name: str = field(metadata=FILE_NAME_PART)
-    target: str
+    name: str = field(metadata=FILE_NAME_PART | UNIQUE)
+    target: str = field(metadata={"names": "service"})
     start_ms: int = field(metadata=SECONDS | POSITIVE)
     end_ms: int = field(metadata=SECONDS | POSITIVE)
 
@@ -314,15 +313,15 @@ class MetricSamplingInterval:
     """Set one metric point's sampling interval."""
 
     kind: ClassVar[str] = "metric_sampling_interval"
-    name: str = field(metadata=FILE_NAME_PART)
-    metric: str
+    name: str = field(metadata=FILE_NAME_PART | UNIQUE)
+    metric: str = field(metadata={"names": "metric"})
     interval_ms: int = field(metadata=SECONDS | POSITIVE)
 
 
 @dataclass(frozen=True)
 class TracingSamplingRate:
     kind: ClassVar[str] = "tracing_sampling_rate"
-    name: str = field(metadata=FILE_NAME_PART)
+    name: str = field(metadata=FILE_NAME_PART | UNIQUE)
     rate: float = field(metadata=UNIT)
 
 
@@ -331,7 +330,7 @@ class TracingSamplingStrategy:
     """Set the trace sampling strategy, and the rate when one is given."""
 
     kind: ClassVar[str] = "tracing_sampling_strategy"
-    name: str = field(metadata=FILE_NAME_PART)
+    name: str = field(metadata=FILE_NAME_PART | UNIQUE)
     strategy: str = field(metadata=STRATEGY)
     rate: float | None = field(default=None, metadata=UNIT)
 
@@ -370,7 +369,7 @@ def apply_instrumentation(sue: SueSpec, treatments: Iterable[Instrumentation]) -
 class ExperimentSpec:
     # Field order is the canonical rendering order.
     name: str = field(metadata=FILE_NAME_PART)
-    seed: int = field(metadata={"bound": Range(0, 2**64 - 1, "[]")})
+    seed: int = field(metadata={"bound": Range(0, MAX_SEED, "[]")})
     repetitions: int = field(default=1, metadata=AT_LEAST_ONE)
     sue: SueSpec
     workload: WorkloadSpec
@@ -403,6 +402,8 @@ class FileField(NamedTuple):
     render: Callable[[Any], Any]  # attribute value -> YAML value
     bound: Range | OneOf | Excludes | None  # what the attribute value must lie in
     nonempty: bool  # a list that must hold an item
+    unique: bool  # no two items of the list that holds the object share the value
+    names: str | None  # the kind of declared name the value must be (such a field has no bound)
     schema: Callable[[], dict]  # () -> the JSON Schema of the YAML value
 
 
@@ -419,7 +420,8 @@ def field_table(cls: type) -> tuple[FileField, ...]:
         default_from = f.metadata.get("default_from")
         required = f.default is MISSING and f.default_factory is MISSING and default_from is None
         table.append(FileField(f.name, key, required, default_from, parse, render, f.metadata.get("bound"),
-                               f.metadata.get("nonempty", False), functools.partial(_field_schema, f, schema, render)))
+                               f.metadata.get("nonempty", False), f.metadata.get("unique", False),
+                               f.metadata.get("names"), functools.partial(_field_schema, f, schema, render)))
     return tuple(table)
 
 
@@ -584,16 +586,9 @@ def parse_experiment_file(path: str | Path) -> ExperimentSpec:
 # Validation
 
 
-def _dag_violations(sue: SueSpec) -> list[Violation]:
-    ids = sue.service_ids()
-    unresolved = [
-        Violation(f"sue.edges[{i}].{label}", f"unresolved service '{endpoint}'")
-        for i, edge in enumerate(sue.edges)
-        for endpoint, label in ((edge.caller, "caller"), (edge.callee, "callee"))
-        if endpoint not in ids
-    ]
-    if unresolved:
-        return unresolved
+def _dag_violations(sue: SueSpec, ids: frozenset[str]) -> list[Violation]:
+    if any(edge.caller not in ids or edge.callee not in ids for edge in sue.edges):
+        return []  # the field walk names each unresolved endpoint
     indegree = {sid: 0 for sid in ids}
     adjacency: dict[str, list[CallEdge]] = {sid: [] for sid in ids}
     for edge in sue.edges:
@@ -629,65 +624,63 @@ def _dag_violations(sue: SueSpec) -> list[Violation]:
     return []
 
 
-def _bound_violations(obj: Any, where: str) -> Iterator[Violation]:
+def _field_violations(obj: Any, where: str, names: Mapping[str, frozenset[str]]) -> Iterator[Violation]:
     """Each field of ``obj``, and of every object it holds, whose value lies
-    outside the bound in its metadata, reported at its file-key path."""
+    outside the bound in its metadata or is not a declared name of its kind in
+    ``names``, and each list item whose unique key an earlier item of the list
+    holds, reported at its file-key path."""
     for f in field_table(type(obj)):
         value = getattr(obj, f.name)
         path = f"{where}.{f.key}" if where else f.key
         if f.bound is not None:
             if value is not None and not f.bound.admits(value):
                 yield Violation(path, f.bound.message(f.key, value))
+        elif f.names is not None:
+            if value not in names[f.names]:
+                yield Violation(path, f"unresolved {f.names} '{value}'")
         elif is_dataclass(value):
-            yield from _bound_violations(value, path)
+            yield from _field_violations(value, path, names)
         elif isinstance(value, tuple):
             if f.nonempty and not value:
                 yield Violation(path, f"{f.key} must be nonempty")
+            held: set[tuple[str, Any]] = set()
             for i, item in enumerate(value):
-                yield from _bound_violations(item, f"{path}[{i}]")
+                for key in ((g.key, getattr(item, g.name)) for g in field_table(type(item)) if g.unique):
+                    if key in held:
+                        yield Violation(f"{path}[{i}].{key[0]}", f"duplicate {key[0]} '{key[1]}'")
+                    held.add(key)
+                yield from _field_violations(item, f"{path}[{i}]", names)
 
 
 def validate(spec: ExperimentSpec) -> list[Violation]:
     """Check every ExperimentSpec invariant; returns an empty list iff valid."""
-    v = list(_bound_violations(spec, ""))
-    ids = spec.sue.service_ids()
-    metric_names = spec.sue.metric_names()
-
-    if len(ids) != len(spec.sue.services):
-        v.append(Violation("sue.services", "service ids must be unique"))
+    ids = frozenset(s.id for s in spec.sue.services)
+    names = {"service": ids, "target": ids | {SYSTEM_TARGET},
+             "metric": frozenset(p.metric_name for p in spec.sue.metric_points)}
+    v = list(_field_violations(spec, "", names))
+    if spec.seed <= MAX_SEED < spec.seed + spec.repetitions - 1:
+        v.append(Violation("seed", f"seed + repetitions - 1 passes {MAX_SEED}, where random streams wrap to seed 0"))
     if spec.sue.services:
-        v.extend(_dag_violations(spec.sue))
+        v.extend(_dag_violations(spec.sue, ids))
 
-    seen_metrics: set[str] = set()
     for i, point in enumerate(spec.sue.metric_points):
         where = f"sue.metric_points[{i}]"
-        if point.target != SYSTEM_TARGET and point.target not in ids:
-            v.append(Violation(f"{where}.target", f"unresolved target '{point.target}'"))
         if point.aggregation_interval_ms < point.sampling_interval_ms:
             v.append(Violation(f"{where}.aggregation_interval_s",
                                "aggregation interval must be >= sampling interval"))
         elif point.sampling_interval_ms > 0 and point.aggregation_interval_ms % point.sampling_interval_ms:
             v.append(Violation(f"{where}.aggregation_interval_s",
                                "sampling interval must divide aggregation interval"))
-        if point.metric_name in seen_metrics:
-            v.append(Violation(f"{where}.metric_name", f"duplicate metric '{point.metric_name}'"))
-        seen_metrics.add(point.metric_name)
 
     wl = spec.workload
     if wl.duration_ms <= wl.ramp_up_ms:
         v.append(Violation("workload.duration_s", "duration must exceed ramp_up"))
 
-    seen_fault = False
-    seen_treatments: set[str] = set()
+    any_fault = False
     for i, t in enumerate(spec.treatments):
         where = f"treatments[{i}]"
-        if t.name in seen_treatments:
-            v.append(Violation(f"{where}.name", f"duplicate treatment '{t.name}'"))
-        seen_treatments.add(t.name)
         if isinstance(t, Fault):
-            seen_fault = True
-            if t.target not in ids:
-                v.append(Violation(f"{where}.target", f"unresolved target '{t.target}'"))
+            any_fault = True
             if t.start_ms >= t.end_ms:
                 v.append(Violation(where, "fault window must satisfy start < end"))
             elif t.end_ms >= wl.duration_ms:
@@ -695,19 +688,14 @@ def validate(spec: ExperimentSpec) -> list[Violation]:
                                           "interval is required after the fault)"))
             if isinstance(t, NetworkDelay) and t.delay_min_ms > t.delay_max_ms:
                 v.append(Violation(where, "delay min must be <= max"))
-        else:
-            if seen_fault:
-                v.append(Violation(where, "instrumentation treatments must precede fault treatments"))
-            if isinstance(t, MetricSamplingInterval) and t.metric not in metric_names:
-                v.append(Violation(f"{where}.metric", f"unresolved metric '{t.metric}'"))
+        elif any_fault:
+            v.append(Violation(where, "instrumentation treatments must precede fault treatments"))
+    if not any_fault:
+        v.append(Violation("treatments", "experiment has no fault treatments to run"))
 
-    seen_responses: set[str] = set()
     for i, resp in enumerate(spec.responses):
         where = f"responses[{i}]"
-        if resp.name in seen_responses:
-            v.append(Violation(f"{where}.name", f"duplicate response '{resp.name}'"))
-        seen_responses.add(resp.name)
-        if resp.kind == "metric" and resp.source not in metric_names:
+        if resp.kind == "metric" and resp.source not in names["metric"]:
             v.append(Violation(f"{where}.source", f"unresolved metric '{resp.source}'"))
         elif resp.kind == "trace_duration" and resp.source not in ids:
             v.append(Violation(f"{where}.source", f"unresolved service '{resp.source}'"))

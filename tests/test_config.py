@@ -32,6 +32,7 @@ from oxn.config import (
     TraceConfigSpec,
     TracingSamplingRate,
     TracingSamplingStrategy,
+    Violation,
     _parse_obj,
     experiment_schema,
     field_table,
@@ -132,7 +133,8 @@ class TestParse:
         bad = replace(spec, sue=replace(spec.sue, services=(), metric_points=()), treatments=(),
                       responses=(ResponseVariableSpec("cpu", "trace_duration", "api"),))
         assert [str(v) for v in validate(bad)] == [
-            "sue.services: services must be nonempty", "responses[0].source: unresolved service 'api'"]
+            "sue.services: services must be nonempty", "treatments: experiment has no fault treatments to run",
+            "responses[0].source: unresolved service 'api'"]
 
     def test_unknown_field_rejected(self):
         with pytest.raises(ExperimentFormatError, match="unknown field 'flavor'"):
@@ -206,7 +208,7 @@ class TestValidate:
         spec = parse_experiment(MINIMAL)
         bad = replace(spec, treatments=(replace(spec.treatments[0], target="paymnet"),))
         violations = validate(bad)
-        assert any("unresolved target 'paymnet'" in v.message for v in violations)
+        assert any("unresolved service 'paymnet'" in v.message for v in violations)
 
     def test_unresolved_response_source(self):
         spec = parse_experiment(MINIMAL)
@@ -225,6 +227,20 @@ class TestValidate:
         assert violations(300, 300) == [message.format("90,301")]  # 1 + 300 * (1 + 300)
         assert violations(255, 256) == []  # 1 + 255 * (1 + 256): exactly the id space
         assert violations(255, 256.5) == [message.format("65,791")]  # a fractional call rounds up
+
+    @pytest.mark.parametrize("treatments", [(), (TracingSamplingRate(name="rate", rate=0.5),)],
+                             ids=["none", "instrumentation_only"])
+    def test_a_spec_without_a_fault_is_rejected(self, treatments):
+        spec = replace(parse_experiment(MINIMAL), treatments=treatments)
+        assert [str(v) for v in validate(spec)] == ["treatments: experiment has no fault treatments to run"]
+
+    def test_run_seeds_must_not_wrap(self):
+        # Random streams read the seed modulo 2**64, so a second repetition
+        # after seed 2**64 - 1 would replay every stream of seed 0.
+        spec = replace(parse_experiment(MINIMAL), seed=2**64 - 1)
+        assert validate(spec) == []
+        assert [v.field for v in validate(replace(spec, repetitions=2))] == ["seed"]
+        assert [v.field for v in validate(replace(spec, seed=2**64 - 2, repetitions=2))] == []
 
     def test_instrumentation_must_precede_faults(self):
         spec = parse_experiment(MINIMAL)
@@ -400,6 +416,11 @@ EVERY_KIND_OBJECTS = list(spec_objects(EVERY_KIND))
 # (document path, field, value) of every bounded field the rendering writes.
 LEAVES = [(path + (f.key,), f, getattr(obj, f.name)) for path, obj in EVERY_KIND_OBJECTS
           for f in field_table(type(obj)) if f.bound is not None and getattr(obj, f.name) is not None]
+# Document path and field of every key unique within its list that some item
+# before it holds too, and of every field that names a declared name.
+LATER_UNIQUE_KEYS = [(path + (f.key,), f) for path, obj in EVERY_KIND_OBJECTS
+                     for f in field_table(type(obj)) if f.unique and path[-1] > 0]
+NAME_FIELDS = [(path + (f.key,), f) for path, obj in EVERY_KIND_OBJECTS for f in field_table(type(obj)) if f.names]
 OBJECT_CLASSES = list(dict.fromkeys(type(o) for _, o in EVERY_KIND_OBJECTS if type(o) not in TREATMENT_KINDS.values()))
 
 
@@ -581,3 +602,28 @@ class TestBoundsAgreeWithSchema:
             for v in validate(_parse_obj(ExperimentSpec, doc, ""))
         )
         assert flagged == rejected, (dotted(path), value)
+
+
+class TestNamesFromFieldTable:
+    """``validate`` flags a repeated unique key and an undeclared name at
+    exactly the field's path, for every such field the field table marks."""
+
+    def test_every_rule_is_exercised(self):
+        assert {dotted(path[-3:-2] + path[-1:]) for path, _ in LATER_UNIQUE_KEYS} == {
+            "services.id", "metric_points.metric_name", "treatments.name", "responses.name"}
+        assert {f.names for _, f in NAME_FIELDS} == {"service", "target", "metric"}
+
+    @pytest.mark.parametrize("path, f", LATER_UNIQUE_KEYS, ids=[dotted(path) for path, _ in LATER_UNIQUE_KEYS])
+    def test_repeated_unique_key_is_flagged_at_the_later_item(self, path, f):
+        doc = copy.deepcopy(EVERY_KIND_DOC)
+        earlier = functools.reduce(operator.getitem, path[:-2], doc)[path[-2] - 1][f.key]
+        set_leaf(doc, path, earlier)
+        duplicates = [v for v in validate(_parse_obj(ExperimentSpec, doc, "")) if v.message.startswith("duplicate ")]
+        assert duplicates == [Violation(dotted(path), f"duplicate {f.key} '{earlier}'")]
+
+    @pytest.mark.parametrize("path, f", NAME_FIELDS, ids=[dotted(path) for path, _ in NAME_FIELDS])
+    def test_undeclared_name_is_flagged_at_its_field(self, path, f):
+        doc = copy.deepcopy(EVERY_KIND_DOC)
+        set_leaf(doc, path, "nowhere")
+        violations = validate(_parse_obj(ExperimentSpec, doc, ""))
+        assert violations == [Violation(dotted(path), f"unresolved {f.names} 'nowhere'")]

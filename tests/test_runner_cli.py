@@ -345,6 +345,25 @@ class TestReportDocument:
             "5.0 is greater than the maximum of 1",
         )
 
+    @pytest.mark.parametrize(
+        "key, edit",
+        [
+            ("responses", lambda responses: []),
+            ("responses", lambda responses: responses + responses[:1]),
+            ("fault_coverage", lambda coverage: {}),
+            ("visibility", lambda cells: {}),
+        ],
+        ids=["no_responses", "repeated_response", "no_fault_coverage", "no_visibility"],
+    )
+    def test_schema_and_compare_reject_a_report_without_its_dimensions(self, small_report, key, edit):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((REPO_ROOT / "src/oxn/report_schema.json").read_text())
+        doc = small_report.to_doc()
+        doc[key] = edit(doc[key])
+        assert not jsonschema.Draft7Validator(schema).is_valid(doc)
+        with pytest.raises(ValueError, match=f"^{key}"):
+            compare_docs(doc, doc)
+
     def test_ratio_strings(self, small_report):
         doc = small_report.to_doc()
         assert doc["ofo"]["ratio"] == "1/1"
@@ -392,6 +411,14 @@ class TestCli:
         proc = run_cli("validate", str(path))
         assert proc.returncode == 1
         assert "repetitions" in proc.stdout
+
+    @pytest.mark.parametrize("command", ["validate", "run"])
+    def test_a_file_without_a_fault_is_rejected(self, tmp_path, command):
+        path = tmp_path / "no_fault.yaml"
+        path.write_text(render_experiment(small_spec(repetitions=1, treatments=())))
+        proc = run_cli(command, str(path))
+        assert proc.returncode == 1
+        assert "treatments: experiment has no fault treatments to run" in proc.stdout + proc.stderr
 
     def test_validate_malformed_yaml(self, tmp_path):
         path = tmp_path / "broken.yaml"

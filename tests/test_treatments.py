@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from oxn.config import (
+    Fault,
     Kill,
     MetricSamplingInterval,
     NetworkDelay,
@@ -29,8 +30,11 @@ def baseline():
 
 
 def violations_with(spec, treatment, **workload):
-    """Validate ``spec`` with ``treatment`` as its only treatment."""
-    bad = replace(spec, treatments=(treatment,), workload=replace(spec.workload, **workload))
+    """Validate ``spec`` with ``treatment`` as its first treatment, followed
+    by one of its faults when ``treatment`` is not one: an experiment needs a
+    fault to run."""
+    faults = () if isinstance(treatment, Fault) else spec.fault_treatments()[:1]
+    bad = replace(spec, treatments=(treatment, *faults), workload=replace(spec.workload, **workload))
     return [str(v) for v in validate(bad)]
 
 
