@@ -373,7 +373,7 @@ class ExperimentSpec:
     repetitions: int = field(default=1, metadata=AT_LEAST_ONE)
     sue: SueSpec
     workload: WorkloadSpec
-    treatments: tuple[Treatment, ...] = field(default=(), metadata={"description": (
+    treatments: tuple[Treatment, ...] = field(metadata={"description": (
         "Executed in file order; instrumentation treatments must precede fault treatments. Each fault runs in "
         "its own series of runs.")})
     responses: tuple[ResponseVariableSpec, ...] = field(metadata={"nonempty": True})
@@ -466,9 +466,13 @@ def experiment_schema() -> dict:
     """The JSON Schema (draft-07) of the experiment file, built from the field
     tables. ``src/oxn/experiment_schema.json`` holds it as
     ``json.dumps(experiment_schema(), indent=2) + "\\n"``."""
+    doc = _obj_schema(ExperimentSpec)
+    # ``validate``'s "no fault treatments to run", as draft-07 states it.
+    faults = [kind for kind, cls in TREATMENT_KINDS.items() if issubclass(cls, Fault)]
+    doc["properties"]["treatments"]["contains"] = {"required": ["kind"], "properties": {"kind": {"enum": faults}}}
     return {"$schema": "http://json-schema.org/draft-07/schema#", "$id": "oxn/experiment_schema.json",
             "title": "Experiment file", "description": "Structure of the YAML experiment file (version 1). Durations "
-            "suffixed _s are decimal seconds; _ms fields are milliseconds."} | _obj_schema(ExperimentSpec)
+            "suffixed _s are decimal seconds; _ms fields are milliseconds."} | doc
 
 
 # ---------------------------------------------------------------------------

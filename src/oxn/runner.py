@@ -131,7 +131,7 @@ def simulate_repetition(spec: ExperimentSpec, repetition: int):
 
     The faults share the repetition's fault-free state: it runs to the
     millisecond before each distinct start, and each fault but the last runs
-    on a pickle fork of it, the last on the state itself."""
+    on a ``SimState.fork`` of it, the last on the state itself."""
     sue = apply_instrumentation(spec.sue, spec.instrumentation_treatments())
     sim = init_sim(sue, spec.seed + repetition)
     drive(sim, spec.workload)
@@ -139,7 +139,7 @@ def simulate_repetition(spec: ExperimentSpec, repetition: int):
     for i, fault in enumerate(faults):
         if i == 0 or fault.start_ms != faults[i - 1].start_ms:
             sim.run_until(fault.start_ms - 1)
-        run = sim if i == len(faults) - 1 else pickle.loads(pickle.dumps(sim))
+        run = sim if i == len(faults) - 1 else sim.fork()
         run.add_fault(fault)
         run.run_until(None)
         batch = build_batch(run.log, sue, spec.workload.duration_ms, run.stream("trace-sampling"))

@@ -14,9 +14,9 @@ suspension (pause), instant failure (kill) and service-time/CPU inflation
 All timing is integer milliseconds and every random draw comes from a
 named, seed-derived stream (durations in blocks, ``LognormalDraws``), so a
 (topology, seed) pair reproduces the same event trace bit for bit on any
-platform. The state is plain data (heap
-events carry records and ids, never callables), so a running ``SimState``
-can be deep-copied or pickled and either copy runs on identically.
+platform. The state is plain data (heap events carry records and ids, never
+callables, and a stream of durations is its generator's state), so a running
+``SimState`` can be deep-copied or pickled and either copy runs on identically.
 Instrumentation events go to the typed columns of ``RawEventLog``; each ok
 span close is one request-counter increment.
 
@@ -26,7 +26,8 @@ i-th fault's start, one more for its end), so they precede every simulation
 event of the same millisecond. A fault-free state run to ``start_ms - 1`` is
 therefore a fork point: a copy given the fault there runs on to the same
 event log and records as a state that held the fault from the start. The
-runner simulates each repetition's fault-free prefix once and forks it so.
+runner simulates each repetition's fault-free prefix once and forks it so,
+with ``fork``: a pickle round trip that shares the request records.
 
 Arrivals and completions, the two events behind almost every span, are
 handled in the ``run_until`` loop body; rarer events have handler methods.
@@ -50,9 +51,11 @@ reference cycles, so a collection would only re-scan the live calls.
 
 from __future__ import annotations
 
+import functools
 import gc
 import hashlib
 import heapq
+import pickle
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
@@ -109,6 +112,11 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence([seed & _MASK64, *words])))
 
 
+# The generator into which ``LognormalDraws`` loads a stream's state to draw a
+# block; built at the first refill, so importing oxn does not load numpy.random.
+_scratch_generator = functools.cache(lambda: np.random.Generator(np.random.PCG64(0)))
+
+
 class LognormalDraws:
     """Lognormal durations of one stream, in whole milliseconds.
 
@@ -117,16 +125,16 @@ class LognormalDraws:
     in the same order, but normals are drawn in blocks that grow from
     ``_BLOCK_MIN`` to ``_BLOCK_MAX`` and are handed out one at a time; sigma=0
     draws nothing and gives the rounded median. So a stream ends the run
-    having drawn more normals than it handed out. Nothing reads a generator
-    after the run, and the buffer is plain data that a deep copy or a pickle
-    fork copies together with its generator, so a copy runs on to the same
-    values.
+    having drawn more normals than it handed out. The stream is held as its
+    generator's state, which a refill loads into one shared scratch generator
+    and stores back, so its state is plain data: a deep copy or a pickle fork
+    copies it with the buffer, and a copy runs on to the same values.
     """
 
-    __slots__ = ("rng", "median_ms", "sigma", "values", "next", "block")
+    __slots__ = ("state", "median_ms", "sigma", "values", "next", "block")
 
     def __init__(self, rng: np.random.Generator, spec: LognormalSpec):
-        self.rng = rng
+        self.state = rng.bit_generator.state
         self.median_ms = spec.median_ms
         self.sigma = spec.sigma
         self.values: list[int] = []
@@ -137,7 +145,10 @@ class LognormalDraws:
         if self.sigma == 0.0:
             return int(round(self.median_ms))
         if self.next == len(self.values):
-            block = self.median_ms * np.exp(self.sigma * self.rng.standard_normal(self.block))
+            rng = _scratch_generator()
+            rng.bit_generator.state = self.state
+            block = self.median_ms * np.exp(self.sigma * rng.standard_normal(self.block))
+            self.state = rng.bit_generator.state
             self.values = np.maximum(np.rint(block), 0.0).astype(np.int64).tolist()
             self.next = 0
             self.block = min(2 * self.block, _BLOCK_MAX)
@@ -340,6 +351,16 @@ class SimState:
         return len(self._heap) + beyond + max(len(self._timeouts) - 1, 0)
 
     # -- public operations --------------------------------------------------
+
+    def fork(self) -> SimState:
+        """A pickle round trip of the state that shares its immutable request records."""
+        records, self.records = self.records, []
+        try:
+            twin = pickle.loads(pickle.dumps(self))
+        finally:
+            self.records = records
+        twin.records = records.copy()
+        return twin
 
     def add_fault(self, fault: Fault) -> None:
         """Schedule ``fault``'s window boundaries (see the module docstring

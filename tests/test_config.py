@@ -5,6 +5,8 @@ import functools
 import json
 import math
 import operator
+import subprocess
+import sys
 from dataclasses import is_dataclass, replace
 
 import pytest
@@ -518,6 +520,27 @@ class TestSchemaDescription:
             judged.append((dotted(leaf), schema_validator().is_valid(doc), not parser_rejects(doc)))
         assert judged == [(leaf, accepted, accepted) for leaf, _, _ in judged]
 
+    @pytest.mark.parametrize("treatments", [None, [], "instrumentation_only"],
+                             ids=["removed", "empty", "instrumentation_only"])
+    def test_schema_rejects_a_file_without_a_fault(self, treatments):
+        """The schema requires ``treatments`` and a fault kind in it, as the
+        parser requires the key and ``validate`` a fault treatment."""
+        doc = yaml.safe_load(experiment_path("baseline").read_text())
+        if treatments is None:
+            del doc["treatments"]
+        elif treatments == "instrumentation_only":
+            alternative = yaml.safe_load(experiment_path("alternative_a").read_text())
+            doc["treatments"] = [t for t in alternative["treatments"] if t["kind"] == "metric_sampling_interval"]
+            assert len(doc["treatments"]) == 1
+        else:
+            doc["treatments"] = treatments
+        assert not schema_validator().is_valid(doc)
+        if treatments is None:
+            assert parser_rejects(doc)
+        else:
+            assert [str(v) for v in validate(_parse_obj(ExperimentSpec, doc, ""))] == [
+                "treatments: experiment has no fault treatments to run"]
+
     @pytest.mark.parametrize(
         "treatment",
         [
@@ -537,6 +560,17 @@ class TestSchemaDescription:
             jsonschema.validate(doc, schema)
         with pytest.raises(ExperimentFormatError):
             parse_experiment(yaml.safe_dump(doc))
+
+
+def test_import_parse_and_validate_leave_numpy_random_unloaded():
+    """``numpy.random`` loads only once a simulation starts; importing oxn
+    and checking a file, which a run's setup time measures, do not load it."""
+    code = (f"import sys; sys.path.insert(0, {str(REPO_ROOT / 'src')!r}); import oxn; "
+            "from oxn.config import parse_experiment_file, validate; "
+            f"assert validate(parse_experiment_file({str(experiment_path('baseline'))!r})) == []; "
+            "print('numpy.random' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
+    assert proc.stdout.strip() == "False"
 
 
 def near_bound(f, current) -> list:

@@ -35,6 +35,8 @@ from oxn.config import (
     parse_experiment_file,
 )
 from oxn.simulator import (
+    _BLOCK_MAX,
+    _BLOCK_MIN,
     _EV_ARRIVAL,
     _EV_TIMEOUT,
     _EV_USER,
@@ -167,7 +169,21 @@ class TestLognormalDraws:
         reference = rng_stream(3, "service:x")
         assert [draws.draw() for _ in range(self.N)] == [scalar_lognormal_ms(reference, spec) for _ in range(self.N)]
         if sigma == 0.0:
-            assert draws.rng.random() == reference.random()  # drew nothing
+            assert draws.state == reference.bit_generator.state  # drew nothing
+
+    @pytest.mark.parametrize("n", [1, 8, 9, 2040, 2041, N])
+    def test_state_after_refills_is_that_of_the_normals_drawn(self, n):
+        """The state held after ``n`` values is a generator's that drew every
+        block so far, 8 + 16 + ... normals, at once."""
+        draws = LognormalDraws(rng_stream(3, "service:x"), LognormalSpec(15, 0.58))
+        for _ in range(n):
+            draws.draw()
+        drawn, block = 0, _BLOCK_MIN
+        while drawn < n:
+            drawn, block = drawn + block, min(2 * block, _BLOCK_MAX)
+        reference = rng_stream(3, "service:x")
+        reference.standard_normal(drawn)
+        assert draws.state == reference.bit_generator.state
 
     @pytest.mark.parametrize("fork", [copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))])
     def test_fork_of_a_partly_consumed_buffer_runs_on(self, fork):
@@ -646,10 +662,26 @@ class TestFork:
 
         sim = baseline_sim(spec, faults[fault])
         sim.run_until(300_000)  # inside the 250-490 s window
-        for fork in [copy.deepcopy(sim), pickle.loads(pickle.dumps(sim)), sim]:
+        for fork in [copy.deepcopy(sim), pickle.loads(pickle.dumps(sim)), sim.fork(), sim]:
             fork.run_until(None)
             assert fork.records == whole.records
             assert fork.log == whole.log
+
+    def test_a_fork_and_its_prefix_add_records_and_spans_apart(self):
+        """What a fork adds does not appear in the state it was forked from,
+        and the reverse, though the two share the prefix's records."""
+        spec, faults = baseline_faults()
+        sim = baseline_sim(spec, faults["pause"])
+        sim.run_until(249_999)
+        fork = sim.fork()
+        prefix = (list(sim.records), copy.deepcopy(sim.log))
+        fork.run_until(None)
+        assert len(fork.records) > len(prefix[0]) and fork.log.span_count() > prefix[1].span_count()
+        assert (sim.records, sim.log) == prefix
+        forked = (list(fork.records), copy.deepcopy(fork.log))
+        sim.run_until(None)
+        assert (fork.records, fork.log) == forked
+        assert sim.records == fork.records and sim.log == fork.log
 
 
 FAULT_KINDS = [kind for kind, cls in TREATMENT_KINDS.items() if issubclass(cls, Fault)]
@@ -829,7 +861,7 @@ class TestProperties:
     @given(st.data(), small_meshes().filter(lambda mesh: mesh[2] is not None))
     def test_forks_of_one_fault_free_prefix_give_their_single_fault_runs(self, data, mesh):
         """The same relation for two faults that start apart, as the runner
-        simulates them: a pickle fork of the prefix at the earlier start takes
+        simulates them: a fork of the prefix at the earlier start takes
         that fault, and the prefix runs on to the later start and takes the
         other. Each equals its single-fault run."""
         sue, workload, first, seed = mesh
@@ -838,7 +870,7 @@ class TestProperties:
         sim = init_sim(sue, seed)
         drive(sim, workload)
         sim.run_until(early.start_ms - 1)
-        fork = pickle.loads(pickle.dumps(sim))
+        fork = sim.fork()
         fork.add_fault(early)
         fork.run_until(None)
         sim.run_until(late.start_ms - 1)
