@@ -23,6 +23,7 @@ from oxn.config import (
     NetworkDelay,
     PacketCorruption,
     PacketLoss,
+    Pause,
     SPAN_BITS,
     ServiceSpec,
     Stress,
@@ -47,7 +48,7 @@ from oxn.simulator import (
     rng_stream,
 )
 
-from conftest import SpanRow, cpu_rows, experiment_path, ok_closes, small_spec, span_rows, tiny_service
+from conftest import REPO_ROOT, SpanRow, cpu_rows, experiment_path, ok_closes, small_spec, span_rows, tiny_service
 
 
 def sue_single(median_ms=10.0, sigma=0.0, workers=2, cpu=5.0) -> SueSpec:
@@ -513,6 +514,24 @@ def event_log_digest(sim) -> str:
     return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
 
 
+# sha256 of the raw event log of ``surge_sim``'s run, listed as for
+# ``EVENT_LOG_DIGESTS``.
+SURGE_EVENT_LOG_DIGEST = "acca6fa63bb0a9e72a2e5ae91747e733d35ef90368357c5eea355707565d1373"
+
+
+def surge_sim():
+    """bench/workloads/surge.yaml's topology at seed 7: 2,000 users ramped up
+    over 2 s for 30 s, and ``recommendation`` paused from 3 s to 18 s, longer
+    than the client timeout. Its 2,255 requests include 53 timeouts, so many
+    users wake at once and many requests time out."""
+    spec = parse_experiment_file(REPO_ROOT / "bench/workloads/surge.yaml")
+    workload = replace(spec.workload, users=2000, duration_ms=30_000, ramp_up_ms=2000)
+    pause = Pause(name="pause_recommendation", target="recommendation", start_ms=3000, end_ms=18_000)
+    sim = init_sim(spec.sue, 7, [pause])
+    drive(sim, workload)
+    return sim
+
+
 class TestGoldenEventLog:
     @pytest.mark.parametrize("fault", sorted(EVENT_LOG_DIGESTS))
     def test_event_log_digest(self, fault):
@@ -520,6 +539,12 @@ class TestGoldenEventLog:
         sim = baseline_sim(spec, faults[fault])
         sim.run_until(None)
         assert event_log_digest(sim) == EVENT_LOG_DIGESTS[fault]
+
+    def test_many_user_event_log_digest(self):
+        sim = surge_sim()
+        sim.run_until(None)
+        assert (len(sim.records), sum(r.outcome == "timeout" for r in sim.records)) == (2255, 53)
+        assert event_log_digest(sim) == SURGE_EVENT_LOG_DIGEST
 
 
 def is_wakeup(event) -> bool:
