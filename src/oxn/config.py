@@ -97,18 +97,21 @@ class OneOf(NamedTuple):
 
 
 class Excludes(NamedTuple):
-    """The characters a string field must not contain."""
+    """The characters a string field must not contain, and the values it must not be."""
 
     chars: str
+    words: tuple[str, ...] = ()
 
     def admits(self, value: Any) -> bool:
-        return not any(c in value for c in self.chars)
+        return not any(c in value for c in self.chars) and value not in self.words
 
     def message(self, key: str, value: Any) -> str:
-        return f"{key} must be free of {', '.join(map(repr, self.chars))}, got {value!r}"
+        taken = "".join(f" and not {w!r}" for w in self.words)
+        return f"{key} must be free of {', '.join(map(repr, self.chars))}{taken}, got {value!r}"
 
     def schema(self, render: Callable[[Any], Any]) -> dict:
-        return {"pattern": "^[^" + "".join(f"\\x{ord(c):02x}" for c in self.chars) + "]*$"}
+        pattern = {"pattern": "^[^" + "".join(f"\\x{ord(c):02x}" for c in self.chars) + "]*$"}
+        return pattern | ({"not": {"enum": list(self.words)}} if self.words else {})
 
 
 # Field metadata. SECONDS: held as integer milliseconds in ``<stem>_ms`` and
@@ -125,8 +128,10 @@ UNIT = {"bound": Range(0, 1, "[]")}
 OPEN_UNIT = {"bound": Range(0, 1, "()")}
 STRATEGY = {"bound": OneOf(("always_on", "probabilistic"))}
 UNIQUE = {"unique": True}
-# Experiment, treatment and response names become parts of output file names.
+# Experiment, treatment and response names become parts of output file names;
+# a response named "spans" would write its CSV file over its run's spans file.
 FILE_NAME_PART = {"bound": Excludes("/\\\0")}
+RESPONSE_NAME = {"bound": Excludes("/\\\0", ("spans",))}
 
 
 class ExperimentFormatError(ValueError):
@@ -216,7 +221,7 @@ class WorkloadSpec:
 
 @dataclass(frozen=True)
 class ResponseVariableSpec:
-    name: str = field(metadata=FILE_NAME_PART | UNIQUE)
+    name: str = field(metadata=RESPONSE_NAME | UNIQUE)
     kind: str = field(metadata={"bound": OneOf(("metric", "trace_duration"))})
     source: str = field(metadata={"description": "metric name (kind=metric) or service id whose traces define the "
                                                  "duration series (kind=trace_duration)"})

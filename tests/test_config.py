@@ -314,6 +314,15 @@ class TestValidate:
         assert [v.field for v in validate(bad)] == ["name", "treatments[0].name", "responses[0].name"]
         assert validate(bad)[0].message == f"name must be free of '/', '\\\\', '\\x00', got {name!r}"
 
+    def test_a_response_named_spans_rejected(self):
+        """Its CSV file would be written over the spans file of its run.
+        Only a response name is reserved so."""
+        spec = parse_experiment(MINIMAL)
+        bad = replace(spec, responses=(replace(spec.responses[0], name="spans"),))
+        assert [str(v) for v in validate(bad)] == [
+            "responses[0].name: name must be free of '/', '\\\\', '\\x00' and not 'spans', got 'spans'"]
+        assert validate(replace(spec, name="spans", treatments=(replace(spec.treatments[0], name="spans"),))) == []
+
     def test_validate_is_pure(self):
         spec = parse_experiment(MINIMAL)
         bad = replace(spec, repetitions=0)
@@ -578,11 +587,12 @@ def near_bound(f, current) -> list:
     its bound and one step either side of that end, a step being one unit of
     the attribute (1 ms for a seconds field) or one float ulp; for a choice
     field, every choice and one outsider; for a field that excludes
-    characters, the value itself and the value with each one appended."""
+    characters, the value itself, the value with each one appended and each
+    excluded word."""
     if isinstance(f.bound, OneOf):
         return list(f.bound.choices) + ["bogus"]
     if isinstance(f.bound, Excludes):
-        return [current] + [current + c for c in f.bound.chars]
+        return [current] + [current + c for c in f.bound.chars] + list(f.bound.words)
     ends = [x for x in f.bound[:2] if x != math.inf]
     if isinstance(current, float):
         near = [(math.nextafter(x, -math.inf), x, math.nextafter(x, math.inf)) for x in ends]
