@@ -23,11 +23,10 @@ from .detection import (
     LabeledDataset,
     build_dataset,
     register_mechanism,
-    zscore_fit_apply,
 )
 from .runner import ObservabilityReport, compare_docs, run_experiment
 from .scoring import Ratio, VisibilityMatrix
-from .simulator import SimState, drive, init_sim
-from .telemetry import TelemetryBatch, materialize_response, sample_metrics, sample_traces
+from .simulator import SimState
+from .telemetry import TelemetryBatch, materialize_response
 
 __version__ = "0.1.0"

@@ -5,11 +5,11 @@ An experiment file may declare several fault treatments; each is executed
 in its own series of runs (one active fault per run) and every repetition
 reuses the same derived seed across faults and across instrumentation
 variants, so design alternatives are compared under common random numbers.
-The common numbers also share computation: up to a fault's start, every run
-of a repetition simulates the same fault-free events, so a repetition
-simulates that prefix once and forks it for each fault
-(``simulate_repetition``). Detection scores are averaged across repetitions
-before thresholding.
+A simulation is given the services, edges, workload, seed and faults, never
+the instrumentation, which ``score_run`` applies to the finished log. Up to a
+fault's start every run of a repetition simulates the same fault-free events,
+so ``simulate_repetition`` simulates that prefix once and forks it for each
+fault. Detection scores are averaged across repetitions before thresholding.
 """
 
 from __future__ import annotations
@@ -24,13 +24,13 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import ExperimentSpec, Fault, apply_instrumentation, render_experiment, validate
+from .config import ExperimentSpec, Fault, SueSpec, apply_instrumentation, render_experiment, validate
 from .costs import CostReport, account, mean_cost, overhead
 from .detection import _REGISTRY, ConvergenceError, InsufficientDataError, build_dataset
 from .detection import make_mechanism, register_mechanism
 from .scoring import VisibilityMatrix, build_matrix
-from .simulator import drive, init_sim, rng_stream
-from .telemetry import ResponseSeries, TelemetryBatch, build_batch, export_csv, materialize_response
+from .simulator import SimState, drive, init_sim, rng_stream
+from .telemetry import build_batch, export_csv, materialize_response
 
 SCHEMA_VERSION = "1"
 
@@ -126,14 +126,13 @@ def spec_digest(spec: ExperimentSpec) -> str:
 
 def simulate_repetition(spec: ExperimentSpec, repetition: int):
     """Simulate one repetition of every fault, in start order (spec order
-    among equal starts); yields each fault with its telemetry batch, its
-    materialized response series and its request records.
+    among equal starts); yields each fault with its finished run. Of the
+    spec it reads only the services, edges, workload, seed and faults.
 
     The faults share the repetition's fault-free state: it runs to the
     millisecond before each distinct start, and each fault but the last runs
     on a ``SimState.fork`` of it, the last on the state itself."""
-    sue = apply_instrumentation(spec.sue, spec.instrumentation_treatments())
-    sim = init_sim(sue, spec.seed + repetition)
+    sim = init_sim(spec.sue.services, spec.sue.edges, spec.seed + repetition)
     drive(sim, spec.workload)
     faults = _start_order(spec)
     for i, fault in enumerate(faults):
@@ -142,8 +141,7 @@ def simulate_repetition(spec: ExperimentSpec, repetition: int):
         run = sim if i == len(faults) - 1 else sim.fork()
         run.add_fault(fault)
         run.run_until(None)
-        batch = build_batch(run.log, sue, spec.workload.duration_ms, run.stream("trace-sampling"))
-        yield fault, batch, [materialize_response(response, batch, fault) for response in spec.responses], run.records
+        yield fault, run
 
 
 def _start_order(spec: ExperimentSpec) -> list[Fault]:
@@ -151,11 +149,14 @@ def _start_order(spec: ExperimentSpec) -> list[Fault]:
     return sorted(spec.fault_treatments(), key=lambda fault: fault.start_ms)
 
 
-def score_run(spec: ExperimentSpec, fault: Fault, repetition: int, batch: TelemetryBatch,
-              series_list: list[ResponseSeries], request_count: int, export_dir: str | Path | None) -> RunResult:
-    """Detect one simulated fault in every response, export its CSV files
-    if asked, and account its cost."""
+def score_run(spec: ExperimentSpec, sue: SueSpec, fault: Fault, repetition: int, run: SimState,
+              export_dir: str | Path | None) -> RunResult:
+    """Observe a finished run of ``fault`` through the instrumented ``sue``,
+    detect the fault in every response, export the CSV files if asked, and
+    account the cost."""
     run_seed = spec.seed + repetition
+    batch = build_batch(run.log, sue, spec.workload.duration_ms, rng_stream(run_seed, "trace-sampling"))
+    series_list = [materialize_response(response, batch, fault) for response in spec.responses]
     detection = spec.detection
     scores: dict[str, float | None] = {}
     reasons: dict[str, str] = {}
@@ -192,7 +193,7 @@ def score_run(spec: ExperimentSpec, fault: Fault, repetition: int, batch: Teleme
         scores=scores,
         reasons=reasons,
         cost=account(batch, spec.cost_model),
-        request_count=request_count,
+        request_count=len(run.records),
         trace_count=batch.trace_count,
         kept_trace_count=batch.kept_trace_count,
         kept_span_count=batch.kept_span_count,
@@ -204,21 +205,19 @@ def _run_failed(fault: Fault, repetition: int, exc: Exception) -> ExperimentErro
     return ExperimentError(f"run failed (first unfinished run: fault={fault.name} repetition={repetition}): {exc}")
 
 
-def execute_repetition(
-    spec: ExperimentSpec,
-    repetition: int,
-    export_dir: str | Path | None = None,
-) -> list[RunResult]:
-    """Simulate and score one repetition of every fault; the results come in
-    spec order. An error names the first run of the repetition, in start
-    order, that had not finished: the one that raised."""
-    order = _start_order(spec)
+def execute_repetition(spec: ExperimentSpec, sue: SueSpec, repetition: int,
+                       export_dir: str | Path | None = None) -> list[RunResult]:
+    """Simulate one repetition of every fault and score each run through the
+    instrumented ``sue``; the results come in spec order. An error names the
+    first run of the repetition, in start order, that had not finished: the
+    one that raised."""
     results: list[RunResult] = []
     try:
-        for fault, batch, series_list, records in simulate_repetition(spec, repetition):
-            results.append(score_run(spec, fault, repetition, batch, series_list, len(records), export_dir))
+        for fault, run in simulate_repetition(spec, repetition):
+            results.append(score_run(spec, sue, fault, repetition, run, export_dir))
+            del run  # not kept alive while the next fault simulates
     except Exception as exc:
-        raise _run_failed(order[len(results)], repetition, exc) from exc
+        raise _run_failed(_start_order(spec)[len(results)], repetition, exc) from exc
     by_fault = {run.fault: run for run in results}
     return [by_fault[fault.name] for fault in spec.fault_treatments()]
 
@@ -237,15 +236,13 @@ def run_experiment(
     must pickle (a module-level function, not a lambda). Errors from
     individual runs propagate with (fault, repetition) context.
     """
-    violations = validate(spec)
-    if violations:
-        raise ExperimentError(
-            "experiment spec is invalid: " + "; ".join(str(v) for v in violations)
-        )
+    if violations := validate(spec):
+        raise ExperimentError("experiment spec is invalid: " + "; ".join(str(v) for v in violations))
 
     started = time.monotonic()
     repetitions = range(spec.repetitions)
-    task = functools.partial(execute_repetition, spec, export_dir=str(export_dir) if export_dir else None)
+    sue = apply_instrumentation(spec.sue, spec.instrumentation_treatments())
+    task = functools.partial(execute_repetition, spec, sue, export_dir=str(export_dir) if export_dir else None)
     pooled = parallel > 1 and len(repetitions) > 1
     registration = (spec.detection.mechanism, _REGISTRY[spec.detection.mechanism])
     if pooled:

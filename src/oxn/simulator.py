@@ -12,13 +12,15 @@ suspension (pause), instant failure (kill) and service-time/CPU inflation
 (stress).
 
 All timing is integer milliseconds and every random draw comes from a
-named, seed-derived stream (durations in blocks, ``LognormalDraws``), so a
-(topology, seed) pair reproduces the same event trace bit for bit on any
-platform. The state is plain data (heap events carry records and ids, never
-callables, and a stream of durations is its generator's state), so a running
-``SimState`` can be deep-copied or pickled and either copy runs on identically.
-Instrumentation events go to the typed columns of ``RawEventLog``; each ok
-span close is one request-counter increment.
+named, seed-derived stream (durations in blocks, ``LognormalDraws``), so the
+services, edges, workload, seed and faults, all a simulation is given,
+reproduce the same event trace bit for bit on any platform; instrumentation
+acts only on the finished log (``telemetry``). The state is plain data (heap
+events carry records and ids, never callables, and a stream of durations is
+its generator's state), so a running ``SimState`` can be deep-copied or
+pickled and either copy runs on identically. The raw events go to the typed
+columns of ``RawEventLog``; each ok span close is one request-counter
+increment.
 
 Faults are added with ``add_fault``, whose boundary events take negative
 sequence numbers in the order the faults were added (-2,000,000 + 2i for the
@@ -59,7 +61,7 @@ import pickle
 from array import array
 from collections import deque
 from dataclasses import dataclass, field
-from typing import Iterable, NamedTuple
+from typing import NamedTuple
 
 import numpy as np
 
@@ -75,7 +77,6 @@ from .config import (
     SPAN_BITS,
     ServiceSpec,
     Stress,
-    SueSpec,
     WorkloadSpec,
 )
 
@@ -162,10 +163,10 @@ Column = array | np.ndarray
 
 @dataclass
 class SpanTable:
-    """One row per span, in open order; a service is its index in
-    ``SueSpec.services``. A span id is ``(request << SPAN_BITS) | n`` for its
-    request's n-th span, ``n == 0`` exactly for a root, so ``span_id >>
-    SPAN_BITS`` is its trace id. The simulator appends to ``array`` columns
+    """One row per span, in open order; a service is its index in the
+    services the simulation was built from. A span id is ``(request <<
+    SPAN_BITS) | n`` for its request's n-th span, ``n == 0`` exactly for a
+    root, so ``span_id >> SPAN_BITS`` is its trace id. The simulator appends to ``array`` columns
     and closes a row in place; a selection of rows holds numpy arrays."""
 
     span_id: Column = field(default_factory=lambda: array("q"))
@@ -237,7 +238,7 @@ class _ServiceState:
         self.spec = spec
         self.index = index
         self.workers = spec.workers
-        self.edges: list[_EdgeState] = []  # outbound, in ``SueSpec.edges`` order
+        self.edges: list[_EdgeState] = []  # outbound, in the order given
         self.busy = 0
         self.queue: deque[_Call] = deque()
         self.paused = False
@@ -265,8 +266,7 @@ class _EdgeState:
 class SimState:
     """Single-owner simulation state; see ``init_sim``."""
 
-    def __init__(self, sue: SueSpec, seed: int, faults: Iterable[Fault] = ()):
-        self.sue = sue
+    def __init__(self, services: tuple[ServiceSpec, ...], edges: tuple[CallEdge, ...], seed: int):
         self.seed = seed
         # Between runs every event at or before ``now`` has been handled; a
         # fresh state has handled none, so a fault may start at 0.
@@ -287,11 +287,11 @@ class SimState:
         self._request_count = 0
         self._streams: dict[str, np.random.Generator] = {}
         self._think_times: dict[int, LognormalDraws] = {}  # by user
-        self.services = {s.id: _ServiceState(s, i, seed) for i, s in enumerate(sue.services)}
-        for edge in sue.edges:
+        self.services = {s.id: _ServiceState(s, i, seed) for i, s in enumerate(services)}
+        for edge in edges:
             self.services[edge.caller].edges.append(_EdgeState(edge, self.services[edge.callee], seed))
-        callees = {e.callee for e in sue.edges}
-        roots = [s.id for s in sue.services if s.id not in callees]
+        callees = {e.callee for e in edges}
+        roots = [s.id for s in services if s.id not in callees]
         if len(roots) != 1:
             raise ValueError(f"call graph must have exactly one entry service, found {roots}")
         self.entry = roots[0]
@@ -300,8 +300,6 @@ class SimState:
         # in place only, so ``run_until`` may hold it in a local.
         self._active: list[NetworkDelay | PacketLoss] = []
         self._fault_count = 0
-        for fault in faults:
-            self.add_fault(fault)
 
     # -- plumbing ----------------------------------------------------------
 
@@ -654,10 +652,10 @@ class SimState:
         return None
 
 
-def init_sim(sue: SueSpec, seed: int, faults: Iterable[Fault] = ()) -> SimState:
-    """Fresh idle simulation with per-service and per-user RNG streams
-    derived from ``seed``, whose ``faults`` act inside their windows."""
-    return SimState(sue, seed, faults)
+def init_sim(services: tuple[ServiceSpec, ...], edges: tuple[CallEdge, ...], seed: int) -> SimState:
+    """Fresh idle, fault-free simulation of the call graph with per-service
+    and per-user RNG streams derived from ``seed``; ``add_fault`` adds faults."""
+    return SimState(services, edges, seed)
 
 
 def drive(sim: SimState, workload: WorkloadSpec) -> None:

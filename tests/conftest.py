@@ -22,7 +22,7 @@ from oxn.config import (
     parse_experiment_file,
 )
 from oxn.runner import run_experiment
-from oxn.simulator import RawEventLog, SpanTable
+from oxn.simulator import RawEventLog, SimState, SpanTable, init_sim
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXPERIMENTS_DIR = REPO_ROOT / "experiments"
@@ -77,6 +77,15 @@ def tiny_service(
         service_time=LognormalSpec(median_ms, sigma),
         cpu_per_request_ms=cpu_ms,
     )
+
+
+def new_sim(sue: SueSpec, seed: int, faults=()) -> SimState:
+    """A fresh simulation of ``sue``'s services and edges at ``seed``, with
+    ``faults`` added in order; the rest of ``sue`` never reaches it."""
+    sim = init_sim(sue.services, sue.edges, seed)
+    for fault in faults:
+        sim.add_fault(fault)
+    return sim
 
 
 def small_spec(**overrides) -> ExperimentSpec:

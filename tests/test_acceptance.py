@@ -18,8 +18,8 @@ from oxn.costs import overhead
 from oxn.detection import LogisticRegressionMechanism, _loss_grad_p, build_dataset, zscore_fit_apply
 from oxn.scoring import build_matrix
 from oxn.simulator import rng_stream
-from oxn.telemetry import ResponseSeries, sample_traces
-from oxn.config import SPAN_BITS, TraceConfigSpec, parse_experiment_file
+from oxn.telemetry import ResponseSeries, build_batch, materialize_response, sample_traces
+from oxn.config import SPAN_BITS, TraceConfigSpec, apply_instrumentation, parse_experiment_file
 from oxn.runner import report_json, simulate_repetition
 
 from conftest import REPO_ROOT, cli_env, event_log, experiment_path, span_id, span_rows
@@ -294,9 +294,13 @@ class TestCriterion8TelemetryInvariants:
         runs_checked = 0
         for name, spec in specs.items():
             repetitions = range(spec.repetitions) if name == "baseline" else range(3)
+            sue = apply_instrumentation(spec.sue, spec.instrumentation_treatments())
             for repetition in repetitions:
-                for fault, batch, series_list, records in simulate_repetition(spec, repetition):
+                for fault, run in simulate_repetition(spec, repetition):
                     runs_checked += 1
+                    batch = build_batch(run.log, sue, spec.workload.duration_ms,
+                                        rng_stream(spec.seed + repetition, "trace-sampling"))
+                    series_list = [materialize_response(response, batch, fault) for response in spec.responses]
 
                     # span nesting: child intervals inside parent intervals
                     rows = span_rows(batch.spans, spec.sue)
@@ -332,7 +336,7 @@ class TestCriterion8TelemetryInvariants:
 
                     # closed-loop bound: in-flight requests never exceed users
                     events = sorted(
-                        [(r.start_ms, 1) for r in records] + [(r.end_ms, -1) for r in records]
+                        [(r.start_ms, 1) for r in run.records] + [(r.end_ms, -1) for r in run.records]
                     )
                     in_flight = peak = 0
                     for _, delta in events:

@@ -4,10 +4,10 @@ import pytest
 
 from oxn.config import CostModelSpec, MetricPointSpec, TraceConfigSpec, parse_experiment_file
 from oxn.costs import account, mean_cost, overhead
-from oxn.simulator import drive, init_sim, rng_stream
+from oxn.simulator import drive, rng_stream
 from oxn.telemetry import build_batch
 
-from conftest import experiment_path, small_spec
+from conftest import experiment_path, new_sim, small_spec
 
 from dataclasses import replace
 
@@ -18,7 +18,7 @@ def batch_for(spec, seed=0, trace_rate=None, metric_points=None):
         sue = replace(sue, trace_config=TraceConfigSpec("probabilistic", trace_rate))
     if metric_points is not None:
         sue = replace(sue, metric_points=tuple(metric_points))
-    sim = init_sim(sue, seed)
+    sim = new_sim(sue, seed)
     drive(sim, spec.workload)
     sim.run_until(None)
     return build_batch(sim.log, sue, spec.workload.duration_ms, sim.stream("trace-sampling"))

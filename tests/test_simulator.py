@@ -16,6 +16,7 @@ from hypothesis import given, settings, strategies as st
 from oxn.config import (
     TREATMENT_KINDS,
     CallEdge,
+    ExperimentSpec,
     Fault,
     LognormalSpec,
     MetricPointSpec,
@@ -32,9 +33,9 @@ from oxn.config import (
     TracingSamplingRate,
     TracingSamplingStrategy,
     WorkloadSpec,
-    apply_instrumentation,
     parse_experiment_file,
 )
+from oxn.runner import simulate_repetition
 from oxn.simulator import (
     _BLOCK_MAX,
     _BLOCK_MIN,
@@ -44,11 +45,12 @@ from oxn.simulator import (
     CLIENT_TIMEOUT_MS,
     LognormalDraws,
     drive,
-    init_sim,
     rng_stream,
 )
 
-from conftest import REPO_ROOT, SpanRow, cpu_rows, experiment_path, ok_closes, small_spec, span_rows, tiny_service
+from conftest import (
+    REPO_ROOT, SpanRow, cpu_rows, experiment_path, new_sim, ok_closes, small_spec, span_rows, tiny_service,
+)
 
 
 def sue_single(median_ms=10.0, sigma=0.0, workers=2, cpu=5.0) -> SueSpec:
@@ -72,22 +74,22 @@ def sue_chain(sigma=0.0) -> SueSpec:
     )
 
 
-def chain_hops(sim) -> list[tuple[SpanRow, int]]:
+def chain_hops(sim, sue) -> list[tuple[SpanRow, int]]:
     """(a's span, hop latency) per call of a sigma=0 chain a->b, the hop
     latency being b's span end minus the moment a dispatched the call. a
     gives every call the same service time and serves them first in, first
     out, so it finishes processing them in the order they arrived: its k-th
     CPU slice is the dispatch of its k-th span's call."""
-    rows = span_rows(sim.log.spans, sim.sue)
+    rows = span_rows(sim.log.spans, sue)
     a_spans = [r.span_id for r in rows if r.service == "a"]
-    a_done = [t for service, t, _ in cpu_rows(sim.log, sim.sue) if service == "a"]
+    a_done = [t for service, t, _ in cpu_rows(sim.log, sue) if service == "a"]
     dispatched = dict(zip(a_spans, a_done))
     by_id = {r.span_id: r for r in rows}
     return [(by_id[r.parent], r.end_ms - dispatched[r.parent]) for r in rows if r.parent >= 0]
 
 
 def run_workload(sue, seed, users, duration_ms, think_ms, faults=(), ramp_up_ms=0, sigma=0.0):
-    sim = init_sim(sue, seed, faults)
+    sim = new_sim(sue, seed, faults)
     drive(
         sim,
         WorkloadSpec(
@@ -103,31 +105,32 @@ def run_workload(sue, seed, users, duration_ms, think_ms, faults=(), ramp_up_ms=
 
 class TestBasics:
     def test_single_service_deterministic_latency(self):
-        sim = init_sim(sue_single(), seed=1)
+        sim = new_sim(sue_single(), seed=1)
         sim.issue_request(0, at=0)
         sim.run_until(None)
         assert sim.records[0].end_ms - sim.records[0].start_ms == 10
         assert sim.records[0].outcome == "ok"
 
     def test_chain_latency_is_additive(self):
-        sim = init_sim(sue_chain(), seed=1)
+        sue = sue_chain()
+        sim = new_sim(sue, seed=1)
         sim.issue_request(0, at=0)
         sim.run_until(None)
         assert sim.records[0].end_ms - sim.records[0].start_ms == 25
         # a serves 10 ms, the edge takes 5 ms, b serves 10 ms and both close at 25
-        rows = span_rows(sim.log.spans, sim.sue)
+        rows = span_rows(sim.log.spans, sue)
         assert [(r.service, r.start_ms, r.end_ms) for r in rows] == [("a", 0, 25), ("b", 15, 25)]
-        assert chain_hops(sim) == [(rows[0], 15)]
+        assert chain_hops(sim, sue) == [(rows[0], 15)]
 
     def test_issue_in_the_past_rejected(self):
-        sim = init_sim(sue_single(), seed=1)
+        sim = new_sim(sue_single(), seed=1)
         sim.issue_request(0, at=100)
         sim.run_until(200)
         with pytest.raises(ValueError):
             sim.issue_request(0, at=100)
 
     def test_clock_is_monotone_and_reaches_target(self):
-        sim = init_sim(sue_single(), seed=1)
+        sim = new_sim(sue_single(), seed=1)
         sim.issue_request(0, at=50)
         sim.run_until(1000)
         assert sim.now == 1000
@@ -135,9 +138,10 @@ class TestBasics:
 
 class TestDeterminism:
     def test_same_seed_identical_event_log(self):
-        runs = [run_workload(sue_chain(0.4), 9, 5, 30_000, 400, sigma=0.3) for _ in range(2)]
+        sue = sue_chain(0.4)
+        runs = [run_workload(sue, 9, 5, 30_000, 400, sigma=0.3) for _ in range(2)]
         assert runs[0].log.spans == runs[1].log.spans
-        assert cpu_rows(runs[0].log, runs[0].sue) == cpu_rows(runs[1].log, runs[1].sue)
+        assert cpu_rows(runs[0].log, sue) == cpu_rows(runs[1].log, sue)
         assert runs[0].records == runs[1].records
 
     def test_different_seeds_diverge(self):
@@ -252,7 +256,7 @@ class TestQueueingOracle:
 
     def test_fifo_backlog_orders_by_arrival(self):
         sue = sue_single(median_ms=100, sigma=0.0, workers=1)
-        sim = init_sim(sue, 3)
+        sim = new_sim(sue, 3)
         for i in range(3):
             sim.issue_request(i, at=i)
         sim.run_until(None)
@@ -262,8 +266,9 @@ class TestQueueingOracle:
 
 class TestInvariants:
     def test_span_nesting_and_event_order(self):
-        sim = run_workload(sue_chain(0.4), 11, 8, 60_000, 300, sigma=0.3)
-        rows = span_rows(sim.log.spans, sim.sue)
+        sue = sue_chain(0.4)
+        sim = run_workload(sue, 11, 8, 60_000, 300, sigma=0.3)
+        rows = span_rows(sim.log.spans, sue)
         for stamps in ([r.start_ms for r in rows], sim.log.cpu_t_ms.tolist()):
             assert stamps == sorted(stamps)
 
@@ -321,7 +326,7 @@ class TestFaults:
             metric_points=(),
             trace_config=TraceConfigSpec(),
         )
-        sim = init_sim(sue, 3, self.make_faults("pause"))
+        sim = new_sim(sue, 3, self.make_faults("pause"))
         sim.issue_request(0, at=18_985)  # reaches b at 19_000
         sim.run_until(30_000)
         assert sim.services["b"].frozen
@@ -343,7 +348,7 @@ class TestFaults:
             trace_config=TraceConfigSpec(),
         )
         pause = Pause(name="pause_b", target="b", start_ms=20_000, end_ms=21_000)
-        sim = init_sim(sue, 3, [pause])
+        sim = new_sim(sue, 3, [pause])
         sim.issue_request(0, at=18_985)  # reaches b at 19_000, due to finish at 24_000
         sim.run_until(None)
         # 4000 ms remain at the pause and resume at 21 000; the completion
@@ -356,7 +361,7 @@ class TestFaults:
 
     def test_kill_fails_new_requests_after_error_response_time(self):
         sue = sue_chain(0.0)
-        sim = init_sim(sue, 3, self.make_faults("kill"))
+        sim = new_sim(sue, 3, self.make_faults("kill"))
         sim.issue_request(0, at=25_000)
         sim.run_until(None)
         record = sim.records[0]
@@ -373,7 +378,7 @@ class TestFaults:
             metric_points=(),
             trace_config=TraceConfigSpec(),
         )
-        sim = init_sim(sue, 3, self.make_faults("kill"))
+        sim = new_sim(sue, 3, self.make_faults("kill"))
         sim.issue_request(0, at=18_985)
         sim.run_until(None)
         assert sim.records[0].outcome == "error"
@@ -384,8 +389,8 @@ class TestFaults:
         sue = sue_chain(0.0)
         faults = self.make_faults("network_delay", delay_min_ms=10, delay_max_ms=90)
         sim = run_workload(sue, 19, 5, 60_000, 500, faults=faults)
-        in_window = [lat for a, lat in chain_hops(sim) if 20_000 <= a.start_ms < 39_000]
-        outside = [lat for a, lat in chain_hops(sim) if a.start_ms >= 41_000 or a.end_ms < 20_000]
+        in_window = [lat for a, lat in chain_hops(sim, sue) if 20_000 <= a.start_ms < 39_000]
+        outside = [lat for a, lat in chain_hops(sim, sue) if a.start_ms >= 41_000 or a.end_ms < 20_000]
         assert all(15 + 10 <= lat <= 15 + 90 for lat in in_window)
         assert len(set(in_window)) > 10  # actually drawing, not constant
         assert all(lat == 15 for lat in outside)
@@ -394,7 +399,7 @@ class TestFaults:
         sue = sue_chain(0.0)
         faults = self.make_faults("packet_loss", probability=0.3)
         sim = run_workload(sue, 23, 5, 60_000, 500, faults=faults)
-        in_window = [lat for a, lat in chain_hops(sim) if 20_000 <= a.start_ms < 39_000]
+        in_window = [lat for a, lat in chain_hops(sim, sue) if 20_000 <= a.start_ms < 39_000]
         assert in_window
         assert all((lat - 15) % 200 == 0 for lat in in_window)
         assert any(lat > 15 for lat in in_window)
@@ -418,11 +423,11 @@ class TestFaults:
     def test_effects_revert_exactly_at_window_end(self):
         sue = sue_chain(0.0)
         faults = self.make_faults("network_delay", delay_min_ms=50, delay_max_ms=50)
-        sim = init_sim(sue, 31, faults)
+        sim = new_sim(sue, 31, faults)
         sim.issue_request(0, at=39_989)  # dispatches to b at 39 999
         sim.issue_request(1, at=39_990)  # dispatches exactly at 40 000
         sim.run_until(None)
-        by_user = {a.trace: lat for a, lat in chain_hops(sim)}  # request i is user i's
+        by_user = {a.trace: lat for a, lat in chain_hops(sim, sue)}  # request i is user i's
         assert by_user[0] == 15 + 50
         assert by_user[1] == 15
 
@@ -431,7 +436,7 @@ class TestFaults:
 
         sue = sue_single()
         treatment = Kill(name="kill_api", target="api", start_ms=20_000, end_ms=40_000)
-        sim = init_sim(sue, 41, [treatment])
+        sim = new_sim(sue, 41, [treatment])
         sim.issue_request(0, at=25_000)
         sim.run_until(None)
         assert sim.records[0].outcome == "error"
@@ -440,7 +445,7 @@ class TestFaults:
 
     def test_timeout_records_exact_client_timeout(self):
         sue = sue_chain(0.0)
-        sim = init_sim(sue, 37, self.make_faults("pause"))
+        sim = new_sim(sue, 37, self.make_faults("pause"))
         sim.issue_request(0, at=25_000)
         sim.run_until(None)
         assert sim.records[0].outcome == "timeout"
@@ -450,7 +455,7 @@ class TestFaults:
     def test_close_at_the_client_timeout_is_a_timeout(self, service_ms, outcome):
         # The timeout's sequence number is taken with the arrival's, so it pops
         # ahead of a completion at the same millisecond.
-        sim = init_sim(sue_single(median_ms=service_ms), seed=1)
+        sim = new_sim(sue_single(median_ms=service_ms), seed=1)
         sim.issue_request(0, at=100)
         sim.run_until(None)
         (record,) = sim.records
@@ -492,24 +497,22 @@ def baseline_faults():
 
 
 def baseline_sim(spec, fault, seed=0):
-    from oxn.config import apply_instrumentation
-
-    sim = init_sim(apply_instrumentation(spec.sue, spec.instrumentation_treatments()), seed, [fault])
+    sim = new_sim(spec.sue, seed, [fault])
     drive(sim, spec.workload)
     return sim
 
 
-def event_log_digest(sim) -> str:
+def event_log_digest(sim, sue) -> str:
     doc = {
         "spans": [
             [s.trace, s.span_id, s.parent, s.service, s.start_ms, s.end_ms, "ok" if s.ok else "error"]
-            for s in span_rows(sim.log.spans, sim.sue)
+            for s in span_rows(sim.log.spans, sue)
         ],
         "records": [
             [r.request_id, r.user, r.start_ms, r.end_ms, r.outcome]
             for r in sim.records
         ],
-        "cpu_busy": [list(e) for e in cpu_rows(sim.log, sim.sue)],
+        "cpu_busy": [list(e) for e in cpu_rows(sim.log, sue)],
     }
     return hashlib.sha256(json.dumps(doc, separators=(",", ":")).encode()).hexdigest()
 
@@ -520,16 +523,17 @@ SURGE_EVENT_LOG_DIGEST = "acca6fa63bb0a9e72a2e5ae91747e733d35ef90368357c5eea3557
 
 
 def surge_sim():
-    """bench/workloads/surge.yaml's topology at seed 7: 2,000 users ramped up
-    over 2 s for 30 s, and ``recommendation`` paused from 3 s to 18 s, longer
-    than the client timeout. Its 2,255 requests include 53 timeouts, so many
-    users wake at once and many requests time out."""
+    """The spec of bench/workloads/surge.yaml, and a simulation of its
+    topology at seed 7: 2,000 users ramped up over 2 s for 30 s, and
+    ``recommendation`` paused from 3 s to 18 s, longer than the client
+    timeout. Its 2,255 requests include 53 timeouts, so many users wake at
+    once and many requests time out."""
     spec = parse_experiment_file(REPO_ROOT / "bench/workloads/surge.yaml")
     workload = replace(spec.workload, users=2000, duration_ms=30_000, ramp_up_ms=2000)
     pause = Pause(name="pause_recommendation", target="recommendation", start_ms=3000, end_ms=18_000)
-    sim = init_sim(spec.sue, 7, [pause])
+    sim = new_sim(spec.sue, 7, [pause])
     drive(sim, workload)
-    return sim
+    return spec, sim
 
 
 class TestGoldenEventLog:
@@ -538,13 +542,13 @@ class TestGoldenEventLog:
         spec, faults = baseline_faults()
         sim = baseline_sim(spec, faults[fault])
         sim.run_until(None)
-        assert event_log_digest(sim) == EVENT_LOG_DIGESTS[fault]
+        assert event_log_digest(sim, spec.sue) == EVENT_LOG_DIGESTS[fault]
 
     def test_many_user_event_log_digest(self):
-        sim = surge_sim()
+        spec, sim = surge_sim()
         sim.run_until(None)
         assert (len(sim.records), sum(r.outcome == "timeout" for r in sim.records)) == (2255, 53)
-        assert event_log_digest(sim) == SURGE_EVENT_LOG_DIGEST
+        assert event_log_digest(sim, spec.sue) == SURGE_EVENT_LOG_DIGEST
 
 
 def is_wakeup(event) -> bool:
@@ -583,7 +587,7 @@ class TestEventQueue:
         assert sorted(r.request_id for r in sim.records) == list(range(sim._request_count))
 
     def test_a_wakeup_between_two_on_the_heap_comes_in_time_order(self):
-        sim = init_sim(sue_single(), seed=1)
+        sim = new_sim(sue_single(), seed=1)
         for user, at in enumerate((300, 100, 200)):
             sim.issue_request(user, at=at)
         assert sorted(e[0] for e in sim._heap if is_wakeup(e)) == [100, 200, 300]
@@ -612,7 +616,7 @@ def collector(enabled: bool):
 class TestCollectorPause:
     @pytest.mark.parametrize("enabled", [True, False])
     def test_run_until_leaves_the_collector_as_it_found_it(self, enabled):
-        sim = init_sim(sue_single(), seed=1)
+        sim = new_sim(sue_single(), seed=1)
         sim.issue_request(0, at=0)
         finish = sim._finish_request
         during = []
@@ -628,7 +632,7 @@ class TestCollectorPause:
         assert during == [False]
 
     def test_run_until_restores_the_collector_when_the_loop_raises(self):
-        sim = init_sim(sue_single(), seed=1)
+        sim = new_sim(sue_single(), seed=1)
         sim.issue_request(0, at=0)
 
         def crash(*args):
@@ -655,7 +659,7 @@ class TestCollectorPause:
 
 class TestFork:
     def test_a_fault_must_start_after_now(self):
-        sim = init_sim(sue_single(), seed=1)
+        sim = new_sim(sue_single(), seed=1)
         sim.add_fault(Stress(name="at_zero", target="api", start_ms=0, end_ms=10, factor=2.0))
         sim.issue_request(0, at=0)
         sim.run_until(1000)
@@ -771,9 +775,9 @@ def small_meshes(draw):
 
 
 @st.composite
-def instrumented(draw, sue):
-    """``sue`` with random metric points of every kind and random
-    instrumentation treatments applied through ``apply_instrumentation``."""
+def instrumentation(draw, sue):
+    """``sue`` with random metric points of every kind and a random trace
+    configuration, and random instrumentation treatments of them."""
     targets = ["system"] + [s.id for s in sue.services]
     points = []
     for i in range(draw(st.integers(0, 4))):
@@ -796,7 +800,7 @@ def instrumented(draw, sue):
         max_size=2,
     ))
     trace = TraceConfigSpec(draw(st.sampled_from(["probabilistic", "always_on"])), draw(rate))
-    return apply_instrumentation(replace(sue, metric_points=tuple(points), trace_config=trace), treatments)
+    return replace(sue, metric_points=tuple(points), trace_config=trace), tuple(treatments)
 
 
 @st.composite
@@ -819,21 +823,33 @@ def null_faults(draw, sue, duration_ms):
 
 
 def simulated(sue, workload, faults, seed):
-    sim = init_sim(sue, seed, faults)
+    sim = new_sim(sue, seed, faults)
     drive(sim, workload)
     sim.run_until(None)
     return sim
 
 
 class TestProperties:
-    @settings(max_examples=100, deadline=None)
-    @given(st.data(), small_meshes())
+    @settings(max_examples=50, deadline=None)
+    @given(st.data(), small_meshes().filter(lambda mesh: mesh[2] is not None))
     def test_instrumentation_never_changes_the_event_log(self, data, mesh):
+        """Two specs that differ only in their instrumentation (metric
+        points, trace configuration and instrumentation treatments) give
+        each fault the same event log and records through the runner's
+        ``simulate_repetition``, a fork of the prefix included."""
         sue, workload, fault, seed = mesh
-        faults = [fault] if fault is not None else []
-        sims = [simulated(variant, workload, faults, seed) for variant in (sue, data.draw(instrumented(sue)))]
-        assert sims[0].log == sims[1].log
-        assert sims[0].records == sims[1].records
+        other = replace(data.draw(faults(len(sue.services), workload.duration_ms)), name="other")
+        plain = ExperimentSpec(name="plain", seed=seed, sue=sue, workload=workload, treatments=(fault, other),
+                               responses=())
+        instrumented_sue, treatments = data.draw(instrumentation(sue))
+        variant = replace(plain, sue=instrumented_sue, treatments=treatments + plain.treatments)
+        repetition = data.draw(st.integers(0, 1))
+        (faults_a, runs_a), (faults_b, runs_b) = (zip(*simulate_repetition(spec, repetition))
+                                                  for spec in (plain, variant))
+        assert faults_a == faults_b
+        for a, b in zip(runs_a, runs_b):
+            assert a.log == b.log
+            assert a.records == b.records
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), small_meshes())
@@ -873,7 +889,7 @@ class TestProperties:
         before the fault starts, then add it with ``add_fault``. The log and
         the records are those of the run that had the fault from the start."""
         sue, workload, fault, seed = mesh
-        sim = init_sim(sue, seed)
+        sim = new_sim(sue, seed)
         drive(sim, workload)
         sim.run_until(fault.start_ms - 1)
         sim.add_fault(fault)
@@ -892,7 +908,7 @@ class TestProperties:
         sue, workload, first, seed = mesh
         other = faults(len(sue.services), workload.duration_ms).filter(lambda f: f.start_ms != first.start_ms)
         early, late = sorted([first, data.draw(other)], key=lambda fault: fault.start_ms)
-        sim = init_sim(sue, seed)
+        sim = new_sim(sue, seed)
         drive(sim, workload)
         sim.run_until(early.start_ms - 1)
         fork = sim.fork()
@@ -909,7 +925,7 @@ class TestProperties:
     def test_a_run_fills_every_column_of_the_log(self):
         """Guards against an output channel that nothing feeds."""
         spec = small_spec()
-        sim = init_sim(spec.sue, spec.seed, spec.fault_treatments())
+        sim = new_sim(spec.sue, spec.seed, spec.fault_treatments())
         drive(sim, spec.workload)
         sim.run_until(None)
         columns = {**vars(sim.log), **vars(sim.log.spans)}
@@ -920,7 +936,7 @@ class TestProperties:
     @given(small_meshes())
     def test_random_meshes_keep_the_invariants(self, mesh):
         sue, workload, fault, seed = mesh
-        sim = init_sim(sue, seed, [fault] if fault is not None else [])
+        sim = new_sim(sue, seed, [fault] if fault is not None else [])
         drive(sim, workload)
         if fault is not None:
             # effects revert exactly at the window end

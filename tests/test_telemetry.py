@@ -16,7 +16,7 @@ from oxn.config import (
     SueSpec,
     TraceConfigSpec,
 )
-from oxn.simulator import RawEventLog, drive, init_sim, rng_stream
+from oxn.simulator import RawEventLog, drive, rng_stream
 from oxn.telemetry import (
     ResponseSeries,
     TelemetryBatch,
@@ -27,7 +27,7 @@ from oxn.telemetry import (
     sample_traces,
 )
 
-from conftest import event_log, small_spec, span_id, span_rows, tiny_service
+from conftest import event_log, new_sim, small_spec, span_id, span_rows, tiny_service
 
 
 def one_service_sue(points=(), trace=TraceConfigSpec()) -> SueSpec:
@@ -272,7 +272,7 @@ def simulated_log(until_ms=None, faults=()) -> RawEventLog:
     """The event log of the small two-service experiment, nested and
     interleaved traces, run to the end or stopped at ``until_ms``."""
     spec = small_spec()
-    sim = init_sim(spec.sue, 3, faults)
+    sim = new_sim(spec.sue, 3, faults)
     drive(sim, spec.workload)
     sim.run_until(until_ms)
     return sim.log

@@ -19,9 +19,9 @@ from oxn.config import (
     parse_experiment_file,
     validate,
 )
-from oxn.simulator import drive, init_sim
+from oxn.simulator import drive
 
-from conftest import experiment_path, tiny_service
+from conftest import experiment_path, new_sim, tiny_service
 
 
 @pytest.fixture(scope="module")
@@ -93,14 +93,14 @@ class TestApplyInstrumentation:
 
 
 class TestCompileSchedule:
-    """Fault treatments as ``init_sim`` schedules them."""
+    """Fault treatments as ``SimState.add_fault`` schedules them."""
 
     def test_sorted_by_start(self):
         faults = [
             Pause(name="late", target="x", start_ms=50_000, end_ms=60_000),
             Kill(name="early", target="x", start_ms=10_000, end_ms=20_000),
         ]
-        sim = init_sim(SueSpec(services=(tiny_service("x"),)), 0, faults)
+        sim = new_sim(SueSpec(services=(tiny_service("x"),)), 0, faults)
         x = sim.services["x"]
         sim.run_until(15_000)
         assert x.killed and not x.paused
@@ -114,7 +114,7 @@ class TestCompileSchedule:
         )
         loss = PacketLoss(name="l", target="svc", start_ms=1000, end_ms=2000, probability=0.15)
         pause = Pause(name="p", target="svc", start_ms=1000, end_ms=2000)
-        sim = init_sim(SueSpec(services=(tiny_service("svc"),)), 0, [delay, loss, pause])
+        sim = new_sim(SueSpec(services=(tiny_service("svc"),)), 0, [delay, loss, pause])
         sim.run_until(1000)
         assert sim._active[0] is delay and sim._active[1] is loss
         assert sim.services["svc"].paused
@@ -136,7 +136,7 @@ class TestRevert:
         fault = baseline.fault_treatments()[0]  # pause
         pre, post = [], []
         for seed in range(3):
-            sim = init_sim(baseline.sue, seed, [fault])
+            sim = new_sim(baseline.sue, seed, [fault])
             drive(sim, baseline.workload)
             sim.run_until(None)
             batch = build_batch(

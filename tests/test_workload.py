@@ -4,9 +4,9 @@ import numpy as np
 import pytest
 
 from oxn.config import LognormalSpec, SueSpec, TraceConfigSpec, WorkloadSpec, parse_experiment_file
-from oxn.simulator import drive, init_sim
+from oxn.simulator import drive
 
-from conftest import experiment_path, tiny_service
+from conftest import experiment_path, new_sim, tiny_service
 
 
 def single_service_sue(**kwargs) -> SueSpec:
@@ -22,14 +22,14 @@ class TestClosedLoop:
     def test_deterministic_cycle_count(self):
         # one user, 1000 ms think, 10 ms service: one full cycle every 1010 ms
         sue = single_service_sue(median_ms=10, sigma=0.0)
-        sim = init_sim(sue, 1)
+        sim = new_sim(sue, 1)
         drive(sim, WorkloadSpec(users=1, duration_ms=60_000, think_time=LognormalSpec(1000, 0.0)))
         sim.run_until(None)
         assert len(sim.records) == 60_000 // 1010  # 59
 
     def test_arrivals_stop_at_duration(self):
         sue = single_service_sue(median_ms=10, sigma=0.2)
-        sim = init_sim(sue, 2)
+        sim = new_sim(sue, 2)
         drive(sim, WorkloadSpec(users=10, duration_ms=30_000, think_time=LognormalSpec(400, 0.3)))
         sim.run_until(None)
         assert max(r.start_ms for r in sim.records) < 30_000
@@ -40,7 +40,7 @@ class TestClosedLoop:
         workload = WorkloadSpec(users=7, duration_ms=20_000, think_time=LognormalSpec(300, 0.4))
         runs = []
         for _ in range(2):
-            sim = init_sim(sue, 5)
+            sim = new_sim(sue, 5)
             drive(sim, workload)
             sim.run_until(None)
             runs.append(sim.records)
@@ -49,7 +49,7 @@ class TestClosedLoop:
     def test_in_flight_never_exceeds_users(self):
         sue = single_service_sue(median_ms=50, sigma=0.5, workers=1)
         users = 6
-        sim = init_sim(sue, 9)
+        sim = new_sim(sue, 9)
         drive(sim, WorkloadSpec(users=users, duration_ms=30_000, think_time=LognormalSpec(200, 0.3)))
         sim.run_until(None)
         events = sorted(
@@ -63,7 +63,7 @@ class TestClosedLoop:
 
     def test_ramp_up_staggers_starts(self):
         sue = single_service_sue(median_ms=10, sigma=0.0)
-        sim = init_sim(sue, 3)
+        sim = new_sim(sue, 3)
         drive(
             sim,
             WorkloadSpec(
@@ -82,7 +82,7 @@ class TestStationarity:
         the early and late halves of a fault-free canonical run, seeds 0-9."""
         spec = parse_experiment_file(experiment_path("baseline"))
         for seed in range(10):
-            sim = init_sim(spec.sue, seed)
+            sim = new_sim(spec.sue, seed)
             drive(sim, spec.workload)
             sim.run_until(None)
             starts = np.array([r.start_ms for r in sim.records])
