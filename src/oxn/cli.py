@@ -2,7 +2,9 @@
 
 Exit codes: 0 on success, 1 on validation errors (usage errors, unreadable,
 malformed or invalid input files, an ``--out`` that cannot be created or
-written to, mismatched comparison inputs), 2 on runtime errors.
+written to, mismatched comparison inputs), 2 on runtime errors. Only ``run``
+and ``compare`` import the runner, and with it numpy; ``validate`` loads the
+experiment format alone.
 """
 
 from __future__ import annotations
@@ -14,7 +16,6 @@ from pathlib import Path
 from typing import NoReturn
 
 from .config import ExperimentFormatError, parse_experiment, validate
-from .runner import ExperimentError, compare_docs, report_json, run_experiment
 
 EXIT_OK = 0
 EXIT_VALIDATION = 1
@@ -82,6 +83,8 @@ def _load_spec(path: str):
 
 
 def _cmd_run(args) -> int:
+    from .runner import ExperimentError, report_json, run_experiment
+
     if args.parallel < 1:
         _fail(f"--parallel must be >= 1, got {args.parallel}")
     spec = _load_spec(args.file)
@@ -128,6 +131,8 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
+    from .runner import compare_docs
+
     docs = []
     for path in (args.report_a, args.report_b):
         text = _read_input(path)

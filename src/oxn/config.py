@@ -15,20 +15,31 @@ field's bound (``Range``, ``OneOf`` or ``Excludes``), a list's non-emptiness,
 a key unique within its list and a name that must be declared live only in
 its metadata; ``validate`` checks them in one walk, at the field's file-key
 path. Only checks that join two fields are written out.
+
+The registry of detection mechanisms lives here too, beside ``DetectionSpec``
+that names one, so that this module, which imports neither numpy nor the rest
+of oxn, parses and validates a file alone. A file is read with libyaml's
+parser where PyYAML has it and with PyYAML's Python parser otherwise; both
+feed the same Python constructor and resolvers, so they give the same spec.
 """
 
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import re
 import sys
 from dataclasses import MISSING, Field, dataclass, field, fields, is_dataclass, replace
 from pathlib import Path
 from types import UnionType
-from typing import Any, Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, get_args, get_origin, get_type_hints
+from typing import TYPE_CHECKING, Any, Callable, ClassVar, Iterable, Iterator, Mapping, NamedTuple, get_args, get_origin
+from typing import get_type_hints
 
 import yaml
+
+if TYPE_CHECKING:
+    from .detection import DetectionMechanism
 
 SYSTEM_TARGET = "system"
 MAX_SEED = 2**64 - 1  # random streams take the seed modulo 2**64, so no run seed may pass this
@@ -42,15 +53,21 @@ SPAN_BITS = 16
 _EXPONENT_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$")
 
 
-class _Loader(yaml.SafeLoader):
-    pass
+class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+    """libyaml's parser where PyYAML was built with it, about ten times as
+    fast as the Python one on the canonical files, with PyYAML's Python
+    constructor and resolvers."""
+
+
+class _PyLoader(yaml.SafeLoader):
+    """PyYAML's Python parser, whose words and position ``_load`` gives every rejection."""
 
 
 class _Dumper(yaml.SafeDumper):
     pass
 
 
-for _yaml_class in (_Loader, _Dumper):
+for _yaml_class in (_Loader, _PyLoader, _Dumper):
     _yaml_class.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
 
 
@@ -237,6 +254,40 @@ class DetectionSpec:
     l2: float = field(default=1e-4, metadata=NONNEGATIVE)
     tol: float = field(default=1e-6, metadata=POSITIVE)
     alert_k: float = field(default=3.0, metadata=POSITIVE)
+
+
+# Detection mechanisms by the name ``DetectionSpec.mechanism`` gives. A factory
+# receives the spec's ``l2``, ``tol`` and ``alert_k`` as keyword arguments and
+# returns an object whose ``run(ds)`` scores a ``detection.LabeledDataset``.
+# The built-in factories import their classes, and so numpy, when called.
+_REGISTRY: dict[str, Callable[..., DetectionMechanism]] = {}
+
+
+def register_mechanism(name: str, factory: Callable[..., DetectionMechanism]) -> None:
+    _REGISTRY[name] = factory
+
+
+def make_mechanism(name: str, **params) -> DetectionMechanism:
+    # Looked up first, so a KeyError raised inside a factory propagates as is.
+    if name not in _REGISTRY:
+        raise KeyError(f"unknown detection mechanism '{name}'")
+    return _REGISTRY[name](**params)
+
+
+def _logistic_regression(l2=1e-4, tol=1e-6, **_) -> DetectionMechanism:
+    from .detection import LogisticRegressionMechanism
+
+    return LogisticRegressionMechanism(l2=l2, tol=tol)
+
+
+def _threshold_alert(alert_k=3.0, **_) -> DetectionMechanism:
+    from .detection import ThresholdAlertMechanism
+
+    return ThresholdAlertMechanism(k=alert_k)
+
+
+register_mechanism("logistic_regression", _logistic_regression)
+register_mechanism("threshold_alert", _threshold_alert)
 
 
 @dataclass(frozen=True)
@@ -565,6 +616,19 @@ def _parse_treatment(value: Any, where: str) -> Treatment:
     return _parse_obj(TREATMENT_KINDS[kind], {k: v for k, v in m.items() if k != "kind"}, where)
 
 
+def _load(text: str) -> Any:
+    """The YAML document ``text`` holds. ``_PyLoader`` re-reads a text that
+    ``_Loader`` rejects, so that every rejection is stated as PyYAML's Python
+    parser states it: libyaml words its errors differently, places one at
+    the end of a text without a final line break on a line past the end, and
+    meets a lone surrogate with a UnicodeEncodeError."""
+    try:
+        return yaml.load(text, Loader=_Loader)
+    except (yaml.YAMLError, ValueError):
+        pass  # not chained to the error the Python parser raises
+    return yaml.load(text, Loader=_PyLoader)
+
+
 def parse_experiment(text: str) -> ExperimentSpec:
     """Parse experiment-file contents into a fully resolved ExperimentSpec.
 
@@ -573,7 +637,7 @@ def parse_experiment(text: str) -> ExperimentSpec:
     unknown fields and missing required fields.
     """
     try:
-        raw = yaml.load(text, Loader=_Loader)
+        raw = _load(text)
     except yaml.YAMLError as exc:
         mark = getattr(exc, "problem_mark", None)
         if mark is not None:
@@ -709,12 +773,41 @@ def validate(spec: ExperimentSpec) -> list[Violation]:
         elif resp.kind == "trace_duration" and resp.source not in ids:
             v.append(Violation(f"{where}.source", f"unresolved service '{resp.source}'"))
 
-    # Imported here: config -> detection -> telemetry -> config is a cycle.
-    from .detection import _REGISTRY
+    # A run's CSV files are named {name}_{fault}-r{repetition}_{response}.csv,
+    # the spans file as response "spans"; distinct names give distinct files
+    # only within one fault.
+    faults = [(i, t.name) for i, t in enumerate(spec.treatments) if isinstance(t, Fault)]
+    files = [r.name for r in spec.responses] + ["spans"]
+    for (_, earlier), (j, later) in itertools.combinations(faults, 2):
+        if shared := _shared_file(earlier, later, files, spec.repetitions):
+            v.append(Violation(f"treatments[{j}].name", f"runs of faults '{earlier}' and '{later}' would both "
+                                                        f"write the CSV file {spec.name}_{shared}"))
 
     if spec.detection.mechanism not in _REGISTRY:
         v.append(Violation("detection.mechanism", f"unknown mechanism '{spec.detection.mechanism}'"))
     return v
+
+
+# The repetition part of a CSV file name. A repetition has at most 20 digits,
+# since seed + repetitions - 1 may not pass MAX_SEED.
+_RUN_PART = re.compile(r"-r(0|[1-9][0-9]{0,19})_")
+
+
+def _shared_file(a: str, b: str, files: list[str], repetitions: int) -> str | None:
+    """A CSV file name, less the experiment's, that runs of the faults named
+    ``a`` and ``b`` would both write, if there is one. With ``short`` the
+    shorter name, ``{short}-r{i}_{r}`` is ``{long}-r{k}_{s}`` just when
+    ``long`` is ``{short}-r{i}_{t}`` and ``r`` is ``{t}-r{k}_{s}``."""
+    short, long = sorted((a, b), key=len)
+    run = _RUN_PART.match(long, len(short)) if long.startswith(short) else None
+    if run is None or int(run[1]) >= repetitions:
+        return None
+    t = long[run.end():]
+    for r in files:
+        run = _RUN_PART.match(r, len(t))
+        if r.startswith(t) and run is not None and int(run[1]) < repetitions and r[run.end():] in files:
+            return f"{long}-r{run[1]}_{r[run.end():]}.csv"
+    return None
 
 
 # ---------------------------------------------------------------------------

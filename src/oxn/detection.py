@@ -12,7 +12,9 @@ candidate the line search accepted. A test row is predicted as a fault iff
 ``z > c*eps*(1 + |x|.|w| + |b|)``, with ``c = BOUNDARY_BAND``. A row inside
 that band around ``z = 0``, where the sign of ``z`` can be a rounding
 residue, is predicted normal. A k-sigma threshold alert is a second
-mechanism, and external mechanisms can be registered by name.
+mechanism. The registry that names the mechanisms lives beside
+``DetectionSpec`` in ``config``, so that validating a file does not load
+numpy; external mechanisms are added there with ``register_mechanism``.
 
 A mechanism's ``run(ds)`` receives a ``LabeledDataset`` whose rows are
 ordered train first: the leading ``ds.n_train`` rows (the train split,
@@ -25,7 +27,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass, replace
-from typing import Callable, Protocol
+from typing import Protocol
 
 import numpy as np
 
@@ -254,28 +256,3 @@ class ThresholdAlertMechanism:
         tnr = float((~flagged[~fault]).mean()) if (~fault).any() else 0.0
         return DetectionOutcome((tpr + tnr) / 2.0)
 
-
-_REGISTRY: dict[str, Callable[..., DetectionMechanism]] = {}
-
-
-def register_mechanism(name: str, factory: Callable[..., DetectionMechanism]) -> None:
-    _REGISTRY[name] = factory
-
-
-def make_mechanism(name: str, **params) -> DetectionMechanism:
-    # Looked up first, so a KeyError raised inside a factory propagates as is.
-    if name not in _REGISTRY:
-        raise KeyError(f"unknown detection mechanism '{name}'")
-    return _REGISTRY[name](**params)
-
-
-def _logistic_regression(l2=1e-4, tol=1e-6, **_) -> LogisticRegressionMechanism:
-    return LogisticRegressionMechanism(l2=l2, tol=tol)
-
-
-def _threshold_alert(alert_k=3.0, **_) -> ThresholdAlertMechanism:
-    return ThresholdAlertMechanism(k=alert_k)
-
-
-register_mechanism("logistic_regression", _logistic_regression)
-register_mechanism("threshold_alert", _threshold_alert)

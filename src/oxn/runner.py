@@ -24,10 +24,10 @@ from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
-from .config import ExperimentSpec, Fault, SueSpec, apply_instrumentation, render_experiment, validate
+from .config import _REGISTRY, ExperimentSpec, Fault, SueSpec, apply_instrumentation, make_mechanism
+from .config import register_mechanism, render_experiment, validate
 from .costs import CostReport, account, mean_cost, overhead
-from .detection import _REGISTRY, ConvergenceError, InsufficientDataError, build_dataset
-from .detection import make_mechanism, register_mechanism
+from .detection import ConvergenceError, InsufficientDataError, build_dataset
 from .scoring import VisibilityMatrix, build_matrix
 from .simulator import SimState, drive, init_sim, rng_stream
 from .telemetry import build_batch, export_csv, materialize_response

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import copy
 import functools
+import importlib
 import json
 import math
 import operator
@@ -13,7 +14,7 @@ import pytest
 import yaml
 from hypothesis import example, given, settings, strategies as st
 
-from oxn import detection
+from oxn import config
 from oxn.config import (
     TREATMENT_KINDS,
     CallEdge,
@@ -192,6 +193,29 @@ class TestParse:
         assert str(raised.value) == f"{dotted(path)}: {path[-1]} must be a whole number of milliseconds"
 
 
+def with_export_names(spec, faults, responses):
+    """``spec`` with faults copied from its first, named ``faults``, and its
+    first responses renamed to ``responses``."""
+    return replace(spec, treatments=tuple(replace(spec.fault_treatments()[0], name=n) for n in faults),
+                   responses=tuple(replace(r, name=n) for r, n in zip(spec.responses, responses)))
+
+
+@st.composite
+def export_names(draw):
+    """Fault names, response names and a repetition count for which two runs
+    often write one CSV file: faults ``a`` and ``a-r{i}_t`` and responses
+    ``t-r{k}_s`` and ``s`` do when i and k are repetitions (``s`` may be
+    the spans file), and a third fault and response of the same letters may
+    add another."""
+    part = st.text("px_-r01", min_size=1, max_size=3)
+    a, t, extra_fault, extra_response = (draw(part) for _ in range(4))
+    s = draw(part | st.just("spans"))
+    i, k = draw(st.integers(0, 9)), draw(st.integers(0, 9))
+    faults = draw(st.permutations([a, f"{a}-r{i}_{t}", extra_fault]))
+    responses = draw(st.permutations([f"{t}-r{k}_{s}", extra_response, *([s] if s != "spans" else [])]))
+    return list(dict.fromkeys(faults)), list(dict.fromkeys(responses)), draw(st.integers(1, 10))
+
+
 class TestValidate:
     def test_baseline_is_valid(self):
         assert validate(parse_experiment_file(experiment_path("baseline"))) == []
@@ -322,6 +346,31 @@ class TestValidate:
         assert [str(v) for v in validate(bad)] == [
             "responses[0].name: name must be free of '/', '\\\\', '\\x00' and not 'spans', got 'spans'"]
         assert validate(replace(spec, name="spans", treatments=(replace(spec.treatments[0], name="spans"),))) == []
+
+    def test_runs_that_would_write_one_csv_file_rejected(self):
+        """``p``'s response ``x-r0_y`` and ``p-r0_x``'s response ``y`` are
+        both exported as ``small_p-r0_x-r0_y.csv``; the later fault is named."""
+        spec = with_export_names(small_spec(repetitions=1), ["p", "p-r0_x"], ["x-r0_y", "y"])
+        assert [str(v) for v in validate(spec)] == [
+            "treatments[1].name: runs of faults 'p' and 'p-r0_x' would both write the CSV file small_p-r0_x-r0_y.csv"]
+        swapped = replace(spec, treatments=spec.treatments[::-1])
+        assert [v.field for v in validate(swapped)] == ["treatments[1].name"]
+        # A repetition part that no repetition writes shares nothing.
+        assert validate(with_export_names(spec, ["p", "p-r1_x"], ["x-r0_y", "y"])) == []
+        assert len(validate(with_export_names(replace(spec, repetitions=2), ["p", "p-r1_x"], ["x-r0_y", "y"]))) == 1
+
+    @given(export_names())
+    @settings(max_examples=200, deadline=None)
+    def test_csv_file_rule_agrees_with_the_file_names(self, names):
+        """``validate`` flags a shared CSV file exactly when writing every
+        run's files by name would write one name twice, and names a file
+        that two runs write."""
+        faults, responses, repetitions = names
+        spec = with_export_names(small_spec(repetitions=repetitions), faults, responses)
+        files = [f"{spec.name}_{f}-r{i}_{r}.csv" for f in faults for i in range(repetitions) for r in [*responses, "spans"]]
+        shared = [v.message.rsplit(" ", 1)[1] for v in validate(spec) if "CSV file" in v.message]
+        assert bool(shared) == (len(set(files)) < len(files))
+        assert all(files.count(name) >= 2 for name in shared)
 
     def test_validate_is_pure(self):
         spec = parse_experiment(MINIMAL)
@@ -507,7 +556,7 @@ class TestSchemaDescription:
 
     def test_registered_mechanism_conforms_to_schema(self, monkeypatch):
         jsonschema = pytest.importorskip("jsonschema")
-        monkeypatch.setitem(detection._REGISTRY, "mine", detection._REGISTRY["threshold_alert"])
+        monkeypatch.setitem(config._REGISTRY, "mine", config._REGISTRY["threshold_alert"])
         doc = yaml.safe_load(experiment_path("baseline").read_text())
         doc["detection"]["mechanism"] = "mine"
         assert validate(parse_experiment(yaml.safe_dump(doc))) == []
@@ -571,15 +620,98 @@ class TestSchemaDescription:
             parse_experiment(yaml.safe_dump(doc))
 
 
-def test_import_parse_and_validate_leave_numpy_random_unloaded():
-    """``numpy.random`` loads only once a simulation starts; importing oxn
-    and checking a file, which a run's setup time measures, do not load it."""
-    code = (f"import sys; sys.path.insert(0, {str(REPO_ROOT / 'src')!r}); import oxn; "
-            "from oxn.config import parse_experiment_file, validate; "
-            f"assert validate(parse_experiment_file({str(experiment_path('baseline'))!r})) == []; "
-            "print('numpy.random' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True)
-    assert proc.stdout.strip() == "False"
+def oxn_modules_after(code: str) -> str:
+    """The output of ``code``, run in a fresh isolated interpreter with this
+    oxn first on ``sys.path``, and then the oxn and numpy modules it loaded."""
+    code = (f"import sys; sys.path.insert(0, {str(REPO_ROOT / 'src')!r})\n{code}\n"
+            "print(sorted(m for m in sys.modules if m.partition('.')[0] in ('oxn', 'numpy')))")
+    return subprocess.run([sys.executable, "-I", "-c", code], capture_output=True, text=True, check=True).stdout
+
+
+def test_import_parse_and_validate_leave_numpy_unloaded():
+    """numpy loads only once a simulation starts: importing oxn and checking
+    the canonical files, which a run's setup time measures, load the
+    experiment format alone."""
+    paths = [str(experiment_path(name)) for name in CANONICAL_NAMES]
+    code = f"import oxn\nfor path in {paths!r}:\n    assert oxn.validate(oxn.parse_experiment_file(path)) == []"
+    assert oxn_modules_after(code) == "['oxn', 'oxn.config']\n"
+
+
+def test_cli_validate_leaves_numpy_unloaded():
+    """The same for ``oxn validate``, run as ``python -I -m oxn.cli`` runs it:
+    as ``__main__``, so ``oxn.cli`` is not in ``sys.modules``."""
+    code = (f"import runpy; sys.argv[1:] = ['validate', {str(experiment_path('baseline'))!r}]\n"
+            "try:\n    runpy.run_module('oxn.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n    print('exit', exc.code)")
+    assert oxn_modules_after(code) == "ok: baseline\nexit 0\n['oxn', 'oxn.config']\n"
+
+
+def test_package_root_names_are_their_modules_objects():
+    """Each name ``oxn`` exports, read on first use or not, is the object its
+    module defines; a name it does not export is an AttributeError."""
+    import oxn
+
+    for name in oxn.__all__:
+        module = importlib.import_module(f"oxn.{oxn._LAZY.get(name, 'config')}")
+        assert getattr(oxn, name) is getattr(module, name) and getattr(module, name).__module__ == module.__name__
+    with pytest.raises(AttributeError, match="has no attribute 'init_sim'"):
+        oxn.init_sim
+
+
+# Every experiment file in the repository and the spec texts the tests build.
+YAML_TEXTS = {
+    **{path.relative_to(REPO_ROOT).as_posix(): path.read_text()
+       for folder in ("experiments", "bench/workloads") for path in sorted((REPO_ROOT / folder).glob("*.yaml"))},
+    "MINIMAL": MINIMAL,
+    "EVERY_KIND": render_experiment(EVERY_KIND),
+    "small_spec": render_experiment(small_spec()),
+}
+
+
+class TestLoaders:
+    """libyaml's parser, where PyYAML has it, and PyYAML's Python parser read
+    every file alike and reject every malformed one at one position."""
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+    def test_libyaml_parses_where_pyyaml_has_it(self):
+        assert issubclass(config._Loader, yaml.CSafeLoader)
+
+    def test_every_file_is_read(self):
+        assert {"experiments/baseline.yaml", "bench/workloads/dense.yaml", "bench/workloads/surge.yaml"} < set(YAML_TEXTS)
+
+    @pytest.mark.parametrize("name", YAML_TEXTS)
+    def test_both_parsers_give_one_spec(self, name, monkeypatch):
+        spec = parse_experiment(YAML_TEXTS[name])
+        monkeypatch.setattr(config, "_Loader", config._PyLoader)
+        assert parse_experiment(YAML_TEXTS[name]) == spec
+        assert render_experiment(parse_experiment(YAML_TEXTS[name])) == render_experiment(spec)
+
+    @pytest.mark.parametrize("text, position", [
+        ("[oops", "line 1, column 6"),
+        ("name: [oops\n", "line 2, column 1"),
+        ("a: b: c\n", "line 1, column 5"),
+        ("sue:\n  services: []\n   seed: 1\n", "line 3, column 4"),
+        ("sue:\n\tservices: []\n", "line 2, column 1"),
+        ("name: 'x", "line 1, column 9"),
+        ("name: \x07\n", None),
+        ("name: \ud800\n", None),
+    ], ids=["flow_at_end", "flow", "nested_value", "indent", "tab_indent", "quote", "control", "lone_surrogate"])
+    def test_both_parsers_reject_at_one_position(self, text, position, monkeypatch):
+        with pytest.raises(ExperimentFormatError) as raised:
+            parse_experiment(text)
+        monkeypatch.setattr(config, "_Loader", config._PyLoader)
+        with pytest.raises(ExperimentFormatError) as raised_by_python:
+            parse_experiment(text)
+        assert str(raised.value) == str(raised_by_python.value)
+        assert str(raised.value).startswith(f"syntax error at {position}:" if position else "syntax error: ")
+
+    @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
+    def test_libyaml_reads_a_tab_after_a_colon_as_a_space(self, monkeypatch):
+        """YAML allows it; PyYAML's Python parser rejects it."""
+        assert parse_experiment(MINIMAL.replace("seed: 1", "seed:\t1")) == parse_experiment(MINIMAL)
+        monkeypatch.setattr(config, "_Loader", config._PyLoader)
+        with pytest.raises(ExperimentFormatError, match="line 3, column 6"):
+            parse_experiment(MINIMAL.replace("seed: 1", "seed:\t1"))
 
 
 def near_bound(f, current) -> list:

@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oxn import detection
-from oxn.config import DetectionSpec, validate
+from oxn import config
+from oxn.config import DetectionSpec, make_mechanism, register_mechanism, validate
 from oxn.detection import (
     BOUNDARY_BAND,
     MIN_CLASS_ROWS,
@@ -19,8 +19,6 @@ from oxn.detection import (
     _loss_grad_p,
     build_dataset,
     lagged_features,
-    make_mechanism,
-    register_mechanism,
     zscore_fit_apply,
 )
 from oxn.runner import run_experiment
@@ -472,7 +470,7 @@ def register():
 
     yield register_
     for name in names:
-        detection._REGISTRY.pop(name, None)
+        config._REGISTRY.pop(name, None)
 
 
 class TestCustomMechanism:

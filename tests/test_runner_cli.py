@@ -13,7 +13,7 @@ from pathlib import Path
 
 import pytest
 
-from oxn import cli, detection, runner
+from oxn import cli, config, runner
 from oxn.config import DetectionSpec, Pause, Stress, render_experiment
 from oxn.detection import MIN_CLASS_ROWS, ThresholdAlertMechanism
 from oxn.runner import (
@@ -140,7 +140,7 @@ class TestRunExperiment:
             assert report_json(parallel) == serial, method
 
     def test_registered_mechanism_runs_in_every_pool(self, monkeypatch):
-        monkeypatch.setitem(detection._REGISTRY, "mine", module_level_factory)
+        monkeypatch.setitem(config._REGISTRY, "mine", module_level_factory)
         spec = small_spec(detection=DetectionSpec(mechanism="mine"))
         serial = run_experiment(spec, parallel=1, frozen_clock=True).matrix.score_runs
         for method in pool_start_methods(monkeypatch):
@@ -148,7 +148,7 @@ class TestRunExperiment:
             assert parallel == serial, method
 
     def test_pool_rejects_a_factory_that_does_not_pickle(self, monkeypatch, serial_pool):
-        monkeypatch.setitem(detection._REGISTRY, "mine", lambda **_: ThresholdAlertMechanism())
+        monkeypatch.setitem(config._REGISTRY, "mine", lambda **_: ThresholdAlertMechanism())
         spec = small_spec(repetitions=2, detection=DetectionSpec(mechanism="mine"))
         with pytest.raises(ExperimentError, match="mechanism 'mine' cannot be sent to pool workers"):
             run_experiment(spec, parallel=2, frozen_clock=True)
@@ -173,7 +173,7 @@ class TestRunExperiment:
         # the fourth run is repetition 1 of the second fault. The factory is a
         # module-level class so that it pickles.
         factory = FailsLate(responses=len(spec.responses), crash_run=3)
-        monkeypatch.setitem(detection._REGISTRY, "fails_late", factory)
+        monkeypatch.setitem(config._REGISTRY, "fails_late", factory)
         with pytest.raises(ExperimentError) as raised:
             run_experiment(spec, parallel=parallel, frozen_clock=True)
         assert serial_pool == ([] if parallel == 1 else [2])
@@ -183,7 +183,7 @@ class TestRunExperiment:
 
     @pytest.mark.parametrize("score", [1.5, -0.1, math.nan, "0.5"])
     def test_a_score_that_is_not_a_number_in_the_unit_interval_fails_its_run(self, monkeypatch, score):
-        monkeypatch.setitem(detection._REGISTRY, "fixed", lambda **_: FixedScore(score))
+        monkeypatch.setitem(config._REGISTRY, "fixed", lambda **_: FixedScore(score))
         spec = small_spec(detection=DetectionSpec(mechanism="fixed"))
         with pytest.raises(ExperimentError) as raised:
             run_experiment(spec, frozen_clock=True)
@@ -194,7 +194,7 @@ class TestRunExperiment:
 
     def test_a_score_is_kept_as_a_float(self, monkeypatch):
         # True is an int in [0, 1]; written as true, compare would reject the report
-        monkeypatch.setitem(detection._REGISTRY, "fixed", lambda **_: FixedScore(True))
+        monkeypatch.setitem(config._REGISTRY, "fixed", lambda **_: FixedScore(True))
         doc = json.loads(report_json(run_experiment(small_spec(detection=DetectionSpec(mechanism="fixed")))))
         assert {json.dumps(run["scores"]) for run in doc["runs"]} == {
             '{"backend_rpm": 1.0, "system_cpu": 1.0, "trace_duration_gateway": 1.0}'
@@ -460,7 +460,7 @@ class TestCli:
         def must_not_run(*args, **kwargs):
             raise AssertionError("the experiment ran")
 
-        monkeypatch.setattr(cli, "run_experiment", must_not_run)
+        monkeypatch.setattr(runner, "run_experiment", must_not_run)
         assert cli.main(["run", str(small_file), "--out", str(out)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr() == ("", f"error: cannot create --out {out}: {reason}\n")
 
