@@ -21,6 +21,7 @@ that names one, so that this module, which imports neither numpy nor the rest
 of oxn, parses and validates a file alone. A file is read with libyaml's
 parser where PyYAML has it and with PyYAML's Python parser otherwise; both
 feed the same Python constructor and resolvers, so they give the same spec.
+The loaders read no YAML timestamps and refuse a key repeated in a mapping.
 """
 
 from __future__ import annotations
@@ -53,13 +54,30 @@ SPAN_BITS = 16
 _EXPONENT_FLOAT = re.compile(r"^[-+]?(?:\.[0-9]+|[0-9]+(?:\.[0-9]*)?)[eE][-+]?[0-9]+$")
 
 
-class _Loader(getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
+class _UniqueKeys:
+    """A key repeated in a mapping is an error at the second; PyYAML would keep the last."""
+
+    def construct_mapping(self, node, deep=False):
+        keys = set()
+        for key_node, _ in node.value:
+            if type(key_node) is not yaml.ScalarNode or key_node.tag == "tag:yaml.org,2002:merge":
+                continue  # the base constructor rejects or merges it
+            key = self.construct_object(key_node)
+            if key in keys:
+                raise yaml.constructor.ConstructorError(
+                    "while constructing a mapping", node.start_mark, f"duplicate key {key!r}", key_node.start_mark
+                )
+            keys.add(key)
+        return super().construct_mapping(node, deep)
+
+
+class _Loader(_UniqueKeys, getattr(yaml, "CSafeLoader", yaml.SafeLoader)):
     """libyaml's parser where PyYAML was built with it, about ten times as
     fast as the Python one on the canonical files, with PyYAML's Python
     constructor and resolvers."""
 
 
-class _PyLoader(yaml.SafeLoader):
+class _PyLoader(_UniqueKeys, yaml.SafeLoader):
     """PyYAML's Python parser, whose words and position ``_load`` gives every rejection."""
 
 
@@ -69,6 +87,11 @@ class _Dumper(yaml.SafeDumper):
 
 for _yaml_class in (_Loader, _PyLoader, _Dumper):
     _yaml_class.add_implicit_resolver("tag:yaml.org,2002:float", _EXPONENT_FLOAT, list("-+.0123456789"))
+for _yaml_class in (_Loader, _PyLoader):  # the format has no dates: ``2001-12-05`` is a string
+    _yaml_class.yaml_implicit_resolvers = {
+        first: [r for r in resolvers if r[0] != "tag:yaml.org,2002:timestamp"]
+        for first, resolvers in _yaml_class.yaml_implicit_resolvers.items()
+    }
 
 
 class Range(NamedTuple):

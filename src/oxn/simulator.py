@@ -44,11 +44,11 @@ work in flight. A completion event carries its call, and a pause or a kill
 takes its service's completions off the heap. Client timeouts, nearly all of
 which fall after their request has finished, wait in a FIFO of which only
 the first is on the heap. Users' wake-ups (each thinking user holds one)
-wait in a heap of their own, of which the main heap holds a sorted prefix
-that always contains the earliest. Every event keeps its ``(t, seq)`` key in
-either tier, so events pop in the same order as from one heap. The cyclic
-garbage collector is paused while ``run_until`` runs: the run creates no
-reference cycles, so a collection would only re-scan the live calls.
+wait in a heap of their own, and the loop pops whichever of the two heads
+has the smaller ``(t, seq)`` key, so events pop in the same order as from
+one heap. The cyclic garbage collector is paused while ``run_until`` runs:
+the run creates no reference cycles, so a collection would only re-scan the
+live calls.
 """
 
 from __future__ import annotations
@@ -273,12 +273,8 @@ class SimState:
         self.now = -1
         self._heap: list[tuple[int, int, int, object]] = []
         self._seq = 0
-        # Pending wake-ups (see ``wake``). The heap holds the first
-        # ``_wakeups_on_heap`` of them in (t, seq) order, the latest being
-        # ``_horizon``, and at least one while any is pending.
+        # Pending wake-ups (see ``wake``), on a heap of their own.
         self._wakeups: list[tuple[int, int, int, object]] = []
-        self._wakeups_on_heap = 0
-        self._horizon: tuple[int, int, int, object] | None = None
         # Client timeouts of the handled root arrivals in (t, seq) order; only the
         # first is also on the heap, and those of finished requests are dropped.
         self._timeouts: deque[tuple[int, int, int, _Request]] = deque()
@@ -315,38 +311,15 @@ class SimState:
         heapq.heappush(self._heap, (t, self._seq, kind, payload))
 
     def wake(self, t: int, kind: int, payload: object) -> None:
-        """Push a user's wake-up, a root arrival or the start of a user, with
-        the next sequence number. It joins the heap too when the heap holds
-        no wake-up or when it falls before the horizon, so the heap holds
-        exactly the pending wake-ups up to the horizon."""
+        """Push a user's wake-up, a root arrival or a user's start, with the next sequence number."""
         self._seq += 1
-        event = (t, self._seq, kind, payload)
-        heapq.heappush(self._wakeups, event)
-        if not self._wakeups_on_heap or event < self._horizon:
-            heapq.heappush(self._heap, event)
-            self._wakeups_on_heap += 1
-            if self._wakeups_on_heap == 1:
-                self._horizon = event
-
-    def _woken(self) -> None:
-        """The loop popped a wake-up off the heap, which is the earliest one:
-        drop it from ``_wakeups``, and promote the next when the heap holds
-        no other."""
-        wakeups = self._wakeups
-        heapq.heappop(wakeups)
-        self._wakeups_on_heap -= 1
-        if not self._wakeups_on_heap and wakeups:
-            self._horizon = wakeups[0]
-            self._wakeups_on_heap = 1
-            heapq.heappush(self._heap, wakeups[0])
+        heapq.heappush(self._wakeups, (t, self._seq, kind, payload))
 
     def pending_events(self) -> int:
-        """Events pending: those on the heap, the wake-ups beyond the
-        horizon and the client timeouts queued behind the first, which is on
-        the heap. The queued timeout of a finished request counts until it
-        is dropped."""
-        beyond = len(self._wakeups) - self._wakeups_on_heap
-        return len(self._heap) + beyond + max(len(self._timeouts) - 1, 0)
+        """Events pending: those on the heap, the wake-ups and the client
+        timeouts queued behind the first, which is on the heap. The queued
+        timeout of a finished request counts until it is dropped."""
+        return len(self._heap) + len(self._wakeups) + max(len(self._timeouts) - 1, 0)
 
     # -- public operations --------------------------------------------------
 
@@ -404,6 +377,7 @@ class SimState:
 
     def _run(self, t: int | None) -> None:
         heap = self._heap
+        wakeups = self._wakeups
         heappush = heapq.heappush
         heappop = heapq.heappop
         timeouts = self._timeouts
@@ -418,14 +392,17 @@ class SimState:
         span_bits = SPAN_BITS
         limit = _END_OF_TIME if t is None else t
         when = self.now
-        while heap and heap[0][0] <= limit:
-            when, seq, kind, payload = heappop(heap)
+        while True:
+            # Seq numbers are unique, so the two heads never compare past them.
+            queue = wakeups if wakeups and (not heap or wakeups[0] < heap[0]) else heap
+            if not queue or queue[0][0] > limit:
+                break
+            when, seq, kind, payload = heappop(queue)
             if kind == _EV_ARRIVAL:
                 call = payload
                 svc = call.svc
                 parent = call.parent
                 if parent is None:
-                    self._woken()
                     # Root arrivals come in (t, seq) order, so the FIFO stays sorted.
                     timeouts.append((when + CLIENT_TIMEOUT_MS, seq + 1, _EV_TIMEOUT, call.request))
                     if len(timeouts) == 1:
@@ -510,7 +487,6 @@ class SimState:
                     if timeouts:
                         heappush(heap, timeouts[0])
                 elif kind == _EV_USER:
-                    self._woken()
                     self._think(payload, when)
                 else:
                     self._fault_start(payload, when)

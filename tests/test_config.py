@@ -705,6 +705,24 @@ class TestLoaders:
         assert str(raised.value) == str(raised_by_python.value)
         assert str(raised.value).startswith(f"syntax error at {position}:" if position else "syntax error: ")
 
+    @pytest.mark.parametrize("loader", ["_Loader", "_PyLoader"])
+    def test_a_date_is_read_as_a_string(self, loader, monkeypatch):
+        monkeypatch.setattr(config, "_Loader", getattr(config, loader))
+        assert parse_experiment(MINIMAL.replace("name: minimal", "name: 2001-12-05")).name == "2001-12-05"
+        with pytest.raises(ExperimentFormatError, match="^seed must be an integer$"):
+            parse_experiment(MINIMAL.replace("seed: 1", "seed: 2001-13-45"))
+
+    @pytest.mark.parametrize("loader", ["_Loader", "_PyLoader"])
+    @pytest.mark.parametrize("old, new, position, key", [
+        ("seed: 1\n", "seed: 1\nrepetitions: 10\nrepetitions: 3\n", "line 5, column 1", "repetitions"),
+        ("{median_ms: 10, sigma: 0.0}", "{median_ms: 10, sigma: 0.0, median_ms: 20}", "line 8, column 49", "median_ms"),
+    ], ids=["top_level", "nested_flow"])
+    def test_a_repeated_key_is_rejected_at_its_second_place(self, loader, old, new, position, key, monkeypatch):
+        monkeypatch.setattr(config, "_Loader", getattr(config, loader))
+        with pytest.raises(ExperimentFormatError) as raised:
+            parse_experiment(MINIMAL.replace(old, new))
+        assert str(raised.value) == f"syntax error at {position}: duplicate key '{key}'"
+
     @pytest.mark.skipif(not yaml.__with_libyaml__, reason="PyYAML is built without libyaml")
     def test_libyaml_reads_a_tab_after_a_colon_as_a_space(self, monkeypatch):
         """YAML allows it; PyYAML's Python parser rejects it."""

@@ -24,7 +24,7 @@ from oxn.runner import (
     spec_digest,
 )
 
-from conftest import REPO_ROOT, cli_env, small_spec
+from conftest import REPO_ROOT, cli_env, experiment_path, small_spec
 
 
 DELETE = object()  # a field a test removes from a report document
@@ -345,6 +345,15 @@ class TestReportDocument:
             "5.0 is greater than the maximum of 1",
         )
 
+    def test_a_report_with_a_live_clock_conforms(self):
+        jsonschema = pytest.importorskip("jsonschema")
+        schema = json.loads((REPO_ROOT / "src/oxn/report_schema.json").read_text())
+        doc = json.loads(report_json(run_experiment(small_spec(repetitions=1))))
+        jsonschema.validate(doc, schema)
+        assert sorted(doc["meta"]) == ["generated_at", "wall_clock_s"]
+        doc["meta"]["frozen"] = True
+        assert not jsonschema.Draft7Validator(schema).is_valid(doc)
+
     @pytest.mark.parametrize(
         "key, edit",
         [
@@ -426,6 +435,16 @@ class TestCli:
         proc = run_cli("validate", str(path))
         assert proc.returncode == 1
         assert "syntax error" in proc.stderr
+
+    @pytest.mark.parametrize("old, new, expected", [
+        ("seed: 0", "seed: 2001-13-45", (1, "", "error: seed must be an integer\n")),
+        ("name: baseline", "name: 2001-12-05", (0, "ok: 2001-12-05\n", "")),
+    ], ids=["seed", "name"])
+    def test_validate_reads_a_date_as_a_string(self, tmp_path, old, new, expected):
+        path = tmp_path / "dated.yaml"
+        path.write_text(experiment_path("baseline").read_text().replace(old, new, 1))
+        proc = run_cli("validate", str(path))
+        assert (proc.returncode, proc.stdout, proc.stderr) == expected
 
     def test_missing_file(self):
         proc = run_cli("validate", "/nonexistent.yaml")

@@ -3,6 +3,7 @@ from __future__ import annotations
 import copy
 import gc
 import hashlib
+import heapq
 import json
 import pickle
 from array import array
@@ -566,18 +567,17 @@ class TestEventQueue:
         for t in range(0, spec.workload.duration_ms + CLIENT_TIMEOUT_MS, 10_000):
             sim.run_until(t)
             assert sum(kind == _EV_TIMEOUT for _, _, kind, _ in sim._heap) <= 1
-            # An open request has its arrival or its client timeout pending.
+            # No wake-up is on the main heap, and ``_wakeups`` holds nothing else.
+            assert not any(is_wakeup(e) for e in sim._heap)
+            assert all(is_wakeup(e) for e in sim._wakeups)
+            # An open request has its arrival pending in ``_wakeups`` or, once
+            # the arrival is handled, its client timeout queued.
             open_requests = sim._request_count - len(sim.records)
+            waiting = sum(kind == _EV_ARRIVAL for _, _, kind, _ in sim._wakeups)
+            handled = sum(not request.done for _, _, _, request in sim._timeouts)
+            assert open_requests == waiting + handled
             assert sim.pending_events() >= open_requests
             heap_alone_short |= len(sim._heap) < open_requests
-            # The heap holds the earliest pending wake-ups, each also in
-            # ``_wakeups``, and as many as it counts.
-            on_heap = sorted(e[:2] for e in sim._heap if is_wakeup(e))
-            pending = sorted(e[:2] for e in sim._wakeups)
-            assert set(on_heap) <= set(pending)
-            assert not pending or pending[0] in on_heap
-            assert len(on_heap) == sim._wakeups_on_heap
-            assert on_heap == pending[: len(on_heap)]
             heap_sizes.append(len(sim._heap))
         assert heap_alone_short  # calls queued at the paused service have no other event
         # The heap is as deep as the work in flight, not as the 50 users.
@@ -586,19 +586,54 @@ class TestEventQueue:
         assert sim.pending_events() == 0
         assert sorted(r.request_id for r in sim.records) == list(range(sim._request_count))
 
-    def test_a_wakeup_between_two_on_the_heap_comes_in_time_order(self):
+    def test_wakeups_pushed_out_of_order_come_in_time_order(self):
         sim = new_sim(sue_single(), seed=1)
         for user, at in enumerate((300, 100, 200)):
             sim.issue_request(user, at=at)
-        assert sorted(e[0] for e in sim._heap if is_wakeup(e)) == [100, 200, 300]
-        # Later than the earliest pending wake-up, but before the latest on the heap.
+        sim.run_until(150)
+        # Issued while the other two wait: one before the latest, one after.
         sim.issue_request(3, at=250)
         sim.issue_request(4, at=400)
+        assert not any(is_wakeup(e) for e in sim._heap)
+        assert sorted(e[0] for e in sim._wakeups) == [200, 250, 300, 400]
         sim.run_until(None)
         assert [(r.start_ms, r.end_ms) for r in sim.records] == [
             (100, 110), (200, 210), (250, 260), (300, 310), (400, 410)
         ]
         assert sim.pending_events() == 0
+
+    def test_a_tie_between_the_heaps_pops_in_seq_order(self, monkeypatch):
+        popped = []
+
+        def recording_heappop(queue, pop=heapq.heappop):
+            event = pop(queue)
+            popped.append((event[0], event[1], "wake" if is_wakeup(event) else "heap"))
+            return event
+
+        monkeypatch.setattr(heapq, "heappop", recording_heappop)
+        sim = new_sim(sue_single(median_ms=10, workers=1), seed=1)
+        # Requests at 0, 10 and 21 take seq 1, 3 and 5, each with the next for its client timeout.
+        sim.issue_request(0, at=0)
+        sim.issue_request(1, at=10)
+        sim.issue_request(2, at=21)
+        sim.run_until(10)
+        # The first completion (seq 7) ties with the second arrival, which
+        # holds the smaller seq; both are handled at exactly the limit.
+        assert popped == [(0, 1, "wake"), (10, 3, "wake"), (10, 7, "heap")]
+        sim.issue_request(3, at=20)
+        popped.clear()
+        sim.run_until(20)
+        # The second completion (seq 8) now holds the smaller seq; the
+        # wake-up at 21 waits.
+        assert popped == [(20, 8, "heap"), (20, 9, "wake")]
+        popped.clear()
+        sim.run_until(29)
+        assert popped == [(21, 5, "wake")]
+        popped.clear()
+        sim.run_until(30)
+        assert popped == [(30, 11, "heap")]
+        sim.run_until(None)
+        assert [(r.start_ms, r.end_ms) for r in sim.records] == [(0, 10), (10, 20), (20, 30), (21, 40)]
 
 
 @contextmanager
