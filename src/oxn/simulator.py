@@ -19,8 +19,8 @@ acts only on the finished log (``telemetry``). The state is plain data (heap
 events carry records and ids, never callables, and a stream of durations is
 its generator's state), so a running ``SimState`` can be deep-copied or
 pickled and either copy runs on identically. The raw events go to the typed
-columns of ``RawEventLog``; each ok span close is one request-counter
-increment.
+columns of ``RawEventLog`` and the finished requests to those of
+``RequestTable``; each ok span close is one request-counter increment.
 
 Faults are added with ``add_fault``, whose boundary events take negative
 sequence numbers in the order the faults were added (-2,000,000 + 2i for the
@@ -29,7 +29,7 @@ event of the same millisecond. A fault-free state run to ``start_ms - 1`` is
 therefore a fork point: a copy given the fault there runs on to the same
 event log and records as a state that held the fault from the start. The
 runner simulates each repetition's fault-free prefix once and forks it so,
-with ``fork``: a pickle round trip that shares the request records.
+with ``fork``: a pickle round trip.
 
 Arrivals and completions, the two events behind almost every span, are
 handled in the ``run_until`` loop body; rarer events have handler methods.
@@ -189,10 +189,31 @@ class RequestRecord(NamedTuple):
     outcome: str  # ok | error | timeout
 
 
+OUTCOMES = ("ok", "error", "timeout")  # a request table's outcome codes
+_OK, _ERROR, _TIMEOUT = range(3)
+
+
+@dataclass
+class RequestTable:
+    """Finished requests in finish order; ``outcome`` indexes ``OUTCOMES``."""
+
+    request_id: array = field(default_factory=lambda: array("q"))
+    user: array = field(default_factory=lambda: array("q"))
+    start_ms: array = field(default_factory=lambda: array("q"))
+    end_ms: array = field(default_factory=lambda: array("q"))
+    outcome: array = field(default_factory=lambda: array("b"))
+
+    def __len__(self) -> int:
+        return len(self.request_id)
+
+    def __iter__(self):  # the rows as ``RequestRecord``s
+        return (RequestRecord(*row, OUTCOMES[outcome]) for *row, outcome in zip(*vars(self).values()))
+
+
 @dataclass
 class RawEventLog:
-    """Raw instrumentation events of one run: the span table and the CPU
-    table, one busy slice per row in timestamp order."""
+    """Raw instrumentation events of one run: the span table, a root before
+    the rest of its trace, and the CPU table, one busy slice per row in timestamp order."""
 
     spans: SpanTable = field(default_factory=SpanTable)
     cpu_service: array = field(default_factory=lambda: array("q"))
@@ -279,7 +300,7 @@ class SimState:
         # first is also on the heap, and those of finished requests are dropped.
         self._timeouts: deque[tuple[int, int, int, _Request]] = deque()
         self.log = RawEventLog()
-        self.records: list[RequestRecord] = []
+        self.records = RequestTable()  # finished requests, in finish order
         self._request_count = 0
         self._streams: dict[str, np.random.Generator] = {}
         self._think_times: dict[int, LognormalDraws] = {}  # by user
@@ -324,14 +345,8 @@ class SimState:
     # -- public operations --------------------------------------------------
 
     def fork(self) -> SimState:
-        """A pickle round trip of the state that shares its immutable request records."""
-        records, self.records = self.records, []
-        try:
-            twin = pickle.loads(pickle.dumps(self))
-        finally:
-            self.records = records
-        twin.records = records.copy()
-        return twin
+        """A copy of the state, by a pickle round trip, that runs on independently."""
+        return pickle.loads(pickle.dumps(self))
 
     def add_fault(self, fault: Fault) -> None:
         """Schedule ``fault``'s window boundaries (see the module docstring
@@ -481,7 +496,7 @@ class SimState:
                 elif kind == _EV_TIMEOUT:
                     timeouts.popleft()  # this event
                     if not payload.done:
-                        self._finish_request(payload, "timeout", when)
+                        self._finish_request(payload, _TIMEOUT, when)
                     while timeouts and timeouts[0][3].done:
                         timeouts.popleft()
                     if timeouts:
@@ -547,7 +562,7 @@ class SimState:
             parent = call.parent
             if parent is None:
                 if not call.request.done:
-                    self._finish_request(call.request, "error" if call.failed else "ok", t)
+                    self._finish_request(call.request, _ERROR if call.failed else _OK, t)
                 return
             if call.failed:
                 parent.failed = True
@@ -567,10 +582,14 @@ class SimState:
 
     # -- rare events -----------------------------------------------------------
 
-    def _finish_request(self, request: _Request, outcome: str, t: int) -> None:
+    def _finish_request(self, request: _Request, outcome: int, t: int) -> None:
         """Record ``request``, which is not yet done; its user thinks next."""
         request.done = True
-        self.records.append(RequestRecord(request.index, request.user, request.start, t, outcome))
+        self.records.request_id.append(request.index)
+        self.records.user.append(request.user)
+        self.records.start_ms.append(request.start)
+        self.records.end_ms.append(t)
+        self.records.outcome.append(outcome)
         if self.workload is not None:
             self._think(request.user, t)
 

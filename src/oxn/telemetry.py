@@ -1,7 +1,8 @@
 """Turn raw instrumentation events into sampled metrics, sampled traces and
 labeled response series.
 
-The raw event log's typed columns are read as numpy views. Metrics are
+The raw event log's typed columns are read as numpy views, ``_CHUNK_ROWS``
+rows at a time, so no temporary is as long as the log. Metrics are
 materialized on a fixed grid: every timestamp is the end of its
 (aggregation) window and windows without data yield explicit zeros, so
 downstream detectors always see rectangular data. A gauge reads each target
@@ -35,6 +36,7 @@ from .config import (
 from .simulator import RawEventLog, SpanTable
 
 SETTLING_MARGIN_MS = 30_000
+_CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -78,13 +80,19 @@ def _rows(point: MetricPointSpec, sue: SueSpec) -> list[int]:
     return [i for i, s in enumerate(sue.services) if point.target in (SYSTEM_TARGET, s.id)]
 
 
-def _ok_closes(log: RawEventLog, duration_ms: int) -> tuple[np.ndarray, np.ndarray]:
-    """(service, end) of each span closed ok by ``duration_ms``: the
-    request-counter increments, in span open order."""
-    spans = log.spans
-    end = np.asarray(spans.end_ms)
-    counted = np.asarray(spans.ok).astype(bool) & (end <= duration_ms)
-    return np.asarray(spans.service)[counted], end[counted]
+def _chunks(*columns):
+    """Views of each ``_CHUNK_ROWS`` rows of the columns, in row order; an empty table is one empty chunk."""
+    views = [np.asarray(column) for column in columns]
+    for lo in range(0, len(views[0]) or 1, _CHUNK_ROWS):
+        yield [view[lo : lo + _CHUNK_ROWS] for view in views]
+
+
+def _ok_closes(log: RawEventLog, duration_ms: int):
+    """(service, end) of each span closed ok by ``duration_ms``, chunk by
+    chunk: the request-counter increments, in span open order."""
+    for service, end, ok in _chunks(log.spans.service, log.spans.end_ms, log.spans.ok):
+        counted = ok.astype(bool) & (end <= duration_ms)
+        yield service[counted], end[counted]
 
 
 def _accumulate(grids: dict, service: np.ndarray, t: np.ndarray, weights) -> None:
@@ -94,6 +102,11 @@ def _accumulate(grids: dict, service: np.ndarray, t: np.ndarray, weights) -> Non
     for interval, grid in grids.items():
         n = grid.shape[1]
         np.add.at(grid.reshape(-1), service * n + np.minimum(t // interval, n - 1), weights)
+
+
+def _trace_flags(span_id: np.ndarray) -> np.ndarray:
+    """All-false flags indexed by trace id, up to the largest in ``span_id``."""
+    return np.zeros((int(np.max(span_id, initial=-1)) >> SPAN_BITS) + 1, dtype=bool)
 
 
 def _in_flight(spans: SpanTable, n_services: int, duration_ms: int, interval_ms: int) -> np.ndarray:
@@ -131,10 +144,11 @@ def sample_metrics(
         for p in points
         if p.kind == "request_counter"
     }
-    t = np.asarray(log.cpu_t_ms)
-    slices = t <= duration_ms
-    _accumulate(busy, np.asarray(log.cpu_service)[slices], t[slices], np.asarray(log.cpu_ms)[slices])
-    _accumulate(counts, *_ok_closes(log, duration_ms), 1)
+    for service, t, ms in _chunks(log.cpu_service, log.cpu_t_ms, log.cpu_ms):
+        slices = t <= duration_ms
+        _accumulate(busy, service[slices], t[slices], ms[slices])
+    for service, end in _ok_closes(log, duration_ms):
+        _accumulate(counts, service, end, 1)
 
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for point in points:
@@ -170,12 +184,16 @@ def sample_traces(
     root-open order, so runs that share a seed keep nested subsets of traces
     as the rate grows.
     """
-    trace = np.asarray(log.spans.span_id) >> SPAN_BITS
-    roots = trace[np.asarray(log.spans.parent) < 0]
-    trace_count = len(roots)
-    if cfg.strategy != "always_on":
-        roots = roots[rng.random(len(roots)) < cfg.rate]
-    kept = log.spans.take(np.isin(trace, roots))
+    keep = _trace_flags(np.asarray(log.spans.span_id))
+    rows, trace_count = [], 0
+    # A root's row comes before the rest of its trace: in its chunk or an earlier one.
+    for k, (span_id, parent) in enumerate(_chunks(log.spans.span_id, log.spans.parent)):
+        trace = span_id >> SPAN_BITS
+        roots = trace[parent < 0]
+        trace_count += len(roots)
+        keep[roots if cfg.strategy == "always_on" else roots[rng.random(len(roots)) < cfg.rate]] = True
+        rows.append(k * _CHUNK_ROWS + np.flatnonzero(keep[trace]))
+    kept = log.spans.take(np.concatenate(rows))
     open_rows = kept.end_ms < 0
     if open_rows.any():
         raise ValueError(f"span {kept.span_id[open_rows.argmax()]} was never closed")
@@ -201,7 +219,7 @@ def build_batch(
             counted[_rows(point, sue)] = True
         else:  # a gauge reads each target once per sampling window
             calls[_rows(point, sue)] += _window_count(duration_ms, point.sampling_interval_ms)
-    calls += np.bincount(_ok_closes(log, duration_ms)[0], minlength=n) * counted
+    calls += sum(np.bincount(service, minlength=n) for service, _ in _ok_closes(log, duration_ms)) * counted
     calls = dict(zip(services, calls.astype(np.float64).tolist()))
 
     return TelemetryBatch(
@@ -225,9 +243,11 @@ def materialize_response(
         timestamps, values = batch.metrics[spec.source]
     else:  # trace_duration
         spans = batch.spans
-        entered = spans.span_id[spans.service == batch.services.index(spec.source)] >> SPAN_BITS
+        trace = spans.span_id >> SPAN_BITS
+        entered = _trace_flags(spans.span_id)
+        entered[trace[spans.service == batch.services.index(spec.source)]] = True
         # Kept spans are in (start, span id) order, and so are their roots.
-        roots = spans.take((spans.parent < 0) & np.isin(spans.span_id >> SPAN_BITS, entered))
+        roots = spans.take((spans.parent < 0) & entered[trace])
         timestamps = roots.start_ms
         values = (roots.end_ms - roots.start_ms).astype(np.float64)
     settled = (timestamps <= fault.end_ms) | (timestamps > fault.end_ms + SETTLING_MARGIN_MS)

@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import time
+from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
@@ -22,7 +23,7 @@ from oxn.config import (
     parse_experiment_file,
 )
 from oxn.runner import run_experiment
-from oxn.simulator import RawEventLog, SimState, SpanTable, init_sim
+from oxn.simulator import RawEventLog, SimState, SpanTable, drive, init_sim
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXPERIMENTS_DIR = REPO_ROOT / "experiments"
@@ -121,6 +122,20 @@ def small_spec(**overrides) -> ExperimentSpec:
     )
     base.update(overrides)
     return ExperimentSpec(**base)
+
+
+def surge_sim() -> tuple[ExperimentSpec, SimState]:
+    """The spec of bench/workloads/surge.yaml, and a simulation of its
+    topology at seed 7: 2,000 users ramped up over 2 s for 30 s, and
+    ``recommendation`` paused from 3 s to 18 s, longer than the client
+    timeout. Its 2,255 requests include 53 timeouts, so many users wake at
+    once and many requests time out."""
+    spec = parse_experiment_file(REPO_ROOT / "bench/workloads/surge.yaml")
+    workload = replace(spec.workload, users=2000, duration_ms=30_000, ramp_up_ms=2000)
+    pause = Pause(name="pause_recommendation", target="recommendation", start_ms=3000, end_ms=18_000)
+    sim = new_sim(spec.sue, 7, [pause])
+    drive(sim, workload)
+    return spec, sim
 
 
 class SpanRow(NamedTuple):

@@ -19,6 +19,7 @@ from oxn.config import (
     CallEdge,
     ExperimentSpec,
     Fault,
+    Kill,
     LognormalSpec,
     MetricPointSpec,
     MetricSamplingInterval,
@@ -44,13 +45,16 @@ from oxn.simulator import (
     _EV_TIMEOUT,
     _EV_USER,
     CLIENT_TIMEOUT_MS,
+    OUTCOMES,
     LognormalDraws,
+    RequestRecord,
+    RequestTable,
     drive,
     rng_stream,
 )
 
 from conftest import (
-    REPO_ROOT, SpanRow, cpu_rows, experiment_path, new_sim, ok_closes, small_spec, span_rows, tiny_service,
+    SpanRow, cpu_rows, experiment_path, new_sim, ok_closes, small_spec, span_rows, surge_sim, tiny_service,
 )
 
 
@@ -109,15 +113,16 @@ class TestBasics:
         sim = new_sim(sue_single(), seed=1)
         sim.issue_request(0, at=0)
         sim.run_until(None)
-        assert sim.records[0].end_ms - sim.records[0].start_ms == 10
-        assert sim.records[0].outcome == "ok"
+        (record,) = sim.records
+        assert (record.end_ms - record.start_ms, record.outcome) == (10, "ok")
 
     def test_chain_latency_is_additive(self):
         sue = sue_chain()
         sim = new_sim(sue, seed=1)
         sim.issue_request(0, at=0)
         sim.run_until(None)
-        assert sim.records[0].end_ms - sim.records[0].start_ms == 25
+        (record,) = sim.records
+        assert record.end_ms - record.start_ms == 25
         # a serves 10 ms, the edge takes 5 ms, b serves 10 ms and both close at 25
         rows = span_rows(sim.log.spans, sue)
         assert [(r.service, r.start_ms, r.end_ms) for r in rows] == [("a", 0, 25), ("b", 15, 25)]
@@ -135,6 +140,30 @@ class TestBasics:
         sim.issue_request(0, at=50)
         sim.run_until(1000)
         assert sim.now == 1000
+
+
+class TestRequestTable:
+    def test_rows_come_in_finish_order_with_their_outcomes(self):
+        """Requests issued latest first finish first: an ok at 10 ms, an
+        error from the killed service and a timeout at the paused one."""
+        faults = [Kill(name="k", target="api", start_ms=1000, end_ms=2000),
+                  Pause(name="p", target="api", start_ms=5000, end_ms=20_000)]
+        sim = new_sim(sue_single(), 1, faults)
+        for user, at in enumerate((6000, 1500, 0)):
+            sim.issue_request(user, at=at)
+        sim.run_until(None)
+        assert len(sim.records) == 3
+        assert list(sim.records) == [
+            RequestRecord(2, 2, 0, 10, "ok"),
+            RequestRecord(1, 1, 1500, 1800, "error"),
+            RequestRecord(0, 0, 6000, 6000 + CLIENT_TIMEOUT_MS, "timeout"),
+        ]
+        assert sim.records.outcome == array("b", [0, 1, 2])
+        assert [OUTCOMES[code] for code in sim.records.outcome] == ["ok", "error", "timeout"]
+
+    def test_an_empty_table(self):
+        records = new_sim(sue_single(), 1).records
+        assert len(records) == 0 and list(records) == [] and records == RequestTable()
 
 
 class TestDeterminism:
@@ -365,7 +394,7 @@ class TestFaults:
         sim = new_sim(sue, 3, self.make_faults("kill"))
         sim.issue_request(0, at=25_000)
         sim.run_until(None)
-        record = sim.records[0]
+        (record,) = sim.records
         assert record.outcome == "error"
         # a processes 10 ms, edge 5 ms, then b's error response time (300 ms)
         assert record.end_ms - record.start_ms == 10 + 5 + 300
@@ -382,8 +411,8 @@ class TestFaults:
         sim = new_sim(sue, 3, self.make_faults("kill"))
         sim.issue_request(0, at=18_985)
         sim.run_until(None)
-        assert sim.records[0].outcome == "error"
-        assert sim.records[0].end_ms == 20_000
+        (record,) = sim.records
+        assert (record.outcome, record.end_ms) == ("error", 20_000)
         assert not [ms for s, t, ms in cpu_rows(sim.log, sue) if s == "b"]
 
     def test_network_delay_bounds_per_hop(self):
@@ -440,8 +469,9 @@ class TestFaults:
         sim = new_sim(sue, 41, [treatment])
         sim.issue_request(0, at=25_000)
         sim.run_until(None)
-        assert sim.records[0].outcome == "error"
-        assert sim.records[0].end_ms - sim.records[0].start_ms == 300  # entry error response time
+        (record,) = sim.records
+        assert record.outcome == "error"
+        assert record.end_ms - record.start_ms == 300  # entry error response time
         assert sim.log.span_count() == 0
 
     def test_timeout_records_exact_client_timeout(self):
@@ -449,8 +479,9 @@ class TestFaults:
         sim = new_sim(sue, 37, self.make_faults("pause"))
         sim.issue_request(0, at=25_000)
         sim.run_until(None)
-        assert sim.records[0].outcome == "timeout"
-        assert sim.records[0].end_ms - sim.records[0].start_ms == CLIENT_TIMEOUT_MS
+        (record,) = sim.records
+        assert record.outcome == "timeout"
+        assert record.end_ms - record.start_ms == CLIENT_TIMEOUT_MS
 
     @pytest.mark.parametrize("service_ms, outcome", [(CLIENT_TIMEOUT_MS, "timeout"), (CLIENT_TIMEOUT_MS - 1, "ok")])
     def test_close_at_the_client_timeout_is_a_timeout(self, service_ms, outcome):
@@ -521,20 +552,6 @@ def event_log_digest(sim, sue) -> str:
 # sha256 of the raw event log of ``surge_sim``'s run, listed as for
 # ``EVENT_LOG_DIGESTS``.
 SURGE_EVENT_LOG_DIGEST = "acca6fa63bb0a9e72a2e5ae91747e733d35ef90368357c5eea355707565d1373"
-
-
-def surge_sim():
-    """The spec of bench/workloads/surge.yaml, and a simulation of its
-    topology at seed 7: 2,000 users ramped up over 2 s for 30 s, and
-    ``recommendation`` paused from 3 s to 18 s, longer than the client
-    timeout. Its 2,255 requests include 53 timeouts, so many users wake at
-    once and many requests time out."""
-    spec = parse_experiment_file(REPO_ROOT / "bench/workloads/surge.yaml")
-    workload = replace(spec.workload, users=2000, duration_ms=30_000, ramp_up_ms=2000)
-    pause = Pause(name="pause_recommendation", target="recommendation", start_ms=3000, end_ms=18_000)
-    sim = new_sim(spec.sue, 7, [pause])
-    drive(sim, workload)
-    return spec, sim
 
 
 class TestGoldenEventLog:
@@ -732,17 +749,19 @@ class TestFork:
             assert fork.log == whole.log
 
     def test_a_fork_and_its_prefix_add_records_and_spans_apart(self):
-        """What a fork adds does not appear in the state it was forked from,
-        and the reverse, though the two share the prefix's records."""
+        """A fork holds its own copy of the prefix's records and log: what it
+        adds does not appear in the state it was forked from, and the reverse."""
         spec, faults = baseline_faults()
         sim = baseline_sim(spec, faults["pause"])
         sim.run_until(249_999)
         fork = sim.fork()
-        prefix = (list(sim.records), copy.deepcopy(sim.log))
+        assert len(fork.records) > 0 and fork.records == sim.records
+        assert not {id(c) for c in vars(fork.records).values()} & {id(c) for c in vars(sim.records).values()}
+        prefix = copy.deepcopy((sim.records, sim.log))
         fork.run_until(None)
         assert len(fork.records) > len(prefix[0]) and fork.log.span_count() > prefix[1].span_count()
         assert (sim.records, sim.log) == prefix
-        forked = (list(fork.records), copy.deepcopy(fork.log))
+        forked = copy.deepcopy((fork.records, fork.log))
         sim.run_until(None)
         assert (fork.records, fork.log) == forked
         assert sim.records == fork.records and sim.log == fork.log

@@ -1,12 +1,16 @@
 from __future__ import annotations
 
 import bisect
+import dataclasses
 import functools
+import tracemalloc
 from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
+
+from oxn import telemetry
 
 from oxn.config import (
     MetricPointSpec,
@@ -27,7 +31,7 @@ from oxn.telemetry import (
     sample_traces,
 )
 
-from conftest import event_log, new_sim, small_spec, span_id, span_rows, tiny_service
+from conftest import event_log, new_sim, small_spec, span_id, span_rows, surge_sim, tiny_service
 
 
 def one_service_sue(points=(), trace=TraceConfigSpec()) -> SueSpec:
@@ -351,6 +355,148 @@ class TestSampleTracesReference:
             reference_traces(log, cfg, rng_stream(4, "t"))
         with pytest.raises(ValueError, match=f"^{expected.value}$"):
             sample_traces(log, cfg, rng_stream(4, "t"))
+
+
+def exact(value):
+    """``value`` with every array as its dtype, shape and bytes and every
+    float as its hex digits, so that ``==`` compares bits."""
+    if isinstance(value, np.ndarray):
+        return value.dtype.str, value.shape, value.tobytes()
+    if isinstance(value, float):
+        return value.hex()
+    if dataclasses.is_dataclass(value):
+        value = vars(value)
+    if isinstance(value, dict):
+        return {key: exact(item) for key, item in value.items()}
+    if isinstance(value, (tuple, list)):
+        return [exact(item) for item in value]
+    return value
+
+
+def whole_log_ok_closes(log, duration_ms):
+    """The ok closes by ``duration_ms`` as one chunk, selected by a
+    full-length mask."""
+    end = np.asarray(log.spans.end_ms)
+    counted = np.asarray(log.spans.ok).astype(bool) & (end <= duration_ms)
+    yield np.asarray(log.spans.service)[counted], end[counted]
+
+
+def isin_sample_traces(log, cfg, rng):
+    """``sample_traces`` of a log whose spans are all closed, with the kept
+    traces' rows selected by ``np.isin`` over the whole log."""
+    trace = np.asarray(log.spans.span_id) >> SPAN_BITS
+    roots = trace[np.asarray(log.spans.parent) < 0]
+    trace_count = len(roots)
+    if cfg.strategy != "always_on":
+        roots = roots[rng.random(len(roots)) < cfg.rate]
+    kept = log.spans.take(np.isin(trace, roots))
+    return kept.take(np.lexsort((kept.span_id, kept.start_ms))), trace_count
+
+
+def isin_trace_durations(batch, service):
+    """(start, duration) of each kept trace that entered ``service``, its
+    traces selected by ``np.isin``."""
+    spans = batch.spans
+    entered = spans.span_id[spans.service == batch.services.index(service)] >> SPAN_BITS
+    roots = spans.take((spans.parent < 0) & np.isin(spans.span_id >> SPAN_BITS, entered))
+    return roots.start_ms, (roots.end_ms - roots.start_ms).astype(np.float64)
+
+
+@st.composite
+def small_logs(draw) -> tuple[RawEventLog, int]:
+    """A run's duration and a raw event log of services 0 to 2 around it:
+    the closed spans of up to six traces, interleaved in an open order in
+    which each root comes first, some failed and some closed after the
+    duration; and CPU slices, some after the duration."""
+    duration = draw(st.integers(1, 3000))
+    times = st.integers(0, duration + 500)
+    sizes = draw(st.lists(st.integers(1, 4), max_size=6))
+    traces = draw(st.lists(st.integers(0, 40), min_size=len(sizes), max_size=len(sizes), unique=True))
+    order = draw(st.permutations([k for k, size in enumerate(sizes) for _ in range(size)]))
+    opened = [0] * len(sizes)
+    spans = []
+    for k in order:
+        n, opened[k] = opened[k], opened[k] + 1
+        start = draw(times)
+        end = start + draw(st.integers(0, 500))
+        parent = -1 if n == 0 else span_id(traces[k])
+        spans.append((span_id(traces[k], n), parent, draw(st.integers(0, 2)), start, end, draw(st.integers(0, 1))))
+    cpu = draw(st.lists(st.tuples(st.integers(0, 2), times, st.floats(0.0, 100.0)), max_size=30))
+    return event_log(spans=spans, cpu=sorted(cpu, key=lambda row: row[1])), duration
+
+
+CHUNK_SUE = SueSpec(
+    services=(tiny_service("a"), tiny_service("b"), tiny_service("c")),
+    metric_points=(
+        MetricPointSpec("cpu", "cpu_gauge", "system", 500, 1000),
+        MetricPointSpec("cpu_b", "cpu_gauge", "b", 700, 700),
+        MetricPointSpec("rps", "request_counter", "system", 300, 300),
+        MetricPointSpec("rpm_a", "request_counter", "a", 1000, 1000),
+        MetricPointSpec("depth_c", "custom_gauge", "c", 500, 500),
+    ),
+)
+CHUNK_TRACE_CONFIGS = st.sampled_from([
+    TraceConfigSpec("probabilistic", 0.0),
+    TraceConfigSpec("probabilistic", 0.3),
+    TraceConfigSpec("probabilistic", 1.0),
+    TraceConfigSpec("always_on", 0.3),
+])
+
+
+class TestChunkedReads:
+    @settings(max_examples=150, deadline=None)
+    @given(small_logs(), CHUNK_TRACE_CONFIGS, st.integers(1, 17), st.integers(0, 2**16))
+    @example((RawEventLog(), 1000), TraceConfigSpec("probabilistic", 0.3), 1, 0)
+    def test_any_chunk_size_gives_the_whole_log_batch_bit_for_bit(self, drawn, cfg, chunk_rows, seed):
+        """``build_batch`` read in chunks of 1 to 17 rows equals, array for
+        array and bit for bit, its result at the default chunk size and one
+        built from full-length masks and ``np.isin``, and draws as often."""
+        log, duration = drawn
+        sue = replace(CHUNK_SUE, trace_config=cfg)
+
+        def batch():
+            rng = rng_stream(seed, "t")
+            return exact(build_batch(log, sue, duration, rng)), rng.random()
+
+        default = batch()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(telemetry, "_CHUNK_ROWS", chunk_rows)
+            chunked = batch()
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(telemetry, "_ok_closes", whole_log_ok_closes)
+            patch.setattr(telemetry, "sample_traces", isin_sample_traces)
+            oracle = batch()
+        assert chunked == default == oracle
+
+    @settings(max_examples=100, deadline=None)
+    @given(small_logs(), CHUNK_TRACE_CONFIGS, st.integers(0, 2**16))
+    def test_trace_durations_select_the_traces_isin_selects(self, drawn, cfg, seed):
+        log, duration = drawn
+        batch = build_batch(log, replace(CHUNK_SUE, trace_config=cfg), duration, rng_stream(seed, "t"))
+        for service in batch.services:
+            spec = ResponseVariableSpec("latency", "trace_duration", service)
+            series = materialize_response(spec, batch, fault_window(0, 10**9))  # every row settled
+            assert exact((series.timestamps, series.values)) == exact(isin_trace_durations(batch, service))
+
+    def test_build_batch_holds_a_small_share_of_the_log_at_once(self, monkeypatch):
+        """On the finished log of a 2,000-user run, read 1,024 rows at a
+        time, ``build_batch`` allocates at its peak under an eighth of the
+        bytes of the log's columns: 0.063 of them, where reading the whole
+        log at once took 0.756."""
+        spec, sim = surge_sim()
+        sim.run_until(None)
+        log = sim.log
+        columns = (*vars(log.spans).values(), log.cpu_service, log.cpu_t_ms, log.cpu_ms)
+        column_bytes = sum(column.itemsize * len(column) for column in columns)
+        monkeypatch.setattr(telemetry, "_CHUNK_ROWS", 1024)
+        tracemalloc.start()
+        try:
+            start = tracemalloc.get_traced_memory()[0]
+            build_batch(log, spec.sue, sim.workload.duration_ms, rng_stream(7, "trace-sampling"))
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - start < column_bytes / 8
 
 
 class TestCustomGauge:
