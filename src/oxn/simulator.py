@@ -326,11 +326,6 @@ class SimState:
             self._streams[label] = rng_stream(self.seed, label)
         return self._streams[label]
 
-    def schedule(self, t: int, kind: int, payload: object) -> None:
-        """Push an event with the next sequence number."""
-        self._seq += 1
-        heapq.heappush(self._heap, (t, self._seq, kind, payload))
-
     def wake(self, t: int, kind: int, payload: object) -> None:
         """Push a user's wake-up, a root arrival or a user's start, with the next sequence number."""
         self._seq += 1
@@ -633,7 +628,8 @@ class SimState:
             svc = self.services[fault.target]
             svc.paused = False
             for call, remaining in svc.frozen:
-                self.schedule(t + remaining, _EV_PROC_DONE, call)
+                self._seq += 1
+                heapq.heappush(self._heap, (t + remaining, self._seq, _EV_PROC_DONE, call))
             svc.frozen.clear()
             if svc.queue and svc.busy < svc.workers:
                 return svc.queue.popleft()

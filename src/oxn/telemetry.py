@@ -5,14 +5,16 @@ The raw event log's typed columns are read as numpy views, ``_CHUNK_ROWS``
 rows at a time, so no temporary is as long as the log. Metrics are
 materialized on a fixed grid: every timestamp is the end of its
 (aggregation) window and windows without data yield explicit zeros, so
-downstream detectors always see rectangular data. A gauge reads each target
+downstream detectors always see rectangular data. Every metric kind reads
+window grids that one pass over each table fills. A gauge reads each target
 service once per sampling window: ``cpu_gauge`` its busy fraction,
 ``custom_gauge`` its spans in flight (started by the window's last
-millisecond and not closed by it). Trace sampling is head-based: one
-keep/drop draw per trace, in root-span open order. A response series is one
-record of columns: observations inside the fault window are marked
-``is_fault``, and those in a short settling margin after the window are
-dropped so queue-drain transients cannot contaminate the normal class.
+millisecond and not closed by it), the running sum of each window's span
+opens less closes. Trace sampling is head-based: one keep/drop draw per
+trace, in root-span open order. A response series is one record of columns:
+observations inside the fault window are marked ``is_fault``, and those in
+a short settling margin after the window are dropped so queue-drain
+transients cannot contaminate the normal class.
 """
 
 from __future__ import annotations
@@ -87,21 +89,14 @@ def _chunks(*columns):
         yield [view[lo : lo + _CHUNK_ROWS] for view in views]
 
 
-def _ok_closes(log: RawEventLog, duration_ms: int):
-    """(service, end) of each span closed ok by ``duration_ms``, chunk by
-    chunk: the request-counter increments, in span open order."""
-    for service, end, ok in _chunks(log.spans.service, log.spans.end_ms, log.spans.ok):
-        counted = ok.astype(bool) & (end <= duration_ms)
-        yield service[counted], end[counted]
-
-
 def _accumulate(grids: dict, service: np.ndarray, t: np.ndarray, weights) -> None:
     """Add each event into every grid (interval_ms -> services x windows
-    array; events past the last window count in it), in event order, so a
-    float grid keeps the bits of an event-by-event sum."""
+    array; events before the first window count in it, past the last in
+    it), in event order, so a float grid keeps the bits of an
+    event-by-event sum."""
     for interval, grid in grids.items():
         n = grid.shape[1]
-        np.add.at(grid.reshape(-1), service * n + np.minimum(t // interval, n - 1), weights)
+        np.add.at(grid.reshape(-1), service * n + np.clip(t // interval, 0, n - 1), weights)
 
 
 def _trace_flags(span_id: np.ndarray) -> np.ndarray:
@@ -109,46 +104,38 @@ def _trace_flags(span_id: np.ndarray) -> np.ndarray:
     return np.zeros((int(np.max(span_id, initial=-1)) >> SPAN_BITS) + 1, dtype=bool)
 
 
-def _in_flight(spans: SpanTable, n_services: int, duration_ms: int, interval_ms: int) -> np.ndarray:
-    """Spans open per service (rows) at the last millisecond of each sampling
-    window or the run's end (columns). Times are keyed ``service * stride +
-    t``, any past the last instant at ``stride - 1``, so one sorted array
-    serves every service: earlier services' opens and closes cancel."""
-    instants = np.minimum(np.arange(1, _window_count(duration_ms, interval_ms) + 1) * interval_ms - 1, duration_ms)
-    stride = int(instants[-1]) + 2
-    base = np.asarray(spans.service) * stride
-    end = np.asarray(spans.end_ms)
-    opens = np.sort(base + np.clip(spans.start_ms, 0, stride - 1))
-    closes = np.sort(base + np.where(end < 0, stride - 1, np.minimum(end, stride - 1)))
-    keys = np.arange(n_services)[:, None] * stride + instants
-    return (np.searchsorted(opens, keys, "right") - np.searchsorted(closes, keys, "right")).astype(np.float64)
-
-
 def sample_metrics(
     log: RawEventLog, points: Iterable[MetricPointSpec], sue: SueSpec, duration_ms: int
-) -> dict[str, tuple[np.ndarray, np.ndarray]]:
+) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Materialize each metric point on its sampling/aggregation grid as
-    ``(timestamps, values)`` arrays."""
+    ``(timestamps, values)`` arrays; also return each service's spans
+    closed ok by ``duration_ms``, its request-counter increments."""
     points = list(points)
 
-    def grid(interval_ms: int, dtype) -> np.ndarray:
-        return np.zeros((len(sue.services), _window_count(duration_ms, interval_ms)), dtype)
+    def grids(kind: str, dtype, extra: int = 0) -> dict[int, np.ndarray]:
+        """A zero grid, services by windows plus ``extra`` columns, per interval
+        the points of ``kind`` accumulate at: a counter's aggregation, a gauge's sampling."""
+        intervals = [p.aggregation_interval_ms if kind == "request_counter" else p.sampling_interval_ms
+                     for p in points if p.kind == kind]
+        return {i: np.zeros((len(sue.services), _window_count(duration_ms, i) + extra), dtype) for i in intervals}
 
-    busy = {
-        p.sampling_interval_ms: grid(p.sampling_interval_ms, np.float64)
-        for p in points
-        if p.kind == "cpu_gauge"
-    }
-    counts = {
-        p.aggregation_interval_ms: grid(p.aggregation_interval_ms, np.int64)
-        for p in points
-        if p.kind == "request_counter"
-    }
+    busy, counts = grids("cpu_gauge", np.float64), grids("request_counter", np.int64)
+    # Span opens less closes per sampling window. When the duration is a whole
+    # multiple of the interval its last instant is ``duration_ms - 1``: events
+    # at ``duration_ms`` go to the extra column, which no reading sums.
+    net = grids("custom_gauge", np.int64, 1)
     for service, t, ms in _chunks(log.cpu_service, log.cpu_t_ms, log.cpu_ms):
         slices = t <= duration_ms
         _accumulate(busy, service[slices], t[slices], ms[slices])
-    for service, end in _ok_closes(log, duration_ms):
-        _accumulate(counts, service, end, 1)
+    ok_closes = np.zeros(len(sue.services), dtype=np.int64)
+    spans = log.spans
+    for service, start, end, ok in _chunks(spans.service, spans.start_ms, spans.end_ms, spans.ok):
+        counted = ok.astype(bool) & (end <= duration_ms)
+        _accumulate(counts, service[counted], end[counted], 1)
+        ok_closes += np.bincount(service[counted], minlength=len(ok_closes))
+        opened, closed = start <= duration_ms, (0 <= end) & (end <= duration_ms)
+        _accumulate(net, service[opened], start[opened], 1)
+        _accumulate(net, service[closed], end[closed], -1)
 
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
     for point in points:
@@ -161,7 +148,7 @@ def sample_metrics(
             values = counts[aggregation][rows].sum(axis=0).astype(np.float64)
         else:  # a gauge: one reading per target service and sampling window
             readings = (busy[sampling][rows] / float(sampling) if point.kind == "cpu_gauge"
-                        else _in_flight(log.spans, len(sue.services), duration_ms, sampling)[rows])
+                        else net[sampling][rows, :-1].cumsum(axis=1).astype(np.float64))
             readings = readings.mean(axis=0) if point.system_aggregation == "mean" else readings.sum(axis=0)
             # Mean per aggregation window; only the last one can be partial.
             per_agg = aggregation // sampling
@@ -171,7 +158,7 @@ def sample_metrics(
                 values = np.append(values, readings[full * per_agg :].mean())
         timestamps = np.arange(1, n_agg + 1, dtype=np.int64) * aggregation
         out[point.metric_name] = (timestamps, values)
-    return out
+    return out, ok_closes
 
 
 def sample_traces(
@@ -204,7 +191,7 @@ def build_batch(
     log: RawEventLog, sue: SueSpec, duration_ms: int, trace_rng: np.random.Generator
 ) -> TelemetryBatch:
     """Assemble the run's telemetry under the given instrumentation config."""
-    metrics = sample_metrics(log, sue.metric_points, sue, duration_ms)
+    metrics, ok_closes = sample_metrics(log, sue.metric_points, sue, duration_ms)
     spans, trace_count = sample_traces(log, sue.trace_config, trace_rng)
     services = tuple(s.id for s in sue.services)
     n = len(services)
@@ -219,7 +206,7 @@ def build_batch(
             counted[_rows(point, sue)] = True
         else:  # a gauge reads each target once per sampling window
             calls[_rows(point, sue)] += _window_count(duration_ms, point.sampling_interval_ms)
-    calls += sum(np.bincount(service, minlength=n) for service, _ in _ok_closes(log, duration_ms)) * counted
+    calls += ok_closes * counted
     calls = dict(zip(services, calls.astype(np.float64).tolist()))
 
     return TelemetryBatch(

@@ -69,7 +69,7 @@ class TestSampleMetrics:
     def test_cpu_busy_fraction(self):
         log = event_log(cpu=[(0, i * 40, 10.0) for i in range(100)])  # 100 x 10 ms within 5 s
         point = MetricPointSpec("cpu", "cpu_gauge", "api", 5000, 5000)
-        timestamps, values = sample_metrics(log, [point], one_service_sue(), 5000)["cpu"]
+        timestamps, values = sample_metrics(log, [point], one_service_sue(), 5000)[0]["cpu"]
         assert len(values) == 1
         assert values[0] == pytest.approx(1000 / 5000)
         assert timestamps.tolist() == [5000]
@@ -80,14 +80,16 @@ class TestSampleMetrics:
             spans=[(span_id(i), -1, 0, i * 1000, i * 1000, 1) for i in range(600)] + [(span_id(600), -1, 0, 0, 0, 0)]
         )
         point = MetricPointSpec("rpm", "request_counter", "api", 60_000, 60_000)
-        timestamps, values = sample_metrics(log, [point], one_service_sue(), 600_000)["rpm"]
+        metrics, closes = sample_metrics(log, [point], one_service_sue(), 600_000)
+        timestamps, values = metrics["rpm"]
         assert values.tolist() == [60.0] * 10
         assert timestamps.tolist() == [60_000 * (k + 1) for k in range(10)]
+        assert closes.tolist() == [600]
 
     def test_empty_windows_are_explicit_zeros(self):
         point_gauge = MetricPointSpec("cpu", "cpu_gauge", "api", 5000, 5000)
         point_counter = MetricPointSpec("rpm", "request_counter", "api", 10_000, 10_000)
-        metrics = sample_metrics(RawEventLog(), [point_gauge, point_counter], one_service_sue(), 30_000)
+        metrics, _ = sample_metrics(RawEventLog(), [point_gauge, point_counter], one_service_sue(), 30_000)
         assert metrics["cpu"][1].tolist() == [0.0] * 6
         assert metrics["rpm"][1].tolist() == [0.0] * 3
 
@@ -106,7 +108,7 @@ class TestSampleMetrics:
             (span_id(9), -1, 0, 13_001, 13_002, 1),  # opens after it
         ])
         point = MetricPointSpec("depth", "custom_gauge", "api", 5000, 5000)
-        timestamps, values = sample_metrics(log, [point], one_service_sue(), 13_000)["depth"]
+        timestamps, values = sample_metrics(log, [point], one_service_sue(), 13_000)[0]["depth"]
         assert timestamps.tolist() == [5000, 10_000, 15_000]
         assert values.tolist() == [3.0, 4.0, 3.0]
 
@@ -115,14 +117,14 @@ class TestSampleMetrics:
         log = event_log(cpu=[(0, int(t), 1.0) for t in sorted(rng.integers(0, 120_000, 500))])
         for sampling, aggregation in ((5000, 5000), (5000, 15_000), (2000, 10_000)):
             point = MetricPointSpec("cpu", "cpu_gauge", "api", sampling, aggregation)
-            timestamps, _ = sample_metrics(log, [point], one_service_sue(), 120_000)["cpu"]
+            timestamps, _ = sample_metrics(log, [point], one_service_sue(), 120_000)[0]["cpu"]
             assert all(timestamps % sampling == 0)
             assert all(timestamps % aggregation == 0)
 
     def test_aggregation_averages_sampling_windows(self):
         log = event_log(cpu=[(0, 1000, 500.0)])  # only the first 5 s window is busy
         point = MetricPointSpec("cpu", "cpu_gauge", "api", 5000, 15_000)
-        _, values = sample_metrics(log, [point], one_service_sue(), 15_000)["cpu"]
+        _, values = sample_metrics(log, [point], one_service_sue(), 15_000)[0]["cpu"]
         assert len(values) == 1
         assert values[0] == pytest.approx((0.1 + 0 + 0) / 3)
 
@@ -135,10 +137,10 @@ class TestSampleMetrics:
         )
         log = event_log(cpu=[(0, 100, 250.0), (1, 200, 250.0)])
         point = MetricPointSpec("sys", "cpu_gauge", "system", 5000, 5000)
-        _, values = sample_metrics(log, [point], sue, 5000)["sys"]
+        _, values = sample_metrics(log, [point], sue, 5000)[0]["sys"]
         assert values[0] == pytest.approx(0.1)
         mean_point = MetricPointSpec("sys", "cpu_gauge", "system", 5000, 5000, system_aggregation="mean")
-        _, values = sample_metrics(log, [mean_point], sue, 5000)["sys"]
+        _, values = sample_metrics(log, [mean_point], sue, 5000)[0]["sys"]
         assert values[0] == pytest.approx(0.05)
 
 
@@ -178,13 +180,16 @@ def reference_metrics(log, point, sue, duration_ms):
 
 class TestSampleMetricsReference:
     @pytest.mark.parametrize("seed", [0, 1, 2])
-    def test_matches_event_loop_reference(self, seed):
+    @pytest.mark.parametrize("duration", [97_000, 98_000])
+    def test_matches_event_loop_reference(self, seed, duration):
         """Column accumulation and the in-flight count give the bits of an
         event-by-event loop, over partial last windows, error and open
-        spans, and events past the run's end."""
+        spans, and events past the run's end. At 98,000 ms, a whole multiple
+        of the custom gauges' 7,000 and 2,000 ms, the last instant is
+        97,999 ms, so spans opening or closing at exactly the run's end
+        (added for every service at both durations) are outside it."""
         sue = SueSpec(services=(tiny_service("a"), tiny_service("b"), tiny_service("c")))
         rng = np.random.default_rng(seed)
-        duration = 97_000
         cpu, spans = [], []
         for t in np.sort(rng.integers(0, duration + 5000, 40_000)).tolist():
             service = int(rng.integers(3))
@@ -192,6 +197,10 @@ class TestSampleMetricsReference:
             end = t if rng.random() < 0.95 else -1  # a few spans stay open
             ok = int(end >= 0 and rng.random() < 0.9)
             spans.append((span_id(len(spans)), -1, service, t - 50, end, ok))
+        for service in range(3):
+            for start, end, ok in ((duration - 50, duration, 1), (duration - 50, duration, 0),
+                                   (duration, duration, 1), (duration, duration + 50, 1)):
+                spans.append((span_id(len(spans)), -1, service, start, end, ok))
         log = event_log(spans=spans, cpu=cpu)
         points = [
             MetricPointSpec("sys", "cpu_gauge", "system", 1000, 10_000),
@@ -202,7 +211,7 @@ class TestSampleMetricsReference:
             MetricPointSpec("depth_a", "custom_gauge", "a", 7000, 7000),
             MetricPointSpec("depth", "custom_gauge", "system", 2000, 6000, system_aggregation="mean"),
         ]
-        metrics = sample_metrics(log, points, sue, duration)
+        metrics, _ = sample_metrics(log, points, sue, duration)
         for point in points:
             _, values = metrics[point.metric_name]
             assert values.tolist() == reference_metrics(log, point, sue, duration), point.metric_name
@@ -373,14 +382,6 @@ def exact(value):
     return value
 
 
-def whole_log_ok_closes(log, duration_ms):
-    """The ok closes by ``duration_ms`` as one chunk, selected by a
-    full-length mask."""
-    end = np.asarray(log.spans.end_ms)
-    counted = np.asarray(log.spans.ok).astype(bool) & (end <= duration_ms)
-    yield np.asarray(log.spans.service)[counted], end[counted]
-
-
 def isin_sample_traces(log, cfg, rng):
     """``sample_traces`` of a log whose spans are all closed, with the kept
     traces' rows selected by ``np.isin`` over the whole log."""
@@ -450,7 +451,8 @@ class TestChunkedReads:
     def test_any_chunk_size_gives_the_whole_log_batch_bit_for_bit(self, drawn, cfg, chunk_rows, seed):
         """``build_batch`` read in chunks of 1 to 17 rows equals, array for
         array and bit for bit, its result at the default chunk size and one
-        built from full-length masks and ``np.isin``, and draws as often."""
+        sampling traces with ``np.isin`` over the whole log, and draws as
+        often; its metrics and ok closes equal an event-by-event loop's."""
         log, duration = drawn
         sue = replace(CHUNK_SUE, trace_config=cfg)
 
@@ -463,10 +465,14 @@ class TestChunkedReads:
             patch.setattr(telemetry, "_CHUNK_ROWS", chunk_rows)
             chunked = batch()
         with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(telemetry, "_ok_closes", whole_log_ok_closes)
             patch.setattr(telemetry, "sample_traces", isin_sample_traces)
             oracle = batch()
         assert chunked == default == oracle
+        metrics, closes = sample_metrics(log, sue.metric_points, sue, duration)
+        for point in sue.metric_points:
+            assert metrics[point.metric_name][1].tolist() == reference_metrics(log, point, sue, duration), point
+        ok_ends = [(r.service, r.end_ms) for r in span_rows(log.spans, sue) if r.ok]
+        assert closes.tolist() == [sum(s == svc.id and end <= duration for s, end in ok_ends) for svc in sue.services]
 
     @settings(max_examples=100, deadline=None)
     @given(small_logs(), CHUNK_TRACE_CONFIGS, st.integers(0, 2**16))
@@ -498,6 +504,28 @@ class TestChunkedReads:
             tracemalloc.stop()
         assert peak - start < column_bytes / 8
 
+    def test_custom_gauge_holds_less_than_a_column_of_the_log(self):
+        """A ``custom_gauge`` reads its grid in the chunked pass: on a
+        300,000-span log, ``sample_metrics`` peaks below the bytes of one
+        int64 column. Sorting whole-log keys took 9.5 MB; this reads 0.7."""
+        n = 300_000
+        rng = np.random.default_rng(0)
+        log = RawEventLog()
+        start = np.arange(n)
+        columns = (start << SPAN_BITS, np.full(n, -1), start % 3, start, start + rng.integers(0, 200, n), np.ones(n, int))
+        for column, values in zip(vars(log.spans).values(), columns):
+            column.extend(values.tolist())
+        point = MetricPointSpec("depth", "custom_gauge", "b", 5000, 5000)
+        sue = SueSpec(services=(tiny_service("a"), tiny_service("b"), tiny_service("c")))
+        tracemalloc.start()
+        try:
+            before = tracemalloc.get_traced_memory()[0]
+            sample_metrics(log, [point], sue, n)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert peak - before < np.asarray(log.spans.start_ms).nbytes
+
 
 class TestCustomGauge:
     def test_pause_raises_the_in_flight_count_of_its_target(self):
@@ -505,7 +533,7 @@ class TestCustomGauge:
         pause = spec.treatments[0]  # backend, 40-80 s
         point = MetricPointSpec("backend_in_flight", "custom_gauge", "backend", 5000, 5000)
         log = simulated_log(faults=[pause])
-        timestamps, values = sample_metrics(log, [point], spec.sue, spec.workload.duration_ms)[point.metric_name]
+        timestamps, values = sample_metrics(log, [point], spec.sue, spec.workload.duration_ms)[0][point.metric_name]
         before = values[timestamps <= pause.start_ms]
         inside = values[(pause.start_ms < timestamps) & (timestamps <= pause.end_ms)]
         assert inside.min() > before.mean()
