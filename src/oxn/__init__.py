@@ -21,8 +21,8 @@ _LAZY = {
     for module, names in {
         "costs": ("CostReport", "account", "overhead"),
         "detection": ("DetectionOutcome", "InsufficientDataError", "LabeledDataset", "build_dataset"),
-        "runner": ("ObservabilityReport", "compare_docs", "run_experiment"),
-        "scoring": ("Ratio", "VisibilityMatrix"),
+        "report": ("ObservabilityReport", "Ratio", "VisibilityMatrix", "compare_docs"),
+        "runner": ("run_experiment",),
         "simulator": ("SimState",),
         "telemetry": ("TelemetryBatch", "materialize_response"),
     }.items()

@@ -3,8 +3,8 @@
 Exit codes: 0 on success, 1 on validation errors (usage errors, unreadable,
 malformed or invalid input files, an ``--out`` that cannot be created or
 written to, mismatched comparison inputs), 2 on runtime errors. Only ``run``
-and ``compare`` import the runner, and with it numpy; ``validate`` loads the
-experiment format alone.
+imports the runner, and with it numpy; ``compare`` loads the report module
+alone, and ``validate`` the experiment format alone.
 """
 
 from __future__ import annotations
@@ -83,7 +83,8 @@ def _load_spec(path: str):
 
 
 def _cmd_run(args) -> int:
-    from .runner import ExperimentError, report_json, run_experiment
+    from .report import report_json
+    from .runner import ExperimentError, run_experiment
 
     if args.parallel < 1:
         _fail(f"--parallel must be >= 1, got {args.parallel}")
@@ -131,7 +132,7 @@ def _cmd_run(args) -> int:
 
 
 def _cmd_compare(args) -> int:
-    from .runner import compare_docs
+    from .report import compare_docs
 
     docs = []
     for path in (args.report_a, args.report_b):

@@ -11,9 +11,12 @@ meaningful.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 from .config import CostModelSpec
-from .telemetry import TelemetryBatch
+
+if TYPE_CHECKING:
+    from .telemetry import TelemetryBatch
 
 
 @dataclass(frozen=True)

@@ -1,5 +1,5 @@
-"""Experiment orchestration: expand fault treatments into runs, detect,
-score and assemble the machine-readable report.
+"""Experiment orchestration: expand fault treatments into runs, simulate and
+detect, and score the runs into an ``ObservabilityReport`` (``oxn.report``).
 
 An experiment file may declare several fault treatments; each is executed
 in its own series of runs (one active fault per run) and every repetition
@@ -16,108 +16,24 @@ from __future__ import annotations
 
 import functools
 import hashlib
-import json
 import pickle
 import time
 from concurrent.futures import ProcessPoolExecutor
-from dataclasses import dataclass
 from datetime import datetime, timezone
 from pathlib import Path
 
 from .config import _REGISTRY, ExperimentSpec, Fault, SueSpec, apply_instrumentation, make_mechanism
 from .config import register_mechanism, render_experiment, validate
-from .costs import CostReport, account, mean_cost, overhead
+from .costs import account, mean_cost
 from .detection import ConvergenceError, InsufficientDataError, build_dataset
-from .scoring import VisibilityMatrix, build_matrix
+# ``report_json`` is re-exported for the benchmark harness, which reads ``oxn.runner.report_json``.
+from .report import ObservabilityReport, RunResult, build_matrix, report_json  # noqa: F401
 from .simulator import SimState, drive, init_sim, rng_stream
 from .telemetry import build_batch, export_csv, materialize_response
-
-SCHEMA_VERSION = "1"
 
 
 class ExperimentError(RuntimeError):
     pass
-
-
-@dataclass
-class RunResult:
-    """Outcome of one (fault, repetition) simulation."""
-
-    fault: str
-    repetition: int
-    seed: int
-    scores: dict[str, float | None]
-    reasons: dict[str, str]  # why each None score is undefined
-    cost: CostReport
-    request_count: int
-    trace_count: int
-    kept_trace_count: int
-    kept_span_count: int
-    metric_event_count: int
-
-
-@dataclass
-class ObservabilityReport:
-    experiment: str
-    spec_digest: str
-    mechanism: str
-    matrix: VisibilityMatrix
-    cost: CostReport
-    runs: list[RunResult]
-    meta: dict
-
-    def to_doc(self) -> dict:
-        return {
-            "schema_version": SCHEMA_VERSION,
-            "experiment": self.experiment,
-            "spec_digest": self.spec_digest,
-            "detection_mechanism": self.mechanism,
-            **_scored_doc(self.matrix),
-            "cost": self.cost.as_dict(),
-            "runs": [
-                {
-                    "fault": r.fault,
-                    "repetition": r.repetition,
-                    "seed": r.seed,
-                    "requests": r.request_count,
-                    "traces": r.trace_count,
-                    "kept_traces": r.kept_trace_count,
-                    "kept_spans": r.kept_span_count,
-                    "metric_events": r.metric_event_count,
-                    "scores": dict(sorted(r.scores.items())),
-                    # only a run with an undefined score has reasons, which
-                    # keeps the bytes of every fully scored report
-                    **({"reasons": dict(sorted(r.reasons.items()))} if r.reasons else {}),
-                    "cost_total": round(r.cost.total, 6),
-                }
-                for r in self.runs
-            ],
-            "meta": self.meta,
-        }
-
-
-def _scored_doc(matrix: VisibilityMatrix) -> dict:
-    """The report sections that ``build_matrix`` determines, as a report writes them."""
-    return {
-        "alpha": matrix.alpha,
-        "responses": list(matrix.responses),
-        "visibility": {
-            fault: {
-                response: {
-                    "score_mean": matrix.score_means[(fault, response)],
-                    "score_runs": matrix.score_runs[(fault, response)],
-                    "visible": matrix.visible[(fault, response)],
-                }
-                for response in matrix.responses
-            }
-            for fault in matrix.faults
-        },
-        "fault_coverage": {
-            fault: {"visible": fc.count, "responses": fc.total, "ratio": str(fc)}
-            for fault, fc in matrix.fault_coverage.items()
-        },
-        "ofo": {"covered": matrix.ofo.count, "faults": matrix.ofo.total, "ratio": str(matrix.ofo)},
-    }
 
 
 def spec_digest(spec: ExperimentSpec) -> str:
@@ -208,7 +124,7 @@ def _run_failed(fault: Fault, repetition: int, exc: Exception) -> ExperimentErro
 def execute_repetition(spec: ExperimentSpec, sue: SueSpec, repetition: int,
                        export_dir: str | Path | None = None) -> list[RunResult]:
     """Simulate one repetition of every fault and score each run through the
-    instrumented ``sue``; the results come in spec order. An error names the
+    instrumented ``sue``; the results come in start order. An error names the
     first run of the repetition, in start order, that had not finished: the
     one that raised."""
     results: list[RunResult] = []
@@ -218,8 +134,7 @@ def execute_repetition(spec: ExperimentSpec, sue: SueSpec, repetition: int,
             del run  # not kept alive while the next fault simulates
     except Exception as exc:
         raise _run_failed(_start_order(spec)[len(results)], repetition, exc) from exc
-    by_fault = {run.fault: run for run in results}
-    return [by_fault[fault.name] for fault in spec.fault_treatments()]
+    return results
 
 
 def run_experiment(
@@ -266,15 +181,15 @@ def run_experiment(
         raise  # a run failed and names itself
     except Exception as exc:  # the pool failed outside any run
         raise _run_failed(_start_order(spec)[0], len(by_repetition), exc) from exc
-    # Fault by fault, repetition by repetition.
-    results = [run for runs in zip(*by_repetition) for run in runs]
+    # Fault by fault in spec order, repetition by repetition.
+    fault_index = {fault.name: i for i, fault in enumerate(spec.fault_treatments())}
+    results = sorted((run for runs in by_repetition for run in runs),
+                     key=lambda run: (fault_index[run.fault], run.repetition))
 
     score_runs: dict[tuple[str, str], list[float | None]] = {}
     for run in results:
         for response, score in run.scores.items():
             score_runs.setdefault((run.fault, response), []).append(score)
-    fault_names = [f.name for f in spec.fault_treatments()]
-    response_names = [r.name for r in spec.responses]
 
     if frozen_clock:
         meta = {"frozen_clock": True}
@@ -288,98 +203,9 @@ def run_experiment(
         experiment=spec.name,
         spec_digest=spec_digest(spec),
         mechanism=spec.detection.mechanism,
-        matrix=build_matrix(score_runs, fault_names, response_names, spec.detection.alpha),
+        matrix=build_matrix(score_runs, list(fault_index), [r.name for r in spec.responses], spec.detection.alpha),
         cost=mean_cost([r.cost for r in results]),
         runs=results,
         meta=meta,
     )
 
-
-def report_json(report: ObservabilityReport) -> str:
-    return json.dumps(report.to_doc(), indent=2, sort_keys=True) + "\n"
-
-
-# The kinds of report field ``compare_docs`` reads, by the words a rejection uses.
-_FIELD_KINDS = {
-    "an object": lambda value: type(value) is dict,
-    "a nonempty object": lambda value: type(value) is dict and len(value) > 0,
-    "a nonempty list of distinct strings": lambda value: type(value) is list and len(value) > 0
-    and all(type(v) is str for v in value) and len(set(value)) == len(value),
-    "a string": lambda value: type(value) is str,
-    "a number": lambda value: type(value) in (int, float),
-    "a number in (0, 1)": lambda value: type(value) in (int, float) and 0 < value < 1,
-    "a list of nulls and numbers in [0, 1]": lambda value: type(value) is list
-    and all(v is None or type(v) in (int, float) and 0 <= v <= 1 for v in value),
-}
-
-
-def _field(doc: dict, path: tuple[str, ...], kind: str | None = "an object"):
-    """The field of a report document at ``path``, checked to be ``kind``
-    unless that is None; a rejection names the field's dotted path."""
-    parent = _field(doc, path[:-1]) if len(path) > 1 else doc
-    if path[-1] not in parent:
-        raise ValueError(f"{'.'.join(path)} is missing")
-    value = parent[path[-1]]
-    if kind is not None and not _FIELD_KINDS[kind](value):
-        raise ValueError(f"{'.'.join(path)} must be {kind}, not {value!r}")
-    return value
-
-
-def _match(doc: dict, path: tuple[str, ...], derived) -> None:
-    """Reject the first field at or under ``path`` that is not ``derived``;
-    leaves are compared as JSON text, so 1, 1.0 and true differ."""
-    stated = _field(doc, path, "an object" if type(derived) is dict else None)
-    if type(derived) is dict:
-        for key in [*derived, *sorted(stated.keys() - derived.keys())]:
-            if key not in derived:
-                raise ValueError(f"{'.'.join((*path, key))} is not a field the repetition scores give")
-            _match(doc, (*path, key), derived[key])
-    elif (text := json.dumps(stated)) != (given := json.dumps(derived)):
-        raise ValueError(f"{'.'.join(path)} is {text}, but the repetition scores give {given}")
-
-
-def _read_report(doc: dict, faults: list[str], responses: list[str]) -> tuple[VisibilityMatrix, float]:
-    """A report's visibility matrix over ``faults`` and ``responses``, rebuilt from
-    its alpha and repetition scores, and its total cost; every scored field of the
-    report must be the rebuilt one."""
-    runs = {(f, r): _field(doc, ("visibility", f, r, "score_runs"), "a list of nulls and numbers in [0, 1]")
-            for f in faults for r in responses}
-    matrix = build_matrix(runs, faults, responses, _field(doc, ("alpha",), "a number in (0, 1)"))
-    for section, derived in _scored_doc(matrix).items():
-        _match(doc, (section,), derived)
-    total = _field(doc, ("cost", "total"), "a number")
-    if not total > 0:
-        raise ValueError(f"cost.total must be positive, not {total!r}")
-    return matrix, total
-
-
-def compare_docs(doc_a: dict, doc_b: dict) -> dict:
-    """Side-by-side fault-coverage, observability and cost deltas between two
-    report documents with identical fault/response dimensions. Coverage deltas
-    count visible responses. A malformed document's ``ValueError`` names the field."""
-    docs = (doc_a, doc_b)
-    for doc in docs:
-        if not isinstance(doc, dict):
-            raise ValueError(f"a report must be a JSON object, not {type(doc).__name__}")
-    faults, faults_b = (list(_field(doc, ("fault_coverage",), "a nonempty object")) for doc in docs)
-    if set(faults) != set(faults_b):
-        raise ValueError("reports cover different fault sets")
-    responses, responses_b = (_field(doc, ("responses",), "a nonempty list of distinct strings") for doc in docs)
-    if responses != responses_b:
-        raise ValueError("reports cover different response variables")
-    (a, cost_a), (b, cost_b) = (_read_report(doc, faults, responses) for doc in docs)
-    delta = {f: b.fault_coverage[f].count - fc.count for f, fc in a.fault_coverage.items()}
-    changed = [{"fault": f, "response": r, "visible_delta": b.visible[f, r] - visible}
-               for (f, r), visible in a.visible.items() if b.visible[f, r] != visible]
-    return {
-        "experiments": [_field(doc, ("experiment",), "a string") for doc in docs],
-        "delta_fault_coverage": dict(sorted(delta.items())),
-        "delta_fc_total": sum(delta.values()),
-        "delta_ofo": b.ofo.count - a.ofo.count,
-        "cells_changed": sorted(changed, key=lambda c: (c["fault"], c["response"])),
-        "cost": {
-            "baseline_total": cost_a,
-            "alternative_total": cost_b,
-            "overhead_pct": overhead(cost_a, cost_b),
-        },
-    }

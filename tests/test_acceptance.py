@@ -16,11 +16,11 @@ import pytest
 
 from oxn.costs import overhead
 from oxn.detection import LogisticRegressionMechanism, _loss_grad_p, build_dataset, zscore_fit_apply
-from oxn.scoring import build_matrix
+from oxn.report import build_matrix, compare_docs, report_json
 from oxn.simulator import rng_stream
 from oxn.telemetry import ResponseSeries, build_batch, materialize_response, sample_traces
 from oxn.config import SPAN_BITS, TraceConfigSpec, apply_instrumentation, parse_experiment_file
-from oxn.runner import report_json, simulate_repetition
+from oxn.runner import simulate_repetition
 
 from conftest import REPO_ROOT, cli_env, event_log, experiment_path, span_id, span_rows
 
@@ -223,6 +223,23 @@ class TestCriterion5Determinism:
         )
 
 
+    def test_report_bytes_hold_on_another_dispatch_path_and_hash_seed(self):
+        """The reach of the promise that README states: ``oxn run`` gives
+        the pinned bytes with numpy's AVX2 and AVX-512 kernels switched off
+        and under another hash seed. On a CPU without those kernels the
+        variable changes nothing, and the hash seed is still checked."""
+        env = {**cli_env(), "NPY_DISABLE_CPU_FEATURES": "AVX512_SPR AVX512_ICL X86_V4 X86_V3",
+               "PYTHONHASHSEED": "987654"}
+        proc = subprocess.run(
+            [sys.executable, "-m", "oxn.cli", "run", str(experiment_path("baseline")), "--frozen-clock"],
+            capture_output=True,
+            cwd=REPO_ROOT,
+            env=env,
+        )
+        assert proc.returncode == 0, proc.stderr.decode()
+        assert hashlib.sha256(proc.stdout).hexdigest() == REPORT_DIGESTS["baseline"]
+
+
 class TestCriterion6NarrativeTrend:
     def test_baseline_pattern(self, canonical_reports):
         report = canonical_reports["baseline"]
@@ -237,8 +254,6 @@ class TestCriterion6NarrativeTrend:
         assert baseline.matrix.visible[(NETWORK_DELAY, TRACE_RESPONSE)] == 0
         assert alt_b.matrix.visible[(NETWORK_DELAY, TRACE_RESPONSE)] == 1
         assert str(alt_b.matrix.ofo) == "3/3"
-
-        from oxn.runner import compare_docs
 
         comparison = compare_docs(baseline.to_doc(), alt_b.to_doc())
         assert comparison["delta_fc_total"] == 1

@@ -44,6 +44,7 @@ from oxn.config import (
     render_experiment,
     validate,
 )
+from oxn.report import _scored_doc, build_matrix
 from oxn.runner import spec_digest
 
 from conftest import CANONICAL_NAMES, REPO_ROOT, experiment_path, small_spec
@@ -644,6 +645,22 @@ def test_cli_validate_leaves_numpy_unloaded():
             "try:\n    runpy.run_module('oxn.cli', run_name='__main__', alter_sys=True)\n"
             "except SystemExit as exc:\n    print('exit', exc.code)")
     assert oxn_modules_after(code) == "ok: baseline\nexit 0\n['oxn', 'oxn.config']\n"
+
+
+def test_cli_compare_leaves_numpy_unloaded(tmp_path):
+    """``oxn compare`` reads two reports with the report module alone: it
+    loads neither the runner nor numpy."""
+    doc = {"experiment": "x", "cost": {"total": 1.0},
+           **_scored_doc(build_matrix({("f", "r"): [1.0, None]}, ["f"], ["r"], 0.5))}
+    paths = [tmp_path / "a.json", tmp_path / "b.json"]
+    for path in paths:
+        path.write_text(json.dumps(doc))
+    code = (f"import runpy; sys.argv[1:] = ['compare', *{[str(p) for p in paths]!r}]\n"
+            "try:\n    runpy.run_module('oxn.cli', run_name='__main__', alter_sys=True)\n"
+            "except SystemExit as exc:\n    print('exit', exc.code)")
+    *comparison, exit_line, modules = oxn_modules_after(code).splitlines()
+    assert json.loads("\n".join(comparison))["cells_changed"] == []
+    assert (exit_line, modules) == ("exit 0", "['oxn', 'oxn.config', 'oxn.costs', 'oxn.report']")
 
 
 def test_package_root_names_are_their_modules_objects():

@@ -16,13 +16,8 @@ import pytest
 from oxn import cli, config, runner
 from oxn.config import DetectionSpec, Pause, Stress, render_experiment
 from oxn.detection import MIN_CLASS_ROWS, ThresholdAlertMechanism
-from oxn.runner import (
-    ExperimentError,
-    compare_docs,
-    report_json,
-    run_experiment,
-    spec_digest,
-)
+from oxn.report import compare_docs, report_json
+from oxn.runner import ExperimentError, run_experiment, spec_digest
 
 from conftest import REPO_ROOT, cli_env, experiment_path, small_spec
 
@@ -565,7 +560,7 @@ class TestCli:
                 5,
                 "fault_coverage.pause_backend.visible is 5, but the repetition scores give 2",
             ),
-            (("cost",), {"total": "x"}, "cost.total must be a number, not 'x'"),
+            (("cost",), {"total": "x"}, "cost.total must be a positive finite number, not 'x'"),
             (("cost",), DELETE, "cost is missing"),
             (("responses",), DELETE, "responses is missing"),
             (("responses",), ["system_cpu", 1], "responses must be a nonempty list of distinct strings, not ['system_cpu', 1]"),
@@ -623,6 +618,8 @@ class TestCli:
                 "ok",
                 "visibility.pause_backend.backend_rpm.note is not a field the repetition scores give",
             ),
+            (("alpha",), 0, "alpha must be a number in (0, 1), not 0"),
+            (("alpha",), 1, "alpha must be a number in (0, 1), not 1"),
         ],
     )
     def test_compare_names_the_malformed_field(self, small_report, tmp_path, path, value, message):
@@ -642,8 +639,12 @@ class TestCli:
         proc = run_cli("compare", str(good), str(bad))
         assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: {message}\n")
 
-    @pytest.mark.parametrize("total", [0, -1.5])
+    @pytest.mark.parametrize(
+        "total", [0, -1.5, pytest.param(math.inf, id="Infinity"), pytest.param(10**400, id="int-above-float-range")]
+    )
     def test_compare_names_a_nonpositive_cost_in_either_report(self, small_report, tmp_path, total):
+        """JSON reads Infinity and integers of any size; neither is a cost
+        that compare can print or divide by."""
         good = tmp_path / "good.json"
         good.write_text(report_json(small_report))
         doc = small_report.to_doc()
@@ -652,7 +653,9 @@ class TestCli:
         bad.write_text(json.dumps(doc))
         for first, second in ((bad, good), (good, bad)):
             proc = run_cli("compare", str(first), str(second))
-            assert (proc.returncode, proc.stdout, proc.stderr) == (1, "", f"error: cost.total must be positive, not {total}\n")
+            assert (proc.returncode, proc.stdout, proc.stderr) == (
+                1, "", f"error: cost.total must be a positive finite number, not {total!r}\n"
+            )
 
     def test_run_rejects_name_that_escapes_out(self, tmp_path):
         path = tmp_path / "escape.yaml"

@@ -7,13 +7,13 @@ import json
 import math
 import operator
 import re
+import sys
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from oxn.runner import _scored_doc, compare_docs
-from oxn.scoring import Ratio, build_matrix
+from oxn.report import Ratio, _scored_doc, build_matrix, compare_docs
 
 
 def brute_force_scores(cells: dict[tuple[int, int], int], l: int, n: int):
@@ -224,6 +224,11 @@ class TestDiff:
         doc |= _scored_doc(build_matrix(runs, faults, responses, doc["alpha"]))
         with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
             compare_docs(doc, doc)
+
+    def test_the_largest_finite_cost_is_a_cost(self):
+        top = sys.float_info.max
+        doc = report_doc({"a": (1, 2)}) | {"cost": {"total": top}}
+        assert compare_docs(doc, doc)["cost"] == {"baseline_total": top, "alternative_total": top, "overhead_pct": 0.0}
 
 
 @st.composite

@@ -45,7 +45,9 @@ from oxn.simulator import (
     _EV_TIMEOUT,
     _EV_USER,
     CLIENT_TIMEOUT_MS,
+    MAX_RETRANSMITS,
     OUTCOMES,
+    RETRANSMIT_PENALTY_MS,
     LognormalDraws,
     RequestRecord,
     RequestTable,
@@ -439,6 +441,40 @@ class TestFaults:
         assert retransmit_cpu  # receiver-side stack work shows up as extra busy time
         stamps = sim.log.cpu_t_ms.tolist()
         assert stamps == sorted(stamps)
+
+    def test_packet_loss_at_probability_one_retransmits_exactly_the_cap(self):
+        """Every packet is lost, so the hop retransmits MAX_RETRANSMITS (100)
+        times and no more: b's span opens the 5 ms latency plus 100 x 200 ms
+        after a's processing ends, and b's receiver-side CPU row is
+        100 x 100 ms."""
+        sue = sue_chain(0.0)
+        sim = new_sim(sue, 3, self.make_faults("packet_loss", probability=1.0))
+        sim.issue_request(0, at=25_000)  # a processes it from 25 000 to 25 010
+        sim.run_until(None)
+        _, b = span_rows(sim.log.spans, sue)
+        assert b.start_ms == 25_010 + 5 + MAX_RETRANSMITS * RETRANSMIT_PENALTY_MS == 45_015
+        assert [row for row in cpu_rows(sim.log, sue) if row[0] == "b"] == [("b", 45_015, 10_000.0),
+                                                                            ("b", 45_025, 5.0)]
+
+    def test_a_pause_end_starts_a_queued_call_only_on_a_free_worker(self):
+        """b has one worker. At the pause's start it holds one call in
+        processing, frozen with 1000 ms left, and one queued. At the pause's
+        end the frozen call resumes and keeps the worker, so the queued call
+        starts only when the frozen one completes."""
+        sue = SueSpec(
+            services=(tiny_service("a", 4, 10, 0.0, 5), tiny_service("b", 1, 2000, 0.0, 5)),
+            edges=(CallEdge("a", "b", 1.0, 5),),
+            metric_points=(),
+            trace_config=TraceConfigSpec(),
+        )
+        sim = new_sim(sue, 3, [Pause(name="pause_b", target="b", start_ms=20_000, end_ms=30_000)])
+        sim.issue_request(0, at=18_985)  # reaches b at 19 000, due to finish at 21 000
+        sim.issue_request(1, at=19_085)  # reaches b at 19 100 and queues
+        sim.run_until(30_000)
+        b = sim.services["b"]
+        assert (b.busy, len(b.queue)) == (1, 1)
+        sim.run_until(None)
+        assert [row for row in cpu_rows(sim.log, sue) if row[0] == "b"] == [("b", 31_000, 5.0), ("b", 33_000, 5.0)]
 
     def test_packet_corruption_produces_errors(self):
         sue = sue_chain(0.0)
@@ -993,13 +1029,17 @@ class TestProperties:
         sim = new_sim(sue, seed, [fault] if fault is not None else [])
         drive(sim, workload)
         if fault is not None:
+            sim.run_until(fault.start_ms)
+            assert all(svc.busy <= svc.workers for svc in sim.services.values())
             # effects revert exactly at the window end
             sim.run_until(fault.end_ms)
             for svc in sim.services.values():
                 assert not svc.paused and not svc.killed
                 assert svc.stress_factor == 1.0 and not svc.frozen
+                assert svc.busy <= svc.workers
             assert sim._active == []
         sim.run_until(None)
+        assert all(svc.busy <= svc.workers for svc in sim.services.values())
 
         rows = span_rows(sim.log.spans, sue)
         spans = {s.span_id: s for s in rows}

@@ -608,6 +608,25 @@ class TestExportCsv:
         spans_csv = tmp_path / "exp_r0_spans.csv"
         assert spans_csv.read_text() == "trace_id,span_id,parent_id,service,start_ms,end_ms,outcome\n"
 
+    def test_a_child_of_span_0_names_its_parent(self, tmp_path):
+        """Span id 0 is request 0's root: its children are written with
+        parent_id 0, and only roots with an empty parent_id."""
+        log = event_log(spans=[
+            (span_id(0), -1, 0, 0, 50, 1),
+            (span_id(0, 1), span_id(0), 0, 10, 40, 0),
+            (span_id(1), -1, 0, 100, 150, 1),
+            (span_id(1, 1), span_id(1), 0, 110, 140, 1),
+        ])
+        batch = build_batch(log, one_service_sue(trace=TraceConfigSpec("always_on", 0.0)), 1000, rng_stream(1, "t"))
+        export_csv(batch, [], tmp_path, "exp_r0")
+        assert (tmp_path / "exp_r0_spans.csv").read_text().splitlines() == [
+            "trace_id,span_id,parent_id,service,start_ms,end_ms,outcome",
+            "0,0,,api,0,50,ok",
+            "0,1,0,api,10,40,error",
+            f"1,{span_id(1)},,api,100,150,ok",
+            f"1,{span_id(1, 1)},{span_id(1)},api,110,140,ok",
+        ]
+
     def test_reexport_is_byte_identical(self, tmp_path):
         sue = one_service_sue(
             points=[MetricPointSpec("cpu", "cpu_gauge", "api", 5000, 5000)],
