@@ -22,7 +22,7 @@ _LAZY = {
         "costs": ("CostReport", "account", "overhead"),
         "detection": ("DetectionOutcome", "InsufficientDataError", "LabeledDataset", "build_dataset"),
         "report": ("ObservabilityReport", "Ratio", "VisibilityMatrix", "compare_docs"),
-        "runner": ("run_experiment",),
+        "runner": ("run_experiment", "run_experiments"),
         "simulator": ("SimState",),
         "telemetry": ("TelemetryBatch", "materialize_response"),
     }.items()

@@ -1,8 +1,9 @@
 """Command-line entry point.
 
 Exit codes: 0 on success, 1 on validation errors (usage errors, unreadable,
-malformed or invalid input files, an ``--out`` that cannot be created or
-written to, mismatched comparison inputs), 2 on runtime errors. Only ``run``
+malformed or invalid input files, files that cannot share one ``run``, an
+``--out`` that cannot be created or written to, mismatched comparison
+inputs), 2 on runtime errors. Only ``run``
 imports the runner, and with it numpy; ``compare`` loads the report module
 alone, and ``validate`` the experiment format alone.
 """
@@ -10,6 +11,7 @@ alone, and ``validate`` the experiment format alone.
 from __future__ import annotations
 
 import argparse
+import itertools
 import json
 import sys
 from pathlib import Path
@@ -35,9 +37,10 @@ def _build_parser() -> argparse.ArgumentParser:
     )
     sub = parser.add_subparsers(dest="command", required=True)
 
-    run = sub.add_parser("run", help="run an experiment file and emit a report")
-    run.add_argument("file", help="experiment YAML file")
-    run.add_argument("--out", metavar="DIR", help="directory for the report (and CSV exports)")
+    run = sub.add_parser("run", help="run experiment files and emit a report for each")
+    run.add_argument("files", nargs="+", metavar="FILE", help="experiment YAML file; files that differ only in "
+                     "name, instrumentation, responses, detection and cost model share their simulations")
+    run.add_argument("--out", metavar="DIR", help="directory for the reports (and CSV exports)")
     run.add_argument("--parallel", type=int, default=1, metavar="N", help="concurrent runs (N >= 1)")
     run.add_argument("--export-csv", action="store_true", help="write per-run response/span CSV files")
     run.add_argument(
@@ -84,16 +87,23 @@ def _load_spec(path: str):
 
 def _cmd_run(args) -> int:
     from .report import report_json
-    from .runner import ExperimentError, run_experiment
+    from .runner import ExperimentError, run_experiments
 
     if args.parallel < 1:
         _fail(f"--parallel must be >= 1, got {args.parallel}")
-    spec = _load_spec(args.file)
-    violations = validate(spec)
+    if len(args.files) > 1 and args.out is None:
+        _fail("more than one file requires --out: stdout holds one report")
+    if len(args.files) > 1 and args.export_csv:
+        _fail("--export-csv takes one file: the CSV file names of two experiments can collide")
+    specs = [_load_spec(path) for path in args.files]
+    violations = [(path, v) for path, spec in zip(args.files, specs) for v in validate(spec)]
+    for path, violation in violations:
+        print(f"invalid: {path + ': ' if len(specs) > 1 else ''}{violation}", file=sys.stderr)
     if violations:
-        for violation in violations:
-            print(f"invalid: {violation}", file=sys.stderr)
         return EXIT_VALIDATION
+    for (path, spec), (other, twin) in itertools.combinations(zip(args.files, specs), 2):
+        if spec.name == twin.name:
+            _fail(f"{path} and {other} both name experiment '{spec.name}': one report would overwrite the other")
 
     out_dir = Path(args.out) if args.out else None
     export_dir = out_dir / "csv" if (out_dir and args.export_csv) else None
@@ -105,29 +115,24 @@ def _cmd_run(args) -> int:
         except OSError as exc:
             _fail(f"cannot create --out {out_dir}: {exc.strerror or exc}")
     try:
-        report = run_experiment(
-            spec,
-            parallel=args.parallel,
-            export_dir=export_dir,
-            frozen_clock=args.frozen_clock,
-        )
+        reports = run_experiments(specs, parallel=args.parallel, export_dir=export_dir, frozen_clock=args.frozen_clock)
     except ExperimentError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_RUNTIME
 
-    text = report_json(report)
-    if out_dir is not None:
-        report_path = out_dir / f"{spec.name}_report.json"
+    if out_dir is None:
+        sys.stdout.write(report_json(reports[0]))
+        return EXIT_OK
+    for report in reports:
+        report_path = out_dir / f"{report.experiment}_report.json"
         try:
-            report_path.write_text(text, encoding="utf-8")
+            report_path.write_text(report_json(report), encoding="utf-8")
         except OSError as exc:
             _fail(f"cannot write {report_path}: {exc.strerror or exc}")
         for fault, ratio in report.matrix.fault_coverage.items():
             print(f"fault_coverage {fault}: {ratio}")
         print(f"ofo: {report.matrix.ofo}")
         print(f"report: {report_path}")
-    else:
-        sys.stdout.write(text)
     return EXIT_OK
 
 

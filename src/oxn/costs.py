@@ -10,6 +10,7 @@ meaningful.
 
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from typing import TYPE_CHECKING
 
@@ -85,7 +86,10 @@ def mean_cost(reports: list[CostReport]) -> CostReport:
 
 def overhead(baseline_total: float, alternative_total: float) -> float:
     """Relative cost increase versus the baseline, as a percentage rounded
-    to two decimals."""
+    to two decimals; one beyond the float range is refused."""
     if baseline_total <= 0:
         raise ValueError("baseline total cost must be positive")
-    return round((alternative_total / baseline_total - 1.0) * 100.0, 2)
+    percent = round((alternative_total / baseline_total - 1.0) * 100.0, 2)
+    if math.isinf(percent):
+        raise ValueError(f"cost.total {alternative_total!r} over {baseline_total!r} overflows the float range")
+    return percent

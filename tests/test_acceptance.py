@@ -264,8 +264,7 @@ class TestCriterion6NarrativeTrend:
 
     def test_wall_clock_budget(self, canonical_reports):
         elapsed = canonical_reports["elapsed"]
-        shared = elapsed["baseline"] + elapsed["alternative_b"] + elapsed["alternative_c"]
-        assert shared < 180.0
+        assert elapsed < 180.0
         baseline = canonical_reports["baseline"]
         alt_b = canonical_reports["alternative_b"]
         announce(
@@ -273,7 +272,7 @@ class TestCriterion6NarrativeTrend:
             "baseline FC(pause)=3/3, FC(delay)=0/3, OFO=2/3; alternative B flips the "
             f"delay/trace cell ({baseline.matrix.score_means[(NETWORK_DELAY, TRACE_RESPONSE)]:.3f}"
             f" -> {alt_b.matrix.score_means[(NETWORK_DELAY, TRACE_RESPONSE)]:.3f}), OFO=3/3, "
-            f"dFC=+1, dOFO=+1 ({shared:.0f}s for 90 runs)",
+            f"dFC=+1, dOFO=+1 ({elapsed:.0f}s for the 120 runs of 4 files)",
         )
 
 

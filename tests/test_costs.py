@@ -1,5 +1,7 @@
 from __future__ import annotations
 
+import re
+
 import pytest
 
 from oxn.config import CostModelSpec, MetricPointSpec, TraceConfigSpec, parse_experiment_file
@@ -106,6 +108,11 @@ class TestOverhead:
     def test_zero_baseline_rejected(self):
         with pytest.raises(ValueError):
             overhead(0.0, 10.0)
+
+    @pytest.mark.parametrize("baseline, alternative", [(5e-324, 1.0), (1e-300, 1e300)])
+    def test_a_ratio_beyond_the_float_range_is_refused(self, baseline, alternative):
+        with pytest.raises(ValueError, match=re.escape(f"cost.total {alternative!r} over {baseline!r} overflows")):
+            overhead(baseline, alternative)
 
 
 class TestMeanCost:

@@ -7,17 +7,21 @@ import multiprocessing
 import operator
 import subprocess
 import sys
+import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from oxn import cli, config, runner
-from oxn.config import DetectionSpec, Pause, Stress, render_experiment
+from oxn.config import (CostModelSpec, DetectionSpec, MetricSamplingInterval, Pause, Stress, TracingSamplingRate,
+                        render_experiment)
 from oxn.detection import MIN_CLASS_ROWS, ThresholdAlertMechanism
 from oxn.report import compare_docs, report_json
-from oxn.runner import ExperimentError, run_experiment, spec_digest
+from oxn.runner import ExperimentError, run_experiment, run_experiments, spec_digest
+from oxn.simulator import SimState
 
 from conftest import REPO_ROOT, cli_env, experiment_path, small_spec
 
@@ -98,6 +102,45 @@ class FixedScore:
         return self
 
 
+PAUSE_BACKEND = Pause(name="pause_backend", target="backend", start_ms=40_000, end_ms=80_000)
+
+
+@st.composite
+def spec_lists(draw):
+    """One to five small specs. Each draws its name, instrumentation,
+    responses, detection and cost model, which specs may differ in and still
+    share their simulations, and its seed, workload and repetitions, which
+    they may not."""
+    base = small_spec()
+    specs = []
+    for i in range(draw(st.integers(1, 5))):
+        instrumentation = draw(st.sampled_from([
+            (),
+            (TracingSamplingRate(name="rate", rate=0.1),),
+            (MetricSamplingInterval(name="fast_cpu", metric="system_cpu", interval_ms=1000),),
+        ]))
+        responses = draw(st.lists(st.sampled_from(base.responses), min_size=1, max_size=3, unique=True))
+        specs.append(small_spec(
+            name=f"spec{i}",
+            seed=draw(st.sampled_from([42, 43])),
+            repetitions=draw(st.integers(1, 2)),
+            workload=draw(st.sampled_from([base.workload, replace(base.workload, users=8)])),
+            treatments=(*instrumentation, PAUSE_BACKEND),
+            responses=tuple(responses),
+            detection=draw(st.sampled_from([DetectionSpec(), DetectionSpec(mechanism="threshold_alert", alpha=0.5)])),
+            cost_model=draw(st.sampled_from([CostModelSpec(), CostModelSpec(per_span_collector_ms=7.0)])),
+        ))
+    return specs
+
+
+def family(n: int = 4):
+    """``n`` specs that share their behaviour: only their names, trace
+    sampling rates and detection mechanisms differ."""
+    return [small_spec(name=f"member{i}", treatments=(TracingSamplingRate(name="rate", rate=0.2 * i), PAUSE_BACKEND),
+                       detection=DetectionSpec(mechanism=("logistic_regression", "threshold_alert")[i % 2]))
+            for i in range(n)]
+
+
 class TestRunExperiment:
     def test_locked_small_experiment_outcome(self, small_report):
         coverage = small_report.matrix.fault_coverage["pause_backend"]
@@ -130,9 +173,13 @@ class TestRunExperiment:
 
     def test_parallel_equals_serial(self, monkeypatch):
         serial = report_json(run_experiment(small_spec(), parallel=1, frozen_clock=True))
+        specs = [*family(2), small_spec(name="other", seed=9)]
+        separate = [report_json(run_experiment(spec, frozen_clock=True)) for spec in specs]
         for method in pool_start_methods(monkeypatch):
             parallel = run_experiment(small_spec(), parallel=2, frozen_clock=True)
             assert report_json(parallel) == serial, method
+            together = run_experiments(specs, parallel=2, frozen_clock=True)
+            assert [report_json(report) for report in together] == separate, method
 
     def test_registered_mechanism_runs_in_every_pool(self, monkeypatch):
         monkeypatch.setitem(config._REGISTRY, "mine", module_level_factory)
@@ -173,7 +220,7 @@ class TestRunExperiment:
             run_experiment(spec, parallel=parallel, frozen_clock=True)
         assert serial_pool == ([] if parallel == 1 else [2])
         assert str(raised.value) == (
-            "run failed (first unfinished run: fault=pause_gateway repetition=1): detector crashed"
+            "run failed (first unfinished run: experiment=small fault=pause_gateway repetition=1): detector crashed"
         )
 
     @pytest.mark.parametrize("score", [1.5, -0.1, math.nan, "0.5"])
@@ -183,7 +230,7 @@ class TestRunExperiment:
         with pytest.raises(ExperimentError) as raised:
             run_experiment(spec, frozen_clock=True)
         assert str(raised.value) == (
-            "run failed (first unfinished run: fault=pause_backend repetition=0): "
+            "run failed (first unfinished run: experiment=small fault=pause_backend repetition=0): "
             f"mechanism 'fixed' scored response 'system_cpu' {score!r}, not a number in [0, 1]"
         )
 
@@ -212,6 +259,27 @@ class TestRunExperiment:
             alone = run_experiment(small_spec(treatments=(fault,)), frozen_clock=True).to_doc()
             assert [run for run in doc["runs"] if run["fault"] == fault.name] == alone["runs"]
             assert doc["visibility"][fault.name] == alone["visibility"][fault.name]
+
+    def test_a_repetition_forks_for_each_fault_but_the_last_and_drops_each_run(self, monkeypatch):
+        """Each ``run_until`` of a repetition sees which runs yielded before it
+        are still alive once the consumer has dropped them: none. The last
+        fault runs on the prefix state itself."""
+        faults = tuple(Pause(name=f"pause_{t}", target="backend", start_ms=t, end_ms=90_000)
+                       for t in (40_000, 60_000, 70_000))
+        runs, alive, forks = [], [], []
+        run_until, fork = SimState.run_until, SimState.fork
+
+        def watched(sim, until):
+            alive.append([run() is not None for run in runs])
+            run_until(sim, until)
+
+        monkeypatch.setattr(SimState, "run_until", watched)
+        monkeypatch.setattr(SimState, "fork", lambda sim: forks.append(sim.now) or fork(sim))
+        for _, run in runner.simulate_repetition(small_spec(treatments=faults), 0):
+            runs.append(weakref.ref(run))
+            del run
+        assert alive == [[], [], [False], [False], [False, False], [False, False]]
+        assert forks == [39_999, 59_999]
 
     def test_undefined_score_counts_as_invisible(self):
         # [40 s, 65 s] leaves only three 10 s counter windows inside the fault
@@ -294,6 +362,71 @@ class TestRunExperiment:
         ]
 
 
+class TestRunExperiments:
+    @given(spec_lists())
+    @settings(max_examples=30, deadline=None)
+    def test_each_report_has_the_bytes_of_its_separate_run(self, specs):
+        together = run_experiments(specs, frozen_clock=True)
+        assert [report_json(report) for report in together] == [
+            report_json(run_experiment(spec, frozen_clock=True)) for spec in specs
+        ]
+
+    def test_specs_of_one_behaviour_simulate_each_repetition_once(self, monkeypatch):
+        calls = []
+
+        def counted(spec, repetition):
+            calls.append(repetition)
+            return simulate_repetition(spec, repetition)
+
+        simulate_repetition = runner.simulate_repetition
+        monkeypatch.setattr(runner, "simulate_repetition", counted)
+        specs = family(4)
+        reports = run_experiments(specs, frozen_clock=True)
+        assert calls == [0, 1]  # R = 2 repetitions, not 4R
+        assert [len(report.runs) for report in reports] == [2, 2, 2, 2]
+        calls.clear()
+        run_experiments([*specs, replace(specs[0], name="reseeded", seed=7)], frozen_clock=True)
+        assert calls == [0, 1, 0, 1]
+
+    def test_one_pool_serves_every_group(self, serial_pool):
+        specs = [*family(2), small_spec(name="other", seed=9)]
+        run_experiments(specs, parallel=8, frozen_clock=True)
+        assert serial_pool == [4]  # one pool, one worker per (group, repetition)
+
+    def test_every_mechanism_is_checked_before_a_pool_starts(self, monkeypatch, serial_pool):
+        monkeypatch.setitem(config._REGISTRY, "mine", lambda **_: ThresholdAlertMechanism())
+        specs = [small_spec(), small_spec(name="mine", detection=DetectionSpec(mechanism="mine"))]
+        with pytest.raises(ExperimentError, match="mechanism 'mine' cannot be sent to pool workers"):
+            run_experiments(specs, parallel=2, frozen_clock=True)
+        assert serial_pool == []
+
+    def test_a_failure_names_the_experiment_whose_run_failed(self, monkeypatch):
+        specs = family(2)
+        factory = FailsLate(responses=len(specs[1].responses), crash_run=1)
+        monkeypatch.setitem(config._REGISTRY, "fails_late", factory)
+        specs[1] = replace(specs[1], detection=DetectionSpec(mechanism="fails_late"))
+        # repetition 0 scores member0 then member1 (run 0), repetition 1
+        # member0 then member1 (run 1), which crashes
+        with pytest.raises(ExperimentError) as raised:
+            run_experiments(specs, frozen_clock=True)
+        assert str(raised.value) == (
+            "run failed (first unfinished run: experiment=member1 fault=pause_backend repetition=1): detector crashed"
+        )
+
+    def test_csv_export_takes_one_spec(self, tmp_path):
+        with pytest.raises(ExperimentError, match="export_dir takes one spec"):
+            run_experiments(family(2), export_dir=tmp_path)
+        assert list(tmp_path.iterdir()) == []
+
+    def test_no_specs_give_no_reports(self):
+        assert run_experiments([], parallel=2) == []
+
+    def test_an_invalid_spec_is_named_before_any_run(self, monkeypatch):
+        monkeypatch.setattr(runner, "simulate_repetition", None)
+        with pytest.raises(ExperimentError, match="^experiment spec 'bad' is invalid: "):
+            run_experiments([small_spec(), small_spec(name="bad", repetitions=0)])
+
+
 class TestCompare:
     def test_report_vs_itself(self, small_report):
         doc = small_report.to_doc()
@@ -345,7 +478,7 @@ class TestReportDocument:
         schema = json.loads((REPO_ROOT / "src/oxn/report_schema.json").read_text())
         doc = json.loads(report_json(run_experiment(small_spec(repetitions=1))))
         jsonschema.validate(doc, schema)
-        assert sorted(doc["meta"]) == ["generated_at", "wall_clock_s"]
+        assert sorted(doc["meta"]) == ["generated_at", "numpy", "python", "wall_clock_s"]
         doc["meta"]["frozen"] = True
         assert not jsonschema.Draft7Validator(schema).is_valid(doc)
 
@@ -474,7 +607,7 @@ class TestCli:
         def must_not_run(*args, **kwargs):
             raise AssertionError("the experiment ran")
 
-        monkeypatch.setattr(runner, "run_experiment", must_not_run)
+        monkeypatch.setattr(runner, "run_experiments", must_not_run)
         assert cli.main(["run", str(small_file), "--out", str(out)]) == cli.EXIT_VALIDATION
         assert capsys.readouterr() == ("", f"error: cannot create --out {out}: {reason}\n")
 
@@ -495,6 +628,51 @@ class TestCli:
         assert report["experiment"] == "small"
         assert (out / "csv" / "small_pause_backend-r0_spans.csv").exists()
         assert "ofo:" in proc.stdout
+
+    @pytest.fixture()
+    def alternative_file(self, tmp_path):
+        """An alternative design of ``small_file``'s experiment: it shares its
+        simulations and samples traces at another rate."""
+        path = tmp_path / "alternative.yaml"
+        path.write_text(render_experiment(small_spec(
+            name="small_alt", repetitions=1, treatments=(TracingSamplingRate(name="rate", rate=0.9), PAUSE_BACKEND)
+        )))
+        return path
+
+    def test_run_of_several_files_writes_the_reports_of_separate_runs(self, small_file, alternative_file, tmp_path):
+        out = tmp_path / "together"
+        proc = run_cli("run", str(small_file), str(alternative_file), "--out", str(out), "--frozen-clock",
+                       "--parallel", "2")
+        assert proc.returncode == 0, proc.stderr
+        assert sorted(p.name for p in out.iterdir()) == ["small_alt_report.json", "small_report.json"]
+        assert proc.stdout.count("report: ") == 2
+        for path in (small_file, alternative_file):
+            alone = tmp_path / path.stem
+            assert cli.main(["run", str(path), "--out", str(alone), "--frozen-clock"]) == cli.EXIT_OK
+            (report,) = alone.iterdir()
+            assert (out / report.name).read_bytes() == report.read_bytes()
+
+    @pytest.mark.parametrize("extra, same_name, message", [
+        ([], False, "more than one file requires --out: stdout holds one report"),
+        (["--out", "OUT", "--export-csv"], False,
+         "--export-csv takes one file: the CSV file names of two experiments can collide"),
+        (["--out", "OUT"], True, "{small} and {other} both name experiment 'small': one report would overwrite the other"),
+    ], ids=["stdout", "export-csv", "same-name"])
+    def test_run_refuses_files_that_cannot_share_a_call_before_running(
+        self, small_file, alternative_file, tmp_path, monkeypatch, capsys, extra, same_name, message
+    ):
+        def must_not_run(*args, **kwargs):
+            raise AssertionError("the experiment ran")
+
+        monkeypatch.setattr(runner, "run_experiments", must_not_run)
+        other = alternative_file
+        if same_name:
+            other = tmp_path / "renamed.yaml"
+            other.write_text(alternative_file.read_text().replace("name: small_alt", "name: small"))
+        args = [arg.replace("OUT", str(tmp_path / "out")) for arg in extra]
+        assert cli.main(["run", str(small_file), str(other), *args]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == ("", "error: " + message.format(small=small_file, other=other) + "\n")
+        assert not (tmp_path / "out").exists()
 
     def test_run_to_stdout(self, small_file):
         proc = run_cli("run", str(small_file), "--frozen-clock")
@@ -656,6 +834,22 @@ class TestCli:
             assert (proc.returncode, proc.stdout, proc.stderr) == (
                 1, "", f"error: cost.total must be a positive finite number, not {total!r}\n"
             )
+
+    @pytest.mark.parametrize("baseline, alternative", [(5e-324, 1.0), (1e-300, 1e300)])
+    def test_compare_refuses_a_cost_ratio_beyond_the_float_range(self, small_report, tmp_path, capsys,
+                                                                baseline, alternative):
+        """Both totals are positive finite numbers, but the alternative's over
+        the baseline's overflows, and JSON has no Infinity to print."""
+        paths = []
+        for name, total in (("a", baseline), ("b", alternative)):
+            doc = small_report.to_doc()
+            doc["cost"]["total"] = total
+            paths.append(tmp_path / f"{name}.json")
+            paths[-1].write_text(json.dumps(doc))
+        assert cli.main(["compare", *map(str, paths)]) == cli.EXIT_VALIDATION
+        assert capsys.readouterr() == (
+            "", f"error: cost.total {alternative!r} over {baseline!r} overflows the float range\n"
+        )
 
     def test_run_rejects_name_that_escapes_out(self, tmp_path):
         path = tmp_path / "escape.yaml"

@@ -42,6 +42,7 @@ from oxn.simulator import (
     _BLOCK_MAX,
     _BLOCK_MIN,
     _EV_ARRIVAL,
+    _EV_PROC_DONE,
     _EV_TIMEOUT,
     _EV_USER,
     CLIENT_TIMEOUT_MS,
@@ -341,6 +342,18 @@ class TestFaults:
 
         return [TREATMENT_KINDS[kind](name=f"{kind}_b", target="b", start_ms=20_000, end_ms=40_000, **params)]
 
+    def test_faults_of_one_millisecond_apply_in_the_order_added(self):
+        """Two stresses of one service over one window: the one added last
+        sets the factor, as the faults' sequence numbers order them."""
+        sue = sue_chain(0.0)
+        low, high = (Stress(name=f"x{factor:.0f}", target="b", start_ms=10_000, end_ms=50_000, factor=factor)
+                     for factor in (2.0, 3.0))
+
+        def cpu(*faults):
+            return cpu_rows(run_workload(sue, 13, 5, 60_000, 400, faults=faults).log, sue)
+
+        assert cpu(low, high) == cpu(high) != cpu(low) == cpu(high, low)
+
     def test_pause_queues_without_processing(self):
         sue = sue_chain(0.0)
         sim = run_workload(sue, 17, 5, 60_000, 500, faults=self.make_faults("pause"))
@@ -638,6 +651,35 @@ class TestEventQueue:
         sim.run_until(None)
         assert sim.pending_events() == 0
         assert sorted(r.request_id for r in sim.records) == list(range(sim._request_count))
+
+    @staticmethod
+    def assert_distinct_seqs(sim):
+        """No two pending events share a sequence number, so none tie on
+        ``(t, seq)``: over the heap, the wake-ups and every queued client
+        timeout (the first is also on the heap)."""
+        pending = {id(event): event for event in (*sim._heap, *sim._wakeups, *sim._timeouts)}.values()
+        seqs = [seq for _, seq, _, _ in pending]
+        assert len(set(seqs)) == len(seqs), sim.now
+
+    def test_pending_events_hold_distinct_sequence_numbers(self):
+        spec, faults = baseline_faults()
+        sim = baseline_sim(spec, faults["pause"])
+        for t in range(0, spec.workload.duration_ms + CLIENT_TIMEOUT_MS, 100):
+            sim.run_until(t)
+            self.assert_distinct_seqs(sim)
+
+    def test_a_pause_end_gives_each_resumed_call_the_next_sequence_number(self):
+        # Both workers are busy when the pause starts, so two calls freeze.
+        pause = Pause(name="pause_api", target="api", start_ms=500, end_ms=2000)
+        sim = new_sim(sue_single(median_ms=1000, workers=2), seed=1, faults=[pause])
+        sim.issue_request(0, at=0)
+        sim.issue_request(1, at=1)
+        sim.run_until(1999)
+        last = sim._seq
+        sim.run_until(2000)
+        self.assert_distinct_seqs(sim)
+        resumed = sorted(seq for _, seq, kind, _ in sim._heap if kind == _EV_PROC_DONE)
+        assert resumed == [last + 1, last + 2]
 
     def test_wakeups_pushed_out_of_order_come_in_time_order(self):
         sim = new_sim(sue_single(), seed=1)
