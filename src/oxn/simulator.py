@@ -22,6 +22,11 @@ pickled and either copy runs on identically. The raw events go to the typed
 columns of ``RawEventLog`` and the finished requests to those of
 ``RequestTable``; each ok span close is one request-counter increment.
 
+The log is written in chunks of about ``_CHUNK_ROWS`` rows and read as such:
+after a process's first run frees multi-MB columns, glibc raises its dynamic
+mmap threshold, so columns each grown as one array would grow side by side
+by ``realloc`` in the brk heap in later runs, and fragment it.
+
 Faults are added with ``add_fault``, whose boundary events take negative
 sequence numbers in the order the faults were added (-2,000,000 + 2i for the
 i-th fault's start, one more for its end), so they precede every simulation
@@ -87,6 +92,10 @@ MAX_RETRANSMITS = 100
 # packet costs one retransmission round-trip and some receiver-side stack work.
 RETRANSMIT_PENALTY_MS = 200
 RETRANSMIT_CPU_MS = 100.0
+
+# Both log tables start a new chunk at a root arrival once either's last chunk
+# holds this many rows, so a chunk may pass it by the rows before the next root.
+_CHUNK_ROWS = 4096
 
 _MASK64 = (1 << 64) - 1
 # Normals drawn per refill of a duration buffer: doubling from the first to
@@ -180,6 +189,11 @@ class SpanTable:
         """The rows selected by a mask or an index array, as numpy arrays."""
         return SpanTable(*(np.asarray(column)[rows] for column in vars(self).values()))
 
+    @staticmethod
+    def concat(tables) -> SpanTable:
+        """The rows of ``tables`` in order, as numpy arrays."""
+        return SpanTable(*map(np.concatenate, zip(*(vars(table).values() for table in tables))))
+
 
 class RequestRecord(NamedTuple):
     request_id: int
@@ -210,18 +224,22 @@ class RequestTable:
         return (RequestRecord(*row, OUTCOMES[outcome]) for *row, outcome in zip(*vars(self).values()))
 
 
+def _cpu_chunk() -> tuple[array, array, array]:
+    return array("q"), array("q"), array("d")
+
+
 @dataclass
 class RawEventLog:
-    """Raw instrumentation events of one run: the span table, a root before
-    the rest of its trace, and the CPU table, one busy slice per row in timestamp order."""
+    """Raw instrumentation events of one run, each table a list of chunks in
+    row order: the span table, a root before the rest of its trace, and the
+    CPU table, one busy slice per row in timestamp order, as ``(service,
+    t_ms, ms)`` columns. Each table holds one chunk, empty, before the run."""
 
-    spans: SpanTable = field(default_factory=SpanTable)
-    cpu_service: array = field(default_factory=lambda: array("q"))
-    cpu_t_ms: array = field(default_factory=lambda: array("q"))
-    cpu_ms: array = field(default_factory=lambda: array("d"))
+    spans: list[SpanTable] = field(default_factory=lambda: [SpanTable()])
+    cpu: list[tuple[array, array, array]] = field(default_factory=lambda: [_cpu_chunk()])
 
     def span_count(self) -> int:
-        return len(self.spans.span_id)
+        return sum(len(chunk.span_id) for chunk in self.spans)
 
 
 class _Request:
@@ -236,14 +254,14 @@ class _Request:
 
 
 class _Call:
-    # ``cpu_ms`` is set when the call starts processing.
-    __slots__ = ("request", "svc", "parent", "row", "pending", "failed", "inbound_cpu_ms", "cpu_ms")
+    # ``chunk`` is set with ``row`` when the call arrives, ``cpu_ms`` when it starts processing.
+    __slots__ = ("request", "svc", "parent", "chunk", "row", "pending", "failed", "inbound_cpu_ms", "cpu_ms")
 
     def __init__(self, request: _Request, svc: "_ServiceState", parent: "_Call | None"):
         self.request = request
         self.svc = svc
         self.parent = parent
-        self.row = -1  # span table row once the call arrives
+        self.row = -1  # its span's row in ``chunk`` once the call arrives
         self.pending = 0
         self.failed = False
         self.inbound_cpu_ms = 0.0
@@ -392,13 +410,8 @@ class SimState:
         heappop = heapq.heappop
         timeouts = self._timeouts
         active = self._active
-        spans = self.log.spans
-        span_ids = spans.span_id
-        span_id_append, parent_append, service_append = span_ids.append, spans.parent.append, spans.service.append
-        start_append, end_append, ok_append = spans.start_ms.append, spans.end_ms.append, spans.ok.append
-        cpu_service_append = self.log.cpu_service.append
-        cpu_t_append = self.log.cpu_t_ms.append
-        cpu_ms_append = self.log.cpu_ms.append
+        (chunk, cpu_chunk, span_id_append, parent_append, service_append, start_append, end_append, ok_append,
+         cpu_service_append, cpu_t_append, cpu_ms_append) = self._writers()
         span_bits = SPAN_BITS
         limit = _END_OF_TIME if t is None else t
         when = self.now
@@ -417,6 +430,11 @@ class SimState:
                     timeouts.append((when + CLIENT_TIMEOUT_MS, seq + 1, _EV_TIMEOUT, call.request))
                     if len(timeouts) == 1:
                         heappush(heap, timeouts[0])
+                    if len(chunk.span_id) >= _CHUNK_ROWS or len(cpu_chunk[0]) >= _CHUNK_ROWS:
+                        self.log.spans.append(SpanTable())
+                        self.log.cpu.append(_cpu_chunk())
+                        (chunk, cpu_chunk, span_id_append, parent_append, service_append, start_append, end_append,
+                         ok_append, cpu_service_append, cpu_t_append, cpu_ms_append) = self._writers()
                 if svc.killed:
                     # A dead process emits nothing; the caller observes a late error.
                     call.inbound_cpu_ms = 0.0
@@ -429,9 +447,10 @@ class SimState:
                     cpu_t_append(when)
                     cpu_ms_append(call.inbound_cpu_ms)
                 request = call.request
-                call.row = len(span_ids)
+                call.chunk = chunk
+                call.row = len(chunk.span_id)
                 span_id_append((request.index << span_bits) | request.next_span)
-                parent_append(-1 if parent is None else span_ids[parent.row])
+                parent_append(-1 if parent is None else parent.chunk.span_id[parent.row])
                 service_append(svc.index)
                 start_append(when)
                 end_append(-1)
@@ -520,6 +539,11 @@ class SimState:
 
     # -- helpers of the loop ---------------------------------------------------
 
+    def _writers(self) -> tuple:
+        """The log's last span and CPU chunks, then the appends of their columns in order."""
+        chunk, cpu = self.log.spans[-1], self.log.cpu[-1]
+        return chunk, cpu, *(column.append for column in (*vars(chunk).values(), *cpu))
+
     def _transit(self, edge: _EdgeState) -> tuple[int, float, bool]:
         """Transit time, receiver-side CPU ms and corruption of one call on
         ``edge`` under the active faults that act on its callee."""
@@ -549,11 +573,10 @@ class SimState:
         ancestor whose last open child it is; a root's close finishes its
         request unless the client timeout already has. A call that failed
         before it opened a span (``row == -1``) only tells its parent."""
-        spans = self.log.spans
         while True:
             if call.row >= 0:
-                spans.end_ms[call.row] = t
-                spans.ok[call.row] = not call.failed
+                call.chunk.end_ms[call.row] = t
+                call.chunk.ok[call.row] = not call.failed
             parent = call.parent
             if parent is None:
                 if not call.request.done:

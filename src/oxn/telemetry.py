@@ -1,9 +1,10 @@
 """Turn raw instrumentation events into sampled metrics, sampled traces and
 labeled response series.
 
-The raw event log's typed columns are read as numpy views, ``_CHUNK_ROWS``
-rows at a time, so no temporary is as long as the log. Metrics are
-materialized on a fixed grid: every timestamp is the end of its
+The raw event log is read in the bounded chunks the simulator wrote, each
+column as a numpy view, so no temporary is as long as the log; every read
+keeps the order of one pass over the whole log, and so the float bits.
+Metrics are materialized on a fixed grid: every timestamp is the end of its
 (aggregation) window and windows without data yield explicit zeros, so
 downstream detectors always see rectangular data. Every metric kind reads
 window grids that one pass over each table fills. A gauge reads each target
@@ -12,9 +13,9 @@ service once per sampling window: ``cpu_gauge`` its busy fraction,
 millisecond and not closed by it), the running sum of each window's span
 opens less closes. Trace sampling is head-based: one keep/drop draw per
 trace, in root-span open order. A response series is one record of columns:
-observations inside the fault window are marked ``is_fault``, and those in
-a short settling margin after the window are dropped so queue-drain
-transients cannot contaminate the normal class.
+observations inside the fault window are marked ``is_fault``, and those in a
+short settling margin after the window are dropped so queue-drain transients
+cannot contaminate the normal class.
 """
 
 from __future__ import annotations
@@ -38,7 +39,6 @@ from .config import (
 from .simulator import RawEventLog, SpanTable
 
 SETTLING_MARGIN_MS = 30_000
-_CHUNK_ROWS = 1 << 14
 
 
 @dataclass(frozen=True)
@@ -82,13 +82,6 @@ def _rows(point: MetricPointSpec, sue: SueSpec) -> list[int]:
     return [i for i, s in enumerate(sue.services) if point.target in (SYSTEM_TARGET, s.id)]
 
 
-def _chunks(*columns):
-    """Views of each ``_CHUNK_ROWS`` rows of the columns, in row order; an empty table is one empty chunk."""
-    views = [np.asarray(column) for column in columns]
-    for lo in range(0, len(views[0]) or 1, _CHUNK_ROWS):
-        yield [view[lo : lo + _CHUNK_ROWS] for view in views]
-
-
 def _accumulate(grids: dict, service: np.ndarray, t: np.ndarray, weights) -> None:
     """Add each event into every grid (interval_ms -> services x windows
     array; events before the first window count in it, past the last in
@@ -99,9 +92,9 @@ def _accumulate(grids: dict, service: np.ndarray, t: np.ndarray, weights) -> Non
         np.add.at(grid.reshape(-1), service * n + np.clip(t // interval, 0, n - 1), weights)
 
 
-def _trace_flags(span_id: np.ndarray) -> np.ndarray:
-    """All-false flags indexed by trace id, up to the largest in ``span_id``."""
-    return np.zeros((int(np.max(span_id, initial=-1)) >> SPAN_BITS) + 1, dtype=bool)
+def _trace_flags(*span_ids) -> np.ndarray:
+    """All-false flags indexed by trace id, up to the largest in the ``span_ids`` columns."""
+    return np.zeros((max(int(np.max(np.asarray(ids), initial=-1)) for ids in span_ids) >> SPAN_BITS) + 1, bool)
 
 
 def sample_metrics(
@@ -124,12 +117,13 @@ def sample_metrics(
     # multiple of the interval its last instant is ``duration_ms - 1``: events
     # at ``duration_ms`` go to the extra column, which no reading sums.
     net = grids("custom_gauge", np.int64, 1)
-    for service, t, ms in _chunks(log.cpu_service, log.cpu_t_ms, log.cpu_ms):
+    for columns in log.cpu:
+        service, t, ms = map(np.asarray, columns)
         slices = t <= duration_ms
         _accumulate(busy, service[slices], t[slices], ms[slices])
     ok_closes = np.zeros(len(sue.services), dtype=np.int64)
-    spans = log.spans
-    for service, start, end, ok in _chunks(spans.service, spans.start_ms, spans.end_ms, spans.ok):
+    for chunk in log.spans:
+        service, start, end, ok = map(np.asarray, (chunk.service, chunk.start_ms, chunk.end_ms, chunk.ok))
         counted = ok.astype(bool) & (end <= duration_ms)
         _accumulate(counts, service[counted], end[counted], 1)
         ok_closes += np.bincount(service[counted], minlength=len(ok_closes))
@@ -171,16 +165,16 @@ def sample_traces(
     root-open order, so runs that share a seed keep nested subsets of traces
     as the rate grows.
     """
-    keep = _trace_flags(np.asarray(log.spans.span_id))
-    rows, trace_count = [], 0
+    keep = _trace_flags(*(chunk.span_id for chunk in log.spans))
+    kept, trace_count = [], 0
     # A root's row comes before the rest of its trace: in its chunk or an earlier one.
-    for k, (span_id, parent) in enumerate(_chunks(log.spans.span_id, log.spans.parent)):
-        trace = span_id >> SPAN_BITS
-        roots = trace[parent < 0]
+    for chunk in log.spans:
+        trace = np.asarray(chunk.span_id) >> SPAN_BITS
+        roots = trace[np.asarray(chunk.parent) < 0]
         trace_count += len(roots)
         keep[roots if cfg.strategy == "always_on" else roots[rng.random(len(roots)) < cfg.rate]] = True
-        rows.append(k * _CHUNK_ROWS + np.flatnonzero(keep[trace]))
-    kept = log.spans.take(np.concatenate(rows))
+        kept.append(chunk.take(keep[trace]))
+    kept = SpanTable.concat(kept)
     open_rows = kept.end_ms < 0
     if open_rows.any():
         raise ValueError(f"span {kept.span_id[open_rows.argmax()]} was never closed")
@@ -196,8 +190,10 @@ def build_batch(
     services = tuple(s.id for s in sue.services)
     n = len(services)
 
-    # bincount adds the slices in log order, as a loop would.
-    busy = np.bincount(np.asarray(log.cpu_service), np.asarray(log.cpu_ms), n)
+    # np.add.at adds the slices in log order, as a loop would.
+    busy = np.zeros(n)
+    for service, _, ms in log.cpu:
+        np.add.at(busy, np.asarray(service), np.asarray(ms))
 
     counted = np.zeros(n, dtype=bool)
     calls = 2 * np.bincount(spans.service, minlength=n)  # span open + close

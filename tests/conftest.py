@@ -6,6 +6,7 @@ from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
 
+import numpy as np
 import pytest
 
 from oxn.config import (
@@ -23,7 +24,7 @@ from oxn.config import (
     parse_experiment_file,
 )
 from oxn.runner import run_experiments
-from oxn.simulator import RawEventLog, SimState, SpanTable, drive, init_sim
+from oxn.simulator import RawEventLog, SimState, SpanTable, _cpu_chunk, drive, init_sim
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
 EXPERIMENTS_DIR = REPO_ROOT / "experiments"
@@ -148,6 +149,20 @@ class SpanRow(NamedTuple):
     ok: int
 
 
+class WholeLog(NamedTuple):
+    """A raw event log's tables, each concatenated from its chunks as numpy arrays."""
+
+    spans: SpanTable
+    cpu_service: np.ndarray
+    cpu_t_ms: np.ndarray
+    cpu_ms: np.ndarray
+
+
+def whole(log: RawEventLog) -> WholeLog:
+    """The one reader of a log's columns in tests: they do not depend on how the log is chunked."""
+    return WholeLog(SpanTable.concat(log.spans), *map(np.concatenate, zip(*log.cpu)))
+
+
 def span_rows(spans: SpanTable, sue: SueSpec) -> list[SpanRow]:
     ids = [s.id for s in sue.services]
     columns = (column.tolist() for column in vars(spans).values())
@@ -157,25 +172,36 @@ def span_rows(spans: SpanTable, sue: SueSpec) -> list[SpanRow]:
 def cpu_rows(log: RawEventLog, sue: SueSpec) -> list[tuple[str, int, float]]:
     """The CPU table as (service id, t_ms, ms) rows."""
     ids = [s.id for s in sue.services]
-    return [(ids[s], t, ms) for s, t, ms in zip(log.cpu_service, log.cpu_t_ms, log.cpu_ms)]
+    _, *cpu = whole(log)
+    return [(ids[s], t, ms) for s, t, ms in zip(*(column.tolist() for column in cpu))]
 
 
 def ok_closes(log: RawEventLog, sue: SueSpec) -> list[tuple[str, int]]:
     """(service id, end_ms) of every span closed ok: the request-counter
     increments, in span open order."""
-    return [(r.service, r.end_ms) for r in span_rows(log.spans, sue) if r.ok]
+    return [(r.service, r.end_ms) for r in span_rows(whole(log).spans, sue) if r.ok]
 
 
-def event_log(spans=(), cpu=()) -> RawEventLog:
+def event_log(spans=(), cpu=(), chunk_rows: int | None = None) -> RawEventLog:
     """A raw event log holding the given rows, services by index: spans as
-    ``(span_id, parent, service, start_ms, end_ms, ok)`` and CPU
-    slices as ``(service, t_ms, ms)``."""
-    log = RawEventLog()
-    cpu_columns = (log.cpu_service, log.cpu_t_ms, log.cpu_ms)
-    for columns, rows in ((vars(log.spans).values(), spans), (cpu_columns, cpu)):
-        for row in rows:
-            for column, value in zip(columns, row):
-                column.append(value)
+    ``(span_id, parent, service, start_ms, end_ms, ok)`` and CPU slices as
+    ``(service, t_ms, ms)``; each table in chunks of ``chunk_rows`` rows, or
+    in one chunk."""
+
+    def cut(rows: list) -> list[list]:
+        """``rows`` in slices of ``chunk_rows``, or whole; one empty slice if there are none."""
+        size = chunk_rows or len(rows) or 1
+        return [rows[lo : lo + size] for lo in range(0, len(rows) or 1, size)]
+
+    log = RawEventLog([], [])
+    for rows in cut(list(spans)):
+        log.spans.append(SpanTable())
+        for column, values in zip(vars(log.spans[-1]).values(), zip(*rows)):
+            column.extend(values)
+    for rows in cut(list(cpu)):
+        log.cpu.append(_cpu_chunk())
+        for column, values in zip(log.cpu[-1], zip(*rows)):
+            column.extend(values)
     return log
 
 

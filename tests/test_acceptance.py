@@ -14,6 +14,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
+from oxn import cli, simulator
 from oxn.costs import overhead
 from oxn.detection import LogisticRegressionMechanism, _loss_grad_p, build_dataset, zscore_fit_apply
 from oxn.report import build_matrix, compare_docs, report_json
@@ -222,6 +223,17 @@ class TestCriterion5Determinism:
             f"the CLI and library baseline runs agree byte for byte on {len(files)} files ({elapsed:.0f}s)",
         )
 
+    def test_a_tiny_chunk_bound_changes_no_byte(self, tmp_path, monkeypatch):
+        """The event log's chunk bound decides only where chunks end: with
+        chunks of 7 rows, the CLI's run of the baseline in this process
+        writes the pinned report and export."""
+        monkeypatch.setattr(simulator, "_CHUNK_ROWS", 7)
+        out = tmp_path / "out"
+        argv = ["run", str(experiment_path("baseline")), "--out", str(out), "--export-csv", "--frozen-clock"]
+        assert cli.main(argv) == 0
+        files = {path.relative_to(out).as_posix(): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        assert hashlib.sha256(files["baseline_report.json"]).hexdigest() == REPORT_DIGESTS["baseline"]
+        assert export_digest(files) == BASELINE_EXPORT_DIGEST
 
     def test_report_bytes_hold_on_another_dispatch_path_and_hash_seed(self):
         """The reach of the promise that README states: ``oxn run`` gives

@@ -37,6 +37,7 @@ from oxn.config import (
     WorkloadSpec,
     parse_experiment_file,
 )
+from oxn import simulator
 from oxn.runner import simulate_repetition
 from oxn.simulator import (
     _BLOCK_MAX,
@@ -50,6 +51,7 @@ from oxn.simulator import (
     OUTCOMES,
     RETRANSMIT_PENALTY_MS,
     LognormalDraws,
+    RawEventLog,
     RequestRecord,
     RequestTable,
     drive,
@@ -57,7 +59,7 @@ from oxn.simulator import (
 )
 
 from conftest import (
-    SpanRow, cpu_rows, experiment_path, new_sim, ok_closes, small_spec, span_rows, surge_sim, tiny_service,
+    SpanRow, cpu_rows, experiment_path, new_sim, ok_closes, small_spec, span_rows, surge_sim, tiny_service, whole,
 )
 
 
@@ -88,7 +90,7 @@ def chain_hops(sim, sue) -> list[tuple[SpanRow, int]]:
     gives every call the same service time and serves them first in, first
     out, so it finishes processing them in the order they arrived: its k-th
     CPU slice is the dispatch of its k-th span's call."""
-    rows = span_rows(sim.log.spans, sue)
+    rows = span_rows(whole(sim.log).spans, sue)
     a_spans = [r.span_id for r in rows if r.service == "a"]
     a_done = [t for service, t, _ in cpu_rows(sim.log, sue) if service == "a"]
     dispatched = dict(zip(a_spans, a_done))
@@ -127,7 +129,7 @@ class TestBasics:
         (record,) = sim.records
         assert record.end_ms - record.start_ms == 25
         # a serves 10 ms, the edge takes 5 ms, b serves 10 ms and both close at 25
-        rows = span_rows(sim.log.spans, sue)
+        rows = span_rows(whole(sim.log).spans, sue)
         assert [(r.service, r.start_ms, r.end_ms) for r in rows] == [("a", 0, 25), ("b", 15, 25)]
         assert chain_hops(sim, sue) == [(rows[0], 15)]
 
@@ -178,9 +180,9 @@ class TestDeterminism:
         assert runs[0].records == runs[1].records
 
     def test_different_seeds_diverge(self):
-        a = run_workload(sue_chain(0.4), 1, 5, 30_000, 400, sigma=0.3)
-        b = run_workload(sue_chain(0.4), 2, 5, 30_000, 400, sigma=0.3)
-        assert a.log.spans != b.log.spans
+        sue = sue_chain(0.4)
+        a, b = (run_workload(sue, seed, 5, 30_000, 400, sigma=0.3) for seed in (1, 2))
+        assert span_rows(whole(a.log).spans, sue) != span_rows(whole(b.log).spans, sue)
 
     def test_rng_streams_are_stable(self):
         assert rng_stream(7, "x").random() == rng_stream(7, "x").random()
@@ -301,8 +303,8 @@ class TestInvariants:
     def test_span_nesting_and_event_order(self):
         sue = sue_chain(0.4)
         sim = run_workload(sue, 11, 8, 60_000, 300, sigma=0.3)
-        rows = span_rows(sim.log.spans, sue)
-        for stamps in ([r.start_ms for r in rows], sim.log.cpu_t_ms.tolist()):
+        rows = span_rows(whole(sim.log).spans, sue)
+        for stamps in ([r.start_ms for r in rows], whole(sim.log).cpu_t_ms.tolist()):
             assert stamps == sorted(stamps)
 
         spans = {r.span_id: r for r in rows}
@@ -379,7 +381,7 @@ class TestFaults:
         for fork in [copy.deepcopy(sim), pickle.loads(pickle.dumps(sim)), sim]:
             fork.run_until(None)
             # 1000 ms of service happened before the pause; the rest resumes at 40 s.
-            closed = [s for s in span_rows(fork.log.spans, sue) if s.ok]
+            closed = [s for s in span_rows(whole(fork.log).spans, sue) if s.ok]
             b_close = max(closed, key=lambda s: s.end_ms)
             assert b_close.end_ms == 40_000 + 4000
 
@@ -398,7 +400,7 @@ class TestFaults:
         sim.run_until(None)
         # 4000 ms remain at the pause and resume at 21 000; the completion
         # event for 24 000 is still on the heap and must change nothing.
-        (b_span,) = [s for s in span_rows(sim.log.spans, sue) if s.service == "b"]
+        (b_span,) = [s for s in span_rows(whole(sim.log).spans, sue) if s.service == "b"]
         assert (b_span.start_ms, b_span.end_ms, b_span.ok) == (19_000, 25_000, True)
         assert [row for row in cpu_rows(sim.log, sue) if row[0] == "b"] == [("b", 25_000, 5.0)]
         (record,) = sim.records
@@ -413,7 +415,7 @@ class TestFaults:
         assert record.outcome == "error"
         # a processes 10 ms, edge 5 ms, then b's error response time (300 ms)
         assert record.end_ms - record.start_ms == 10 + 5 + 300
-        rows = span_rows(sim.log.spans, sue)
+        rows = span_rows(whole(sim.log).spans, sue)
         assert not [e for e in rows if e.service == "b" and 20_000 <= e.start_ms < 40_000]
 
     def test_kill_drops_in_flight_work_at_window_start(self):
@@ -452,7 +454,7 @@ class TestFaults:
             ms for s, t, ms in cpu_rows(sim.log, sue) if s == "b" and ms not in (5.0,)
         ]
         assert retransmit_cpu  # receiver-side stack work shows up as extra busy time
-        stamps = sim.log.cpu_t_ms.tolist()
+        stamps = whole(sim.log).cpu_t_ms.tolist()
         assert stamps == sorted(stamps)
 
     def test_packet_loss_at_probability_one_retransmits_exactly_the_cap(self):
@@ -464,7 +466,7 @@ class TestFaults:
         sim = new_sim(sue, 3, self.make_faults("packet_loss", probability=1.0))
         sim.issue_request(0, at=25_000)  # a processes it from 25 000 to 25 010
         sim.run_until(None)
-        _, b = span_rows(sim.log.spans, sue)
+        _, b = span_rows(whole(sim.log).spans, sue)
         assert b.start_ms == 25_010 + 5 + MAX_RETRANSMITS * RETRANSMIT_PENALTY_MS == 45_015
         assert [row for row in cpu_rows(sim.log, sue) if row[0] == "b"] == [("b", 45_015, 10_000.0),
                                                                             ("b", 45_025, 5.0)]
@@ -587,7 +589,7 @@ def event_log_digest(sim, sue) -> str:
     doc = {
         "spans": [
             [s.trace, s.span_id, s.parent, s.service, s.start_ms, s.end_ms, "ok" if s.ok else "error"]
-            for s in span_rows(sim.log.spans, sue)
+            for s in span_rows(whole(sim.log).spans, sue)
         ],
         "records": [
             [r.request_id, r.user, r.start_ms, r.end_ms, r.outcome]
@@ -616,6 +618,47 @@ class TestGoldenEventLog:
         sim.run_until(None)
         assert (len(sim.records), sum(r.outcome == "timeout" for r in sim.records)) == (2255, 53)
         assert event_log_digest(sim, spec.sue) == SURGE_EVENT_LOG_DIGEST
+        # The log is held in bounded chunks, whatever the allocator does with them.
+        assert len(sim.log.spans) == len(sim.log.cpu) > 1
+        assert max(len(chunk.span_id) for chunk in sim.log.spans) <= 2 * simulator._CHUNK_ROWS
+        assert max(len(service) for service, _, _ in sim.log.cpu) <= 2 * simulator._CHUNK_ROWS
+
+    @pytest.mark.parametrize("bound", [1, 3, 7])
+    def test_the_chunk_bound_changes_no_event_log(self, bound, monkeypatch):
+        """The chunk bound decides only where chunks end: at tiny bounds
+        every pinned event log keeps its digest."""
+        monkeypatch.setattr(simulator, "_CHUNK_ROWS", bound)
+        spec, faults = baseline_faults()
+        for fault, expected in EVENT_LOG_DIGESTS.items():
+            sim = baseline_sim(spec, faults[fault])
+            sim.run_until(None)
+            assert event_log_digest(sim, spec.sue) == expected, fault
+        spec, sim = surge_sim()
+        sim.run_until(None)
+        assert len(sim.log.spans) > 1000
+        assert event_log_digest(sim, spec.sue) == SURGE_EVENT_LOG_DIGEST
+
+    @pytest.mark.parametrize("bound", [1, 3, 7])
+    def test_a_fork_taken_mid_chunk_runs_on_to_the_single_fault_log(self, bound, monkeypatch):
+        """A fork of the fault-free prefix, taken at the first millisecond of
+        a chunk of the single-fault run, writes the rest of that chunk, and
+        its log, chunks included, is the single-fault run's."""
+        monkeypatch.setattr(simulator, "_CHUNK_ROWS", bound)
+        spec, faults = baseline_faults()
+        fault = faults["pause"]
+        single = baseline_sim(spec, fault)
+        single.run_until(None)
+        k, chunk = next((k, c) for k, c in reversed(list(enumerate(single.log.spans)))
+                        if c.start_ms[0] < c.start_ms[-1] < fault.start_ms)
+        sim = new_sim(spec.sue, 0)
+        drive(sim, spec.workload)
+        sim.run_until(chunk.start_ms[0])
+        assert len(sim.log.spans) == k + 1 and 0 < len(sim.log.spans[k].span_id) < len(chunk.span_id)
+        fork = sim.fork()
+        fork.add_fault(fault)
+        fork.run_until(None)
+        assert fork.log == single.log and fork.records == single.records
+        assert event_log_digest(fork, spec.sue) == EVENT_LOG_DIGESTS["pause"]
 
 
 def is_wakeup(event) -> bool:
@@ -1006,29 +1049,34 @@ class TestProperties:
         shuffled = replace(sue, services=tuple(data.draw(st.permutations(sue.services))))
         free, permuted = (simulated(variant, workload, faults, seed) for variant in (sue, shuffled))
         index = [sue.services.index(s) for s in shuffled.services]  # by position in ``shuffled``
-        relabeled = replace(
-            permuted.log,
-            spans=replace(permuted.log.spans, service=array("q", (index[s] for s in permuted.log.spans.service))),
-            cpu_service=array("q", (index[s] for s in permuted.log.cpu_service)),
+        relabeled = RawEventLog(
+            [replace(chunk, service=array("q", (index[s] for s in chunk.service))) for chunk in permuted.log.spans],
+            [(array("q", (index[s] for s in service)), t, ms) for service, t, ms in permuted.log.cpu],
         )
         assert relabeled == free.log
         assert permuted.records == free.records
 
     @settings(max_examples=100, deadline=None)
-    @given(small_meshes().filter(lambda mesh: mesh[2] is not None))
-    def test_a_fault_added_to_a_fault_free_prefix_gives_the_single_fault_run(self, mesh):
+    @given(small_meshes().filter(lambda mesh: mesh[2] is not None), st.integers(1, 8))
+    def test_a_fault_added_to_a_fault_free_prefix_gives_the_single_fault_run(self, mesh, bound):
         """Metamorphic relation: run without a fault up to the millisecond
         before the fault starts, then add it with ``add_fault``. The log and
-        the records are those of the run that had the fault from the start."""
+        the records are those of the run that had the fault from the start,
+        at any chunk bound; and the bound changes only where chunks end."""
         sue, workload, fault, seed = mesh
-        sim = new_sim(sue, seed)
-        drive(sim, workload)
-        sim.run_until(fault.start_ms - 1)
-        sim.add_fault(fault)
-        sim.run_until(None)
-        single = simulated(sue, workload, [fault], seed)
+        with pytest.MonkeyPatch.context() as patch:
+            patch.setattr(simulator, "_CHUNK_ROWS", bound)
+            sim = new_sim(sue, seed)
+            drive(sim, workload)
+            sim.run_until(fault.start_ms - 1)
+            sim.add_fault(fault)
+            sim.run_until(None)
+            single = simulated(sue, workload, [fault], seed)
         assert sim.log == single.log
         assert sim.records == single.records
+        default = simulated(sue, workload, [fault], seed)
+        assert (span_rows(whole(sim.log).spans, sue), cpu_rows(sim.log, sue)) == (
+            span_rows(whole(default.log).spans, sue), cpu_rows(default.log, sue))
 
     @settings(max_examples=100, deadline=None)
     @given(st.data(), small_meshes().filter(lambda mesh: mesh[2] is not None))
@@ -1060,7 +1108,8 @@ class TestProperties:
         sim = new_sim(spec.sue, spec.seed, spec.fault_treatments())
         drive(sim, spec.workload)
         sim.run_until(None)
-        columns = {**vars(sim.log), **vars(sim.log.spans)}
+        tables = whole(sim.log)
+        columns = {**tables._asdict(), **vars(tables.spans)}
         del columns["spans"]
         assert columns and all(len(column) > 0 for column in columns.values()), columns.keys()
 
@@ -1083,7 +1132,7 @@ class TestProperties:
         sim.run_until(None)
         assert all(svc.busy <= svc.workers for svc in sim.services.values())
 
-        rows = span_rows(sim.log.spans, sue)
+        rows = span_rows(whole(sim.log).spans, sue)
         spans = {s.span_id: s for s in rows}
         assert len(spans) == len(rows)  # span ids are unique
         for span in rows:

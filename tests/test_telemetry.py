@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import example, given, settings, strategies as st
 
-from oxn import telemetry
+from oxn import simulator, telemetry
 
 from oxn.config import (
     MetricPointSpec,
@@ -20,7 +20,7 @@ from oxn.config import (
     SueSpec,
     TraceConfigSpec,
 )
-from oxn.simulator import RawEventLog, drive, rng_stream
+from oxn.simulator import RawEventLog, SpanTable, drive, rng_stream
 from oxn.telemetry import (
     ResponseSeries,
     TelemetryBatch,
@@ -31,7 +31,7 @@ from oxn.telemetry import (
     sample_traces,
 )
 
-from conftest import event_log, new_sim, small_spec, span_id, span_rows, surge_sim, tiny_service
+from conftest import event_log, new_sim, small_spec, span_id, span_rows, surge_sim, tiny_service, whole
 
 
 def one_service_sue(points=(), trace=TraceConfigSpec()) -> SueSpec:
@@ -48,10 +48,9 @@ def fault_window(start_ms: int, end_ms: int) -> Pause:
 
 
 def batch_of(metrics=None, spans=(), services=("api",)) -> TelemetryBatch:
-    kept = event_log(spans=spans).spans.take(slice(None))
     return TelemetryBatch(
         metrics=metrics or {},
-        spans=kept,
+        spans=whole(event_log(spans=spans)).spans,
         services=services,
         cpu_busy_ms={},
         trace_count=len(spans),
@@ -150,22 +149,23 @@ def reference_metrics(log, point, sue, duration_ms):
     targets = ids if point.target == "system" else [point.target]
     sampling, aggregation = point.sampling_interval_ms, point.aggregation_interval_ms
     n_sample, n_agg = -(-duration_ms // sampling), -(-duration_ms // aggregation)
+    tables = whole(log)
     if point.kind == "request_counter":
         counts = [0.0] * n_agg
-        for span in span_rows(log.spans, sue):
+        for span in span_rows(tables.spans, sue):
             if span.ok and span.service in targets and span.end_ms <= duration_ms:
                 counts[min(span.end_ms // aggregation, n_agg - 1)] += 1.0
         return counts
     readings = {svc: np.zeros(n_sample) for svc in targets}
     if point.kind == "cpu_gauge":
-        for service, t, slice_ms in zip(log.cpu_service, log.cpu_t_ms, log.cpu_ms):
+        for service, t, slice_ms in zip(*(column.tolist() for column in tables[1:])):
             service = ids[service]
             if service in readings and t <= duration_ms:
                 readings[service][min(t // sampling, n_sample - 1)] += slice_ms
         stacked = np.vstack([readings[svc] for svc in targets]) / float(sampling)
     else:  # custom_gauge
         instants = [min((k + 1) * sampling - 1, duration_ms) for k in range(n_sample)]
-        for span in span_rows(log.spans, sue):
+        for span in span_rows(tables.spans, sue):
             if span.service in readings:
                 # from the first instant at or after the span's start
                 for k in range(bisect.bisect_left(instants, span.start_ms), n_sample):
@@ -266,7 +266,7 @@ def reference_traces(log, cfg, rng):
     """``sample_traces`` one span at a time, with one scalar draw per root."""
     keep_all = cfg.strategy == "always_on"
     kept, total, rows = set(), 0, []
-    for row in table_rows(log.spans):
+    for row in table_rows(whole(log).spans):
         span, parent, _, _, end, _ = row
         trace = span >> SPAN_BITS
         if parent < 0:
@@ -358,7 +358,7 @@ class TestSampleTracesReference:
 
     def test_never_closed_span_is_an_error(self):
         log = simulated_log(until_ms=60_153)  # one request is in flight
-        assert min(log.spans.end_ms) == -1
+        assert min(whole(log).spans.end_ms) == -1
         cfg = TraceConfigSpec("always_on", 1.0)
         with pytest.raises(ValueError) as expected:
             reference_traces(log, cfg, rng_stream(4, "t"))
@@ -385,12 +385,13 @@ def exact(value):
 def isin_sample_traces(log, cfg, rng):
     """``sample_traces`` of a log whose spans are all closed, with the kept
     traces' rows selected by ``np.isin`` over the whole log."""
-    trace = np.asarray(log.spans.span_id) >> SPAN_BITS
-    roots = trace[np.asarray(log.spans.parent) < 0]
+    spans = whole(log).spans
+    trace = spans.span_id >> SPAN_BITS
+    roots = trace[spans.parent < 0]
     trace_count = len(roots)
     if cfg.strategy != "always_on":
         roots = roots[rng.random(len(roots)) < cfg.rate]
-    kept = log.spans.take(np.isin(trace, roots))
+    kept = spans.take(np.isin(trace, roots))
     return kept.take(np.lexsort((kept.span_id, kept.start_ms))), trace_count
 
 
@@ -449,29 +450,28 @@ class TestChunkedReads:
     @given(small_logs(), CHUNK_TRACE_CONFIGS, st.integers(1, 17), st.integers(0, 2**16))
     @example((RawEventLog(), 1000), TraceConfigSpec("probabilistic", 0.3), 1, 0)
     def test_any_chunk_size_gives_the_whole_log_batch_bit_for_bit(self, drawn, cfg, chunk_rows, seed):
-        """``build_batch`` read in chunks of 1 to 17 rows equals, array for
-        array and bit for bit, its result at the default chunk size and one
-        sampling traces with ``np.isin`` over the whole log, and draws as
-        often; its metrics and ok closes equal an event-by-event loop's."""
+        """``build_batch`` of the log cut into chunks of 1 to 17 rows equals,
+        array for array and bit for bit, its result on the log in one chunk
+        and one sampling traces with ``np.isin`` over the whole log, and draws
+        as often; its metrics and ok closes equal an event-by-event loop's."""
         log, duration = drawn
         sue = replace(CHUNK_SUE, trace_config=cfg)
 
-        def batch():
+        def batch(log):
             rng = rng_stream(seed, "t")
             return exact(build_batch(log, sue, duration, rng)), rng.random()
 
-        default = batch()
-        with pytest.MonkeyPatch.context() as patch:
-            patch.setattr(telemetry, "_CHUNK_ROWS", chunk_rows)
-            chunked = batch()
+        tables = whole(log)
+        chunked = event_log(table_rows(tables.spans), zip(*(column.tolist() for column in tables[1:])), chunk_rows)
+        default = batch(log)
         with pytest.MonkeyPatch.context() as patch:
             patch.setattr(telemetry, "sample_traces", isin_sample_traces)
-            oracle = batch()
-        assert chunked == default == oracle
+            oracle = batch(log)
+        assert batch(chunked) == default == oracle
         metrics, closes = sample_metrics(log, sue.metric_points, sue, duration)
         for point in sue.metric_points:
             assert metrics[point.metric_name][1].tolist() == reference_metrics(log, point, sue, duration), point
-        ok_ends = [(r.service, r.end_ms) for r in span_rows(log.spans, sue) if r.ok]
+        ok_ends = [(r.service, r.end_ms) for r in span_rows(whole(log).spans, sue) if r.ok]
         assert closes.tolist() == [sum(s == svc.id and end <= duration for s, end in ok_ends) for svc in sue.services]
 
     @settings(max_examples=100, deadline=None)
@@ -485,20 +485,19 @@ class TestChunkedReads:
             assert exact((series.timestamps, series.values)) == exact(isin_trace_durations(batch, service))
 
     def test_build_batch_holds_a_small_share_of_the_log_at_once(self, monkeypatch):
-        """On the finished log of a 2,000-user run, read 1,024 rows at a
-        time, ``build_batch`` allocates at its peak under an eighth of the
-        bytes of the log's columns: 0.063 of them, where reading the whole
-        log at once took 0.756."""
+        """On the finished log of a 2,000-user run, written 1,024 rows to a
+        chunk, ``build_batch`` allocates at its peak under an eighth of the
+        bytes of the log's columns: 0.078 of them, where the log in one
+        chunk took 0.757."""
+        monkeypatch.setattr(simulator, "_CHUNK_ROWS", 1024)
         spec, sim = surge_sim()
         sim.run_until(None)
-        log = sim.log
-        columns = (*vars(log.spans).values(), log.cpu_service, log.cpu_t_ms, log.cpu_ms)
-        column_bytes = sum(column.itemsize * len(column) for column in columns)
-        monkeypatch.setattr(telemetry, "_CHUNK_ROWS", 1024)
+        tables = whole(sim.log)
+        column_bytes = sum(column.nbytes for column in (*vars(tables.spans).values(), *tables[1:]))
         tracemalloc.start()
         try:
             start = tracemalloc.get_traced_memory()[0]
-            build_batch(log, spec.sue, sim.workload.duration_ms, rng_stream(7, "trace-sampling"))
+            build_batch(sim.log, spec.sue, sim.workload.duration_ms, rng_stream(7, "trace-sampling"))
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
@@ -506,15 +505,14 @@ class TestChunkedReads:
 
     def test_custom_gauge_holds_less_than_a_column_of_the_log(self):
         """A ``custom_gauge`` reads its grid in the chunked pass: on a
-        300,000-span log, ``sample_metrics`` peaks below the bytes of one
-        int64 column. Sorting whole-log keys took 9.5 MB; this reads 0.7."""
-        n = 300_000
+        300,000-span log in the simulator's chunks, ``sample_metrics`` peaks
+        below the bytes of one int64 column. Sorting whole-log keys took
+        9.5 MB; this reads 0.2."""
+        n, rows = 300_000, simulator._CHUNK_ROWS
         rng = np.random.default_rng(0)
-        log = RawEventLog()
         start = np.arange(n)
         columns = (start << SPAN_BITS, np.full(n, -1), start % 3, start, start + rng.integers(0, 200, n), np.ones(n, int))
-        for column, values in zip(vars(log.spans).values(), columns):
-            column.extend(values.tolist())
+        log = RawEventLog([SpanTable(*(column[lo : lo + rows] for column in columns)) for lo in range(0, n, rows)])
         point = MetricPointSpec("depth", "custom_gauge", "b", 5000, 5000)
         sue = SueSpec(services=(tiny_service("a"), tiny_service("b"), tiny_service("c")))
         tracemalloc.start()
@@ -524,7 +522,7 @@ class TestChunkedReads:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert peak - before < np.asarray(log.spans.start_ms).nbytes
+        assert peak - before < start.nbytes
 
 
 class TestCustomGauge:
