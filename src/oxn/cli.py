@@ -2,8 +2,8 @@
 
 Exit codes: 0 on success, 1 on validation errors (usage errors, unreadable,
 malformed or invalid input files, files that cannot share one ``run``, an
-``--out`` that cannot be created or written to, mismatched comparison
-inputs), 2 on runtime errors. Only ``run``
+``--out`` or CSV directory that cannot be created, a report that cannot be
+written, mismatched comparison inputs), 2 on runtime errors. Only ``run``
 imports the runner, and with it numpy; ``compare`` loads the report module
 alone, and ``validate`` the experiment format alone.
 """
@@ -42,7 +42,8 @@ def _build_parser() -> argparse.ArgumentParser:
                      "name, instrumentation, responses, detection and cost model share their simulations")
     run.add_argument("--out", metavar="DIR", help="directory for the reports (and CSV exports)")
     run.add_argument("--parallel", type=int, default=1, metavar="N", help="concurrent runs (N >= 1)")
-    run.add_argument("--export-csv", action="store_true", help="write per-run response/span CSV files")
+    run.add_argument("--export-csv", action="store_true", help="write each run's response and span CSV files "
+                     "into DIR/csv/<experiment>/<fault>/r<repetition>/")
     run.add_argument(
         "--frozen-clock",
         action="store_true",
@@ -93,8 +94,6 @@ def _cmd_run(args) -> int:
         _fail(f"--parallel must be >= 1, got {args.parallel}")
     if len(args.files) > 1 and args.out is None:
         _fail("more than one file requires --out: stdout holds one report")
-    if len(args.files) > 1 and args.export_csv:
-        _fail("--export-csv takes one file: the CSV file names of two experiments can collide")
     specs = [_load_spec(path) for path in args.files]
     violations = [(path, v) for path, spec in zip(args.files, specs) for v in validate(spec)]
     for path, violation in violations:
@@ -109,11 +108,12 @@ def _cmd_run(args) -> int:
     export_dir = out_dir / "csv" if (out_dir and args.export_csv) else None
     if args.export_csv and out_dir is None:
         _fail("--export-csv requires --out")
-    if out_dir is not None:
-        try:
-            out_dir.mkdir(parents=True, exist_ok=True)
-        except OSError as exc:
-            _fail(f"cannot create --out {out_dir}: {exc.strerror or exc}")
+    for option, directory in (("--out", out_dir), ("--export-csv", export_dir)):
+        if directory is not None:
+            try:
+                directory.mkdir(parents=True, exist_ok=True)
+            except OSError as exc:
+                _fail(f"cannot create {option} {directory}: {exc.strerror or exc}")
     try:
         reports = run_experiments(specs, parallel=args.parallel, export_dir=export_dir, frozen_clock=args.frozen_clock)
     except ExperimentError as exc:

@@ -27,7 +27,6 @@ The loaders read no YAML timestamps and refuse a key repeated in a mapping.
 from __future__ import annotations
 
 import functools
-import itertools
 import math
 import re
 import sys
@@ -146,7 +145,7 @@ class Excludes(NamedTuple):
         return not any(c in value for c in self.chars) and value not in self.words
 
     def message(self, key: str, value: Any) -> str:
-        taken = "".join(f" and not {w!r}" for w in self.words)
+        taken = f" and not one of {', '.join(map(repr, self.words))}" if self.words else ""
         return f"{key} must be free of {', '.join(map(repr, self.chars))}{taken}, got {value!r}"
 
     def schema(self, render: Callable[[Any], Any]) -> dict:
@@ -168,10 +167,10 @@ UNIT = {"bound": Range(0, 1, "[]")}
 OPEN_UNIT = {"bound": Range(0, 1, "()")}
 STRATEGY = {"bound": OneOf(("always_on", "probabilistic"))}
 UNIQUE = {"unique": True}
-# Experiment, treatment and response names become parts of output file names;
+# Experiment, treatment and response names become output path components;
 # a response named "spans" would write its CSV file over its run's spans file.
-FILE_NAME_PART = {"bound": Excludes("/\\\0")}
-RESPONSE_NAME = {"bound": Excludes("/\\\0", ("spans",))}
+FILE_NAME_PART = {"bound": Excludes("/\\\0", ("", ".", ".."))}
+RESPONSE_NAME = {"bound": Excludes("/\\\0", ("", ".", "..", "spans"))}
 
 
 class ExperimentFormatError(ValueError):
@@ -796,41 +795,9 @@ def validate(spec: ExperimentSpec) -> list[Violation]:
         elif resp.kind == "trace_duration" and resp.source not in ids:
             v.append(Violation(f"{where}.source", f"unresolved service '{resp.source}'"))
 
-    # A run's CSV files are named {name}_{fault}-r{repetition}_{response}.csv,
-    # the spans file as response "spans"; distinct names give distinct files
-    # only within one fault.
-    faults = [(i, t.name) for i, t in enumerate(spec.treatments) if isinstance(t, Fault)]
-    files = [r.name for r in spec.responses] + ["spans"]
-    for (_, earlier), (j, later) in itertools.combinations(faults, 2):
-        if shared := _shared_file(earlier, later, files, spec.repetitions):
-            v.append(Violation(f"treatments[{j}].name", f"runs of faults '{earlier}' and '{later}' would both "
-                                                        f"write the CSV file {spec.name}_{shared}"))
-
     if spec.detection.mechanism not in _REGISTRY:
         v.append(Violation("detection.mechanism", f"unknown mechanism '{spec.detection.mechanism}'"))
     return v
-
-
-# The repetition part of a CSV file name. A repetition has at most 20 digits,
-# since seed + repetitions - 1 may not pass MAX_SEED.
-_RUN_PART = re.compile(r"-r(0|[1-9][0-9]{0,19})_")
-
-
-def _shared_file(a: str, b: str, files: list[str], repetitions: int) -> str | None:
-    """A CSV file name, less the experiment's, that runs of the faults named
-    ``a`` and ``b`` would both write, if there is one. With ``short`` the
-    shorter name, ``{short}-r{i}_{r}`` is ``{long}-r{k}_{s}`` just when
-    ``long`` is ``{short}-r{i}_{t}`` and ``r`` is ``{t}-r{k}_{s}``."""
-    short, long = sorted((a, b), key=len)
-    run = _RUN_PART.match(long, len(short)) if long.startswith(short) else None
-    if run is None or int(run[1]) >= repetitions:
-        return None
-    t = long[run.end():]
-    for r in files:
-        run = _RUN_PART.match(r, len(t))
-        if r.startswith(t) and run is not None and int(run[1]) < repetitions and r[run.end():] in files:
-            return f"{long}-r{run[1]}_{r[run.end():]}.csv"
-    return None
 
 
 # ---------------------------------------------------------------------------

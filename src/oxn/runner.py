@@ -75,8 +75,8 @@ def _start_order(spec: ExperimentSpec) -> list[Fault]:
 def score_run(spec: ExperimentSpec, fault: Fault, repetition: int, run: SimState,
               export_dir: str | Path | None) -> RunResult:
     """Observe a finished run of ``fault`` through the spec's instrumented sue,
-    detect the fault in every response, export the CSV files if asked, and
-    account the cost."""
+    detect the fault in every response, export the CSV files if asked (into
+    ``<export_dir>/<experiment>/<fault>/r<repetition>``), and account the cost."""
     run_seed = spec.seed + repetition
     sue = apply_instrumentation(spec.sue, spec.instrumentation_treatments())
     batch = build_batch(run.log, sue, spec.workload.duration_ms, rng_stream(run_seed, "trace-sampling"))
@@ -102,7 +102,7 @@ def score_run(spec: ExperimentSpec, fault: Fault, repetition: int, run: SimState
             reasons[response.name] = str(exc)
 
     if export_dir is not None:
-        export_csv(batch, series_list, export_dir, prefix=f"{spec.name}_{fault.name}-r{repetition}")
+        export_csv(batch, series_list, Path(export_dir, spec.name, fault.name, f"r{repetition}"))
 
     return RunResult(fault=fault.name, repetition=repetition, seed=run_seed, scores=scores, reasons=reasons,
                      cost=account(batch, spec.cost_model), request_count=len(run.records),
@@ -120,7 +120,7 @@ def _run_failed(spec: ExperimentSpec, fault: Fault, repetition: int, exc: Except
                            f"repetition={repetition}): {exc}")
 
 
-def _run_group(specs: list[ExperimentSpec], export_dir: str | None,
+def _run_group(specs: list[ExperimentSpec], export_dir: str | Path | None,
                task: tuple[list[int], int]) -> list[list[RunResult]]:
     """Simulate one repetition of the behaviour that the specs at a ``task``'s
     group share, and score each run for each of them; per spec, the results in
@@ -154,20 +154,23 @@ def run_experiments(specs: list[ExperimentSpec], parallel: int = 1, export_dir: 
     repetition), which simulates each run once and scores it for every spec
     of the group. With ``parallel`` > 1 the tasks go to one process pool of
     at most one worker per task, and each worker registers the specs'
-    mechanism factories, which must pickle. The CSV files of two specs could
-    share a name, so ``export_dir`` takes one spec."""
+    mechanism factories, which must pickle. With ``export_dir`` each run
+    writes its CSV files into a directory of its own (see ``score_run``), so
+    the specs must name distinct experiments."""
     for spec in specs:
         if violations := validate(spec):
             raise ExperimentError(f"experiment spec '{spec.name}' is invalid: " + "; ".join(map(str, violations)))
-    if export_dir is not None and len(specs) > 1:
-        raise ExperimentError("export_dir takes one spec: the CSV file names of two specs can collide")
+    names = [spec.name for spec in specs]
+    if export_dir is not None and len(set(names)) < len(names):
+        twin = next(name for name in names if names.count(name) > 1)
+        raise ExperimentError(f"two specs name experiment '{twin}': their CSV files would share a directory")
 
     started = time.monotonic()
     groups: dict[tuple, list[int]] = {}
     for i, spec in enumerate(specs):
         groups.setdefault(_behaviour(spec), []).append(i)
     tasks = [(group, r) for group in groups.values() for r in range(specs[group[0]].repetitions)]
-    task = functools.partial(_run_group, specs, str(export_dir) if export_dir else None)
+    task = functools.partial(_run_group, specs, export_dir)
     pooled = parallel > 1 and len(tasks) > 1
     registrations = [(name, _REGISTRY[name]) for name in dict.fromkeys(spec.detection.mechanism for spec in specs)]
     for name, factory in registrations if pooled else ():

@@ -252,21 +252,17 @@ def _write_csv(path: Path, header: list[str], rows: Iterable[list]) -> Path:
     return path
 
 
-def export_csv(
-    batch: TelemetryBatch,
-    responses: list[ResponseSeries],
-    directory: str | Path,
-    prefix: str,
-) -> list[Path]:
-    """Write one ``timestamp_ms,value,label`` file per response series plus a
-    spans file; output is byte-stable for identical batches."""
+def export_csv(batch: TelemetryBatch, responses: list[ResponseSeries], directory: str | Path) -> list[Path]:
+    """Write one run's files into ``directory``: ``<response>.csv`` per
+    response series, with the columns ``timestamp_ms,value,label``, and
+    ``spans.csv``; output is byte-stable for identical batches."""
     directory = Path(directory)
     directory.mkdir(parents=True, exist_ok=True)
     written = []
     for series in responses:
         columns = (series.timestamps.tolist(), series.values.tolist(), series.is_fault.tolist())
         rows = ([t, _format_value(v), "fault" if f else "normal"] for t, v, f in zip(*columns))
-        path = directory / f"{prefix}_{series.name}.csv"
+        path = directory / f"{series.name}.csv"
         written.append(_write_csv(path, ["timestamp_ms", "value", "label"], rows))
 
     spans = zip(*(column.tolist() for column in vars(batch.spans).values()))
@@ -276,5 +272,5 @@ def export_csv(
         for span_id, parent, service, start, end, ok in spans
     )
     header = ["trace_id", "span_id", "parent_id", "service", "start_ms", "end_ms", "outcome"]
-    written.append(_write_csv(directory / f"{prefix}_spans.csv", header, rows))
+    written.append(_write_csv(directory / "spans.csv", header, rows))
     return written

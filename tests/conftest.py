@@ -35,6 +35,13 @@ def experiment_path(name: str) -> Path:
     return EXPERIMENTS_DIR / f"{name}.yaml"
 
 
+def files_under(directory: str | Path) -> dict[str, bytes]:
+    """The bytes of every file below ``directory``, by its path relative to it."""
+    directory = Path(directory)
+    return {path.relative_to(directory).as_posix(): path.read_bytes()
+            for path in sorted(directory.rglob("*")) if path.is_file()}
+
+
 def cli_env() -> dict[str, str]:
     """The environment for a child ``python -m oxn.cli``: this one with the
     repository's ``src`` first on PYTHONPATH, so the child imports the oxn

@@ -23,7 +23,7 @@ from oxn.telemetry import ResponseSeries, build_batch, materialize_response, sam
 from oxn.config import SPAN_BITS, TraceConfigSpec, apply_instrumentation, parse_experiment_file
 from oxn.runner import simulate_repetition
 
-from conftest import REPO_ROOT, cli_env, event_log, experiment_path, span_id, span_rows
+from conftest import REPO_ROOT, cli_env, event_log, experiment_path, files_under, span_id, span_rows
 
 PAUSE = "pause_recommendation"
 PACKET_LOSS = "packet_loss_recommendation"
@@ -167,7 +167,7 @@ REPORT_DIGESTS = {
 
 # sha256 over the sorted (path, bytes) pairs that ``oxn run baseline.yaml
 # --export-csv --frozen-clock`` writes: the report and its 120 CSV files.
-BASELINE_EXPORT_DIGEST = "1861b8ee207e32e3195fce874a5816c2ec5e8f7bccbd1fa0d6b35387df98bfa5"
+BASELINE_EXPORT_DIGEST = "47bd5fee63b2c2ab8db9865aa51e08c537667718b11f54969032d391011b3cb4"
 
 
 def export_digest(files: dict[str, bytes]) -> str:
@@ -208,15 +208,11 @@ class TestCriterion5Determinism:
             env=cli_env(),
         )
         assert proc.returncode == 0, proc.stderr
-        files = {
-            path.relative_to(out).as_posix(): path.read_bytes()
-            for path in sorted(out.rglob("*"))
-            if path.is_file()
-        }
+        files = files_under(out)
         assert files["baseline_report.json"] == report_json(canonical_reports["baseline"]).encode()
         assert export_digest(files) == BASELINE_EXPORT_DIGEST
         for response in ("system_cpu", "recomms_per_minute", "trace_duration_recommendation"):
-            assert f"csv/baseline_pause_recommendation-r0_{response}.csv" in files
+            assert f"csv/baseline/pause_recommendation/r0/{response}.csv" in files
         elapsed = time.perf_counter() - started
         announce(
             5,
@@ -231,7 +227,7 @@ class TestCriterion5Determinism:
         out = tmp_path / "out"
         argv = ["run", str(experiment_path("baseline")), "--out", str(out), "--export-csv", "--frozen-clock"]
         assert cli.main(argv) == 0
-        files = {path.relative_to(out).as_posix(): path.read_bytes() for path in out.rglob("*") if path.is_file()}
+        files = files_under(out)
         assert hashlib.sha256(files["baseline_report.json"]).hexdigest() == REPORT_DIGESTS["baseline"]
         assert export_digest(files) == BASELINE_EXPORT_DIGEST
 

@@ -194,29 +194,6 @@ class TestParse:
         assert str(raised.value) == f"{dotted(path)}: {path[-1]} must be a whole number of milliseconds"
 
 
-def with_export_names(spec, faults, responses):
-    """``spec`` with faults copied from its first, named ``faults``, and its
-    first responses renamed to ``responses``."""
-    return replace(spec, treatments=tuple(replace(spec.fault_treatments()[0], name=n) for n in faults),
-                   responses=tuple(replace(r, name=n) for r, n in zip(spec.responses, responses)))
-
-
-@st.composite
-def export_names(draw):
-    """Fault names, response names and a repetition count for which two runs
-    often write one CSV file: faults ``a`` and ``a-r{i}_t`` and responses
-    ``t-r{k}_s`` and ``s`` do when i and k are repetitions (``s`` may be
-    the spans file), and a third fault and response of the same letters may
-    add another."""
-    part = st.text("px_-r01", min_size=1, max_size=3)
-    a, t, extra_fault, extra_response = (draw(part) for _ in range(4))
-    s = draw(part | st.just("spans"))
-    i, k = draw(st.integers(0, 9)), draw(st.integers(0, 9))
-    faults = draw(st.permutations([a, f"{a}-r{i}_{t}", extra_fault]))
-    responses = draw(st.permutations([f"{t}-r{k}_{s}", extra_response, *([s] if s != "spans" else [])]))
-    return list(dict.fromkeys(faults)), list(dict.fromkeys(responses)), draw(st.integers(1, 10))
-
-
 class TestValidate:
     def test_baseline_is_valid(self):
         assert validate(parse_experiment_file(experiment_path("baseline"))) == []
@@ -327,7 +304,7 @@ class TestValidate:
             "treatments[0].start_s: start_s must be > 0",
         ]
 
-    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "a\0b"])
+    @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "a\0b", "", ".", ".."])
     def test_names_that_leave_the_output_directory_rejected(self, name):
         spec = parse_experiment(MINIMAL)
         bad = replace(
@@ -337,7 +314,8 @@ class TestValidate:
             responses=(replace(spec.responses[0], name=name),),
         )
         assert [v.field for v in validate(bad)] == ["name", "treatments[0].name", "responses[0].name"]
-        assert validate(bad)[0].message == f"name must be free of '/', '\\\\', '\\x00', got {name!r}"
+        assert validate(bad)[0].message == (
+            f"name must be free of '/', '\\\\', '\\x00' and not one of '', '.', '..', got {name!r}")
 
     def test_a_response_named_spans_rejected(self):
         """Its CSV file would be written over the spans file of its run.
@@ -345,33 +323,9 @@ class TestValidate:
         spec = parse_experiment(MINIMAL)
         bad = replace(spec, responses=(replace(spec.responses[0], name="spans"),))
         assert [str(v) for v in validate(bad)] == [
-            "responses[0].name: name must be free of '/', '\\\\', '\\x00' and not 'spans', got 'spans'"]
+            "responses[0].name: name must be free of '/', '\\\\', '\\x00' and not one of '', '.', '..', 'spans', "
+            "got 'spans'"]
         assert validate(replace(spec, name="spans", treatments=(replace(spec.treatments[0], name="spans"),))) == []
-
-    def test_runs_that_would_write_one_csv_file_rejected(self):
-        """``p``'s response ``x-r0_y`` and ``p-r0_x``'s response ``y`` are
-        both exported as ``small_p-r0_x-r0_y.csv``; the later fault is named."""
-        spec = with_export_names(small_spec(repetitions=1), ["p", "p-r0_x"], ["x-r0_y", "y"])
-        assert [str(v) for v in validate(spec)] == [
-            "treatments[1].name: runs of faults 'p' and 'p-r0_x' would both write the CSV file small_p-r0_x-r0_y.csv"]
-        swapped = replace(spec, treatments=spec.treatments[::-1])
-        assert [v.field for v in validate(swapped)] == ["treatments[1].name"]
-        # A repetition part that no repetition writes shares nothing.
-        assert validate(with_export_names(spec, ["p", "p-r1_x"], ["x-r0_y", "y"])) == []
-        assert len(validate(with_export_names(replace(spec, repetitions=2), ["p", "p-r1_x"], ["x-r0_y", "y"]))) == 1
-
-    @given(export_names())
-    @settings(max_examples=200, deadline=None)
-    def test_csv_file_rule_agrees_with_the_file_names(self, names):
-        """``validate`` flags a shared CSV file exactly when writing every
-        run's files by name would write one name twice, and names a file
-        that two runs write."""
-        faults, responses, repetitions = names
-        spec = with_export_names(small_spec(repetitions=repetitions), faults, responses)
-        files = [f"{spec.name}_{f}-r{i}_{r}.csv" for f in faults for i in range(repetitions) for r in [*responses, "spans"]]
-        shared = [v.message.rsplit(" ", 1)[1] for v in validate(spec) if "CSV file" in v.message]
-        assert bool(shared) == (len(set(files)) < len(files))
-        assert all(files.count(name) >= 2 for name in shared)
 
     def test_validate_is_pure(self):
         spec = parse_experiment(MINIMAL)

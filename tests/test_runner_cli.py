@@ -7,6 +7,7 @@ import multiprocessing
 import operator
 import subprocess
 import sys
+import tempfile
 import weakref
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import replace
@@ -23,7 +24,7 @@ from oxn.report import compare_docs, report_json
 from oxn.runner import ExperimentError, run_experiment, run_experiments, spec_digest
 from oxn.simulator import SimState
 
-from conftest import REPO_ROOT, cli_env, experiment_path, small_spec
+from conftest import REPO_ROOT, cli_env, experiment_path, files_under, small_spec
 
 
 DELETE = object()  # a field a test removes from a report document
@@ -131,6 +132,31 @@ def spec_lists(draw):
             cost_model=draw(st.sampled_from([CostModelSpec(), CostModelSpec(per_span_collector_ms=7.0)])),
         ))
     return specs
+
+
+def with_export_names(spec, faults, responses):
+    """``spec`` with faults copied from its first, named ``faults``, and its
+    first responses renamed to ``responses``."""
+    return replace(spec, treatments=tuple(replace(spec.fault_treatments()[0], name=n) for n in faults),
+                   responses=tuple(replace(r, name=n) for r, n in zip(spec.responses, responses)))
+
+
+@st.composite
+def export_names(draw):
+    """Fault names, response names and a repetition count for which two runs
+    often wrote one CSV file when the files of all runs shared a directory,
+    named ``{experiment}_{fault}-r{i}_{response}.csv``: faults ``a`` and
+    ``a-r{i}_t`` and responses ``t-r{k}_s`` and ``s`` did when i and k are
+    repetitions (``s`` may be the spans file), and a third fault and response
+    of the same letters may add another. At most three repetitions keep the
+    runs short."""
+    part = st.text("px_-r01", min_size=1, max_size=3)
+    a, t, extra_fault, extra_response = (draw(part) for _ in range(4))
+    s = draw(part | st.just("spans"))
+    i, k = draw(st.integers(0, 2)), draw(st.integers(0, 2))
+    faults = draw(st.permutations([a, f"{a}-r{i}_{t}", extra_fault]))
+    responses = draw(st.permutations([f"{t}-r{k}_{s}", extra_response, *([s] if s != "spans" else [])]))
+    return list(dict.fromkeys(faults)), list(dict.fromkeys(responses)), draw(st.integers(1, 3))
 
 
 def family(n: int = 4):
@@ -351,14 +377,16 @@ class TestRunExperiment:
         assert spec_digest(a) == spec_digest(small_spec())
         assert spec_digest(a) != spec_digest(small_spec(seed=43))
 
-    def test_csv_export_names(self, tmp_path):
-        run_experiment(small_spec(repetitions=1), export_dir=tmp_path, frozen_clock=True)
-        names = sorted(p.name for p in tmp_path.iterdir())
-        assert names == [
-            "small_pause_backend-r0_backend_rpm.csv",
-            "small_pause_backend-r0_spans.csv",
-            "small_pause_backend-r0_system_cpu.csv",
-            "small_pause_backend-r0_trace_duration_gateway.csv",
+    def test_csv_export_paths(self, tmp_path, monkeypatch):
+        """Each run writes into ``<experiment>/<fault>/r<repetition>``, and an
+        ``export_dir`` of ``""`` is the working directory."""
+        monkeypatch.chdir(tmp_path)
+        run_experiment(small_spec(repetitions=1), export_dir="", frozen_clock=True)
+        assert list(files_under(tmp_path)) == [
+            "small/pause_backend/r0/backend_rpm.csv",
+            "small/pause_backend/r0/spans.csv",
+            "small/pause_backend/r0/system_cpu.csv",
+            "small/pause_backend/r0/trace_duration_gateway.csv",
         ]
 
 
@@ -413,9 +441,32 @@ class TestRunExperiments:
             "run failed (first unfinished run: experiment=member1 fault=pause_backend repetition=1): detector crashed"
         )
 
-    def test_csv_export_takes_one_spec(self, tmp_path):
-        with pytest.raises(ExperimentError, match="export_dir takes one spec"):
-            run_experiments(family(2), export_dir=tmp_path)
+    @given(export_names(), st.lists(st.text("px_-r01", min_size=1, max_size=3), min_size=2, max_size=2, unique=True))
+    @settings(max_examples=6, deadline=None)
+    def test_each_run_exports_into_a_directory_of_its_own(self, names, spec_names):
+        """Two specs whose runs write files of the same names: one call writes
+        every file of every run, each with the bytes of its spec's separate
+        export."""
+        faults, responses, repetitions = names
+        base = with_export_names(small_spec(repetitions=repetitions), faults, responses)
+        specs = [replace(base, name=spec_names[0]),
+                 replace(base, name=spec_names[1], treatments=(TracingSamplingRate(name="rate", rate=0.9),
+                                                                *base.treatments))]
+        with tempfile.TemporaryDirectory() as together:
+            run_experiments(specs, export_dir=together, frozen_clock=True)
+            files = files_under(together)
+        assert len(files) == len(specs) * len(faults) * repetitions * (len(responses) + 1)
+        for spec in specs:
+            with tempfile.TemporaryDirectory() as alone:
+                run_experiment(spec, export_dir=alone, frozen_clock=True)
+                assert files_under(alone) == {path: data for path, data in files.items()
+                                              if path.startswith(f"{spec.name}/")}
+
+    def test_csv_export_refuses_two_specs_of_one_name(self, tmp_path):
+        specs = family(2)
+        specs[1] = replace(specs[1], name=specs[0].name)
+        with pytest.raises(ExperimentError, match="^two specs name experiment 'member0': their CSV files would share"):
+            run_experiments(specs, export_dir=tmp_path)
         assert list(tmp_path.iterdir()) == []
 
     def test_no_specs_give_no_reports(self):
@@ -626,7 +677,7 @@ class TestCli:
         assert proc.returncode == 0, proc.stderr
         report = json.loads((out / "small_report.json").read_text())
         assert report["experiment"] == "small"
-        assert (out / "csv" / "small_pause_backend-r0_spans.csv").exists()
+        assert (out / "csv" / "small" / "pause_backend" / "r0" / "spans.csv").exists()
         assert "ofo:" in proc.stdout
 
     @pytest.fixture()
@@ -639,40 +690,51 @@ class TestCli:
         )))
         return path
 
-    def test_run_of_several_files_writes_the_reports_of_separate_runs(self, small_file, alternative_file, tmp_path):
+    def test_run_of_several_files_writes_the_reports_and_exports_of_separate_runs(
+        self, small_file, alternative_file, tmp_path
+    ):
         out = tmp_path / "together"
-        proc = run_cli("run", str(small_file), str(alternative_file), "--out", str(out), "--frozen-clock",
-                       "--parallel", "2")
+        proc = run_cli("run", str(small_file), str(alternative_file), "--out", str(out), "--export-csv",
+                       "--frozen-clock", "--parallel", "2")
         assert proc.returncode == 0, proc.stderr
-        assert sorted(p.name for p in out.iterdir()) == ["small_alt_report.json", "small_report.json"]
+        assert sorted(p.name for p in out.iterdir()) == ["csv", "small_alt_report.json", "small_report.json"]
         assert proc.stdout.count("report: ") == 2
+        together = files_under(out)
         for path in (small_file, alternative_file):
             alone = tmp_path / path.stem
-            assert cli.main(["run", str(path), "--out", str(alone), "--frozen-clock"]) == cli.EXIT_OK
-            (report,) = alone.iterdir()
-            assert (out / report.name).read_bytes() == report.read_bytes()
+            assert cli.main(["run", str(path), "--out", str(alone), "--export-csv", "--frozen-clock"]) == cli.EXIT_OK
+            files = files_under(alone)
+            assert len(files) == 1 + 4  # the report, and one run's 3 responses and spans
+            assert files == {name: together[name] for name in files}
 
-    @pytest.mark.parametrize("extra, same_name, message", [
-        ([], False, "more than one file requires --out: stdout holds one report"),
-        (["--out", "OUT", "--export-csv"], False,
-         "--export-csv takes one file: the CSV file names of two experiments can collide"),
-        (["--out", "OUT"], True, "{small} and {other} both name experiment 'small': one report would overwrite the other"),
-    ], ids=["stdout", "export-csv", "same-name"])
+    @pytest.mark.parametrize("extra, case, message", [
+        ([], None, "more than one file requires --out: stdout holds one report"),
+        (["--out", "OUT"], "same-name",
+         "{small} and {other} both name experiment 'small': one report would overwrite the other"),
+        (["--out", "OUT", "--export-csv"], "blocked-csv", "cannot create --export-csv {out}/csv: File exists"),
+    ], ids=["stdout", "same-name", "blocked-csv"])
     def test_run_refuses_files_that_cannot_share_a_call_before_running(
-        self, small_file, alternative_file, tmp_path, monkeypatch, capsys, extra, same_name, message
+        self, small_file, alternative_file, tmp_path, monkeypatch, capsys, extra, case, message
     ):
         def must_not_run(*args, **kwargs):
             raise AssertionError("the experiment ran")
 
         monkeypatch.setattr(runner, "run_experiments", must_not_run)
+        out = tmp_path / "out"
         other = alternative_file
-        if same_name:
+        if case == "same-name":
             other = tmp_path / "renamed.yaml"
             other.write_text(alternative_file.read_text().replace("name: small_alt", "name: small"))
-        args = [arg.replace("OUT", str(tmp_path / "out")) for arg in extra]
+        if case == "blocked-csv":  # a file where the CSV directory goes
+            out.mkdir()
+            (out / "csv").write_text("")
+        args = [arg.replace("OUT", str(out)) for arg in extra]
         assert cli.main(["run", str(small_file), str(other), *args]) == cli.EXIT_VALIDATION
-        assert capsys.readouterr() == ("", "error: " + message.format(small=small_file, other=other) + "\n")
-        assert not (tmp_path / "out").exists()
+        assert capsys.readouterr() == ("", "error: " + message.format(small=small_file, other=other, out=out) + "\n")
+        if case == "blocked-csv":
+            assert files_under(out) == {"csv": b""}
+        else:
+            assert not out.exists()
 
     def test_run_to_stdout(self, small_file):
         proc = run_cli("run", str(small_file), "--frozen-clock")

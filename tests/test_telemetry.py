@@ -599,11 +599,11 @@ class TestExportCsv:
     def test_headers_only_for_empty_series(self, tmp_path):
         empty = np.array([], dtype=np.int64)
         series = ResponseSeries("empty", empty, empty.astype(np.float64), empty.astype(bool))
-        paths = export_csv(batch_of(), [series], tmp_path, "exp_r0")
-        response_csv = tmp_path / "exp_r0_empty.csv"
+        paths = export_csv(batch_of(), [series], tmp_path)
+        response_csv = tmp_path / "empty.csv"
         assert response_csv in paths
         assert response_csv.read_text() == "timestamp_ms,value,label\n"
-        spans_csv = tmp_path / "exp_r0_spans.csv"
+        spans_csv = tmp_path / "spans.csv"
         assert spans_csv.read_text() == "trace_id,span_id,parent_id,service,start_ms,end_ms,outcome\n"
 
     def test_a_child_of_span_0_names_its_parent(self, tmp_path):
@@ -616,8 +616,8 @@ class TestExportCsv:
             (span_id(1, 1), span_id(1), 0, 110, 140, 1),
         ])
         batch = build_batch(log, one_service_sue(trace=TraceConfigSpec("always_on", 0.0)), 1000, rng_stream(1, "t"))
-        export_csv(batch, [], tmp_path, "exp_r0")
-        assert (tmp_path / "exp_r0_spans.csv").read_text().splitlines() == [
+        export_csv(batch, [], tmp_path)
+        assert (tmp_path / "spans.csv").read_text().splitlines() == [
             "trace_id,span_id,parent_id,service,start_ms,end_ms,outcome",
             "0,0,,api,0,50,ok",
             "0,1,0,api,10,40,error",
@@ -641,7 +641,7 @@ class TestExportCsv:
                 ResponseVariableSpec("cpu", "metric", "cpu"), batch, fault_window(4000, 9000)
             )
             directory = tmp_path / str(attempt)
-            export_csv(batch, [series], directory, "exp_r0")
+            export_csv(batch, [series], directory)
             outputs.append(
                 {p.name: p.read_bytes() for p in sorted(directory.iterdir())}
             )
