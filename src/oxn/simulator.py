@@ -22,6 +22,12 @@ pickled and either copy runs on identically. The raw events go to the typed
 columns of ``RawEventLog`` and the finished requests to those of
 ``RequestTable``; each ok span close is one request-counter increment.
 
+A service is stored as its index, in the narrowest unsigned type that holds
+the run's largest index (one byte up to 256 services, two up to 65,536), so
+a six-service mesh's service columns take an eighth of int64 columns' bytes.
+Times, ids and parents stay int64: the lognormal tails and the run length
+have no bound.
+
 The log is written in chunks of about ``_CHUNK_ROWS`` rows and read as such:
 after a process's first run frees multi-MB columns, glibc raises its dynamic
 mmap threshold, so columns each grown as one array would grow side by side
@@ -135,10 +141,12 @@ class LognormalDraws:
     in the same order, but normals are drawn in blocks that grow from
     ``_BLOCK_MIN`` to ``_BLOCK_MAX`` and are handed out one at a time; sigma=0
     draws nothing and gives the rounded median. So a stream ends the run
-    having drawn more normals than it handed out. The stream is held as its
-    generator's state, which a refill loads into one shared scratch generator
-    and stores back, so its state is plain data: a deep copy or a pickle fork
-    copies it with the buffer, and a copy runs on to the same values.
+    having drawn more normals than it handed out. The block is held as an
+    ``array("q")`` of its int64 values, 8 bytes each rather than a Python int
+    object each. The stream is held as its generator's state, which a refill
+    loads into one shared scratch generator and stores back, so its state is
+    plain data: a deep copy or a pickle fork copies it with the buffer, and a
+    copy runs on to the same values.
     """
 
     __slots__ = ("state", "median_ms", "sigma", "values", "next", "block")
@@ -147,7 +155,7 @@ class LognormalDraws:
         self.state = rng.bit_generator.state
         self.median_ms = spec.median_ms
         self.sigma = spec.sigma
-        self.values: list[int] = []
+        self.values = array("q")
         self.next = 0  # index of the next value to hand out
         self.block = _BLOCK_MIN
 
@@ -159,7 +167,7 @@ class LognormalDraws:
             rng.bit_generator.state = self.state
             block = self.median_ms * np.exp(self.sigma * rng.standard_normal(self.block))
             self.state = rng.bit_generator.state
-            self.values = np.maximum(np.rint(block), 0.0).astype(np.int64).tolist()
+            self.values = array("q", np.maximum(np.rint(block), 0.0).astype(np.int64).tobytes())
             self.next = 0
             self.block = min(2 * self.block, _BLOCK_MAX)
         value = self.values[self.next]
@@ -176,7 +184,11 @@ class SpanTable:
     services the simulation was built from. A span id is ``(request <<
     SPAN_BITS) | n`` for its request's n-th span, ``n == 0`` exactly for a
     root, so ``span_id >> SPAN_BITS`` is its trace id. The simulator appends to ``array`` columns
-    and closes a row in place; a selection of rows holds numpy arrays."""
+    and closes a row in place; a selection of rows holds numpy arrays.
+
+    A table built without a ``service`` column holds int64 services; the
+    simulator's chunks hold them in their run's narrow unsigned type (see
+    the module docstring)."""
 
     span_id: Column = field(default_factory=lambda: array("q"))
     parent: Column = field(default_factory=lambda: array("q"))  # parent's span id, -1 for a root
@@ -224,8 +236,8 @@ class RequestTable:
         return (RequestRecord(*row, OUTCOMES[outcome]) for *row, outcome in zip(*vars(self).values()))
 
 
-def _cpu_chunk() -> tuple[array, array, array]:
-    return array("q"), array("q"), array("d")
+def _cpu_chunk(service_code: str = "q") -> tuple[array, array, array]:
+    return array(service_code), array("q"), array("d")
 
 
 @dataclass
@@ -233,7 +245,9 @@ class RawEventLog:
     """Raw instrumentation events of one run, each table a list of chunks in
     row order: the span table, a root before the rest of its trace, and the
     CPU table, one busy slice per row in timestamp order, as ``(service,
-    t_ms, ms)`` columns. Each table holds one chunk, empty, before the run."""
+    t_ms, ms)`` columns. Each table holds one chunk, empty, before the run.
+    A simulation's chunks all hold services in one narrow unsigned type; the
+    default log's empty chunks hold int64 services."""
 
     spans: list[SpanTable] = field(default_factory=lambda: [SpanTable()])
     cpu: list[tuple[array, array, array]] = field(default_factory=lambda: [_cpu_chunk()])
@@ -317,7 +331,11 @@ class SimState:
         # Client timeouts of the handled root arrivals in (t, seq) order; only the
         # first is also on the heap, and those of finished requests are dropped.
         self._timeouts: deque[tuple[int, int, int, _Request]] = deque()
-        self.log = RawEventLog()
+        # The array typecode of the log's service columns: the narrowest
+        # unsigned type that holds every service index.
+        self._service_code = np.min_scalar_type(len(services) - 1).char
+        self.log = RawEventLog([], [])
+        self._add_chunks()
         self.records = RequestTable()  # finished requests, in finish order
         self._request_count = 0
         self._streams: dict[str, np.random.Generator] = {}
@@ -431,8 +449,7 @@ class SimState:
                     if len(timeouts) == 1:
                         heappush(heap, timeouts[0])
                     if len(chunk.span_id) >= _CHUNK_ROWS or len(cpu_chunk[0]) >= _CHUNK_ROWS:
-                        self.log.spans.append(SpanTable())
-                        self.log.cpu.append(_cpu_chunk())
+                        self._add_chunks()
                         (chunk, cpu_chunk, span_id_append, parent_append, service_append, start_append, end_append,
                          ok_append, cpu_service_append, cpu_t_append, cpu_ms_append) = self._writers()
                 if svc.killed:
@@ -538,6 +555,11 @@ class SimState:
         self.now = when if t is None or when >= t else t
 
     # -- helpers of the loop ---------------------------------------------------
+
+    def _add_chunks(self) -> None:
+        """Start a new, empty chunk of each log table."""
+        self.log.spans.append(SpanTable(service=array(self._service_code)))
+        self.log.cpu.append(_cpu_chunk(self._service_code))
 
     def _writers(self) -> tuple:
         """The log's last span and CPU chunks, then the appends of their columns in order."""

@@ -86,10 +86,11 @@ def _accumulate(grids: dict, service: np.ndarray, t: np.ndarray, weights) -> Non
     """Add each event into every grid (interval_ms -> services x windows
     array; events before the first window count in it, past the last in
     it), in event order, so a float grid keeps the bits of an
-    event-by-event sum."""
+    event-by-event sum. ``service`` may be a narrow unsigned column, so it
+    is widened before it is scaled by the window count, which would wrap."""
     for interval, grid in grids.items():
         n = grid.shape[1]
-        np.add.at(grid.reshape(-1), service * n + np.clip(t // interval, 0, n - 1), weights)
+        np.add.at(grid.reshape(-1), service.astype(np.int64) * n + np.clip(t // interval, 0, n - 1), weights)
 
 
 def _trace_flags(*span_ids) -> np.ndarray:

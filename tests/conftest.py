@@ -2,6 +2,7 @@ from __future__ import annotations
 
 import os
 import time
+from array import array
 from dataclasses import replace
 from pathlib import Path
 from typing import NamedTuple
@@ -189,11 +190,11 @@ def ok_closes(log: RawEventLog, sue: SueSpec) -> list[tuple[str, int]]:
     return [(r.service, r.end_ms) for r in span_rows(whole(log).spans, sue) if r.ok]
 
 
-def event_log(spans=(), cpu=(), chunk_rows: int | None = None) -> RawEventLog:
+def event_log(spans=(), cpu=(), chunk_rows: int | None = None, service_code: str = "q") -> RawEventLog:
     """A raw event log holding the given rows, services by index: spans as
     ``(span_id, parent, service, start_ms, end_ms, ok)`` and CPU slices as
     ``(service, t_ms, ms)``; each table in chunks of ``chunk_rows`` rows, or
-    in one chunk."""
+    in one chunk, its service columns of array typecode ``service_code``."""
 
     def cut(rows: list) -> list[list]:
         """``rows`` in slices of ``chunk_rows``, or whole; one empty slice if there are none."""
@@ -202,11 +203,11 @@ def event_log(spans=(), cpu=(), chunk_rows: int | None = None) -> RawEventLog:
 
     log = RawEventLog([], [])
     for rows in cut(list(spans)):
-        log.spans.append(SpanTable())
+        log.spans.append(SpanTable(service=array(service_code)))
         for column, values in zip(vars(log.spans[-1]).values(), zip(*rows)):
             column.extend(values)
     for rows in cut(list(cpu)):
-        log.cpu.append(_cpu_chunk())
+        log.cpu.append(_cpu_chunk(service_code))
         for column, values in zip(log.cpu[-1], zip(*rows)):
             column.extend(values)
     return log

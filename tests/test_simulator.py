@@ -27,6 +27,7 @@ from oxn.config import (
     PacketCorruption,
     PacketLoss,
     Pause,
+    ResponseVariableSpec,
     SPAN_BITS,
     ServiceSpec,
     Stress,
@@ -38,7 +39,8 @@ from oxn.config import (
     parse_experiment_file,
 )
 from oxn import simulator
-from oxn.runner import simulate_repetition
+from oxn.report import report_json
+from oxn.runner import run_experiment, simulate_repetition
 from oxn.simulator import (
     _BLOCK_MAX,
     _BLOCK_MIN,
@@ -232,6 +234,8 @@ class TestLognormalDraws:
         reference = rng_stream(5, "user:0")
         head = [draws.draw() for _ in range(11)]  # 3 of the second block's 16 are used
         copied = fork(draws)
+        assert copied.values is not draws.values and copied.values == draws.values
+        assert copied.values.typecode == "q"
         tail = [scalar_lognormal_ms(reference, spec) for _ in range(11 + 200)]
         assert head == tail[:11]
         assert [copied.draw() for _ in range(200)] == tail[11:]
@@ -623,6 +627,19 @@ class TestGoldenEventLog:
         assert max(len(chunk.span_id) for chunk in sim.log.spans) <= 2 * simulator._CHUNK_ROWS
         assert max(len(service) for service, _, _ in sim.log.cpu) <= 2 * simulator._CHUNK_ROWS
 
+    def test_many_user_log_holds_services_in_one_byte_and_draws_as_int64(self):
+        """The six-service mesh's service columns are one byte wide in every
+        chunk, and every duration buffer left after the run is an
+        ``array("q")``, not a list of Python ints."""
+        _, sim = surge_sim()
+        sim.run_until(None)
+        assert len(sim.services) == 6
+        assert {chunk.service.itemsize for chunk in sim.log.spans} == {1}
+        assert {service.itemsize for service, _, _ in sim.log.cpu} == {1}
+        draws = [svc.service_times for svc in sim.services.values()] + list(sim._think_times.values())
+        assert len(draws) == 6 + 2000
+        assert all(type(d.values) is array and d.values.typecode == "q" for d in draws)
+
     @pytest.mark.parametrize("bound", [1, 3, 7])
     def test_the_chunk_bound_changes_no_event_log(self, bound, monkeypatch):
         """The chunk bound decides only where chunks end: at tiny bounds
@@ -659,6 +676,49 @@ class TestGoldenEventLog:
         fork.run_until(None)
         assert fork.log == single.log and fork.records == single.records
         assert event_log_digest(fork, spec.sue) == EVENT_LOG_DIGESTS["pause"]
+
+
+def star_spec() -> ExperimentSpec:
+    """A gateway and 299 leaves, each called on 2% of requests: service
+    indices reach 299, past what one byte holds. Three users for 120 s,
+    the gateway paused from 40 s to 80 s."""
+    leaves = [f"leaf{i:03d}" for i in range(1, 300)]
+    sue = SueSpec(
+        services=(tiny_service("gateway", workers=4, median_ms=5, sigma=0.2, cpu_ms=2),
+                  *(tiny_service(leaf, workers=2, median_ms=10, sigma=0.3, cpu_ms=3) for leaf in leaves)),
+        edges=tuple(CallEdge("gateway", leaf, 0.02, 1) for leaf in leaves),
+        metric_points=(
+            MetricPointSpec("system_cpu", "cpu_gauge", "system", 5000, 5000),
+            MetricPointSpec("leaf299_rpm", "request_counter", "leaf299", 5000, 5000),
+        ),
+        trace_config=TraceConfigSpec("probabilistic", 0.5),
+    )
+    return ExperimentSpec(
+        name="star", seed=3, repetitions=1, sue=sue,
+        workload=WorkloadSpec(users=3, duration_ms=120_000, think_time=LognormalSpec(300, 0.2), ramp_up_ms=1000),
+        treatments=(Pause(name="pause_gateway", target="gateway", start_ms=40_000, end_ms=80_000),),
+        responses=(
+            ResponseVariableSpec("system_cpu", "metric", "system_cpu"),
+            ResponseVariableSpec("leaf299_rpm", "metric", "leaf299_rpm"),
+            ResponseVariableSpec("trace_duration_gateway", "trace_duration", "gateway"),
+        ),
+    )
+
+
+# sha256 of ``star_spec``'s frozen-clock ``report_json``, computed when every
+# service column was int64.
+STAR_REPORT_DIGEST = "5b4891d8529d93bf50c484baf4271f83b19a26e0d39b1f8ce6caf61edcd48874"
+
+
+class TestServiceColumns:
+    def test_a_mesh_of_300_services_holds_them_in_two_bytes_and_keeps_its_report(self):
+        spec = star_spec()
+        (_, run), = simulate_repetition(spec, 0)
+        assert {chunk.service.itemsize for chunk in run.log.spans} == {2}
+        assert {service.itemsize for service, _, _ in run.log.cpu} == {2}
+        assert max(max(chunk.service, default=0) for chunk in run.log.spans) > 255
+        report = report_json(run_experiment(spec, frozen_clock=True))
+        assert hashlib.sha256(report.encode()).hexdigest() == STAR_REPORT_DIGEST
 
 
 def is_wakeup(event) -> bool:

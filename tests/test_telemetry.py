@@ -216,6 +216,33 @@ class TestSampleMetricsReference:
             _, values = metrics[point.metric_name]
             assert values.tolist() == reference_metrics(log, point, sue, duration), point.metric_name
 
+    def test_a_one_byte_service_column_indexes_every_window(self):
+        """The simulator stores a six-service run's services in one byte.
+        With 120 windows, service 5's grid row starts at 600, past 255, so a
+        uint8 product ``service * windows`` would wrap; every grid still
+        equals the event-by-event loop's."""
+        sue = SueSpec(services=tuple(tiny_service(name) for name in "abcdef"))
+        duration = 600_000  # 120 windows of 5 s
+        rng = np.random.default_rng(4)
+        cpu, spans = [], []
+        for t in np.sort(rng.integers(0, duration, 3000)).tolist():
+            service = int(rng.integers(6))
+            cpu.append((service, t, float(rng.lognormal(1.0, 1.0))))
+            spans.append((span_id(len(spans)), -1, service, t, t + int(rng.integers(0, 20_000)), 1))
+        log = event_log(spans=spans, cpu=cpu, chunk_rows=1000, service_code="B")
+        assert all(chunk.service.itemsize == 1 for chunk in log.spans)
+        points = [
+            MetricPointSpec("sys", "cpu_gauge", "system", 5000, 5000),
+            MetricPointSpec("cpu_f", "cpu_gauge", "f", 5000, 10_000),
+            MetricPointSpec("rps", "request_counter", "system", 5000, 5000),
+            MetricPointSpec("rpm_f", "request_counter", "f", 5000, 5000),
+            MetricPointSpec("depth_f", "custom_gauge", "f", 5000, 5000),
+        ]
+        metrics, _ = sample_metrics(log, points, sue, duration)
+        for point in points:
+            _, values = metrics[point.metric_name]
+            assert values.tolist() == reference_metrics(log, point, sue, duration), point.metric_name
+
 
 class TestSampleTraces:
     def test_rate_zero_keeps_nothing(self):
