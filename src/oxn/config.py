@@ -191,7 +191,7 @@ class Violation:
 @dataclass(frozen=True)
 class LognormalSpec:
     """Lognormal distribution given as (median ms, sigma); sigma=0 degenerates
-    to a constant, which unit tests rely on."""
+    to a constant, the median rounded half to even, which unit tests rely on."""
 
     median_ms: float = field(metadata=POSITIVE)
     sigma: float = field(metadata=NONNEGATIVE)
@@ -242,12 +242,6 @@ class SueSpec:
     edges: tuple[CallEdge, ...] = ()
     metric_points: tuple[MetricPointSpec, ...] = ()
     trace_config: TraceConfigSpec = TraceConfigSpec()
-
-    def metric_point(self, name: str) -> MetricPointSpec:
-        for point in self.metric_points:
-            if point.metric_name == name:
-                return point
-        raise KeyError(name)
 
 
 @dataclass(frozen=True)

@@ -139,14 +139,15 @@ class LognormalDraws:
     Each value equals the scalar draw
     ``max(0, int(round(median * float(np.exp(sigma * rng.standard_normal())))))``,
     in the same order, but normals are drawn in blocks that grow from
-    ``_BLOCK_MIN`` to ``_BLOCK_MAX`` and are handed out one at a time; sigma=0
-    draws nothing and gives the rounded median. So a stream ends the run
-    having drawn more normals than it handed out. The block is held as an
-    ``array("q")`` of its int64 values, 8 bytes each rather than a Python int
-    object each. The stream is held as its generator's state, which a refill
-    loads into one shared scratch generator and stores back, so its state is
-    plain data: a deep copy or a pickle fork copies it with the buffer, and a
-    copy runs on to the same values.
+    ``_BLOCK_MIN`` to ``_BLOCK_MAX`` and are handed out one at a time, sigma=0
+    too, whose values are the median rounded half to even. So a stream ends
+    the run having drawn more normals than it handed out. A value of 2**63 ms
+    or more, past the int64 times of the log, is refused. The block is held
+    as an ``array("q")`` of its int64 values, 8 bytes each rather than a
+    Python int object each. The stream is held as its generator's state,
+    which a refill loads into one shared scratch generator and stores back,
+    so its state is plain data: a deep copy or a pickle fork copies it with
+    the buffer, and a copy runs on to the same values.
     """
 
     __slots__ = ("state", "median_ms", "sigma", "values", "next", "block")
@@ -160,14 +161,16 @@ class LognormalDraws:
         self.block = _BLOCK_MIN
 
     def draw(self) -> int:
-        if self.sigma == 0.0:
-            return int(round(self.median_ms))
         if self.next == len(self.values):
             rng = _scratch_generator()
             rng.bit_generator.state = self.state
-            block = self.median_ms * np.exp(self.sigma * rng.standard_normal(self.block))
+            with np.errstate(over="ignore"):  # an overflow gives inf, which the check below refuses
+                block = np.maximum(np.rint(self.median_ms * np.exp(self.sigma * rng.standard_normal(self.block))), 0.0)
             self.state = rng.bit_generator.state
-            self.values = array("q", np.maximum(np.rint(block), 0.0).astype(np.int64).tobytes())
+            if not (block < 2.0**63).all():
+                raise ValueError(f"simulated time passed 2**63 - 1 ms: a duration of median {self.median_ms:g} ms "
+                                 f"and sigma {self.sigma:g} drew {block.max():g} ms")
+            self.values = array("q", block.astype(np.int64).tobytes())
             self.next = 0
             self.block = min(2 * self.block, _BLOCK_MAX)
         value = self.values[self.next]
@@ -184,11 +187,8 @@ class SpanTable:
     services the simulation was built from. A span id is ``(request <<
     SPAN_BITS) | n`` for its request's n-th span, ``n == 0`` exactly for a
     root, so ``span_id >> SPAN_BITS`` is its trace id. The simulator appends to ``array`` columns
-    and closes a row in place; a selection of rows holds numpy arrays.
-
-    A table built without a ``service`` column holds int64 services; the
-    simulator's chunks hold them in their run's narrow unsigned type (see
-    the module docstring)."""
+    and closes a row in place, its services in their run's narrow unsigned
+    type (see the module docstring); a selection of rows holds numpy arrays."""
 
     span_id: Column = field(default_factory=lambda: array("q"))
     parent: Column = field(default_factory=lambda: array("q"))  # parent's span id, -1 for a root
@@ -236,7 +236,7 @@ class RequestTable:
         return (RequestRecord(*row, OUTCOMES[outcome]) for *row, outcome in zip(*vars(self).values()))
 
 
-def _cpu_chunk(service_code: str = "q") -> tuple[array, array, array]:
+def _cpu_chunk(service_code: str) -> tuple[array, array, array]:
     return array(service_code), array("q"), array("d")
 
 
@@ -246,11 +246,10 @@ class RawEventLog:
     row order: the span table, a root before the rest of its trace, and the
     CPU table, one busy slice per row in timestamp order, as ``(service,
     t_ms, ms)`` columns. Each table holds one chunk, empty, before the run.
-    A simulation's chunks all hold services in one narrow unsigned type; the
-    default log's empty chunks hold int64 services."""
+    A simulation's chunks all hold services in one narrow unsigned type."""
 
-    spans: list[SpanTable] = field(default_factory=lambda: [SpanTable()])
-    cpu: list[tuple[array, array, array]] = field(default_factory=lambda: [_cpu_chunk()])
+    spans: list[SpanTable]
+    cpu: list[tuple[array, array, array]]
 
     def span_count(self) -> int:
         return sum(len(chunk.span_id) for chunk in self.spans)
@@ -367,12 +366,6 @@ class SimState:
         self._seq += 1
         heapq.heappush(self._wakeups, (t, self._seq, kind, payload))
 
-    def pending_events(self) -> int:
-        """Events pending: those on the heap, the wake-ups and the client
-        timeouts queued behind the first, which is on the heap. The queued
-        timeout of a finished request counts until it is dropped."""
-        return len(self._heap) + len(self._wakeups) + max(len(self._timeouts) - 1, 0)
-
     # -- public operations --------------------------------------------------
 
     def fork(self) -> SimState:
@@ -411,7 +404,8 @@ class SimState:
         boundaries, ahead of same-timestamp simulation events. ``self.now``
         is brought up to date before anything that may issue a request, and
         when the loop exits. The cyclic garbage collector is paused meanwhile
-        and then left as it was found.
+        and then left as it was found. Run to the end, a state that still
+        holds events has passed the int64 times of the log, and is refused.
         """
         enabled = gc.isenabled()
         gc.disable()
@@ -420,6 +414,8 @@ class SimState:
         finally:
             if enabled:
                 gc.enable()
+        if t is None and (self._heap or self._wakeups):
+            raise ValueError("simulated time passed 2**63 - 1 ms: events are left after it")
 
     def _run(self, t: int | None) -> None:
         heap = self._heap

@@ -102,8 +102,10 @@ def sample_metrics(
     log: RawEventLog, points: Iterable[MetricPointSpec], sue: SueSpec, duration_ms: int
 ) -> tuple[dict[str, tuple[np.ndarray, np.ndarray]], np.ndarray]:
     """Materialize each metric point on its sampling/aggregation grid as
-    ``(timestamps, values)`` arrays; also return each service's spans
-    closed ok by ``duration_ms``, its request-counter increments."""
+    ``(timestamps, values)`` arrays; also return each service's metric
+    instrumentation calls: one per sampling window for each gauge that reads
+    it, and one per span closed ok by ``duration_ms`` if a counter reads it,
+    however many do."""
     points = list(points)
 
     def grids(kind: str, dtype, extra: int = 0) -> dict[int, np.ndarray]:
@@ -122,17 +124,16 @@ def sample_metrics(
         service, t, ms = map(np.asarray, columns)
         slices = t <= duration_ms
         _accumulate(busy, service[slices], t[slices], ms[slices])
-    ok_closes = np.zeros(len(sue.services), dtype=np.int64)
     for chunk in log.spans:
         service, start, end, ok = map(np.asarray, (chunk.service, chunk.start_ms, chunk.end_ms, chunk.ok))
         counted = ok.astype(bool) & (end <= duration_ms)
         _accumulate(counts, service[counted], end[counted], 1)
-        ok_closes += np.bincount(service[counted], minlength=len(ok_closes))
         opened, closed = start <= duration_ms, (0 <= end) & (end <= duration_ms)
         _accumulate(net, service[opened], start[opened], 1)
         _accumulate(net, service[closed], end[closed], -1)
 
     out: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+    reads, increments = np.zeros((2, len(sue.services)), np.int64)
     for point in points:
         rows = _rows(point, sue)
         sampling = point.sampling_interval_ms
@@ -141,7 +142,9 @@ def sample_metrics(
 
         if point.kind == "request_counter":
             values = counts[aggregation][rows].sum(axis=0).astype(np.float64)
+            increments[rows] = counts[aggregation][rows].sum(axis=1)  # set, not added: each counter's grid holds all
         else:  # a gauge: one reading per target service and sampling window
+            reads[rows] += _window_count(duration_ms, sampling)
             readings = (busy[sampling][rows] / float(sampling) if point.kind == "cpu_gauge"
                         else net[sampling][rows, :-1].cumsum(axis=1).astype(np.float64))
             readings = readings.mean(axis=0) if point.system_aggregation == "mean" else readings.sum(axis=0)
@@ -153,7 +156,7 @@ def sample_metrics(
                 values = np.append(values, readings[full * per_agg :].mean())
         timestamps = np.arange(1, n_agg + 1, dtype=np.int64) * aggregation
         out[point.metric_name] = (timestamps, values)
-    return out, ok_closes
+    return out, reads + increments
 
 
 def sample_traces(
@@ -185,8 +188,10 @@ def sample_traces(
 def build_batch(
     log: RawEventLog, sue: SueSpec, duration_ms: int, trace_rng: np.random.Generator
 ) -> TelemetryBatch:
-    """Assemble the run's telemetry under the given instrumentation config."""
-    metrics, ok_closes = sample_metrics(log, sue.metric_points, sue, duration_ms)
+    """Assemble the run's telemetry under the given instrumentation config;
+    a service's instrumentation calls are its metric calls and two per kept
+    span, for its open and its close."""
+    metrics, metric_calls = sample_metrics(log, sue.metric_points, sue, duration_ms)
     spans, trace_count = sample_traces(log, sue.trace_config, trace_rng)
     services = tuple(s.id for s in sue.services)
     n = len(services)
@@ -196,15 +201,7 @@ def build_batch(
     for service, _, ms in log.cpu:
         np.add.at(busy, np.asarray(service), np.asarray(ms))
 
-    counted = np.zeros(n, dtype=bool)
-    calls = 2 * np.bincount(spans.service, minlength=n)  # span open + close
-    for point in sue.metric_points:
-        if point.kind == "request_counter":
-            counted[_rows(point, sue)] = True
-        else:  # a gauge reads each target once per sampling window
-            calls[_rows(point, sue)] += _window_count(duration_ms, point.sampling_interval_ms)
-    calls += ok_closes * counted
-    calls = dict(zip(services, calls.astype(np.float64).tolist()))
+    calls = metric_calls + 2 * np.bincount(spans.service, minlength=n)
 
     return TelemetryBatch(
         metrics=metrics,
@@ -213,7 +210,7 @@ def build_batch(
         cpu_busy_ms=dict(zip(services, busy.tolist())),
         trace_count=trace_count,
         metric_event_count=sum(len(t) for t, _ in metrics.values()),
-        instrumentation_calls=calls,
+        instrumentation_calls=dict(zip(services, calls.astype(np.float64).tolist())),
     )
 
 

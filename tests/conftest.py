@@ -190,6 +190,18 @@ def ok_closes(log: RawEventLog, sue: SueSpec) -> list[tuple[str, int]]:
     return [(r.service, r.end_ms) for r in span_rows(whole(log).spans, sue) if r.ok]
 
 
+def metric_point(sue: SueSpec, name: str) -> MetricPointSpec:
+    """The metric point of ``sue`` named ``name``; a KeyError if none is."""
+    return {point.metric_name: point for point in sue.metric_points}[name]
+
+
+def pending_events(sim: SimState) -> int:
+    """Events pending: those on the heap, the wake-ups and the client
+    timeouts queued behind the first, which is on the heap. The queued
+    timeout of a finished request counts until it is dropped."""
+    return len(sim._heap) + len(sim._wakeups) + max(len(sim._timeouts) - 1, 0)
+
+
 def event_log(spans=(), cpu=(), chunk_rows: int | None = None, service_code: str = "q") -> RawEventLog:
     """A raw event log holding the given rows, services by index: spans as
     ``(span_id, parent, service, start_ms, end_ms, ok)`` and CPU slices as

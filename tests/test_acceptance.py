@@ -23,7 +23,7 @@ from oxn.telemetry import ResponseSeries, build_batch, materialize_response, sam
 from oxn.config import SPAN_BITS, TraceConfigSpec, apply_instrumentation, parse_experiment_file
 from oxn.runner import simulate_repetition
 
-from conftest import REPO_ROOT, cli_env, event_log, experiment_path, files_under, span_id, span_rows
+from conftest import REPO_ROOT, cli_env, event_log, experiment_path, files_under, metric_point, span_id, span_rows
 
 PAUSE = "pause_recommendation"
 PACKET_LOSS = "packet_loss_recommendation"
@@ -335,7 +335,7 @@ class TestCriterion8TelemetryInvariants:
 
                     # metric grid alignment
                     for point, (timestamps, values) in batch.metrics.items():
-                        interval = spec.sue.metric_point(point).aggregation_interval_ms
+                        interval = metric_point(spec.sue, point).aggregation_interval_ms
                         assert all(timestamps % interval == 0)
                         assert len(timestamps) == len(values)
 
@@ -344,7 +344,7 @@ class TestCriterion8TelemetryInvariants:
                         if response.kind != "metric":
                             continue
                         assert len(series.is_fault) == len(series.values) == len(series.timestamps)
-                        interval = spec.sue.metric_point(series.name).aggregation_interval_ms
+                        interval = metric_point(spec.sue, series.name).aggregation_interval_ms
                         fault_rows = int(series.is_fault.sum())
                         window_span = (fault.end_ms or 0) - (fault.start_ms or 0)
                         assert abs(fault_rows * interval - window_span) <= interval

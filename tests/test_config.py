@@ -47,7 +47,7 @@ from oxn.config import (
 from oxn.report import _scored_doc, build_matrix
 from oxn.runner import spec_digest
 
-from conftest import CANONICAL_NAMES, REPO_ROOT, experiment_path, small_spec
+from conftest import CANONICAL_NAMES, REPO_ROOT, experiment_path, metric_point, small_spec
 
 SCHEMA_PATH = REPO_ROOT / "src/oxn/experiment_schema.json"
 
@@ -104,9 +104,9 @@ class TestParse:
         assert spec.workload.users == 50
         assert spec.workload.duration_ms == 600_000
         assert spec.sue.trace_config == TraceConfigSpec("probabilistic", 0.01)
-        counter = spec.sue.metric_point("recomms_per_minute")
+        counter = metric_point(spec.sue, "recomms_per_minute")
         assert counter.aggregation_interval_ms == 60_000
-        gauge = spec.sue.metric_point("system_cpu")
+        gauge = metric_point(spec.sue, "system_cpu")
         assert gauge.sampling_interval_ms == 5_000
         assert len(spec.sue.services) == 6
         assert [t.kind for t in spec.treatments] == ["pause", "packet_loss", "network_delay"]

@@ -40,7 +40,7 @@ from oxn.config import (
 )
 from oxn import simulator
 from oxn.report import report_json
-from oxn.runner import run_experiment, simulate_repetition
+from oxn.runner import ExperimentError, run_experiment, simulate_repetition
 from oxn.simulator import (
     _BLOCK_MAX,
     _BLOCK_MIN,
@@ -61,7 +61,8 @@ from oxn.simulator import (
 )
 
 from conftest import (
-    SpanRow, cpu_rows, experiment_path, new_sim, ok_closes, small_spec, span_rows, surge_sim, tiny_service, whole,
+    SpanRow, cpu_rows, experiment_path, new_sim, ok_closes, pending_events, small_spec, span_rows, surge_sim,
+    tiny_service, whole,
 )
 
 
@@ -203,15 +204,14 @@ class TestLognormalDraws:
     # past the largest block: 8 + 16 + ... + 1024 = 2040 values, then two more refills
     N = 4000
 
-    @pytest.mark.parametrize("median_ms", [5, 15, 12000])
+    # At sigma 0 the half-way medians pin rounding half to even: 2.5 gives 2, 3.5 gives 4.
+    @pytest.mark.parametrize("median_ms", [2.5, 3.5, 5, 15, 12000])
     @pytest.mark.parametrize("sigma", [0.0, 0.25, 0.58, 1.35])
     def test_matches_scalar_draws(self, median_ms, sigma):
         spec = LognormalSpec(median_ms, sigma)
         draws = LognormalDraws(rng_stream(3, "service:x"), spec)
         reference = rng_stream(3, "service:x")
         assert [draws.draw() for _ in range(self.N)] == [scalar_lognormal_ms(reference, spec) for _ in range(self.N)]
-        if sigma == 0.0:
-            assert draws.state == reference.bit_generator.state  # drew nothing
 
     @pytest.mark.parametrize("n", [1, 8, 9, 2040, 2041, N])
     def test_state_after_refills_is_that_of_the_normals_drawn(self, n):
@@ -240,6 +240,28 @@ class TestLognormalDraws:
         assert head == tail[:11]
         assert [copied.draw() for _ in range(200)] == tail[11:]
         assert [draws.draw() for _ in range(200)] == tail[11:]
+
+
+def with_backend(sue: SueSpec, **changes) -> SueSpec:
+    """``small_spec``'s sue with ``changes`` made to its backend."""
+    return replace(sue, services=(sue.services[0], replace(sue.services[1], **changes)))
+
+
+class TestSimulatedTimeRange:
+    """The log holds times as int64: a run whose simulated time passes
+    2**63 - 1 ms fails with one error that says so, wherever the time comes
+    from."""
+
+    @pytest.mark.parametrize("change", [
+        lambda sue: replace(sue, edges=(replace(sue.edges[0], latency_ms=2**63),)),
+        lambda sue: with_backend(sue, service_time=LognormalSpec(1e19, 0.0)),
+        lambda sue: with_backend(sue, service_time=LognormalSpec(1e19, 0.5)),
+        lambda sue: with_backend(sue, service_time=LognormalSpec(8, 1000.0)),  # draws overflow to inf
+    ], ids=["edge_latency", "sigma_0", "sigma_0.5", "inf"])
+    def test_fails_with_one_clear_error(self, change):
+        spec = small_spec(repetitions=1)
+        with pytest.raises(ExperimentError, match=r"simulated time passed 2\*\*63 - 1 ms"):
+            run_experiment(replace(spec, sue=change(spec.sue)))
 
 
 class TestQueueingOracle:
@@ -745,14 +767,14 @@ class TestEventQueue:
             waiting = sum(kind == _EV_ARRIVAL for _, _, kind, _ in sim._wakeups)
             handled = sum(not request.done for _, _, _, request in sim._timeouts)
             assert open_requests == waiting + handled
-            assert sim.pending_events() >= open_requests
+            assert pending_events(sim) >= open_requests
             heap_alone_short |= len(sim._heap) < open_requests
             heap_sizes.append(len(sim._heap))
         assert heap_alone_short  # calls queued at the paused service have no other event
         # The heap is as deep as the work in flight, not as the 50 users.
         assert np.median(heap_sizes) <= 10
         sim.run_until(None)
-        assert sim.pending_events() == 0
+        assert pending_events(sim) == 0
         assert sorted(r.request_id for r in sim.records) == list(range(sim._request_count))
 
     @staticmethod
@@ -798,7 +820,7 @@ class TestEventQueue:
         assert [(r.start_ms, r.end_ms) for r in sim.records] == [
             (100, 110), (200, 210), (250, 260), (300, 310), (400, 410)
         ]
-        assert sim.pending_events() == 0
+        assert pending_events(sim) == 0
 
     def test_a_tie_between_the_heaps_pops_in_seq_order(self, monkeypatch):
         popped = []

@@ -79,16 +79,29 @@ class TestSampleMetrics:
             spans=[(span_id(i), -1, 0, i * 1000, i * 1000, 1) for i in range(600)] + [(span_id(600), -1, 0, 0, 0, 0)]
         )
         point = MetricPointSpec("rpm", "request_counter", "api", 60_000, 60_000)
-        metrics, closes = sample_metrics(log, [point], one_service_sue(), 600_000)
+        metrics, calls = sample_metrics(log, [point], one_service_sue(), 600_000)
         timestamps, values = metrics["rpm"]
         assert values.tolist() == [60.0] * 10
         assert timestamps.tolist() == [60_000 * (k + 1) for k in range(10)]
-        assert closes.tolist() == [600]
+        assert calls.tolist() == [600]  # one increment per ok close
+
+    def test_calls_count_ok_closes_only_where_a_counter_reads(self):
+        """Each ok close of ``a`` is one increment, though two counters read
+        it; ``b``'s ok closes are not counted, and its gauge reads it once
+        per window, the last partial."""
+        sue = SueSpec(services=(tiny_service("a"), tiny_service("b")))
+        points = [
+            MetricPointSpec("rpm_a", "request_counter", "a", 1000, 1000),
+            MetricPointSpec("rps", "request_counter", "a", 500, 500),
+            MetricPointSpec("cpu_b", "cpu_gauge", "b", 400, 400),
+        ]
+        log = event_log(spans=[(span_id(i), -1, i % 2, i * 100, i * 100 + 50, 1) for i in range(20)])
+        assert sample_metrics(log, points, sue, 1900)[1].tolist() == [10, 5]
 
     def test_empty_windows_are_explicit_zeros(self):
         point_gauge = MetricPointSpec("cpu", "cpu_gauge", "api", 5000, 5000)
         point_counter = MetricPointSpec("rpm", "request_counter", "api", 10_000, 10_000)
-        metrics, _ = sample_metrics(RawEventLog(), [point_gauge, point_counter], one_service_sue(), 30_000)
+        metrics, _ = sample_metrics(event_log(), [point_gauge, point_counter], one_service_sue(), 30_000)
         assert metrics["cpu"][1].tolist() == [0.0] * 6
         assert metrics["rpm"][1].tolist() == [0.0] * 3
 
@@ -475,12 +488,14 @@ CHUNK_TRACE_CONFIGS = st.sampled_from([
 class TestChunkedReads:
     @settings(max_examples=150, deadline=None)
     @given(small_logs(), CHUNK_TRACE_CONFIGS, st.integers(1, 17), st.integers(0, 2**16))
-    @example((RawEventLog(), 1000), TraceConfigSpec("probabilistic", 0.3), 1, 0)
+    @example((event_log(), 1000), TraceConfigSpec("probabilistic", 0.3), 1, 0)
     def test_any_chunk_size_gives_the_whole_log_batch_bit_for_bit(self, drawn, cfg, chunk_rows, seed):
         """``build_batch`` of the log cut into chunks of 1 to 17 rows equals,
         array for array and bit for bit, its result on the log in one chunk
         and one sampling traces with ``np.isin`` over the whole log, and draws
-        as often; its metrics and ok closes equal an event-by-event loop's."""
+        as often; its metrics equal an event-by-event loop's, and its metric
+        calls those of each service: a gauge's windows for each gauge that
+        reads it, and its ok closes by the end if a counter reads it."""
         log, duration = drawn
         sue = replace(CHUNK_SUE, trace_config=cfg)
 
@@ -495,11 +510,18 @@ class TestChunkedReads:
             patch.setattr(telemetry, "sample_traces", isin_sample_traces)
             oracle = batch(log)
         assert batch(chunked) == default == oracle
-        metrics, closes = sample_metrics(log, sue.metric_points, sue, duration)
+        metrics, calls = sample_metrics(log, sue.metric_points, sue, duration)
         for point in sue.metric_points:
             assert metrics[point.metric_name][1].tolist() == reference_metrics(log, point, sue, duration), point
         ok_ends = [(r.service, r.end_ms) for r in span_rows(whole(log).spans, sue) if r.ok]
-        assert closes.tolist() == [sum(s == svc.id and end <= duration for s, end in ok_ends) for svc in sue.services]
+        expected = []
+        for svc in sue.services:
+            reading = [p for p in sue.metric_points if p.target in ("system", svc.id)]
+            gauges = [p for p in reading if p.kind != "request_counter"]
+            windows = sum(max(1, -(-duration // p.sampling_interval_ms)) for p in gauges)
+            counted = len(gauges) < len(reading)
+            expected.append(windows + counted * sum(s == svc.id and end <= duration for s, end in ok_ends))
+        assert calls.tolist() == expected
 
     @settings(max_examples=100, deadline=None)
     @given(small_logs(), CHUNK_TRACE_CONFIGS, st.integers(0, 2**16))
@@ -539,7 +561,8 @@ class TestChunkedReads:
         rng = np.random.default_rng(0)
         start = np.arange(n)
         columns = (start << SPAN_BITS, np.full(n, -1), start % 3, start, start + rng.integers(0, 200, n), np.ones(n, int))
-        log = RawEventLog([SpanTable(*(column[lo : lo + rows] for column in columns)) for lo in range(0, n, rows)])
+        spans = [SpanTable(*(column[lo : lo + rows] for column in columns)) for lo in range(0, n, rows)]
+        log = RawEventLog(spans, event_log().cpu)
         point = MetricPointSpec("depth", "custom_gauge", "b", 5000, 5000)
         sue = SueSpec(services=(tiny_service("a"), tiny_service("b"), tiny_service("c")))
         tracemalloc.start()

@@ -21,7 +21,7 @@ from oxn.config import (
 )
 from oxn.simulator import drive
 
-from conftest import experiment_path, new_sim, tiny_service
+from conftest import experiment_path, metric_point, new_sim, tiny_service
 
 
 @pytest.fixture(scope="module")
@@ -44,20 +44,20 @@ class TestApplyInstrumentation:
             name="faster", metric="recomms_per_minute", interval_ms=1000
         )
         out = apply_instrumentation(baseline.sue, [treatment])
-        point = out.metric_point("recomms_per_minute")
+        point = metric_point(out, "recomms_per_minute")
         assert point.sampling_interval_ms == 1000
         assert point.aggregation_interval_ms == 1000  # 1:1 multiplier preserved
         # input untouched
-        assert baseline.sue.metric_point("recomms_per_minute").sampling_interval_ms == 60_000
+        assert metric_point(baseline.sue, "recomms_per_minute").sampling_interval_ms == 60_000
 
     def test_aggregation_multiplier_preserved(self, baseline):
         wide = replace(
-            baseline.sue.metric_point("system_cpu"), aggregation_interval_ms=15_000
+            metric_point(baseline.sue, "system_cpu"), aggregation_interval_ms=15_000
         )
         sue = replace(baseline.sue, metric_points=(wide,))
         treatment = MetricSamplingInterval(name="slower", metric="system_cpu", interval_ms=10_000)
         out = apply_instrumentation(sue, [treatment])
-        assert out.metric_point("system_cpu").aggregation_interval_ms == 30_000
+        assert metric_point(out, "system_cpu").aggregation_interval_ms == 30_000
 
     def test_trace_rate_change(self, baseline):
         treatment = TracingSamplingRate(name="more", rate=0.05)

@@ -6,7 +6,7 @@ import pytest
 from oxn.config import LognormalSpec, SueSpec, TraceConfigSpec, WorkloadSpec, parse_experiment_file
 from oxn.simulator import drive
 
-from conftest import experiment_path, new_sim, tiny_service
+from conftest import experiment_path, new_sim, pending_events, tiny_service
 
 
 def single_service_sue(**kwargs) -> SueSpec:
@@ -33,7 +33,7 @@ class TestClosedLoop:
         drive(sim, WorkloadSpec(users=10, duration_ms=30_000, think_time=LognormalSpec(400, 0.3)))
         sim.run_until(None)
         assert max(r.start_ms for r in sim.records) < 30_000
-        assert sim.pending_events() == 0
+        assert pending_events(sim) == 0
 
     def test_identical_seed_identical_records(self):
         sue = single_service_sue(median_ms=10, sigma=0.3)
