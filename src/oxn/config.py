@@ -43,6 +43,9 @@ if TYPE_CHECKING:
 
 SYSTEM_TARGET = "system"
 MAX_SEED = 2**64 - 1  # random streams take the seed modulo 2**64, so no run seed may pass this
+# Bound of a latency, delay, error response time or lognormal median: the largest integer a float
+# holds exactly, far below the int64 clock's 2**63 ms (sigma can still draw past it; the run checks).
+MAX_DURATION_MS = 2**53
 # A span id is ``(request << SPAN_BITS) | n`` for the request's n-th span.
 SPAN_BITS = 16
 
@@ -162,6 +165,7 @@ class Excludes(NamedTuple):
 SECONDS = {"seconds": True}
 NONNEGATIVE = {"bound": Range(0, math.inf, "[)")}
 POSITIVE = {"bound": Range(0, math.inf, "()")}
+DURATION_MS = {"bound": Range(0, MAX_DURATION_MS, "[]")}
 AT_LEAST_ONE = {"bound": Range(1, math.inf, "[)")}
 UNIT = {"bound": Range(0, 1, "[]")}
 OPEN_UNIT = {"bound": Range(0, 1, "()")}
@@ -193,7 +197,7 @@ class LognormalSpec:
     """Lognormal distribution given as (median ms, sigma); sigma=0 degenerates
     to a constant, the median rounded half to even, which unit tests rely on."""
 
-    median_ms: float = field(metadata=POSITIVE)
+    median_ms: float = field(metadata={"bound": Range(0, MAX_DURATION_MS, "(]")})
     sigma: float = field(metadata=NONNEGATIVE)
 
 
@@ -203,7 +207,7 @@ class ServiceSpec:
     workers: int = field(metadata=AT_LEAST_ONE)
     service_time: LognormalSpec
     cpu_per_request_ms: float = field(metadata=NONNEGATIVE)
-    error_response_time_ms: int = field(default=300, metadata=NONNEGATIVE)
+    error_response_time_ms: int = field(default=300, metadata=DURATION_MS)
 
 
 @dataclass(frozen=True)
@@ -211,7 +215,7 @@ class CallEdge:
     caller: str = field(metadata={"names": "service"})
     callee: str = field(metadata={"names": "service"})
     calls_per_request: float = field(metadata=NONNEGATIVE)
-    latency_ms: int = field(metadata=NONNEGATIVE)
+    latency_ms: int = field(metadata=DURATION_MS)
 
 
 @dataclass(frozen=True)
@@ -352,8 +356,8 @@ class NetworkDelay(Fault):
     """One uniform latency add-on per hop on the target's inbound edges."""
 
     kind: ClassVar[str] = "network_delay"
-    delay_min_ms: int = field(metadata=NONNEGATIVE)
-    delay_max_ms: int = field(metadata=NONNEGATIVE)
+    delay_min_ms: int = field(metadata=DURATION_MS)
+    delay_max_ms: int = field(metadata=DURATION_MS)
 
 
 @dataclass(frozen=True)

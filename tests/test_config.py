@@ -299,10 +299,40 @@ class TestValidate:
         )
         assert [str(v) for v in validate(bad)] == [
             "seed: seed must be within [0, 18446744073709551615]",
-            "sue.services[0].service_time.median_ms: median_ms must be > 0",
+            "sue.services[0].service_time.median_ms: median_ms must be within (0, 9007199254740992]",
             "workload.think_time.sigma: sigma must be >= 0",
             "treatments[0].start_s: start_s must be > 0",
         ]
+
+    def test_durations_no_run_can_simulate_rejected_at_their_field(self):
+        """Edge latencies, network delays, error response times and lognormal
+        medians stop at 2**53 ms; a run's int64 clock would pass 2**63 - 1 ms
+        on the first such duration."""
+        spec = small_spec(repetitions=1)
+        sue = spec.sue
+
+        def durations(ms):
+            gateway, backend = sue.services
+            return replace(
+                spec, workload=replace(spec.workload, think_time=LognormalSpec(ms, 0.5)),
+                treatments=(NetworkDelay("delay", "backend", 40_000, 80_000, ms, ms),),
+                sue=replace(sue, edges=(replace(sue.edges[0], latency_ms=ms),), services=(
+                    gateway, replace(backend, service_time=LognormalSpec(ms, 0.0), error_response_time_ms=ms))))
+
+        assert config.MAX_DURATION_MS == 2**53
+        assert validate(durations(2**53)) == []
+        assert [str(v) for v in validate(durations(2**53 + 1))] == [
+            "sue.services[1].service_time.median_ms: median_ms must be within (0, 9007199254740992]",
+            "sue.services[1].error_response_time_ms: error_response_time_ms must be within [0, 9007199254740992]",
+            "sue.edges[0].latency_ms: latency_ms must be within [0, 9007199254740992]",
+            "workload.think_time.median_ms: median_ms must be within (0, 9007199254740992]",
+            "treatments[0].delay_min_ms: delay_min_ms must be within [0, 9007199254740992]",
+            "treatments[0].delay_max_ms: delay_max_ms must be within [0, 9007199254740992]",
+        ]
+        too_long = replace(sue, edges=(replace(sue.edges[0], latency_ms=2**63),),
+                           services=(sue.services[0], replace(sue.services[1], service_time=LognormalSpec(1e19, 0.5))))
+        assert [v.field for v in validate(replace(spec, sue=too_long))] == [
+            "sue.services[1].service_time.median_ms", "sue.edges[0].latency_ms"]
 
     @pytest.mark.parametrize("name", ["../escaped", "a/b", "a\\b", "a\0b", "", ".", ".."])
     def test_names_that_leave_the_output_directory_rejected(self, name):

@@ -600,6 +600,15 @@ class TestCli:
         assert proc.returncode == 1
         assert "repetitions" in proc.stdout
 
+    def test_validate_rejects_a_duration_no_run_can_simulate(self, tmp_path):
+        spec = small_spec(repetitions=1)
+        path = tmp_path / "long.yaml"
+        path.write_text(render_experiment(replace(spec, sue=replace(
+            spec.sue, edges=(replace(spec.sue.edges[0], latency_ms=2**63),)))))
+        proc = run_cli("validate", str(path))
+        assert proc.returncode == 1
+        assert "sue.edges[0].latency_ms: latency_ms must be within [0, 9007199254740992]" in proc.stdout
+
     @pytest.mark.parametrize("command", ["validate", "run"])
     def test_a_file_without_a_fault_is_rejected(self, tmp_path, command):
         path = tmp_path / "no_fault.yaml"

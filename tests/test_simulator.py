@@ -37,6 +37,7 @@ from oxn.config import (
     TracingSamplingStrategy,
     WorkloadSpec,
     parse_experiment_file,
+    validate,
 )
 from oxn import simulator
 from oxn.report import report_json
@@ -191,6 +192,17 @@ class TestDeterminism:
         assert rng_stream(7, "x").random() == rng_stream(7, "x").random()
         assert rng_stream(7, "x").random() != rng_stream(7, "y").random()
 
+    @pytest.mark.parametrize("label", ["", "user:0", "sërvice:ü→"])
+    @pytest.mark.parametrize("seed", [0, 1, 2**32 - 1, 2**32, 2**63, 2**64 - 1, -1, 2**64 + 5])
+    def test_stream_state_is_that_of_the_list_seed(self, seed, label):
+        """The uint32 words ``rng_stream`` seeds with give the state that the
+        list ``[seed % 2**64, *label_words]`` gives, for seeds whose high word
+        is zero or not, and for seeds outside [0, 2**64) taken modulo 2**64."""
+        digest = hashlib.sha256(label.encode("utf-8")).digest()
+        words = [int.from_bytes(digest[i : i + 4], "little") for i in range(0, 16, 4)]
+        listed = np.random.PCG64(np.random.SeedSequence([seed % 2**64, *words]))
+        assert rng_stream(seed, label).bit_generator.state == listed.state
+
 
 def scalar_lognormal_ms(rng, spec) -> int:
     """One duration drawn on its own, as the simulator drew them before it
@@ -200,8 +212,13 @@ def scalar_lognormal_ms(rng, spec) -> int:
     return max(0, int(round(spec.median_ms * float(np.exp(spec.sigma * rng.standard_normal())))))
 
 
+# Values handed out by the time the blocks stop doubling: _BLOCK_MIN +
+# 2 * _BLOCK_MIN + ... + _BLOCK_MAX, the maximum being the minimum times a power of two.
+DOUBLED = 2 * _BLOCK_MAX - _BLOCK_MIN
+
+
 class TestLognormalDraws:
-    # past the largest block: 8 + 16 + ... + 1024 = 2040 values, then two more refills
+    # past the last doubling (64 + 128 + ... + 1024 = 1984 values), then two refills of _BLOCK_MAX
     N = 4000
 
     # At sigma 0 the half-way medians pin rounding half to even: 2.5 gives 2, 3.5 gives 4.
@@ -213,10 +230,14 @@ class TestLognormalDraws:
         reference = rng_stream(3, "service:x")
         assert [draws.draw() for _ in range(self.N)] == [scalar_lognormal_ms(reference, spec) for _ in range(self.N)]
 
-    @pytest.mark.parametrize("n", [1, 8, 9, 2040, 2041, N])
+    def test_block_schedule(self):
+        assert _BLOCK_MAX % _BLOCK_MIN == 0 and (_BLOCK_MAX // _BLOCK_MIN).bit_count() == 1
+        assert DOUBLED + _BLOCK_MAX < self.N <= DOUBLED + 2 * _BLOCK_MAX
+
+    @pytest.mark.parametrize("n", [1, _BLOCK_MIN, _BLOCK_MIN + 1, DOUBLED, DOUBLED + 1, N])
     def test_state_after_refills_is_that_of_the_normals_drawn(self, n):
         """The state held after ``n`` values is a generator's that drew every
-        block so far, 8 + 16 + ... normals, at once."""
+        block so far, _BLOCK_MIN + 2 * _BLOCK_MIN + ... normals, at once."""
         draws = LognormalDraws(rng_stream(3, "service:x"), LognormalSpec(15, 0.58))
         for _ in range(n):
             draws.draw()
@@ -232,14 +253,27 @@ class TestLognormalDraws:
         spec = LognormalSpec(15, 0.58)
         draws = LognormalDraws(rng_stream(5, "user:0"), spec)
         reference = rng_stream(5, "user:0")
-        head = [draws.draw() for _ in range(11)]  # 3 of the second block's 16 are used
+        used = _BLOCK_MIN + 3  # 3 of the second block's 2 * _BLOCK_MIN are used
+        head = [draws.draw() for _ in range(used)]
+        assert len(draws.values) == 2 * _BLOCK_MIN and draws.next == 3
         copied = fork(draws)
         assert copied.values is not draws.values and copied.values == draws.values
         assert copied.values.typecode == "q"
-        tail = [scalar_lognormal_ms(reference, spec) for _ in range(11 + 200)]
-        assert head == tail[:11]
-        assert [copied.draw() for _ in range(200)] == tail[11:]
-        assert [draws.draw() for _ in range(200)] == tail[11:]
+        tail = [scalar_lognormal_ms(reference, spec) for _ in range(used + 400)]
+        assert head == tail[:used]
+        assert [copied.draw() for _ in range(400)] == tail[used:]
+        assert [draws.draw() for _ in range(400)] == tail[used:]
+
+    def test_every_user_of_a_baseline_run_refills_once(self, baseline_spec):
+        """A user's whole run fits in its first block: each of the baseline's
+        users, in each fault run of its first repetition at seed 0, drew
+        think times and refilled exactly once (a refill doubles the block)."""
+        spec = baseline_spec
+        assert spec.seed == 0
+        for _, run in simulate_repetition(spec, 0):
+            streams = run._think_times.values()
+            assert len(streams) == spec.workload.users
+            assert all(len(d.values) == _BLOCK_MIN and d.block == 2 * _BLOCK_MIN for d in streams)
 
 
 def with_backend(sue: SueSpec, **changes) -> SueSpec:
@@ -250,7 +284,8 @@ def with_backend(sue: SueSpec, **changes) -> SueSpec:
 class TestSimulatedTimeRange:
     """The log holds times as int64: a run whose simulated time passes
     2**63 - 1 ms fails with one error that says so, wherever the time comes
-    from."""
+    from. ``validate`` refuses the first three sues; the simulator is given
+    them directly."""
 
     @pytest.mark.parametrize("change", [
         lambda sue: replace(sue, edges=(replace(sue.edges[0], latency_ms=2**63),)),
@@ -260,8 +295,16 @@ class TestSimulatedTimeRange:
     ], ids=["edge_latency", "sigma_0", "sigma_0.5", "inf"])
     def test_fails_with_one_clear_error(self, change):
         spec = small_spec(repetitions=1)
+        with pytest.raises(ValueError, match=r"simulated time passed 2\*\*63 - 1 ms"):
+            list(simulate_repetition(replace(spec, sue=change(spec.sue)), 0))
+
+    def test_a_valid_spec_whose_draws_overflow_fails_in_its_run(self):
+        """Sigma can carry any median past 2**63 ms, so a valid spec can still fail so."""
+        spec = small_spec(repetitions=1)
+        spec = replace(spec, sue=with_backend(spec.sue, service_time=LognormalSpec(8, 1000.0)))
+        assert validate(spec) == []
         with pytest.raises(ExperimentError, match=r"simulated time passed 2\*\*63 - 1 ms"):
-            run_experiment(replace(spec, sue=change(spec.sue)))
+            run_experiment(spec)
 
 
 class TestQueueingOracle:
