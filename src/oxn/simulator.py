@@ -31,7 +31,10 @@ have no bound.
 The log is written in chunks of about ``_CHUNK_ROWS`` rows and read as such:
 after a process's first run frees multi-MB columns, glibc raises its dynamic
 mmap threshold, so columns each grown as one array would grow side by side
-by ``realloc`` in the brk heap in later runs, and fragment it.
+by ``realloc`` in the brk heap in later runs, and fragment it. The open
+chunk is staged in Python lists while ``run_until`` runs and sealed into its
+typed arrays when a new chunk starts and when ``run_until`` returns or
+raises, so a caller, ``fork`` and pickle only ever see typed arrays.
 
 Faults are added with ``add_fault``, whose boundary events take negative
 sequence numbers in the order the faults were added (-2,000,000 + 2i for the
@@ -57,9 +60,10 @@ which fall after their request has finished, wait in a FIFO of which only
 the first is on the heap. Users' wake-ups (each thinking user holds one)
 wait in a heap of their own, and the loop pops whichever of the two heads
 has the smaller ``(t, seq)`` key, so events pop in the same order as from
-one heap. The cyclic garbage collector is paused while ``run_until`` runs:
-the run creates no reference cycles, so a collection would only re-scan the
-live calls.
+one heap; each heap holds a sentinel past every time the loop may reach, so
+neither head is ever missing. The cyclic garbage collector is paused while
+``run_until`` runs: the run creates no reference cycles, so a collection
+would only re-scan the live calls.
 """
 
 from __future__ import annotations
@@ -102,6 +106,7 @@ RETRANSMIT_CPU_MS = 100.0
 
 # Both log tables start a new chunk at a root arrival once either's last chunk
 # holds this many rows, so a chunk may pass it by the rows before the next root.
+# It bounds the lists staging the open chunk in ``run_until``: about 1 MB of ints.
 _CHUNK_ROWS = 4096
 
 _MASK64 = (1 << 64) - 1
@@ -124,6 +129,8 @@ _EV_TIMEOUT = 5
 _EV_USER = 6
 # Later than any event: the span and CPU columns hold times as int64.
 _END_OF_TIME = (1 << 63) - 1
+# Last on both heaps, past every time the loop may reach; seq 0 is no event's.
+_SENTINEL = (_END_OF_TIME + 1, 0, -1, None)
 
 
 def rng_stream(seed: int, label: str) -> np.random.Generator:
@@ -155,25 +162,28 @@ class LognormalDraws:
     too, whose values are the median rounded half to even. So a stream ends
     the run having drawn more normals than it handed out. A value of 2**63 ms
     or more, past the int64 times of the log, is refused. The block is held
-    as an ``array("q")`` of its int64 values, 8 bytes each rather than a
-    Python int object each. The stream is held as its generator's state,
-    which a refill loads into one shared scratch generator and stores back,
-    so its state is plain data: a deep copy or a pickle fork copies it with
-    the buffer, and a copy runs on to the same values.
+    in ``values`` as an ``array("q")``, 8 bytes a value rather than a Python
+    int object, and handed out by the iterator ``it`` over it. The stream is
+    held as its generator's state, which a refill loads into one shared
+    scratch generator and stores back, so its state is plain data: a deep
+    copy or a pickle fork copies it with the buffer (both memoise the array,
+    so the copy's ``it`` reads the copy's ``values``), and runs on to the
+    same values.
     """
 
-    __slots__ = ("state", "median_ms", "sigma", "values", "next", "block")
+    __slots__ = ("state", "median_ms", "sigma", "values", "it", "block")
 
     def __init__(self, rng: np.random.Generator, spec: LognormalSpec):
         self.state = rng.bit_generator.state
         self.median_ms = spec.median_ms
         self.sigma = spec.sigma
         self.values = array("q")
-        self.next = 0  # index of the next value to hand out
+        self.it = iter(self.values)  # hands out ``values`` in order
         self.block = _BLOCK_MIN
 
     def draw(self) -> int:
-        if self.next == len(self.values):
+        value = next(self.it, None)
+        if value is None:
             rng = _scratch_generator()
             rng.bit_generator.state = self.state
             with np.errstate(over="ignore"):  # an overflow gives inf, which the check below refuses
@@ -183,10 +193,9 @@ class LognormalDraws:
                 raise ValueError(f"simulated time passed 2**63 - 1 ms: a duration of median {self.median_ms:g} ms "
                                  f"and sigma {self.sigma:g} drew {block.max():g} ms")
             self.values = array("q", block.astype(np.int64).tobytes())
-            self.next = 0
+            self.it = iter(self.values)
             self.block = min(2 * self.block, _BLOCK_MAX)
-        value = self.values[self.next]
-        self.next += 1
+            value = next(self.it)
         return value
 
 
@@ -198,9 +207,10 @@ class SpanTable:
     """One row per span, in open order; a service is its index in the
     services the simulation was built from. A span id is ``(request <<
     SPAN_BITS) | n`` for its request's n-th span, ``n == 0`` exactly for a
-    root, so ``span_id >> SPAN_BITS`` is its trace id. The simulator appends to ``array`` columns
-    and closes a row in place, its services in their run's narrow unsigned
-    type (see the module docstring); a selection of rows holds numpy arrays."""
+    root, so ``span_id >> SPAN_BITS`` is its trace id. The simulator appends rows (to lists
+    while it runs) and closes a row in place; between runs the columns are
+    ``array``s, services in their run's narrow unsigned type (see the module
+    docstring); a selection of rows holds numpy arrays."""
 
     span_id: Column = field(default_factory=lambda: array("q"))
     parent: Column = field(default_factory=lambda: array("q"))  # parent's span id, -1 for a root
@@ -335,10 +345,10 @@ class SimState:
         # Between runs every event at or before ``now`` has been handled; a
         # fresh state has handled none, so a fault may start at 0.
         self.now = -1
-        self._heap: list[tuple[int, int, int, object]] = []
+        self._heap: list[tuple[int, int, int, object]] = [_SENTINEL]
         self._seq = 0
         # Pending wake-ups (see ``wake``), on a heap of their own.
-        self._wakeups: list[tuple[int, int, int, object]] = []
+        self._wakeups: list[tuple[int, int, int, object]] = [_SENTINEL]
         # Client timeouts of the handled root arrivals in (t, seq) order; only the
         # first is also on the heap, and those of finished requests are dropped.
         self._timeouts: deque[tuple[int, int, int, _Request]] = deque()
@@ -416,17 +426,20 @@ class SimState:
         boundaries, ahead of same-timestamp simulation events. ``self.now``
         is brought up to date before anything that may issue a request, and
         when the loop exits. The cyclic garbage collector is paused meanwhile
-        and then left as it was found. Run to the end, a state that still
-        holds events has passed the int64 times of the log, and is refused.
+        and then left as it was found, and the log's last chunks are staged
+        as lists, sealed on the way out however the run ends. Run to the end,
+        a state that holds events besides its sentinels has passed the int64
+        times of the log, and is refused.
         """
         enabled = gc.isenabled()
         gc.disable()
         try:
             self._run(t)
         finally:
+            self._seal()
             if enabled:
                 gc.enable()
-        if t is None and (self._heap or self._wakeups):
+        if t is None and len(self._heap) + len(self._wakeups) > 2:
             raise ValueError("simulated time passed 2**63 - 1 ms: events are left after it")
 
     def _run(self, t: int | None) -> None:
@@ -437,14 +450,14 @@ class SimState:
         timeouts = self._timeouts
         active = self._active
         (chunk, cpu_chunk, span_id_append, parent_append, service_append, start_append, end_append, ok_append,
-         cpu_service_append, cpu_t_append, cpu_ms_append) = self._writers()
+         cpu_service_append, cpu_t_append, cpu_ms_append) = self._stage()
         span_bits = SPAN_BITS
         limit = _END_OF_TIME if t is None else t
         when = self.now
         while True:
-            # Seq numbers are unique, so the two heads never compare past them.
-            queue = wakeups if wakeups and (not heap or wakeups[0] < heap[0]) else heap
-            if not queue or queue[0][0] > limit:
+            # Seq numbers are unique (the one sentinel aside), so the two heads never compare past them.
+            queue = wakeups if wakeups[0] < heap[0] else heap
+            if queue[0][0] > limit:
                 break
             when, seq, kind, payload = heappop(queue)
             if kind == _EV_ARRIVAL:
@@ -457,9 +470,10 @@ class SimState:
                     if len(timeouts) == 1:
                         heappush(heap, timeouts[0])
                     if len(chunk.span_id) >= _CHUNK_ROWS or len(cpu_chunk[0]) >= _CHUNK_ROWS:
+                        self._seal()
                         self._add_chunks()
                         (chunk, cpu_chunk, span_id_append, parent_append, service_append, start_append, end_append,
-                         ok_append, cpu_service_append, cpu_t_append, cpu_ms_append) = self._writers()
+                         ok_append, cpu_service_append, cpu_t_append, cpu_ms_append) = self._stage()
                 if svc.killed:
                     # A dead process emits nothing; the caller observes a late error.
                     call.inbound_cpu_ms = 0.0
@@ -569,10 +583,21 @@ class SimState:
         self.log.spans.append(SpanTable(service=array(self._service_code)))
         self.log.cpu.append(_cpu_chunk(self._service_code))
 
-    def _writers(self) -> tuple:
-        """The log's last span and CPU chunks, then the appends of their columns in order."""
-        chunk, cpu = self.log.spans[-1], self.log.cpu[-1]
-        return chunk, cpu, *(column.append for column in (*vars(chunk).values(), *cpu))
+    def _stage(self) -> tuple:
+        """Stage the log's last chunks as lists, whose appends are cheaper than
+        arrays'; return them, then their columns' appends in order."""
+        chunk, cpu = vars(self.log.spans[-1]), tuple(column.tolist() for column in self.log.cpu[-1])
+        chunk.update({name: column.tolist() for name, column in chunk.items()})
+        self.log.cpu[-1] = cpu
+        return self.log.spans[-1], cpu, *(column.append for column in (*chunk.values(), *cpu))
+
+    def _seal(self) -> None:
+        """Seal the staged rows into a new chunk's typed arrays, in place: the span chunk keeps its identity."""
+        spans, cpu = SpanTable(service=array(self._service_code)), _cpu_chunk(self._service_code)
+        for column, rows in zip((*vars(spans).values(), *cpu), (*vars(self.log.spans[-1]).values(), *self.log.cpu[-1])):
+            column.fromlist(rows)
+        vars(self.log.spans[-1]).update(vars(spans))
+        self.log.cpu[-1] = cpu
 
     def _transit(self, edge: _EdgeState) -> tuple[int, float, bool]:
         """Transit time, receiver-side CPU ms and corruption of one call on

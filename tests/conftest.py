@@ -198,8 +198,9 @@ def metric_point(sue: SueSpec, name: str) -> MetricPointSpec:
 def pending_events(sim: SimState) -> int:
     """Events pending: those on the heap, the wake-ups and the client
     timeouts queued behind the first, which is on the heap. The queued
-    timeout of a finished request counts until it is dropped."""
-    return len(sim._heap) + len(sim._wakeups) + max(len(sim._timeouts) - 1, 0)
+    timeout of a finished request counts until it is dropped; each heap's
+    sentinel is no event."""
+    return len(sim._heap) - 1 + len(sim._wakeups) - 1 + max(len(sim._timeouts) - 1, 0)
 
 
 def event_log(spans=(), cpu=(), chunk_rows: int | None = None, service_code: str = "q") -> RawEventLog:

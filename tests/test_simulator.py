@@ -53,6 +53,7 @@ from oxn.simulator import (
     MAX_RETRANSMITS,
     OUTCOMES,
     RETRANSMIT_PENALTY_MS,
+    _SENTINEL,
     LognormalDraws,
     RawEventLog,
     RequestRecord,
@@ -248,6 +249,13 @@ class TestLognormalDraws:
         reference.standard_normal(drawn)
         assert draws.state == reference.bit_generator.state
 
+    @staticmethod
+    def position(draws: LognormalDraws) -> tuple[array, int]:
+        """The block that ``draws.it`` reads and the index of its next value:
+        an array iterator reduces to ``(iter, (array,), index)``."""
+        _, (block,), index = draws.it.__reduce__()
+        return block, index
+
     @pytest.mark.parametrize("fork", [copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))])
     def test_fork_of_a_partly_consumed_buffer_runs_on(self, fork):
         spec = LognormalSpec(15, 0.58)
@@ -255,10 +263,14 @@ class TestLognormalDraws:
         reference = rng_stream(5, "user:0")
         used = _BLOCK_MIN + 3  # 3 of the second block's 2 * _BLOCK_MIN are used
         head = [draws.draw() for _ in range(used)]
-        assert len(draws.values) == 2 * _BLOCK_MIN and draws.next == 3
+        block, index = self.position(draws)
+        assert len(draws.values) == 2 * _BLOCK_MIN and block is draws.values and index == 3
         copied = fork(draws)
         assert copied.values is not draws.values and copied.values == draws.values
         assert copied.values.typecode == "q"
+        # The copy's iterator reads the copy's block, one buffer, from the same value on.
+        block, index = self.position(copied)
+        assert block is copied.values and index == 3
         tail = [scalar_lognormal_ms(reference, spec) for _ in range(used + 400)]
         assert head == tail[:used]
         assert [copied.draw() for _ in range(400)] == tail[used:]
@@ -274,6 +286,7 @@ class TestLognormalDraws:
             streams = run._think_times.values()
             assert len(streams) == spec.workload.users
             assert all(len(d.values) == _BLOCK_MIN and d.block == 2 * _BLOCK_MIN for d in streams)
+            assert all(self.position(d)[0] is d.values for d in streams)
 
 
 def with_backend(sue: SueSpec, **changes) -> SueSpec:
@@ -694,13 +707,14 @@ class TestGoldenEventLog:
 
     def test_many_user_log_holds_services_in_one_byte_and_draws_as_int64(self):
         """The six-service mesh's service columns are one byte wide in every
-        chunk, and every duration buffer left after the run is an
-        ``array("q")``, not a list of Python ints."""
+        chunk, every column is typed, and every duration buffer left after
+        the run is an ``array("q")``, not a list of Python ints."""
         _, sim = surge_sim()
         sim.run_until(None)
         assert len(sim.services) == 6
         assert {chunk.service.itemsize for chunk in sim.log.spans} == {1}
         assert {service.itemsize for service, _, _ in sim.log.cpu} == {1}
+        assert_typed(sim.log, "B")
         draws = [svc.service_times for svc in sim.services.values()] + list(sim._think_times.values())
         assert len(draws) == 6 + 2000
         assert all(type(d.values) is array and d.values.typecode == "q" for d in draws)
@@ -741,6 +755,47 @@ class TestGoldenEventLog:
         fork.run_until(None)
         assert fork.log == single.log and fork.records == single.records
         assert event_log_digest(fork, spec.sue) == EVENT_LOG_DIGESTS["pause"]
+
+    @pytest.mark.parametrize("bound", [None, 1, 7])
+    def test_a_run_in_steps_and_its_fork_give_the_one_call_log(self, bound, monkeypatch):
+        """Run in 997 ms steps, with a fork taken mid-chunk and run on in the
+        same steps, both give the log of one call, chunk for chunk, and its
+        records; after every return every column of the log is typed."""
+        if bound is not None:
+            monkeypatch.setattr(simulator, "_CHUNK_ROWS", bound)
+        spec, faults = baseline_faults()
+        one_call = baseline_sim(spec, faults["pause"])
+        one_call.run_until(None)
+        sims = [baseline_sim(spec, faults["pause"])]
+        for t in [*range(996, spec.workload.duration_ms + CLIENT_TIMEOUT_MS, 997), None]:
+            for sim in sims:
+                chunks = len(sim.log.spans)
+                sim.run_until(t)
+                assert_typed(sim.log, "B", first=chunks - 1)
+            k = len(sims[0].log.spans) - 1
+            if len(sims) == 1 and 0 < len(sims[0].log.spans[k].span_id) < len(one_call.log.spans[k].span_id):
+                sims.append(sims[0].fork())
+        assert len(sims) == 2
+        for sim in sims:
+            assert sim.log == one_call.log and sim.records == one_call.records
+            assert_typed(sim.log, "B")
+
+    @pytest.mark.parametrize("change", [
+        lambda sue: replace(sue, edges=(replace(sue.edges[0], latency_ms=2**63),)),
+        lambda sue: with_backend(sue, service_time=LognormalSpec(8, 1000.0)),
+    ], ids=["events_left", "draw_overflow"])
+    @pytest.mark.parametrize("bound", [1, 7])
+    def test_a_run_that_passes_the_int64_times_leaves_a_typed_log(self, change, bound, monkeypatch):
+        """Sealing the log on the way out of a failed run keeps its error,
+        whether it comes from the loop (a draw) or after it (events left)."""
+        monkeypatch.setattr(simulator, "_CHUNK_ROWS", bound)
+        spec = small_spec()
+        sim = new_sim(change(spec.sue), 0)
+        drive(sim, spec.workload)
+        with pytest.raises(ValueError, match=r"simulated time passed 2\*\*63 - 1 ms"):
+            sim.run_until(None)
+        assert sim.log.span_count() > 0
+        assert_typed(sim.log, "B")
 
 
 def star_spec() -> ExperimentSpec:
@@ -786,6 +841,23 @@ class TestServiceColumns:
         assert hashlib.sha256(report.encode()).hexdigest() == STAR_REPORT_DIGEST
 
 
+def assert_typed(log: RawEventLog, service_code: str, first: int = 0) -> None:
+    """Every column of the log's chunks from the ``first`` on is an ``array``
+    of its declared typecode, services of ``service_code``: never a list."""
+    for chunk in log.spans[first:]:
+        assert [(type(c), c.typecode) for c in vars(chunk).values()] == [
+            (array, code) for code in ("q", "q", service_code, "q", "q", "b")
+        ]
+    for columns in log.cpu[first:]:
+        assert [(type(c), c.typecode) for c in columns] == [(array, code) for code in (service_code, "q", "d")]
+
+
+def events(queue: list) -> list:
+    """The events on a heap, without its one sentinel."""
+    assert queue.count(_SENTINEL) == 1
+    return [event for event in queue if event is not _SENTINEL]
+
+
 def is_wakeup(event) -> bool:
     """A user's start or a root arrival: the events of ``SimState.wake``."""
     _, _, kind, payload = event
@@ -800,19 +872,20 @@ class TestEventQueue:
         heap_sizes = []
         for t in range(0, spec.workload.duration_ms + CLIENT_TIMEOUT_MS, 10_000):
             sim.run_until(t)
-            assert sum(kind == _EV_TIMEOUT for _, _, kind, _ in sim._heap) <= 1
+            heap, wakeups = events(sim._heap), events(sim._wakeups)
+            assert sum(kind == _EV_TIMEOUT for _, _, kind, _ in heap) <= 1
             # No wake-up is on the main heap, and ``_wakeups`` holds nothing else.
-            assert not any(is_wakeup(e) for e in sim._heap)
-            assert all(is_wakeup(e) for e in sim._wakeups)
+            assert not any(is_wakeup(e) for e in heap)
+            assert all(is_wakeup(e) for e in wakeups)
             # An open request has its arrival pending in ``_wakeups`` or, once
             # the arrival is handled, its client timeout queued.
             open_requests = sim._request_count - len(sim.records)
-            waiting = sum(kind == _EV_ARRIVAL for _, _, kind, _ in sim._wakeups)
+            waiting = sum(kind == _EV_ARRIVAL for _, _, kind, _ in wakeups)
             handled = sum(not request.done for _, _, _, request in sim._timeouts)
             assert open_requests == waiting + handled
             assert pending_events(sim) >= open_requests
-            heap_alone_short |= len(sim._heap) < open_requests
-            heap_sizes.append(len(sim._heap))
+            heap_alone_short |= len(heap) < open_requests
+            heap_sizes.append(len(heap))
         assert heap_alone_short  # calls queued at the paused service have no other event
         # The heap is as deep as the work in flight, not as the 50 users.
         assert np.median(heap_sizes) <= 10
@@ -857,8 +930,8 @@ class TestEventQueue:
         # Issued while the other two wait: one before the latest, one after.
         sim.issue_request(3, at=250)
         sim.issue_request(4, at=400)
-        assert not any(is_wakeup(e) for e in sim._heap)
-        assert sorted(e[0] for e in sim._wakeups) == [200, 250, 300, 400]
+        assert not any(is_wakeup(e) for e in events(sim._heap))
+        assert sorted(e[0] for e in events(sim._wakeups)) == [200, 250, 300, 400]
         sim.run_until(None)
         assert [(r.start_ms, r.end_ms) for r in sim.records] == [
             (100, 110), (200, 210), (250, 260), (300, 310), (400, 410)
