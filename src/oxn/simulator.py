@@ -7,18 +7,19 @@ the ramp-up interval. Requests fan out along the call graph: a service
 queues an incoming call (FIFO, ``workers`` parallel slots), processes it for
 a lognormal service time, then issues its outgoing calls in parallel and
 completes once they all return. Faults act as revertible modifiers on this
-loop: latency add-ons and retransmit penalties on inbound edges, processing
-suspension (pause), instant failure (kill) and service-time/CPU inflation
-(stress).
+loop: latency add-ons and retransmit penalties on the edges into the target,
+which holds them while they act, so other edges pay nothing for them,
+processing suspension (pause), instant failure (kill) and service-time/CPU
+inflation (stress).
 
-All timing is integer milliseconds and every random draw comes from a
-named, seed-derived stream (durations in blocks, ``LognormalDraws``), so the
-services, edges, workload, seed and faults, all a simulation is given,
-reproduce the same event trace bit for bit on any platform; instrumentation
-acts only on the finished log (``telemetry``). The state is plain data (heap
-events carry records and ids, never callables, and a stream of durations is
-its generator's state), so a running ``SimState`` can be deep-copied or
-pickled and either copy runs on identically. The raw events go to the typed
+All timing is integer milliseconds and every random draw comes from a named,
+seed-derived stream (durations and an edge's extra calls in blocks,
+``_BlockDraws``), so the services, edges, workload, seed and faults, all a
+simulation is given, reproduce the same event trace bit for bit on any
+platform; instrumentation acts only on the finished log (``telemetry``). The
+state is plain data (heap events carry records and ids, never callables, and
+a block stream is its generator's state), so a running ``SimState`` can be
+deep-copied or pickled and either copy runs on identically. The raw events go to the typed
 columns of ``RawEventLog`` and the finished requests to those of
 ``RequestTable``; each ok span close is one request-counter increment.
 
@@ -110,7 +111,7 @@ RETRANSMIT_CPU_MS = 100.0
 _CHUNK_ROWS = 4096
 
 _MASK64 = (1 << 64) - 1
-# Normals drawn per refill of a duration buffer: doubling from the first to
+# Values drawn per refill of a ``_BlockDraws`` stream: doubling from the first to
 # the last, so a stream that draws little holds few unused values. A refill
 # has a fixed cost (it loads and stores the stream's state), and a
 # closed-loop user draws at most 54 think times per run in every checked-in
@@ -147,36 +148,28 @@ def rng_stream(seed: int, label: str) -> np.random.Generator:
     return np.random.Generator(np.random.PCG64(np.random.SeedSequence(np.array(seed_words + label_words, np.uint32))))
 
 
-# The generator into which ``LognormalDraws`` loads a stream's state to draw a
+# The generator into which ``_BlockDraws`` loads a stream's state to draw a
 # block; built at the first refill, so importing oxn does not load numpy.random.
 _scratch_generator = functools.cache(lambda: np.random.Generator(np.random.PCG64(0)))
 
 
-class LognormalDraws:
-    """Lognormal durations of one stream, in whole milliseconds.
-
-    Each value equals the scalar draw
-    ``max(0, int(round(median * float(np.exp(sigma * rng.standard_normal())))))``,
-    in the same order, but normals are drawn in blocks that double from
-    ``_BLOCK_MIN`` = 64 to ``_BLOCK_MAX`` = 1024 and are handed out one at a time, sigma=0
-    too, whose values are the median rounded half to even. So a stream ends
-    the run having drawn more normals than it handed out. A value of 2**63 ms
-    or more, past the int64 times of the log, is refused. The block is held
-    in ``values`` as an ``array("q")``, 8 bytes a value rather than a Python
-    int object, and handed out by the iterator ``it`` over it. The stream is
-    held as its generator's state, which a refill loads into one shared
-    scratch generator and stores back, so its state is plain data: a deep
-    copy or a pickle fork copies it with the buffer (both memoise the array,
-    so the copy's ``it`` reads the copy's ``values``), and runs on to the
-    same values.
+class _BlockDraws:
+    """Values of one stream, drawn in blocks that double from ``_BLOCK_MIN`` =
+    64 to ``_BLOCK_MAX`` = 1024, so a stream ends the run having drawn more
+    than it handed out. A subclass's ``_values`` draws ``block`` values as an
+    ``array``, held in ``values`` (a value takes its typecode's bytes, not a
+    Python int object) and handed out by the iterator ``it`` over it. The
+    stream is held as its generator's state, which a refill loads into one
+    shared scratch generator and stores back, so its state is plain data: a
+    deep copy or a pickle fork copies it with the block (both memoise the
+    array, so the copy's ``it`` reads the copy's ``values``), and runs on to
+    the same values.
     """
 
-    __slots__ = ("state", "median_ms", "sigma", "values", "it", "block")
+    __slots__ = ("state", "values", "it", "block")
 
-    def __init__(self, rng: np.random.Generator, spec: LognormalSpec):
+    def __init__(self, rng: np.random.Generator):
         self.state = rng.bit_generator.state
-        self.median_ms = spec.median_ms
-        self.sigma = spec.sigma
         self.values = array("q")
         self.it = iter(self.values)  # hands out ``values`` in order
         self.block = _BLOCK_MIN
@@ -186,17 +179,50 @@ class LognormalDraws:
         if value is None:
             rng = _scratch_generator()
             rng.bit_generator.state = self.state
-            with np.errstate(over="ignore"):  # an overflow gives inf, which the check below refuses
-                block = np.maximum(np.rint(self.median_ms * np.exp(self.sigma * rng.standard_normal(self.block))), 0.0)
+            self.values = self._values(rng)
             self.state = rng.bit_generator.state
-            if not (block < 2.0**63).all():
-                raise ValueError(f"simulated time passed 2**63 - 1 ms: a duration of median {self.median_ms:g} ms "
-                                 f"and sigma {self.sigma:g} drew {block.max():g} ms")
-            self.values = array("q", block.astype(np.int64).tobytes())
             self.it = iter(self.values)
             self.block = min(2 * self.block, _BLOCK_MAX)
             value = next(self.it)
         return value
+
+
+class LognormalDraws(_BlockDraws):
+    """Lognormal durations of one stream, in whole milliseconds, in an
+    ``array("q")``. Each equals the scalar draw, in the same order,
+    ``max(0, int(round(median * float(np.exp(sigma * rng.standard_normal())))))``,
+    sigma=0 too, whose values are the median rounded half to even. A value
+    of 2**63 ms or more, past the int64 times of the log, is refused."""
+
+    __slots__ = ("median_ms", "sigma")
+
+    def __init__(self, rng: np.random.Generator, spec: LognormalSpec):
+        super().__init__(rng)
+        self.median_ms = spec.median_ms
+        self.sigma = spec.sigma
+
+    def _values(self, rng: np.random.Generator) -> array:
+        with np.errstate(over="ignore"):  # an overflow gives inf, which the check below refuses
+            block = np.maximum(np.rint(self.median_ms * np.exp(self.sigma * rng.standard_normal(self.block))), 0.0)
+        if not (block < 2.0**63).all():
+            raise ValueError(f"simulated time passed 2**63 - 1 ms: a duration of median {self.median_ms:g} ms "
+                             f"and sigma {self.sigma:g} drew {block.max():g} ms")
+        return array("q", block.astype(np.int64).tobytes())
+
+
+class BernoulliDraws(_BlockDraws):
+    """0/1 decisions of one stream, in an ``array("b")``. Each equals the scalar
+    ``rng.random() < probability``, in the same order: ``random(n)`` yields
+    the doubles of ``n`` scalar ``random()`` calls."""
+
+    __slots__ = ("probability",)
+
+    def __init__(self, rng: np.random.Generator, probability: float):
+        super().__init__(rng)
+        self.probability = probability
+
+    def _values(self, rng: np.random.Generator) -> array:
+        return array("b", (rng.random(self.block) < self.probability).tobytes())
 
 
 Column = array | np.ndarray
@@ -289,23 +315,27 @@ class _Request:
 
 
 class _Call:
-    # ``chunk`` is set with ``row`` when the call arrives, ``cpu_ms`` when it starts processing.
+    # Built by ``_new_call``; ``chunk`` is set with ``row`` on arrival, ``cpu_ms`` on processing.
     __slots__ = ("request", "svc", "parent", "chunk", "row", "pending", "failed", "inbound_cpu_ms", "cpu_ms")
 
-    def __init__(self, request: _Request, svc: "_ServiceState", parent: "_Call | None"):
-        self.request = request
-        self.svc = svc
-        self.parent = parent
-        self.row = -1  # its span's row in ``chunk`` once the call arrives
-        self.pending = 0
-        self.failed = False
-        self.inbound_cpu_ms = 0.0
+
+def _new_call(request: _Request, svc: _ServiceState, parent: _Call | None) -> _Call:
+    """A call of ``request`` to ``svc`` from ``parent``; no ``__init__`` frame sets its slots."""
+    call = _Call()
+    call.request = request
+    call.svc = svc
+    call.parent = parent
+    call.row = -1  # its span's row in ``chunk`` once the call arrives
+    call.pending = 0
+    call.failed = False
+    call.inbound_cpu_ms = 0.0
+    return call
 
 
 class _ServiceState:
     __slots__ = (
         "spec", "index", "workers", "edges", "busy", "queue", "paused", "killed", "stress_factor", "frozen",
-        "service_times",
+        "service_times", "inbound_faults",
     )
 
     def __init__(self, spec: ServiceSpec, index: int, seed: int):
@@ -320,21 +350,23 @@ class _ServiceState:
         self.stress_factor = 1.0
         self.frozen: list[tuple[_Call, int]] = []  # (call, remaining_ms)
         self.service_times = LognormalDraws(rng_stream(seed, f"service:{spec.id}"), spec.service_time)
+        # Its active delay, loss and corruption faults, in start order: they act on its inbound edges.
+        self.inbound_faults: list[NetworkDelay | PacketLoss] = []
 
 
 class _EdgeState:
-    __slots__ = ("callee", "whole", "fraction", "latency_ms", "label", "calls_rng")
+    __slots__ = ("callee", "whole", "latency_ms", "label", "extra_calls")
 
     def __init__(self, edge: CallEdge, callee: _ServiceState, seed: int):
         self.label = f"edge:{edge.caller}->{edge.callee}"
         self.callee = callee
-        # calls_per_request = whole + fraction; the fraction is one more call's chance
+        # calls_per_request = whole + fraction; the fraction is one more call's chance, drawn by ``extra_calls``
         self.whole = int(edge.calls_per_request)
-        self.fraction = edge.calls_per_request - self.whole
+        fraction = edge.calls_per_request - self.whole
         self.latency_ms = edge.latency_ms
-        # The fault streams (``<label>:delay``, ``:loss``, ``:corrupt``) are
-        # ``SimState.stream``s, built on first use: most edges never draw.
-        self.calls_rng = rng_stream(seed, f"{self.label}:calls") if self.fraction > 0.0 else None
+        self.extra_calls = BernoulliDraws(rng_stream(seed, f"{self.label}:calls"), fraction) if fraction > 0.0 else None
+        # The fault streams (``<label>:delay``, ``:loss``, ``:corrupt``) are scalar
+        # ``SimState.stream``s, built on first use: only a fault's inbound edges draw.
 
 
 class SimState:
@@ -370,9 +402,6 @@ class SimState:
             raise ValueError(f"call graph must have exactly one entry service, found {roots}")
         self.entry = roots[0]
         self.workload: WorkloadSpec | None = None  # set by ``drive``
-        # Active faults that act on the inbound edges of their target; changed
-        # in place only, so ``run_until`` may hold it in a local.
-        self._active: list[NetworkDelay | PacketLoss] = []
         self._fault_count = 0
 
     # -- plumbing ----------------------------------------------------------
@@ -415,7 +444,7 @@ class SimState:
             raise ValueError(f"cannot issue a request in the past ({at} < {self.now})")
         request = _Request(self._request_count, user, at)
         self._request_count += 1
-        self.wake(at, _EV_ARRIVAL, _Call(request, self.services[self.entry], None))
+        self.wake(at, _EV_ARRIVAL, _new_call(request, self.services[self.entry], None))
         self._seq += 1  # the client timeout's, queued when the arrival is handled
         return request.index
 
@@ -448,7 +477,6 @@ class SimState:
         heappush = heapq.heappush
         heappop = heapq.heappop
         timeouts = self._timeouts
-        active = self._active
         (chunk, cpu_chunk, span_id_append, parent_append, service_append, start_append, end_append, ok_append,
          cpu_service_append, cpu_t_append, cpu_ms_append) = self._stage()
         span_bits = SPAN_BITS
@@ -508,12 +536,12 @@ class SimState:
                 children = 0
                 for edge in svc.edges:
                     count = edge.whole
-                    if edge.fraction > 0.0 and edge.calls_rng.random() < edge.fraction:
-                        count += 1
+                    if edge.extra_calls is not None:
+                        count += edge.extra_calls.draw()
                     for _ in range(count):
-                        child = _Call(call.request, edge.callee, call)
+                        child = _new_call(call.request, edge.callee, call)
                         self._seq = seq = self._seq + 1
-                        if not active:
+                        if not edge.callee.inbound_faults:
                             heappush(heap, (when + edge.latency_ms, seq, _EV_ARRIVAL, child))
                         else:
                             transit, child.inbound_cpu_ms, corrupted = self._transit(edge)
@@ -605,10 +633,7 @@ class SimState:
         transit = edge.latency_ms
         corrupted = False
         extra_cpu = 0.0
-        target = edge.callee.spec.id
-        for fault in self._active:
-            if fault.target != target:
-                continue
+        for fault in edge.callee.inbound_faults:
             if type(fault) is NetworkDelay:
                 delay = self.stream(f"{edge.label}:delay")
                 transit += int(delay.integers(fault.delay_min_ms, fault.delay_max_ms, endpoint=True))
@@ -696,7 +721,7 @@ class SimState:
         elif type(fault) is Stress:
             self.services[fault.target].stress_factor = fault.factor
         else:
-            self._active.append(fault)
+            self.services[fault.target].inbound_faults.append(fault)
 
     def _fault_end(self, fault: Fault, t: int) -> _Call | None:
         """Revert ``fault``. A pause's end resumes its service's frozen calls
@@ -717,7 +742,7 @@ class SimState:
         elif type(fault) is Stress:
             self.services[fault.target].stress_factor = 1.0
         else:
-            self._active[:] = [f for f in self._active if f is not fault]
+            self.services[fault.target].inbound_faults.remove(fault)
         return None
 
 

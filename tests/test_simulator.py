@@ -54,6 +54,7 @@ from oxn.simulator import (
     OUTCOMES,
     RETRANSMIT_PENALTY_MS,
     _SENTINEL,
+    BernoulliDraws,
     LognormalDraws,
     RawEventLog,
     RequestRecord,
@@ -231,6 +232,23 @@ class TestLognormalDraws:
         reference = rng_stream(3, "service:x")
         assert [draws.draw() for _ in range(self.N)] == [scalar_lognormal_ms(reference, spec) for _ in range(self.N)]
 
+    @pytest.mark.parametrize("fraction", [0.25, 0.5, 0.9])
+    def test_decisions_match_scalar_draws(self, fraction):
+        """An edge's extra calls: each 0/1 decision is the scalar
+        ``random() < fraction``, one for one, across every refill."""
+        draws = BernoulliDraws(rng_stream(3, "edge:a->b:calls"), fraction)
+        reference = rng_stream(3, "edge:a->b:calls")
+        assert [draws.draw() for _ in range(self.N)] == [int(reference.random() < fraction) for _ in range(self.N)]
+
+    def test_only_an_edge_with_a_fraction_of_a_call_has_a_decision_stream(self):
+        sue = SueSpec(
+            services=tuple(tiny_service(s) for s in "abcd"),
+            edges=(CallEdge("a", "b", 1.0, 1), CallEdge("a", "c", 2.0, 1), CallEdge("a", "d", 1.25, 1)),
+        )
+        b, c, d = new_sim(sue, 0).services["a"].edges
+        assert b.extra_calls is None and c.extra_calls is None
+        assert (d.whole, d.extra_calls.probability) == (1, 0.25)
+
     def test_block_schedule(self):
         assert _BLOCK_MAX % _BLOCK_MIN == 0 and (_BLOCK_MAX // _BLOCK_MIN).bit_count() == 1
         assert DOUBLED + _BLOCK_MAX < self.N <= DOUBLED + 2 * _BLOCK_MAX
@@ -256,10 +274,17 @@ class TestLognormalDraws:
         _, (block,), index = draws.it.__reduce__()
         return block, index
 
+    STREAMS = {  # a stream of each kind, its scalar draw and its block's typecode
+        "lognormal": (lambda rng: LognormalDraws(rng, LognormalSpec(15, 0.58)),
+                      lambda rng: scalar_lognormal_ms(rng, LognormalSpec(15, 0.58)), "q"),
+        "bernoulli": (lambda rng: BernoulliDraws(rng, 0.5), lambda rng: int(rng.random() < 0.5), "b"),
+    }
+
+    @pytest.mark.parametrize("kind", sorted(STREAMS))
     @pytest.mark.parametrize("fork", [copy.deepcopy, lambda d: pickle.loads(pickle.dumps(d))])
-    def test_fork_of_a_partly_consumed_buffer_runs_on(self, fork):
-        spec = LognormalSpec(15, 0.58)
-        draws = LognormalDraws(rng_stream(5, "user:0"), spec)
+    def test_fork_of_a_partly_consumed_buffer_runs_on(self, fork, kind):
+        stream, scalar, typecode = self.STREAMS[kind]
+        draws = stream(rng_stream(5, "user:0"))
         reference = rng_stream(5, "user:0")
         used = _BLOCK_MIN + 3  # 3 of the second block's 2 * _BLOCK_MIN are used
         head = [draws.draw() for _ in range(used)]
@@ -267,11 +292,11 @@ class TestLognormalDraws:
         assert len(draws.values) == 2 * _BLOCK_MIN and block is draws.values and index == 3
         copied = fork(draws)
         assert copied.values is not draws.values and copied.values == draws.values
-        assert copied.values.typecode == "q"
+        assert copied.values.typecode == typecode
         # The copy's iterator reads the copy's block, one buffer, from the same value on.
         block, index = self.position(copied)
         assert block is copied.values and index == 3
-        tail = [scalar_lognormal_ms(reference, spec) for _ in range(used + 400)]
+        tail = [scalar(reference) for _ in range(used + 400)]
         assert head == tail[:used]
         assert [copied.draw() for _ in range(400)] == tail[used:]
         assert [draws.draw() for _ in range(400)] == tail[used:]
@@ -687,6 +712,30 @@ def event_log_digest(sim, sue) -> str:
 SURGE_EVENT_LOG_DIGEST = "acca6fa63bb0a9e72a2e5ae91747e733d35ef90368357c5eea355707565d1373"
 
 
+def overlapping_inbound_faults() -> list[Fault]:
+    """Faults on the inbound edges of two services, in overlapping windows:
+    on ``recommendation`` a delay, a loss that starts later, and a second
+    delay later still, whose range is not the first's, so the order in which
+    the two delays draw from one edge's stream shows in the log; on
+    ``product-catalog``, which ``recommendation`` calls, a delay."""
+    return [
+        NetworkDelay(name="delay_recommendation", target="recommendation", start_ms=250_000, end_ms=490_000,
+                     delay_min_ms=0, delay_max_ms=90),
+        PacketLoss(name="loss_recommendation", target="recommendation", start_ms=300_000, end_ms=450_000,
+                   probability=0.15),
+        NetworkDelay(name="delay_recommendation_late", target="recommendation", start_ms=350_000, end_ms=520_000,
+                     delay_min_ms=100, delay_max_ms=150),
+        NetworkDelay(name="delay_product_catalog", target="product-catalog", start_ms=200_000, end_ms=400_000,
+                     delay_min_ms=10, delay_max_ms=30),
+    ]
+
+
+# sha256 of the raw event log of experiments/baseline.yaml at seed 0 under
+# ``overlapping_inbound_faults``, listed as for ``EVENT_LOG_DIGESTS`` and
+# computed when every active inbound fault sat in one list of the state.
+OVERLAPPING_EVENT_LOG_DIGEST = "7ba36fd5d71e146b09c85ac2d5bf07b8babe1456e16b68ae1f4c0699bbff2454"
+
+
 class TestGoldenEventLog:
     @pytest.mark.parametrize("fault", sorted(EVENT_LOG_DIGESTS))
     def test_event_log_digest(self, fault):
@@ -694,6 +743,13 @@ class TestGoldenEventLog:
         sim = baseline_sim(spec, faults[fault])
         sim.run_until(None)
         assert event_log_digest(sim, spec.sue) == EVENT_LOG_DIGESTS[fault]
+
+    def test_overlapping_inbound_faults_event_log_digest(self):
+        spec = parse_experiment_file(experiment_path("baseline"))
+        sim = new_sim(spec.sue, 0, overlapping_inbound_faults())
+        drive(sim, spec.workload)
+        sim.run_until(None)
+        assert event_log_digest(sim, spec.sue) == OVERLAPPING_EVENT_LOG_DIGEST
 
     def test_many_user_event_log_digest(self):
         spec, sim = surge_sim()
@@ -1326,7 +1382,7 @@ class TestProperties:
                 assert not svc.paused and not svc.killed
                 assert svc.stress_factor == 1.0 and not svc.frozen
                 assert svc.busy <= svc.workers
-            assert sim._active == []
+            assert all(svc.inbound_faults == [] for svc in sim.services.values())
         sim.run_until(None)
         assert all(svc.busy <= svc.workers for svc in sim.services.values())
 

@@ -116,7 +116,8 @@ class TestCompileSchedule:
         pause = Pause(name="p", target="svc", start_ms=1000, end_ms=2000)
         sim = new_sim(SueSpec(services=(tiny_service("svc"),)), 0, [delay, loss, pause])
         sim.run_until(1000)
-        assert sim._active[0] is delay and sim._active[1] is loss
+        first, second = sim.services["svc"].inbound_faults
+        assert first is delay and second is loss
         assert sim.services["svc"].paused
         assert type(loss) is PacketLoss and loss.kind == "packet_loss"
 
